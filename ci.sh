@@ -54,6 +54,20 @@ diff -u "$SMOKE/ctl-stats-a.json" "$SMOKE/ctl-stats-plain.json"
 ./target/debug/netrs-analyze control "netrs-ilp=$SMOKE/ctl-a.jsonl" \
     | grep -q "plan churn"
 
+echo "==> placement-solve smoke (paper-scale ILP proven at the root, by deterministic counts)"
+# The default 16-ary config: the greedy warm start must be proven optimal
+# by the rounded root bound alone. Gated on the plan record's counts, not
+# on wall clock — a solve that branches again shows up as nodes and
+# iterations on any box.
+./target/debug/simulate --scheme netrs-ilp --requests 1000 \
+    --control "$SMOKE/placement.jsonl" --json > /dev/null
+plan=$(grep -m 1 '"kind":"plan"' "$SMOKE/placement.jsonl")
+plan_field() { echo "$plan" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
+[ "$(plan_field branch_nodes)" -eq 0 ]
+[ "$(plan_field lp_iterations)" -lt 5000 ]
+[ "$(plan_field rsnodes)" -eq 2 ]
+grep -q '"proven_optimal":true' <<< "$plan"
+
 echo "==> perf smoke (tiny perf suite, artifact validates)"
 # Runs the perf harness end to end at test scale and validates the
 # artifact's shape. Deliberately no time gating: CI boxes are too noisy
@@ -81,8 +95,11 @@ diff -u "$SMOKE/ctl-stats-plain.json" "$SMOKE/perf-prof-stats.json"
 grep -q '"schema_version": 1' "$SMOKE/perf-profile.json"
 ./target/debug/netrs-analyze check-bench "$SMOKE/perf-profile.json" | grep -q "versioned v1"
 ./target/debug/netrs-analyze perf "$SMOKE/perf-profile.json" | grep -q "by layer"
-# The pinned repo baseline stays schema-valid too.
-./target/debug/netrs-analyze check-bench BENCH_PERF.json | grep -q "versioned v1"
+# The pinned repo baseline stays schema-valid too (via a file: it prints a
+# parallel-gate line after the match, and grep -q closing the pipe early
+# would fail the writer).
+./target/debug/netrs-analyze check-bench BENCH_PERF.json > "$SMOKE/baseline-check.txt"
+grep -q "versioned v1" "$SMOKE/baseline-check.txt"
 
 echo "==> shard-determinism smoke (1-shard == sequential, N-shard reproducible)"
 # One shard through the ShardedEngine must be byte-identical to the

@@ -640,10 +640,19 @@ pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
             };
             let solve = match &p.solve {
                 Some(s) if s.greedy => "greedy".to_string(),
-                Some(s) => format!(
-                    "ilp {} it · {} nodes · obj {}",
-                    s.lp_iterations, s.branch_nodes, s.objective
-                ),
+                Some(s) => {
+                    // How far a budget-capped solve stayed from a proof;
+                    // older streams carry neither field.
+                    let gap = match (s.proven_optimal, s.bound) {
+                        (Some(true), _) => " · proven".to_string(),
+                        (_, Some(bound)) => format!(" · gap {}", s.objective - bound),
+                        _ => String::new(),
+                    };
+                    format!(
+                        "ilp {} it · {} nodes · obj {}{gap}",
+                        s.lp_iterations, s.branch_nodes, s.objective
+                    )
+                }
                 None => "-".to_string(),
             };
             let _ = writeln!(
@@ -1937,6 +1946,8 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
                     lp_iterations: 13_766,
                     branch_nodes: 200,
                     objective: 4.0,
+                    bound: Some(3.0),
+                    proven_optimal: Some(false),
                 }),
                 reassigned: vec![],
                 newly_assigned: vec![0, 1, 2, 3, 4, 5, 6],
@@ -1986,13 +1997,25 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
    traffic evolution (batch · windows · ToRs · resp/s by tier):
      1           2     2      200.0      400.0     1400.0
    plan churn (t · trigger · groups re/new/un · RSNodes +/- · DRS · rules · solve):
-     0.000000s   initial                0/  7/  0    4 (+4/-0)    0     20  ilp 13766 it · 200 nodes · obj 4
+     0.000000s   initial                0/  7/  0    4 (+4/-0)    0     20  ilp 13766 it · 200 nodes · obj 4 · gap 1
      0.500000s   operator_fail(sw16)    0/  0/  2    4 (+0/-1)    2     20  -
    DRS spans (switch · fail · detect-lag · recover · groups · displaced):
      sw16     0.490000s   +10.000ms   0.900000s   2   800.000ms
 ";
-        let entries = vec![("NetRS-ILP".to_string(), records)];
+        let mut entries = vec![("NetRS-ILP".to_string(), records)];
         assert_eq!(control_report(&entries), expected);
+        // A proven plan says so; a stream from before the bound was
+        // recorded renders without the suffix.
+        let mut set_proof = |bound, proven_optimal| {
+            let ControlRecord::Plan(plan) = &mut entries[0].1[0] else {
+                unreachable!("the first record is the initial plan");
+            };
+            let solve = plan.solve.as_mut().expect("the initial plan was solved");
+            (solve.bound, solve.proven_optimal) = (bound, proven_optimal);
+            control_report(&entries)
+        };
+        assert!(set_proof(Some(4.0), Some(true)).contains("obj 4 · proven\n"));
+        assert!(set_proof(None, None).contains("obj 4\n"));
         // A second label appends the side-by-side summary.
         let two = vec![entries[0].clone(), ("NetRS-ToR".to_string(), Vec::new())];
         let report = control_report(&two);

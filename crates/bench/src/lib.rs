@@ -606,7 +606,7 @@ pub fn rsp_experiment(seed: u64) -> String {
             },
         ),
         (
-            "tight hop budget: U=50%, E=2%A (reproduces the agg-heavy shape)",
+            "tight hop budget: U=50%, E=2%A",
             PlanConstraints {
                 extra_hop_budget: 0.02 * a,
                 ..PlanConstraints::default()

@@ -11,12 +11,18 @@
 //!   or any core switch (encoded here by only *creating* variables for
 //!   candidates, which also prunes the model).
 //! * **Eq. 5** — every group has exactly one RSNode.
-//! * **Eq. 3 (aggregated)** — `Σ_g P[g][o] ≤ |G| · D[o]` links assignment
-//!   to opening; the aggregation keeps the row count linear while
-//!   admitting the same integer solutions.
+//! * **Eq. 3 (aggregated)** — `Σ_g P[g][o] ≤ n_o · D[o]` links assignment
+//!   to opening, with `n_o` the operator's own candidate-group count (the
+//!   tightest big-M that admits every integer solution); the aggregation
+//!   keeps the row count linear. Zero-load groups depend on this row
+//!   alone.
 //! * **Eq. 6** — operator load (group request rates, optionally doubled
 //!   for response clones, which share the accelerator) within
-//!   `U·c/t` capacity.
+//!   `U·c/t` capacity, written as the variable-upper-bound row
+//!   `Σ_g load_g · P[g][o] ≤ cap_o · D[o]`: the same integer points, but
+//!   the LP relaxation must now open `load/cap` of an operator to use it,
+//!   so summing the rows gives the cover bound
+//!   `Σ_o cap_o · D[o] ≥ Σ_g load_g` and the root bound tracks the load.
 //! * **Eq. 7** — total extra forwarding hops within the budget `E`, with
 //!   the per-tier hop cost of [`netrs_topology::extra_hops`].
 //!
@@ -131,6 +137,10 @@ pub struct PlanSolveStats {
     /// Objective value of the returned plan — the number of opened
     /// RSNodes (Eq. 1).
     pub objective: f64,
+    /// Best proven lower bound on the optimum of the (last) solved ILP
+    /// model; equals `objective` for a proven plan, zero when no model
+    /// was solved.
+    pub bound: f64,
     /// Whether the greedy heuristic produced the final assignment
     /// (pure-greedy solver, oversized Auto model, or budget fallback).
     pub greedy: bool,
@@ -242,8 +252,8 @@ pub struct PlacementProblem<'a> {
     groups: &'a TrafficGroups,
     traffic: &'a TrafficMatrix,
     cons: &'a PlanConstraints,
-    /// Operators excluded from candidacy (failed or overloaded devices).
-    excluded: BTreeSet<SwitchId>,
+    /// Each group's candidate operators (the R-matrix row), computed once.
+    cands: Vec<Vec<SwitchId>>,
 }
 
 impl<'a> PlacementProblem<'a> {
@@ -264,19 +274,38 @@ impl<'a> PlacementProblem<'a> {
             groups.len(),
             "traffic matrix must cover every group"
         );
-        PlacementProblem {
+        let mut problem = PlacementProblem {
             topo,
             groups,
             traffic,
             cons,
-            excluded: BTreeSet::new(),
-        }
+            cands: Vec::new(),
+        };
+        // The R-matrix rules of §III-B: own ToR, own-pod aggregation
+        // switches, core switches (symmetry-reduced).
+        let cores = problem.core_candidate_count();
+        problem.cands = groups
+            .iter()
+            .map(|info| {
+                let pod = topo
+                    .pod_of_switch(info.tor)
+                    .expect("group ToRs always have a pod");
+                std::iter::once(info.tor)
+                    .chain((0..topo.arity() / 2).map(|i| topo.agg(pod, i)))
+                    .chain((0..cores).map(|c| topo.core(c)))
+                    .collect()
+            })
+            .collect();
+        problem
     }
 
     /// Excludes operators (e.g. failed devices) from candidacy.
     #[must_use]
     pub fn without_operators(mut self, excluded: impl IntoIterator<Item = SwitchId>) -> Self {
-        self.excluded.extend(excluded);
+        let excluded: BTreeSet<SwitchId> = excluded.into_iter().collect();
+        for cands in &mut self.cands {
+            cands.retain(|sw| !excluded.contains(sw));
+        }
         self
     }
 
@@ -330,29 +359,8 @@ impl<'a> PlacementProblem<'a> {
     /// §III-B: own ToR, own-pod aggregation switches, core switches
     /// (symmetry-reduced), minus excluded devices.
     #[must_use]
-    pub fn candidates(&self, g: GroupId) -> Vec<SwitchId> {
-        let info = self.groups.info(g);
-        let pod = self
-            .topo
-            .pod_of_switch(info.tor)
-            .expect("group ToRs always have a pod");
-        let mut out = Vec::new();
-        if !self.excluded.contains(&info.tor) {
-            out.push(info.tor);
-        }
-        for i in 0..self.topo.arity() / 2 {
-            let agg = self.topo.agg(pod, i);
-            if !self.excluded.contains(&agg) {
-                out.push(agg);
-            }
-        }
-        for c in 0..self.core_candidate_count() {
-            let core = self.topo.core(c);
-            if !self.excluded.contains(&core) {
-                out.push(core);
-            }
-        }
-        out
+    pub fn candidates(&self, g: GroupId) -> &[SwitchId] {
+        &self.cands[g as usize]
     }
 
     /// Builds the ILP over the groups *not* in `drs`. Returns the model
@@ -374,12 +382,12 @@ impl<'a> PlacementProblem<'a> {
         // (cost 0) for each (group, candidate) pair — Eq. 4 by
         // construction.
         for &g in &active {
-            for sw in self.candidates(g) {
+            for &sw in self.candidates(g) {
                 dvars.entry(sw).or_insert_with(|| p.add_binary(1.0));
             }
         }
         for &g in &active {
-            for sw in self.candidates(g) {
+            for &sw in self.candidates(g) {
                 let v = p.add_binary(0.0);
                 pvars.push((g, sw, v));
             }
@@ -397,20 +405,22 @@ impl<'a> PlacementProblem<'a> {
             }
         }
 
-        let big_g = active.len().max(1) as f64;
         for (&sw, &dv) in &dvars {
             let assigned: Vec<&(GroupId, SwitchId, VarId)> =
                 pvars.iter().filter(|&&(_, s, _)| s == sw).collect();
-            // Eq. 3 (aggregated linking).
+            // Eq. 3 (aggregated linking), with the operator's own
+            // candidate-group count as the big-M.
             let mut link: Vec<(VarId, f64)> = assigned.iter().map(|&&(_, _, v)| (v, 1.0)).collect();
-            link.push((dv, -big_g));
+            link.push((dv, -(assigned.len() as f64)));
             p.add_constraint(link, Sense::Le, 0.0);
-            // Eq. 6 (capacity).
-            let cap_terms: Vec<(VarId, f64)> = assigned
+            // Eq. 6 (capacity) as a variable upper bound: an operator
+            // offers its capacity only as far as it is opened.
+            let mut cap_terms: Vec<(VarId, f64)> = assigned
                 .iter()
                 .map(|&&(g, _, v)| (v, self.load_of(g)))
                 .collect();
-            p.add_constraint(cap_terms, Sense::Le, self.capacity_of(sw));
+            cap_terms.push((dv, -self.capacity_of(sw)));
+            p.add_constraint(cap_terms, Sense::Le, 0.0);
         }
 
         // §III-B's shared-accelerator variant of Eq. 6: the summed load
@@ -624,6 +634,7 @@ impl<'a> PlacementProblem<'a> {
                     stats.lp_iterations += sol.lp_iterations;
                     stats.branch_nodes += sol.nodes;
                     stats.objective = sol.objective;
+                    stats.bound = sol.bound;
                     let mut rsp = Rsp {
                         drs,
                         proven_optimal: sol.status == netrs_ilp::IlpStatus::Optimal,

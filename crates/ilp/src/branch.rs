@@ -1,17 +1,26 @@
-//! Best-first branch-and-bound over the binary variables.
+//! Plunging best-first branch-and-bound over the binary variables.
 //!
 //! Each node fixes a subset of binaries through *bound changes* (the
 //! bounded-variable simplex makes fixing free — no extra rows) and solves
-//! the LP relaxation for a lower bound. Nodes explore best-bound-first so
-//! the proven bound tightens as fast as possible; an optional node budget
-//! turns the solver into the *anytime* optimizer the NetRS paper asks for
-//! ("we could get a suboptimal solution to the ILP problem by terminating
-//! the solving process early").
+//! the LP relaxation for a lower bound. A branched node *plunges*: the
+//! child nearest its LP value is solved next, on the parent's live
+//! tableau with one more variable fixed, so it costs a few dual simplex
+//! pivots instead of a solve from scratch. When a dive ends (pruned,
+//! infeasible or integral) the search jumps to the open node with the
+//! best bound, so the proven bound still tightens; an optional node
+//! budget turns the solver into the *anytime* optimizer the NetRS paper
+//! asks for ("we could get a suboptimal solution to the ILP problem by
+//! terminating the solving process early").
+//!
+//! When every non-zero cost is an integer on an integer variable, every
+//! feasible objective is an integer and LP bounds are rounded up before
+//! they prune — for a count-the-open-facilities objective this is what
+//! lets an incumbent of `⌈LP⌉` be proven at the root.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::simplex::{solve_lp_with_bounds, LpStatus};
+use crate::simplex::{LpSolution, LpStatus, Tableau};
 use crate::Problem;
 
 /// How a branch-and-bound run ended.
@@ -130,6 +139,15 @@ impl Ord for Node {
     }
 }
 
+/// Whether every feasible objective of `p` is an integer: each non-zero
+/// cost is an integer and sits on an integer variable.
+fn objective_is_integral(p: &Problem) -> bool {
+    p.objective()
+        .iter()
+        .zip(p.integrality())
+        .all(|(&c, &is_int)| c == 0.0 || (is_int && c.fract() == 0.0))
+}
+
 impl BranchAndBound {
     /// Solves the 0/1 program.
     ///
@@ -142,11 +160,41 @@ impl BranchAndBound {
         self.solve_from(p, None)
     }
 
+    /// The one node-solve routine. A node whose boxes lie inside the
+    /// live tableau's (the plunge child of the node solved last, or that
+    /// node itself) re-optimises it; any other node rebuilds from the
+    /// crash basis, and so does one whose re-optimisation ran out of
+    /// iterations. At most one tableau is alive at a time.
+    fn solve_node(&self, p: &Problem, live: &mut Option<Tableau>, node: &Node) -> LpSolution {
+        let limit = self.lp_iteration_limit;
+        let reused = live
+            .as_mut()
+            .and_then(|tab| tab.tighten_and_reoptimize(p, &node.lower, &node.upper, limit));
+        let mut spent = 0;
+        if let Some(lp) = reused {
+            match lp.status {
+                LpStatus::Optimal => return lp,
+                // A stalled dual proves nothing: retry from scratch.
+                LpStatus::IterationLimit => spent = lp.iterations,
+                _ => {
+                    *live = None; // the tableau is spent
+                    return lp;
+                }
+            }
+        }
+        *live = None; // free the old tableau before allocating the next
+        let (mut lp, tab) = Tableau::solve(p, &node.lower, &node.upper, limit);
+        lp.iterations += spent;
+        *live = tab;
+        lp
+    }
+
     /// Like [`BranchAndBound::solve`], but warm-started with a known
     /// feasible point (e.g. from a heuristic). The incumbent immediately
     /// prunes every subtree that cannot beat it, which is what makes tiny
-    /// node budgets useful on large placement models. An infeasible warm
-    /// start is ignored.
+    /// node budgets useful on large placement models: when the root bound
+    /// already meets it, the solve ends there with zero nodes. An
+    /// infeasible warm start is ignored.
     ///
     /// # Errors
     ///
@@ -157,27 +205,45 @@ impl BranchAndBound {
         p: &Problem,
         warm_start: Option<&[f64]>,
     ) -> Result<IlpSolution, IlpError> {
-        let root_lp = solve_lp_with_bounds(
-            p,
-            p.lower_bounds(),
-            p.upper_bounds(),
-            self.lp_iteration_limit,
-        );
-        match root_lp.status {
+        let integral = objective_is_integral(p);
+        let tighten = |lp_objective: f64| {
+            if integral {
+                (lp_objective - 1e-6).ceil()
+            } else {
+                lp_objective
+            }
+        };
+
+        // The root is solved before any node is counted: its bound is
+        // what a zero budget reports and what proves a warm start with no
+        // node expanded. When it is expanded after all, `solve_node` finds
+        // the live tableau already standing on it.
+        let mut live = None;
+        let root = Node {
+            bound: f64::NEG_INFINITY,
+            depth: 0,
+            lower: p.lower_bounds().to_vec(),
+            upper: p.upper_bounds().to_vec(),
+        };
+        let lp = self.solve_node(p, &mut live, &root);
+        match lp.status {
             LpStatus::Infeasible => return Err(IlpError::Infeasible),
             LpStatus::Unbounded => return Err(IlpError::Unbounded),
             LpStatus::IterationLimit => return Err(IlpError::BudgetExhausted),
             LpStatus::Optimal => {}
         }
-        let mut lp_iterations = root_lp.iterations;
+        let mut lp_iterations = lp.iterations;
 
         let mut heap = BinaryHeap::new();
         heap.push(Node {
-            bound: root_lp.objective,
-            depth: 0,
-            lower: p.lower_bounds().to_vec(),
-            upper: p.upper_bounds().to_vec(),
+            bound: tighten(lp.objective),
+            ..root
         });
+        // The child to solve next, on the tableau its parent left behind.
+        let mut plunge: Option<Node> = None;
+        // Nodes whose LP hit the iteration cap: neither bounded nor
+        // refuted, so they stay open and the result is not a proof.
+        let mut stalled = Vec::new();
 
         let mut incumbent: Option<(f64, Vec<f64>)> = warm_start
             .filter(|x| p.is_feasible(x, self.int_tol))
@@ -185,27 +251,40 @@ impl BranchAndBound {
         let mut nodes = 0u64;
 
         loop {
-            if nodes >= self.node_limit && !heap.is_empty() {
+            if nodes >= self.node_limit && (plunge.is_some() || !heap.is_empty()) {
                 break; // budget exhausted with open nodes left
             }
-            let Some(node) = heap.pop() else { break };
-            if let Some((obj, _)) = &incumbent {
-                if node.bound >= *obj - 1e-9 {
-                    // The heap is bound-ordered: every remaining node is at
-                    // least as bad as the incumbent, so we are done.
-                    heap.clear();
-                    break;
+            let node = match plunge.take() {
+                Some(node) => node,
+                None => {
+                    let Some(node) = heap.pop() else { break };
+                    if let Some((obj, _)) = &incumbent {
+                        if node.bound >= *obj - 1e-9 {
+                            // The heap is bound-ordered: every remaining
+                            // node is at least as bad as the incumbent, so
+                            // we are done.
+                            heap.clear();
+                            break;
+                        }
+                    }
+                    node
                 }
-            }
+            };
             nodes += 1;
 
-            let lp = solve_lp_with_bounds(p, &node.lower, &node.upper, self.lp_iteration_limit);
+            let lp = self.solve_node(p, &mut live, &node);
             lp_iterations += lp.iterations;
-            if lp.status != LpStatus::Optimal {
-                continue; // infeasible (or stalled) subtree
+            match lp.status {
+                LpStatus::Optimal => {}
+                LpStatus::IterationLimit => {
+                    stalled.push(node);
+                    continue;
+                }
+                LpStatus::Infeasible | LpStatus::Unbounded => continue, // dead subtree
             }
+            let bound = tighten(lp.objective);
             if let Some((obj, _)) = &incumbent {
-                if lp.objective >= *obj - 1e-9 {
+                if bound >= *obj - 1e-9 {
                     continue;
                 }
             }
@@ -223,7 +302,7 @@ impl BranchAndBound {
             match frac {
                 None => {
                     // Integer-feasible: round binaries exactly.
-                    let mut values = lp.values.clone();
+                    let mut values = lp.values;
                     for (j, v) in values.iter_mut().enumerate() {
                         if p.integrality()[j] {
                             *v = v.round();
@@ -238,25 +317,28 @@ impl BranchAndBound {
                     }
                 }
                 Some((j, _)) => {
-                    // Branch j = floor side first, then ceil side; push
-                    // the side nearest the LP value last so the heap's
-                    // depth tie-break dives toward it.
-                    let v = lp.values[j];
-                    for &fix in &[v.round(), 1.0 - v.round()] {
+                    // Plunge into the side nearest the LP value; the other
+                    // side waits in the heap.
+                    let near = lp.values[j].round();
+                    let child = |fix: f64| {
                         let mut lower = node.lower.clone();
                         let mut upper = node.upper.clone();
                         lower[j] = fix;
                         upper[j] = fix;
-                        heap.push(Node {
-                            bound: lp.objective,
+                        Node {
+                            bound,
                             depth: node.depth + 1,
                             lower,
                             upper,
-                        });
-                    }
+                        }
+                    };
+                    heap.push(child(1.0 - near));
+                    plunge = Some(child(near));
                 }
             }
         }
+        heap.extend(plunge);
+        heap.extend(stalled);
 
         let open_bound = heap.peek().map(|n| n.bound);
         match incumbent {
@@ -411,6 +493,56 @@ mod tests {
     }
 
     #[test]
+    fn stalled_node_lps_never_back_an_optimality_claim() {
+        // Sweep the per-LP iteration cap across the range where the root
+        // still solves but some node LPs run out: a node that stalls is
+        // neither bounded nor refuted, so whenever the search still says
+        // `Optimal` it must agree with brute force.
+        // At a cap of 7 the child that stalls holds the optimum (10):
+        // dropping it as if it were infeasible would "prove" 13.
+        let mut p = Problem::minimize();
+        let x: Vec<_> = [4.0, 5.0, 1.0, 3.0].map(|c| p.add_binary(c)).to_vec();
+        for (coeffs, rhs) in [
+            ([1.0, 1.0, 2.0, 1.0], 1.5),
+            ([1.0, 3.0, 2.0, 1.0], 5.5),
+            ([3.0, 3.0, 1.0, 0.0], 4.5),
+        ] {
+            p.add_constraint(x.iter().copied().zip(coeffs), Sense::Ge, rhs);
+        }
+        let reference = brute_force(&p).unwrap();
+        let (mut proofs, mut capped) = (0, 0);
+        for lp_iteration_limit in 1..30 {
+            let bb = BranchAndBound {
+                lp_iteration_limit,
+                ..BranchAndBound::default()
+            };
+            match bb.solve(&p) {
+                Ok(sol) if sol.status == IlpStatus::Optimal => {
+                    assert!(
+                        (sol.objective - reference).abs() < 1e-6,
+                        "cap {lp_iteration_limit}: 'optimal' {} vs {reference}",
+                        sol.objective
+                    );
+                    proofs += 1;
+                }
+                Ok(sol) => {
+                    assert!(p.is_feasible(&sol.values, 1e-6));
+                    assert!(sol.bound <= reference + 1e-9);
+                    capped += 1;
+                }
+                Err(e) => {
+                    assert_eq!(e, IlpError::BudgetExhausted);
+                    capped += 1;
+                }
+            }
+        }
+        assert!(
+            proofs > 0 && capped > 0,
+            "sweep must straddle the cap: {proofs} proofs, {capped} capped"
+        );
+    }
+
+    #[test]
     fn negative_costs_push_variables_up() {
         // max 2a + b - c == min -2a - b + c, a + b + c <= 2.
         let mut p = Problem::minimize();
@@ -478,5 +610,100 @@ mod tests {
         assert!((sol.objective + 7.0).abs() < 1e-6);
         assert!((sol.values[x] - 10.0).abs() < 1e-6);
         assert!((sol.values[y] - 1.0).abs() < 1e-9);
+    }
+
+    /// Two operators of capacity 10 (cost `cost` each) and three groups
+    /// of load 4, with the capacity rows as variable upper bounds: the LP
+    /// opens 12/10 of an operator, every plan opens both.
+    fn two_operator_placement(cost: f64) -> (Problem, Vec<f64>) {
+        let mut p = Problem::minimize();
+        let d: Vec<_> = (0..2).map(|_| p.add_binary(cost)).collect();
+        let mut warm = vec![1.0, 1.0];
+        let mut assign = vec![];
+        for g in 0..3 {
+            let row: Vec<_> = (0..2).map(|_| p.add_binary(0.0)).collect();
+            p.add_constraint(row.iter().map(|&v| (v, 1.0)), Sense::Eq, 1.0);
+            // Warm start: groups 0 and 1 on operator 0, group 2 on 1.
+            warm.extend(if g < 2 { [1.0, 0.0] } else { [0.0, 1.0] });
+            assign.push(row);
+        }
+        for (o, &dv) in d.iter().enumerate() {
+            let mut cap: Vec<_> = assign.iter().map(|row| (row[o], 4.0)).collect();
+            cap.push((dv, -10.0));
+            p.add_constraint(cap, Sense::Le, 0.0);
+        }
+        (p, warm)
+    }
+
+    #[test]
+    fn warm_start_meeting_the_rounded_root_bound_ends_at_the_root() {
+        let (p, warm) = two_operator_placement(1.0);
+        let lp = crate::solve_lp(&p);
+        assert!(
+            (lp.objective - 1.2).abs() < 1e-6,
+            "root LP {}",
+            lp.objective
+        );
+        let sol = BranchAndBound::default()
+            .solve_from(&p, Some(&warm))
+            .unwrap();
+        assert_eq!(sol.status, IlpStatus::Optimal);
+        assert_eq!(sol.nodes, 0, "⌈1.2⌉ = 2 proves the warm start");
+        assert_eq!(sol.objective, 2.0);
+        assert_eq!(sol.bound, 2.0);
+        assert_eq!(
+            sol.lp_iterations, lp.iterations,
+            "the root LP is all it solved"
+        );
+        // Without the warm start the same bound still ends the search as
+        // soon as a two-operator plan turns up.
+        let cold = BranchAndBound::default().solve(&p).unwrap();
+        assert_eq!(cold.status, IlpStatus::Optimal);
+        assert_eq!(cold.objective, 2.0);
+    }
+
+    #[test]
+    fn bound_rounding_needs_an_integral_objective() {
+        // Fractional costs: the same model at 0.5 per operator has root
+        // bound 0.6 and optimum 1.0; rounding 0.6 up would be harmless
+        // here, so pin the reported bound instead: a zero budget returns
+        // the raw LP bound.
+        let (p, warm) = two_operator_placement(0.5);
+        assert!(!objective_is_integral(&p));
+        let capped = BranchAndBound {
+            node_limit: 0,
+            ..BranchAndBound::default()
+        };
+        let sol = capped.solve_from(&p, Some(&warm)).unwrap();
+        assert_eq!(sol.status, IlpStatus::Feasible);
+        assert!((sol.bound - 0.6).abs() < 1e-6, "bound {}", sol.bound);
+        let (p, warm) = two_operator_placement(1.0);
+        assert!(objective_is_integral(&p));
+        assert_eq!(capped.solve_from(&p, Some(&warm)).unwrap().bound, 2.0);
+
+        // Pick exactly one of two items costing 1.2 and 1.7. Rounding the
+        // root bound 1.2 up to 2 would "prove" a warm start of 1.7.
+        let mut p = Problem::minimize();
+        let a = p.add_binary(1.2);
+        let b = p.add_binary(1.7);
+        p.add_constraint([(a, 1.0), (b, 1.0)], Sense::Eq, 1.0);
+        let sol = BranchAndBound::default()
+            .solve_from(&p, Some(&[0.0, 1.0]))
+            .unwrap();
+        assert!((sol.objective - 1.2).abs() < 1e-9, "{}", sol.objective);
+
+        // The same choice paid through a continuous variable with an
+        // integer cost: x >= 1.2a + 1.7b, minimize x.
+        let mut p = Problem::minimize();
+        let a = p.add_binary(0.0);
+        let b = p.add_binary(0.0);
+        let x = p.add_continuous(1.0, 0.0, 10.0);
+        p.add_constraint([(a, 1.0), (b, 1.0)], Sense::Eq, 1.0);
+        p.add_constraint([(x, 1.0), (a, -1.2), (b, -1.7)], Sense::Ge, 0.0);
+        assert!(!objective_is_integral(&p));
+        let sol = BranchAndBound::default()
+            .solve_from(&p, Some(&[0.0, 1.0, 1.7]))
+            .unwrap();
+        assert!((sol.objective - 1.2).abs() < 1e-9, "{}", sol.objective);
     }
 }

@@ -10,11 +10,13 @@
 //! * [`Problem`] — a mixed 0/1 + continuous linear program with per
 //!   variable bounds and `≤ / ≥ / =` constraints,
 //! * [`solve_lp`] — a dense, bounded-variable, two-phase primal simplex
-//!   for the LP relaxation, and
-//! * [`BranchAndBound`] — best-first branch-and-bound on the binary
-//!   variables with an *anytime* node budget: when the budget runs out it
-//!   returns the best incumbent found so far plus the proven bound, which
-//!   is exactly the early-termination trade-off the paper describes.
+//!   for the LP relaxation, started from a slack-crash basis, and
+//! * [`BranchAndBound`] — plunging best-first branch-and-bound on the
+//!   binary variables (a child re-optimises its parent's tableau with
+//!   dual simplex pivots; integral objectives round their bounds up) with
+//!   an *anytime* node budget: when the budget runs out it returns the
+//!   best incumbent found so far plus the proven bound, which is exactly
+//!   the early-termination trade-off the paper describes.
 //!
 //! # Examples
 //!

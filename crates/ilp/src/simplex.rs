@@ -1,10 +1,16 @@
-//! A dense, bounded-variable, two-phase primal simplex.
+//! A dense, bounded-variable simplex: two-phase primal from a slack-crash
+//! basis, plus dual re-optimisation of a solved tableau.
 //!
 //! Variables live in boxes `[lo, hi]` (possibly `hi = ∞`), which lets the
 //! branch-and-bound layer fix binaries by shrinking bounds instead of
-//! adding rows. Phase 1 drives a full artificial basis to zero; phase 2
-//! optimizes the real objective. Dantzig pricing with a Bland's-rule
-//! fallback guards against cycling.
+//! adding rows. The starting basis takes the slack of every inequality
+//! row the all-at-lower-bound point already satisfies; only the remaining
+//! rows (equalities, violated inequalities) get an artificial, and phase 1
+//! drives those to zero before phase 2 optimizes the real objective.
+//! Fixing a variable of an optimal tableau keeps it dual feasible, so
+//! [`Tableau::tighten_and_reoptimize`] repairs primal feasibility with dual
+//! simplex pivots instead of starting over. Dantzig pricing with a
+//! Bland's-rule fallback guards against cycling in both directions.
 
 use crate::{Problem, Sense};
 
@@ -45,7 +51,10 @@ enum VarStatus {
     AtUpper,
 }
 
-struct Tableau {
+/// The dense simplex tableau of one LP, kept alive by branch-and-bound
+/// so a child node can re-optimise it instead of rebuilding.
+pub(crate) struct Tableau {
+    n: usize, // structural variables
     m: usize,
     ncols: usize,
 
@@ -69,71 +78,72 @@ impl Tableau {
     fn build(p: &Problem, lower: &[f64], upper: &[f64], iter_limit: u64) -> Tableau {
         let n = p.num_vars();
         let m = p.num_constraints();
+
+        // Row residuals with every structural at its lower bound. An
+        // inequality whose slack can carry its residual starts with that
+        // slack basic; every other row needs an artificial.
+        let residuals: Vec<f64> = p
+            .constraints()
+            .iter()
+            .map(|c| c.rhs - c.terms.iter().map(|&(v, a)| a * lower[v]).sum::<f64>())
+            .collect();
+        let needs_artificial = |i: usize| match p.constraints()[i].sense {
+            Sense::Le => residuals[i] < 0.0,
+            Sense::Ge => residuals[i] > 0.0,
+            Sense::Eq => true,
+        };
         let nslack = p
             .constraints()
             .iter()
             .filter(|c| c.sense != Sense::Eq)
             .count();
         let art_start = n + nslack;
-        let ncols = art_start + m;
+        let ncols = art_start + (0..m).filter(|&i| needs_artificial(i)).count();
 
         let mut t = vec![0.0; m * ncols];
-        let mut b = vec![0.0; m];
         let mut lo = Vec::with_capacity(ncols);
         let mut hi = Vec::with_capacity(ncols);
         lo.extend_from_slice(lower);
         hi.extend_from_slice(upper);
-        for _ in 0..nslack + m {
-            lo.push(0.0);
-            hi.push(f64::INFINITY);
-        }
-
-        let mut slack = n;
-        for (i, c) in p.constraints().iter().enumerate() {
-            for &(v, a) in &c.terms {
-                t[i * ncols + v] += a;
-            }
-            b[i] = c.rhs;
-            match c.sense {
-                Sense::Le => {
-                    t[i * ncols + slack] = 1.0;
-                    slack += 1;
-                }
-                Sense::Ge => {
-                    t[i * ncols + slack] = -1.0;
-                    slack += 1;
-                }
-                Sense::Eq => {}
-            }
-        }
+        lo.resize(ncols, 0.0);
+        hi.resize(ncols, f64::INFINITY);
 
         // Nonbasic variables start at their lower bound.
-        let mut xval = vec![0.0; ncols];
+        let mut xval = lo.clone();
         let mut status = vec![VarStatus::AtLower; ncols];
-        xval[..art_start].copy_from_slice(&lo[..art_start]);
-
-        // Scale rows so residuals are non-negative, then seed an
-        // artificial identity basis carrying the residuals.
         let mut basis = Vec::with_capacity(m);
-        for i in 0..m {
-            let mut residual = b[i];
-            for j in 0..art_start {
-                residual -= t[i * ncols + j] * xval[j];
+        let mut slack = n;
+        let mut art = art_start;
+        for (i, c) in p.constraints().iter().enumerate() {
+            // Scale the row so its basic column has coefficient +1 and
+            // carries a non-negative value.
+            let artificial = needs_artificial(i);
+            let negate = if artificial {
+                residuals[i] < 0.0
+            } else {
+                c.sense == Sense::Ge
+            };
+            let sign = if negate { -1.0 } else { 1.0 };
+            let row = &mut t[i * ncols..(i + 1) * ncols];
+            for &(v, a) in &c.terms {
+                row[v] += sign * a;
             }
-            if residual < 0.0 {
-                for j in 0..art_start {
-                    t[i * ncols + j] = -t[i * ncols + j];
-                }
-                residual = -residual;
+            match c.sense {
+                Sense::Le => row[slack] = sign,
+                Sense::Ge => row[slack] = -sign,
+                Sense::Eq => {}
             }
-            let art = art_start + i;
-            t[i * ncols + art] = 1.0;
-            xval[art] = residual;
-            status[art] = VarStatus::Basic(i);
-            basis.push(art);
+            let basic = if artificial { art } else { slack };
+            row[basic] = 1.0;
+            art += usize::from(artificial);
+            slack += usize::from(c.sense != Sense::Eq);
+            xval[basic] = residuals[i].abs();
+            status[basic] = VarStatus::Basic(i);
+            basis.push(basic);
         }
 
         Tableau {
+            n,
             m,
             ncols,
 
@@ -244,15 +254,7 @@ impl Tableau {
             }
             let step = t_best.max(0.0);
 
-            // Move the entering variable and all basics.
-            for i in 0..self.m {
-                let delta = -dir * self.at(i, j);
-                if delta != 0.0 {
-                    let bv = self.basis[i];
-                    self.xval[bv] += delta * step;
-                }
-            }
-            self.xval[j] += dir * step;
+            self.shift_nonbasic(j, dir * step);
 
             match leave {
                 None => {
@@ -313,6 +315,104 @@ impl Tableau {
         self.status[j] = VarStatus::Basic(r);
     }
 
+    /// Dual simplex on a dual-feasible tableau: pivots out basic
+    /// variables that sit outside their box until none does. Returns
+    /// `Err(Infeasible)` when a violated row has no column to repair it.
+    fn dual_optimize(&mut self) -> Result<(), LpStatus> {
+        let bland_after = 2_000 + 20 * (self.m as u64 + self.ncols as u64);
+        loop {
+            self.iterations += 1;
+            if self.iterations > self.iter_limit {
+                return Err(LpStatus::IterationLimit);
+            }
+            let bland = self.iterations > bland_after;
+
+            // Leaving row: the basic variable furthest outside its box
+            // (the smallest variable id under Bland).
+            let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, below)
+            for i in 0..self.m {
+                let bv = self.basis[i];
+                let below = self.lo[bv] - self.xval[bv];
+                let above = self.xval[bv] - self.hi[bv];
+                let viol = below.max(above);
+                if viol <= FEAS_TOL {
+                    continue;
+                }
+                let better = match leave {
+                    None => true,
+                    Some((r, _, _)) if bland => bv < self.basis[r],
+                    Some((_, best, _)) => viol > best,
+                };
+                if better {
+                    leave = Some((i, viol, below > above));
+                }
+            }
+            let Some((r, _, below)) = leave else {
+                return Ok(());
+            };
+
+            // Entering column: the dual ratio test over the columns whose
+            // move pushes the leaving variable back toward its box.
+            let push = if below { 1.0 } else { -1.0 };
+            let mut enter: Option<(usize, f64)> = None; // (col, ratio)
+            for j in 0..self.ncols {
+                let a = push * self.at(r, j);
+                let eligible = match self.status[j] {
+                    VarStatus::Basic(_) => false,
+                    VarStatus::AtLower => a < -PIVOT_TOL,
+                    VarStatus::AtUpper => a > PIVOT_TOL,
+                };
+                if !eligible || self.span(j) <= PIVOT_TOL {
+                    continue;
+                }
+                let ratio = (self.d[j] / a).abs();
+                let better = match enter {
+                    None => true,
+                    Some((_, best)) if ratio < best - 1e-10 => true,
+                    // Near-ties: prefer the larger pivot element for
+                    // stability (under Bland the first, smallest id wins).
+                    Some((q, best)) if (ratio - best).abs() <= 1e-10 => {
+                        !bland && a.abs() > self.at(r, q).abs()
+                    }
+                    _ => false,
+                };
+                if better {
+                    enter = Some((j, enter.map_or(ratio, |(_, best)| best.min(ratio))));
+                }
+            }
+            let Some((q, _)) = enter else {
+                return Err(LpStatus::Infeasible);
+            };
+
+            // Move the entering variable until the leaving one reaches
+            // the bound it violated, then swap them.
+            let lv = self.basis[r];
+            let target = if below { self.lo[lv] } else { self.hi[lv] };
+            let step = (self.xval[lv] - target) / self.at(r, q);
+            self.shift_nonbasic(q, step);
+            self.xval[lv] = target;
+            self.status[lv] = if below {
+                VarStatus::AtLower
+            } else {
+                VarStatus::AtUpper
+            };
+            self.pivot(r, q);
+        }
+    }
+
+    /// Moves nonbasic column `j` by `step`, carrying the basic variables
+    /// along.
+    fn shift_nonbasic(&mut self, j: usize, step: f64) {
+        for i in 0..self.m {
+            let a = self.at(i, j);
+            if a != 0.0 {
+                let bv = self.basis[i];
+                self.xval[bv] -= a * step;
+            }
+        }
+        self.xval[j] += step;
+    }
+
     /// Sum of artificial-variable values (phase-1 objective).
     fn infeasibility(&self) -> f64 {
         self.xval[self.art_start..].iter().sum()
@@ -342,6 +442,125 @@ impl Tableau {
             }
         }
     }
+
+    /// Two-phase primal simplex from the crash basis.
+    fn two_phase(&mut self, p: &Problem) -> Result<(), LpStatus> {
+        let mut cost = vec![0.0; self.ncols];
+        if self.art_start < self.ncols {
+            // Phase 1: minimize the sum of artificials.
+            cost[self.art_start..].fill(1.0);
+            self.price(&cost);
+            match self.optimize() {
+                Err(LpStatus::Unbounded) => {
+                    unreachable!("phase 1 objective is bounded below by 0")
+                }
+                other => other?,
+            }
+            if self.infeasibility() > FEAS_TOL {
+                return Err(LpStatus::Infeasible);
+            }
+            self.retire_artificials();
+            cost[self.art_start..].fill(0.0);
+        }
+        // Phase 2: the real objective.
+        cost[..self.n].copy_from_slice(p.objective());
+        self.price(&cost);
+        self.optimize()
+    }
+
+    /// The structural values of an optimal tableau.
+    fn solution(&self, p: &Problem) -> LpSolution {
+        let mut values: Vec<f64> = self.xval[..self.n].to_vec();
+        for (j, v) in values.iter_mut().enumerate() {
+            *v = v.clamp(self.lo[j], self.hi[j].min(f64::MAX));
+            if v.abs() < 1e-11 {
+                *v = 0.0;
+            }
+        }
+        let objective = p.objective_value(&values);
+        LpSolution {
+            status: LpStatus::Optimal,
+            values,
+            objective,
+            iterations: self.iterations,
+        }
+    }
+
+    /// Solves the LP relaxation of `p` under overridden variable bounds
+    /// from scratch. An optimal solve also hands back its tableau, which
+    /// [`Tableau::tighten_and_reoptimize`] can turn into a child node's.
+    pub(crate) fn solve(
+        p: &Problem,
+        lower: &[f64],
+        upper: &[f64],
+        iter_limit: u64,
+    ) -> (LpSolution, Option<Tableau>) {
+        debug_assert_eq!(lower.len(), p.num_vars());
+        debug_assert_eq!(upper.len(), p.num_vars());
+        // Fast infeasibility: crossed bounds.
+        if lower.iter().zip(upper).any(|(l, u)| l > u) {
+            return (failed(LpStatus::Infeasible, 0), None);
+        }
+        let mut tab = Tableau::build(p, lower, upper, iter_limit);
+        match tab.two_phase(p) {
+            Ok(()) => (tab.solution(p), Some(tab)),
+            Err(status) => (failed(status, tab.iterations), None),
+        }
+    }
+
+    /// Moves an optimal tableau of `p` to a node whose boxes lie inside
+    /// its own and re-optimises. Tightening a box leaves every reduced
+    /// cost valid, so the basis stays dual feasible and only primal
+    /// feasibility needs repair; `iterations` of the result counts these
+    /// pivots alone. After anything but `Optimal` the tableau is spent.
+    ///
+    /// Returns `None`, tableau untouched, when some box reaches outside
+    /// the current one: a relaxed bound can strand a nonbasic variable
+    /// off its bounds, so such a node has to be solved from scratch.
+    pub(crate) fn tighten_and_reoptimize(
+        &mut self,
+        p: &Problem,
+        lower: &[f64],
+        upper: &[f64],
+        iter_limit: u64,
+    ) -> Option<LpSolution> {
+        let inside = |j: usize| lower[j] >= self.lo[j] && upper[j] <= self.hi[j];
+        if !(0..self.n).all(inside) {
+            return None;
+        }
+        self.iterations = 0;
+        self.iter_limit = iter_limit;
+        let mut tightened = false;
+        for j in 0..self.n {
+            if lower[j] == self.lo[j] && upper[j] == self.hi[j] {
+                continue;
+            }
+            tightened = true;
+            self.lo[j] = lower[j];
+            self.hi[j] = upper[j];
+            if !matches!(self.status[j], VarStatus::Basic(_)) {
+                // A nonbasic variable follows the bound it sits on.
+                let target = self.xval[j].clamp(lower[j], upper[j]);
+                self.shift_nonbasic(j, target - self.xval[j]);
+            }
+        }
+        if !tightened {
+            return Some(self.solution(p)); // already this node's optimum
+        }
+        Some(match self.dual_optimize() {
+            Ok(()) => self.solution(p),
+            Err(status) => failed(status, self.iterations),
+        })
+    }
+}
+
+fn failed(status: LpStatus, iterations: u64) -> LpSolution {
+    LpSolution {
+        status,
+        values: Vec::new(),
+        objective: f64::INFINITY,
+        iterations,
+    }
 }
 
 /// Solves the LP relaxation of `p` (integrality dropped; declared bounds
@@ -364,87 +583,15 @@ pub fn solve_lp(p: &Problem) -> LpSolution {
     solve_lp_with_bounds(p, p.lower_bounds(), p.upper_bounds(), 200_000)
 }
 
-/// Solves the LP relaxation with overridden variable bounds (used by
-/// branch-and-bound to fix binaries) and an iteration cap.
+/// Solves the LP relaxation with overridden variable bounds and an
+/// iteration cap, from scratch.
 pub(crate) fn solve_lp_with_bounds(
     p: &Problem,
     lower: &[f64],
     upper: &[f64],
     iter_limit: u64,
 ) -> LpSolution {
-    debug_assert_eq!(lower.len(), p.num_vars());
-    debug_assert_eq!(upper.len(), p.num_vars());
-    // Fast infeasibility: crossed bounds.
-    if lower.iter().zip(upper).any(|(l, u)| l > u) {
-        return LpSolution {
-            status: LpStatus::Infeasible,
-            values: Vec::new(),
-            objective: f64::INFINITY,
-            iterations: 0,
-        };
-    }
-
-    let mut tab = Tableau::build(p, lower, upper, iter_limit);
-
-    // Phase 1: minimize the sum of artificials.
-    let mut phase1_cost = vec![0.0; tab.ncols];
-    for c in &mut phase1_cost[tab.art_start..] {
-        *c = 1.0;
-    }
-    tab.price(&phase1_cost);
-    match tab.optimize() {
-        Ok(()) => {}
-        Err(LpStatus::Unbounded) => unreachable!("phase 1 objective is bounded below by 0"),
-        Err(status) => {
-            return LpSolution {
-                status,
-                values: Vec::new(),
-                objective: f64::INFINITY,
-                iterations: tab.iterations,
-            }
-        }
-    }
-    if tab.infeasibility() > FEAS_TOL {
-        return LpSolution {
-            status: LpStatus::Infeasible,
-            values: Vec::new(),
-            objective: f64::INFINITY,
-            iterations: tab.iterations,
-        };
-    }
-    tab.retire_artificials();
-
-    // Phase 2: the real objective.
-    let mut cost = vec![0.0; tab.ncols];
-    cost[..p.num_vars()].copy_from_slice(p.objective());
-    tab.price(&cost);
-    let status = match tab.optimize() {
-        Ok(()) => LpStatus::Optimal,
-        Err(s) => s,
-    };
-    if status != LpStatus::Optimal {
-        return LpSolution {
-            status,
-            values: Vec::new(),
-            objective: f64::INFINITY,
-            iterations: tab.iterations,
-        };
-    }
-
-    let mut values: Vec<f64> = tab.xval[..p.num_vars()].to_vec();
-    for (j, v) in values.iter_mut().enumerate() {
-        *v = v.clamp(lower[j], upper[j].min(f64::MAX));
-        if v.abs() < 1e-11 {
-            *v = 0.0;
-        }
-    }
-    let objective = p.objective_value(&values);
-    LpSolution {
-        status: LpStatus::Optimal,
-        values,
-        objective,
-        iterations: tab.iterations,
-    }
+    Tableau::solve(p, lower, upper, iter_limit).0
 }
 
 #[cfg(test)]
@@ -611,5 +758,155 @@ mod tests {
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.values[x] - 4.0).abs() < 1e-6);
         assert!((sol.objective - 4.0).abs() < 1e-6);
+    }
+
+    /// Whether `x` satisfies every row and the overridden boxes of the
+    /// relaxation.
+    fn relaxed_feasible(p: &Problem, lower: &[f64], upper: &[f64], x: &[f64]) -> bool {
+        let boxed = x
+            .iter()
+            .zip(lower.iter().zip(upper))
+            .all(|(&v, (&l, &u))| v >= l - 1e-6 && v <= u + 1e-6);
+        boxed
+            && p.constraints().iter().all(|c| {
+                let lhs: f64 = c.terms.iter().map(|&(v, a)| a * x[v]).sum();
+                match c.sense {
+                    Sense::Le => lhs <= c.rhs + 1e-6,
+                    Sense::Ge => lhs >= c.rhs - 1e-6,
+                    Sense::Eq => (lhs - c.rhs).abs() <= 1e-6,
+                }
+            })
+    }
+
+    /// Fixes `j` at `value` on the live tableau and checks the result
+    /// against a from-scratch solve of the same child.
+    fn assert_child_matches_scratch(
+        p: &Problem,
+        tab: &mut Tableau,
+        lower: &mut [f64],
+        upper: &mut [f64],
+        j: usize,
+        value: f64,
+    ) -> LpStatus {
+        lower[j] = value;
+        upper[j] = value;
+        let live = tab
+            .tighten_and_reoptimize(p, lower, upper, 10_000)
+            .expect("fixing a variable tightens its box");
+        let scratch = solve_lp_with_bounds(p, lower, upper, 10_000);
+        assert_eq!(live.status, scratch.status, "fixing x{j} = {value}");
+        if live.status == LpStatus::Optimal {
+            assert!(
+                (live.objective - scratch.objective).abs() < 1e-6,
+                "fixing x{j} = {value}: live {} vs scratch {}",
+                live.objective,
+                scratch.objective
+            );
+            assert!(relaxed_feasible(p, lower, upper, &live.values));
+        }
+        live.status
+    }
+
+    #[test]
+    fn infeasible_child_is_detected_on_the_live_tableau() {
+        // a + b >= 1.5 relaxes to (1, 0.5) or (0.5, 1); fixing either
+        // variable at 0 leaves at most 1 on the left.
+        let mut p = Problem::minimize();
+        let a = p.add_binary(1.0);
+        let b = p.add_binary(2.0);
+        p.add_constraint([(a, 1.0), (b, 1.0)], Sense::Ge, 1.5);
+        let (mut lower, mut upper) = (vec![0.0; 2], vec![1.0; 2]);
+        let (root, tab) = Tableau::solve(&p, &lower, &upper, 10_000);
+        assert!((root.objective - 2.0).abs() < 1e-9, "a = 1, b = 0.5");
+        let mut tab = tab.expect("an optimal solve keeps its tableau");
+        let status = assert_child_matches_scratch(&p, &mut tab, &mut lower, &mut upper, b, 0.0);
+        assert_eq!(status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn only_boxes_inside_the_live_ones_reuse_the_tableau() {
+        // min a + 2b, a + b >= 1.5: the root sits at (1, 0.5).
+        let mut p = Problem::minimize();
+        let a = p.add_binary(1.0);
+        let b = p.add_binary(2.0);
+        p.add_constraint([(a, 1.0), (b, 1.0)], Sense::Ge, 1.5);
+        let (root, tab) = Tableau::solve(&p, &[0.0; 2], &[1.0; 2], 10_000);
+        let mut tab = tab.unwrap();
+
+        // The same boxes: the stored optimum, no pivots.
+        let again = tab
+            .tighten_and_reoptimize(&p, &[0.0; 2], &[1.0; 2], 10_000)
+            .unwrap();
+        assert_eq!(again.values, root.values);
+        assert_eq!(again.iterations, 0);
+
+        // b fixed at 1 is inside; flipping it to 0 afterwards, or freeing
+        // it again, is not, and leaves the tableau where it was.
+        let child = tab
+            .tighten_and_reoptimize(&p, &[0.0, 1.0], &[1.0, 1.0], 10_000)
+            .unwrap();
+        assert!((child.objective - 2.5).abs() < 1e-9, "a = 0.5, b = 1");
+        assert!(tab
+            .tighten_and_reoptimize(&p, &[0.0, 0.0], &[1.0, 0.0], 10_000)
+            .is_none());
+        assert!(tab
+            .tighten_and_reoptimize(&p, &[0.0; 2], &[1.0; 2], 10_000)
+            .is_none());
+        let still = tab
+            .tighten_and_reoptimize(&p, &[0.0, 1.0], &[1.0, 1.0], 10_000)
+            .unwrap();
+        assert_eq!(still.values, child.values);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// A dive of two fixings on one live tableau agrees, step by step,
+        /// with solving each child from scratch — status (infeasible
+        /// children included), objective and feasibility. The first
+        /// fixing branches on the most fractional variable, as
+        /// branch-and-bound does.
+        #[test]
+        fn reoptimized_children_match_scratch_solves(
+            costs in proptest::collection::vec(-5i32..=5, 2..8),
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(-3i32..=3, 8), 0u8..3, -4i32..=6),
+                1..5,
+            ),
+            picks in (0usize..8, 0u8..2, 0usize..8, 0u8..2),
+        ) {
+            let n = costs.len();
+            let mut p = Problem::minimize();
+            for &c in &costs {
+                p.add_binary(f64::from(c));
+            }
+            for (coeffs, sense, rhs) in &rows {
+                let sense = [Sense::Le, Sense::Ge, Sense::Eq][usize::from(*sense)];
+                let terms = coeffs[..n]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &a)| a != 0)
+                    .map(|(j, &a)| (j, f64::from(a)));
+                p.add_constraint(terms, sense, f64::from(*rhs));
+            }
+            let (mut lower, mut upper) = (vec![0.0; n], vec![1.0; n]);
+            let (root, tab) = Tableau::solve(&p, &lower, &upper, 10_000);
+            if let Some(mut tab) = tab {
+                let (j1, v1, j2, v2) = picks;
+                let frac = |j: &usize| (root.values[*j] - root.values[*j].round()).abs();
+                let j1 = (0..n)
+                    .filter(|j| frac(j) > 1e-6)
+                    .max_by(|a, b| frac(a).total_cmp(&frac(b)))
+                    .unwrap_or(j1 % n);
+                let status = assert_child_matches_scratch(
+                    &p, &mut tab, &mut lower, &mut upper, j1, f64::from(v1),
+                );
+                if status == LpStatus::Optimal && j2 % n != j1 {
+                    assert_child_matches_scratch(
+                        &p, &mut tab, &mut lower, &mut upper, j2 % n, f64::from(v2),
+                    );
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! the simplex (wrong pivots, broken phase 1, bad bound handling) shows up
 //! as a disagreement here.
 
-use netrs_ilp::{solve_lp, BranchAndBound, IlpError, LpStatus, Problem, Sense};
+use netrs_ilp::{solve_lp, BranchAndBound, IlpError, IlpStatus, LpStatus, Problem, Sense};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -63,6 +63,128 @@ fn brute_force(p: &Problem) -> Option<f64> {
         }
     }
     best
+}
+
+/// A random capacitated placement in the shape the NetRS controller
+/// builds: operators with an opening cost and a capacity, groups with a
+/// load (zero allowed) that each pick one of their candidate operators.
+#[derive(Debug, Clone)]
+struct RandomPlacement {
+    /// `(opening cost, capacity)` per operator.
+    operators: Vec<(u8, u8)>,
+    /// `(load, candidate seed)` per group; the seed picks a non-empty
+    /// subset of the operators.
+    groups: Vec<(u8, u8)>,
+    /// Adds one half to the first operator's cost, making the objective
+    /// fractional.
+    fractional: bool,
+}
+
+/// At most 3 operators x 5 groups: 3 + 15 = 18 binaries.
+fn arb_placement() -> impl Strategy<Value = RandomPlacement> {
+    (
+        proptest::collection::vec((1u8..=3, 4u8..=14), 2..4),
+        proptest::collection::vec((0u8..=5, any::<u8>()), 1..6),
+        any::<bool>(),
+    )
+        .prop_map(|(operators, groups, fractional)| RandomPlacement {
+            operators,
+            groups,
+            fractional,
+        })
+}
+
+/// Builds the placement with the controller's rows: one-operator-per-group
+/// equalities, `Σ P ≤ n_o · D` links and `Σ load · P ≤ cap · D` capacities.
+fn build_placement(pl: &RandomPlacement) -> Problem {
+    let mut p = Problem::minimize();
+    let d: Vec<_> = pl
+        .operators
+        .iter()
+        .enumerate()
+        .map(|(o, &(cost, _))| {
+            let half = if pl.fractional && o == 0 { 0.5 } else { 0.0 };
+            p.add_binary(f64::from(cost) + half)
+        })
+        .collect();
+    let mut users: Vec<Vec<(usize, f64)>> = vec![Vec::new(); d.len()];
+    let subsets = (1u8 << d.len()) - 1;
+    for &(load, seed) in &pl.groups {
+        let mask = seed % subsets + 1;
+        let mut pick = Vec::new();
+        for (o, user) in users.iter_mut().enumerate() {
+            if mask & (1 << o) != 0 {
+                let v = p.add_binary(0.0);
+                pick.push((v, 1.0));
+                user.push((v, f64::from(load)));
+            }
+        }
+        p.add_constraint(pick, Sense::Eq, 1.0);
+    }
+    for ((user, &dv), &(_, cap)) in users.iter().zip(&d).zip(&pl.operators) {
+        let mut link: Vec<_> = user.iter().map(|&(v, _)| (v, 1.0)).collect();
+        link.push((dv, -(user.len() as f64)));
+        p.add_constraint(link, Sense::Le, 0.0);
+        let mut capacity = user.clone();
+        capacity.push((dv, -f64::from(cap)));
+        p.add_constraint(capacity, Sense::Le, 0.0);
+    }
+    p
+}
+
+/// The costliest feasible 0/1 point: the weakest warm start there is.
+fn worst_feasible(p: &Problem) -> Option<Vec<f64>> {
+    let n = p.num_vars();
+    let mut worst: Option<(f64, Vec<f64>)> = None;
+    for mask in 0u32..(1u32 << n) {
+        let x: Vec<f64> = (0..n).map(|j| f64::from((mask >> j) & 1)).collect();
+        if p.is_feasible(&x, 1e-9) {
+            let obj = p.objective_value(&x);
+            if worst.as_ref().is_none_or(|(w, _)| obj > *w) {
+                worst = Some((obj, x));
+            }
+        }
+    }
+    worst.map(|(_, x)| x)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// On placement-shaped programs branch-and-bound agrees with
+    /// exhaustive enumeration, cold and warm-started, and rounds its
+    /// bound up exactly when every cost is an integer.
+    #[test]
+    fn placement_matches_brute_force(pl in arb_placement()) {
+        let p = build_placement(&pl);
+        let reference = brute_force(&p);
+        let warm = worst_feasible(&p);
+        for start in [None, warm.as_deref()] {
+            match (reference, BranchAndBound::default().solve_from(&p, start)) {
+                (Some(best), Ok(sol)) => {
+                    prop_assert!(p.is_feasible(&sol.values, 1e-6));
+                    prop_assert!((sol.objective - best).abs() < 1e-6,
+                        "objective {} vs brute force {} (warm: {})",
+                        sol.objective, best, start.is_some());
+                    prop_assert_eq!(sol.status, IlpStatus::Optimal);
+                }
+                (None, Err(IlpError::Infeasible)) => {}
+                (r, s) => prop_assert!(false, "disagreement: brute={r:?} solver={s:?}"),
+            }
+        }
+        // A zero budget reports the root bound untouched by any search:
+        // the LP value itself when a cost is fractional, its ceiling when
+        // all are integers.
+        if let Some(warm) = &warm {
+            let capped = BranchAndBound { node_limit: 0, ..BranchAndBound::default() };
+            let sol = capped.solve_from(&p, Some(warm)).expect("the warm start is feasible");
+            let lp = solve_lp(&p).objective;
+            let root = if pl.fractional { lp } else { (lp - 1e-6).ceil() };
+            let want = root.min(sol.objective);
+            prop_assert!((sol.bound - want).abs() < 1e-6,
+                "bound {} vs {} (LP {lp}, fractional: {})", sol.bound, want, pl.fractional);
+        }
+    }
 }
 
 proptest! {

@@ -190,6 +190,28 @@ impl Cluster {
     }
 }
 
+/// Finalizes and validates `cfg` and builds the scheme-independent state
+/// together with the root RNG every other stream forks from.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid ([`SimConfig::validate`]).
+pub(crate) fn build_core<D: DeviceProbe>(
+    cfg: SimConfig,
+    shards: u32,
+    devices: D,
+) -> (Core<D>, SimRng) {
+    let cfg = cfg.finalize();
+    if let Err(msg) = cfg.validate() {
+        panic!("invalid simulation config: {msg}");
+    }
+    // Every random stream is a pure fork of the root: construction
+    // and scheme order never perturb each other's draws.
+    let root = SimRng::from_seed(cfg.seed);
+    let core = Core::new(cfg, devices, &root, shards);
+    (core, root)
+}
+
 impl<D: DeviceProbe> Cluster<D> {
     /// Builds the cluster with an explicit device probe (see
     /// [`Cluster::new`] for the uninstrumented entry point).
@@ -216,14 +238,7 @@ impl<D: DeviceProbe> Cluster<D> {
     /// ([`SimConfig::validate`]).
     #[must_use]
     pub fn with_shards(cfg: SimConfig, shards: u32, devices: D) -> Self {
-        let cfg = cfg.finalize();
-        if let Err(msg) = cfg.validate() {
-            panic!("invalid simulation config: {msg}");
-        }
-        // Every random stream is a pure fork of the root: construction
-        // and scheme order never perturb each other's draws.
-        let root = SimRng::from_seed(cfg.seed);
-        let core = Core::new(cfg, devices, &root, shards);
+        let (core, root) = build_core(cfg, shards, devices);
         let policy = crate::policy::build(&core, &root);
         Cluster { core, policy }
     }

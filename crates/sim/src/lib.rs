@@ -60,7 +60,7 @@ pub use perf::{
     AllocStats, HostMeta, HostProfile, KindRecord, ParallelPerf, PerfArtifact, QueueStats,
     PERF_SCHEMA_VERSION,
 };
-pub use policy::NotInNetwork;
+pub use policy::{NotInNetwork, OraclePlacement};
 pub use runner::{
     run, run_all_schemes, run_observed, run_observed_sharded, run_observed_sharded_parallel,
     run_seeds, run_seeds_sharded, run_sharded, run_sharded_parallel, ParallelOptions, RunOutput,

@@ -593,11 +593,18 @@ pub struct SolveRecord {
     pub branch_nodes: u64,
     /// The objective value of the installed plan (RSNode count).
     pub objective: f64,
+    /// The solver's proven lower bound on the optimum (0 for greedy
+    /// plans); `objective − bound` is the gap a budget-capped solve left
+    /// open. Absent in streams written before the field existed.
+    pub bound: Option<f64>,
+    /// Whether the solver proved the installed plan optimal. Absent in
+    /// streams written before the field existed.
+    pub proven_optimal: Option<bool>,
 }
 
 impl Serialize for SolveRecord {
     fn ser(&self) -> Value {
-        Value::Obj(vec![
+        let mut o = vec![
             ("greedy".into(), Value::Bool(self.greedy)),
             ("variables".into(), Value::U(u128::from(self.variables))),
             ("constraints".into(), Value::U(u128::from(self.constraints))),
@@ -610,7 +617,14 @@ impl Serialize for SolveRecord {
                 Value::U(u128::from(self.branch_nodes)),
             ),
             ("objective".into(), Value::F(self.objective)),
-        ])
+        ];
+        if let Some(bound) = self.bound {
+            o.push(("bound".into(), Value::F(bound)));
+        }
+        if let Some(proven) = self.proven_optimal {
+            o.push(("proven_optimal".into(), Value::Bool(proven)));
+        }
+        Value::Obj(o)
     }
 }
 
@@ -627,6 +641,8 @@ impl Deserialize for SolveRecord {
             lp_iterations: f("lp_iterations").and_then(u64::deser)?,
             branch_nodes: f("branch_nodes").and_then(u64::deser)?,
             objective: f("objective").and_then(f64::deser)?,
+            bound: v.get("bound").map(f64::deser).transpose()?,
+            proven_optimal: v.get("proven_optimal").map(bool::deser).transpose()?,
         })
     }
 }
@@ -1256,6 +1272,8 @@ mod tests {
             lp_iterations: 37,
             branch_nodes: 1,
             objective: 2.0,
+            bound: Some(2.0),
+            proven_optimal: Some(true),
         });
         plan.reassigned = vec![1];
         let span = ControlRecord::DrsSpan(DrsSpanRecord {
@@ -1280,6 +1298,12 @@ mod tests {
             !line.contains("switch") && !line.contains("solve"),
             "{line}"
         );
+        // Streams written before `bound`/`proven_optimal` existed still
+        // parse.
+        let legacy = r#"{"greedy":false,"variables":40,"constraints":21,
+            "lp_iterations":37,"branch_nodes":1,"objective":2}"#;
+        let solve: SolveRecord = serde_json::from_str(legacy).unwrap();
+        assert_eq!((solve.bound, solve.proven_optimal), (None, None));
     }
 
     #[test]

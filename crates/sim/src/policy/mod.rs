@@ -26,6 +26,7 @@ use crate::server::ServerToken;
 use crate::state::Core;
 
 pub(crate) use self::client::{CliRsPolicy, CliRsR95Policy};
+pub use self::netrs::OraclePlacement;
 pub(crate) use self::netrs::{NetRsIlpPolicy, NetRsToRPolicy};
 
 /// Error returned by operator-fault hooks on schemes with no in-network

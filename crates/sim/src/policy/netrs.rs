@@ -11,7 +11,8 @@
 use std::collections::BTreeSet;
 
 use netrs::{
-    ControllerConfig, NetRsController, PlanDiff, PlanSolveStats, Rsp, TrafficGroups, TrafficMatrix,
+    ControllerConfig, NetRsController, PlanConstraints, PlanDiff, PlanSolveStats, Rsp,
+    TrafficGroups, TrafficMatrix,
 };
 use netrs_kvstore::ServerId;
 use netrs_netdev::{
@@ -19,7 +20,7 @@ use netrs_netdev::{
 };
 use netrs_selection::Feedback;
 use netrs_simcore::{
-    DeviceCounter, DeviceId, DeviceProbe, EventQueue, SimDuration, SimRng, SimTime,
+    DeviceCounter, DeviceId, DeviceProbe, EventQueue, NoDeviceProbe, SimDuration, SimRng, SimTime,
 };
 use netrs_topology::{FatTree, HostId, SwitchId};
 use netrs_wire::{MagicField, RsnodeId};
@@ -56,6 +57,8 @@ fn plan_record(
             lp_iterations: s.lp_iterations,
             branch_nodes: s.branch_nodes,
             objective: s.objective,
+            bound: Some(s.bound),
+            proven_optimal: Some(plan.proven_optimal),
         }),
         reassigned: diff.reassigned,
         newly_assigned: diff.newly_assigned,
@@ -65,6 +68,58 @@ fn plan_record(
         rsnodes: plan.rsnodes().len() as u32,
         drs_groups: plan.drs.len() as u32,
         rules_recompiled,
+    }
+}
+
+/// The traffic groups of the run's clients at the configured granularity.
+fn client_groups<D: DeviceProbe>(core: &Core<D>) -> TrafficGroups {
+    let client_hosts: Vec<HostId> = core.clients.iter().map(|c| c.host).collect();
+    TrafficGroups::build(&core.fabric.topo, &client_hosts, core.cfg.granularity)
+}
+
+/// The oracle traffic matrix: every client's configured rate, spread over
+/// the servers.
+fn oracle_traffic<D: DeviceProbe>(core: &Core<D>, groups: &TrafficGroups) -> TrafficMatrix {
+    TrafficMatrix::oracle(
+        &core.fabric.topo,
+        groups,
+        &core.client_rates(),
+        &core.server_hosts,
+    )
+}
+
+/// The placement instance an oracle-planned NetRS-ILP run solves at
+/// start-up, for planner tests and probes that want the run's own
+/// instance without running it.
+pub struct OraclePlacement {
+    /// The run's topology.
+    pub topo: FatTree,
+    /// Traffic groups of the run's clients.
+    pub groups: TrafficGroups,
+    /// The oracle traffic matrix over those groups.
+    pub traffic: TrafficMatrix,
+    /// The finalized plan constraints.
+    pub constraints: PlanConstraints,
+}
+
+impl OraclePlacement {
+    /// Builds the instance of `cfg` from the run's own host placement
+    /// and client rates; no plan is solved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid ([`SimConfig::validate`]).
+    #[must_use]
+    pub fn of(cfg: SimConfig) -> Self {
+        let (core, _root) = crate::cluster::build_core(cfg, 1, NoDeviceProbe);
+        let groups = client_groups(&core);
+        let traffic = oracle_traffic(&core, &groups);
+        OraclePlacement {
+            groups,
+            traffic,
+            constraints: core.cfg.plan.clone(),
+            topo: core.fabric.topo,
+        }
     }
 }
 
@@ -99,8 +154,7 @@ impl InNetwork {
     /// first measurement window completes).
     fn new<D: DeviceProbe>(core: &Core<D>, root: &SimRng, oracle: bool) -> Self {
         let cfg = &core.cfg;
-        let client_hosts: Vec<HostId> = core.clients.iter().map(|c| c.host).collect();
-        let groups = TrafficGroups::build(&core.fabric.topo, &client_hosts, cfg.granularity);
+        let groups = client_groups(core);
         let mut controller = NetRsController::new(
             core.fabric.topo.clone(),
             ControllerConfig {
@@ -108,12 +162,7 @@ impl InNetwork {
             },
         );
         let bootstrap = if oracle {
-            let traffic = TrafficMatrix::oracle(
-                &core.fabric.topo,
-                &groups,
-                &core.client_rates(),
-                &core.server_hosts,
-            );
+            let traffic = oracle_traffic(core, &groups);
             let (diff, stats) = controller.plan_with_stats(&groups, &traffic, cfg.plan_solver);
             (diff, Some(stats))
         } else {

@@ -200,6 +200,8 @@ fn control_plan_record_matches_golden() {
             lp_iterations: 13_766,
             branch_nodes: 200,
             objective: 4.0,
+            bound: Some(3.0),
+            proven_optimal: Some(false),
         }),
         reassigned: vec![2],
         newly_assigned: vec![5],
@@ -213,7 +215,8 @@ fn control_plan_record_matches_golden() {
     let golden = concat!(
         "{\"kind\":\"plan\",\"t_ns\":1500000000,\"trigger\":\"replan\",",
         "\"solve\":{\"greedy\":false,\"variables\":52,\"constraints\":42,",
-        "\"lp_iterations\":13766,\"branch_nodes\":200,\"objective\":4},",
+        "\"lp_iterations\":13766,\"branch_nodes\":200,\"objective\":4,",
+        "\"bound\":3,\"proven_optimal\":false},",
         "\"reassigned\":[2],\"newly_assigned\":[5],\"unassigned\":[],",
         "\"rsnodes_added\":[16],\"rsnodes_removed\":[3],",
         "\"rsnodes\":4,\"drs_groups\":0,\"rules_recompiled\":20}"

@@ -8,6 +8,7 @@ use netrs::{
     TrafficGroups, TrafficMatrix,
 };
 use netrs_ilp::{solve_lp, LpStatus};
+use netrs_sim::{OraclePlacement, SimConfig};
 use netrs_simcore::SimRng;
 use netrs_topology::{FatTree, HostId, Tier};
 
@@ -196,5 +197,124 @@ fn deployed_rules_route_every_group_to_a_live_operator() {
             Tier::Agg => assert_eq!(topo.pod_of_switch(sw), topo.pod_of_switch(info.tor)),
             Tier::Core => {}
         }
+    }
+}
+
+/// A paper-scale placement instance: topology, groups, oracle traffic.
+type Instance = (FatTree, TrafficGroups, TrafficMatrix);
+
+/// The instance a default (16-ary, §V-A) NetRS-ILP run plans for at
+/// deployment `seed`, with its finalized constraints, as the simulator
+/// itself builds it.
+fn paper_instance(seed: u64) -> (Instance, PlanConstraints) {
+    let run = OraclePlacement::of(SimConfig {
+        seed,
+        ..SimConfig::default()
+    });
+    ((run.topo, run.groups, run.traffic), run.constraints)
+}
+
+/// The RSP-EX worked example of EXPERIMENTS.md (`repro rsp`, seed 2018):
+/// one instance under the paper's constants, a tight hop budget, and
+/// 15k-tasks/s accelerators.
+fn rsp_ex_scenarios() -> (Instance, [(&'static str, PlanConstraints); 3]) {
+    let (topo, servers, clients) = random_deployment(16, 100, 500, 2018);
+    let groups = TrafficGroups::rack_level(&topo, &clients);
+    let a = 90_000.0;
+    let rates: Vec<(HostId, f64)> = clients
+        .iter()
+        .map(|&h| (h, a / clients.len() as f64))
+        .collect();
+    let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
+    let with_budget = |share: f64| PlanConstraints {
+        extra_hop_budget: share * a,
+        ..PlanConstraints::default()
+    };
+    let mut small_accelerators = with_budget(0.2);
+    for sw in topo.switches() {
+        small_accelerators.capacity_overrides.insert(sw.0, 15_000.0);
+    }
+    let scenarios = [
+        ("paper constants", with_budget(0.2)),
+        ("tight hop budget", with_budget(0.02)),
+        ("15k accelerators", small_accelerators),
+    ];
+    ((topo, groups, traffic), scenarios)
+}
+
+/// FNV-1a over a plan's `(group, operator)` pairs and DRS set.
+fn plan_digest(plan: &netrs::Rsp) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let words = plan
+        .assignment
+        .iter()
+        .flat_map(|(&g, &sw)| [g, sw.0])
+        .chain(plan.drs.iter().copied());
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn greedy_plans_are_pinned_at_paper_scale() {
+    // Digests of the plans the per-call candidate enumeration produced
+    // before candidate sets were cached per problem.
+    let ((topo, groups, traffic), cons) = paper_instance(1);
+    let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+    assert_eq!(
+        plan_digest(&p.solve_greedy()),
+        0x4cfb_a013_da26_f6dc,
+        "paper config"
+    );
+
+    let ((topo, groups, traffic), scenarios) = rsp_ex_scenarios();
+    let pinned = [
+        0x81c5_03e4_86b7_5069u64,
+        0x6e6e_de77_8891_7557,
+        0x6cde_d154_b2e9_1e34,
+    ];
+    for ((name, cons), want) in scenarios.iter().zip(pinned) {
+        let p = PlacementProblem::new(&topo, &groups, &traffic, cons);
+        assert_eq!(plan_digest(&p.solve_greedy()), want, "{name}");
+    }
+}
+
+#[test]
+fn paper_config_is_proven_at_the_root_on_every_deployment() {
+    for seed in 1..=10 {
+        let ((topo, groups, traffic), cons) = paper_instance(seed);
+        let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+        let (plan, stats) = p.solve_with_stats(PlanSolver::default());
+        assert!(!stats.greedy, "seed {seed}: the ILP must run");
+        assert_eq!(stats.objective, 2.0, "seed {seed}");
+        assert_eq!(stats.branch_nodes, 0, "seed {seed}: {stats:?}");
+        assert!(plan.proven_optimal, "seed {seed}");
+        assert_eq!(plan.rsnodes().len(), 2, "seed {seed}");
+    }
+}
+
+#[test]
+fn rsp_ex_objectives_and_effort_do_not_regress() {
+    let ((topo, groups, traffic), scenarios) = rsp_ex_scenarios();
+    // Objective caps are the plans of the parent search; iteration caps
+    // hold the branching path to a third of its 73 299 (the third
+    // scenario's model is past Auto's size cut-off and stays greedy).
+    let caps = [(2.0, 5_000), (42.0, 24_000), (13.0, 0)];
+    for ((name, cons), (at_most, max_iterations)) in scenarios.iter().zip(caps) {
+        let p = PlacementProblem::new(&topo, &groups, &traffic, cons);
+        let (plan, stats) = p.solve_with_stats(PlanSolver::Auto { node_limit: 50 });
+        println!("{name}: {stats:?} census {:?}", plan.tier_census(&topo));
+        assert!(plan.drs.is_empty(), "{name}");
+        assert!(
+            stats.objective <= at_most,
+            "{name}: objective {} above {at_most}",
+            stats.objective
+        );
+        assert_eq!(plan.rsnodes().len() as f64, stats.objective, "{name}");
+        assert!(stats.lp_iterations <= max_iterations, "{name}: {stats:?}");
     }
 }
