@@ -185,7 +185,16 @@ diff -u "$SMOKE/rw-a.json" "$SMOKE/rw-b.json"
 grep -q '"rw"' "$SMOKE/rw-a.json"
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 9 \
     --write-fraction 0.1 --consistency quorum:2 --hot-cache 128 \
-    --devices "$SMOKE/rw-dev.jsonl" --json > /dev/null
+    --devices "$SMOKE/rw-dev.jsonl" --perf "$SMOKE/rw-perf.json" --json > /dev/null
+# A write's coherence messages travel as one event per arrival time (own
+# ToR, own pod, other pods on a healthy fat-tree), not one per RSNode.
+# Counts, not clocks: the per-operator fan-out coming back shows here on
+# any box (6 RSNodes on this topology).
+writes=$(sed -n 's/.*"writes_issued": \([0-9]*\).*/\1/p' "$SMOKE/rw-a.json")
+batches=$(grep -A 2 '"kind": "CacheInvalidate"' "$SMOKE/rw-perf.json" \
+    | sed -n 's/.*"count": \([0-9]*\).*/\1/p')
+[ "$batches" -gt 0 ]
+[ "$batches" -le $((4 * writes)) ]
 ./target/debug/netrs-analyze rw --stats "netrs-tor=$SMOKE/rw-a.json" \
     --devices "$SMOKE/rw-dev.jsonl" > "$SMOKE/rw-report.txt"
 grep -q "Read/write mix" "$SMOKE/rw-report.txt"

@@ -16,9 +16,10 @@
 use netrs::{PlacementProblem, PlanConstraints, PlanSolver, TrafficGroups, TrafficMatrix};
 use netrs_selection::CubicConfig;
 use netrs_sim::{
-    run_observed, run_observed_sharded_parallel, run_seeds, HostMeta, HostProfile, MeanStats,
-    ObsOptions, ParallelOptions, ParallelPerf, PerfArtifact, PerfOptions, QueueStats, RunStats,
-    Scheme, SimConfig, PERF_SCHEMA_VERSION,
+    run_observed, run_observed_sharded_parallel, run_seeds, CacheAdmission, CacheWritePolicy,
+    HostMeta, HostProfile, HotCacheConfig, MeanStats, ObsOptions, ParallelOptions, ParallelPerf,
+    PerfArtifact, PerfOptions, QueueStats, RunStats, Scheme, SimConfig, WriteConsistency,
+    PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::{SimDuration, SimRng};
 use netrs_topology::{FatTree, HostId};
@@ -315,22 +316,51 @@ pub fn run_perf_profile(cfg: &SimConfig, scheme: Scheme, label: &str) -> HostPro
     profile
 }
 
+/// The write/cache profile of the perf suite: NetRS-ToR on the paper's
+/// 16-ary topology (an RSNode on every client ToR, so a write's coherence
+/// fan-out is as wide as it gets) with 10 % `Quorum{w:2}` writes and a
+/// 1 024-entry LRU/invalidate cache per RSNode.
+fn rw_cache_config(requests: u64, seed: u64) -> SimConfig {
+    SimConfig {
+        scheme: Scheme::NetRsToR,
+        requests,
+        seed,
+        write_fraction: 0.1,
+        write_consistency: WriteConsistency::Quorum { w: 2 },
+        hot_cache: Some(HotCacheConfig {
+            capacity: 1024,
+            admission: CacheAdmission::Lru,
+            write_policy: CacheWritePolicy::Invalidate,
+        }),
+        ..SimConfig::paper()
+    }
+}
+
 /// Runs the perf suite — every scheme once on `cfg` with the host
-/// profiler attached. `tag` prefixes each label (`"after/CliRS"`) so
-/// successive suites coexist in one artifact.
+/// profiler attached, then the `rw-cache` profile (paper-topology
+/// NetRS-ToR with quorum writes and a hot-key cache, at `cfg`'s request
+/// count and seed), the only row where writes, the
+/// hot-key cache and its coherence traffic run. `tag` prefixes each label
+/// (`"after/CliRS"`) so successive suites coexist in one artifact.
 #[must_use]
 pub fn run_perf_suite(cfg: &SimConfig, tag: Option<&str>) -> Vec<HostProfile> {
-    Scheme::ALL
+    let label = |name: &str| match tag {
+        Some(t) => format!("{t}/{name}"),
+        None => name.to_string(),
+    };
+    let mut runs: Vec<HostProfile> = Scheme::ALL
         .iter()
         .map(|&scheme| {
-            let label = match tag {
-                Some(t) => format!("{t}/{}", scheme.label()),
-                None => scheme.label().to_string(),
-            };
+            let label = label(scheme.label());
             eprintln!("perf: running {label}...");
             run_perf_profile(cfg, scheme, &label)
         })
-        .collect()
+        .collect();
+    let label = label("rw-cache");
+    eprintln!("perf: running {label}...");
+    let rw = rw_cache_config(cfg.requests, cfg.seed);
+    runs.push(run_perf_profile(&rw, rw.scheme, &label));
+    runs
 }
 
 /// One measured cell of the sharded-parallel throughput grid. `shards ==
@@ -689,7 +719,15 @@ mod tests {
         cfg.requests = 300;
         cfg.seed = 1;
         let runs = run_perf_suite(&cfg, Some("t"));
-        assert_eq!(runs.len(), Scheme::ALL.len());
+        assert_eq!(runs.len(), Scheme::ALL.len() + 1);
+        let rw = runs.last().expect("suite ran");
+        assert_eq!(rw.label, "t/rw-cache");
+        assert!(
+            rw.kinds
+                .iter()
+                .any(|k| k.kind == "CacheInvalidate" && k.count > 0),
+            "the rw-cache profile must exercise the coherence fan-out"
+        );
         for run in &runs {
             assert!(run.label.starts_with("t/"), "{}", run.label);
             assert_eq!(run.kind_count_sum(), run.events, "{}", run.label);

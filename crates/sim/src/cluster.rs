@@ -148,11 +148,23 @@ pub enum Ev {
         /// The dead operator's switch.
         sw: SwitchId,
     },
-    /// A write's coherence message reaches an RSNode's hot-key cache
-    /// (only scheduled when a cache is configured).
+    /// A write's coherence messages reach the hot-key caches of every
+    /// RSNode they arrive at *at this instant on this shard* (only
+    /// scheduled when a cache is configured). One write fans out to every
+    /// live operator, but the messages land at a handful of distinct
+    /// times (own ToR, own pod, other pods on a healthy fat-tree), so the
+    /// fan-out is one event per arrival time, not one per operator: the
+    /// handler walks the batch in ascending switch order and does per
+    /// operator what a per-message event would — loss draw, then
+    /// invalidate or refresh. Event counts (`RunStats::events`, the
+    /// `CacheInvalidate` row of `--perf`) therefore count batches.
     CacheInvalidate {
-        /// The operator's switch.
-        op: SwitchId,
+        /// The batch's operator list, by id in the policy's side table
+        /// (recycled on delivery; keeps the list out of the event).
+        batch: u32,
+        /// The batch's first (lowest) operator switch; its pod's shard
+        /// owns the event, like every other operator event.
+        lead: SwitchId,
         /// The written key.
         key: u64,
         /// The key's newly committed version.
@@ -588,19 +600,14 @@ impl<D: DeviceProbe> World for Cluster<D> {
                     );
                 }
             },
-            Ev::CacheInvalidate { op, key, version } => {
-                if self.core.packet_lost(now) {
-                    // The coherence message is lost: the cached entry
-                    // stays behind, stale, until evicted or re-admitted.
-                    self.core.fabric.devices.bump(
-                        netrs_simcore::DeviceId::Switch(op.0),
-                        netrs_simcore::DeviceCounter::Drop,
-                        1,
-                    );
-                } else {
-                    self.policy
-                        .on_cache_invalidate(&mut self.core, now, op, key, version);
-                }
+            Ev::CacheInvalidate {
+                batch,
+                key,
+                version,
+                ..
+            } => {
+                self.policy
+                    .on_cache_invalidate(&mut self.core, now, batch, key, version);
             }
             Ev::OperatorDetect { sw } => {
                 // For client schemes (a cross-applied plan) there is

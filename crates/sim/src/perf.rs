@@ -30,7 +30,10 @@ pub const PERF_SCHEMA_VERSION: u64 = 1;
 /// control plane), `server` (queueing + service), `fabric` (packet
 /// transit — no entries today because hop timing is closed-form inside
 /// the steer/route handlers, so fabric cost surfaces inside the policy
-/// and server kinds that invoke it).
+/// and server kinds that invoke it). A `CacheInvalidate` event is a
+/// batch of coherence messages (every operator one write reaches at one
+/// instant), so its count is batches and its ns/event covers a walk over
+/// the batch.
 pub const EV_KINDS: [(&str, &str); 17] = [
     ("Generate", "state"),
     ("GatedSend", "policy"),

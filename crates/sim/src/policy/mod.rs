@@ -160,17 +160,17 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
         let _ = (core, now, req, key, queue);
     }
 
-    /// A write's coherence message reaches an operator's hot-key cache
-    /// ([`Ev::CacheInvalidate`]).
+    /// One arrival-time batch of a write's coherence messages reaches
+    /// its operators' hot-key caches ([`Ev::CacheInvalidate`]).
     fn on_cache_invalidate(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
-        op: SwitchId,
+        batch: u32,
         key: u64,
         version: u64,
     ) {
-        let _ = (core, now, op, key, version);
+        let _ = (core, now, batch, key, version);
         unreachable!("CacheInvalidate is only scheduled by in-network policies");
     }
 

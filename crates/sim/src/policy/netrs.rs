@@ -123,6 +123,47 @@ impl OraclePlacement {
     }
 }
 
+/// Operator lists of the coherence batches in flight ([`Ev::CacheInvalidate`]
+/// carries a batch id, not the list, so the event stays small). A
+/// delivered batch's emptied list is reused by a later write, so once as
+/// many lists exist as batches are ever in flight together the fan-out
+/// stops allocating.
+#[derive(Default)]
+struct CoherenceBatches {
+    /// Operator switches per batch id, ascending.
+    ops: Vec<Vec<SwitchId>>,
+    /// Ids whose batch was delivered.
+    free: Vec<u32>,
+    /// `(arrival latency, owning shard, id)` of the batches the write
+    /// being fanned out has opened so far; empty between writes. A
+    /// handful at most (three on a healthy fat-tree), so a scan beats
+    /// any map.
+    open: Vec<(SimDuration, u32, u32)>,
+}
+
+impl CoherenceBatches {
+    /// Adds `op` to the current write's batch for `(latency, shard)`,
+    /// opening it if this is the first such operator.
+    fn join(&mut self, latency: SimDuration, shard: u32, op: SwitchId) {
+        let open = self
+            .open
+            .iter()
+            .find(|&&(l, s, _)| l == latency && s == shard);
+        let id = match open {
+            Some(&(_, _, id)) => id,
+            None => {
+                let id = self.free.pop().unwrap_or_else(|| {
+                    self.ops.push(Vec::new());
+                    (self.ops.len() - 1) as u32
+                });
+                self.open.push((latency, shard, id));
+                id
+            }
+        };
+        self.ops[id as usize].push(op);
+    }
+}
+
 /// Control-plane and device state shared by both in-network schemes: the
 /// controller with its installed plan, the deployed switch rules, the
 /// live and retired operators, and the ToR monitors.
@@ -145,6 +186,8 @@ struct InNetwork {
     /// The bootstrap plan's audit payload, held until `prime` (the first
     /// hook with mutable core access) can emit it. `None` afterwards.
     bootstrap: Option<(PlanDiff, Option<PlanSolveStats>)>,
+    /// Coherence fan-out batches between issue and arrival.
+    batches: CoherenceBatches,
 }
 
 impl InNetwork {
@@ -183,6 +226,7 @@ impl InNetwork {
             last_accel_busy: vec![0; num_switches as usize],
             dead_operators: BTreeSet::new(),
             bootstrap: Some(bootstrap),
+            batches: CoherenceBatches::default(),
         };
         net.rebuild_operators(cfg, root.clone());
 
@@ -847,6 +891,13 @@ impl InNetwork {
     /// A write fanned out to its replica group: emit one coherence
     /// message per live operator (ascending switch order), each riding
     /// the real — possibly lossy — network from the writing client.
+    /// Messages that arrive at the same instant on the same shard travel
+    /// as one [`Ev::CacheInvalidate`] batch. The per-message events this
+    /// replaces carried consecutive sequence numbers (nothing else
+    /// schedules inside this loop), so each same-time run was already
+    /// contiguous in the queue's `(time, shard, seq)` order; delivering
+    /// it as one event in ascending switch order keeps every loss draw
+    /// where it was.
     fn on_write_issued<D: DeviceProbe>(
         &mut self,
         core: &mut Core<D>,
@@ -862,8 +913,8 @@ impl InNetwork {
         };
         let client_host = core.clients[state.client as usize].host;
         let version = core.versions.get(key);
+        let hash = flow_hash(req, 37);
         for op in self.operators.keys() {
-            let hash = flow_hash(req, 37);
             let Some(latency) = core.fabric.try_host_to_switch(client_host, op, hash) else {
                 // No live path: the message is lost and any cached entry
                 // at `op` goes stale until evicted or re-admitted.
@@ -872,32 +923,55 @@ impl InNetwork {
                     .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
                 continue;
             };
-            queue.schedule_after(latency, Ev::CacheInvalidate { op, key, version });
+            self.batches.join(latency, core.shard_of_switch(op), op);
+        }
+        for (latency, _, batch) in self.batches.open.drain(..) {
+            let lead = self.batches.ops[batch as usize][0];
+            queue.schedule_after(
+                latency,
+                Ev::CacheInvalidate {
+                    batch,
+                    lead,
+                    key,
+                    version,
+                },
+            );
         }
     }
 
-    /// A coherence message arrives at an operator's cache
-    /// ([`Ev::CacheInvalidate`] mechanics).
+    /// A batch of coherence messages arrives ([`Ev::CacheInvalidate`]
+    /// mechanics): per operator, ascending, one loss draw, then the
+    /// cache applies the write.
     fn on_cache_invalidate<D: DeviceProbe>(
         &mut self,
         core: &mut Core<D>,
-        op: SwitchId,
+        now: SimTime,
+        batch: u32,
         key: u64,
         version: u64,
     ) {
-        // Dead or retired operators were removed from the live table;
-        // the message finds nothing to act on.
-        let Some(operator) = self.operators.get_mut(op) else {
-            return;
-        };
-        let Some(cache) = operator.cache.as_mut() else {
-            return;
-        };
-        if cache.apply_write(key, version) {
-            core.fabric
-                .devices
-                .bump(DeviceId::Switch(op.0), DeviceCounter::CacheInvalidate, 1);
+        let InNetwork {
+            batches, operators, ..
+        } = self;
+        for op in batches.ops[batch as usize].drain(..) {
+            let counter = if core.packet_lost(now) {
+                // The coherence message is lost: the cached entry stays
+                // behind, stale, until evicted or re-admitted.
+                DeviceCounter::Drop
+            } else if operators
+                .get_mut(op)
+                .and_then(|o| o.cache.as_mut())
+                .is_some_and(|cache| cache.apply_write(key, version))
+            {
+                DeviceCounter::CacheInvalidate
+            } else {
+                // No entry for the key — or no operator: dead and retired
+                // ones were removed from the live table.
+                continue;
+            };
+            core.fabric.devices.bump(DeviceId::Switch(op.0), counter, 1);
         }
+        batches.free.push(batch);
     }
 
     /// Emits one end-of-run `cache` control record per live operator
@@ -1078,12 +1152,13 @@ macro_rules! delegate_in_network {
         fn on_cache_invalidate(
             &mut self,
             core: &mut Core<D>,
-            _now: SimTime,
-            op: SwitchId,
+            now: SimTime,
+            batch: u32,
             key: u64,
             version: u64,
         ) {
-            self.$field.on_cache_invalidate(core, op, key, version);
+            self.$field
+                .on_cache_invalidate(core, now, batch, key, version);
         }
 
         fn audit_caches(&mut self, core: &mut Core<D>, now: SimTime) {

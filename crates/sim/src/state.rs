@@ -528,6 +528,12 @@ impl<D: DeviceProbe> Core<D> {
         self.shards
     }
 
+    /// Home shard of switch `sw` (its pod, modulo shard count; cores
+    /// live on shard 0).
+    pub(crate) fn shard_of_switch(&self, sw: SwitchId) -> u32 {
+        self.switch_shard[sw.0 as usize]
+    }
+
     /// Home shard of `server` (its host's pod, modulo shard count).
     fn server_shard(&self, s: ServerId) -> u32 {
         self.host_shard[self.server_hosts[s.0 as usize].0 as usize]
@@ -571,8 +577,8 @@ impl<D: DeviceProbe> Core<D> {
             Ev::RsnodeArrive { op, .. }
             | Ev::Select { op, .. }
             | Ev::SelectorUpdate { op, .. }
-            | Ev::CacheInvalidate { op, .. } => self.switch_shard[op.0 as usize],
-            Ev::OperatorDetect { sw } => self.switch_shard[sw.0 as usize],
+            | Ev::CacheInvalidate { lead: op, .. }
+            | Ev::OperatorDetect { sw: op } => self.shard_of_switch(op),
             Ev::ServerArrive { token } => self.server_shard(token.server),
             Ev::ServerDone { server, .. } => self.server_shard(server),
             Ev::Fluctuate { server } => self.server_shard(server),

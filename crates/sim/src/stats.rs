@@ -136,7 +136,10 @@ pub struct RunStats {
     pub overload_events: u64,
     /// Simulated time at drain.
     pub sim_end: SimTime,
-    /// Discrete events processed.
+    /// Discrete events processed. A unit of engine work, not of
+    /// simulated traffic: a write's coherence messages count once per
+    /// arrival-time batch ([`Ev::CacheInvalidate`](crate::Ev)), not once
+    /// per message.
     pub events: u64,
     /// Availability outcome under the run's fault plan; `None` (and
     /// absent from the JSON) for fault-free runs.

@@ -33,7 +33,9 @@ use std::sync::{Arc, Mutex};
 
 use netrs_selection::CubicConfig;
 use netrs_sim::{
-    run_observed, ObsOptions, OverloadPolicy, PerfOptions, PlanSource, Scheme, SimConfig,
+    run_observed, run_observed_sharded, CacheAdmission, CacheWritePolicy, FaultPlan,
+    HotCacheConfig, ObsOptions, OverloadPolicy, PerfOptions, PlanSource, Scheme, SimConfig,
+    WriteConsistency,
 };
 use netrs_simcore::SimDuration;
 
@@ -125,7 +127,9 @@ struct Artifacts {
     control: Vec<u8>,
 }
 
-fn run_case(cfg: SimConfig) -> Artifacts {
+/// `shards: Some(n)` drives the same observed run through the windowed
+/// sharded engine.
+fn run_case(cfg: SimConfig, shards: Option<u32>) -> Artifacts {
     let trace_sink = SharedBuf::default();
     // The control sink rides along on every case: the pre-control-stream
     // fixtures double as proof that attaching it never perturbs the run.
@@ -141,7 +145,10 @@ fn run_case(cfg: SimConfig) -> Artifacts {
         perf: Some(PerfOptions { stride: 3 }),
         progress: false,
     };
-    let out = run_observed(cfg, obs);
+    let out = match shards {
+        Some(n) => run_observed_sharded(cfg, n, obs),
+        None => run_observed(cfg, obs),
+    };
     let perf = out.perf.as_ref().expect("perf profile was enabled");
     assert_eq!(
         perf.kind_count_sum(),
@@ -166,6 +173,18 @@ fn digest_line(kind: &str, bytes: &[u8]) -> String {
     format!("{kind} {:016x} {}", fnv1a64(bytes), bytes.len())
 }
 
+/// Compares `got` with the fixture at `path`, or rewrites the fixture
+/// under `GOLDEN_REGEN`.
+fn pin(path: &std::path::Path, got: &str, regen: bool) {
+    if regen {
+        std::fs::write(path, got).expect("write fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    assert_eq!(got, want, "{} diverged from its golden", path.display());
+}
+
 #[test]
 fn golden_runs_are_byte_identical() {
     let dir = fixtures_dir();
@@ -174,7 +193,7 @@ fn golden_runs_are_byte_identical() {
         std::fs::create_dir_all(&dir).expect("create fixture dir");
     }
     for (name, cfg) in cases() {
-        let art = run_case(cfg);
+        let art = run_case(cfg, None);
         // The RW subsystem (write consistency modes, hot-key caching) is
         // strictly opt-in: none of these pre-RW configs enable it, so
         // their stats must not mention it — that, plus the unchanged
@@ -197,32 +216,91 @@ fn golden_runs_are_byte_identical() {
             digest_line("devices", &art.devices)
         );
         let control_digest = format!("{}\n", digest_line("control", &art.control));
-        let stats_path = dir.join(format!("{name}.stats.json"));
-        let digest_path = dir.join(format!("{name}.digests.txt"));
-        let control_path = dir.join(format!("{name}.control.txt"));
-        if regen {
-            std::fs::write(&stats_path, &art.stats_json).expect("write stats fixture");
-            std::fs::write(&digest_path, &digests).expect("write digest fixture");
-            std::fs::write(&control_path, &control_digest).expect("write control fixture");
-            continue;
-        }
-        let want_stats = std::fs::read_to_string(&stats_path)
-            .unwrap_or_else(|e| panic!("{name}: missing fixture {}: {e}", stats_path.display()));
-        assert_eq!(
-            art.stats_json, want_stats,
-            "{name}: RunStats JSON diverged from the pre-refactor golden"
+        pin(
+            &dir.join(format!("{name}.stats.json")),
+            &art.stats_json,
+            regen,
         );
-        let want_digests = std::fs::read_to_string(&digest_path)
-            .unwrap_or_else(|e| panic!("{name}: missing fixture {}: {e}", digest_path.display()));
-        assert_eq!(
-            digests, want_digests,
-            "{name}: --trace/--devices output diverged from the pre-refactor golden"
-        );
-        let want_control = std::fs::read_to_string(&control_path)
-            .unwrap_or_else(|e| panic!("{name}: missing fixture {}: {e}", control_path.display()));
-        assert_eq!(
-            control_digest, want_control,
-            "{name}: --control output diverged from the pinned control stream"
+        pin(&dir.join(format!("{name}.digests.txt")), &digests, regen);
+        pin(
+            &dir.join(format!("{name}.control.txt")),
+            &control_digest,
+            regen,
         );
     }
+}
+
+/// The hot-key cache under writes and lost coherence messages:
+/// `--small` NetRS-ToR, 10 % `Quorum{w:2}` writes, a 128-entry cache per
+/// RSNode and `tests/fixtures/faults/invalidation-loss.json` (half of all
+/// packets lost for 400 ms while writes are in flight).
+fn cache_case(admission: CacheAdmission, write_policy: CacheWritePolicy) -> SimConfig {
+    let plan = std::fs::read_to_string(fixtures_dir().join("../faults/invalidation-loss.json"))
+        .expect("fault plan fixture");
+    let mut cfg = SimConfig::small();
+    cfg.scheme = Scheme::NetRsToR;
+    cfg.seed = 42;
+    cfg.write_fraction = 0.1;
+    cfg.write_consistency = WriteConsistency::Quorum { w: 2 };
+    cfg.hot_cache = Some(HotCacheConfig {
+        capacity: 128,
+        admission,
+        write_policy,
+    });
+    cfg.faults = Some(FaultPlan::from_json(&plan).expect("valid fault plan"));
+    cfg
+}
+
+/// Cache-run goldens. The three `netrs-tor-rw-cache*` fixtures were
+/// captured at commit dc05ccd, when every coherence message was its own
+/// heap event. Since the fan-out became one event per (arrival time,
+/// shard) batch they differ from those captures in the `"events"` line
+/// only (and `parallel.mailbox_posted` under two shards): loss draws,
+/// counters, trace and device bytes are the same. A regeneration that
+/// moves any other line is a behaviour change, not a refresh.
+#[test]
+fn cache_runs_are_byte_identical() {
+    let dir = fixtures_dir();
+    let regen = std::env::var_os("GOLDEN_REGEN").is_some();
+    let lru = || cache_case(CacheAdmission::Lru, CacheWritePolicy::Invalidate);
+
+    let art = run_case(lru(), None);
+    assert!(art.stats_json.contains("\"rw\""), "cache runs report rw");
+    pin(
+        &dir.join("netrs-tor-rw-cache.stats.json"),
+        &art.stats_json,
+        regen,
+    );
+    pin(
+        &dir.join("netrs-tor-rw-cache.digests.txt"),
+        &format!(
+            "{}\n{}\n",
+            digest_line("trace", &art.trace),
+            digest_line("devices", &art.devices)
+        ),
+        regen,
+    );
+
+    // Stats only: refresh-in-place coherence and sketch-gated admission.
+    let art = run_case(
+        cache_case(
+            CacheAdmission::Frequency { threshold: 2 },
+            CacheWritePolicy::Through,
+        ),
+        None,
+    );
+    pin(
+        &dir.join("netrs-tor-rw-cache-through-freq.stats.json"),
+        &art.stats_json,
+        regen,
+    );
+
+    // Stats only: the LRU config again under `--shards 2`, where batches
+    // also split by owning shard.
+    let art = run_case(lru(), Some(2));
+    pin(
+        &dir.join("netrs-tor-rw-cache-shards2.stats.json"),
+        &art.stats_json,
+        regen,
+    );
 }

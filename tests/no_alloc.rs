@@ -3,14 +3,17 @@
 //! A counting `#[global_allocator]` (which needs `unsafe`, so it cannot
 //! live inside the `#![forbid(unsafe_code)]` library) proves that the
 //! healthy-fabric timing trio — the code that runs for every simulated
-//! packet — never touches the heap, and pins the size of the event
-//! payload the queue copies around.
+//! packet — never touches the heap, that a warm hot-key cache does not
+//! either, and pins the size of the event payload the queue copies
+//! around.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use netrs_kvstore::ServerId;
+use netrs_netdev::HotKeyCache;
 use netrs_sim::testhooks::TimingProbe;
-use netrs_sim::Ev;
+use netrs_sim::{Ev, HotCacheConfig};
 use netrs_simcore::SimDuration;
 
 // Per-thread counter so the measurement ignores allocations made by
@@ -70,11 +73,44 @@ fn healthy_timing_fast_path_never_allocates() {
 }
 
 #[test]
+fn warm_hot_key_cache_never_allocates() {
+    let mut cache = HotKeyCache::new(HotCacheConfig {
+        capacity: 64,
+        ..HotCacheConfig::default()
+    });
+    // Warm: fill to capacity (slab and index reach their final size).
+    for key in 0..64 {
+        cache.admit(key, 1, ServerId(0));
+    }
+    let allocs = allocs_during(|| {
+        for i in 0..4_096u64 {
+            // Every admission of a new key evicts; every seventh write
+            // frees a slot that the next admission reuses.
+            let key = 64 + i;
+            if cache.lookup(key).is_none() {
+                cache.admit(key, i, ServerId(0));
+            }
+            if i % 7 == 0 {
+                cache.apply_write(key - 3, i);
+            }
+        }
+    });
+    assert!(cache.stats().evictions > 3_000 && cache.stats().invalidations > 500);
+    assert_eq!(
+        allocs, 0,
+        "admit at capacity reuses the victim's slot: no heap traffic"
+    );
+}
+
+#[test]
 fn event_payload_stays_within_audited_size() {
     // Every scheduled event is moved into the queue's payload slab; the
     // heap entries themselves are a fixed 24 bytes. The audited bound
     // here is set by the `ServerToken`-carrying variants (~104 bytes) —
-    // a new variant or field that pushes past it deserves a Box.
+    // a new variant or field that pushes past it deserves a Box. 112 is
+    // also exactly what `Ev` measured when every coherence message was
+    // its own event: batching them put the operator list in the policy's
+    // side table, not in the event.
     let size = std::mem::size_of::<Ev>();
     assert!(
         size <= 112,

@@ -6,8 +6,8 @@
 //! and read-only runs must not emit the `rw` stats block at all.
 
 use netrs_sim::{
-    run, CacheAdmission, CacheWritePolicy, FaultEvent, FaultPlan, HotCacheConfig, RunStats, Scheme,
-    SimConfig, TimedFault, WriteConsistency,
+    run, run_observed, CacheAdmission, CacheWritePolicy, Cluster, FaultEvent, FaultPlan,
+    HotCacheConfig, LinkRef, ObsOptions, RunStats, Scheme, SimConfig, TimedFault, WriteConsistency,
 };
 use netrs_simcore::SimDuration;
 use proptest::prelude::*;
@@ -31,6 +31,24 @@ fn cached(scheme: Scheme) -> SimConfig {
         capacity: 128,
         admission: CacheAdmission::Lru,
         write_policy: CacheWritePolicy::Invalidate,
+    });
+    cfg
+}
+
+/// The cached config with 20 % writes under a 400 ms burst that drops
+/// each packet — coherence messages included — with `probability`.
+fn lossy(probability: f64) -> SimConfig {
+    let mut cfg = cached(Scheme::NetRsToR);
+    cfg.write_fraction = 0.2;
+    cfg.faults = Some(FaultPlan {
+        events: vec![TimedFault {
+            at: SimDuration::from_millis(10),
+            fault: FaultEvent::PacketLossBurst {
+                probability,
+                duration: SimDuration::from_millis(400),
+            },
+        }],
+        ..FaultPlan::default()
     });
     cfg
 }
@@ -160,23 +178,8 @@ fn lost_invalidations_surface_as_stale_reads() {
     // Drop a burst of packets while writes are in flight: coherence
     // messages die with everything else, so cached entries outlive the
     // versions they were captured at and hits on them count as stale.
-    let lossy = |probability: f64| {
-        let mut cfg = cached(Scheme::NetRsToR);
-        cfg.write_fraction = 0.2;
-        cfg.faults = Some(FaultPlan {
-            events: vec![TimedFault {
-                at: SimDuration::from_millis(10),
-                fault: FaultEvent::PacketLossBurst {
-                    probability,
-                    duration: SimDuration::from_millis(400),
-                },
-            }],
-            ..FaultPlan::default()
-        });
-        run(cfg)
-    };
-    let clean = lossy(0.0);
-    let faulty = lossy(0.5);
+    let clean = run(lossy(0.0));
+    let faulty = run(lossy(0.5));
     assert!(
         rw(&faulty).stale_reads > rw(&clean).stale_reads,
         "losing half the invalidations must increase stale reads ({} vs {})",
@@ -189,6 +192,140 @@ fn lost_invalidations_surface_as_stale_reads() {
         faulty.issued,
         "accounting holds under invalidation loss"
     );
+}
+
+/// What a run's coherence fan-out leaves behind: `stale_reads`,
+/// `cache_invalidations`, `copies_dropped`, and `(switch, drops,
+/// cache_invalidations)` for every switch where either counter moved.
+type Footprint = (u64, u64, u64, Vec<(String, u64, u64)>);
+
+fn coherence_footprint(cfg: SimConfig) -> Footprint {
+    let out = run_observed(
+        cfg,
+        ObsOptions {
+            device_stats: true,
+            ..ObsOptions::default()
+        },
+    );
+    let rw = rw(&out.stats);
+    let avail = out
+        .stats
+        .availability
+        .as_ref()
+        .expect("fault plan attached");
+    let per_switch = out
+        .devices
+        .expect("device stats requested")
+        .of_kind("switch")
+        .filter(|r| r.drops + r.cache_invalidations > 0)
+        .map(|r| (r.dev.clone(), r.drops, r.cache_invalidations))
+        .collect();
+    (
+        rw.stale_reads,
+        rw.cache_invalidations,
+        avail.copies_dropped,
+        per_switch,
+    )
+}
+
+fn per_switch(rows: &[(&str, u64, u64)]) -> Vec<(String, u64, u64)> {
+    rows.iter()
+        .map(|&(d, a, b)| (d.to_string(), a, b))
+        .collect()
+}
+
+/// The coherence fan-out draws one loss sample per operator, in
+/// ascending switch order within each arrival time. The expected values
+/// were recorded at commit dc05ccd, when every message was its own heap
+/// event: batching the fan-out must not move a single draw.
+#[test]
+fn fan_out_order_under_loss_matches_per_message_events() {
+    let want: Footprint = (
+        465,
+        1196,
+        3173,
+        per_switch(&[
+            ("switch:0", 224, 224),
+            ("switch:1", 234, 174),
+            ("switch:3", 235, 160),
+            ("switch:4", 226, 155),
+            ("switch:5", 221, 158),
+            ("switch:6", 215, 164),
+            ("switch:7", 225, 161),
+        ]),
+    );
+    assert_eq!(coherence_footprint(lossy(0.5)), want);
+}
+
+/// Same contract with a broken fabric: one RSNode's ToR loses both
+/// uplinks (unreachable from every other rack: `Drop` at issue time) and
+/// another rack's uplink runs at a third of its speed (unequal path
+/// costs: more arrival times per write), under a loss burst.
+#[test]
+fn fan_out_order_with_failed_links_matches_per_message_events() {
+    let mut cfg = cached(Scheme::NetRsToR);
+    cfg.write_fraction = 0.2;
+    let probe = Cluster::new(cfg.clone());
+    let topo = probe.topology();
+    let rsnodes = probe.current_plan().expect("NetRS plan").rsnodes();
+    let cut = *rsnodes.first().expect("plan has RSNodes");
+    let slow = *rsnodes.last().expect("plan has RSNodes");
+    assert_ne!(cut, slow);
+    let pod = |sw| topo.pod_of_switch(sw).expect("ToRs live in pods");
+    let at = |ms, fault| TimedFault {
+        at: SimDuration::from_millis(ms),
+        fault,
+    };
+    let uplink = |tor: netrs_topology::SwitchId, i| LinkRef::SwitchLink {
+        a: tor.0,
+        b: topo.agg(pod(tor), i).0,
+    };
+    cfg.faults = Some(FaultPlan {
+        events: vec![
+            at(
+                5,
+                FaultEvent::LinkFail {
+                    link: uplink(cut, 0),
+                },
+            ),
+            at(
+                5,
+                FaultEvent::LinkFail {
+                    link: uplink(cut, 1),
+                },
+            ),
+            at(
+                5,
+                FaultEvent::LinkDegrade {
+                    link: uplink(slow, 0),
+                    factor: 3.0,
+                },
+            ),
+            at(
+                20,
+                FaultEvent::PacketLossBurst {
+                    probability: 0.3,
+                    duration: SimDuration::from_millis(200),
+                },
+            ),
+        ],
+        ..FaultPlan::default()
+    });
+    let want: Footprint = (
+        251,
+        955,
+        4728,
+        per_switch(&[
+            ("switch:0", 606, 2),
+            ("switch:1", 231, 161),
+            ("switch:3", 252, 157),
+            ("switch:4", 237, 164),
+            ("switch:5", 239, 156),
+            ("switch:6", 246, 160),
+            ("switch:7", 251, 155),
+        ]),
+    );
+    assert_eq!(coherence_footprint(cfg), want);
 }
 
 proptest! {
