@@ -31,22 +31,14 @@ done
 grep -q "Per-phase latency comparison" "$SMOKE/report.txt"
 ./target/debug/netrs-analyze check-bench "$SMOKE/bench.json"
 
-echo "==> determinism smoke (same seed, twice, byte-identical stats)"
-for scheme in clirs-r95 netrs-tor; do
-    ./target/debug/simulate --small --scheme "$scheme" --requests 5000 --seed 7 \
-        --json > "$SMOKE/$scheme-det-a.json"
-    ./target/debug/simulate --small --scheme "$scheme" --requests 5000 --seed 7 \
-        --json > "$SMOKE/$scheme-det-b.json"
-    diff -u "$SMOKE/$scheme-det-a.json" "$SMOKE/$scheme-det-b.json"
-done
+# Same-seed-twice byte diffs live in the test suite (golden_runs,
+# shard_equiv, faults, rw, observability), not here. The smokes below drive
+# the binaries: artifacts the analyzer must read, count gates, and sinks
+# that must not perturb a run.
 
-echo "==> control-plane smoke (deterministic stream, run unperturbed)"
+echo "==> control-plane smoke (stream renders, run unperturbed)"
 ./target/debug/simulate --small --scheme netrs-ilp --requests 5000 --seed 5 \
     --control "$SMOKE/ctl-a.jsonl" --json > "$SMOKE/ctl-stats-a.json"
-./target/debug/simulate --small --scheme netrs-ilp --requests 5000 --seed 5 \
-    --control "$SMOKE/ctl-b.jsonl" --json > "$SMOKE/ctl-stats-b.json"
-# Same seed twice: the control stream must be byte-identical.
-diff -u "$SMOKE/ctl-a.jsonl" "$SMOKE/ctl-b.jsonl"
 # Without --control the run itself must not change: identical stats.
 ./target/debug/simulate --small --scheme netrs-ilp --requests 5000 --seed 5 \
     --json > "$SMOKE/ctl-stats-plain.json"
@@ -101,20 +93,6 @@ grep -q '"schema_version": 1' "$SMOKE/perf-profile.json"
 ./target/debug/netrs-analyze check-bench BENCH_PERF.json > "$SMOKE/baseline-check.txt"
 grep -q "versioned v1" "$SMOKE/baseline-check.txt"
 
-echo "==> shard-determinism smoke (1-shard == sequential, N-shard reproducible)"
-# One shard through the ShardedEngine must be byte-identical to the
-# sequential engine; four shards must at least be reproducible per seed.
-./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
-    --json > "$SMOKE/shard-seq.json"
-./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
-    --shards 1 --json > "$SMOKE/shard-one.json"
-diff -u "$SMOKE/shard-seq.json" "$SMOKE/shard-one.json"
-./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
-    --shards 4 --json > "$SMOKE/shard-four-a.json"
-./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
-    --shards 4 --json > "$SMOKE/shard-four-b.json"
-diff -u "$SMOKE/shard-four-a.json" "$SMOKE/shard-four-b.json"
-
 echo "==> parallel-sweep smoke (grid artifact, renderer, cells match solo runs)"
 # No wall-clock gating (CI boxes are too noisy and may be single-core);
 # the measured speedup lands in the artifact for EXPERIMENTS.md instead.
@@ -126,12 +104,16 @@ grep -q '"speedup"' "$SMOKE/sweep.json"
 grep -q "## Sweep: 8 cells" "$SMOKE/sweep.txt"
 grep -q "speedup" "$SMOKE/sweep.txt"
 # A sweep cell is the same simulation as a solo run of the same config:
-# the netrs-tor/seed-7 cell must carry the mean the sequential run above
-# reported (sweep cells run the sequential engine at --shards 1).
+# the netrs-tor/seed-7 cell must carry the mean a sequential solo run
+# reports (sweep cells run the sequential engine at --shards 1).
+./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
+    --json > "$SMOKE/shard-seq.json"
 mean_solo=$(grep -A 2 '"latency"' "$SMOKE/shard-seq.json" | grep '"mean"' | head -1 | tr -dc 0-9)
 grep -q "\"mean\": $mean_solo" "$SMOKE/sweep.json"
 
 echo "==> sharded perf smoke (simulate --shards --perf, artifact gates check-bench)"
+./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
+    --shards 4 --json > "$SMOKE/shard-four-a.json"
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
     --shards 4 --perf "$SMOKE/perf-sharded.json" --json > "$SMOKE/shard-perf-stats.json"
 # The profiler must not perturb the sharded run either.
@@ -139,49 +121,32 @@ diff -u "$SMOKE/shard-four-a.json" "$SMOKE/shard-perf-stats.json"
 ./target/debug/netrs-analyze check-bench "$SMOKE/perf-sharded.json" | grep -q "versioned v1"
 ./target/debug/netrs-analyze perf "$SMOKE/perf-sharded.json" | grep -q "by layer"
 
-echo "==> parallel-determinism smoke (window driver reproducible, thread-invariant)"
-# The parallel window driver must be reproducible per seed and its bytes
-# must not depend on the worker count (nproc-aware: more workers where
-# the box has the cores, but the T=1 diff is the real gate either way).
+echo "==> parallel smoke (threaded window driver reports clean window accounting)"
+# nproc-aware: more workers where the box has the cores.
 T=2
 [ "$(nproc)" -ge 4 ] && T=4
 ./target/debug/simulate --small --scheme clirs --requests 5000 --seed 7 \
     --shards 4 --threads "$T" --json > "$SMOKE/par-a.json"
-./target/debug/simulate --small --scheme clirs --requests 5000 --seed 7 \
-    --shards 4 --threads "$T" --json > "$SMOKE/par-b.json"
-diff -u "$SMOKE/par-a.json" "$SMOKE/par-b.json"
-./target/debug/simulate --small --scheme clirs --requests 5000 --seed 7 \
-    --shards 4 --threads 1 --json > "$SMOKE/par-one.json"
-diff -u "$SMOKE/par-a.json" "$SMOKE/par-one.json"
 grep -q '"parallel"' "$SMOKE/par-a.json"
 grep -q '"mailbox_late": 0' "$SMOKE/par-a.json"
 
 echo "==> alloc-profile feature (counting allocator, integration test)"
 cargo test -q -p netrs-sim --features alloc-profile --test alloc_profile
 
-echo "==> fault-injection smoke (scripted plan, same seed twice, byte-identical stats)"
+echo "==> fault-injection smoke (scripted plan file, availability block, analyzer table)"
 for scheme in clirs netrs-tor; do
     ./target/debug/simulate --small --scheme "$scheme" --requests 5000 --seed 7 \
         --faults tests/fixtures/faults/smoke.json --json > "$SMOKE/$scheme-faults-a.json"
-    ./target/debug/simulate --small --scheme "$scheme" --requests 5000 --seed 7 \
-        --faults tests/fixtures/faults/smoke.json --json > "$SMOKE/$scheme-faults-b.json"
-    diff -u "$SMOKE/$scheme-faults-a.json" "$SMOKE/$scheme-faults-b.json"
     grep -q '"availability"' "$SMOKE/$scheme-faults-a.json"
 done
 ./target/debug/netrs-analyze availability \
     --stats "clirs=$SMOKE/clirs-faults-a.json" --stats "netrs-tor=$SMOKE/netrs-tor-faults-a.json" \
     | grep -q "Availability under faults"
 
-echo "==> rw smoke (writes + hot-key cache, same seed twice, byte-identical stats)"
-# Quorum writes and the in-switch cache must be as deterministic as the
-# read path: identical seeds give identical stats including every cache
-# counter, and the rw analyzer renders both runs.
-for i in a b; do
-    ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 9 \
-        --write-fraction 0.1 --consistency quorum:2 --hot-cache 128 \
-        --json > "$SMOKE/rw-$i.json"
-done
-diff -u "$SMOKE/rw-a.json" "$SMOKE/rw-b.json"
+echo "==> rw smoke (writes + hot-key cache: rw block, batched coherence, analyzer tables)"
+./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 9 \
+    --write-fraction 0.1 --consistency quorum:2 --hot-cache 128 \
+    --json > "$SMOKE/rw-a.json"
 grep -q '"rw"' "$SMOKE/rw-a.json"
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 9 \
     --write-fraction 0.1 --consistency quorum:2 --hot-cache 128 \
@@ -200,16 +165,14 @@ batches=$(grep -A 2 '"kind": "CacheInvalidate"' "$SMOKE/rw-perf.json" \
 grep -q "Read/write mix" "$SMOKE/rw-report.txt"
 grep -q "Per-operator cache" "$SMOKE/rw-report.txt"
 
-echo "==> cache-invalidation-under-fault smoke (lost coherence => stale reads, deterministic)"
+echo "==> cache-invalidation-under-fault smoke (lost coherence => stale reads)"
 # Half the packets die mid-run: invalidations are lost with everything
-# else, so stale reads must appear — and identically across two runs.
-for i in a b; do
-    ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 9 \
-        --write-fraction 0.2 --hot-cache 128 \
-        --faults tests/fixtures/faults/invalidation-loss.json \
-        --json > "$SMOKE/rw-faults-$i.json"
-done
-diff -u "$SMOKE/rw-faults-a.json" "$SMOKE/rw-faults-b.json"
-grep -q '"stale_reads"' "$SMOKE/rw-faults-a.json"
+# else, so stale reads must appear.
+./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 9 \
+    --write-fraction 0.2 --hot-cache 128 \
+    --faults tests/fixtures/faults/invalidation-loss.json \
+    --json > "$SMOKE/rw-faults-a.json"
+stale=$(sed -n 's/.*"stale_reads": \([0-9]*\).*/\1/p' "$SMOKE/rw-faults-a.json")
+[ "$stale" -gt 50 ]
 
 echo "==> CI green"

@@ -782,7 +782,8 @@ pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
     out
 }
 
-/// The keys every per-label bench entry must carry, in artifact order.
+/// The keys every per-label entry of the sim-time bench artifact
+/// (`report --bench-json`) must carry, in artifact order.
 pub const BENCH_KEYS: [&str; 7] = [
     "mean_ns",
     "p50_ns",
@@ -792,11 +793,6 @@ pub const BENCH_KEYS: [&str; 7] = [
     "sim_seconds",
     "requests_per_sim_sec",
 ];
-
-/// The keys every per-label *perf* entry must carry (wall-clock runs of
-/// the `repro perf` subcommand, as opposed to sim-time latency entries).
-/// An entry is classified as perf by the presence of `"wall_clock_s"`.
-pub const PERF_KEYS: [&str; 4] = ["events", "events_per_sec", "peak_rss_kb", "wall_clock_s"];
 
 /// Optional extension keys a bench entry *may* carry without failing
 /// validation: the read/write-mix statistics added with the write path
@@ -843,21 +839,21 @@ pub fn bench_artifact(traces: &[LabeledTrace]) -> Value {
     Value::Obj(entries)
 }
 
-/// Which of the two bench-artifact schemas a file turned out to be.
+/// Which of the two bench artifacts a file turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchSchema {
-    /// The pre-versioned shape: a flat `label → entry` JSON object whose
-    /// entries carry [`BENCH_KEYS`] or [`PERF_KEYS`].
-    Legacy,
-    /// The versioned perf-artifact shape (`schema_version: 1` + `runs`,
-    /// or a bare `simulate --perf` profile).
+    /// The sim-time latency artifact `report --bench-json` writes: a flat
+    /// `label → entry` JSON object whose entries carry [`BENCH_KEYS`].
+    SimTime,
+    /// The versioned wall-clock perf artifact (`schema_version: 1` +
+    /// `runs`, or a bare `simulate --perf` profile).
     V1,
 }
 
 impl fmt::Display for BenchSchema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            BenchSchema::Legacy => "legacy flat map",
+            BenchSchema::SimTime => "sim-time flat map",
             BenchSchema::V1 => "versioned v1",
         })
     }
@@ -865,16 +861,13 @@ impl fmt::Display for BenchSchema {
 
 /// Validates a bench artifact and reports which schema it is.
 ///
-/// A `schema_version` key marks the versioned shape: it must parse as a
-/// [`PerfArtifact`], carry at least one run, and every profiled run's
-/// kind-table counts must sum exactly to its event total (runs upgraded
-/// from the legacy schema have no kind table and are exempt). Without
-/// the key, the artifact must be the legacy non-empty `label → entry`
-/// object whose every entry carries all of [`BENCH_KEYS`] (sim-time
-/// latency entries) or all of [`PERF_KEYS`] (wall-clock perf entries,
-/// recognized by the presence of `"wall_clock_s"`) as numbers. The two
-/// legacy kinds may be mixed within one artifact, but an entry must be
-/// exactly one of them. Entries may additionally carry any of the
+/// A `schema_version` key marks the versioned perf artifact: it must
+/// parse as a [`PerfArtifact`], carry at least one run, and every
+/// profiled run's kind-table counts must sum exactly to its event total
+/// (rows measured without the profiler have no kind table and are
+/// exempt). Without the key, the artifact must be the sim-time one: a
+/// non-empty `label → entry` object whose every entry carries all of
+/// [`BENCH_KEYS`] as numbers. Entries may additionally carry any of the
 /// [`BENCH_OPTIONAL_KEYS`] RW extension fields (numbers when present);
 /// unknown keys beyond those still fail.
 ///
@@ -909,12 +902,7 @@ pub fn check_bench(artifact: &Value) -> Result<BenchSchema, String> {
         let fields = entry
             .as_obj()
             .ok_or_else(|| format!("entry {label:?} must be an object"))?;
-        let keys: &[&str] = if entry.get("wall_clock_s").is_some() {
-            &PERF_KEYS
-        } else {
-            &BENCH_KEYS
-        };
-        for &key in keys {
+        for &key in &BENCH_KEYS {
             match entry.get(key) {
                 Some(Value::U(_) | Value::I(_) | Value::F(_)) => {}
                 Some(other) => {
@@ -936,12 +924,12 @@ pub fn check_bench(artifact: &Value) -> Result<BenchSchema, String> {
             }
         }
         for (key, _) in fields {
-            if !keys.contains(&key.as_str()) && !BENCH_OPTIONAL_KEYS.contains(&key.as_str()) {
+            if !BENCH_KEYS.contains(&key.as_str()) && !BENCH_OPTIONAL_KEYS.contains(&key.as_str()) {
                 return Err(format!("entry {label:?} has unknown key {key:?}"));
             }
         }
     }
-    Ok(BenchSchema::Legacy)
+    Ok(BenchSchema::SimTime)
 }
 
 /// The outcome of a two-artifact bench comparison: the rendered table
@@ -972,10 +960,9 @@ struct MetricRow {
 }
 
 /// Normalizes an artifact of either schema into `label → throughput`
-/// rows. Versioned artifacts report `events_per_sec` with the *latest*
-/// run per label winning (the artifact is an append-only history);
-/// legacy perf entries report `events_per_sec`, legacy sim-time latency
-/// entries `requests_per_sim_sec`.
+/// rows. Perf artifacts report `events_per_sec` with the *latest* run per
+/// label winning (the artifact is an append-only history); sim-time
+/// entries report `requests_per_sim_sec`.
 fn bench_metrics(artifact: &Value) -> Result<Vec<MetricRow>, String> {
     let rows = match check_bench(artifact)? {
         BenchSchema::V1 => {
@@ -993,21 +980,17 @@ fn bench_metrics(artifact: &Value) -> Result<Vec<MetricRow>, String> {
             }
             rows
         }
-        BenchSchema::Legacy => artifact
+        BenchSchema::SimTime => artifact
             .as_obj()
             .expect("validated above")
             .iter()
-            .map(|(label, entry)| {
-                let metric = if entry.get("wall_clock_s").is_some() {
-                    "events_per_sec"
-                } else {
-                    "requests_per_sim_sec"
-                };
-                MetricRow {
-                    label: label.clone(),
-                    metric,
-                    value: entry.get(metric).and_then(as_f64).expect("validated above"),
-                }
+            .map(|(label, entry)| MetricRow {
+                label: label.clone(),
+                metric: "requests_per_sim_sec",
+                value: entry
+                    .get("requests_per_sim_sec")
+                    .and_then(as_f64)
+                    .expect("validated above"),
             })
             .collect(),
     };
@@ -1016,12 +999,11 @@ fn bench_metrics(artifact: &Value) -> Result<Vec<MetricRow>, String> {
 
 /// Compares two bench artifacts label by label and flags throughput
 /// regressions beyond `threshold` (a fraction: 0.1 → a 10% drop fails).
-/// Either side may be the legacy or the versioned schema — both
-/// normalize to `label → events_per_sec` (versioned histories take the
-/// latest run per label) or `requests_per_sim_sec` for legacy sim-time
-/// entries, so a versioned candidate gates cleanly against a legacy
-/// baseline. Labels present in only one artifact are reported but never
-/// fail the gate.
+/// Both sides normalize to `label → events_per_sec` (perf artifacts; the
+/// latest run per label) or `label → requests_per_sim_sec` (sim-time
+/// artifacts); a label whose two sides are of different kinds is skipped.
+/// Labels present in only one artifact are reported but never fail the
+/// gate.
 ///
 /// # Errors
 ///
@@ -1201,7 +1183,7 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
         let _ = writeln!(out, "## Perf profile: {name}");
         let _ = writeln!(
             out,
-            "   {} runs ({} profiled, {} legacy)",
+            "   {} runs ({} profiled, {} throughput-only)",
             art.runs.len(),
             profiled,
             art.runs.len() - profiled
@@ -1525,6 +1507,25 @@ mod tests {
                 .map(|(i, &e)| record(i as u64, (i % 3) as u32, e))
                 .collect(),
         }
+    }
+
+    #[test]
+    fn parse_jsonl_names_the_truncated_line() {
+        // A run killed mid-write leaves a last line cut off anywhere; a
+        // corrupt one may open brackets without end.
+        let full = serde_json::to_string(&record(1, 0, 600)).unwrap();
+        let path = std::env::temp_dir().join(format!("netrs-trunc-{}.jsonl", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        for cut in [&full[..full.len() / 2], "{\"req\":", &"[".repeat(1_000_000)] {
+            std::fs::write(&path, format!("{full}\n\n{cut}\n")).unwrap();
+            let err = load_trace(path_str).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.starts_with(&format!("{path_str}:3: ")), "{msg}");
+        }
+        std::fs::write(&path, format!("{full}\n")).unwrap();
+        assert_eq!(load_trace(path_str).unwrap().len(), 1);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2026,13 +2027,13 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
 
     #[test]
     fn compare_bench_flags_regressions_beyond_threshold() {
-        let perf = |eps: f64| {
-            Value::Obj(vec![
-                ("events".into(), Value::U(1_000)),
-                ("events_per_sec".into(), Value::F(eps)),
-                ("peak_rss_kb".into(), Value::U(10_000)),
-                ("wall_clock_s".into(), Value::F(1.0)),
-            ])
+        let perf = |rps: f64| {
+            Value::Obj(
+                BENCH_KEYS
+                    .iter()
+                    .map(|k| ((*k).to_string(), Value::F(rps)))
+                    .collect(),
+            )
         };
         let base = Value::Obj(vec![
             ("CliRS".into(), perf(1_000_000.0)),
@@ -2119,6 +2120,20 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
         }
     }
 
+    /// A row measured without the profiler (the `sharded-parallel` suite
+    /// writes these): throughput only, no kind table.
+    fn throughput_only(label: &str, events: u64, eps: f64) -> HostProfile {
+        HostProfile {
+            wall_s: 0.0072,
+            peak_rss_kb: 6_000,
+            stride: 0,
+            attributed_ns: 0,
+            alloc: None,
+            kinds: Vec::new(),
+            ..host_profile(label, events, eps)
+        }
+    }
+
     fn to_value(artifact: &PerfArtifact) -> Value {
         let text = serde_json::to_string(artifact).unwrap();
         serde_json::from_str(&text).unwrap()
@@ -2128,7 +2143,7 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
     fn check_bench_detects_and_validates_versioned_artifacts() {
         let art = PerfArtifact {
             runs: vec![
-                HostProfile::from_legacy("smoke/CliRS", 18_000, 2_500_000.0, 6_000, 0.0072),
+                throughput_only("smoke/CliRS", 18_000, 2_500_000.0),
                 host_profile("smoke/CliRS", 18_000, 3_000_000.0),
             ],
         };
@@ -2139,17 +2154,13 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
         )
         .unwrap();
         assert_eq!(check_bench(&bare).unwrap(), BenchSchema::V1);
-        // The legacy shape still reports as legacy.
-        let legacy = Value::Obj(vec![(
-            "x".into(),
-            Value::Obj(
-                PERF_KEYS
-                    .iter()
-                    .map(|k| ((*k).to_string(), Value::F(1.0)))
-                    .collect(),
-            ),
-        )]);
-        assert_eq!(check_bench(&legacy).unwrap(), BenchSchema::Legacy);
+        // A flat map of wall-clock entries is neither artifact: perf
+        // artifacts are versioned, sim-time entries carry `BENCH_KEYS`.
+        let flat: Value = serde_json::from_str(
+            r#"{"x": {"events": 1, "events_per_sec": 1.0, "peak_rss_kb": 1, "wall_clock_s": 1.0}}"#,
+        )
+        .unwrap();
+        assert!(check_bench(&flat).unwrap_err().contains("missing key"));
         // Kind counts that do not sum to the event total are rejected.
         let mut bad = host_profile("CliRS", 18_000, 3e6);
         bad.kinds[0].count += 1;
@@ -2163,32 +2174,26 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
     }
 
     #[test]
-    fn compare_bench_normalizes_versioned_against_legacy() {
-        let legacy = Value::Obj(vec![(
-            "smoke/CliRS".into(),
-            Value::Obj(vec![
-                ("events".into(), Value::U(18_000)),
-                ("events_per_sec".into(), Value::F(1_000_000.0)),
-                ("peak_rss_kb".into(), Value::U(6_000)),
-                ("wall_clock_s".into(), Value::F(0.018)),
-            ]),
-        )]);
-        // The versioned candidate's history: an old slow run, then the
-        // current one — the latest run per label must win.
+    fn compare_bench_takes_the_latest_run_per_label() {
+        let base = PerfArtifact {
+            runs: vec![host_profile("smoke/CliRS", 18_000, 1_000_000.0)],
+        };
+        // The candidate's history: an old slow run, then the current one —
+        // the latest run per label must win.
         let ok = PerfArtifact {
             runs: vec![
                 host_profile("smoke/CliRS", 18_000, 500_000.0),
                 host_profile("smoke/CliRS", 18_000, 980_000.0),
             ],
         };
-        let cmp = compare_bench(&legacy, &to_value(&ok), 0.1).expect("schemas normalize");
+        let cmp = compare_bench(&to_value(&base), &to_value(&ok), 0.1).expect("both validate");
         assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
         assert!(cmp.report.contains("events_per_sec"));
 
         let bad = PerfArtifact {
             runs: vec![host_profile("smoke/CliRS", 18_000, 800_000.0)],
         };
-        let cmp = compare_bench(&legacy, &to_value(&bad), 0.1).expect("schemas normalize");
+        let cmp = compare_bench(&to_value(&base), &to_value(&bad), 0.1).expect("both validate");
         assert_eq!(cmp.regressions.len(), 1, "20% drop fails a 10% gate");
     }
 
@@ -2196,14 +2201,14 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
     fn perf_report_pins_its_format() {
         let art = PerfArtifact {
             runs: vec![
-                HostProfile::from_legacy("smoke/CliRS", 18_000, 2_500_000.0, 6_000, 0.0072),
+                throughput_only("smoke/CliRS", 18_000, 2_500_000.0),
                 host_profile("smoke/CliRS", 18_000, 3_000_000.0),
             ],
         };
         let report = perf_report(&[("bench".to_string(), art.clone())]);
         let expected = "\
 ## Perf profile: bench
-   2 runs (1 profiled, 1 legacy)
+   2 runs (1 profiled, 1 throughput-only)
 
 ### smoke/CliRS — scheme CliRS · seed 1 · 2000 requests
    host: Test CPU · 8 cores · commit ab12cd3
@@ -2324,7 +2329,7 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
             )
             .collect();
         let ok = Value::Obj(vec![("x".into(), Value::Obj(with_rw))]);
-        assert_eq!(check_bench(&ok).unwrap(), BenchSchema::Legacy);
+        assert_eq!(check_bench(&ok).unwrap(), BenchSchema::SimTime);
 
         let bad_entries: Vec<(String, Value)> = BENCH_KEYS
             .iter()
@@ -2333,41 +2338,5 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
             .collect();
         let bad = Value::Obj(vec![("x".into(), Value::Obj(bad_entries))]);
         assert!(check_bench(&bad).unwrap_err().contains("stale_reads"));
-    }
-
-    #[test]
-    fn check_bench_accepts_and_polices_perf_entries() {
-        let perf_entry = |extra: Option<(&str, Value)>| {
-            let fields: Vec<(String, Value)> = PERF_KEYS
-                .iter()
-                .map(|k| ((*k).to_string(), Value::F(1.5)))
-                .chain(extra.map(|(k, v)| (k.to_string(), v)))
-                .collect();
-            Value::Obj(fields)
-        };
-        // A pure perf artifact validates.
-        let ok = Value::Obj(vec![("before/CliRS".into(), perf_entry(None))]);
-        check_bench(&ok).expect("perf entries validate");
-        // Perf and sim-time entries can coexist in one artifact.
-        let bench_fields: Vec<(String, Value)> = BENCH_KEYS
-            .iter()
-            .map(|k| ((*k).to_string(), Value::U(1)))
-            .collect();
-        let mixed = Value::Obj(vec![
-            ("after/CliRS".into(), perf_entry(None)),
-            ("clirs".into(), Value::Obj(bench_fields)),
-        ]);
-        check_bench(&mixed).expect("mixed artifacts validate");
-        // Perf entries are policed against PERF_KEYS, not BENCH_KEYS.
-        let extra = Value::Obj(vec![(
-            "x".into(),
-            perf_entry(Some(("mean_ns", Value::U(1)))),
-        )]);
-        assert!(check_bench(&extra).unwrap_err().contains("unknown key"));
-        let missing = Value::Obj(vec![(
-            "x".into(),
-            Value::Obj(vec![("wall_clock_s".into(), Value::F(1.0))]),
-        )]);
-        assert!(check_bench(&missing).unwrap_err().contains("missing"));
     }
 }

@@ -174,8 +174,8 @@ fn control(args: &[String]) {
 }
 
 /// `perf FILE [FILE...]` renders the host-perf report for one or more
-/// perf artifacts (versioned, bare `simulate --perf` profiles, or legacy
-/// flat maps — the latter upgrade in memory and show as history rows).
+/// perf artifacts (versioned histories or bare `simulate --perf`
+/// profiles).
 fn perf(args: &[String]) {
     let mut entries = Vec::new();
     for spec in args {
@@ -237,7 +237,7 @@ fn check_bench_cmd(args: &[String]) {
     match check_bench(&artifact) {
         Ok(schema) => {
             let n = match schema {
-                BenchSchema::Legacy => artifact.as_obj().map_or(0, <[_]>::len),
+                BenchSchema::SimTime => artifact.as_obj().map_or(0, <[_]>::len),
                 BenchSchema::V1 => PerfArtifact::from_value(&artifact).map_or(0, |a| a.runs.len()),
             };
             println!("{path}: valid bench artifact ({n} entries, {schema})");

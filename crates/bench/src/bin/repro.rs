@@ -172,9 +172,8 @@ fn main() {
 /// The `perf` subcommand: run every scheme on the fixed perf config, and
 /// the paper-topology `rw-cache` write/cache profile at the same request
 /// count, with the host profiler attached and append the run records to
-/// the bench artifact (`--out`, default `target/repro/BENCH_PERF.json`). A legacy
-/// flat-map artifact is upgraded to the versioned schema in the same
-/// pass. `--tag before|after` prefixes the run labels so successive
+/// the bench artifact (`--out`, default `target/repro/BENCH_PERF.json`).
+/// `--tag before|after` prefixes the run labels so successive
 /// suites coexist; `--small` substitutes the tiny test config for CI
 /// schema smoke.
 fn run_perf(opts: &Options) {

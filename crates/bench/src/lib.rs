@@ -23,7 +23,7 @@ use netrs_sim::{
 };
 use netrs_simcore::{SimDuration, SimRng};
 use netrs_topology::{FatTree, HostId};
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 pub use netrs_simcore::peak_rss_kb;
 
@@ -495,25 +495,19 @@ pub fn run_parallel_suite(cfg: &SimConfig, tag: Option<&str>, repeats: u32) -> V
 
 /// Appends profiled runs to a perf artifact, returning the serialized
 /// versioned artifact (`schema_version` + `runs`). `existing` may be a
-/// versioned artifact, a bare `simulate --perf` profile, or the legacy
-/// flat label → throughput map — legacy entries are upgraded in place
-/// (see [`PerfArtifact::from_value`]), so history survives the schema
-/// change. The result validates under `netrs-analyze check-bench`.
+/// versioned artifact or a bare `simulate --perf` profile (see
+/// [`PerfArtifact::from_value`]). The result validates under
+/// `netrs-analyze check-bench`.
 ///
 /// # Errors
 ///
-/// Returns an error when `existing` is not valid JSON in any known
-/// artifact shape.
+/// Returns an error when `existing` is not valid JSON in either shape.
 pub fn append_perf_artifact(
     existing: Option<&str>,
     runs: Vec<HostProfile>,
 ) -> Result<String, String> {
     let mut artifact = match existing {
-        Some(text) => {
-            let v: Value =
-                serde_json::from_str(text).map_err(|e| format!("existing artifact: {e}"))?;
-            PerfArtifact::from_value(&v).map_err(|e| format!("existing artifact: {e}"))?
-        }
+        Some(text) => serde_json::from_str(text).map_err(|e| format!("existing artifact: {e}"))?,
         None => PerfArtifact::default(),
     };
     artifact.runs.extend(runs);
@@ -737,25 +731,26 @@ mod tests {
     }
 
     #[test]
-    fn perf_artifact_appends_and_upgrades_legacy_history() {
-        let legacy = r#"{
-            "before/CliRS": {"events": 100, "events_per_sec": 50.0,
-                             "peak_rss_kb": 640, "wall_clock_s": 2.0}
-        }"#;
-        let run = HostProfile::from_legacy("after/CliRS", 200, 99.0, 512, 2.0);
-        let text = append_perf_artifact(Some(legacy), vec![run]).expect("upgrade + append");
+    fn perf_artifact_appends_to_existing_history() {
+        let mut cfg = SimConfig::small();
+        cfg.requests = 300;
+        let before = run_perf_suite(&cfg, Some("before")).swap_remove(0);
+        let after = HostProfile {
+            label: "after/CliRS".into(),
+            ..before.clone()
+        };
+        let text = append_perf_artifact(None, vec![before]).expect("fresh artifact");
         assert!(text.contains("\"schema_version\": 1"), "{text}");
-        let v: Value = serde_json::from_str(&text).unwrap();
-        let art = PerfArtifact::from_value(&v).unwrap();
+        let text = append_perf_artifact(Some(&text), vec![after]).expect("v1 append");
+        let art: PerfArtifact = serde_json::from_str(&text).unwrap();
         assert_eq!(art.runs.len(), 2);
         assert_eq!(art.runs[0].label, "before/CliRS");
         assert_eq!(art.runs[1].label, "after/CliRS");
-        // Appending over the result is idempotent in shape: still v1.
-        let again = append_perf_artifact(Some(&text), Vec::new()).expect("v1 round-trip");
-        let v: Value = serde_json::from_str(&again).unwrap();
-        assert_eq!(PerfArtifact::from_value(&v).unwrap().runs.len(), 2);
-        // Unrecognizable existing text is rejected, not clobbered.
+        // Anything that is not a perf artifact — a flat label → entry map
+        // without `schema_version` included — is rejected, not clobbered.
         assert!(append_perf_artifact(Some("[1,2]"), Vec::new()).is_err());
+        let flat = r#"{"before/CliRS": {"events": 100, "wall_clock_s": 2.0}}"#;
+        assert!(append_perf_artifact(Some(flat), Vec::new()).is_err());
     }
 
     #[test]

@@ -142,9 +142,10 @@ impl Default for RetryPolicy {
 /// A complete fault scenario: the timeline plus the policies that govern
 /// how clients and the controller react and how recovery is measured.
 ///
-/// Deserialization is hand-written so plan files only need the `events`
-/// timeline; every tuning knob falls back to its default when absent.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Plan files only need the `events` timeline: every key a file leaves
+/// out takes its [`FaultPlan::default`] value.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultPlan {
     /// The fault timeline (any order; the engine sorts by time).
     pub events: Vec<TimedFault>,
@@ -169,37 +170,6 @@ impl Default for FaultPlan {
             recovery_window: SimDuration::from_millis(20),
             recovery_tolerance: 1.5,
         }
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn deser(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| serde::DeError::custom("expected object for FaultPlan"))?;
-        let defaults = FaultPlan::default();
-        // Only the timeline is required; every knob has a sane default.
-        let opt = |name: &str| v.get(name);
-        Ok(FaultPlan {
-            events: serde::field(entries, "events", "FaultPlan")
-                .and_then(Vec::<TimedFault>::deser)?,
-            retry: match opt("retry") {
-                Some(r) => RetryPolicy::deser(r)?,
-                None => defaults.retry,
-            },
-            detection_delay: match opt("detection_delay") {
-                Some(d) => SimDuration::deser(d)?,
-                None => defaults.detection_delay,
-            },
-            recovery_window: match opt("recovery_window") {
-                Some(d) => SimDuration::deser(d)?,
-                None => defaults.recovery_window,
-            },
-            recovery_tolerance: match opt("recovery_tolerance") {
-                Some(t) => f64::deser(t)?,
-                None => defaults.recovery_tolerance,
-            },
-        })
     }
 }
 

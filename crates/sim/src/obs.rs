@@ -12,7 +12,7 @@ use std::io::{self, Write};
 
 use netrs_netdev::TrafficSnapshot;
 use netrs_simcore::{RingSeries, SimDuration};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// One hop of a request copy's route: the sim-time interval the copy
 /// occupied one device. Emitted under `--trace-hops`.
@@ -52,11 +52,10 @@ impl HopSpan {
 /// nanoseconds — each phase is the difference of two consecutive event
 /// timestamps along the copy's path.
 ///
-/// Serialization is hand-written (not derived) to pin the JSONL schema:
-/// field order is fixed, and `hops` is omitted entirely when empty so
-/// traces without `--trace-hops` are byte-identical to the pre-hop
-/// format. A golden-file test guards both shapes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The JSONL schema is the field order below; `hops` is omitted entirely
+/// when empty so traces without `--trace-hops` are byte-identical to the
+/// pre-hop format. A golden-file test guards both shapes.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// The logical request this copy belongs to.
     pub req: u64,
@@ -94,6 +93,7 @@ pub struct TraceRecord {
     pub e2e_ns: u64,
     /// The copy's hop-by-hop route ([`HopSpan`]s, chronological); empty
     /// unless hop tracing was enabled.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub hops: Vec<HopSpan>,
 }
 
@@ -115,73 +115,6 @@ impl TraceRecord {
     #[must_use]
     pub fn hop_sum_ns(&self) -> u64 {
         self.hops.iter().map(HopSpan::duration_ns).sum()
-    }
-}
-
-impl Serialize for TraceRecord {
-    fn ser(&self) -> Value {
-        let mut o: Vec<(String, Value)> = vec![
-            ("req".into(), Value::U(u128::from(self.req))),
-            ("server".into(), Value::U(u128::from(self.server))),
-            ("first".into(), Value::Bool(self.first)),
-            ("write".into(), Value::Bool(self.write)),
-            ("issued_ns".into(), Value::U(u128::from(self.issued_ns))),
-            ("received_ns".into(), Value::U(u128::from(self.received_ns))),
-            ("steer_ns".into(), Value::U(u128::from(self.steer_ns))),
-            (
-                "selection_ns".into(),
-                Value::U(u128::from(self.selection_ns)),
-            ),
-            (
-                "selection_wait_ns".into(),
-                Value::U(u128::from(self.selection_wait_ns)),
-            ),
-            (
-                "to_server_ns".into(),
-                Value::U(u128::from(self.to_server_ns)),
-            ),
-            (
-                "server_queue_ns".into(),
-                Value::U(u128::from(self.server_queue_ns)),
-            ),
-            ("service_ns".into(), Value::U(u128::from(self.service_ns))),
-            ("reply_ns".into(), Value::U(u128::from(self.reply_ns))),
-            ("e2e_ns".into(), Value::U(u128::from(self.e2e_ns))),
-        ];
-        if !self.hops.is_empty() {
-            o.push(("hops".into(), self.hops.ser()));
-        }
-        Value::Obj(o)
-    }
-}
-
-impl Deserialize for TraceRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for TraceRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "TraceRecord").and_then(u64::deser);
-        let b = |name: &str| serde::field(entries, name, "TraceRecord").and_then(bool::deser);
-        Ok(TraceRecord {
-            req: f("req")?,
-            server: serde::field(entries, "server", "TraceRecord").and_then(u32::deser)?,
-            first: b("first")?,
-            write: b("write")?,
-            issued_ns: f("issued_ns")?,
-            received_ns: f("received_ns")?,
-            steer_ns: f("steer_ns")?,
-            selection_ns: f("selection_ns")?,
-            selection_wait_ns: f("selection_wait_ns")?,
-            to_server_ns: f("to_server_ns")?,
-            server_queue_ns: f("server_queue_ns")?,
-            service_ns: f("service_ns")?,
-            reply_ns: f("reply_ns")?,
-            e2e_ns: f("e2e_ns")?,
-            hops: match v.get("hops") {
-                Some(hops) => Vec::<HopSpan>::deser(hops)?,
-                None => Vec::new(),
-            },
-        })
     }
 }
 
@@ -292,11 +225,12 @@ impl TimeSeries {
 /// One JSONL line of `--devices` output: everything one device
 /// accumulated over the run, flattened for offline analysis.
 ///
-/// Serialization is hand-written (not derived) to pin the JSONL schema:
-/// field order is fixed, and the hot-key-cache counters are omitted
-/// entirely when all zero, so cache-off reports are byte-identical to
-/// the pre-cache format (the golden-run digests guard this).
-#[derive(Debug, Clone, PartialEq)]
+/// The JSONL schema is the field order below, except that the five
+/// hot-key-cache counters are written all together or (when all zero) not
+/// at all, so cache-off reports are byte-identical to the pre-cache
+/// format (the golden-run digests guard this). Absent counters read back
+/// as zero.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct DeviceRecord {
     /// Stable device key (`switch:5`, `accel:5`, `server:3`,
     /// `client:7`, `link:h3>s0`).
@@ -333,18 +267,25 @@ pub struct DeviceRecord {
     /// forwarding).
     pub clamps: u64,
     /// Hot-key-cache reads served at the switch (RSNode operators only).
+    #[serde(default)]
     pub cache_hits: u64,
     /// Hot-key-cache lookups that missed.
+    #[serde(default)]
     pub cache_misses: u64,
     /// Cache hits served with an entry older than the key's committed
     /// version.
+    #[serde(default)]
     pub cache_stale_hits: u64,
     /// Cache entries evicted to make room.
+    #[serde(default)]
     pub cache_evictions: u64,
     /// Cache entries removed or refreshed by write coherence messages.
+    #[serde(default)]
     pub cache_invalidations: u64,
 }
 
+// Schema rule no field attribute expresses: the five cache counters are
+// written all together or not at all (each one alone could be zero).
 impl Serialize for DeviceRecord {
     fn ser(&self) -> Value {
         let mut o: Vec<(String, Value)> = vec![
@@ -380,43 +321,6 @@ impl Serialize for DeviceRecord {
             o.push(("cache_invalidations".into(), self.cache_invalidations.ser()));
         }
         Value::Obj(o)
-    }
-}
-
-impl Deserialize for DeviceRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for DeviceRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "DeviceRecord");
-        // Cache counters are omitted when the device never touched a
-        // cache; absent means zero.
-        let cache = |name: &str| match v.get(name) {
-            Some(n) => u64::deser(n),
-            None => Ok(0),
-        };
-        Ok(DeviceRecord {
-            dev: f("dev").and_then(String::deser)?,
-            kind: f("kind").and_then(String::deser)?,
-            tier: f("tier").and_then(u32::deser)?,
-            packets: f("packets").and_then(<[u64; 3]>::deser)?,
-            bytes: f("bytes").and_then(<[u64; 3]>::deser)?,
-            ops: f("ops").and_then(u64::deser)?,
-            selections: f("selections").and_then(u64::deser)?,
-            mean_selection_wait_ns: f("mean_selection_wait_ns").and_then(u64::deser)?,
-            clone_updates: f("clone_updates").and_then(u64::deser)?,
-            busy_ns: f("busy_ns").and_then(u64::deser)?,
-            utilization: f("utilization").and_then(f64::deser)?,
-            mean_queue_depth: f("mean_queue_depth").and_then(f64::deser)?,
-            max_queue_depth: f("max_queue_depth").and_then(u32::deser)?,
-            drops: f("drops").and_then(u64::deser)?,
-            clamps: f("clamps").and_then(u64::deser)?,
-            cache_hits: cache("cache_hits")?,
-            cache_misses: cache("cache_misses")?,
-            cache_stale_hits: cache("cache_stale_hits")?,
-            cache_evictions: cache("cache_evictions")?,
-            cache_invalidations: cache("cache_invalidations")?,
-        })
     }
 }
 
@@ -470,7 +374,7 @@ impl DeviceStatsReport {
 /// One traffic group's share of a monitor window (a [`SnapshotRecord`]
 /// entry): raw per-tier packet counts and the rates the controller's
 /// [`TrafficMatrix`](netrs::TrafficMatrix) aggregation derives from them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotGroup {
     /// The traffic group.
     pub group: u32,
@@ -480,34 +384,11 @@ pub struct SnapshotGroup {
     pub rates: [f64; 3],
 }
 
-impl Serialize for SnapshotGroup {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("group".into(), Value::U(u128::from(self.group))),
-            ("counts".into(), self.counts.ser()),
-            ("rates".into(), self.rates.ser()),
-        ])
-    }
-}
-
-impl Deserialize for SnapshotGroup {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for SnapshotGroup"))?;
-        Ok(SnapshotGroup {
-            group: serde::field(entries, "group", "SnapshotGroup").and_then(u32::deser)?,
-            counts: serde::field(entries, "counts", "SnapshotGroup").and_then(<[u64; 3]>::deser)?,
-            rates: serde::field(entries, "rates", "SnapshotGroup").and_then(<[f64; 3]>::deser)?,
-        })
-    }
-}
-
 /// One `--control` JSONL line of kind `snapshot`: a per-ToR monitor
 /// window ([`TrafficSnapshot`]) exactly as the controller consumed it.
 /// Windows of one ToR abut (`to_ns` of one window is `from_ns` of the
 /// next) and `groups` is sorted by group id.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotRecord {
     /// The measuring ToR switch.
     pub tor: u32,
@@ -543,35 +424,6 @@ impl SnapshotRecord {
     }
 }
 
-impl Serialize for SnapshotRecord {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("kind".into(), Value::Str("snapshot".into())),
-            ("tor".into(), Value::U(u128::from(self.tor))),
-            ("pod".into(), Value::U(u128::from(self.pod))),
-            ("from_ns".into(), Value::U(u128::from(self.from_ns))),
-            ("to_ns".into(), Value::U(u128::from(self.to_ns))),
-            ("groups".into(), self.groups.ser()),
-        ])
-    }
-}
-
-impl Deserialize for SnapshotRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for SnapshotRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "SnapshotRecord");
-        Ok(SnapshotRecord {
-            tor: f("tor").and_then(u32::deser)?,
-            pod: f("pod").and_then(u32::deser)?,
-            from_ns: f("from_ns").and_then(u64::deser)?,
-            to_ns: f("to_ns").and_then(u64::deser)?,
-            groups: f("groups").and_then(Vec::<SnapshotGroup>::deser)?,
-        })
-    }
-}
-
 /// Solver-effort metrics of one plan solve, carried by
 /// [`PlanEventRecord`].
 ///
@@ -579,7 +431,7 @@ impl Deserialize for SnapshotRecord {
 /// branch-and-bound nodes — rather than wall-clock time, so the control
 /// stream stays byte-identical across runs of the same seed (wall time
 /// is not; DESIGN.md discusses the tradeoff).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolveRecord {
     /// Whether the greedy fallback produced the plan (no ILP ran).
     pub greedy: bool,
@@ -596,61 +448,18 @@ pub struct SolveRecord {
     /// The solver's proven lower bound on the optimum (0 for greedy
     /// plans); `objective − bound` is the gap a budget-capped solve left
     /// open. Absent in streams written before the field existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub bound: Option<f64>,
     /// Whether the solver proved the installed plan optimal. Absent in
     /// streams written before the field existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub proven_optimal: Option<bool>,
-}
-
-impl Serialize for SolveRecord {
-    fn ser(&self) -> Value {
-        let mut o = vec![
-            ("greedy".into(), Value::Bool(self.greedy)),
-            ("variables".into(), Value::U(u128::from(self.variables))),
-            ("constraints".into(), Value::U(u128::from(self.constraints))),
-            (
-                "lp_iterations".into(),
-                Value::U(u128::from(self.lp_iterations)),
-            ),
-            (
-                "branch_nodes".into(),
-                Value::U(u128::from(self.branch_nodes)),
-            ),
-            ("objective".into(), Value::F(self.objective)),
-        ];
-        if let Some(bound) = self.bound {
-            o.push(("bound".into(), Value::F(bound)));
-        }
-        if let Some(proven) = self.proven_optimal {
-            o.push(("proven_optimal".into(), Value::Bool(proven)));
-        }
-        Value::Obj(o)
-    }
-}
-
-impl Deserialize for SolveRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for SolveRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "SolveRecord");
-        Ok(SolveRecord {
-            greedy: f("greedy").and_then(bool::deser)?,
-            variables: f("variables").and_then(u64::deser)?,
-            constraints: f("constraints").and_then(u64::deser)?,
-            lp_iterations: f("lp_iterations").and_then(u64::deser)?,
-            branch_nodes: f("branch_nodes").and_then(u64::deser)?,
-            objective: f("objective").and_then(f64::deser)?,
-            bound: v.get("bound").map(f64::deser).transpose()?,
-            proven_optimal: v.get("proven_optimal").map(bool::deser).transpose()?,
-        })
-    }
 }
 
 /// One `--control` JSONL line of kind `plan`: a controller decision —
 /// what triggered it, the solver effort (when a solve ran), and the
 /// structured diff against the previously installed plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanEventRecord {
     /// When the decision was made (sim nanoseconds).
     pub t_ns: u64,
@@ -658,9 +467,11 @@ pub struct PlanEventRecord {
     /// `operator_recover` or `overload`.
     pub trigger: String,
     /// The operator switch concerned (fault/overload triggers only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub switch: Option<u32>,
     /// Solver-effort metrics; absent when no solve ran (fault/overload
     /// degradations and the NetRS-ToR bootstrap edit the plan directly).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub solve: Option<SolveRecord>,
     /// Groups moved from one RSNode to another.
     pub reassigned: Vec<u32>,
@@ -688,72 +499,10 @@ impl PlanEventRecord {
     }
 }
 
-fn group_list(v: &[u32]) -> Value {
-    Value::Arr(v.iter().map(|&g| Value::U(u128::from(g))).collect())
-}
-
-impl Serialize for PlanEventRecord {
-    fn ser(&self) -> Value {
-        let mut o: Vec<(String, Value)> = vec![
-            ("kind".into(), Value::Str("plan".into())),
-            ("t_ns".into(), Value::U(u128::from(self.t_ns))),
-            ("trigger".into(), Value::Str(self.trigger.clone())),
-        ];
-        if let Some(sw) = self.switch {
-            o.push(("switch".into(), Value::U(u128::from(sw))));
-        }
-        if let Some(solve) = &self.solve {
-            o.push(("solve".into(), solve.ser()));
-        }
-        o.push(("reassigned".into(), group_list(&self.reassigned)));
-        o.push(("newly_assigned".into(), group_list(&self.newly_assigned)));
-        o.push(("unassigned".into(), group_list(&self.unassigned)));
-        o.push(("rsnodes_added".into(), group_list(&self.rsnodes_added)));
-        o.push(("rsnodes_removed".into(), group_list(&self.rsnodes_removed)));
-        o.push(("rsnodes".into(), Value::U(u128::from(self.rsnodes))));
-        o.push(("drs_groups".into(), Value::U(u128::from(self.drs_groups))));
-        o.push((
-            "rules_recompiled".into(),
-            Value::U(u128::from(self.rules_recompiled)),
-        ));
-        Value::Obj(o)
-    }
-}
-
-impl Deserialize for PlanEventRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for PlanEventRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "PlanEventRecord");
-        let groups = |name: &str| f(name).and_then(Vec::<u32>::deser);
-        Ok(PlanEventRecord {
-            t_ns: f("t_ns").and_then(u64::deser)?,
-            trigger: f("trigger").and_then(String::deser)?,
-            switch: match v.get("switch") {
-                Some(sw) => Some(u32::deser(sw)?),
-                None => None,
-            },
-            solve: match v.get("solve") {
-                Some(solve) => Some(SolveRecord::deser(solve)?),
-                None => None,
-            },
-            reassigned: groups("reassigned")?,
-            newly_assigned: groups("newly_assigned")?,
-            unassigned: groups("unassigned")?,
-            rsnodes_added: groups("rsnodes_added")?,
-            rsnodes_removed: groups("rsnodes_removed")?,
-            rsnodes: f("rsnodes").and_then(u32::deser)?,
-            drs_groups: f("drs_groups").and_then(u32::deser)?,
-            rules_recompiled: f("rules_recompiled").and_then(u32::deser)?,
-        })
-    }
-}
-
 /// One traffic group's displacement inside a [`DrsSpanRecord`]: how long
 /// the group routed via Degraded Replica Selection before a re-plan
 /// re-homed it or its operator recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DisplacedGroup {
     /// The displaced traffic group.
     pub group: u32,
@@ -761,37 +510,12 @@ pub struct DisplacedGroup {
     pub displaced_ns: u64,
 }
 
-impl Serialize for DisplacedGroup {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("group".into(), Value::U(u128::from(self.group))),
-            (
-                "displaced_ns".into(),
-                Value::U(u128::from(self.displaced_ns)),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for DisplacedGroup {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for DisplacedGroup"))?;
-        Ok(DisplacedGroup {
-            group: serde::field(entries, "group", "DisplacedGroup").and_then(u32::deser)?,
-            displaced_ns: serde::field(entries, "displaced_ns", "DisplacedGroup")
-                .and_then(u64::deser)?,
-        })
-    }
-}
-
 /// One `--control` JSONL line of kind `drs_span`: an operator-failure
 /// episode joined end-to-end — crash, controller detection (when the
 /// affected groups degrade to DRS), and recovery — with per-group
 /// displaced-time attribution. Emitted when the operator recovers, or at
 /// end of run with `recover_ns` omitted if it never did.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DrsSpanRecord {
     /// The failed operator's switch.
     pub switch: u32,
@@ -799,8 +523,10 @@ pub struct DrsSpanRecord {
     pub fail_ns: u64,
     /// When the controller detected the crash and degraded the groups;
     /// absent if the run ended inside the detection delay.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub detect_ns: Option<u64>,
     /// When the operator recovered; absent if the run ended first.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub recover_ns: Option<u64>,
     /// Displaced groups, ascending group order.
     pub groups: Vec<DisplacedGroup>,
@@ -815,44 +541,6 @@ impl DrsSpanRecord {
     }
 }
 
-impl Serialize for DrsSpanRecord {
-    fn ser(&self) -> Value {
-        let mut o: Vec<(String, Value)> = vec![
-            ("kind".into(), Value::Str("drs_span".into())),
-            ("switch".into(), Value::U(u128::from(self.switch))),
-            ("fail_ns".into(), Value::U(u128::from(self.fail_ns))),
-        ];
-        if let Some(t) = self.detect_ns {
-            o.push(("detect_ns".into(), Value::U(u128::from(t))));
-        }
-        if let Some(t) = self.recover_ns {
-            o.push(("recover_ns".into(), Value::U(u128::from(t))));
-        }
-        o.push(("groups".into(), self.groups.ser()));
-        Value::Obj(o)
-    }
-}
-
-impl Deserialize for DrsSpanRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for DrsSpanRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "DrsSpanRecord");
-        let opt = |name: &str| match v.get(name) {
-            Some(t) => u64::deser(t).map(Some),
-            None => Ok(None),
-        };
-        Ok(DrsSpanRecord {
-            switch: f("switch").and_then(u32::deser)?,
-            fail_ns: f("fail_ns").and_then(u64::deser)?,
-            detect_ns: opt("detect_ns")?,
-            recover_ns: opt("recover_ns")?,
-            groups: f("groups").and_then(Vec::<DisplacedGroup>::deser)?,
-        })
-    }
-}
-
 /// One `--control` JSONL line of kind `cache`: an end-of-run audit of
 /// one operator's hot-key cache — its resident size and lifetime
 /// hit/miss/coherence counters. One record per live operator (ascending
@@ -860,11 +548,12 @@ impl Deserialize for DrsSpanRecord {
 /// aggregate record with `switch` omitted summing the retired caches.
 /// Only emitted when a cache is configured, so cache-off control streams
 /// are byte-identical to the pre-cache format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheRecord {
     /// When the audit ran (end of run, sim nanoseconds).
     pub t_ns: u64,
     /// The operator's switch; `None` for the retired-operator aggregate.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub switch: Option<u32>,
     /// Entries resident at audit time (0 for the retired aggregate —
     /// retirement flushes the cache).
@@ -881,52 +570,11 @@ pub struct CacheRecord {
     pub invalidations: u64,
 }
 
-impl Serialize for CacheRecord {
-    fn ser(&self) -> Value {
-        let mut o: Vec<(String, Value)> = vec![
-            ("kind".into(), Value::Str("cache".into())),
-            ("t_ns".into(), Value::U(u128::from(self.t_ns))),
-        ];
-        if let Some(sw) = self.switch {
-            o.push(("switch".into(), Value::U(u128::from(sw))));
-        }
-        o.push(("len".into(), Value::U(u128::from(self.len))));
-        o.push(("hits".into(), Value::U(u128::from(self.hits))));
-        o.push(("misses".into(), Value::U(u128::from(self.misses))));
-        o.push(("stale_hits".into(), Value::U(u128::from(self.stale_hits))));
-        o.push(("evictions".into(), Value::U(u128::from(self.evictions))));
-        o.push((
-            "invalidations".into(),
-            Value::U(u128::from(self.invalidations)),
-        ));
-        Value::Obj(o)
-    }
-}
-
-impl Deserialize for CacheRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for CacheRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "CacheRecord").and_then(u64::deser);
-        Ok(CacheRecord {
-            t_ns: f("t_ns")?,
-            switch: match v.get("switch") {
-                Some(sw) => Some(u32::deser(sw)?),
-                None => None,
-            },
-            len: f("len")?,
-            hits: f("hits")?,
-            misses: f("misses")?,
-            stale_hits: f("stale_hits")?,
-            evictions: f("evictions")?,
-            invalidations: f("invalidations")?,
-        })
-    }
-}
-
-/// One parsed `--control` JSONL line, tagged by its `kind` field.
-#[derive(Debug, Clone, PartialEq)]
+/// One `--control` JSONL line. The `kind` key that leads every line is
+/// this enum's tag (`snapshot`, `plan`, `drs_span`, `cache`); the record
+/// structs carry only their own fields.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum ControlRecord {
     /// A per-ToR monitor window (`kind: "snapshot"`).
     Snapshot(SnapshotRecord),
@@ -936,35 +584,6 @@ pub enum ControlRecord {
     DrsSpan(DrsSpanRecord),
     /// An end-of-run per-operator cache audit (`kind: "cache"`).
     Cache(CacheRecord),
-}
-
-impl Serialize for ControlRecord {
-    fn ser(&self) -> Value {
-        match self {
-            ControlRecord::Snapshot(r) => r.ser(),
-            ControlRecord::Plan(r) => r.ser(),
-            ControlRecord::DrsSpan(r) => r.ser(),
-            ControlRecord::Cache(r) => r.ser(),
-        }
-    }
-}
-
-impl Deserialize for ControlRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let kind = v
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .ok_or_else(|| DeError::custom("control record without a kind field"))?;
-        match kind {
-            "snapshot" => SnapshotRecord::deser(v).map(ControlRecord::Snapshot),
-            "plan" => PlanEventRecord::deser(v).map(ControlRecord::Plan),
-            "drs_span" => DrsSpanRecord::deser(v).map(ControlRecord::DrsSpan),
-            "cache" => CacheRecord::deser(v).map(ControlRecord::Cache),
-            other => Err(DeError::custom(format!(
-                "unknown control record kind {other:?}"
-            ))),
-        }
-    }
 }
 
 /// An operator-failure episode still in flight.

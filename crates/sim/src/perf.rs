@@ -9,11 +9,8 @@
 //! different machines are never compared blind. [`PerfArtifact`] is the
 //! on-disk history: `schema_version` plus an append-only list of runs.
 //!
-//! Serialization is hand-written to pin the JSON schema: field order is
-//! fixed and the optional `alloc` block is omitted (never null) when
-//! allocation tracking was unavailable. The legacy pre-versioned
-//! BENCH_PERF.json shape (a flat label → throughput-entry map) upgrades
-//! losslessly into v1 runs via [`PerfArtifact::from_value`].
+//! The JSON schema is the field order of the structs below; the optional
+//! `alloc` and `parallel` blocks are omitted (never null) when absent.
 
 use netrs_simcore::{PerfReport, DEPTH_BUCKETS};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -108,7 +105,7 @@ impl Ev {
 
 /// Where a profile was measured: enough host metadata to make
 /// cross-machine comparisons visible instead of silent.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostMeta {
     /// Short git commit of the build tree (`unknown` outside a repo).
     pub commit: String,
@@ -119,16 +116,6 @@ pub struct HostMeta {
 }
 
 impl HostMeta {
-    /// Placeholder metadata for upgraded legacy records and tests.
-    #[must_use]
-    pub fn unknown() -> Self {
-        HostMeta {
-            commit: "unknown".into(),
-            cpu: "unknown".into(),
-            cores: 0,
-        }
-    }
-
     /// Probes the current host. Every field degrades to its `unknown`
     /// value rather than failing.
     #[must_use]
@@ -157,31 +144,8 @@ impl HostMeta {
     }
 }
 
-impl Serialize for HostMeta {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("commit".into(), Value::Str(self.commit.clone())),
-            ("cpu".into(), Value::Str(self.cpu.clone())),
-            ("cores".into(), Value::U(u128::from(self.cores))),
-        ])
-    }
-}
-
-impl Deserialize for HostMeta {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for HostMeta"))?;
-        Ok(HostMeta {
-            commit: serde::field(entries, "commit", "HostMeta").and_then(String::deser)?,
-            cpu: serde::field(entries, "cpu", "HostMeta").and_then(String::deser)?,
-            cores: serde::field(entries, "cores", "HostMeta").and_then(u32::deser)?,
-        })
-    }
-}
-
 /// Event-queue churn over one run.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct QueueStats {
     /// Events ever scheduled.
     pub pushes: u64,
@@ -195,44 +159,10 @@ pub struct QueueStats {
     pub depth_hist: Vec<u64>,
 }
 
-impl Serialize for QueueStats {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("pushes".into(), Value::U(u128::from(self.pushes))),
-            ("pops".into(), Value::U(u128::from(self.pops))),
-            ("high_water".into(), Value::U(u128::from(self.high_water))),
-            (
-                "depth_hist".into(),
-                Value::Arr(
-                    self.depth_hist
-                        .iter()
-                        .map(|&n| Value::U(u128::from(n)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for QueueStats {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for QueueStats"))?;
-        let f = |name: &str| serde::field(entries, name, "QueueStats");
-        Ok(QueueStats {
-            pushes: f("pushes").and_then(u64::deser)?,
-            pops: f("pops").and_then(u64::deser)?,
-            high_water: f("high_water").and_then(u64::deser)?,
-            depth_hist: f("depth_hist").and_then(Vec::<u64>::deser)?,
-        })
-    }
-}
-
 /// Allocation counters for one run, present only when the binary
 /// registered [`netrs_allocprobe`]'s counting allocator (the
 /// `alloc-profile` feature).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocStats {
     /// Heap allocations during the run.
     pub allocs: u64,
@@ -242,36 +172,12 @@ pub struct AllocStats {
     pub peak_bytes: u64,
 }
 
-impl Serialize for AllocStats {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("allocs".into(), Value::U(u128::from(self.allocs))),
-            ("deallocs".into(), Value::U(u128::from(self.deallocs))),
-            ("peak_bytes".into(), Value::U(u128::from(self.peak_bytes))),
-        ])
-    }
-}
-
-impl Deserialize for AllocStats {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for AllocStats"))?;
-        let f = |name: &str| serde::field(entries, name, "AllocStats");
-        Ok(AllocStats {
-            allocs: f("allocs").and_then(u64::deser)?,
-            deallocs: f("deallocs").and_then(u64::deser)?,
-            peak_bytes: f("peak_bytes").and_then(u64::deser)?,
-        })
-    }
-}
-
 /// Window-driver shape of one parallel sharded run — the
 /// `sharded-parallel` suite's extra columns. Unlike [`QueueStats`] these
 /// mix schedule facts (shards, windows, events/window) with wall-clock
 /// facts (threads, busy imbalance), which is why they live in the perf
 /// artifact and never in `RunStats`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ParallelPerf {
     /// Event shards the run was partitioned into (after pod clamping).
     pub shards: u32,
@@ -287,36 +193,8 @@ pub struct ParallelPerf {
     pub busy_imbalance: f64,
 }
 
-impl Serialize for ParallelPerf {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("shards".into(), Value::U(u128::from(self.shards))),
-            ("threads".into(), Value::U(u128::from(self.threads))),
-            ("windows".into(), Value::U(u128::from(self.windows))),
-            ("events_per_window".into(), Value::F(self.events_per_window)),
-            ("busy_imbalance".into(), Value::F(self.busy_imbalance)),
-        ])
-    }
-}
-
-impl Deserialize for ParallelPerf {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for ParallelPerf"))?;
-        let f = |name: &str| serde::field(entries, name, "ParallelPerf");
-        Ok(ParallelPerf {
-            shards: f("shards").and_then(u32::deser)?,
-            threads: f("threads").and_then(u32::deser)?,
-            windows: f("windows").and_then(u64::deser)?,
-            events_per_window: f("events_per_window").and_then(f64::deser)?,
-            busy_imbalance: f("busy_imbalance").and_then(f64::deser)?,
-        })
-    }
-}
-
 /// One row of the per-event-kind attribution table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KindRecord {
     /// Event-kind name (an [`Ev`] variant).
     pub kind: String,
@@ -331,37 +209,9 @@ pub struct KindRecord {
     pub self_ns: u64,
 }
 
-impl Serialize for KindRecord {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            ("kind".into(), Value::Str(self.kind.clone())),
-            ("layer".into(), Value::Str(self.layer.clone())),
-            ("count".into(), Value::U(u128::from(self.count))),
-            ("sampled".into(), Value::U(u128::from(self.sampled))),
-            ("self_ns".into(), Value::U(u128::from(self.self_ns))),
-        ])
-    }
-}
-
-impl Deserialize for KindRecord {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for KindRecord"))?;
-        let f = |name: &str| serde::field(entries, name, "KindRecord");
-        Ok(KindRecord {
-            kind: f("kind").and_then(String::deser)?,
-            layer: f("layer").and_then(String::deser)?,
-            count: f("count").and_then(u64::deser)?,
-            sampled: f("sampled").and_then(u64::deser)?,
-            self_ns: f("self_ns").and_then(u64::deser)?,
-        })
-    }
-}
-
 /// One run's host-performance profile: what `simulate --perf` writes and
 /// what a [`PerfArtifact`] accumulates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostProfile {
     /// Display label (defaults to the scheme label; the bench harness
     /// prefixes its tag).
@@ -382,8 +232,8 @@ pub struct HostProfile {
     pub events_per_sec: f64,
     /// Peak resident-set size (kB; 0 when unavailable).
     pub peak_rss_kb: u64,
-    /// Wall-clock sampling stride the profiler used (0 in runs upgraded
-    /// from the legacy schema, which had no profiler).
+    /// Wall-clock sampling stride the profiler used (0 on rows measured
+    /// without the profiler, e.g. the `sharded-parallel` suite).
     pub stride: u64,
     /// Sum of per-kind estimated self-times (ns) — the portion of
     /// `wall_s` the kind table accounts for.
@@ -394,12 +244,14 @@ pub struct HostProfile {
     pub queue: QueueStats,
     /// Allocation counters; absent when the counting allocator was not
     /// registered.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub alloc: Option<AllocStats>,
     /// Window-driver shape; present only on `sharded-parallel` suite
     /// rows.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub parallel: Option<ParallelPerf>,
     /// Per-event-kind attribution, [`EV_KINDS`] order, zero-count kinds
-    /// included (empty in upgraded legacy runs).
+    /// included (empty on rows measured without the profiler).
     pub kinds: Vec<KindRecord>,
 }
 
@@ -437,99 +289,6 @@ impl HostProfile {
     pub fn kind_count_sum(&self) -> u64 {
         self.kinds.iter().map(|k| k.count).sum()
     }
-
-    /// An upgraded legacy BENCH_PERF.json entry: throughput numbers
-    /// carried over, everything the old schema never recorded zeroed or
-    /// `unknown` (and `kinds` empty).
-    #[must_use]
-    pub fn from_legacy(label: &str, events: u64, events_per_sec: f64, rss: u64, wall: f64) -> Self {
-        HostProfile {
-            label: label.into(),
-            schema_version: PERF_SCHEMA_VERSION,
-            // Legacy labels were "tag/scheme"; keep the scheme part.
-            scheme: label.rsplit('/').next().unwrap_or(label).into(),
-            seed: 0,
-            requests: 0,
-            events,
-            wall_s: wall,
-            events_per_sec,
-            peak_rss_kb: rss,
-            stride: 0,
-            attributed_ns: 0,
-            host: HostMeta::unknown(),
-            queue: QueueStats::default(),
-            alloc: None,
-            parallel: None,
-            kinds: Vec::new(),
-        }
-    }
-}
-
-impl Serialize for HostProfile {
-    fn ser(&self) -> Value {
-        let mut o: Vec<(String, Value)> = vec![
-            ("label".into(), Value::Str(self.label.clone())),
-            (
-                "schema_version".into(),
-                Value::U(u128::from(self.schema_version)),
-            ),
-            ("scheme".into(), Value::Str(self.scheme.clone())),
-            ("seed".into(), Value::U(u128::from(self.seed))),
-            ("requests".into(), Value::U(u128::from(self.requests))),
-            ("events".into(), Value::U(u128::from(self.events))),
-            ("wall_s".into(), Value::F(self.wall_s)),
-            ("events_per_sec".into(), Value::F(self.events_per_sec)),
-            ("peak_rss_kb".into(), Value::U(u128::from(self.peak_rss_kb))),
-            ("stride".into(), Value::U(u128::from(self.stride))),
-            (
-                "attributed_ns".into(),
-                Value::U(u128::from(self.attributed_ns)),
-            ),
-            ("host".into(), self.host.ser()),
-            ("queue".into(), self.queue.ser()),
-        ];
-        if let Some(alloc) = &self.alloc {
-            o.push(("alloc".into(), alloc.ser()));
-        }
-        if let Some(parallel) = &self.parallel {
-            o.push(("parallel".into(), parallel.ser()));
-        }
-        o.push(("kinds".into(), self.kinds.ser()));
-        Value::Obj(o)
-    }
-}
-
-impl Deserialize for HostProfile {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for HostProfile"))?;
-        let f = |name: &str| serde::field(entries, name, "HostProfile");
-        Ok(HostProfile {
-            label: f("label").and_then(String::deser)?,
-            schema_version: f("schema_version").and_then(u64::deser)?,
-            scheme: f("scheme").and_then(String::deser)?,
-            seed: f("seed").and_then(u64::deser)?,
-            requests: f("requests").and_then(u64::deser)?,
-            events: f("events").and_then(u64::deser)?,
-            wall_s: f("wall_s").and_then(f64::deser)?,
-            events_per_sec: f("events_per_sec").and_then(f64::deser)?,
-            peak_rss_kb: f("peak_rss_kb").and_then(u64::deser)?,
-            stride: f("stride").and_then(u64::deser)?,
-            attributed_ns: f("attributed_ns").and_then(u64::deser)?,
-            host: f("host").and_then(HostMeta::deser)?,
-            queue: f("queue").and_then(QueueStats::deser)?,
-            alloc: match v.get("alloc") {
-                Some(alloc) => Some(AllocStats::deser(alloc)?),
-                None => None,
-            },
-            parallel: match v.get("parallel") {
-                Some(parallel) => Some(ParallelPerf::deser(parallel)?),
-                None => None,
-            },
-            kinds: f("kinds").and_then(Vec::<KindRecord>::deser)?,
-        })
-    }
 }
 
 /// The on-disk perf history: `schema_version` plus append-only runs.
@@ -540,59 +299,36 @@ pub struct PerfArtifact {
 }
 
 impl PerfArtifact {
-    /// Parses any shape a BENCH_PERF.json file has ever had:
-    ///
-    /// * a versioned artifact (`schema_version` + `runs`),
-    /// * a single [`HostProfile`] (`schema_version` + `kinds`, as
-    ///   written by `simulate --perf`), wrapped as a one-run artifact,
-    /// * the legacy flat `label → {events, events_per_sec, peak_rss_kb,
-    ///   wall_clock_s}` map, upgraded entry by entry.
+    /// Parses a perf artifact file: either the versioned history
+    /// (`schema_version` + `runs`) or a single [`HostProfile`] as written
+    /// by `simulate --perf`, wrapped as a one-run artifact.
     ///
     /// # Errors
     ///
-    /// Describes the first shape mismatch.
+    /// Describes the first shape mismatch, including an absent or
+    /// unsupported `schema_version`.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        if v.get("schema_version").is_some() {
-            let version = v
-                .get("schema_version")
-                .and_then(|n| u64::deser(n).ok())
-                .ok_or("schema_version is not an integer")?;
-            if version != PERF_SCHEMA_VERSION {
-                return Err(format!(
-                    "unsupported perf schema_version {version} (expected {PERF_SCHEMA_VERSION})"
-                ));
-            }
-            if let Some(runs) = v.get("runs") {
-                let runs = Vec::<HostProfile>::deser(runs).map_err(|e| e.to_string())?;
-                return Ok(PerfArtifact { runs });
-            }
-            // A bare profile file from `simulate --perf`.
-            let profile = HostProfile::deser(v).map_err(|e| e.to_string())?;
-            return Ok(PerfArtifact {
-                runs: vec![profile],
-            });
-        }
-        let entries = v.as_obj().ok_or("perf artifact is not a JSON object")?;
-        let mut runs = Vec::with_capacity(entries.len());
-        for (label, entry) in entries {
-            let num = |name: &str| {
-                entry
-                    .get(name)
-                    .and_then(|n| f64::deser(n).ok())
-                    .ok_or_else(|| format!("legacy entry {label:?}: missing number {name:?}"))
-            };
-            runs.push(HostProfile::from_legacy(
-                label,
-                num("events")? as u64,
-                num("events_per_sec")?,
-                num("peak_rss_kb")? as u64,
-                num("wall_clock_s")?,
+        let version = v
+            .get("schema_version")
+            .ok_or("missing field `schema_version` for PerfArtifact")?;
+        let version = u64::deser(version).map_err(|_| "schema_version is not an integer")?;
+        if version != PERF_SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported perf schema_version {version} (expected {PERF_SCHEMA_VERSION})"
             ));
         }
+        let runs = match v.get("runs") {
+            Some(runs) => Vec::<HostProfile>::deser(runs).map_err(|e| e.to_string())?,
+            // A bare profile file from `simulate --perf`.
+            None => vec![HostProfile::deser(v)
+                .map_err(|e| format!("PerfArtifact without `runs` must be a bare profile: {e}"))?],
+        };
         Ok(PerfArtifact { runs })
     }
 }
 
+// Schema rule no field attribute expresses: `schema_version` is a
+// constant of the format, not a field of the value.
 impl Serialize for PerfArtifact {
     fn ser(&self) -> Value {
         Value::Obj(vec![
@@ -605,6 +341,8 @@ impl Serialize for PerfArtifact {
     }
 }
 
+// Schema rule no field attribute expresses: the version is checked before
+// anything else parses, and a bare profile reads as a one-run artifact.
 impl Deserialize for PerfArtifact {
     fn deser(v: &Value) -> Result<Self, DeError> {
         PerfArtifact::from_value(v).map_err(DeError::custom)
@@ -717,31 +455,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_map_upgrades_into_v1_runs() {
-        let legacy = r#"{
-            "before/CliRS": {"events": 100, "events_per_sec": 50.5,
-                             "peak_rss_kb": 640, "wall_clock_s": 1.98},
-            "after/CliRS": {"events": 100, "events_per_sec": 99.0,
-                            "peak_rss_kb": 512, "wall_clock_s": 1.01}
-        }"#;
-        let v: Value = serde_json::from_str(legacy).unwrap();
-        let art = PerfArtifact::from_value(&v).unwrap();
-        assert_eq!(art.runs.len(), 2);
-        let first = &art.runs[0];
-        assert_eq!(first.label, "before/CliRS");
-        assert_eq!(first.scheme, "CliRS");
-        assert_eq!(first.events, 100);
-        assert_eq!(first.peak_rss_kb, 640);
-        assert!(first.kinds.is_empty());
-        assert_eq!(first.host, HostMeta::unknown());
-        assert_eq!(first.stride, 0);
-    }
-
-    #[test]
     fn unsupported_schema_version_is_rejected() {
         let v: Value = serde_json::from_str(r#"{"schema_version": 99, "runs": []}"#).unwrap();
         let err = PerfArtifact::from_value(&v).unwrap_err();
         assert!(err.contains("unsupported"), "{err}");
+        // A flat label → entry map carries no version: not a perf artifact.
+        let v: Value = serde_json::from_str(r#"{"a/CliRS": {"events": 1}}"#).unwrap();
+        let err = PerfArtifact::from_value(&v).unwrap_err();
+        assert!(err.contains("missing field `schema_version`"), "{err}");
     }
 
     #[test]

@@ -26,8 +26,8 @@ use crate::server::ServerToken;
 use crate::state::Core;
 
 pub(crate) use self::client::{CliRsPolicy, CliRsR95Policy};
+pub(crate) use self::netrs::InNetwork;
 pub use self::netrs::OraclePlacement;
-pub(crate) use self::netrs::{NetRsIlpPolicy, NetRsToRPolicy};
 
 /// Error returned by operator-fault hooks on schemes with no in-network
 /// operators (CliRS, CliRS-R95).
@@ -301,7 +301,9 @@ pub(crate) fn build<D: DeviceProbe>(
     match core.cfg.scheme {
         Scheme::CliRs => Box::new(CliRsPolicy::new(core, root)),
         Scheme::CliRsR95 => Box::new(CliRsR95Policy::new(core, root)),
-        Scheme::NetRsToR => Box::new(NetRsToRPolicy::new(core, root)),
-        Scheme::NetRsIlp => Box::new(NetRsIlpPolicy::new(core, root)),
+        // NetRS-ToR pins an RSNode to every client ToR for good; NetRS-ILP
+        // optimizes the placement from the configured plan source.
+        Scheme::NetRsToR => Box::new(InNetwork::new(core, root, None)),
+        Scheme::NetRsIlp => Box::new(InNetwork::new(core, root, Some(core.cfg.plan_source))),
     }
 }

@@ -5,8 +5,8 @@
 //! clone can update the selector — and differ only in how the controller
 //! places RSNodes: NetRS-ToR pins one to every client ToR, NetRS-ILP
 //! optimizes placement (from an oracle traffic matrix, or periodically
-//! from ToR monitor measurements). [`InNetwork`] holds the shared control
-//! and device state; the two policy types wrap it.
+//! from ToR monitor measurements). [`InNetwork`] is the policy object of
+//! both.
 
 use std::collections::BTreeSet;
 
@@ -33,7 +33,7 @@ use crate::obs::{CacheRecord, PlanEventRecord, SolveRecord};
 use crate::server::ServerToken;
 use crate::state::{flow_hash, Core, REQ_BYTES, RESP_BYTES};
 
-use super::{ControlStats, ReplyInfo, SchemePolicy};
+use super::{ControlStats, NotInNetwork, ReplyInfo, SchemePolicy};
 
 /// Builds the decision-audit record for a plan event, from the diff the
 /// solve produced and the plan it installed.
@@ -164,10 +164,12 @@ impl CoherenceBatches {
     }
 }
 
-/// Control-plane and device state shared by both in-network schemes: the
-/// controller with its installed plan, the deployed switch rules, the
-/// live and retired operators, and the ToR monitors.
-struct InNetwork {
+/// The policy object of both in-network schemes: the controller with its
+/// installed plan, the deployed switch rules, the live and retired
+/// operators, and the ToR monitors. NetRS-ToR and NetRS-ILP differ only
+/// in the placement source handed to `new`: which plan it installs and
+/// whether the re-plan timer runs.
+pub(crate) struct InNetwork {
     groups: TrafficGroups,
     controller: NetRsController,
     rules: SwitchTable<NetRsRules>,
@@ -188,14 +190,22 @@ struct InNetwork {
     bootstrap: Option<(PlanDiff, Option<PlanSolveStats>)>,
     /// Coherence fan-out batches between issue and arrival.
     batches: CoherenceBatches,
+    /// How often the controller re-plans from monitor measurements;
+    /// `None` when the initial plan stands for the whole run.
+    replan_every: Option<SimDuration>,
 }
 
 impl InNetwork {
-    /// Builds the control plane with its initial plan: the oracle ILP
-    /// placement when `oracle` is set, the every-client-ToR plan
-    /// otherwise (NetRS-ToR, and the monitored bootstrap before the
-    /// first measurement window completes).
-    fn new<D: DeviceProbe>(core: &Core<D>, root: &SimRng, oracle: bool) -> Self {
+    /// Builds the control plane with its initial plan. `optimized` is the
+    /// placement source of NetRS-ILP, `None` for NetRS-ToR: the oracle ILP
+    /// placement under [`PlanSource::Oracle`]; otherwise the
+    /// every-client-ToR plan — for good (NetRS-ToR), or as the bootstrap
+    /// that periodic re-plans replace ([`PlanSource::Monitored`]).
+    pub(crate) fn new<D: DeviceProbe>(
+        core: &Core<D>,
+        root: &SimRng,
+        optimized: Option<PlanSource>,
+    ) -> Self {
         let cfg = &core.cfg;
         let groups = client_groups(core);
         let mut controller = NetRsController::new(
@@ -204,7 +214,7 @@ impl InNetwork {
                 constraints: cfg.plan.clone(),
             },
         );
-        let bootstrap = if oracle {
+        let bootstrap = if optimized == Some(PlanSource::Oracle) {
             let traffic = oracle_traffic(core, &groups);
             let (diff, stats) = controller.plan_with_stats(&groups, &traffic, cfg.plan_solver);
             (diff, Some(stats))
@@ -227,6 +237,10 @@ impl InNetwork {
             dead_operators: BTreeSet::new(),
             bootstrap: Some(bootstrap),
             batches: CoherenceBatches::default(),
+            replan_every: match optimized {
+                Some(PlanSource::Monitored { interval }) => Some(interval),
+                _ => None,
+            },
         };
         net.rebuild_operators(cfg, root.clone());
 
@@ -276,19 +290,75 @@ impl InNetwork {
         self.operators = next;
     }
 
-    /// Schedules the overload-check timer, if the config has an overload
-    /// policy.
-    fn prime_overload<D: DeviceProbe>(&self, core: &Core<D>, queue: &mut EventQueue<Ev>) {
+    fn forward_to_backup<D: DeviceProbe>(
+        &mut self,
+        core: &mut Core<D>,
+        now: SimTime,
+        req: ReqId,
+        from: SwitchId,
+        queue: &mut EventQueue<Ev>,
+    ) {
+        let Some(state) = core.requests.get_mut(req.0) else {
+            return;
+        };
+        state.copies += 1;
+        let backup = state.backup;
+        // The hop to the retired RSNode was pure network steering.
+        let token = ServerToken::new(
+            req,
+            backup,
+            state.client,
+            state.rgid,
+            false,
+            state.sent_at,
+            now,
+            SimDuration::ZERO,
+            now,
+            None,
+        );
+        let hash = flow_hash(req, 13);
+        let Some(latency) =
+            core.fabric
+                .try_switch_to_host(from, core.server_hosts[backup.0 as usize], hash)
+        else {
+            core.drop_copy(req.0); // no live path to the backup
+            return;
+        };
+        queue.schedule_after(latency, Ev::ServerArrive { token });
+        core.fabric
+            .devices
+            .bump(DeviceId::Switch(from.0), DeviceCounter::Drop, 1);
+        if core.fabric.observing() {
+            // Any time spent at the retired operator belongs to its
+            // switch; then the copy heads for the backup replica.
+            core.fabric
+                .seal_steer_hops(req.0, backup.0, DeviceId::Switch(from.0), now);
+            core.fabric.observe_switch_to_host(
+                now,
+                from,
+                core.server_hosts[backup.0 as usize],
+                hash,
+                HopSink::Copy(req.0, backup.0),
+                REQ_BYTES,
+            );
+        }
+    }
+}
+
+impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
+    /// Schedules the control-plane timers — the re-plan timer when the
+    /// placement is re-solved from monitor measurements, the overload check
+    /// when the config has an overload policy — and emits the bootstrap
+    /// plan's decision-audit record, once, if a control sink is attached
+    /// (this is the first hook with mutable core access; the plan itself
+    /// was computed at construction, before sim time started).
+    fn prime(&mut self, core: &mut Core<D>, queue: &mut EventQueue<Ev>) {
+        if let Some(interval) = self.replan_every {
+            queue.schedule_after(interval, Ev::Replan);
+        }
         if let Some(policy) = core.cfg.overload {
             queue.schedule_after(policy.interval, Ev::OverloadCheck);
         }
-    }
-
-    /// Emits the bootstrap plan's decision-audit record, once, if a
-    /// control sink is attached (called from `prime`, the first hook
-    /// with mutable core access; the plan itself was computed at
-    /// construction, before sim time started).
-    fn audit_bootstrap<D: DeviceProbe>(&mut self, core: &mut Core<D>) {
         let Some((diff, stats)) = self.bootstrap.take() else {
             return;
         };
@@ -312,11 +382,12 @@ impl InNetwork {
     /// classifies it and either hands it to the local accelerator,
     /// forwards it toward its RSNode, or (Degraded Replica Selection)
     /// lets it through to the client-chosen backup.
-    fn steer_read<D: DeviceProbe>(
+    fn steer_read(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
+        _replicas: &[ServerId],
         queue: &mut EventQueue<Ev>,
     ) {
         let state = core.requests.get_mut(req.0).expect("request just created");
@@ -423,7 +494,7 @@ impl InNetwork {
         }
     }
 
-    fn on_rsnode_arrive<D: DeviceProbe>(
+    fn on_rsnode_arrive(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
@@ -531,62 +602,8 @@ impl InNetwork {
         );
     }
 
-    fn forward_to_backup<D: DeviceProbe>(
-        &mut self,
-        core: &mut Core<D>,
-        now: SimTime,
-        req: ReqId,
-        from: SwitchId,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let Some(state) = core.requests.get_mut(req.0) else {
-            return;
-        };
-        state.copies += 1;
-        let backup = state.backup;
-        // The hop to the retired RSNode was pure network steering.
-        let token = ServerToken::new(
-            req,
-            backup,
-            state.client,
-            state.rgid,
-            false,
-            state.sent_at,
-            now,
-            SimDuration::ZERO,
-            now,
-            None,
-        );
-        let hash = flow_hash(req, 13);
-        let Some(latency) =
-            core.fabric
-                .try_switch_to_host(from, core.server_hosts[backup.0 as usize], hash)
-        else {
-            core.drop_copy(req.0); // no live path to the backup
-            return;
-        };
-        queue.schedule_after(latency, Ev::ServerArrive { token });
-        core.fabric
-            .devices
-            .bump(DeviceId::Switch(from.0), DeviceCounter::Drop, 1);
-        if core.fabric.observing() {
-            // Any time spent at the retired operator belongs to its
-            // switch; then the copy heads for the backup replica.
-            core.fabric
-                .seal_steer_hops(req.0, backup.0, DeviceId::Switch(from.0), now);
-            core.fabric.observe_switch_to_host(
-                now,
-                from,
-                core.server_hosts[backup.0 as usize],
-                hash,
-                HopSink::Copy(req.0, backup.0),
-                REQ_BYTES,
-            );
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
-    fn on_select<D: DeviceProbe>(
+    fn on_select(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
@@ -666,7 +683,7 @@ impl InNetwork {
     /// server → RSNode switch → client, with a clone peeled off to the
     /// accelerator at the RSNode. Copies without an RSNode (DRS,
     /// retired-operator fallbacks, writes) go straight back.
-    fn route_reply<D: DeviceProbe>(
+    fn route_reply(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
@@ -743,7 +760,7 @@ impl InNetwork {
 
     /// Monitor accounting: the response leaves the network at the
     /// client's ToR (§IV-D).
-    fn on_reply<D: DeviceProbe>(&mut self, core: &Core<D>, info: &ReplyInfo) {
+    fn on_reply(&mut self, core: &mut Core<D>, _now: SimTime, info: &ReplyInfo) {
         if !info.first_completion || self.monitors.is_empty() {
             return;
         }
@@ -762,12 +779,7 @@ impl InNetwork {
     /// §III-C(ii): an operator whose accelerator ran hotter than the
     /// policy's limit over the last window has its traffic groups
     /// degraded to DRS (they recover at the next re-plan, if any).
-    fn on_overload_check<D: DeviceProbe>(
-        &mut self,
-        core: &mut Core<D>,
-        now: SimTime,
-        queue: &mut EventQueue<Ev>,
-    ) {
+    fn on_overload_check(&mut self, core: &mut Core<D>, now: SimTime, queue: &mut EventQueue<Ev>) {
         let Some(policy) = core.cfg.overload else {
             return;
         };
@@ -824,19 +836,20 @@ impl InNetwork {
             .reset_from_map(self.controller.deploy(&self.groups));
     }
 
-    fn fail_operator(&mut self, sw: SwitchId) -> Vec<u32> {
+    fn fail_operator(&mut self, sw: SwitchId) -> Result<Vec<u32>, NotInNetwork> {
         let affected = self.controller.on_operator_failure(sw);
         self.rules
             .reset_from_map(self.controller.deploy(&self.groups));
-        affected
+        Ok(affected)
     }
 
     /// Fault-plan `OperatorFail`: the accelerator dies silently. Its
     /// operator state retires (the work it performed stays in the
     /// statistics), its hot-key cache is flushed — switch memory is
     /// lost with the switch — and the switch blackholes steered packets
-    /// until the controller's detection fires.
-    fn operator_crashed(&mut self, sw: SwitchId) {
+    /// until the controller's detection fires (hence `true`: there is a
+    /// detection to schedule).
+    fn operator_crashed(&mut self, sw: SwitchId) -> bool {
         if let Some(mut op) = self.operators.remove(sw) {
             if let Some(cache) = op.cache.as_mut() {
                 cache.flush();
@@ -844,18 +857,14 @@ impl InNetwork {
             self.retired_operators.push(op);
         }
         self.dead_operators.insert(sw);
+        true
     }
 
     /// Fault-plan `OperatorRecover`: the controller restores the
     /// operator's baseline traffic groups (unless a re-plan reassigned
     /// them meanwhile) and installs a fresh selector — the §II cold-start
     /// transient applies. Returns the restored groups.
-    fn recover_operator<D: DeviceProbe>(
-        &mut self,
-        core: &Core<D>,
-        now: SimTime,
-        sw: SwitchId,
-    ) -> Vec<u32> {
+    fn recover_operator(&mut self, core: &mut Core<D>, now: SimTime, sw: SwitchId) -> Vec<u32> {
         if !self.dead_operators.remove(&sw) {
             return Vec::new(); // never crashed (or already recovered)
         }
@@ -898,9 +907,10 @@ impl InNetwork {
     /// contiguous in the queue's `(time, shard, seq)` order; delivering
     /// it as one event in ascending switch order keeps every loss draw
     /// where it was.
-    fn on_write_issued<D: DeviceProbe>(
+    fn on_write_issued(
         &mut self,
         core: &mut Core<D>,
+        _now: SimTime,
         req: ReqId,
         key: u64,
         queue: &mut EventQueue<Ev>,
@@ -942,7 +952,7 @@ impl InNetwork {
     /// A batch of coherence messages arrives ([`Ev::CacheInvalidate`]
     /// mechanics): per operator, ascending, one loss draw, then the
     /// cache applies the write.
-    fn on_cache_invalidate<D: DeviceProbe>(
+    fn on_cache_invalidate(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
@@ -977,7 +987,7 @@ impl InNetwork {
     /// Emits one end-of-run `cache` control record per live operator
     /// (ascending switch order) plus one aggregate for retired
     /// operators, when a cache and a control sink are both configured.
-    fn audit_caches<D: DeviceProbe>(&mut self, core: &mut Core<D>, now: SimTime) {
+    fn audit_caches(&mut self, core: &mut Core<D>, now: SimTime) {
         if core.cfg.hot_cache.is_none() || core.control_log().is_none() {
             return;
         }
@@ -1025,6 +1035,69 @@ impl InNetwork {
                 log.cache(rec);
             }
         }
+    }
+
+    /// NetRS-ILP under [`PlanSource::Monitored`]: re-solves the placement
+    /// from the ToR monitors' last window and redeploys it.
+    fn on_replan(&mut self, core: &mut Core<D>, now: SimTime, queue: &mut EventQueue<Ev>) {
+        if core.issued >= core.cfg.requests {
+            return; // wind down with the workload
+        }
+        let interval = self
+            .replan_every
+            .expect("Replan is only scheduled when the placement is re-solved periodically");
+        queue.schedule_after(interval, Ev::Replan);
+        // The monitor table iterates in ascending switch order, so
+        // the traffic matrix accumulates rates in a run-independent
+        // float order.
+        let snapshots: Vec<_> = self
+            .monitors
+            .iter_mut()
+            .map(|(_, m)| m.snapshot(now))
+            .collect();
+        let traffic = TrafficMatrix::from_snapshots(self.groups.len(), &snapshots);
+        // Windows stream out even when the re-plan below is skipped:
+        // the control stream sees every snapshot the monitors took.
+        if let Some(log) = core.control_log() {
+            for snap in &snapshots {
+                log.snapshot(snap);
+            }
+        }
+        if traffic.total() <= 0.0 {
+            return; // no signal yet
+        }
+        let (diff, stats) =
+            self.controller
+                .plan_with_stats(&self.groups, &traffic, core.cfg.plan_solver);
+        self.rules
+            .reset_from_map(self.controller.deploy(&self.groups));
+        self.rebuild_operators(
+            &core.cfg,
+            SimRng::from_seed(core.cfg.seed ^ 0xFEED_F00D ^ now.as_nanos()),
+        );
+        core.replans += 1;
+        if core.control_log().is_some() {
+            let rec = plan_record(
+                now.as_nanos(),
+                "replan",
+                None,
+                Some(stats),
+                diff,
+                self.controller.current_plan(),
+                self.rules.capacity(),
+            );
+            if let Some(log) = core.control_log() {
+                log.plan_event(rec);
+            }
+        }
+    }
+
+    fn current_plan(&self) -> Option<&Rsp> {
+        Some(self.controller.current_plan())
+    }
+
+    fn drs_groups(&self) -> usize {
+        self.controller.current_plan().drs.len()
     }
 
     fn operator_tiers(&self, topo: &FatTree) -> [usize; 3] {
@@ -1091,236 +1164,4 @@ impl InNetwork {
             cache: any_cache.then_some(cache_totals),
         }
     }
-}
-
-/// Implements the [`SchemePolicy`] hooks both in-network schemes share by
-/// delegating to the wrapped [`InNetwork`] state. The caller supplies the
-/// type name and the field path to that state.
-macro_rules! delegate_in_network {
-    ($field:ident) => {
-        fn steer_read(
-            &mut self,
-            core: &mut Core<D>,
-            now: SimTime,
-            req: ReqId,
-            _replicas: &[ServerId],
-            queue: &mut EventQueue<Ev>,
-        ) {
-            self.$field.steer_read(core, now, req, queue);
-        }
-
-        fn on_rsnode_arrive(
-            &mut self,
-            core: &mut Core<D>,
-            now: SimTime,
-            req: ReqId,
-            op: SwitchId,
-            queue: &mut EventQueue<Ev>,
-        ) {
-            self.$field.on_rsnode_arrive(core, now, req, op, queue);
-        }
-
-        fn on_select(
-            &mut self,
-            core: &mut Core<D>,
-            now: SimTime,
-            req: ReqId,
-            op: SwitchId,
-            arrived: SimTime,
-            waited: SimDuration,
-            queue: &mut EventQueue<Ev>,
-        ) {
-            self.$field
-                .on_select(core, now, req, op, arrived, waited, queue);
-        }
-
-        fn on_selector_update(&mut self, now: SimTime, op: SwitchId, fb: Feedback) {
-            self.$field.on_selector_update(now, op, fb);
-        }
-
-        fn on_write_issued(
-            &mut self,
-            core: &mut Core<D>,
-            _now: SimTime,
-            req: ReqId,
-            key: u64,
-            queue: &mut EventQueue<Ev>,
-        ) {
-            self.$field.on_write_issued(core, req, key, queue);
-        }
-
-        fn on_cache_invalidate(
-            &mut self,
-            core: &mut Core<D>,
-            now: SimTime,
-            batch: u32,
-            key: u64,
-            version: u64,
-        ) {
-            self.$field
-                .on_cache_invalidate(core, now, batch, key, version);
-        }
-
-        fn audit_caches(&mut self, core: &mut Core<D>, now: SimTime) {
-            self.$field.audit_caches(core, now);
-        }
-
-        fn on_overload_check(
-            &mut self,
-            core: &mut Core<D>,
-            now: SimTime,
-            queue: &mut EventQueue<Ev>,
-        ) {
-            self.$field.on_overload_check(core, now, queue);
-        }
-
-        fn route_reply(
-            &mut self,
-            core: &mut Core<D>,
-            now: SimTime,
-            token: ServerToken,
-            status: netrs_kvstore::ServerStatus,
-            queue: &mut EventQueue<Ev>,
-        ) {
-            self.$field.route_reply(core, now, token, status, queue);
-        }
-
-        fn on_reply(&mut self, core: &mut Core<D>, _now: SimTime, info: &ReplyInfo) {
-            self.$field.on_reply(core, info);
-        }
-
-        fn current_plan(&self) -> Option<&Rsp> {
-            Some(self.$field.controller.current_plan())
-        }
-
-        fn fail_operator(&mut self, sw: SwitchId) -> Result<Vec<u32>, crate::policy::NotInNetwork> {
-            Ok(self.$field.fail_operator(sw))
-        }
-
-        fn operator_crashed(&mut self, sw: SwitchId) -> bool {
-            self.$field.operator_crashed(sw);
-            true
-        }
-
-        fn recover_operator(&mut self, core: &mut Core<D>, now: SimTime, sw: SwitchId) -> Vec<u32> {
-            self.$field.recover_operator(core, now, sw)
-        }
-
-        fn operator_tiers(&self, topo: &FatTree) -> [usize; 3] {
-            self.$field.operator_tiers(topo)
-        }
-
-        fn accel_busy(&self) -> (u128, usize) {
-            self.$field.accel_busy()
-        }
-
-        fn drs_groups(&self) -> usize {
-            self.$field.controller.current_plan().drs.len()
-        }
-
-        fn control_stats(&self, now: SimTime, topo: &FatTree) -> ControlStats {
-            self.$field.control_stats(now, topo)
-        }
-    };
-}
-
-/// NetRS-ToR: one RSNode on every client ToR, no re-planning.
-pub(crate) struct NetRsToRPolicy {
-    net: InNetwork,
-}
-
-impl NetRsToRPolicy {
-    pub(crate) fn new<D: DeviceProbe>(core: &Core<D>, root: &SimRng) -> Self {
-        NetRsToRPolicy {
-            net: InNetwork::new(core, root, false),
-        }
-    }
-}
-
-impl<D: DeviceProbe> SchemePolicy<D> for NetRsToRPolicy {
-    fn prime(&mut self, core: &mut Core<D>, queue: &mut EventQueue<Ev>) {
-        self.net.prime_overload(core, queue);
-        self.net.audit_bootstrap(core);
-    }
-
-    delegate_in_network!(net);
-}
-
-/// NetRS-ILP: optimized RSNode placement — from the oracle traffic matrix
-/// up front, or re-planned periodically from ToR monitor measurements.
-pub(crate) struct NetRsIlpPolicy {
-    net: InNetwork,
-}
-
-impl NetRsIlpPolicy {
-    pub(crate) fn new<D: DeviceProbe>(core: &Core<D>, root: &SimRng) -> Self {
-        let oracle = matches!(core.cfg.plan_source, PlanSource::Oracle);
-        NetRsIlpPolicy {
-            net: InNetwork::new(core, root, oracle),
-        }
-    }
-}
-
-impl<D: DeviceProbe> SchemePolicy<D> for NetRsIlpPolicy {
-    fn prime(&mut self, core: &mut Core<D>, queue: &mut EventQueue<Ev>) {
-        if let PlanSource::Monitored { interval } = core.cfg.plan_source {
-            queue.schedule_after(interval, Ev::Replan);
-        }
-        self.net.prime_overload(core, queue);
-        self.net.audit_bootstrap(core);
-    }
-
-    fn on_replan(&mut self, core: &mut Core<D>, now: SimTime, queue: &mut EventQueue<Ev>) {
-        if core.issued >= core.cfg.requests {
-            return; // wind down with the workload
-        }
-        let net = &mut self.net;
-        if let PlanSource::Monitored { interval } = core.cfg.plan_source {
-            queue.schedule_after(interval, Ev::Replan);
-            // The monitor table iterates in ascending switch order, so
-            // the traffic matrix accumulates rates in a run-independent
-            // float order.
-            let snapshots: Vec<_> = net
-                .monitors
-                .iter_mut()
-                .map(|(_, m)| m.snapshot(now))
-                .collect();
-            let traffic = TrafficMatrix::from_snapshots(net.groups.len(), &snapshots);
-            // Windows stream out even when the re-plan below is skipped:
-            // the control stream sees every snapshot the monitors took.
-            if let Some(log) = core.control_log() {
-                for snap in &snapshots {
-                    log.snapshot(snap);
-                }
-            }
-            if traffic.total() <= 0.0 {
-                return; // no signal yet
-            }
-            let (diff, stats) =
-                net.controller
-                    .plan_with_stats(&net.groups, &traffic, core.cfg.plan_solver);
-            net.rules.reset_from_map(net.controller.deploy(&net.groups));
-            net.rebuild_operators(
-                &core.cfg,
-                SimRng::from_seed(core.cfg.seed ^ 0xFEED_F00D ^ now.as_nanos()),
-            );
-            core.replans += 1;
-            if core.control_log().is_some() {
-                let rec = plan_record(
-                    now.as_nanos(),
-                    "replan",
-                    None,
-                    Some(stats),
-                    diff,
-                    net.controller.current_plan(),
-                    net.rules.capacity(),
-                );
-                if let Some(log) = core.control_log() {
-                    log.plan_event(rec);
-                }
-            }
-        }
-    }
-
-    delegate_in_network!(net);
 }

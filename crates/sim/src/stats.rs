@@ -2,7 +2,7 @@
 
 use netrs_faults::AvailabilityStats;
 use netrs_simcore::{SimDuration, SimTime, Summary};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::config::Scheme;
 
@@ -92,12 +92,11 @@ impl ParallelStats {
 
 /// The results of one simulation run.
 ///
-/// Serialization is hand-written (not derived) so the optional
-/// [`availability`](RunStats::availability) block is *omitted* for
-/// fault-free runs rather than emitted as `null`: stats JSON from before
-/// the fault subsystem existed — including the pinned golden fixtures —
-/// stays byte-identical.
-#[derive(Debug, Clone)]
+/// The optional blocks ([`availability`](RunStats::availability), `rw`,
+/// `parallel`) are *omitted* when absent rather than emitted as `null`:
+/// stats JSON from before each subsystem existed — including the pinned
+/// golden fixtures — stays byte-identical, and parses.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunStats {
     /// The scheme that ran.
     pub scheme: Scheme,
@@ -143,109 +142,17 @@ pub struct RunStats {
     pub events: u64,
     /// Availability outcome under the run's fault plan; `None` (and
     /// absent from the JSON) for fault-free runs.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub availability: Option<AvailabilityStats>,
     /// Read/write-mix outcome; `None` (and absent from the JSON) unless
     /// the run enabled a hot-key cache or a non-default consistency
     /// mode.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub rw: Option<RwStats>,
     /// Sharded/parallel window accounting; `None` (and absent from the
     /// JSON) for single-shard runs.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub parallel: Option<ParallelStats>,
-}
-
-impl Serialize for RunStats {
-    fn ser(&self) -> Value {
-        let mut o: Vec<(String, Value)> = vec![
-            ("scheme".into(), self.scheme.ser()),
-            ("latency".into(), self.latency.ser()),
-            ("breakdown".into(), self.breakdown.ser()),
-            ("issued".into(), self.issued.ser()),
-            ("completed".into(), self.completed.ser()),
-            ("duplicates".into(), self.duplicates.ser()),
-            ("rsnode_count".into(), self.rsnode_count.ser()),
-            ("rsnode_census".into(), self.rsnode_census.ser()),
-            ("drs_groups".into(), self.drs_groups.ser()),
-            (
-                "mean_accel_utilization".into(),
-                self.mean_accel_utilization.ser(),
-            ),
-            (
-                "max_accel_utilization".into(),
-                self.max_accel_utilization.ser(),
-            ),
-            ("mean_selection_wait".into(), self.mean_selection_wait.ser()),
-            (
-                "mean_server_utilization".into(),
-                self.mean_server_utilization.ser(),
-            ),
-            ("replans".into(), self.replans.ser()),
-            ("writes_issued".into(), self.writes_issued.ser()),
-            ("write_latency".into(), self.write_latency.ser()),
-            ("overload_events".into(), self.overload_events.ser()),
-            ("sim_end".into(), self.sim_end.ser()),
-            ("events".into(), self.events.ser()),
-        ];
-        if let Some(a) = &self.availability {
-            o.push(("availability".into(), a.ser()));
-        }
-        if let Some(rw) = &self.rw {
-            o.push(("rw".into(), rw.ser()));
-        }
-        if let Some(p) = &self.parallel {
-            o.push(("parallel".into(), p.ser()));
-        }
-        Value::Obj(o)
-    }
-}
-
-impl Deserialize for RunStats {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_obj()
-            .ok_or_else(|| DeError::custom("expected object for RunStats"))?;
-        fn req<'a>(entries: &'a [(String, Value)], name: &str) -> Result<&'a Value, DeError> {
-            serde::field(entries, name, "RunStats")
-        }
-        Ok(RunStats {
-            scheme: req(entries, "scheme").and_then(Scheme::deser)?,
-            latency: req(entries, "latency").and_then(Summary::deser)?,
-            breakdown: req(entries, "breakdown").and_then(LatencyBreakdown::deser)?,
-            issued: req(entries, "issued").and_then(u64::deser)?,
-            completed: req(entries, "completed").and_then(u64::deser)?,
-            duplicates: req(entries, "duplicates").and_then(u64::deser)?,
-            rsnode_count: req(entries, "rsnode_count").and_then(usize::deser)?,
-            rsnode_census: req(entries, "rsnode_census").and_then(<[usize; 3]>::deser)?,
-            drs_groups: req(entries, "drs_groups").and_then(usize::deser)?,
-            mean_accel_utilization: req(entries, "mean_accel_utilization").and_then(f64::deser)?,
-            max_accel_utilization: req(entries, "max_accel_utilization").and_then(f64::deser)?,
-            mean_selection_wait: req(entries, "mean_selection_wait")
-                .and_then(SimDuration::deser)?,
-            mean_server_utilization: req(entries, "mean_server_utilization")
-                .and_then(f64::deser)?,
-            replans: req(entries, "replans").and_then(u64::deser)?,
-            writes_issued: req(entries, "writes_issued").and_then(u64::deser)?,
-            write_latency: req(entries, "write_latency").and_then(Summary::deser)?,
-            overload_events: req(entries, "overload_events").and_then(u64::deser)?,
-            sim_end: req(entries, "sim_end").and_then(SimTime::deser)?,
-            events: req(entries, "events").and_then(u64::deser)?,
-            // Absent for fault-free runs (and in pre-fault-subsystem
-            // files).
-            availability: match v.get("availability") {
-                Some(a) => Some(AvailabilityStats::deser(a)?),
-                None => None,
-            },
-            // Absent unless the run enabled the read/write extension.
-            rw: match v.get("rw") {
-                Some(r) => Some(RwStats::deser(r)?),
-                None => None,
-            },
-            // Absent for single-shard runs (and in older files).
-            parallel: match v.get("parallel") {
-                Some(p) => Some(ParallelStats::deser(p)?),
-                None => None,
-            },
-        })
-    }
 }
 
 impl RunStats {

@@ -7,9 +7,16 @@
 //! means a schema break that every downstream consumer will see.
 
 use netrs_sim::{
-    ControlRecord, DeviceRecord, DisplacedGroup, DrsSpanRecord, HopSpan, PlanEventRecord,
-    SamplePoint, SnapshotGroup, SnapshotRecord, SolveRecord, TraceRecord,
+    CacheRecord, ControlRecord, DeviceRecord, DisplacedGroup, DrsSpanRecord, HopSpan,
+    PlanEventRecord, SamplePoint, SnapshotGroup, SnapshotRecord, SolveRecord, TraceRecord,
 };
+
+/// A control line is always written through [`ControlRecord`], which
+/// stamps the `kind` tag; the record structs themselves parse from the
+/// same line and ignore it.
+fn control_line(rec: ControlRecord) -> String {
+    serde_json::to_string(&rec).unwrap()
+}
 
 fn trace_record() -> TraceRecord {
     TraceRecord {
@@ -179,7 +186,10 @@ fn control_snapshot_record_matches_golden() {
         "{\"group\":0,\"counts\":[4,10,86],\"rates\":[8,20,172]},",
         "{\"group\":3,\"counts\":[0,0,25],\"rates\":[0,0,50]}]}"
     );
-    assert_eq!(serde_json::to_string(&record).unwrap(), golden);
+    assert_eq!(
+        control_line(ControlRecord::Snapshot(record.clone())),
+        golden
+    );
     let back: SnapshotRecord = serde_json::from_str(golden).unwrap();
     assert_eq!(back, record);
     // The tagged enum parses the same line via its `kind` discriminant.
@@ -221,7 +231,7 @@ fn control_plan_record_matches_golden() {
         "\"rsnodes_added\":[16],\"rsnodes_removed\":[3],",
         "\"rsnodes\":4,\"drs_groups\":0,\"rules_recompiled\":20}"
     );
-    assert_eq!(serde_json::to_string(&record).unwrap(), golden);
+    assert_eq!(control_line(ControlRecord::Plan(record.clone())), golden);
     let back: PlanEventRecord = serde_json::from_str(golden).unwrap();
     assert_eq!(back, record);
 
@@ -248,7 +258,7 @@ fn control_plan_record_matches_golden() {
         "\"rsnodes_added\":[],\"rsnodes_removed\":[16],",
         "\"rsnodes\":4,\"drs_groups\":2,\"rules_recompiled\":20}"
     );
-    assert_eq!(serde_json::to_string(&record).unwrap(), golden);
+    assert_eq!(control_line(ControlRecord::Plan(record.clone())), golden);
     let back: PlanEventRecord = serde_json::from_str(golden).unwrap();
     assert_eq!(back, record);
 }
@@ -277,7 +287,7 @@ fn control_drs_span_record_matches_golden() {
         "{\"group\":5,\"displaced_ns\":390000000},",
         "{\"group\":6,\"displaced_ns\":790000000}]}"
     );
-    assert_eq!(serde_json::to_string(&record).unwrap(), golden);
+    assert_eq!(control_line(ControlRecord::DrsSpan(record.clone())), golden);
     let back: DrsSpanRecord = serde_json::from_str(golden).unwrap();
     assert_eq!(back, record);
 
@@ -290,8 +300,47 @@ fn control_drs_span_record_matches_golden() {
         groups: Vec::new(),
     };
     let golden = "{\"kind\":\"drs_span\",\"switch\":16,\"fail_ns\":1200000000,\"groups\":[]}";
-    assert_eq!(serde_json::to_string(&record).unwrap(), golden);
+    assert_eq!(control_line(ControlRecord::DrsSpan(record.clone())), golden);
     let back: DrsSpanRecord = serde_json::from_str(golden).unwrap();
+    assert_eq!(back, record);
+}
+
+#[test]
+fn control_cache_record_matches_golden() {
+    let record = CacheRecord {
+        t_ns: 2_500_000_000,
+        switch: Some(5),
+        len: 128,
+        hits: 40,
+        misses: 9,
+        stale_hits: 2,
+        evictions: 3,
+        invalidations: 7,
+    };
+    let golden = concat!(
+        "{\"kind\":\"cache\",\"t_ns\":2500000000,\"switch\":5,\"len\":128,",
+        "\"hits\":40,\"misses\":9,\"stale_hits\":2,\"evictions\":3,",
+        "\"invalidations\":7}"
+    );
+    assert_eq!(control_line(ControlRecord::Cache(record)), golden);
+    let back: CacheRecord = serde_json::from_str(golden).unwrap();
+    assert_eq!(back, record);
+    let tagged: ControlRecord = serde_json::from_str(golden).unwrap();
+    assert_eq!(tagged, ControlRecord::Cache(record));
+
+    // The retired-operator aggregate omits `switch`, never nulls it.
+    let record = CacheRecord {
+        switch: None,
+        len: 0,
+        ..record
+    };
+    let golden = concat!(
+        "{\"kind\":\"cache\",\"t_ns\":2500000000,\"len\":0,",
+        "\"hits\":40,\"misses\":9,\"stale_hits\":2,\"evictions\":3,",
+        "\"invalidations\":7}"
+    );
+    assert_eq!(control_line(ControlRecord::Cache(record)), golden);
+    let back: CacheRecord = serde_json::from_str(golden).unwrap();
     assert_eq!(back, record);
 }
 

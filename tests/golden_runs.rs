@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex};
 
 use netrs_selection::CubicConfig;
 use netrs_sim::{
-    run_observed, run_observed_sharded, CacheAdmission, CacheWritePolicy, FaultPlan,
-    HotCacheConfig, ObsOptions, OverloadPolicy, PerfOptions, PlanSource, Scheme, SimConfig,
-    WriteConsistency,
+    run_observed, run_observed_sharded, AllocStats, CacheAdmission, CacheWritePolicy, FaultPlan,
+    HostMeta, HostProfile, HotCacheConfig, KindRecord, ObsOptions, OverloadPolicy, ParallelPerf,
+    PerfOptions, PlanSource, QueueStats, Scheme, SimConfig, WriteConsistency, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::SimDuration;
 
@@ -301,6 +301,116 @@ fn cache_runs_are_byte_identical() {
     pin(
         &dir.join("netrs-tor-rw-cache-shards2.stats.json"),
         &art.stats_json,
+        regen,
+    );
+}
+
+/// Artifact schemas no run golden above reaches, captured at commit
+/// 071f355 from the hand-written serializers the derives replaced: a
+/// fault run's stats (the `availability` block) with its control stream
+/// (`drs_span` lines, `plan` lines naming a switch), a perf profile as
+/// `simulate --perf` writes it with and without the optional `alloc` /
+/// `parallel` blocks, and a fault-plan file holding only `events`.
+#[test]
+fn artifact_schemas_are_byte_identical() {
+    let dir = fixtures_dir();
+    let regen = std::env::var_os("GOLDEN_REGEN").is_some();
+
+    let plan = std::fs::read_to_string(dir.join("../faults/smoke.json")).expect("fault plan");
+    let mut cfg = SimConfig::small();
+    cfg.scheme = Scheme::NetRsToR;
+    cfg.seed = 7;
+    cfg.faults = Some(FaultPlan::from_json(&plan).expect("valid fault plan"));
+    let art = run_case(cfg, None);
+    assert!(art.stats_json.contains("\"availability\""));
+    let control = String::from_utf8(art.control).expect("control stream is UTF-8");
+    assert!(control.contains("\"kind\":\"drs_span\""));
+    pin(
+        &dir.join("netrs-tor-faults.stats.json"),
+        &art.stats_json,
+        regen,
+    );
+    pin(
+        &dir.join("netrs-tor-faults.control-lines.txt"),
+        &control,
+        regen,
+    );
+
+    let bare = HostProfile {
+        label: "smoke/NetRS-ILP".into(),
+        schema_version: PERF_SCHEMA_VERSION,
+        scheme: "NetRS-ILP".into(),
+        seed: 5,
+        requests: 5_000,
+        events: 18_000,
+        wall_s: 0.0125,
+        events_per_sec: 1_440_000.0,
+        peak_rss_kb: 6_900,
+        stride: 7,
+        attributed_ns: 11_800_000,
+        host: HostMeta {
+            commit: "071f355".into(),
+            cpu: "Test CPU @ 2.10GHz".into(),
+            cores: 2,
+        },
+        queue: QueueStats {
+            pushes: 18_000,
+            pops: 18_000,
+            high_water: 420,
+            depth_hist: vec![1, 2, 4, 8],
+        },
+        alloc: None,
+        parallel: None,
+        kinds: vec![
+            KindRecord {
+                kind: "Generate".into(),
+                layer: "state".into(),
+                count: 5_000,
+                sampled: 715,
+                self_ns: 3_400_000,
+            },
+            KindRecord {
+                kind: "ServerDone".into(),
+                layer: "server".into(),
+                count: 13_000,
+                sampled: 1_857,
+                self_ns: 8_400_000,
+            },
+        ],
+    };
+    let full = HostProfile {
+        alloc: Some(AllocStats {
+            allocs: 120,
+            deallocs: 100,
+            peak_bytes: 9_000_000,
+        }),
+        parallel: Some(ParallelPerf {
+            shards: 4,
+            threads: 2,
+            windows: 4_882,
+            events_per_window: 3.687,
+            busy_imbalance: 1.29,
+        }),
+        ..bare.clone()
+    };
+    for (name, profile) in [
+        ("host-profile", bare),
+        ("host-profile-alloc-parallel", full),
+    ] {
+        let text = serde_json::to_string_pretty(&profile).expect("profile serializes");
+        pin(&dir.join(format!("{name}.perf.json")), &text, regen);
+        let back: HostProfile = serde_json::from_str(&text).expect("profile parses");
+        assert_eq!(back, profile);
+    }
+
+    // Every knob a plan file leaves out is written back at its default.
+    let plan = FaultPlan::from_json(
+        r#"{ "events": [ { "at": 1000, "fault": { "ServerCrash": { "server": 2 } } } ] }"#,
+    )
+    .expect("events-only plans parse");
+    pin(
+        &dir.join("events-only.plan.json"),
+        &serde_json::to_string_pretty(&plan).expect("plan serializes"),
         regen,
     );
 }
