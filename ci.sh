@@ -60,6 +60,20 @@ plan_field() { echo "$plan" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
 [ "$(plan_field rsnodes)" -eq 2 ]
 grep -q '"proven_optimal":true' <<< "$plan"
 
+echo "==> memory smoke (paper-scale set-up stays small; only CliRS-R95 keeps per-client histograms)"
+# Peak RSS of a 1 000-request run on the default 16-ary config is all
+# set-up. 500 per-client latency histograms are 29 MB of it, and only
+# CliRS-R95 reads them: with them resident for every scheme these runs
+# peak at 29 MB, without at 6-7 MB.
+peak_rss_kb() {
+    ./target/debug/simulate --scheme "$1" --requests 1000 --json 2>&1 >/dev/null \
+        | sed -n 's/^engine: .*peak RSS \([0-9]*\) kB$/\1/p'
+}
+for scheme in clirs netrs-tor; do
+    [ "$(peak_rss_kb "$scheme")" -le 12288 ]
+done
+[ "$(peak_rss_kb clirs-r95)" -le 49152 ]
+
 echo "==> perf smoke (tiny perf suite, artifact validates)"
 # Runs the perf harness end to end at test scale and validates the
 # artifact's shape. Deliberately no time gating: CI boxes are too noisy
@@ -74,9 +88,10 @@ cargo build -q -p netrs-bench --bin repro
 grep -q "versioned v1" "$SMOKE/perf-check.txt"
 grep -q "parallel gate" "$SMOKE/perf-check.txt"
 ./target/debug/netrs-analyze perf "$SMOKE/perf.json" | grep -q "sharded-parallel grid"
-# Two-artifact mode: an artifact never regresses against itself.
+# Two-artifact mode: an artifact never regresses against itself. The wide
+# threshold is for the intra-artifact parallel gate, which runs here too.
 ./target/debug/netrs-analyze check-bench "$SMOKE/perf.json" "$SMOKE/perf.json" \
-    --threshold 0.05 | grep -q "Bench comparison"
+    --threshold 0.5 | grep -q "Bench comparison"
 
 echo "==> perf-profile smoke (simulate --perf, profiler must not perturb)"
 # A profiled run must produce byte-identical stats to the plain run above

@@ -94,12 +94,22 @@ impl ReplicaGroups {
 /// key's hash — the standard Dynamo/Cassandra placement the paper assumes.
 #[derive(Debug, Clone)]
 pub struct Ring {
-    points: Vec<(u64, ServerId)>,
+    /// The ring points' hashes, ascending and distinct.
+    hashes: Vec<u64>,
+    /// `directory[b]` is the index of the first point whose hash has top
+    /// [`DIRECTORY_BITS`] bits `>= b` (`hashes.len()` if none): a key
+    /// lookup starts there and scans forward, usually zero or one step.
+    directory: Vec<u32>,
     replication: u32,
-    /// Group id of the ring segment ending at `points[i]`.
+    /// Group id of the ring segment ending at `hashes[i]`.
     segment_group: Vec<u32>,
     groups: ReplicaGroups,
 }
+
+/// The lookup directory has `2^DIRECTORY_BITS` buckets keyed by the top
+/// bits of the key hash (32 KB of `u32`s). At the paper's 6 400 points
+/// that is under one point per bucket.
+const DIRECTORY_BITS: u32 = 13;
 
 impl Ring {
     /// Builds a ring of `servers` servers with `vnodes` virtual nodes each
@@ -134,6 +144,13 @@ impl Ring {
                 points.push((h, ServerId(s)));
             }
         }
+        Ok(Ring::from_points(points, replication))
+    }
+
+    /// Builds the ring over the given `(hash, server)` points (any order;
+    /// points colliding on a hash keep the lowest server). The points
+    /// must name at least `replication` distinct servers.
+    fn from_points(mut points: Vec<(u64, ServerId)>, replication: u32) -> Self {
         points.sort_unstable();
         points.dedup_by_key(|p| p.0);
 
@@ -162,12 +179,23 @@ impl Ring {
             segment_group.push(gid);
         }
 
-        Ok(Ring {
-            points,
+        let hashes: Vec<u64> = points.iter().map(|p| p.0).collect();
+        let mut directory = Vec::with_capacity(1 << DIRECTORY_BITS);
+        let mut first = 0;
+        for bucket in 0..1u64 << DIRECTORY_BITS {
+            while first < n && hashes[first] >> (64 - DIRECTORY_BITS) < bucket {
+                first += 1;
+            }
+            directory.push(first as u32);
+        }
+
+        Ring {
+            hashes,
+            directory,
             replication,
             segment_group,
             groups: ReplicaGroups { groups },
-        })
+        }
     }
 
     /// The replication factor.
@@ -185,10 +213,30 @@ impl Ring {
     /// Index of the ring segment owning `key`'s hash: the first point at
     /// or after `hash64(key)`, wrapping around.
     fn segment_of_key(&self, key: u64) -> usize {
-        let h = hash64(key);
-        match self.points.binary_search_by_key(&h, |p| p.0) {
+        self.segment_of_hash(hash64(key))
+    }
+
+    /// The first point at or after `h`, wrapping around: the directory
+    /// gives the first point of `h`'s bucket, and every point before the
+    /// answer from there on is below `h`.
+    fn segment_of_hash(&self, h: u64) -> usize {
+        let mut i = self.directory[(h >> (64 - DIRECTORY_BITS)) as usize] as usize;
+        while i < self.hashes.len() && self.hashes[i] < h {
+            i += 1;
+        }
+        if i == self.hashes.len() {
+            0
+        } else {
+            i
+        }
+    }
+
+    /// The reference lookup the directory replaced.
+    #[cfg(test)]
+    fn segment_of_hash_by_search(&self, h: u64) -> usize {
+        match self.hashes.binary_search(&h) {
             Ok(i) => i,
-            Err(i) => i % self.points.len(),
+            Err(i) => i % self.hashes.len(),
         }
     }
 
@@ -319,6 +367,50 @@ mod tests {
         let r = ring();
         assert!(r.groups().get(u32::MAX).is_none());
         assert!(r.groups().get(0).is_some());
+    }
+
+    /// The directory lookup against the binary search it replaced, on
+    /// every hash where the two could part: each point's hash and its
+    /// neighbours, both ends of the hash space, and a Zipf key stream.
+    fn assert_directory_matches_search(r: &Ring) {
+        let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for &h in &r.hashes {
+            probes.extend([h.wrapping_sub(1), h, h.wrapping_add(1)]);
+        }
+        let zipf = netrs_simcore::Zipf::new(100_000_000, 0.99);
+        let mut rng = netrs_simcore::SimRng::from_seed(5);
+        probes.extend((0..100_000).map(|_| hash64(zipf.sample(&mut rng))));
+        for h in probes {
+            assert_eq!(
+                r.segment_of_hash(h),
+                r.segment_of_hash_by_search(h),
+                "hash {h:#x} on a {}-point ring",
+                r.hashes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn directory_lookup_equals_binary_search() {
+        for (servers, vnodes, replication) in [(1, 1, 1), (3, 1, 3), (100, 64, 3)] {
+            assert_directory_matches_search(&Ring::new(servers, vnodes, replication, 42).unwrap());
+        }
+        // Colliding points dedup to one; several points share a bucket,
+        // and the first and last buckets are both occupied.
+        let top = 64 - DIRECTORY_BITS;
+        let points = vec![
+            (0, ServerId(0)),
+            (7 << top, ServerId(1)),
+            (7 << top, ServerId(2)),
+            ((7 << top) + 1, ServerId(0)),
+            ((7 << top) + 9, ServerId(2)),
+            ((8 << top) - 1, ServerId(1)),
+            (u64::MAX, ServerId(2)),
+            (u64::MAX, ServerId(0)),
+        ];
+        let r = Ring::from_points(points, 2);
+        assert_eq!(r.hashes.len(), 6, "two collisions removed");
+        assert_directory_matches_search(&r);
     }
 
     #[test]

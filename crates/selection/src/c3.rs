@@ -134,8 +134,15 @@ impl C3Selector {
     pub fn score(&self, server: ServerId) -> f64 {
         let est = self.est(server);
         let q_hat = 1.0 + f64::from(est.outstanding) * self.cfg.concurrency + est.ewma_queue;
+        // The paper's cube is two multiplies; any other exponent (the
+        // ABL-B sweep) pays for libm's `pow`.
+        let penalty = if self.cfg.exponent == 3.0 {
+            q_hat * q_hat * q_hat
+        } else {
+            q_hat.powf(self.cfg.exponent)
+        };
         est.ewma_latency_ns - est.ewma_service_ns
-            + q_hat.powf(self.cfg.exponent) * est.ewma_service_ns
+            + penalty * est.ewma_service_ns
             + est.timeout_penalty_ns
     }
 
@@ -368,6 +375,30 @@ mod tests {
         linear.on_response(&fb(0, 4, 2, 6), t);
         let expected = 6.0e6 - 2.0e6 + 5.0 * 2.0e6;
         assert!((linear.score(ServerId(0)) - expected).abs() < 1.0);
+    }
+
+    #[test]
+    fn non_cubic_exponents_go_through_powf() {
+        // Fractional and near-cubic exponents must not be caught by the
+        // cube's multiply: the score is the formula with `powf`, to the
+        // bit. Two responses put q̄ at 0.9·4 + 0.1·7 with nothing
+        // outstanding, so q̂ = 5.3 — not an integer, where a multiply
+        // chain and `powf` round differently.
+        for exponent in [1.5, 2.5, 3.0 + 1e-9, 4.0] {
+            let mut s = C3Selector::new(
+                C3Config {
+                    exponent,
+                    ..C3Config::default()
+                },
+                SimRng::from_seed(2),
+            );
+            let t = SimTime::ZERO;
+            s.on_response(&fb(0, 4, 2, 6), t);
+            s.on_response(&fb(0, 7, 2, 6), t);
+            let q_hat: f64 = 1.0 + (0.9 * 4.0 + (1.0 - 0.9) * 7.0);
+            let expected = 6.0e6 - 2.0e6 + q_hat.powf(exponent) * 2.0e6;
+            assert_eq!(s.score(ServerId(0)), expected, "exponent {exponent}");
+        }
     }
 
     #[test]

@@ -484,9 +484,9 @@ impl<D: DeviceProbe> World for Cluster<D> {
     fn handle(&mut self, now: SimTime, event: Ev, queue: &mut EventQueue<Ev>) {
         match event {
             Ev::Generate { gen } => match self.core.generate(now, gen, queue) {
-                GenOutcome::Read { req, replicas } => {
+                GenOutcome::Read { req, rgid } => {
                     self.policy
-                        .steer_read(&mut self.core, now, req, &replicas, queue);
+                        .steer_read(&mut self.core, now, req, rgid, queue);
                 }
                 GenOutcome::Write { req, key } => {
                     self.policy
@@ -586,11 +586,11 @@ impl<D: DeviceProbe> World for Cluster<D> {
             },
             Ev::RetryCheck { req, attempt } => match self.core.retry_decision(req, attempt) {
                 RetryAction::Done | RetryAction::Abandon => {}
-                RetryAction::Retry { replicas, primary } => {
+                RetryAction::Retry { rgid, primary } => {
                     self.policy
                         .on_request_timeout(&mut self.core, now, req, primary);
                     self.policy
-                        .steer_read(&mut self.core, now, req, &replicas, queue);
+                        .steer_read(&mut self.core, now, req, rgid, queue);
                     queue.schedule_after(
                         self.core.retry_backoff(attempt + 1),
                         Ev::RetryCheck {

@@ -10,7 +10,7 @@
 use netrs_kvstore::ServerId;
 use netrs_selection::{CubicRateController, Feedback, ReplicaSelector};
 use netrs_simcore::{
-    DeviceCounter, DeviceId, DeviceProbe, EventQueue, SimDuration, SimRng, SimTime,
+    DeviceCounter, DeviceId, DeviceProbe, EventQueue, Histogram, SimDuration, SimRng, SimTime,
 };
 
 use crate::cluster::{Ev, ReqId};
@@ -56,9 +56,10 @@ impl CliRsPolicy {
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        replicas: &[ServerId],
+        rgid: u32,
         queue: &mut EventQueue<Ev>,
     ) {
+        let replicas = core.ring.groups().replicas(rgid);
         let state = core.requests.get_mut(req.0).expect("request just created");
         let target = self.selectors[state.client as usize].select(replicas, now);
         state.primary = Some(target);
@@ -117,7 +118,7 @@ impl CliRsPolicy {
             None,
         );
         let hash = flow_hash(req, u64::from(server.0));
-        let client_host = core.clients[client_idx].host;
+        let client_host = core.client_hosts[client_idx];
         let Some(latency) =
             core.fabric
                 .try_host_to_host(client_host, core.server_hosts[server.0 as usize], hash)
@@ -189,10 +190,10 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsPolicy {
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        replicas: &[ServerId],
+        rgid: u32,
         queue: &mut EventQueue<Ev>,
     ) {
-        self.select_and_send(core, now, req, replicas, queue);
+        self.select_and_send(core, now, req, rgid, queue);
     }
 
     fn on_gated_send(
@@ -226,12 +227,18 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsPolicy {
 /// client's observed 95th-percentile latency.
 pub(crate) struct CliRsR95Policy {
     inner: CliRsPolicy,
+    /// Each client's own completed-read latencies: the duplicate
+    /// deadline is a quantile of these. The only per-client histograms
+    /// in the simulator (59 KB each), kept by the one scheme that reads
+    /// them.
+    latencies: Vec<Histogram>,
 }
 
 impl CliRsR95Policy {
     pub(crate) fn new<D: DeviceProbe>(core: &Core<D>, root: &SimRng) -> Self {
         CliRsR95Policy {
             inner: CliRsPolicy::new(core, root),
+            latencies: (0..core.cfg.clients).map(|_| Histogram::new()).collect(),
         }
     }
 }
@@ -242,16 +249,16 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        replicas: &[ServerId],
+        rgid: u32,
         queue: &mut EventQueue<Ev>,
     ) {
-        self.inner.select_and_send(core, now, req, replicas, queue);
+        self.inner.select_and_send(core, now, req, rgid, queue);
         // Arm the duplicate timer once the client has a usable quantile
         // estimate.
         let state = core.requests.get(req.0).expect("request still in flight");
-        let client = &core.clients[state.client as usize];
-        if client.hist.count() >= core.cfg.r95.min_samples {
-            let deadline = client.hist.value_at_quantile(core.cfg.r95.quantile);
+        let seen = &self.latencies[state.client as usize];
+        if seen.count() >= core.cfg.r95.min_samples {
+            let deadline = seen.value_at_quantile(core.cfg.r95.quantile);
             queue.schedule_after(deadline, Ev::R95Check { req });
         }
     }
@@ -284,8 +291,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
         let rgid = state.rgid;
         let primary = state.primary;
         let client_idx = state.client as usize;
-        let replicas = core.ring.groups().replicas(rgid).to_vec();
-        let ranked = self.inner.selectors[client_idx].rank(&replicas, now);
+        let replicas = core.ring.groups().replicas(rgid);
+        let ranked = self.inner.selectors[client_idx].rank(replicas, now);
         let Some(dup) = ranked.into_iter().find(|&s| Some(s) != primary) else {
             return; // replication factor 1: nowhere else to go
         };
@@ -294,6 +301,11 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
     }
 
     fn on_reply(&mut self, _core: &mut Core<D>, now: SimTime, info: &ReplyInfo) {
+        if info.first_completion {
+            // Issue → now: every copy's token carries the request's
+            // issue time, duplicates and retries included.
+            self.latencies[info.client as usize].record(info.latency);
+        }
         self.inner.feed_back(now, info);
     }
 

@@ -68,6 +68,8 @@ pub(crate) struct ReplyInfo {
     pub(crate) rgid: u32,
     /// Whether this copy completed the logical request.
     pub(crate) first_completion: bool,
+    /// The logical request's latency as of this copy (issue → now).
+    pub(crate) latency: SimDuration,
 }
 
 /// One scheme's decision points.
@@ -85,14 +87,16 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
         let _ = (core, queue);
     }
 
-    /// Steers a freshly issued read toward a replica: client-side
-    /// selection or in-network forwarding.
+    /// Steers a read of replica group `rgid` toward a replica — freshly
+    /// issued, or re-steered after a timeout (fault runs): client-side
+    /// selection over the group's replica set, borrowed from
+    /// `core.ring`, or in-network forwarding, which never looks at it.
     fn steer_read(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        replicas: &[ServerId],
+        rgid: u32,
         queue: &mut EventQueue<Ev>,
     );
 

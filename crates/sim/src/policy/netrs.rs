@@ -14,7 +14,6 @@ use netrs::{
     ControllerConfig, NetRsController, PlanConstraints, PlanDiff, PlanSolveStats, Rsp,
     TrafficGroups, TrafficMatrix,
 };
-use netrs_kvstore::ServerId;
 use netrs_netdev::{
     Accelerator, CacheStats, IngressAction, Monitor, NetRsRules, PacketMeta, RsOperator,
 };
@@ -22,7 +21,7 @@ use netrs_selection::Feedback;
 use netrs_simcore::{
     DeviceCounter, DeviceId, DeviceProbe, EventQueue, NoDeviceProbe, SimDuration, SimRng, SimTime,
 };
-use netrs_topology::{FatTree, HostId, SwitchId};
+use netrs_topology::{FatTree, SwitchId};
 use netrs_wire::{MagicField, RsnodeId};
 
 use crate::cluster::{Ev, ReqId};
@@ -73,8 +72,7 @@ fn plan_record(
 
 /// The traffic groups of the run's clients at the configured granularity.
 fn client_groups<D: DeviceProbe>(core: &Core<D>) -> TrafficGroups {
-    let client_hosts: Vec<HostId> = core.clients.iter().map(|c| c.host).collect();
-    TrafficGroups::build(&core.fabric.topo, &client_hosts, core.cfg.granularity)
+    TrafficGroups::build(&core.fabric.topo, &core.client_hosts, core.cfg.granularity)
 }
 
 /// The oracle traffic matrix: every client's configured rate, spread over
@@ -387,11 +385,11 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        _replicas: &[ServerId],
+        _rgid: u32,
         queue: &mut EventQueue<Ev>,
     ) {
         let state = core.requests.get_mut(req.0).expect("request just created");
-        let client_host = core.clients[state.client as usize].host;
+        let client_host = core.client_hosts[state.client as usize];
         let tor = core.fabric.topo.tor_of_host(client_host);
         let mut pkt = PacketMeta::Request {
             rid: RsnodeId(0),
@@ -557,7 +555,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                         None,
                     );
                     let hash = flow_hash(req, 23);
-                    let client_host = core.clients[client as usize].host;
+                    let client_host = core.client_hosts[client as usize];
                     let Some(latency) = core.fabric.try_switch_to_host(op, client_host, hash)
                     else {
                         core.drop_copy(req.0); // reply path to the client severed
@@ -699,7 +697,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             return;
         };
         let key = state.key;
-        let client_host = core.clients[state.client as usize].host;
+        let client_host = core.client_hosts[state.client as usize];
         let server_host = core.server_hosts[token.server.0 as usize];
         let hash = flow_hash(token.req, 23);
         let sink = HopSink::Copy(token.req.0, token.server.0);
@@ -764,7 +762,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         if !info.first_completion || self.monitors.is_empty() {
             return;
         }
-        let client_host = core.clients[info.client as usize].host;
+        let client_host = core.client_hosts[info.client as usize];
         let server_rack = core
             .fabric
             .topo
@@ -921,7 +919,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         let Some(state) = core.requests.get(req.0) else {
             return;
         };
-        let client_host = core.clients[state.client as usize].host;
+        let client_host = core.client_hosts[state.client as usize];
         let version = core.versions.get(key);
         let hash = flow_hash(req, 37);
         for op in self.operators.keys() {

@@ -55,17 +55,6 @@ pub(crate) struct RequestState {
     pub(crate) acks: u8,
 }
 
-/// Scheme-independent per-client state. Selectors and rate controllers
-/// are per-scheme and live in the policy.
-pub(crate) struct ClientState {
-    pub(crate) host: HostId,
-    /// The client's own completed-request latencies (feeds the CliRS-R95
-    /// duplicate deadline; recorded for every scheme).
-    pub(crate) hist: Histogram,
-    /// Per-client stream for backup-replica picks.
-    pub(crate) rng: SimRng,
-}
-
 /// Virtual-time sampler state (present only when enabled).
 struct SamplerState {
     interval: SimDuration,
@@ -189,8 +178,9 @@ pub(crate) enum GenOutcome {
     Read {
         /// The request.
         req: ReqId,
-        /// Its replica set.
-        replicas: Vec<ServerId>,
+        /// Its replica group (policies that select client-side borrow
+        /// the set from the ring).
+        rgid: u32,
     },
     /// A write already fanned out to its replica group; policies with
     /// hot-key caches emit coherence messages for it.
@@ -211,7 +201,7 @@ pub(crate) enum RetryAction {
     Abandon,
     /// Re-steer the read through the policy and arm the next check.
     Retry {
-        replicas: Vec<ServerId>,
+        rgid: u32,
         primary: Option<ServerId>,
     },
 }
@@ -225,7 +215,15 @@ pub(crate) struct Core<D: DeviceProbe> {
     pub(crate) ring: Ring,
     zipf: Zipf,
     pub(crate) server_hosts: Vec<HostId>,
-    pub(crate) clients: Vec<ClientState>,
+    /// Host of every client, dense: read on every packet to or from a
+    /// client. Selectors, rate controllers and the CliRS-R95 latency
+    /// histograms are per-scheme and live in the policy.
+    pub(crate) client_hosts: Vec<HostId>,
+    /// Per-client streams for backup-replica picks (`root.fork(40_000 +
+    /// client)`). Only in-network schemes route to the backup (DRS), so
+    /// client-side schemes carry none and draw nothing; the streams feed
+    /// nothing else.
+    backup_rngs: Vec<SimRng>,
     pub(crate) requests: RequestTable<RequestState>,
     pub(crate) issued: u64,
     pub(crate) completed: u64,
@@ -334,15 +332,13 @@ impl<D: DeviceProbe> Core<D> {
         .expect("validated ring parameters");
         let zipf = Zipf::new(cfg.keys, cfg.zipf);
         let servers = ServerPool::new(cfg.servers, &cfg.server, root);
-        let clients: Vec<ClientState> = client_hosts
-            .iter()
-            .enumerate()
-            .map(|(i, &host)| ClientState {
-                host,
-                hist: Histogram::new(),
-                rng: root.fork(40_000 + i as u64),
-            })
-            .collect();
+        let backup_rngs: Vec<SimRng> = if cfg.scheme.is_in_network() {
+            (0..u64::from(cfg.clients))
+                .map(|i| root.fork(40_000 + i))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let top_clients = (cfg.clients / 5).max(1);
         let faults = cfg
             .faults
@@ -367,7 +363,8 @@ impl<D: DeviceProbe> Core<D> {
             ring,
             zipf,
             server_hosts,
-            clients,
+            client_hosts,
+            backup_rngs,
             requests: RequestTable::with_capacity(1024),
             issued: 0,
             completed: 0,
@@ -484,16 +481,6 @@ impl<D: DeviceProbe> Core<D> {
                 self.servers.adopt(&mut other.servers, s as usize);
             }
         }
-        for &c in other
-            .replica
-            .as_ref()
-            .map(|r| r.clients.as_slice())
-            .unwrap_or(&[])
-        {
-            self.clients[c as usize]
-                .hist
-                .merge(&other.clients[c as usize].hist);
-        }
     }
 
     /// Expected request rate of each client (requests/second), honouring
@@ -502,10 +489,10 @@ impl<D: DeviceProbe> Core<D> {
         let a = self.cfg.arrival_rate();
         let n = self.cfg.clients;
         let top = self.top_clients;
-        self.clients
+        self.client_hosts
             .iter()
             .enumerate()
-            .map(|(i, c)| {
+            .map(|(i, &host)| {
                 let rate = match self.cfg.demand_skew {
                     None => a / f64::from(n),
                     Some(s) => {
@@ -516,7 +503,7 @@ impl<D: DeviceProbe> Core<D> {
                         }
                     }
                 };
-                (c.host, rate)
+                (host, rate)
             })
             .collect()
     }
@@ -541,7 +528,7 @@ impl<D: DeviceProbe> Core<D> {
 
     /// Home shard of client `c`.
     fn client_shard(&self, c: u32) -> u32 {
-        self.host_shard[self.clients[c as usize].host.0 as usize]
+        self.host_shard[self.client_hosts[c as usize].0 as usize]
     }
 
     /// Home shard of the client that issued `req`. Terminal timers
@@ -718,7 +705,7 @@ impl<D: DeviceProbe> Core<D> {
     }
 
     /// One workload-generator firing: draws the client, key and replica
-    /// set, registers the request, and handles writes (replica-group
+    /// group, registers the request, and handles writes (replica-group
     /// fan-out under the configured consistency mode) directly. Returns
     /// what the cluster should route next: the read to steer, or the
     /// write for coherence hooks.
@@ -739,8 +726,12 @@ impl<D: DeviceProbe> Core<D> {
         let client_idx = self.pick_client(shard);
         let key = self.zipf.sample(&mut self.workload[shard]);
         let rgid = self.ring.group_of_key(key);
-        let replicas = self.ring.groups().replicas(rgid).to_vec();
-        let backup = replicas[self.clients[client_idx as usize].rng.index(replicas.len())];
+        let replicas = self.ring.groups().replicas(rgid);
+        // Only in-network schemes ever route to the backup (DRS).
+        let backup = match self.backup_rngs.get_mut(client_idx as usize) {
+            Some(rng) => replicas[rng.index(replicas.len())],
+            None => replicas[0],
+        };
 
         let is_write =
             self.cfg.write_fraction > 0.0 && self.workload[shard].chance(self.cfg.write_fraction);
@@ -785,34 +776,33 @@ impl<D: DeviceProbe> Core<D> {
             // when the client may acknowledge.
             self.writes_issued += 1;
             self.versions.bump(key);
-            match self.cfg.write_consistency {
-                WriteConsistency::All | WriteConsistency::Quorum { .. } => {
-                    self.issue_write(now, req, &replicas, queue);
-                }
-                WriteConsistency::Chain => {
-                    self.issue_write(now, req, &replicas[..1], queue);
-                }
-            }
+            let targets = match self.cfg.write_consistency {
+                WriteConsistency::All | WriteConsistency::Quorum { .. } => replicas.len(),
+                WriteConsistency::Chain => 1,
+            };
+            self.issue_write(now, req, targets, queue);
             return GenOutcome::Write { req, key };
         }
-        GenOutcome::Read { req, replicas }
+        GenOutcome::Read { req, rgid }
     }
 
-    /// Fans a write out to `replicas` (the whole group for `All`/`Quorum`,
-    /// the chain head alone for `Chain`), one copy per target.
+    /// Fans a write out to the first `targets` replicas of its group (the
+    /// whole group for `All`/`Quorum`, the chain head alone for `Chain`),
+    /// one copy per target.
     fn issue_write(
         &mut self,
         now: SimTime,
         req: ReqId,
-        replicas: &[ServerId],
+        targets: usize,
         queue: &mut EventQueue<Ev>,
     ) {
         let state = self.requests.get_mut(req.0).expect("request just created");
-        state.copies = replicas.len() as u8;
+        state.copies = targets as u8;
         let client_idx = state.client;
         let rgid = state.rgid;
-        let client_host = self.clients[client_idx as usize].host;
-        for (i, &server) in replicas.iter().enumerate() {
+        let client_host = self.client_hosts[client_idx as usize];
+        for i in 0..targets {
+            let server = self.ring.groups().replicas(rgid)[i];
             let token = ServerToken::new(
                 req,
                 server,
@@ -998,7 +988,7 @@ impl<D: DeviceProbe> Core<D> {
             };
             state.client
         };
-        let client_host = self.clients[client as usize].host;
+        let client_host = self.client_hosts[client as usize];
         let server_host = self.server_hosts[token.server.0 as usize];
         let hash = flow_hash(token.req, 23);
         let Some(latency) = self.fabric.try_host_to_host(server_host, client_host, hash) else {
@@ -1134,7 +1124,6 @@ impl<D: DeviceProbe> Core<D> {
         }
 
         if first_completion {
-            self.clients[client_idx].hist.record(latency);
             if issue_idx >= self.warmup_cutoff {
                 self.hist.record(latency);
             }
@@ -1146,6 +1135,7 @@ impl<D: DeviceProbe> Core<D> {
             client: client_idx as u32,
             rgid,
             first_completion,
+            latency,
         })
     }
 
@@ -1250,7 +1240,7 @@ impl<D: DeviceProbe> Core<D> {
             f.retries += 1;
             f.disrupt();
             return RetryAction::Retry {
-                replicas: self.ring.groups().replicas(state.rgid).to_vec(),
+                rgid: state.rgid,
                 primary: state.primary,
             };
         }

@@ -4,8 +4,9 @@
 //! live inside the `#![forbid(unsafe_code)]` library) proves that the
 //! healthy-fabric timing trio — the code that runs for every simulated
 //! packet — never touches the heap, that a warm hot-key cache does not
-//! either, and pins the size of the event payload the queue copies
-//! around.
+//! either, that a whole steady-state read (generate → select → serve →
+//! receive) does not under CliRS or NetRS-ToR, and pins the size of the
+//! event payload the queue copies around.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,8 +14,8 @@ use std::cell::Cell;
 use netrs_kvstore::ServerId;
 use netrs_netdev::HotKeyCache;
 use netrs_sim::testhooks::TimingProbe;
-use netrs_sim::{Ev, HotCacheConfig};
-use netrs_simcore::SimDuration;
+use netrs_sim::{Cluster, Ev, HotCacheConfig, Scheme, SimConfig};
+use netrs_simcore::{Engine, SimDuration};
 
 // Per-thread counter so the measurement ignores allocations made by
 // other tests the harness runs concurrently. `Cell<u64>` is const-init
@@ -100,6 +101,42 @@ fn warm_hot_key_cache_never_allocates() {
         allocs, 0,
         "admit at capacity reuses the victim's slot: no heap traffic"
     );
+}
+
+/// Heap allocations made while a small cluster serves `measured` reads,
+/// after `warm` reads have brought every growable table (queue slab,
+/// request ring, server queues, selector estimates) to its high-water
+/// size. Healthy fabric, tracing and telemetry off: the configuration
+/// every benchmark workload and figure sweep runs.
+fn allocs_per_steady_state_reads(scheme: Scheme, warm: u64, measured: u64) -> u64 {
+    let mut engine = Engine::new(Cluster::new(SimConfig {
+        scheme,
+        requests: warm + measured,
+        ..SimConfig::small()
+    }));
+    let mut queue = std::mem::take(engine.queue_mut());
+    engine.world_mut().prime(&mut queue);
+    *engine.queue_mut() = queue;
+    engine.run_while(|w| w.issued() < warm);
+    assert_eq!(engine.world().issued(), warm, "sanity: warm-up ran");
+    let allocs = allocs_during(|| engine.run_while(|w| w.issued() < warm + measured));
+    assert_eq!(
+        engine.world().issued(),
+        warm + measured,
+        "sanity: the measured reads were issued"
+    );
+    allocs
+}
+
+#[test]
+fn steady_state_read_never_allocates() {
+    for scheme in [Scheme::CliRs, Scheme::NetRsToR] {
+        let allocs = allocs_per_steady_state_reads(scheme, 20_000, 10_000);
+        assert_eq!(
+            allocs, 0,
+            "{scheme}: {allocs} heap allocations over 10000 steady-state reads"
+        );
+    }
 }
 
 #[test]
