@@ -61,6 +61,6 @@ pub use group::{Granularity, GroupInfo, TrafficGroups};
 pub use plan::{
     AssignmentVars, PlacementProblem, PlanConstraints, PlanDiff, PlanSolveStats, PlanSolver, Rsp,
 };
-pub use traffic::TrafficMatrix;
+pub use traffic::{TrafficMatrix, UnknownGroup};
 
 pub use netrs_netdev::GroupId;

@@ -19,6 +19,28 @@ pub struct TrafficMatrix {
     rates: Vec<[f64; 3]>,
 }
 
+/// A monitor snapshot counted traffic under a group id the controller's
+/// partition does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnknownGroup {
+    /// The id the snapshot named.
+    pub group: GroupId,
+    /// How many groups there are (valid ids are `0..n_groups`).
+    pub n_groups: usize,
+}
+
+impl std::fmt::Display for UnknownGroup {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "snapshot names traffic group {} of {}",
+            self.group, self.n_groups
+        )
+    }
+}
+
+impl std::error::Error for UnknownGroup {}
+
 impl TrafficMatrix {
     /// An all-zero matrix for `n_groups` groups.
     #[must_use]
@@ -70,20 +92,29 @@ impl TrafficMatrix {
 
     /// Builds `T` from ToR monitor snapshots, converting window counts to
     /// rates and summing across monitors.
-    #[must_use]
-    pub fn from_snapshots(n_groups: usize, snapshots: &[TrafficSnapshot]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownGroup`] if a snapshot counts traffic under an id outside
+    /// `0..n_groups`: a matrix missing that traffic would plan for less
+    /// load than the accelerators will see.
+    pub fn from_snapshots(
+        n_groups: usize,
+        snapshots: &[TrafficSnapshot],
+    ) -> Result<Self, UnknownGroup> {
         let mut m = Self::zero(n_groups);
         for snap in snapshots {
             for &(group, counts) in &snap.counts {
-                if (group as usize) < n_groups {
-                    let rates = snap.rates(counts);
-                    for (k, r) in rates.into_iter().enumerate() {
-                        m.rates[group as usize][k] += r;
-                    }
+                let row = m
+                    .rates
+                    .get_mut(group as usize)
+                    .ok_or(UnknownGroup { group, n_groups })?;
+                for (rate, r) in row.iter_mut().zip(snap.rates(counts)) {
+                    *rate += r;
                 }
             }
         }
-        m
+        Ok(m)
     }
 
     /// Builds `T` analytically from the workload: each client host sends
@@ -147,7 +178,7 @@ mod tests {
             from: SimTime::ZERO,
             to: SimTime::ZERO + SimDuration::from_millis(500),
         };
-        let m = TrafficMatrix::from_snapshots(2, &[snap.clone(), snap]);
+        let m = TrafficMatrix::from_snapshots(2, &[snap.clone(), snap]).unwrap();
         // Two identical monitors double the rates: 2 * 500/0.5s = 2000/s.
         assert!((m.tier_rates(0)[0] - 2_000.0).abs() < 1e-9);
         assert!((m.tier_rates(1)[1] - 1_000.0).abs() < 1e-9);
@@ -155,15 +186,22 @@ mod tests {
     }
 
     #[test]
-    fn from_snapshots_ignores_unknown_groups() {
+    fn from_snapshots_rejects_unknown_groups() {
+        // A count under an id the partition lacks (say, a replication-group
+        // id) must not vanish from `T`.
         let snap = TrafficSnapshot {
             local: SourceMarker { pod: 0, rack: 0 },
-            counts: vec![(7, [100, 0, 0])],
+            counts: vec![(1, [5, 0, 0]), (7, [100, 0, 0])],
             from: SimTime::ZERO,
             to: SimTime::ZERO + SimDuration::from_secs(1),
         };
-        let m = TrafficMatrix::from_snapshots(2, &[snap]);
-        assert_eq!(m.total(), 0.0);
+        assert_eq!(
+            TrafficMatrix::from_snapshots(2, &[snap]),
+            Err(UnknownGroup {
+                group: 7,
+                n_groups: 2
+            })
+        );
     }
 
     #[test]

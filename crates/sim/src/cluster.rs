@@ -468,6 +468,12 @@ impl<D: DeviceProbe> Cluster<D> {
     pub fn completed(&self) -> u64 {
         self.core.completed
     }
+
+    /// See [`SchemePolicy::ingress_verdicts`].
+    #[cfg(test)]
+    pub(crate) fn ingress_verdicts(&self) -> Vec<crate::policy::IngressVerdicts> {
+        self.policy.ingress_verdicts(&self.core)
+    }
 }
 
 impl<D: DeviceProbe> World for Cluster<D> {

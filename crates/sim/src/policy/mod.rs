@@ -56,6 +56,13 @@ pub(crate) struct ControlStats {
     pub(crate) cache: Option<netrs_netdev::CacheStats>,
 }
 
+/// A client's memoized ToR ingress verdict, if any, and the fresh one.
+#[cfg(test)]
+pub(crate) type IngressVerdicts = (
+    Option<netrs_netdev::IngressAction>,
+    netrs_netdev::IngressAction,
+);
+
 /// Context of one received (non-write) response copy, handed to
 /// [`SchemePolicy::on_reply`] after [`Core::receive_reply`] has done the
 /// scheme-independent accounting.
@@ -64,8 +71,6 @@ pub(crate) struct ReplyInfo {
     pub(crate) status: ServerStatus,
     /// Index of the issuing client.
     pub(crate) client: u32,
-    /// The request's replication group.
-    pub(crate) rgid: u32,
     /// Whether this copy completed the logical request.
     pub(crate) first_completion: bool,
     /// The logical request's latency as of this copy (issue → now).
@@ -90,7 +95,8 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
     /// Steers a read of replica group `rgid` toward a replica — freshly
     /// issued, or re-steered after a timeout (fault runs): client-side
     /// selection over the group's replica set, borrowed from
-    /// `core.ring`, or in-network forwarding, which never looks at it.
+    /// `core.ring`, or in-network forwarding, which only stamps it on
+    /// the packet (the RGID header field) for the RSNode to read.
     fn steer_read(
         &mut self,
         core: &mut Core<D>,
@@ -286,6 +292,15 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
     /// Number of traffic groups currently degraded to DRS.
     fn drs_groups(&self) -> usize {
         0
+    }
+
+    /// Test hook: per client, the memoized ToR ingress verdict (if any)
+    /// beside the one a fresh pipeline run gives. Empty for schemes that
+    /// memoize nothing.
+    #[cfg(test)]
+    fn ingress_verdicts(&self, core: &Core<D>) -> Vec<IngressVerdicts> {
+        let _ = core;
+        Vec::new()
     }
 
     /// The scheme's contribution to end-of-run statistics.

@@ -15,13 +15,13 @@ use netrs::{
     TrafficGroups, TrafficMatrix,
 };
 use netrs_netdev::{
-    Accelerator, CacheStats, IngressAction, Monitor, NetRsRules, PacketMeta, RsOperator,
+    Accelerator, CacheStats, GroupId, IngressAction, Monitor, NetRsRules, PacketMeta, RsOperator,
 };
 use netrs_selection::Feedback;
 use netrs_simcore::{
     DeviceCounter, DeviceId, DeviceProbe, EventQueue, NoDeviceProbe, SimDuration, SimRng, SimTime,
 };
-use netrs_topology::{FatTree, SwitchId};
+use netrs_topology::{FatTree, HostId, SwitchId};
 use netrs_wire::{MagicField, RsnodeId};
 
 use crate::cluster::{Ev, ReqId};
@@ -84,6 +84,19 @@ fn oracle_traffic<D: DeviceProbe>(core: &Core<D>, groups: &TrafficGroups) -> Tra
         &core.client_rates(),
         &core.server_hosts,
     )
+}
+
+/// Runs a read freshly issued by `client`, bound for its `backup`
+/// replica's host, through the ingress pipeline of the client's ToR.
+fn tor_ingress(tor: &NetRsRules, client: HostId, rgid: u32, backup: HostId) -> IngressAction {
+    let mut pkt = PacketMeta::Request {
+        rid: RsnodeId(0),
+        magic: MagicField::REQUEST,
+        rgid,
+        src_host: client.0,
+        dst_host: backup.0,
+    };
+    tor.ingress(&mut pkt, true)
 }
 
 /// The placement instance an oracle-planned NetRS-ILP run solves at
@@ -169,8 +182,18 @@ impl CoherenceBatches {
 /// whether the re-plan timer runs.
 pub(crate) struct InNetwork {
     groups: TrafficGroups,
+    /// Traffic group of each client, by client index: the id its ToR's
+    /// monitor counts the client's responses under. (Not the request's
+    /// replication group — that id space belongs to the ring.)
+    group_of_client: Vec<GroupId>,
     controller: NetRsController,
     rules: SwitchTable<NetRsRules>,
+    /// What `rules` made of each client's last freshly issued read at its
+    /// ToR; `None` until the client issues one under the current rules.
+    /// Exact only while `NetRsRules::ingress_request` matches on
+    /// `src_host` alone (of a host-facing request with an unset RID), and
+    /// while [`InNetwork::redeploy`] is the only way the rules change.
+    ingress_memo: Vec<Option<IngressAction>>,
     operators: SwitchTable<RsOperator>,
     monitors: SwitchTable<Monitor>,
     /// Retired accelerators kept so end-of-run statistics still see the
@@ -224,8 +247,19 @@ impl InNetwork {
         };
         let num_switches = core.fabric.topo.num_switches();
         let rules = SwitchTable::from_map(num_switches, controller.deploy(&groups));
+        let group_of_client: Vec<GroupId> = core
+            .client_hosts
+            .iter()
+            .map(|&h| {
+                groups
+                    .group_of_host(h)
+                    .expect("clients always have a traffic group")
+            })
+            .collect();
         let mut net = InNetwork {
             groups,
+            ingress_memo: vec![None; group_of_client.len()],
+            group_of_client,
             controller,
             rules,
             operators: SwitchTable::new(num_switches),
@@ -286,6 +320,15 @@ impl InNetwork {
         self.retired_operators
             .extend(self.operators.drain().map(|(_, op)| op));
         self.operators = next;
+    }
+
+    /// Compiles the controller's current plan into the switches' rules —
+    /// the one place they change, so the memoized ingress verdicts go
+    /// with the rules they were computed from.
+    fn redeploy(&mut self) {
+        self.rules
+            .reset_from_map(self.controller.deploy(&self.groups));
+        self.ingress_memo.fill(None);
     }
 
     fn forward_to_backup<D: DeviceProbe>(
@@ -385,24 +428,21 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        _rgid: u32,
+        rgid: u32,
         queue: &mut EventQueue<Ev>,
     ) {
         let state = core.requests.get_mut(req.0).expect("request just created");
-        let client_host = core.client_hosts[state.client as usize];
-        let tor = core.fabric.topo.tor_of_host(client_host);
-        let mut pkt = PacketMeta::Request {
-            rid: RsnodeId(0),
-            magic: MagicField::REQUEST,
-            rgid: self
-                .groups
-                .group_of_host(client_host)
-                .expect("clients always have a traffic group"),
-            src_host: client_host.0,
-            dst_host: core.server_hosts[state.backup.0 as usize].0,
-        };
-        let action = self.rules[tor].ingress(&mut pkt, true);
         let client_idx = state.client;
+        let client_host = core.client_hosts[client_idx as usize];
+        let tor = core.fabric.topo.tor_of_host(client_host);
+        // The ToR's verdict on a client's reads only changes with the
+        // rules: run the pipeline once per client and redeploy.
+        let ingress = || {
+            let backup_host = core.server_hosts[state.backup.0 as usize];
+            tor_ingress(&self.rules[tor], client_host, rgid, backup_host)
+        };
+        let action = *self.ingress_memo[client_idx as usize].get_or_insert_with(ingress);
+        debug_assert_eq!(action, ingress(), "stale ingress memo, client {client_idx}");
         match action {
             IngressAction::Forward => {
                 // Degraded Replica Selection: straight to the backup.
@@ -762,15 +802,14 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         if !info.first_completion || self.monitors.is_empty() {
             return;
         }
-        let client_host = core.client_hosts[info.client as usize];
+        let group = self.group_of_client[info.client as usize];
         let server_rack = core
             .fabric
             .topo
             .rack_of_host(core.server_hosts[info.token.server.0 as usize]);
         let marker = self.controller.marker_of_rack(server_rack);
-        let tor = core.fabric.topo.tor_of_host(client_host);
-        if let Some(m) = self.monitors.get_mut(tor) {
-            m.record(info.rgid, marker);
+        if let Some(m) = self.monitors.get_mut(self.groups.info(group).tor) {
+            m.record(group, marker);
         }
     }
 
@@ -830,14 +869,12 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 }
             }
         }
-        self.rules
-            .reset_from_map(self.controller.deploy(&self.groups));
+        self.redeploy();
     }
 
     fn fail_operator(&mut self, sw: SwitchId) -> Result<Vec<u32>, NotInNetwork> {
         let affected = self.controller.on_operator_failure(sw);
-        self.rules
-            .reset_from_map(self.controller.deploy(&self.groups));
+        self.redeploy();
         Ok(affected)
     }
 
@@ -867,8 +904,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             return Vec::new(); // never crashed (or already recovered)
         }
         let restored = self.controller.on_operator_recovery(sw);
-        self.rules
-            .reset_from_map(self.controller.deploy(&self.groups));
+        self.redeploy();
         let rsnodes = self.controller.current_plan().rsnodes();
         if !rsnodes.contains(&sw) {
             return restored; // a re-plan moved its groups elsewhere for good
@@ -1053,7 +1089,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             .iter_mut()
             .map(|(_, m)| m.snapshot(now))
             .collect();
-        let traffic = TrafficMatrix::from_snapshots(self.groups.len(), &snapshots);
+        let traffic = TrafficMatrix::from_snapshots(self.groups.len(), &snapshots)
+            .expect("monitors count under the traffic groups of their own ToR");
         // Windows stream out even when the re-plan below is skipped:
         // the control stream sees every snapshot the monitors took.
         if let Some(log) = core.control_log() {
@@ -1067,8 +1104,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         let (diff, stats) =
             self.controller
                 .plan_with_stats(&self.groups, &traffic, core.cfg.plan_solver);
-        self.rules
-            .reset_from_map(self.controller.deploy(&self.groups));
+        self.redeploy();
         self.rebuild_operators(
             &core.cfg,
             SimRng::from_seed(core.cfg.seed ^ 0xFEED_F00D ^ now.as_nanos()),
@@ -1116,6 +1152,15 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         (busy, self.operators.len() + self.retired_operators.len())
     }
 
+    #[cfg(test)]
+    fn ingress_verdicts(&self, core: &Core<D>) -> Vec<super::IngressVerdicts> {
+        let fresh = core.client_hosts.iter().map(|&client| {
+            let tor = core.fabric.topo.tor_of_host(client);
+            tor_ingress(&self.rules[tor], client, 0, core.server_hosts[0])
+        });
+        self.ingress_memo.iter().copied().zip(fresh).collect()
+    }
+
     fn control_stats(&self, now: SimTime, topo: &FatTree) -> ControlStats {
         let rsnode_census = self.controller.current_plan().tier_census(topo);
         // The table iterates in ascending switch order, so the float
@@ -1161,5 +1206,89 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             mean_selection_wait,
             cache: any_cache.then_some(cache_totals),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use netrs_faults::{FaultEvent, FaultPlan, TimedFault};
+    use netrs_simcore::Engine;
+
+    use super::*;
+    use crate::config::{OverloadPolicy, Scheme};
+    use crate::Cluster;
+
+    /// Every way the rules change — failure detection, operator recovery,
+    /// overload degradation, a monitored re-plan — on one cluster, with
+    /// every client's memoized ingress verdict checked against a fresh
+    /// pipeline run in between.
+    #[test]
+    fn ingress_memo_follows_every_redeploy() {
+        let ms = SimDuration::from_millis;
+        let mut cfg = SimConfig::small();
+        cfg.scheme = Scheme::NetRsIlp;
+        cfg.seed = 7;
+        cfg.plan_source = PlanSource::Monitored { interval: ms(250) };
+        // Any accelerator that saw traffic counts as overloaded.
+        cfg.overload = Some(OverloadPolicy {
+            interval: ms(100),
+            utilization_limit: 0.001,
+        });
+        // The bootstrap plan puts an RSNode on every client ToR.
+        let victim = Cluster::new(cfg.clone())
+            .current_plan()
+            .expect("NetRS scheme has a plan")
+            .rsnodes()
+            .into_iter()
+            .next()
+            .expect("plan has RSNodes");
+        let at = |t, fault| TimedFault { at: ms(t), fault };
+        cfg.faults = Some(FaultPlan {
+            events: vec![
+                at(30, FaultEvent::OperatorFail { switch: victim.0 }),
+                at(60, FaultEvent::OperatorRecover { switch: victim.0 }),
+            ],
+            ..FaultPlan::default()
+        });
+
+        let mut engine = Engine::new(Cluster::new(cfg));
+        let mut queue = std::mem::take(engine.queue_mut());
+        engine.world_mut().prime(&mut queue);
+        *engine.queue_mut() = queue;
+
+        // Each client reads every ~1.6 ms, so 10 ms past an event every
+        // memo has been refilled under the new rules.
+        let mut verdicts_at = |t| {
+            engine.run_until(SimTime::ZERO + ms(t));
+            let verdicts = engine.world().ingress_verdicts();
+            assert!(!verdicts.is_empty());
+            verdicts
+                .into_iter()
+                .enumerate()
+                .map(|(client, (memo, fresh))| {
+                    assert_eq!(memo, Some(fresh), "client {client} at {t} ms");
+                    fresh
+                })
+                .collect::<Vec<_>>()
+        };
+        let bootstrap = verdicts_at(25);
+        let detected = verdicts_at(50); // fail at 30, detected 1 ms later
+        let recovered = verdicts_at(90);
+        let degraded = verdicts_at(120); // overload check at 100
+        let replanned = verdicts_at(270); // re-plan at 250
+        assert!(bootstrap.contains(&IngressAction::ToAccelerator));
+        assert_ne!(bootstrap, detected, "the victim's groups fall back to DRS");
+        assert_eq!(bootstrap, recovered, "and return with it");
+        assert!(
+            degraded.iter().all(|&v| v == IngressAction::Forward),
+            "every operator saw traffic, so every group degrades: {degraded:?}"
+        );
+        assert!(
+            replanned.iter().all(|&v| v != IngressAction::Forward),
+            "the re-plan re-homes every group: {replanned:?}"
+        );
+        engine.run();
+        let cluster = engine.into_world();
+        assert_eq!(cluster.completed(), cluster.issued());
     }
 }

@@ -1063,7 +1063,6 @@ impl<D: DeviceProbe> Core<D> {
         }
         let latency = now - state.sent_at;
         let issue_idx = state.issue_idx;
-        let rgid = state.rgid;
         let drained = state.copies == 0;
         if drained {
             self.requests.remove(token.req.0);
@@ -1133,7 +1132,6 @@ impl<D: DeviceProbe> Core<D> {
             token,
             status,
             client: client_idx as u32,
-            rgid,
             first_completion,
             latency,
         })

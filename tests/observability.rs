@@ -458,7 +458,7 @@ fn snapshot_export_reaggregates_to_the_controllers_traffic_matrix() {
             snapshots.push(monitor.snapshot(clock));
         }
 
-        let direct = TrafficMatrix::from_snapshots(n_groups, &snapshots);
+        let direct = TrafficMatrix::from_snapshots(n_groups, &snapshots).unwrap();
 
         let jsonl: String = snapshots
             .iter()
@@ -476,7 +476,7 @@ fn snapshot_export_reaggregates_to_the_controllers_traffic_matrix() {
                 rebuild_snapshot(&rec)
             })
             .collect();
-        let reaggregated = TrafficMatrix::from_snapshots(n_groups, &rebuilt);
+        let reaggregated = TrafficMatrix::from_snapshots(n_groups, &rebuilt).unwrap();
 
         assert_eq!(
             direct.total().to_bits(),

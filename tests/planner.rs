@@ -2,14 +2,19 @@
 //! ILP → plan → deployed rules, against topologies of several sizes.
 
 use std::collections::BTreeSet;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 use netrs::{
     ControllerConfig, NetRsController, PlacementProblem, PlanConstraints, PlanSolver,
     TrafficGroups, TrafficMatrix,
 };
 use netrs_ilp::{solve_lp, LpStatus};
-use netrs_sim::{OraclePlacement, SimConfig};
-use netrs_simcore::SimRng;
+use netrs_sim::{
+    run_observed, ControlRecord, ObsOptions, OraclePlacement, PlanEventRecord, PlanSource,
+    RunStats, Scheme, SimConfig, SnapshotRecord, TraceRecord,
+};
+use netrs_simcore::{SimDuration, SimRng};
 use netrs_topology::{FatTree, HostId, Tier};
 
 fn random_deployment(
@@ -156,7 +161,7 @@ fn monitored_traffic_agrees_with_oracle_shape() {
         .values_mut()
         .map(|m| m.snapshot(netrs_simcore::SimTime::from_nanos(1_000_000_000)))
         .collect();
-    let measured = TrafficMatrix::from_snapshots(groups.len(), &snaps);
+    let measured = TrafficMatrix::from_snapshots(groups.len(), &snaps).unwrap();
 
     for g in 0..groups.len() as u32 {
         let o = oracle.tier_rates(g);
@@ -317,4 +322,190 @@ fn rsp_ex_objectives_and_effort_do_not_regress() {
         assert_eq!(plan.rsnodes().len() as f64, stats.objective, "{name}");
         assert!(stats.lp_iterations <= max_iterations, "{name}: {stats:?}");
     }
+}
+
+/// A `Write` sink the test can read back after the run consumed the box.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl SharedBuf {
+    fn lines(&self) -> Vec<String> {
+        let bytes = self.0.lock().unwrap();
+        let text = std::str::from_utf8(&bytes).expect("JSONL is UTF-8");
+        text.lines().map(str::to_owned).collect()
+    }
+}
+
+/// What a `PlanSource::Monitored` run measured and decided.
+struct MonitoredRun {
+    groups: TrafficGroups,
+    snapshots: Vec<SnapshotRecord>,
+    replans: Vec<PlanEventRecord>,
+    stats: RunStats,
+}
+
+/// Runs `cfg` under NetRS-ILP re-planned from its monitors every
+/// `interval_ms`, and checks the two laws of monitor accounting on the
+/// way out: a ToR's monitor counts only traffic groups homed at that ToR,
+/// and each window's counts, summed over the monitors, are the reads that
+/// first completed in the window — nothing dropped, nothing counted twice.
+fn monitored_run(mut cfg: SimConfig, interval_ms: u64) -> MonitoredRun {
+    cfg.scheme = Scheme::NetRsIlp;
+    cfg.plan_source = PlanSource::Monitored {
+        interval: SimDuration::from_millis(interval_ms),
+    };
+    let groups = OraclePlacement::of(cfg.clone()).groups;
+    let (trace, control) = (SharedBuf::default(), SharedBuf::default());
+    let out = run_observed(
+        cfg,
+        ObsOptions {
+            trace: Some(Box::new(trace.clone())),
+            control: Some(Box::new(control.clone())),
+            ..ObsOptions::default()
+        },
+    );
+    let mut snapshots = Vec::new();
+    let mut replans = Vec::new();
+    for line in control.lines() {
+        match serde_json::from_str(&line).expect("control line parses") {
+            ControlRecord::Snapshot(s) => snapshots.push(s),
+            ControlRecord::Plan(p) if p.trigger == "replan" => replans.push(p),
+            _ => {}
+        }
+    }
+    assert!(!snapshots.is_empty(), "the run must outlast one interval");
+
+    for snap in &snapshots {
+        for g in &snap.groups {
+            assert!(
+                (g.group as usize) < groups.len(),
+                "ToR {} counted under id {}, which is no traffic group",
+                snap.tor,
+                g.group
+            );
+            assert_eq!(
+                groups.info(g.group).tor.0,
+                snap.tor,
+                "ToR {} counted group {}, homed elsewhere",
+                snap.tor,
+                g.group
+            );
+        }
+    }
+
+    let mut first_reads: Vec<u64> = trace
+        .lines()
+        .iter()
+        .map(|l| serde_json::from_str::<TraceRecord>(l).expect("trace line parses"))
+        .filter(|r| r.first && !r.write)
+        .map(|r| r.received_ns)
+        .collect();
+    first_reads.sort_unstable();
+    let window_ends: BTreeSet<u64> = snapshots.iter().map(|s| s.to_ns).collect();
+    let mut counted = 0u64;
+    for end in window_ends {
+        counted += snapshots
+            .iter()
+            .filter(|s| s.to_ns == end)
+            .flat_map(|s| &s.groups)
+            .map(|g| g.counts.iter().sum::<u64>())
+            .sum::<u64>();
+        // A response landing on the snapshot instant itself falls on
+        // either side, by event order.
+        let before = first_reads.partition_point(|&t| t < end) as u64;
+        let through = first_reads.partition_point(|&t| t <= end) as u64;
+        assert!(
+            (before..=through).contains(&counted),
+            "monitors counted {counted} responses up to {end} ns, \
+             {before}..={through} reads first-completed by then"
+        );
+    }
+    MonitoredRun {
+        groups,
+        snapshots,
+        replans,
+        stats: out.stats,
+    }
+}
+
+#[test]
+fn monitors_count_each_first_read_once_under_its_own_group() {
+    // The golden `netrs-ilp-monitored` deployment.
+    let run = monitored_run(
+        SimConfig {
+            seed: 7,
+            ..SimConfig::small()
+        },
+        500,
+    );
+    assert_eq!(run.stats.replans, 1);
+    assert_eq!(run.replans.len(), 1);
+}
+
+#[test]
+fn monitored_replans_reach_the_oracle_plan_at_paper_scale() {
+    // At paper scale every rack group sends enough in 200 ms for the
+    // measured rates to sit close to the analytic ones, so the control
+    // loop must end up where the oracle starts: same instance, same
+    // number of RSNodes, accelerators inside their utilization cap.
+    let cfg = SimConfig {
+        requests: 60_000,
+        ..SimConfig::default()
+    };
+    let oracle = OraclePlacement::of(cfg.clone());
+    let (_, want) = PlacementProblem::new(
+        &oracle.topo,
+        &oracle.groups,
+        &oracle.traffic,
+        &oracle.constraints,
+    )
+    .solve_with_stats(cfg.plan_solver);
+    assert_eq!((want.variables, want.constraints), (1_769, 641));
+
+    let run = monitored_run(cfg, 200);
+    let first_window: Vec<&SnapshotRecord> =
+        run.snapshots.iter().filter(|s| s.from_ns == 0).collect();
+    assert_eq!(first_window.len(), run.groups.len(), "one monitor per rack");
+    for snap in first_window {
+        assert_eq!(
+            snap.groups.len(),
+            1,
+            "ToR {}: one key per monitor",
+            snap.tor
+        );
+    }
+    assert!(run.replans.len() >= 2, "{} re-plans", run.replans.len());
+    for plan in &run.replans {
+        let solve = plan.solve.as_ref().expect("a re-plan solves");
+        assert_eq!(
+            (solve.variables, solve.constraints),
+            (want.variables as u64, want.constraints as u64),
+            "re-plan at {} ns solved another instance than the oracle's",
+            plan.t_ns
+        );
+        assert_eq!(solve.objective, want.objective, "at {} ns", plan.t_ns);
+        assert_eq!(f64::from(plan.rsnodes), want.objective);
+        assert_eq!(plan.drs_groups, 0);
+    }
+    // End-of-run utilization is busy time over the whole run, bootstrap
+    // window included, so it may not exceed the cap the planner was given
+    // by more than measurement noise: 5 points of slack.
+    let cap = oracle.constraints.max_utilization;
+    assert!(
+        run.stats.max_accel_utilization <= cap + 0.05,
+        "an accelerator ran at {:.1} % against a {:.0} % cap",
+        100.0 * run.stats.max_accel_utilization,
+        100.0 * cap
+    );
 }
