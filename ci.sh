@@ -65,8 +65,8 @@ echo "==> memory smoke (paper-scale set-up stays small; only CliRS-R95 keeps per
 # set-up. 500 per-client latency histograms are 29 MB of it, and only
 # CliRS-R95 reads them: with them resident for every scheme these runs
 # peak at 29 MB, without at 6-7 MB.
-peak_rss_kb() { # BUILD SCHEME REQUESTS
-    "./target/$1/simulate" --scheme "$2" --requests "$3" --json 2>&1 >/dev/null \
+peak_rss_kb() { # BUILD SCHEME REQUESTS [SIMULATE ARGS...]
+    "./target/$1/simulate" --scheme "$2" --requests "$3" "${@:4}" --json 2>&1 >/dev/null \
         | sed -n 's/^engine: .*peak RSS \([0-9]*\) kB$/\1/p'
 }
 for scheme in clirs netrs-tor; do
@@ -82,6 +82,30 @@ cargo build -q --release -p netrs-sim --bin simulate
 short=$(peak_rss_kb release netrs-tor 100000)
 long=$(peak_rss_kb release netrs-tor 300000)
 [ $((100 * long)) -le $((115 * short)) ]
+# The same on the fault path (the benchmark's rw-faults-netrs-tor shape): a
+# completed read can leave a copy queued at an overloaded replica for
+# seconds, and a request table sized by the id span back to the oldest such
+# straggler doubles with the run (2.03x here; 262 144 slots for 3 652 live
+# requests at 400 000). Gated on the table's own counts, and on peak RSS
+# with room for the caches that are still warming (1.57x).
+cat > "$SMOKE/rw-plan.json" <<'PLAN'
+{"events": [
+  {"at": 200000000, "fault": {"ServerCrash": {"server": 0}}},
+  {"at": 400000000, "fault": {"ServerRecover": {"server": 0}}},
+  {"at": 600000000, "fault": {"PacketLossBurst": {"probability": 0.02, "duration": 100000000}}}
+]}
+PLAN
+rw_faults=(--utilization 0.7 --write-fraction 0.1 --consistency quorum:2 --hot-cache 1024
+    --faults "$SMOKE/rw-plan.json")
+short=$(peak_rss_kb release netrs-tor 100000 "${rw_faults[@]}")
+long=$(peak_rss_kb release netrs-tor 300000 "${rw_faults[@]}" --perf "$SMOKE/rw-faults-perf.json")
+[ $((100 * long)) -le $((175 * short)) ]
+table_field() {
+    grep -A 3 '"request_table"' "$SMOKE/rw-faults-perf.json" \
+        | sed -n "s/.*\"$1\": \([0-9]*\).*/\1/p"
+}
+[ "$(table_field live_high_water)" -gt 0 ]
+[ "$(table_field slots)" -le $((8 * $(table_field live_high_water))) ]
 
 echo "==> perf smoke (tiny perf suite, artifact validates)"
 # Runs the perf harness end to end at test scale and validates the

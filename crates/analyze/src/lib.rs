@@ -1151,6 +1151,13 @@ fn kind_table(out: &mut String, run: &HostProfile) {
         "   queue: {} pushes · {} pops · high-water {} · depth log2-hist {:?}",
         run.queue.pushes, run.queue.pops, run.queue.high_water, run.queue.depth_hist
     );
+    if let Some(t) = &run.request_table {
+        let _ = writeln!(
+            out,
+            "   request table: {} slots · live high-water {} · overflow high-water {}",
+            t.slots, t.live_high_water, t.overflow_high_water
+        );
+    }
     if let Some(a) = &run.alloc {
         let _ = writeln!(
             out,
@@ -2071,7 +2078,7 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
     }
 
     fn host_profile(label: &str, events: u64, eps: f64) -> HostProfile {
-        use netrs_sim::{AllocStats, HostMeta, QueueStats, PERF_SCHEMA_VERSION};
+        use netrs_sim::{AllocStats, HostMeta, QueueStats, RequestTableStats, PERF_SCHEMA_VERSION};
         HostProfile {
             label: label.into(),
             schema_version: PERF_SCHEMA_VERSION,
@@ -2101,6 +2108,11 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
                 peak_bytes: 9_000_000,
             }),
             parallel: None,
+            request_table: Some(RequestTableStats {
+                slots: 1_024,
+                live_high_water: 310,
+                overflow_high_water: 4,
+            }),
             kinds: vec![
                 KindRecord {
                     kind: "Generate".into(),
@@ -2220,6 +2232,7 @@ NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
      server              3.000    66.7%        16000
      state               1.500    33.3%         2000
    queue: 18000 pushes · 18000 pops · high-water 420 · depth log2-hist [1, 2, 4]
+   request table: 1024 slots · live high-water 310 · overflow high-water 4
    alloc: 120 allocs · 100 deallocs · peak 9000000 bytes (0.007 allocs/event)
 
    trajectory (run · label · events/s · peak RSS kB · attributed):

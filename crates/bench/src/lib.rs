@@ -451,6 +451,7 @@ fn run_parallel_cell(cfg: &SimConfig, shards: u32, threads: usize, repeats: u32)
         },
         alloc: None,
         parallel,
+        request_table: None,
         kinds: Vec::new(),
     }
 }

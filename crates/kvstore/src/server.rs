@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use netrs_simcore::{Bimodal, SimDuration, SimRng, SimTime};
+use netrs_simcore::{round_to_u64, Bimodal, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::{ServerId, ServerStatus};
@@ -204,7 +204,7 @@ impl<T> Server<T> {
     pub fn status(&self) -> ServerStatus {
         ServerStatus {
             queue_len: self.queue_len(),
-            service_time_ns: self.svc_ewma_ns.round() as u64,
+            service_time_ns: round_to_u64(self.svc_ewma_ns),
         }
     }
 

@@ -123,6 +123,11 @@ impl CacheStats {
 /// counters). Fixed so the switch-side memory model stays bounded.
 const SKETCH_WIDTH: usize = 1024;
 
+/// Presence-filter bits per unit of capacity (4 KB at 1 024 entries).
+/// With at most `capacity` live keys and `capacity` stale bits between
+/// rebuilds, at most one bit in sixteen is set.
+const FILTER_BITS_PER_ENTRY: usize = 32;
+
 /// "No slot": list ends, the empty free list, vacant index buckets.
 const NIL: u32 = u32::MAX;
 
@@ -149,6 +154,14 @@ struct Slot {
 /// the recency list runs `head` (most recent) → `tail` (eviction
 /// victim). Both grow with the contents up to `capacity` and then stop:
 /// a warm cache never touches the heap.
+///
+/// A write's coherence message reaches every operator and finds its key
+/// cached at few of them, so [`HotKeyCache::apply_write`] first asks a
+/// presence filter — one bit per key-hash class — that answers
+/// "certainly absent" without touching the index. A key's bit is set
+/// when it is inserted and stays set when it is removed (a stale bit is
+/// a false positive that falls through to the real probe); every
+/// `capacity` removals the filter is rebuilt from the recency list.
 #[derive(Debug, Clone)]
 pub struct HotKeyCache {
     cfg: HotCacheConfig,
@@ -159,6 +172,13 @@ pub struct HotKeyCache {
     len: usize,
     /// Bucket → slot, `NIL` when vacant; a power of two long.
     index: Vec<u32>,
+    /// Presence filter: a power of two of bits, at least
+    /// [`FILTER_BITS_PER_ENTRY`] per unit of capacity. A clear bit means
+    /// no key of that hash class is cached.
+    filter: Vec<u64>,
+    /// Removals since the filter was last rebuilt — an upper bound on its
+    /// stale bits.
+    removed_since_rebuild: usize,
     stats: CacheStats,
     /// Count-min sketch rows for `Frequency` admission; empty under LRU.
     sketch: Vec<u32>,
@@ -177,6 +197,7 @@ impl HotKeyCache {
             CacheAdmission::Lru => Vec::new(),
             CacheAdmission::Frequency { .. } => vec![0; 2 * SKETCH_WIDTH],
         };
+        let filter_bits = (cfg.capacity * FILTER_BITS_PER_ENTRY).next_power_of_two();
         HotKeyCache {
             cfg,
             slots: Vec::new(),
@@ -185,6 +206,8 @@ impl HotKeyCache {
             free: NIL,
             len: 0,
             index: vec![NIL; MIN_BUCKETS],
+            filter: vec![0; filter_bits.div_ceil(64)],
+            removed_since_rebuild: 0,
             stats: CacheStats::default(),
             sketch,
         }
@@ -269,6 +292,10 @@ impl HotKeyCache {
     /// `Through` it is refreshed in place. Returns `true` when an entry
     /// was present.
     pub fn apply_write(&mut self, key: u64, version: u64) -> bool {
+        if !self.filter_test(key) {
+            debug_assert!(self.find(key).is_none(), "filter false negative");
+            return false;
+        }
         let Some((bucket, slot)) = self.find(key) else {
             return false;
         };
@@ -293,6 +320,8 @@ impl HotKeyCache {
         (self.head, self.tail, self.free) = (NIL, NIL, NIL);
         self.len = 0;
         self.index.fill(NIL);
+        self.filter.fill(0);
+        self.removed_since_rebuild = 0;
         self.sketch.fill(0);
     }
 
@@ -355,6 +384,44 @@ impl HotKeyCache {
         self.index[hole] = NIL;
     }
 
+    // ---- presence filter ------------------------------------------------
+
+    /// Word and bit of `key`'s hash class: its home among as many
+    /// buckets as the filter has bits.
+    fn filter_bit(&self, key: u64) -> (usize, u64) {
+        let bit = Self::home(key, self.filter.len() * 64);
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// `false` only if `key` is certainly not cached.
+    fn filter_test(&self, key: u64) -> bool {
+        let (word, mask) = self.filter_bit(key);
+        self.filter[word] & mask != 0
+    }
+
+    fn filter_set(&mut self, key: u64) {
+        let (word, mask) = self.filter_bit(key);
+        self.filter[word] |= mask;
+    }
+
+    /// Counts a removal and, once `capacity` of them have left stale bits
+    /// behind, rebuilds the filter from the keys still cached: one list
+    /// walk per `capacity` removals.
+    fn filter_note_removal(&mut self) {
+        self.removed_since_rebuild += 1;
+        if self.removed_since_rebuild < self.cfg.capacity {
+            return;
+        }
+        self.removed_since_rebuild = 0;
+        self.filter.fill(0);
+        let mut at = self.head;
+        while at != NIL {
+            let Slot { key, next, .. } = self.slots[at as usize];
+            self.filter_set(key);
+            at = next;
+        }
+    }
+
     // ---- slab + recency list --------------------------------------------
 
     /// Inserts an absent `key` as the most recently used entry. The
@@ -388,6 +455,7 @@ impl HotKeyCache {
             slot
         };
         Self::index_insert(&mut self.index, key, slot);
+        self.filter_set(key);
         self.link_front(slot);
         self.len += 1;
     }
@@ -407,6 +475,7 @@ impl HotKeyCache {
         self.slots[slot as usize].next = self.free;
         self.free = slot;
         self.len -= 1;
+        self.filter_note_removal();
     }
 
     /// Marks `slot` most recently used.
@@ -620,6 +689,13 @@ mod tests {
             assert_eq!(out.len(), self.len, "recency list and len agree");
             out
         }
+
+        /// No false negative: every cached key's filter bit is set.
+        fn assert_filter_covers_contents(&self) {
+            for &key in self.contents().keys() {
+                assert!(self.filter_test(key), "cached key {key} filtered out");
+            }
+        }
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -631,7 +707,9 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        let key = || 0u64..16;
+        // Sixteen keys scattered by a hash, so that at these capacities
+        // (64 to 256 filter classes) some of them share a filter bit.
+        let key = || (0u64..16).prop_map(hash64);
         // Lookups and admissions dominate, as on the data path; a flush
         // is the rare operator fail-stop.
         prop_oneof![
@@ -651,6 +729,12 @@ mod tests {
         /// The linked-list cache is observably the scan-based one: same
         /// return values, counters and contents over any operation
         /// sequence, for every admission × write-policy combination.
+        /// Each case ends in a churn over all sixteen keys — more than
+        /// `capacity` removals, a flush, then twice `capacity` more — so
+        /// the presence filter is rebuilt before and after a flush, with
+        /// every key's coherence message checked against the reference
+        /// in between (a filter false negative is a mismatch) and every
+        /// cached key's bit checked after every operation.
         #[test]
         fn linked_cache_matches_the_scan_reference(
             capacity in 1usize..=8,
@@ -672,7 +756,7 @@ mod tests {
             };
             let mut fast = HotKeyCache::new(cfg);
             let mut slow = ScanCache::new(cfg);
-            for (i, op) in ops.into_iter().enumerate() {
+            let mut step = |op: Op, i: usize| {
                 match op {
                     Op::Lookup(k) => prop_assert_eq!(fast.lookup(k), slow.lookup(k), "op {}", i),
                     Op::Admit(k, v, o) => prop_assert_eq!(
@@ -691,6 +775,35 @@ mod tests {
                 prop_assert_eq!(fast.stats(), slow.stats(), "op {}", i);
                 prop_assert_eq!(fast.len(), slow.contents().len(), "op {}", i);
                 prop_assert!(fast.len() <= capacity);
+                fast.assert_filter_covers_contents();
+                let s = fast.stats();
+                s.evictions + if through { 0 } else { s.invalidations }
+            };
+            let mut removals = 0;
+            let mut i = 0;
+            for op in ops {
+                removals = step(op, i);
+                i += 1;
+            }
+            // Sixteen keys through at most eight slots: every admission
+            // of an absent key evicts. The lookups feed the frequency
+            // sketch past any threshold.
+            for (goal, then) in [(capacity + 1, Some(Op::Flush)), (2 * capacity, None)] {
+                let goal = removals + goal as u64;
+                while removals < goal {
+                    let k = i as u64 % 16;
+                    for op in [
+                        Op::Lookup(hash64(k)),
+                        Op::Admit(hash64(k), i as u64, 0),
+                        Op::ApplyWrite(hash64((k * 7 + 3) % 16), i as u64),
+                    ] {
+                        removals = step(op, i);
+                        i += 1;
+                    }
+                }
+                if let Some(op) = then {
+                    step(op, i);
+                }
             }
             prop_assert_eq!(fast.contents(), slow.contents());
         }
@@ -725,6 +838,7 @@ mod tests {
             }
         }
         assert_eq!(c.contents(), model);
+        c.assert_filter_covers_contents();
         assert!(c.stats().evictions > 0 && c.stats().invalidations > 0);
         assert_eq!(c.index.len(), 2_048, "at most half full at capacity");
     }

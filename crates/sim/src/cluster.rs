@@ -43,6 +43,7 @@ use netrs_faults::FaultEvent;
 
 use crate::config::SimConfig;
 use crate::obs::{DeviceStatsReport, PlanEventRecord, SamplerSpec, TimeSeries};
+use crate::perf::RequestTableStats;
 use crate::policy::{NotInNetwork, SchemePolicy};
 use crate::server::ServerToken;
 use crate::state::{Core, GenOutcome, RetryAction};
@@ -199,6 +200,17 @@ impl Cluster {
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
         Cluster::with_device_probe(cfg, NoDeviceProbe)
+    }
+
+    /// A sequential engine over a fresh cluster for `cfg`, primed and
+    /// ready to step.
+    #[cfg(test)]
+    pub(crate) fn primed_engine(cfg: SimConfig) -> netrs_simcore::Engine<Cluster> {
+        let mut engine = netrs_simcore::Engine::new(Cluster::new(cfg));
+        let mut queue = std::mem::take(engine.queue_mut());
+        engine.world_mut().prime(&mut queue);
+        *engine.queue_mut() = queue;
+        engine
     }
 }
 
@@ -469,6 +481,17 @@ impl<D: DeviceProbe> Cluster<D> {
         self.core.completed
     }
 
+    /// How big the request table is and how full it ever got.
+    pub(crate) fn request_table_stats(&self) -> RequestTableStats {
+        self.core.requests.stats()
+    }
+
+    /// See [`SchemePolicy::fanout_templates`].
+    #[cfg(test)]
+    pub(crate) fn fanout_templates(&mut self) -> Vec<crate::policy::FanoutTemplates> {
+        self.policy.fanout_templates(&mut self.core)
+    }
+
     /// See [`SchemePolicy::ingress_verdicts`].
     #[cfg(test)]
     pub(crate) fn ingress_verdicts(&self) -> Vec<crate::policy::IngressVerdicts> {
@@ -670,5 +693,70 @@ impl<D: DeviceProbe + Send> ParallelWorld for Cluster<D> {
 
     fn lookahead(&self) -> SimDuration {
         self.core.replica_lookahead()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use netrs_faults::{FaultPlan, TimedFault};
+    use netrs_netdev::HotCacheConfig;
+
+    use super::*;
+    use crate::config::{Scheme, WriteConsistency};
+
+    /// The benchmark's `rw-faults-netrs-tor` shape at test scale: the
+    /// request table stays the size of what is live while stragglers pile
+    /// up behind a crashed server and a loss burst, and the run drains —
+    /// asserted, not `debug_assert`ed, so release builds check it too.
+    #[test]
+    fn request_table_follows_what_is_live_through_faults_and_drains() {
+        let ms = SimDuration::from_millis;
+        let mut cfg = SimConfig::small();
+        cfg.scheme = Scheme::NetRsToR;
+        cfg.seed = 3;
+        cfg.requests = 20_000;
+        cfg.utilization = 0.7;
+        cfg.write_fraction = 0.1;
+        cfg.write_consistency = WriteConsistency::Quorum { w: 2 };
+        cfg.hot_cache = Some(HotCacheConfig {
+            capacity: 64,
+            ..HotCacheConfig::default()
+        });
+        let at = |t, fault| TimedFault { at: ms(t), fault };
+        cfg.faults = Some(FaultPlan {
+            events: vec![
+                at(200, FaultEvent::ServerCrash { server: 1 }),
+                at(400, FaultEvent::ServerRecover { server: 1 }),
+                at(
+                    600,
+                    FaultEvent::PacketLossBurst {
+                        probability: 0.02,
+                        duration: ms(100),
+                    },
+                ),
+            ],
+            ..FaultPlan::default()
+        });
+
+        let mut engine = Cluster::primed_engine(cfg);
+        let mut t = SimTime::ZERO;
+        while !engine.queue().is_empty() {
+            t += ms(10);
+            engine.run_until(t);
+            let table = engine.world().request_table_stats();
+            assert!(
+                table.slots <= 4 * table.live_high_water.max(16),
+                "at {t}: {table:?}"
+            );
+            assert!(table.overflow_high_water <= table.live_high_water);
+        }
+        let cluster = engine.into_world();
+        assert!(cluster.drained(), "simulation ended with work outstanding");
+        assert_eq!(cluster.issued(), 20_000);
+        let table = cluster.request_table_stats();
+        assert!(
+            table.overflow_high_water > 0,
+            "no straggler was ever lapped: {table:?}"
+        );
     }
 }

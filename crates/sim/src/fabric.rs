@@ -102,7 +102,9 @@ impl<D: DeviceProbe> Fabric<D> {
         self.degraded.remove(&link);
     }
 
-    fn links_healthy(&self) -> bool {
+    /// Whether no link is failed or degraded: timing is then closed-form
+    /// in the hop count, whatever the flow hash.
+    pub(crate) fn links_healthy(&self) -> bool {
         self.dead.is_empty() && self.degraded.is_empty()
     }
 

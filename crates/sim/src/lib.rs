@@ -58,7 +58,7 @@ pub use obs::{
 };
 pub use perf::{
     AllocStats, HostMeta, HostProfile, KindRecord, ParallelPerf, PerfArtifact, QueueStats,
-    PERF_SCHEMA_VERSION,
+    RequestTableStats, PERF_SCHEMA_VERSION,
 };
 pub use policy::{NotInNetwork, OraclePlacement};
 pub use runner::{

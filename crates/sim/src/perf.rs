@@ -10,7 +10,8 @@
 //! on-disk history: `schema_version` plus an append-only list of runs.
 //!
 //! The JSON schema is the field order of the structs below; the optional
-//! `alloc` and `parallel` blocks are omitted (never null) when absent.
+//! `alloc`, `parallel` and `request_table` blocks are omitted (never
+//! null) when absent.
 
 use netrs_simcore::{PerfReport, DEPTH_BUCKETS};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -193,6 +194,19 @@ pub struct ParallelPerf {
     pub busy_imbalance: f64,
 }
 
+/// How big the run's request table got. Counts, not clocks: they repeat
+/// exactly for a fixed config, so a table that starts growing with run
+/// length again shows on any box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RequestTableStats {
+    /// Ring slots allocated at the end of the run.
+    pub slots: u64,
+    /// Most requests ever live at once (ring and overflow together).
+    pub live_high_water: u64,
+    /// Most stragglers ever held aside in the overflow map at once.
+    pub overflow_high_water: u64,
+}
+
 /// One row of the per-event-kind attribution table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KindRecord {
@@ -250,6 +264,10 @@ pub struct HostProfile {
     /// rows.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub parallel: Option<ParallelPerf>,
+    /// Request-table size; absent on rows not measured on one cluster's
+    /// run (the `sharded-parallel` suite) or written before it existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub request_table: Option<RequestTableStats>,
     /// Per-event-kind attribution, [`EV_KINDS`] order, zero-count kinds
     /// included (empty on rows measured without the profiler).
     pub kinds: Vec<KindRecord>,
@@ -379,6 +397,7 @@ mod tests {
             },
             alloc: None,
             parallel: None,
+            request_table: None,
             kinds: vec![
                 KindRecord {
                     kind: "Generate".into(),

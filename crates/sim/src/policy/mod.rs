@@ -26,6 +26,8 @@ use crate::server::ServerToken;
 use crate::state::Core;
 
 pub(crate) use self::client::{CliRsPolicy, CliRsR95Policy};
+#[cfg(test)]
+pub(crate) use self::netrs::FanoutTemplate;
 pub(crate) use self::netrs::InNetwork;
 pub use self::netrs::OraclePlacement;
 
@@ -62,6 +64,11 @@ pub(crate) type IngressVerdicts = (
     Option<netrs_netdev::IngressAction>,
     netrs_netdev::IngressAction,
 );
+
+/// The memoized coherence fan-out of a client's rack, if any, and what a
+/// fresh run of the fan-out loop gives for that client.
+#[cfg(test)]
+pub(crate) type FanoutTemplates = (Option<FanoutTemplate>, FanoutTemplate);
 
 /// Context of one received (non-write) response copy, handed to
 /// [`SchemePolicy::on_reply`] after [`Core::receive_reply`] has done the
@@ -299,6 +306,16 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
     /// memoize nothing.
     #[cfg(test)]
     fn ingress_verdicts(&self, core: &Core<D>) -> Vec<IngressVerdicts> {
+        let _ = core;
+        Vec::new()
+    }
+
+    /// Test hook: per client, its rack's memoized coherence fan-out (if
+    /// any) beside the one a fresh run of the fan-out loop gives. Empty
+    /// for schemes that memoize nothing, and while a link is dead or
+    /// degraded (no memo is consulted then).
+    #[cfg(test)]
+    fn fanout_templates(&self, core: &mut Core<D>) -> Vec<FanoutTemplates> {
         let _ = core;
         Vec::new()
     }

@@ -153,6 +153,17 @@ struct CoherenceBatches {
 }
 
 impl CoherenceBatches {
+    /// Opens a batch of the current write for `(latency, shard)` on a
+    /// recycled operator list.
+    fn open(&mut self, latency: SimDuration, shard: u32) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.ops.push(Vec::new());
+            (self.ops.len() - 1) as u32
+        });
+        self.open.push((latency, shard, id));
+        id
+    }
+
     /// Adds `op` to the current write's batch for `(latency, shard)`,
     /// opening it if this is the first such operator.
     fn join(&mut self, latency: SimDuration, shard: u32, op: SwitchId) {
@@ -162,17 +173,29 @@ impl CoherenceBatches {
             .find(|&&(l, s, _)| l == latency && s == shard);
         let id = match open {
             Some(&(_, _, id)) => id,
-            None => {
-                let id = self.free.pop().unwrap_or_else(|| {
-                    self.ops.push(Vec::new());
-                    (self.ops.len() - 1) as u32
-                });
-                self.open.push((latency, shard, id));
-                id
-            }
+            None => self.open(latency, shard),
         };
         self.ops[id as usize].push(op);
     }
+
+    /// A copy of the batches the current write has open.
+    fn template(&self) -> FanoutTemplate {
+        let open = self.open.iter();
+        open.map(|&(latency, shard, id)| (latency, shard, self.ops[id as usize].clone()))
+            .collect()
+    }
+}
+
+/// The batches a write from one client rack fans out into on a healthy
+/// fabric, in opening order: `(arrival latency, owning shard, operators
+/// ascending)`.
+pub(crate) type FanoutTemplate = Vec<(SimDuration, u32, Vec<SwitchId>)>;
+
+#[cfg(test)]
+thread_local! {
+    /// Test switch: every write runs the fan-out loop, as if the memo did
+    /// not exist (the reference a memoized run must match byte for byte).
+    static NO_FANOUT_MEMO: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The policy object of both in-network schemes: the controller with its
@@ -211,6 +234,14 @@ pub(crate) struct InNetwork {
     bootstrap: Option<(PlanDiff, Option<PlanSolveStats>)>,
     /// Coherence fan-out batches between issue and arrival.
     batches: CoherenceBatches,
+    /// What the fan-out loop of [`InNetwork::on_write_issued`] made of the
+    /// last write from each client rack (by ToR id); `None` until the rack
+    /// writes under the current operator set. Exact only on a healthy
+    /// fabric — there a message's latency is `hops × link_latency`, a
+    /// function of the client's rack and the operator's switch alone —
+    /// and while [`InNetwork::operators_changed`] follows every change to
+    /// the live operator set.
+    fanout_memo: Vec<Option<FanoutTemplate>>,
     /// How often the controller re-plans from monitor measurements;
     /// `None` when the initial plan stands for the whole run.
     replan_every: Option<SimDuration>,
@@ -269,6 +300,7 @@ impl InNetwork {
             dead_operators: BTreeSet::new(),
             bootstrap: Some(bootstrap),
             batches: CoherenceBatches::default(),
+            fanout_memo: vec![None; core.fabric.topo.num_tors() as usize],
             replan_every: match optimized {
                 Some(PlanSource::Monitored { interval }) => Some(interval),
                 _ => None,
@@ -320,6 +352,37 @@ impl InNetwork {
         self.retired_operators
             .extend(self.operators.drain().map(|(_, op)| op));
         self.operators = next;
+        self.operators_changed();
+    }
+
+    /// The live operator set changed (a re-plan, a crash, a recovery):
+    /// the memoized fan-outs named the old set.
+    fn operators_changed(&mut self) {
+        self.fanout_memo.fill(None);
+    }
+
+    /// Sends one coherence message from `client_host` to every live
+    /// operator (ascending switch order), each over the real — possibly
+    /// severed or degraded — network, joining messages that arrive at the
+    /// same instant on the same shard into one open batch.
+    fn fan_out<D: DeviceProbe>(
+        operators: &SwitchTable<RsOperator>,
+        batches: &mut CoherenceBatches,
+        core: &mut Core<D>,
+        client_host: HostId,
+        hash: u64,
+    ) {
+        for op in operators.keys() {
+            let Some(latency) = core.fabric.try_host_to_switch(client_host, op, hash) else {
+                // No live path: the message is lost and any cached entry
+                // at `op` goes stale until evicted or re-admitted.
+                core.fabric
+                    .devices
+                    .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
+                continue;
+            };
+            batches.join(latency, core.shard_of_switch(op), op);
+        }
     }
 
     /// Compiles the controller's current plan into the switches' rules —
@@ -890,6 +953,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 cache.flush();
             }
             self.retired_operators.push(op);
+            self.operators_changed();
         }
         self.dead_operators.insert(sw);
         true
@@ -928,6 +992,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 None => op,
             }
         });
+        self.operators_changed();
         restored
     }
 
@@ -941,6 +1006,13 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
     /// contiguous in the queue's `(time, shard, seq)` order; delivering
     /// it as one event in ascending switch order keeps every loss draw
     /// where it was.
+    ///
+    /// With a link dead or degraded the per-message flow hash picks each
+    /// path, so [`InNetwork::fan_out`] runs for every write. On a healthy
+    /// fabric it comes out the same for every write from one rack: it
+    /// runs for the rack's first write under the current operator set and
+    /// later writes copy its batches — same batches, same operator order,
+    /// opened and scheduled in the same order.
     fn on_write_issued(
         &mut self,
         core: &mut Core<D>,
@@ -957,17 +1029,24 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         };
         let client_host = core.client_hosts[state.client as usize];
         let version = core.versions.get(key);
-        let hash = flow_hash(req, 37);
-        for op in self.operators.keys() {
-            let Some(latency) = core.fabric.try_host_to_switch(client_host, op, hash) else {
-                // No live path: the message is lost and any cached entry
-                // at `op` goes stale until evicted or re-admitted.
-                core.fabric
-                    .devices
-                    .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
-                continue;
-            };
-            self.batches.join(latency, core.shard_of_switch(op), op);
+        let memoize = core.fabric.links_healthy();
+        #[cfg(test)]
+        let memoize = memoize && !NO_FANOUT_MEMO.get();
+        let rack = core.fabric.topo.rack_of_host(client_host) as usize;
+        match &self.fanout_memo[rack] {
+            Some(template) if memoize => {
+                for (latency, shard, ops) in template {
+                    let batch = self.batches.open(*latency, *shard);
+                    self.batches.ops[batch as usize].extend_from_slice(ops);
+                }
+            }
+            _ => {
+                let hash = flow_hash(req, 37);
+                Self::fan_out(&self.operators, &mut self.batches, core, client_host, hash);
+                if memoize {
+                    self.fanout_memo[rack] = Some(self.batches.template());
+                }
+            }
         }
         for (latency, _, batch) in self.batches.open.drain(..) {
             let lead = self.batches.ops[batch as usize][0];
@@ -1153,6 +1232,21 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
     }
 
     #[cfg(test)]
+    fn fanout_templates(&self, core: &mut Core<D>) -> Vec<super::FanoutTemplates> {
+        if !core.fabric.links_healthy() {
+            return Vec::new(); // nothing memoized is consulted
+        }
+        let hosts = core.client_hosts.clone();
+        let fresh = hosts.into_iter().map(|client| {
+            let mut scratch = CoherenceBatches::default();
+            Self::fan_out(&self.operators, &mut scratch, core, client, 0);
+            let rack = core.fabric.topo.rack_of_host(client) as usize;
+            (self.fanout_memo[rack].clone(), scratch.template())
+        });
+        fresh.collect()
+    }
+
+    #[cfg(test)]
     fn ingress_verdicts(&self, core: &Core<D>) -> Vec<super::IngressVerdicts> {
         let fresh = core.client_hosts.iter().map(|&client| {
             let tor = core.fabric.topo.tor_of_host(client);
@@ -1211,30 +1305,31 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
 
 #[cfg(test)]
 mod tests {
-    use netrs_faults::{FaultEvent, FaultPlan, TimedFault};
-    use netrs_simcore::Engine;
+    use netrs_faults::{FaultEvent, FaultPlan, LinkRef, TimedFault};
+    use netrs_netdev::HotCacheConfig;
 
     use super::*;
     use crate::config::{OverloadPolicy, Scheme};
     use crate::Cluster;
 
-    /// Every way the rules change — failure detection, operator recovery,
-    /// overload degradation, a monitored re-plan — on one cluster, with
-    /// every client's memoized ingress verdict checked against a fresh
-    /// pipeline run in between.
-    #[test]
-    fn ingress_memo_follows_every_redeploy() {
-        let ms = SimDuration::from_millis;
+    const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
+
+    /// A small monitored NetRS-ILP cluster on which the rules and the
+    /// live operator set change in every way they can: `victim` (an
+    /// RSNode of the every-client-ToR bootstrap plan) fails at 30 ms, is
+    /// detected 1 ms later and recovers at 60 ms; the overload check at
+    /// 100 ms degrades every operator that saw traffic; the monitors
+    /// re-plan at 250 ms.
+    fn churning_cluster() -> (SimConfig, SwitchId) {
         let mut cfg = SimConfig::small();
         cfg.scheme = Scheme::NetRsIlp;
         cfg.seed = 7;
-        cfg.plan_source = PlanSource::Monitored { interval: ms(250) };
+        cfg.plan_source = PlanSource::Monitored { interval: MS(250) };
         // Any accelerator that saw traffic counts as overloaded.
         cfg.overload = Some(OverloadPolicy {
-            interval: ms(100),
+            interval: MS(100),
             utilization_limit: 0.001,
         });
-        // The bootstrap plan puts an RSNode on every client ToR.
         let victim = Cluster::new(cfg.clone())
             .current_plan()
             .expect("NetRS scheme has a plan")
@@ -1242,24 +1337,35 @@ mod tests {
             .into_iter()
             .next()
             .expect("plan has RSNodes");
-        let at = |t, fault| TimedFault { at: ms(t), fault };
         cfg.faults = Some(FaultPlan {
             events: vec![
-                at(30, FaultEvent::OperatorFail { switch: victim.0 }),
-                at(60, FaultEvent::OperatorRecover { switch: victim.0 }),
+                fault_at(30, FaultEvent::OperatorFail { switch: victim.0 }),
+                fault_at(60, FaultEvent::OperatorRecover { switch: victim.0 }),
             ],
             ..FaultPlan::default()
         });
+        (cfg, victim)
+    }
 
-        let mut engine = Engine::new(Cluster::new(cfg));
-        let mut queue = std::mem::take(engine.queue_mut());
-        engine.world_mut().prime(&mut queue);
-        *engine.queue_mut() = queue;
+    fn fault_at(t_ms: u64, fault: FaultEvent) -> TimedFault {
+        TimedFault {
+            at: MS(t_ms),
+            fault,
+        }
+    }
+
+    /// Every way the rules change — failure detection, operator recovery,
+    /// overload degradation, a monitored re-plan — on one cluster, with
+    /// every client's memoized ingress verdict checked against a fresh
+    /// pipeline run in between.
+    #[test]
+    fn ingress_memo_follows_every_redeploy() {
+        let mut engine = Cluster::primed_engine(churning_cluster().0);
 
         // Each client reads every ~1.6 ms, so 10 ms past an event every
         // memo has been refilled under the new rules.
         let mut verdicts_at = |t| {
-            engine.run_until(SimTime::ZERO + ms(t));
+            engine.run_until(SimTime::ZERO + MS(t));
             let verdicts = engine.world().ingress_verdicts();
             assert!(!verdicts.is_empty());
             verdicts
@@ -1290,5 +1396,134 @@ mod tests {
         engine.run();
         let cluster = engine.into_world();
         assert_eq!(cluster.completed(), cluster.issued());
+    }
+
+    /// The churning cluster with writes, a hot-key cache and two link
+    /// faults: the ToR–aggregation link the first client's traffic to
+    /// another pod crosses triples its latency over 130–150 ms, and that
+    /// client's own uplink is dead over 170–190 ms.
+    fn churning_cluster_with_writes() -> (SimConfig, SwitchId) {
+        let (mut cfg, victim) = churning_cluster();
+        cfg.write_fraction = 0.2;
+        cfg.hot_cache = Some(HotCacheConfig {
+            capacity: 64,
+            ..HotCacheConfig::default()
+        });
+        let (core, _root) = crate::cluster::build_core(cfg.clone(), 1, NoDeviceProbe);
+        let topo = &core.fabric.topo;
+        let client = core.client_hosts[0];
+        let far_tor =
+            topo.tor_of_host(HostId((client.0 + topo.num_hosts() / 2) % topo.num_hosts()));
+        let up = topo.path_host_to_switch(client, far_tor, 0);
+        let uplink = LinkRef::SwitchLink {
+            a: up[0].0,
+            b: up[1].0,
+        };
+        let access = LinkRef::HostUplink { host: client.0 };
+        let plan = cfg.faults.as_mut().expect("operator faults planned");
+        plan.events.extend([
+            fault_at(
+                130,
+                FaultEvent::LinkDegrade {
+                    link: uplink,
+                    factor: 3.0,
+                },
+            ),
+            fault_at(150, FaultEvent::LinkRecover { link: uplink }),
+            fault_at(170, FaultEvent::LinkFail { link: access }),
+            fault_at(190, FaultEvent::LinkRecover { link: access }),
+        ]);
+        (cfg, victim)
+    }
+
+    /// Every way the live operator set changes — a crash, a recovery, a
+    /// monitored re-plan — and every link fault and recovery in between,
+    /// with each rack's memoized coherence fan-out checked against a
+    /// fresh run of the fan-out loop for every client.
+    #[test]
+    fn fanout_memo_follows_every_operator_change() {
+        let (cfg, victim) = churning_cluster_with_writes();
+        let mut engine = Cluster::primed_engine(cfg);
+        // Each client writes every ~8 ms, so 20 ms past a change most
+        // racks have fanned out under the new operator set.
+        let mut operators_at = |t, healthy: bool| {
+            engine.run_until(SimTime::ZERO + MS(t));
+            let templates = engine.world_mut().fanout_templates();
+            if !healthy {
+                assert!(templates.is_empty(), "no memo is consulted at {t} ms");
+                return Vec::new();
+            }
+            let memoized = templates.iter().filter(|(memo, _)| memo.is_some()).count();
+            assert!(memoized > 0, "no rack has written by {t} ms");
+            for (client, (memo, fresh)) in templates.iter().enumerate() {
+                if let Some(memo) = memo {
+                    assert_eq!(memo, fresh, "client {client} at {t} ms");
+                }
+            }
+            // The operators a write reaches, whatever the batching.
+            let mut reached: Vec<SwitchId> = templates[0]
+                .1
+                .iter()
+                .flat_map(|(_, _, ops)| ops.iter().copied())
+                .collect();
+            reached.sort_unstable();
+            reached
+        };
+        let bootstrap = operators_at(28, true);
+        let crashed = operators_at(55, true); // failed at 30
+        let recovered = operators_at(95, true); // back at 60
+        let degraded = operators_at(125, true); // overload check at 100
+        operators_at(145, false); // ToR uplink degraded over 130–150
+        let relinked = operators_at(165, true);
+        operators_at(185, false); // access link dead over 170–190
+        let reattached = operators_at(245, true);
+        let replanned = operators_at(290, true); // re-plan at 250
+        assert!(bootstrap.contains(&victim));
+        assert!(
+            !crashed.contains(&victim),
+            "a dead operator gets no message"
+        );
+        assert_eq!(bootstrap, recovered);
+        assert_eq!(recovered, degraded, "degraded operators stay live");
+        assert_eq!(degraded, relinked);
+        assert_eq!(relinked, reattached);
+        assert_ne!(reattached, replanned, "the re-plan moves the RSNodes");
+        engine.run();
+        assert!(engine.world().drained());
+    }
+
+    /// While a link is dead or degraded the memo is bypassed, and a memo
+    /// filled before the fault is still right after it: the run is, byte
+    /// for byte, the run with the memo switched off.
+    #[test]
+    fn fanout_memo_run_matches_the_unmemoized_run() {
+        let (cfg, _) = churning_cluster_with_writes();
+        let run = |memo_off: bool| {
+            NO_FANOUT_MEMO.set(memo_off);
+            let obs = crate::ObsOptions {
+                device_stats: true,
+                ..crate::ObsOptions::default()
+            };
+            let out = crate::run_observed(cfg.clone(), obs);
+            NO_FANOUT_MEMO.set(false);
+            let stats = serde_json::to_string(&out.stats).expect("stats serialize");
+            let devices = out.devices.expect("device stats requested").records;
+            let devices = serde_json::to_string(&devices).expect("devices serialize");
+            (stats, devices, out.stats)
+        };
+        let (stats, devices, parsed) = run(false);
+        let (plain_stats, plain_devices, _) = run(true);
+        assert_eq!(stats, plain_stats);
+        assert_eq!(devices, plain_devices);
+        let rw = parsed.rw.expect("cache runs carry an rw block");
+        assert!(
+            rw.cache_invalidations > 0,
+            "coherence messages found entries"
+        );
+        let availability = parsed.availability.expect("fault runs carry availability");
+        assert!(
+            availability.copies_dropped > 0,
+            "the dead uplink dropped copies"
+        );
     }
 }

@@ -11,7 +11,9 @@ use netrs_simcore::{
 use crate::cluster::Cluster;
 use crate::config::{Scheme, SimConfig};
 use crate::obs::{DeviceStatsReport, ObsOptions, TimeSeries};
-use crate::perf::{self, AllocStats, HostMeta, HostProfile, QueueStats, PERF_SCHEMA_VERSION};
+use crate::perf::{
+    self, AllocStats, HostMeta, HostProfile, QueueStats, RequestTableStats, PERF_SCHEMA_VERSION,
+};
 use crate::stats::{ParallelStats, RunStats};
 use netrs_simcore::ParallelShardedEngine;
 
@@ -85,7 +87,7 @@ fn run_observed_with<D: DeviceProbe>(cfg: SimConfig, mut obs: ObsOptions, device
             let requests = cfg.requests;
             let alloc_before = alloc_mark();
             let probe = PerfProbe::new(perf::kind_names(), popt.stride);
-            let (mut out, probe) = run_engine(cfg, obs, devices, probe);
+            let (mut out, probe, table) = run_engine(cfg, obs, devices, probe);
             out.perf = Some(host_profile(
                 scheme,
                 seed,
@@ -93,6 +95,7 @@ fn run_observed_with<D: DeviceProbe>(cfg: SimConfig, mut obs: ObsOptions, device
                 &out.profile,
                 &probe.report(),
                 alloc_since(alloc_before),
+                table,
             ));
             out
         }
@@ -105,7 +108,7 @@ fn run_engine<D: DeviceProbe, P: Probe>(
     obs: ObsOptions,
     devices: D,
     probe: P,
-) -> (RunOutput, P) {
+) -> (RunOutput, P, RequestTableStats) {
     let total_requests = cfg.requests;
     let mut cluster = Cluster::with_device_probe(cfg, devices);
     if let Some(w) = obs.trace {
@@ -153,6 +156,7 @@ fn run_engine<D: DeviceProbe, P: Probe>(
             busy_ns: None,
         },
         probe,
+        cluster.request_table_stats(),
     )
 }
 
@@ -201,7 +205,7 @@ fn run_observed_sharded_with<D: DeviceProbe>(
             let requests = cfg.requests;
             let alloc_before = alloc_mark();
             let probe = PerfProbe::new(perf::kind_names(), popt.stride);
-            let (mut out, probe) = run_engine_sharded(cfg, shards, obs, devices, probe);
+            let (mut out, probe, table) = run_engine_sharded(cfg, shards, obs, devices, probe);
             out.perf = Some(host_profile(
                 scheme,
                 seed,
@@ -209,6 +213,7 @@ fn run_observed_sharded_with<D: DeviceProbe>(
                 &out.profile,
                 &probe.report(),
                 alloc_since(alloc_before),
+                table,
             ));
             out
         }
@@ -222,7 +227,7 @@ fn run_engine_sharded<D: DeviceProbe, P: Probe>(
     obs: ObsOptions,
     devices: D,
     probe: P,
-) -> (RunOutput, P) {
+) -> (RunOutput, P, RequestTableStats) {
     let total_requests = cfg.requests;
     let mut cluster = Cluster::with_shards(cfg, shards, devices);
     if let Some(w) = obs.trace {
@@ -271,6 +276,7 @@ fn run_engine_sharded<D: DeviceProbe, P: Probe>(
             busy_ns: None,
         },
         probe,
+        cluster.request_table_stats(),
     )
 }
 
@@ -546,6 +552,7 @@ fn host_profile(
     profile: &EngineProfile,
     report: &PerfReport,
     alloc: Option<AllocStats>,
+    request_table: RequestTableStats,
 ) -> HostProfile {
     HostProfile {
         label: scheme.label().into(),
@@ -568,6 +575,7 @@ fn host_profile(
         },
         alloc,
         parallel: None,
+        request_table: Some(request_table),
         kinds: HostProfile::kinds_from_report(report),
     }
 }

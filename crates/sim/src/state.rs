@@ -365,7 +365,7 @@ impl<D: DeviceProbe> Core<D> {
             server_hosts,
             client_hosts,
             backup_rngs,
-            requests: RequestTable::with_capacity(1024),
+            requests: RequestTable::with_capacity(64),
             issued: 0,
             completed: 0,
             duplicates: 0,

@@ -80,5 +80,5 @@ pub use metrics::{Histogram, Summary};
 pub use parallel::{ParallelShardedEngine, ParallelWorld, WindowStats};
 pub use rng::{Bimodal, SimRng, Zipf};
 pub use shard::{Mailbox, ShardId, ShardedEngine, ShardedWorld};
-pub use time::{SimDuration, SimTime};
+pub use time::{round_to_u64, SimDuration, SimTime};
 pub use trace::{CollectingProbe, EngineProfile, NoProbe, Probe, RingSeries, Span};

@@ -9,7 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::time::SimDuration;
+use crate::time::{round_to_u64, SimDuration};
 
 /// A deterministic random stream for simulations.
 ///
@@ -158,7 +158,7 @@ impl SimRng {
 
     /// Exponential draw expressed as a [`SimDuration`].
     pub fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
-        SimDuration::from_nanos(self.exp(mean.as_nanos() as f64).round() as u64)
+        SimDuration::from_nanos(round_to_u64(self.exp(mean.as_nanos() as f64)))
     }
 
     /// Shuffles a slice in place (Fisher–Yates).

@@ -5,6 +5,30 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
+/// `x.round() as u64` without the call: on the baseline x86-64 target
+/// `f64::round` is a soft-float routine in `compiler_builtins`, and the
+/// request path rounds three times per request. Truncate, then round the
+/// fraction half away from zero. Below 2⁵² the fraction `x - t` is exact;
+/// from there up `x` is integral and it is zero; `as` saturates at both
+/// ends and maps NaN to 0, as it does after `round`. Equal to
+/// `x.round() as u64` for every `f64`.
+///
+/// # Examples
+///
+/// ```
+/// use netrs_simcore::round_to_u64;
+///
+/// assert_eq!(round_to_u64(2.5), 3);
+/// assert_eq!(round_to_u64(0.49999999999999994), 0);
+/// assert_eq!(round_to_u64(-1.0), 0);
+/// ```
+#[inline]
+#[must_use]
+pub fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 /// A point in simulated time, measured in integer nanoseconds since the
 /// start of the simulation.
 ///
@@ -121,7 +145,7 @@ impl SimDuration {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_to_u64(secs * 1e9))
     }
 
     /// Creates a duration from fractional microseconds, rounding to the
@@ -173,7 +197,7 @@ impl SimDuration {
     #[must_use]
     pub fn mul_f64(self, factor: f64) -> Self {
         assert!(factor >= 0.0, "duration factor must be non-negative");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 }
 
@@ -265,6 +289,43 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_to_u64_is_round_then_cast() {
+        let two52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324, // smallest subnormal
+            0.49999999999999994,
+            0.5,
+            0.9999999999999999,
+            1.0,
+            two52 - 0.5,
+            two52 - 1.0,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0,
+            two52 * 2.0 + 2.0,
+            u64::MAX as f64,
+            (u64::MAX as f64) * 2.0,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -0.5,
+            -3.7,
+            f64::NEG_INFINITY,
+        ];
+        for k in [0u64, 1, 2, 3, 1_000, 123_456_789, (1 << 51) - 1] {
+            let half = k as f64 + 0.5;
+            cases.extend([half, f64::from_bits(half.to_bits() - 1), half + 0.25]);
+        }
+        for x in cases {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
 
     #[test]
     fn time_arithmetic_round_trips() {

@@ -1,6 +1,8 @@
 //! Property-based tests for the simulation core.
 
-use netrs_simcore::{Engine, EventQueue, Histogram, SimDuration, SimRng, SimTime, World, Zipf};
+use netrs_simcore::{
+    round_to_u64, Engine, EventQueue, Histogram, SimDuration, SimRng, SimTime, World, Zipf,
+};
 use proptest::prelude::*;
 
 struct Collector {
@@ -15,6 +17,16 @@ impl World for Collector {
 }
 
 proptest! {
+    /// The libm-free rounding is `round` followed by the saturating cast,
+    /// on arbitrary bit patterns (NaNs, infinities, subnormals, negatives)
+    /// and on the nanosecond magnitudes the simulator feeds it.
+    #[test]
+    fn round_to_u64_matches_round_then_cast(bits in any::<u64>(), ns in 0.0f64..1e13) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+        prop_assert_eq!(round_to_u64(ns), ns.round() as u64, "x = {:e}", ns);
+    }
+
     /// The engine always delivers events in non-decreasing time order,
     /// regardless of insertion order.
     #[test]

@@ -35,7 +35,8 @@ use netrs_selection::CubicConfig;
 use netrs_sim::{
     run_observed, run_observed_sharded, AllocStats, CacheAdmission, CacheWritePolicy, FaultPlan,
     HostMeta, HostProfile, HotCacheConfig, KindRecord, ObsOptions, OverloadPolicy, ParallelPerf,
-    PerfOptions, PlanSource, QueueStats, Scheme, SimConfig, WriteConsistency, PERF_SCHEMA_VERSION,
+    PerfOptions, PlanSource, QueueStats, RequestTableStats, Scheme, SimConfig, WriteConsistency,
+    PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::SimDuration;
 
@@ -361,6 +362,7 @@ fn artifact_schemas_are_byte_identical() {
         },
         alloc: None,
         parallel: None,
+        request_table: None,
         kinds: vec![
             KindRecord {
                 kind: "Generate".into(),
@@ -393,9 +395,18 @@ fn artifact_schemas_are_byte_identical() {
         }),
         ..bare.clone()
     };
+    let sized = HostProfile {
+        request_table: Some(RequestTableStats {
+            slots: 4_096,
+            live_high_water: 1_700,
+            overflow_high_water: 310,
+        }),
+        ..bare.clone()
+    };
     for (name, profile) in [
         ("host-profile", bare),
         ("host-profile-alloc-parallel", full),
+        ("host-profile-request-table", sized),
     ] {
         let text = serde_json::to_string_pretty(&profile).expect("profile serializes");
         pin(&dir.join(format!("{name}.perf.json")), &text, regen);

@@ -8,8 +8,8 @@ use netrs_sim::{
     AllocStats, AvailabilityStats, CacheRecord, ControlRecord, DeviceRecord, DisplacedGroup,
     DrsSpanRecord, FaultEvent, FaultPlan, HopSpan, HostMeta, HostProfile, KindRecord,
     LatencyBreakdown, ParallelPerf, ParallelStats, PerfArtifact, PlanEventRecord, QueueStats,
-    RunStats, RwStats, SamplePoint, Scheme, SnapshotGroup, SnapshotRecord, SolveRecord, TimedFault,
-    TraceRecord, PERF_SCHEMA_VERSION,
+    RequestTableStats, RunStats, RwStats, SamplePoint, Scheme, SnapshotGroup, SnapshotRecord,
+    SolveRecord, TimedFault, TraceRecord, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::{SimDuration, SimTime, Summary};
 use serde::{Deserialize, Serialize, Value};
@@ -119,6 +119,11 @@ fn host_profile() -> HostProfile {
             windows: 4_882,
             events_per_window: 3.5,
             busy_imbalance: 1.25,
+        }),
+        request_table: Some(RequestTableStats {
+            slots: 4_096,
+            live_high_water: 1_700,
+            overflow_high_water: 310,
         }),
         kinds: vec![KindRecord {
             kind: "Generate".into(),
@@ -329,7 +334,18 @@ fn every_record_parser_rejects_bad_input() {
         None,
         &["availability", "rw", "parallel"],
     );
-    check(&host_profile(), "HostProfile", None, &["alloc", "parallel"]);
+    check(
+        &host_profile(),
+        "HostProfile",
+        None,
+        &["alloc", "parallel", "request_table"],
+    );
+    check(
+        &host_profile().request_table.expect("populated above"),
+        "RequestTableStats",
+        None,
+        &[],
+    );
     check(
         &PerfArtifact {
             runs: vec![host_profile()],
