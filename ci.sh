@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
 echo "==> observability smoke (simulate + netrs-analyze)"
 # NB: a --bin filter would apply across both -p flags and silently skip
 # the netrs-analyze binary, leaving a stale copy in target/debug.
@@ -146,37 +149,36 @@ echo "==> parallel-sweep smoke (grid artifact, renderer, cells match solo runs)"
 # the measured speedup lands in the artifact for EXPERIMENTS.md instead.
 ./target/debug/simulate sweep --small --requests 5000 --seeds 5,7 --schemes all \
     --baseline --out "$SMOKE/sweep.json"
-grep -q '"schema_version": 1' "$SMOKE/sweep.json"
+grep -q '"schema_version": 2' "$SMOKE/sweep.json"
 grep -q '"speedup"' "$SMOKE/sweep.json"
 ./target/debug/netrs-analyze sweep "$SMOKE/sweep.json" > "$SMOKE/sweep.txt"
 grep -q "## Sweep: 8 cells" "$SMOKE/sweep.txt"
 grep -q "speedup" "$SMOKE/sweep.txt"
 # A sweep cell is the same simulation as a solo run of the same config:
 # the netrs-tor/seed-7 cell must carry the mean a sequential solo run
-# reports (sweep cells run the sequential engine at --shards 1).
+# reports (sweep cells run the sequential engine).
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
     --json > "$SMOKE/shard-seq.json"
 mean_solo=$(grep -A 2 '"latency"' "$SMOKE/shard-seq.json" | grep '"mean"' | head -1 | tr -dc 0-9)
 grep -q "\"mean\": $mean_solo" "$SMOKE/sweep.json"
 
-echo "==> sharded perf smoke (simulate --shards --perf, artifact gates check-bench)"
+echo "==> shard fallback smoke (an ineligible run is the sequential engine and says why)"
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
-    --shards 4 --json > "$SMOKE/shard-four-a.json"
-./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
-    --shards 4 --perf "$SMOKE/perf-sharded.json" --json > "$SMOKE/shard-perf-stats.json"
-# The profiler must not perturb the sharded run either.
-diff -u "$SMOKE/shard-four-a.json" "$SMOKE/shard-perf-stats.json"
-./target/debug/netrs-analyze check-bench "$SMOKE/perf-sharded.json" | grep -q "versioned v1"
-./target/debug/netrs-analyze perf "$SMOKE/perf-sharded.json" | grep -q "by layer"
+    --shards 4 --json > "$SMOKE/shard-four.json" 2> "$SMOKE/shard-four.err"
+cmp "$SMOKE/shard-seq.json" "$SMOKE/shard-four.json"
+grep -qx -e "--shards 4 not applied: in-network scheme; sequential engine" "$SMOKE/shard-four.err"
 
-echo "==> parallel smoke (threaded window driver reports clean window accounting)"
+echo "==> parallel smoke (replica engine: clean window accounting, bytes independent of threads)"
 # nproc-aware: more workers where the box has the cores.
 T=2
 [ "$(nproc)" -ge 4 ] && T=4
-./target/debug/simulate --small --scheme clirs --requests 5000 --seed 7 \
-    --shards 4 --threads "$T" --json > "$SMOKE/par-a.json"
-grep -q '"parallel"' "$SMOKE/par-a.json"
-grep -q '"mailbox_late": 0' "$SMOKE/par-a.json"
+for t in 1 "$T"; do
+    ./target/debug/simulate --small --scheme clirs --requests 5000 --seed 7 \
+        --shards 4 --threads "$t" --json > "$SMOKE/par-$t.json"
+done
+cmp "$SMOKE/par-1.json" "$SMOKE/par-$T.json"
+grep -q '"parallel"' "$SMOKE/par-1.json"
+grep -q '"mailbox_late": 0' "$SMOKE/par-1.json"
 
 echo "==> alloc-profile feature (counting allocator, integration test)"
 cargo test -q -p netrs-sim --features alloc-profile --test alloc_profile
@@ -222,5 +224,8 @@ echo "==> cache-invalidation-under-fault smoke (lost coherence => stale reads)"
     --json > "$SMOKE/rw-faults-a.json"
 stale=$(sed -n 's/.*"stale_reads": \([0-9]*\).*/\1/p' "$SMOKE/rw-faults-a.json")
 [ "$stale" -gt 50 ]
+
+echo "==> benchmark smoke (the harness builds against the workspace and its checks pass)"
+benchmark/smoke.sh
 
 echo "==> CI green"

@@ -1439,42 +1439,22 @@ pub fn sweep_report(report: &SweepReport) -> String {
     };
     let _ = writeln!(out, "{timing}");
     let _ = writeln!(out);
-    // Window-driver columns appear only when some cell actually ran the
-    // windowed engine (shards > 1), so single-shard sweeps keep their
-    // narrow table.
-    let windowed = report.cells.iter().any(|c| c.stats.parallel.is_some());
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "{:<16} {:>6} {:>7} {:>10} {:>10} {:>10} {:>9}",
-        "label", "seed", "shards", "completed", "mean", "p99", "wall_s"
+        "{:<16} {:>6} {:>10} {:>10} {:>10} {:>9}",
+        "label", "seed", "completed", "mean", "p99", "wall_s"
     );
-    if windowed {
-        let _ = write!(out, " {:>8} {:>6}", "windows", "late");
-    }
-    let _ = writeln!(out);
     for cell in &report.cells {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{:<16} {:>6} {:>7} {:>10} {:>10} {:>10} {:>9.3}",
+            "{:<16} {:>6} {:>10} {:>10} {:>10} {:>9.3}",
             cell.label,
             cell.seed,
-            cell.shards,
             cell.stats.completed,
             fmt_dur(cell.stats.latency.mean),
             fmt_dur(cell.stats.latency.p99),
             cell.wall_s
         );
-        if windowed {
-            match cell.stats.parallel.as_ref() {
-                Some(p) => {
-                    let _ = write!(out, " {:>8} {:>6}", p.windows, p.mailbox_late);
-                }
-                None => {
-                    let _ = write!(out, " {:>8} {:>6}", "-", "-");
-                }
-            }
-        }
-        let _ = writeln!(out);
     }
     out
 }
@@ -1843,18 +1823,10 @@ switch:20         500     1500      25.0%        1       600           350
         use netrs_sim::SweepCell;
         use netrs_simcore::SimTime;
 
-        fn cell(
-            label: &str,
-            seed: u64,
-            shards: u32,
-            mean_us: u64,
-            p99_us: u64,
-            wall_s: f64,
-        ) -> SweepCell {
+        fn cell(label: &str, seed: u64, mean_us: u64, p99_us: u64, wall_s: f64) -> SweepCell {
             SweepCell {
                 label: label.to_string(),
                 seed,
-                shards,
                 wall_s,
                 stats: RunStats {
                     scheme: Scheme::CliRs,
@@ -1898,17 +1870,17 @@ switch:20         500     1500      25.0%        1       600           350
             sequential_wall_s: Some(48.0),
             speedup: Some(3.84),
             cells: vec![
-                cell("CliRS", 1, 1, 3_668, 16_908, 0.251),
-                cell("NetRS-ToR", 2, 4, 1_234, 7_777, 1.5),
+                cell("CliRS", 1, 3_668, 16_908, 0.251),
+                cell("NetRS-ToR", 2, 1_234, 7_777, 1.5),
             ],
         };
         let expected = "\
 ## Sweep: 2 cells (2 configs × 2 seeds) · 4 thread(s)
    parallel 12.50s · sequential 48.00s · speedup 3.84x
 
-label              seed  shards  completed       mean        p99    wall_s
-CliRS                 1       1       8000    3.668ms   16.908ms     0.251
-NetRS-ToR             2       4       8000    1.234ms    7.777ms     1.500
+label              seed  completed       mean        p99    wall_s
+CliRS                 1       8000    3.668ms   16.908ms     0.251
+NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
 ";
         assert_eq!(sweep_report(&report), expected);
 

@@ -15,9 +15,9 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use netrs_sim::{
-    run_observed, run_observed_sharded, run_observed_sharded_parallel, run_sweep_with_cell_threads,
-    CacheAdmission, CacheWritePolicy, FaultPlan, HotCacheConfig, ObsOptions, ParallelOptions,
-    PerfOptions, SamplerSpec, Scheme, SimConfig, SweepJob, WriteConsistency,
+    run_observed_sharded_parallel, run_sweep, CacheAdmission, CacheWritePolicy, FaultPlan,
+    HotCacheConfig, ObsOptions, ParallelOptions, PerfOptions, SamplerSpec, Scheme, SimConfig,
+    SweepJob, WriteConsistency,
 };
 use netrs_simcore::SimDuration;
 
@@ -43,7 +43,7 @@ fn usage() -> ! {
          \n\
          simulate sweep --out FILE [--config FILE] [--schemes all|s1,s2,...] \
          [--seeds s1,s2,...] [--requests N] [--utilization F] [--small] \
-         [--shards N] [--threads N] [--cell-threads N] [--baseline]"
+         [--threads N] [--baseline]"
     );
     std::process::exit(2);
 }
@@ -84,9 +84,7 @@ fn sweep_main(args: &[String]) -> ! {
     let mut out_path: Option<String> = None;
     let mut schemes: Vec<Scheme> = Scheme::ALL.to_vec();
     let mut seeds: Vec<u64> = vec![1, 2, 3];
-    let mut shards: u32 = 1;
     let mut threads: usize = 0;
-    let mut cell_threads: usize = 1;
     let mut baseline = false;
 
     let mut i = 0;
@@ -136,15 +134,7 @@ fn sweep_main(args: &[String]) -> ! {
                 cfg = SimConfig::small();
                 cfg.requests = requests;
             }
-            "--shards" => shards = next().parse().unwrap_or_else(|_| usage()),
             "--threads" => threads = next().parse().unwrap_or_else(|_| usage()),
-            "--cell-threads" => {
-                cell_threads = next().parse().unwrap_or_else(|_| usage());
-                if cell_threads == 0 {
-                    eprintln!("--cell-threads must be at least 1");
-                    std::process::exit(2);
-                }
-            }
             "--baseline" => baseline = true,
             _ => usage(),
         }
@@ -170,20 +160,17 @@ fn sweep_main(args: &[String]) -> ! {
                     label: scheme.label().into(),
                     cfg: cell_cfg,
                     seed,
-                    shards,
                 }
             })
         })
         .collect();
     eprintln!(
-        "[sweep] {} cells ({} schemes × {} seeds), {} shard(s) × {} thread(s) per run",
+        "[sweep] {} cells ({} schemes × {} seeds)",
         jobs.len(),
         schemes.len(),
         seeds.len(),
-        shards.max(1),
-        cell_threads,
     );
-    let report = run_sweep_with_cell_threads(jobs, threads, cell_threads, baseline);
+    let report = run_sweep(jobs, threads, baseline);
     eprintln!(
         "[sweep] parallel {:.2}s on {} threads{}",
         report.wall_s,
@@ -222,7 +209,7 @@ fn main() {
     let mut sample_every_us: u64 = 10_000;
     let mut progress = false;
     let mut shards: u32 = 1;
-    let mut threads: Option<usize> = None;
+    let mut threads: usize = 1;
     let mut lookahead_mult: u32 = 1;
 
     let mut i = 0;
@@ -343,7 +330,7 @@ fn main() {
             }
             "--progress" => progress = true,
             "--shards" => shards = next().parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = Some(next().parse().unwrap_or_else(|_| usage())),
+            "--threads" => threads = next().parse().unwrap_or_else(|_| usage()),
             "--lookahead-mult" => {
                 lookahead_mult = next().parse().unwrap_or_else(|_| usage());
                 if lookahead_mult == 0 {
@@ -385,23 +372,14 @@ fn main() {
         }),
         progress,
     };
-    // `--threads`/`--lookahead-mult` opt into the parallel window driver;
-    // without them the historical dispatch (and its exact bytes) is kept.
-    let out = if threads.is_some() || lookahead_mult != 1 {
-        run_observed_sharded_parallel(
-            cfg,
-            shards,
-            ParallelOptions {
-                threads: threads.unwrap_or(1),
-                lookahead_mult,
-            },
-            obs,
-        )
-    } else if shards > 1 {
-        run_observed_sharded(cfg, shards, obs)
-    } else {
-        run_observed(cfg, obs)
+    let par = ParallelOptions {
+        threads,
+        lookahead_mult,
     };
+    let out = run_observed_sharded_parallel(cfg, shards, par, obs);
+    if let Some(reason) = out.shards_not_applied {
+        eprintln!("--shards {shards} not applied: {reason}; sequential engine");
+    }
     let stats = out.stats;
     if let (Some(w), Some(perf)) = (perf_file.as_mut(), out.perf.as_ref()) {
         use std::io::Write;

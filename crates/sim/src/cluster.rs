@@ -34,8 +34,8 @@ use netrs::Rsp;
 use netrs_kvstore::{ServerId, ServerStatus};
 use netrs_selection::Feedback;
 use netrs_simcore::{
-    DeviceProbe, EventQueue, Histogram, NoDeviceProbe, ParallelWorld, ShardId, ShardedWorld,
-    SimDuration, SimRng, SimTime, World,
+    DeviceProbe, EventQueue, Histogram, NoDeviceProbe, ParallelWorld, ShardId, SimDuration, SimRng,
+    SimTime, World,
 };
 use netrs_topology::{FatTree, SwitchId};
 
@@ -150,22 +150,19 @@ pub enum Ev {
         sw: SwitchId,
     },
     /// A write's coherence messages reach the hot-key caches of every
-    /// RSNode they arrive at *at this instant on this shard* (only
-    /// scheduled when a cache is configured). One write fans out to every
-    /// live operator, but the messages land at a handful of distinct
-    /// times (own ToR, own pod, other pods on a healthy fat-tree), so the
-    /// fan-out is one event per arrival time, not one per operator: the
-    /// handler walks the batch in ascending switch order and does per
-    /// operator what a per-message event would — loss draw, then
-    /// invalidate or refresh. Event counts (`RunStats::events`, the
-    /// `CacheInvalidate` row of `--perf`) therefore count batches.
+    /// RSNode they arrive at *at this instant* (only scheduled when a
+    /// cache is configured). One write fans out to every live operator,
+    /// but the messages land at a handful of distinct times (own ToR, own
+    /// pod, other pods on a healthy fat-tree), so the fan-out is one event
+    /// per arrival time, not one per operator: the handler walks the batch
+    /// in ascending switch order and does per operator what a per-message
+    /// event would — loss draw, then invalidate or refresh. Event counts
+    /// (`RunStats::events`, the `CacheInvalidate` row of `--perf`)
+    /// therefore count batches.
     CacheInvalidate {
         /// The batch's operator list, by id in the policy's side table
         /// (recycled on delivery; keeps the list out of the event).
         batch: u32,
-        /// The batch's first (lowest) operator switch; its pod's shard
-        /// owns the event, like every other operator event.
-        lead: SwitchId,
         /// The written key.
         key: u64,
         /// The key's newly committed version.
@@ -249,12 +246,13 @@ impl<D: DeviceProbe> Cluster<D> {
         Cluster::with_shards(cfg, 1, devices)
     }
 
-    /// Builds the cluster partitioned into `shards` event shards for the
-    /// [`ShardedEngine`](netrs_simcore::ShardedEngine): pods map to
-    /// shards round-robin and each shard's workload generators draw from
-    /// their own RNG stream ([`SimRng::split`]). `shards` is clamped to
-    /// `1..=pods`; at 1 shard the cluster is byte-identical to
-    /// [`Cluster::with_device_probe`].
+    /// Builds the cluster partitioned into `shards` event shards, the
+    /// form every replica of a
+    /// [`ParallelEngine`](netrs_simcore::ParallelEngine) run starts
+    /// from: pods map to shards round-robin and each shard's workload
+    /// generators draw from their own RNG stream ([`SimRng::split`]).
+    /// `shards` is clamped to `1..=pods`; at 1 shard the cluster is
+    /// byte-identical to [`Cluster::with_device_probe`].
     ///
     /// # Panics
     ///
@@ -633,7 +631,6 @@ impl<D: DeviceProbe> World for Cluster<D> {
                 batch,
                 key,
                 version,
-                ..
             } => {
                 self.policy
                     .on_cache_invalidate(&mut self.core, now, batch, key, version);
@@ -654,32 +651,10 @@ impl<D: DeviceProbe> World for Cluster<D> {
     }
 }
 
-impl<D: DeviceProbe> ShardedWorld for Cluster<D> {
-    fn num_shards(&self) -> u32 {
-        self.core.shards()
-    }
-
-    /// Events map to the pod of the device whose state their handler
-    /// touches: generators round-robin by index, RSNode events to the
-    /// operator switch's pod, server events to the server's pod, client
-    /// timers and replies to the issuing client's pod, and cluster-wide
-    /// control events (overload checks, re-plans, sampling, faults) to
-    /// shard 0.
-    fn shard_of(&self, event: &Ev) -> ShardId {
-        ShardId(self.core.shard_of_event(event))
-    }
-
-    /// One link traversal: every pod-crossing hop pays at least one link
-    /// of latency, so a cross-shard event is never closer than this.
-    fn lookahead(&self) -> SimDuration {
-        self.core.cfg.link_latency
-    }
-}
-
 /// Replica-mode parallel execution: each [`Cluster`] instance is one
-/// shard's SPMD replica (see [`Core::enable_replica`]); dispatch is the
-/// same [`World`] impl, routing the same home-shard map as the
-/// sequential windowed engine (plus token-based reply routing).
+/// shard's SPMD replica (`Core::enable_replica`); dispatch is the same
+/// [`World`] impl, and events route to the shard of the device whose
+/// state their handler touches (`Core::shard_of_event`).
 impl<D: DeviceProbe + Send> ParallelWorld for Cluster<D> {
     type Event = Ev;
 

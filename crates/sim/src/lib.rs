@@ -62,12 +62,9 @@ pub use perf::{
 };
 pub use policy::{NotInNetwork, OraclePlacement};
 pub use runner::{
-    run, run_all_schemes, run_observed, run_observed_sharded, run_observed_sharded_parallel,
-    run_seeds, run_seeds_sharded, run_sharded, run_sharded_parallel, ParallelOptions, RunOutput,
+    run, run_all_schemes, run_observed, run_observed_sharded_parallel, run_seeds, ParallelOptions,
+    RunOutput,
 };
 pub use server::ServerToken;
 pub use stats::{LatencyBreakdown, MeanStats, ParallelStats, RunStats, RwStats};
-pub use sweep::{
-    run_grid, run_grid_with_cell_threads, run_sweep, run_sweep_with_cell_threads, SweepCell,
-    SweepJob, SweepReport, SWEEP_SCHEMA_VERSION,
-};
+pub use sweep::{run_grid, run_sweep, SweepCell, SweepJob, SweepReport, SWEEP_SCHEMA_VERSION};

@@ -161,7 +161,7 @@ pub struct QueueStats {
 }
 
 /// Allocation counters for one run, present only when the binary
-/// registered [`netrs_allocprobe`]'s counting allocator (the
+/// registered `netrs_allocprobe`'s counting allocator (the
 /// `alloc-profile` feature).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocStats {

@@ -145,35 +145,30 @@ struct CoherenceBatches {
     ops: Vec<Vec<SwitchId>>,
     /// Ids whose batch was delivered.
     free: Vec<u32>,
-    /// `(arrival latency, owning shard, id)` of the batches the write
-    /// being fanned out has opened so far; empty between writes. A
-    /// handful at most (three on a healthy fat-tree), so a scan beats
-    /// any map.
-    open: Vec<(SimDuration, u32, u32)>,
+    /// `(arrival latency, id)` of the batches the write being fanned out
+    /// has opened so far; empty between writes. A handful at most (three
+    /// on a healthy fat-tree), so a scan beats any map.
+    open: Vec<(SimDuration, u32)>,
 }
 
 impl CoherenceBatches {
-    /// Opens a batch of the current write for `(latency, shard)` on a
-    /// recycled operator list.
-    fn open(&mut self, latency: SimDuration, shard: u32) -> u32 {
+    /// Opens a batch of the current write for `latency` on a recycled
+    /// operator list.
+    fn open(&mut self, latency: SimDuration) -> u32 {
         let id = self.free.pop().unwrap_or_else(|| {
             self.ops.push(Vec::new());
             (self.ops.len() - 1) as u32
         });
-        self.open.push((latency, shard, id));
+        self.open.push((latency, id));
         id
     }
 
-    /// Adds `op` to the current write's batch for `(latency, shard)`,
-    /// opening it if this is the first such operator.
-    fn join(&mut self, latency: SimDuration, shard: u32, op: SwitchId) {
-        let open = self
-            .open
-            .iter()
-            .find(|&&(l, s, _)| l == latency && s == shard);
-        let id = match open {
-            Some(&(_, _, id)) => id,
-            None => self.open(latency, shard),
+    /// Adds `op` to the current write's batch for `latency`, opening it
+    /// if this is the first such operator.
+    fn join(&mut self, latency: SimDuration, op: SwitchId) {
+        let id = match self.open.iter().find(|&&(l, _)| l == latency) {
+            Some(&(_, id)) => id,
+            None => self.open(latency),
         };
         self.ops[id as usize].push(op);
     }
@@ -181,15 +176,14 @@ impl CoherenceBatches {
     /// A copy of the batches the current write has open.
     fn template(&self) -> FanoutTemplate {
         let open = self.open.iter();
-        open.map(|&(latency, shard, id)| (latency, shard, self.ops[id as usize].clone()))
+        open.map(|&(latency, id)| (latency, self.ops[id as usize].clone()))
             .collect()
     }
 }
 
 /// The batches a write from one client rack fans out into on a healthy
-/// fabric, in opening order: `(arrival latency, owning shard, operators
-/// ascending)`.
-pub(crate) type FanoutTemplate = Vec<(SimDuration, u32, Vec<SwitchId>)>;
+/// fabric, in opening order: `(arrival latency, operators ascending)`.
+pub(crate) type FanoutTemplate = Vec<(SimDuration, Vec<SwitchId>)>;
 
 #[cfg(test)]
 thread_local! {
@@ -364,7 +358,7 @@ impl InNetwork {
     /// Sends one coherence message from `client_host` to every live
     /// operator (ascending switch order), each over the real — possibly
     /// severed or degraded — network, joining messages that arrive at the
-    /// same instant on the same shard into one open batch.
+    /// same instant into one open batch.
     fn fan_out<D: DeviceProbe>(
         operators: &SwitchTable<RsOperator>,
         batches: &mut CoherenceBatches,
@@ -381,7 +375,7 @@ impl InNetwork {
                     .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
                 continue;
             };
-            batches.join(latency, core.shard_of_switch(op), op);
+            batches.join(latency, op);
         }
     }
 
@@ -999,11 +993,11 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
     /// A write fanned out to its replica group: emit one coherence
     /// message per live operator (ascending switch order), each riding
     /// the real — possibly lossy — network from the writing client.
-    /// Messages that arrive at the same instant on the same shard travel
-    /// as one [`Ev::CacheInvalidate`] batch. The per-message events this
+    /// Messages that arrive at the same instant travel as one
+    /// [`Ev::CacheInvalidate`] batch. The per-message events this
     /// replaces carried consecutive sequence numbers (nothing else
     /// schedules inside this loop), so each same-time run was already
-    /// contiguous in the queue's `(time, shard, seq)` order; delivering
+    /// contiguous in the queue's `(time, seq)` order; delivering
     /// it as one event in ascending switch order keeps every loss draw
     /// where it was.
     ///
@@ -1035,8 +1029,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         let rack = core.fabric.topo.rack_of_host(client_host) as usize;
         match &self.fanout_memo[rack] {
             Some(template) if memoize => {
-                for (latency, shard, ops) in template {
-                    let batch = self.batches.open(*latency, *shard);
+                for (latency, ops) in template {
+                    let batch = self.batches.open(*latency);
                     self.batches.ops[batch as usize].extend_from_slice(ops);
                 }
             }
@@ -1048,13 +1042,11 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 }
             }
         }
-        for (latency, _, batch) in self.batches.open.drain(..) {
-            let lead = self.batches.ops[batch as usize][0];
+        for (latency, batch) in self.batches.open.drain(..) {
             queue.schedule_after(
                 latency,
                 Ev::CacheInvalidate {
                     batch,
-                    lead,
                     key,
                     version,
                 },
@@ -1464,7 +1456,7 @@ mod tests {
             let mut reached: Vec<SwitchId> = templates[0]
                 .1
                 .iter()
-                .flat_map(|(_, _, ops)| ops.iter().copied())
+                .flat_map(|(_, ops)| ops.iter().copied())
                 .collect();
             reached.sort_unstable();
             reached

@@ -4,8 +4,8 @@
 use std::time::{Duration, Instant};
 
 use netrs_simcore::{
-    DeviceProbe, DeviceStatsRegistry, Engine, EngineProfile, NoDeviceProbe, NoProbe, PerfProbe,
-    PerfReport, Probe, ShardedEngine,
+    DeviceProbe, DeviceStatsRegistry, Engine, EngineProfile, NoDeviceProbe, NoProbe,
+    ParallelEngine, PerfProbe, PerfReport, Probe,
 };
 
 use crate::cluster::Cluster;
@@ -15,7 +15,6 @@ use crate::perf::{
     self, AllocStats, HostMeta, HostProfile, QueueStats, RequestTableStats, PERF_SCHEMA_VERSION,
 };
 use crate::stats::{ParallelStats, RunStats};
-use netrs_simcore::ParallelShardedEngine;
 
 /// Everything an observed run produces.
 #[derive(Debug)]
@@ -34,6 +33,10 @@ pub struct RunOutput {
     /// pool; `None` on every other path. Wall-clock data — never folded
     /// into [`RunStats`].
     pub busy_ns: Option<Vec<u64>>,
+    /// Why a request for more than one shard ran on the sequential
+    /// engine instead; `None` when the shards were honoured or not asked
+    /// for.
+    pub shards_not_applied: Option<&'static str>,
 }
 
 /// Runs one configuration to completion and returns its statistics.
@@ -154,126 +157,7 @@ fn run_engine<D: DeviceProbe, P: Probe>(
             devices,
             perf: None,
             busy_ns: None,
-        },
-        probe,
-        cluster.request_table_stats(),
-    )
-}
-
-/// Runs one configuration on the sharded engine
-/// ([`ShardedEngine`]): the world is partitioned into `shards` event
-/// shards (clamped to the topology's pod count) driven in conservative
-/// lookahead windows with cross-shard events routed through the
-/// boundary mailbox. With `shards == 1` the result is byte-identical to
-/// [`run`]; with more shards it is deterministic per seed but orders
-/// same-window events differently.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_sharded(cfg: SimConfig, shards: u32) -> RunStats {
-    run_observed_sharded(cfg, shards, ObsOptions::default()).stats
-}
-
-/// [`run_sharded`] with observability attached; the sharded counterpart
-/// of [`run_observed`]. With default options this is exactly
-/// [`run_sharded`].
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_observed_sharded(cfg: SimConfig, shards: u32, obs: ObsOptions) -> RunOutput {
-    if obs.device_stats {
-        run_observed_sharded_with(cfg, shards, obs, DeviceStatsRegistry::default())
-    } else {
-        run_observed_sharded_with(cfg, shards, obs, NoDeviceProbe)
-    }
-}
-
-fn run_observed_sharded_with<D: DeviceProbe>(
-    cfg: SimConfig,
-    shards: u32,
-    mut obs: ObsOptions,
-    devices: D,
-) -> RunOutput {
-    match obs.perf.take() {
-        Some(popt) => {
-            let scheme = cfg.scheme;
-            let seed = cfg.seed;
-            let requests = cfg.requests;
-            let alloc_before = alloc_mark();
-            let probe = PerfProbe::new(perf::kind_names(), popt.stride);
-            let (mut out, probe, table) = run_engine_sharded(cfg, shards, obs, devices, probe);
-            out.perf = Some(host_profile(
-                scheme,
-                seed,
-                requests,
-                &out.profile,
-                &probe.report(),
-                alloc_since(alloc_before),
-                table,
-            ));
-            out
-        }
-        None => run_engine_sharded(cfg, shards, obs, devices, NoProbe).0,
-    }
-}
-
-fn run_engine_sharded<D: DeviceProbe, P: Probe>(
-    cfg: SimConfig,
-    shards: u32,
-    obs: ObsOptions,
-    devices: D,
-    probe: P,
-) -> (RunOutput, P, RequestTableStats) {
-    let total_requests = cfg.requests;
-    let mut cluster = Cluster::with_shards(cfg, shards, devices);
-    if let Some(w) = obs.trace {
-        cluster.set_tracer(w);
-    }
-    if let Some(spec) = obs.timeseries {
-        cluster.enable_sampler(spec);
-    }
-    if obs.trace_hops {
-        cluster.enable_hop_tracing();
-    }
-    if let Some(w) = obs.control {
-        cluster.set_control(w);
-    }
-    let mut engine = ShardedEngine::with_probe(cluster, probe);
-    engine.prime_with(|world, queue| world.prime(queue));
-    if obs.progress {
-        run_sharded_with_heartbeat(&mut engine, total_requests);
-    } else {
-        engine.run();
-    }
-    let profile = engine.profile();
-    let now = engine.now();
-    let events = engine.processed();
-    let window_block = (engine.num_shards() > 1).then(|| ParallelStats {
-        shards: engine.num_shards(),
-        windows: engine.windows(),
-        mailbox_posted: engine.mailbox_posted(),
-        mailbox_late: engine.mailbox_late(),
-    });
-    let (mut cluster, probe) = engine.into_parts();
-    debug_assert!(cluster.drained(), "simulation ended with work outstanding");
-    cluster.flush_tracer();
-    cluster.flush_control(now);
-    let timeseries = cluster.take_timeseries();
-    let devices = cluster.take_device_report(now);
-    let mut stats = cluster.stats(now, events);
-    stats.parallel = window_block;
-    (
-        RunOutput {
-            stats,
-            profile,
-            timeseries,
-            devices,
-            perf: None,
-            busy_ns: None,
+            shards_not_applied: None,
         },
         probe,
         cluster.request_table_stats(),
@@ -302,49 +186,39 @@ impl Default for ParallelOptions {
     }
 }
 
-/// [`run_sharded`] with a real worker pool: shards drain concurrently on
-/// `threads` threads under the conservative-window protocol, and the
-/// deterministic merge makes the output independent of the thread count.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-#[must_use]
-pub fn run_sharded_parallel(cfg: SimConfig, shards: u32, threads: usize) -> RunStats {
-    run_observed_sharded_parallel(
-        cfg,
-        shards,
-        ParallelOptions {
-            threads,
-            ..ParallelOptions::default()
-        },
-        ObsOptions::default(),
-    )
-    .stats
+/// Whether a run can execute as per-shard SPMD replicas, or why not:
+/// every flow must stay shard-local (token-routed replies), which holds
+/// for the client-side schemes without cross-cutting machinery, and each
+/// shard's generators need local clients to draw from.
+fn replica_eligible(cfg: &SimConfig, shards: u32, obs: &ObsOptions) -> Result<(), &'static str> {
+    if cfg.scheme.is_in_network() {
+        return Err("in-network scheme");
+    }
+    if cfg.faults.as_ref().is_some_and(|p| p.is_active()) {
+        return Err("active fault plan");
+    }
+    if cfg.hot_cache.is_some() {
+        return Err("hot-key cache");
+    }
+    if obs.device_stats || obs.trace_hops || obs.timeseries.is_some() || obs.perf.is_some() {
+        return Err("device / hop / timeseries / perf instrumentation");
+    }
+    // Placement is deterministic per config, so one throwaway replica
+    // answers the coverage question for all of them.
+    let probe: Cluster = Cluster::with_shards(cfg.clone(), shards, NoDeviceProbe);
+    if !probe.replica_coverage_ok() {
+        return Err("a shard with generators but no clients to draw from");
+    }
+    Ok(())
 }
 
-/// Whether a run can execute as per-shard SPMD replicas: every flow must
-/// stay shard-local (token-routed replies), which holds for the
-/// client-side schemes without cross-cutting machinery. In-network
-/// schemes mutate operator state across pods and fall back to the
-/// sequential windowed engine (where the thread count is simply unused,
-/// so thread-count byte-identity holds trivially).
-fn replica_eligible(cfg: &SimConfig, obs: &ObsOptions) -> bool {
-    !cfg.scheme.is_in_network()
-        && cfg.faults.as_ref().is_none_or(|p| !p.is_active())
-        && cfg.hot_cache.is_none()
-        && !obs.device_stats
-        && !obs.trace_hops
-        && obs.timeseries.is_none()
-        && obs.perf.is_none()
-}
-
-/// [`run_observed_sharded`] with a worker pool. Runs eligible
-/// configurations on the replica engine ([`ParallelShardedEngine`]);
-/// everything else — in-network schemes, fault plans, device/sampler/perf
-/// instrumentation — falls back to the sequential windowed engine with
-/// `par.threads` ignored. Either way the output is byte-identical across
-/// thread counts.
+/// Runs one configuration partitioned into `shards` event shards on the
+/// replica engine ([`ParallelEngine`]): one SPMD [`Cluster`] replica per
+/// shard, drained on `par.threads` workers under the conservative-window
+/// protocol, with output byte-identical across thread counts. With
+/// `shards <= 1`, or for a run that is not replica-eligible, this is
+/// exactly [`run_observed`] — the sequential engine, the same bytes — and
+/// in the latter case [`RunOutput::shards_not_applied`] says why.
 ///
 /// # Panics
 ///
@@ -357,20 +231,13 @@ pub fn run_observed_sharded_parallel(
     obs: ObsOptions,
 ) -> RunOutput {
     if shards <= 1 {
-        // One shard is the sequential engine's domain (and pinned
-        // byte-identical to it).
         return run_observed(cfg, obs);
     }
-    if !replica_eligible(&cfg, &obs) {
-        return run_observed_sharded(cfg, shards, obs);
+    if let Err(reason) = replica_eligible(&cfg, shards, &obs) {
+        let mut out = run_observed(cfg, obs);
+        out.shards_not_applied = Some(reason);
+        return out;
     }
-    // Placement is deterministic per config, so one throwaway replica
-    // answers the coverage question for all of them.
-    let probe: Cluster = Cluster::with_shards(cfg.clone(), shards, NoDeviceProbe);
-    if !probe.replica_coverage_ok() {
-        return run_observed_sharded(cfg, shards, obs);
-    }
-    drop(probe);
     run_replicated(cfg, shards, par, obs)
 }
 
@@ -403,7 +270,7 @@ fn run_replicated(
         // flush happens on replica 0 after the merge.
         worlds[0].set_control(w);
     }
-    let mut engine = ParallelShardedEngine::new(worlds, par.threads);
+    let mut engine = ParallelEngine::new(worlds, par.threads);
     engine.prime_each(|_, world, queue| world.prime(queue));
     engine.run();
     let wstats = engine.stats();
@@ -487,6 +354,7 @@ fn run_replicated(
         devices: None,
         perf: None,
         busy_ns: Some(busy),
+        shards_not_applied: None,
     }
 }
 
@@ -509,38 +377,6 @@ fn replica_quotas(requests: u64, generators: u32, shards: u32) -> Vec<u64> {
         r = (r + 1) % shards as usize;
     }
     quotas
-}
-
-/// Drains the sharded engine window by window while printing a
-/// once-per-second progress line to stderr (the sharded counterpart of
-/// [`run_with_heartbeat`]; granularity is one lookahead window).
-fn run_sharded_with_heartbeat<D: DeviceProbe, P: Probe>(
-    engine: &mut ShardedEngine<Cluster<D>, P>,
-    total_requests: u64,
-) {
-    let start = Instant::now();
-    let mut last_beat = Instant::now();
-    while engine.advance_window() {
-        if last_beat.elapsed() >= Duration::from_secs(1) {
-            last_beat = Instant::now();
-            let rate = engine.processed() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            eprintln!(
-                "[simulate] issued {}/{} · completed {} · sim {} · {} events ({:.0}/s) · \
-                 {} shards · {} windows ({} mailbox posts / {} late) · peak RSS {} kB",
-                engine.world().issued(),
-                total_requests,
-                engine.world().completed(),
-                engine.now(),
-                engine.processed(),
-                rate,
-                engine.num_shards(),
-                engine.windows(),
-                engine.mailbox_posted(),
-                engine.mailbox_late(),
-                netrs_simcore::peak_rss_kb(),
-            );
-        }
-    }
 }
 
 /// Assembles the versioned run profile from the engine's
@@ -665,24 +501,12 @@ fn run_with_heartbeat<D: DeviceProbe, P: Probe>(
 /// ([`crate::sweep::run_grid`]). Results come back in `seeds` order.
 #[must_use]
 pub fn run_seeds(cfg: &SimConfig, seeds: &[u64]) -> Vec<RunStats> {
-    seed_grid(cfg, 1, seeds)
-}
-
-/// [`run_seeds`] on the sharded engine: the same per-seed fan-out with
-/// every run partitioned into `shards` event shards.
-#[must_use]
-pub fn run_seeds_sharded(cfg: &SimConfig, shards: u32, seeds: &[u64]) -> Vec<RunStats> {
-    seed_grid(cfg, shards, seeds)
-}
-
-fn seed_grid(cfg: &SimConfig, shards: u32, seeds: &[u64]) -> Vec<RunStats> {
     let jobs: Vec<crate::sweep::SweepJob> = seeds
         .iter()
         .map(|&seed| crate::sweep::SweepJob {
             label: cfg.scheme.label().into(),
             cfg: cfg.clone(),
             seed,
-            shards,
         })
         .collect();
     crate::sweep::run_grid(&jobs, 0)

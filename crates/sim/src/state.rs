@@ -250,8 +250,6 @@ pub(crate) struct Core<D: DeviceProbe> {
     shards: u32,
     /// Home shard of every host (its pod, modulo the shard count).
     host_shard: Vec<u32>,
-    /// Home shard of every switch; core switches (no pod) go to shard 0.
-    switch_shard: Vec<u32>,
     gen_interarrival: SimDuration,
     pub(crate) top_clients: u32,
     breakdown: BreakdownHists,
@@ -298,16 +296,13 @@ impl<D: DeviceProbe> Core<D> {
     pub(crate) fn new(cfg: SimConfig, devices: D, root: &SimRng, shards: u32) -> Self {
         let topo = FatTree::new(cfg.arity).expect("validated arity");
 
-        // Pod-granular shard maps: a pod's hosts and switches share a
-        // shard, so intra-pod hops never cross the mailbox. Requests for
-        // more shards than pods are clamped (extra shards would sit
-        // empty except for round-robined generators).
+        // Pod-granular shard map: a pod's hosts share a shard, so
+        // intra-pod hops never cross shards. Requests for more shards
+        // than pods are clamped (extra shards would sit empty except for
+        // round-robined generators).
         let shards = shards.clamp(1, topo.num_pods());
         let host_shard: Vec<u32> = (0..topo.num_hosts())
             .map(|h| topo.pod_of_host(HostId(h)) % shards)
-            .collect();
-        let switch_shard: Vec<u32> = (0..topo.num_switches())
-            .map(|s| topo.pod_of_switch(SwitchId(s)).map_or(0, |p| p % shards))
             .collect();
 
         // Random non-overlapping placement of servers and clients
@@ -357,7 +352,6 @@ impl<D: DeviceProbe> Core<D> {
             },
             shards,
             host_shard,
-            switch_shard,
             fabric: Fabric::new(topo, cfg.link_latency, devices),
             servers,
             ring,
@@ -510,17 +504,6 @@ impl<D: DeviceProbe> Core<D> {
 
     // ---- sharding --------------------------------------------------------
 
-    /// Number of event shards the world is partitioned into.
-    pub(crate) fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// Home shard of switch `sw` (its pod, modulo shard count; cores
-    /// live on shard 0).
-    pub(crate) fn shard_of_switch(&self, sw: SwitchId) -> u32 {
-        self.switch_shard[sw.0 as usize]
-    }
-
     /// Home shard of `server` (its host's pod, modulo shard count).
     fn server_shard(&self, s: ServerId) -> u32 {
         self.host_shard[self.server_hosts[s.0 as usize].0 as usize]
@@ -531,10 +514,10 @@ impl<D: DeviceProbe> Core<D> {
         self.host_shard[self.client_hosts[c as usize].0 as usize]
     }
 
-    /// Home shard of the client that issued `req`. Terminal timers
-    /// (retry checks, R95 deadlines) can outlive the request's table
-    /// entry; those orphans go to shard 0 — any shard is correct for an
-    /// event whose handler is a no-op, and 0 is deterministic.
+    /// Home shard of the client that issued `req`. An R95 deadline can
+    /// outlive the request's table entry; those orphans go to shard 0 —
+    /// any shard is correct for an event whose handler is a no-op, and 0
+    /// is deterministic.
     fn req_shard(&self, req: ReqId) -> u32 {
         self.requests
             .get(req.0)
@@ -542,35 +525,21 @@ impl<D: DeviceProbe> Core<D> {
     }
 
     /// Classifies an event to its home shard: the pod of the device
-    /// whose state its handler touches (DESIGN.md §13). Control-plane
-    /// events with cluster-wide scope live on shard 0.
+    /// whose state its handler touches (DESIGN.md §13). Only replicas are
+    /// sharded, and only client-side schemes without faults or a cache
+    /// run as replicas, so operator, control-plane, fault and cache
+    /// events never reach this; they would land on shard 0.
     pub(crate) fn shard_of_event(&self, ev: &Ev) -> u32 {
-        if self.shards <= 1 {
-            return 0;
-        }
-        if self.replica.is_some() {
-            // Replica mode: the emitting replica cannot consult the
-            // request table for events homed on another replica, so
-            // replies route by the client carried on the token.
-            if let Ev::ClientReceive { token, .. } = *ev {
-                return self.client_shard(token.client);
-            }
-        }
         match *ev {
             Ev::Generate { gen } => gen % self.shards,
-            Ev::GatedSend { req, .. } | Ev::R95Check { req } | Ev::RetryCheck { req, .. } => {
-                self.req_shard(req)
-            }
-            Ev::RsnodeArrive { op, .. }
-            | Ev::Select { op, .. }
-            | Ev::SelectorUpdate { op, .. }
-            | Ev::CacheInvalidate { lead: op, .. }
-            | Ev::OperatorDetect { sw: op } => self.shard_of_switch(op),
+            Ev::GatedSend { req, .. } | Ev::R95Check { req } => self.req_shard(req),
             Ev::ServerArrive { token } => self.server_shard(token.server),
-            Ev::ServerDone { server, .. } => self.server_shard(server),
-            Ev::Fluctuate { server } => self.server_shard(server),
-            Ev::ClientReceive { token, .. } => self.req_shard(token.req),
-            Ev::OverloadCheck | Ev::Replan | Ev::Sample | Ev::Fault { .. } => 0,
+            Ev::ServerDone { server, .. } | Ev::Fluctuate { server } => self.server_shard(server),
+            // The emitting replica cannot consult the request table of
+            // the client's replica, so replies route by the client
+            // carried on the token.
+            Ev::ClientReceive { token, .. } => self.client_shard(token.client),
+            _ => 0,
         }
     }
 

@@ -53,10 +53,10 @@ pub struct RwStats {
     pub cache_invalidations: u64,
 }
 
-/// Sharded/parallel execution outcome: the conservative-window driver's
-/// schedule-level accounting. Present only on multi-shard runs and
-/// omitted — not `null` — otherwise, so single-shard stats files stay
-/// byte-identical to the sequential engine's.
+/// Replica-engine execution outcome: the conservative-window driver's
+/// schedule-level accounting. Present only on runs the replica engine
+/// executed and omitted — not `null` — otherwise, so every other stats
+/// file stays byte-identical to the sequential engine's.
 ///
 /// Deliberately **schedule-deterministic**: it never records the thread
 /// count or any wall-clock quantity, so the same run at `--threads 1`
@@ -67,10 +67,9 @@ pub struct RwStats {
 pub struct ParallelStats {
     /// Event shards the run was partitioned into.
     pub shards: u32,
-    /// Conservative windows the driver advanced through (0 when the
-    /// driver does not count windows).
+    /// Conservative windows the driver advanced through.
     pub windows: u64,
-    /// Cross-shard events posted through the mailbox/merge.
+    /// Cross-shard events buffered and delivered by the merge phase.
     pub mailbox_posted: u64,
     /// Cross-shard events that arrived past the destination clock and
     /// were clamped (lookahead-contract violations; always 0 at the

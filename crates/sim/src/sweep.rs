@@ -5,12 +5,13 @@
 //! vector, workers claim the next index from an atomic counter, and
 //! each result lands in its job's slot — so the merged output order is
 //! the job order, independent of thread scheduling. [`run_sweep`] sorts
-//! the grid by `(label, seed, shards)` before running, which makes the
+//! the grid by `(label, seed)` before running, which makes the
 //! artifact's cell order — and therefore its bytes, modulo wall-clock
 //! fields — deterministic for a given grid.
 //!
-//! Each cell is an independent full simulation (its own [`Cluster`],
-//! RNG tree, and engine), so the fan-out cannot perturb results: the
+//! Each cell is an independent full simulation on the sequential engine
+//! (its own [`Cluster`], RNG tree, and engine) — this fan-out is the only
+//! parallelism a sweep has — so it cannot perturb results: the
 //! per-cell statistics are byte-identical to running the same
 //! configuration alone. `runner::run_seeds` is rebuilt on this executor.
 //!
@@ -24,12 +25,12 @@ use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
-use crate::runner::{run, run_sharded, run_sharded_parallel};
+use crate::runner::run;
 use crate::stats::RunStats;
 
 /// Version stamp on every [`SweepReport`] artifact; bump on any schema
 /// change so offline consumers can reject files they don't understand.
-pub const SWEEP_SCHEMA_VERSION: u32 = 1;
+pub const SWEEP_SCHEMA_VERSION: u32 = 2;
 
 /// One (config, seed) job of a sweep grid.
 #[derive(Debug, Clone)]
@@ -41,9 +42,6 @@ pub struct SweepJob {
     pub cfg: SimConfig,
     /// The seed for this cell.
     pub seed: u64,
-    /// Event shards per run: `<= 1` runs the sequential engine, more
-    /// runs the sharded engine ([`crate::run_sharded`]).
-    pub shards: u32,
 }
 
 /// One completed cell of the sweep grid.
@@ -53,8 +51,6 @@ pub struct SweepCell {
     pub label: String,
     /// The seed the cell ran under.
     pub seed: u64,
-    /// Event shards the run used (1 = sequential engine).
-    pub shards: u32,
     /// Wall-clock seconds this cell's simulation took.
     pub wall_s: f64,
     /// The run's full statistics.
@@ -76,25 +72,15 @@ pub struct SweepReport {
     pub sequential_wall_s: Option<f64>,
     /// `sequential_wall_s / wall_s`, if a baseline was measured.
     pub speedup: Option<f64>,
-    /// The grid cells, sorted by `(label, seed, shards)`.
+    /// The grid cells, sorted by `(label, seed)`.
     pub cells: Vec<SweepCell>,
 }
 
 /// Resolves a worker-count request: `0` means one worker per available
-/// core, and there is never a point in more workers than jobs. With
-/// `cell_threads > 1` each worker's cell spins up its own shard pool, so
-/// the worker count is capped at `cores / cell_threads` — workers times
-/// per-cell threads never oversubscribes the machine (floored at one
-/// worker; a single cell may still use more threads than cores, which is
-/// the user's explicit request).
-fn effective_threads(requested: usize, jobs: usize, cell_threads: usize) -> usize {
+/// core, and there is never a point in more workers than jobs.
+fn effective_threads(requested: usize, jobs: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let t = if requested == 0 { cores } else { requested };
-    let t = if cell_threads > 1 {
-        t.min((cores / cell_threads).max(1))
-    } else {
-        t
-    };
     t.min(jobs).max(1)
 }
 
@@ -107,27 +93,7 @@ fn effective_threads(requested: usize, jobs: usize, cell_threads: usize) -> usiz
 /// Panics if a job's configuration is invalid or a worker panics.
 #[must_use]
 pub fn run_grid(jobs: &[SweepJob], threads: usize) -> Vec<SweepCell> {
-    run_grid_with_cell_threads(jobs, threads, 1)
-}
-
-/// [`run_grid`] with an intra-cell thread budget: multi-shard jobs run
-/// on the parallel window driver ([`run_sharded_parallel`]) with
-/// `cell_threads` workers each, and the outer worker count is capped so
-/// workers × cell threads never oversubscribes the machine. Cell results
-/// are byte-identical whatever `cell_threads` is set to — the replica
-/// engine's merge is thread-invariant — so this only moves wall-clock
-/// around. `cell_threads <= 1` is exactly [`run_grid`].
-///
-/// # Panics
-///
-/// Panics if a job's configuration is invalid or a worker panics.
-#[must_use]
-pub fn run_grid_with_cell_threads(
-    jobs: &[SweepJob],
-    threads: usize,
-    cell_threads: usize,
-) -> Vec<SweepCell> {
-    let threads = effective_threads(threads, jobs.len(), cell_threads);
+    let threads = effective_threads(threads, jobs.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<SweepCell>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     thread::scope(|scope| {
@@ -138,17 +104,10 @@ pub fn run_grid_with_cell_threads(
                 let started = Instant::now();
                 let mut cfg = job.cfg.clone();
                 cfg.seed = job.seed;
-                let stats = if job.shards > 1 && cell_threads > 1 {
-                    run_sharded_parallel(cfg, job.shards, cell_threads)
-                } else if job.shards > 1 {
-                    run_sharded(cfg, job.shards)
-                } else {
-                    run(cfg)
-                };
+                let stats = run(cfg);
                 *slots[i].lock().expect("sweep slot") = Some(SweepCell {
                     label: job.label.clone(),
                     seed: job.seed,
-                    shards: job.shards.max(1),
                     wall_s: started.elapsed().as_secs_f64(),
                     stats,
                 });
@@ -163,44 +122,25 @@ pub fn run_grid_with_cell_threads(
 }
 
 /// Runs a sweep grid in parallel and merges the results into one
-/// [`SweepReport`]. The grid is sorted by `(label, seed, shards)`
-/// first, so the artifact's cell order is deterministic regardless of
-/// the order jobs were declared in or finished in. With `baseline` set,
-/// the same grid runs again on one worker and the report carries the
-/// measured wall-clock speedup.
+/// [`SweepReport`]. The grid is sorted by `(label, seed)` first, so the
+/// artifact's cell order is deterministic regardless of the order jobs
+/// were declared in or finished in. With `baseline` set, the same grid
+/// runs again on one worker and the report carries the measured
+/// wall-clock speedup.
 ///
 /// # Panics
 ///
 /// Panics if a job's configuration is invalid or a worker panics.
 #[must_use]
-pub fn run_sweep(jobs: Vec<SweepJob>, threads: usize, baseline: bool) -> SweepReport {
-    run_sweep_with_cell_threads(jobs, threads, 1, baseline)
-}
-
-/// [`run_sweep`] with an intra-cell thread budget (see
-/// [`run_grid_with_cell_threads`]). The baseline pass keeps the same
-/// `cell_threads`, so the measured speedup isolates the outer fan-out.
-///
-/// # Panics
-///
-/// Panics if a job's configuration is invalid or a worker panics.
-#[must_use]
-pub fn run_sweep_with_cell_threads(
-    mut jobs: Vec<SweepJob>,
-    threads: usize,
-    cell_threads: usize,
-    baseline: bool,
-) -> SweepReport {
-    jobs.sort_by(|a, b| {
-        (a.label.as_str(), a.seed, a.shards).cmp(&(b.label.as_str(), b.seed, b.shards))
-    });
-    let threads = effective_threads(threads, jobs.len(), cell_threads);
+pub fn run_sweep(mut jobs: Vec<SweepJob>, threads: usize, baseline: bool) -> SweepReport {
+    jobs.sort_by(|a, b| (a.label.as_str(), a.seed).cmp(&(b.label.as_str(), b.seed)));
+    let threads = effective_threads(threads, jobs.len());
     let started = Instant::now();
-    let cells = run_grid_with_cell_threads(&jobs, threads, cell_threads);
+    let cells = run_grid(&jobs, threads);
     let wall_s = started.elapsed().as_secs_f64();
     let (sequential_wall_s, speedup) = if baseline {
         let started = Instant::now();
-        let _ = run_grid_with_cell_threads(&jobs, 1, cell_threads);
+        let _ = run_grid(&jobs, 1);
         let seq = started.elapsed().as_secs_f64();
         (Some(seq), (wall_s > 0.0).then(|| seq / wall_s))
     } else {
@@ -237,7 +177,6 @@ mod tests {
                     label: scheme.label().into(),
                     cfg: tiny(scheme, seed),
                     seed,
-                    shards: 1,
                 });
             }
         }
@@ -290,74 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn cell_threads_cap_worker_budget() {
+    fn worker_count_follows_request_cores_and_jobs() {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        // cell_threads == 1 keeps the historical resolution untouched,
-        // including explicit over-subscription requests.
-        assert_eq!(effective_threads(0, 64, 1), cores.min(64));
-        assert_eq!(effective_threads(8, 64, 1), 8);
-        // With an intra-cell budget, workers never exceed cores /
-        // cell_threads (floored at one worker).
-        for ct in [2usize, 3, 4, 8] {
-            for req in [0usize, 1, 2, 8, 64] {
-                let w = effective_threads(req, 64, ct);
-                assert!(w >= 1);
-                assert!(
-                    w <= (cores / ct).max(1),
-                    "{req} workers requested with cell_threads={ct}: got {w} on {cores} cores"
-                );
-                if req != 0 {
-                    assert!(w <= req);
-                }
-            }
-        }
-        // Never more workers than jobs.
-        assert_eq!(effective_threads(0, 1, 2), 1);
-    }
-
-    #[test]
-    fn cell_threads_do_not_change_cell_bytes() {
-        // Replica-eligible scheme on 4 shards: the parallel window driver
-        // must produce the same bytes for any intra-cell thread count.
-        let jobs = vec![SweepJob {
-            label: "clirs/4shard".into(),
-            cfg: tiny(Scheme::CliRs, 9),
-            seed: 9,
-            shards: 4,
-        }];
-        let a = run_grid_with_cell_threads(&jobs, 1, 2);
-        let b = run_grid_with_cell_threads(&jobs, 2, 3);
-        assert_eq!(
-            serde_json::to_string(&a[0].stats).expect("stats serialize"),
-            serde_json::to_string(&b[0].stats).expect("stats serialize"),
-            "cell thread count leaked into results"
-        );
-        assert_eq!(
-            serde_json::to_string(&a[0].stats).expect("stats serialize"),
-            serde_json::to_string(&crate::runner::run_sharded_parallel(
-                tiny(Scheme::CliRs, 9),
-                4,
-                2
-            ))
-            .expect("stats serialize"),
-            "grid cell must match a direct parallel run"
-        );
-    }
-
-    #[test]
-    fn sharded_jobs_run_the_sharded_engine() {
-        let jobs = vec![SweepJob {
-            label: "netrs-tor/4shard".into(),
-            cfg: tiny(Scheme::NetRsToR, 9),
-            seed: 9,
-            shards: 4,
-        }];
-        let cells = run_grid(&jobs, 1);
-        assert_eq!(cells[0].shards, 4);
-        assert_eq!(
-            serde_json::to_string(&cells[0].stats).expect("stats serialize"),
-            serde_json::to_string(&run_sharded(tiny(Scheme::NetRsToR, 9), 4))
-                .expect("stats serialize"),
-        );
+        assert_eq!(effective_threads(0, 64), cores.min(64));
+        // An explicit request is honoured, over-subscription included.
+        assert_eq!(effective_threads(8, 64), 8);
+        // Never more workers than jobs, never fewer than one.
+        assert_eq!(effective_threads(0, 1), 1);
+        assert_eq!(effective_threads(8, 0), 1);
     }
 }

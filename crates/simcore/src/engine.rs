@@ -355,7 +355,7 @@ impl<E> EventQueue<E> {
     /// Moves the clock to `now` without processing events.
     ///
     /// Intended for reusing a drained queue as a scratch *outbox* (see
-    /// [`ShardedEngine`](crate::ShardedEngine)): handlers schedule
+    /// [`ParallelEngine`](crate::ParallelEngine)): handlers schedule
     /// relative times against the event being processed, so the scratch
     /// queue's clock must first be moved to that event's timestamp.
     /// Shards process events out of global time order, so the clock may
@@ -978,7 +978,7 @@ mod tests {
                             l.push_after(any_delay(&mut rng));
                         }
                     },
-                    // The windowed drivers' outbox: a drained queue's clock
+                    // The window driver's outbox: a drained queue's clock
                     // is moved (backwards too), a handler schedules
                     // relative to it, everything is popped.
                     5 => for _ in 0..steps / 4 {

@@ -67,7 +67,6 @@ mod hostperf;
 mod metrics;
 mod parallel;
 mod rng;
-mod shard;
 mod time;
 mod trace;
 
@@ -77,8 +76,7 @@ pub use device::{
 pub use engine::{Engine, EventQueue, World};
 pub use hostperf::{peak_rss_kb, KindStats, PerfProbe, PerfReport, DEPTH_BUCKETS};
 pub use metrics::{Histogram, Summary};
-pub use parallel::{ParallelShardedEngine, ParallelWorld, WindowStats};
+pub use parallel::{ParallelEngine, ParallelWorld, ShardId, WindowStats};
 pub use rng::{Bimodal, SimRng, Zipf};
-pub use shard::{Mailbox, ShardId, ShardedEngine, ShardedWorld};
 pub use time::{round_to_u64, SimDuration, SimTime};
 pub use trace::{CollectingProbe, EngineProfile, NoProbe, Probe, RingSeries, Span};

@@ -1,13 +1,15 @@
-//! True multi-threaded conservative-window execution over per-shard
-//! worlds.
+//! Multi-threaded conservative-window execution over per-shard worlds.
 //!
-//! [`ShardedEngine`](crate::ShardedEngine) interleaves shards
-//! *sequentially* on one thread: one shared world, one global
-//! earliest-head pick per event. [`ParallelShardedEngine`] removes the
-//! shared world — each shard owns its **own** [`ParallelWorld`] instance
-//! (an SPMD replica holding that shard's mutable state) — so the
-//! in-window independence argument of conservative-lookahead PDES turns
-//! into actual concurrency:
+//! [`ParallelEngine`] partitions a simulation into shards that each own
+//! their **own** [`ParallelWorld`] instance (an SPMD replica holding that
+//! shard's mutable state) and their own [`EventQueue`]. Time advances in
+//! *conservative windows* (classic lookahead PDES): every event with
+//! `t < t_min + lookahead` runs, where `t_min` is the globally earliest
+//! pending timestamp and `lookahead` the minimum cross-shard scheduling
+//! delay the world guarantees. An event at `t` inside the window can
+//! post a cross-shard event no earlier than `t + lookahead`, at or past
+//! the window's end, so shards cannot affect each other inside a window
+//! and drain concurrently:
 //!
 //! ```text
 //! per window:  [merge: deliver posts, pick t_min, publish horizon]
@@ -41,25 +43,26 @@
 //! A world that posts a cross-shard event closer than its declared
 //! lookahead does not corrupt the destination timeline: the delivery is
 //! clamped to the destination clock and counted in
-//! [`ParallelShardedEngine::mailbox_late`] (same discipline as the
-//! sequential [`Mailbox`](crate::Mailbox)).
+//! [`ParallelEngine::mailbox_late`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use crate::engine::EventQueue;
-use crate::shard::ShardId;
 use crate::time::{SimDuration, SimTime};
+
+/// Identifies one shard of a [`ParallelEngine`] (dense, `0..num_shards`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ShardId(pub u32);
 
 /// One shard's slice of a simulation that can run in parallel.
 ///
-/// Unlike [`ShardedWorld`](crate::ShardedWorld) — one world shared by
-/// every shard — a `ParallelWorld` is instantiated **once per shard**
-/// (SPMD): each instance owns the mutable state of its shard and treats
-/// everything else as immutable construction data. Handlers therefore
-/// need `&mut self` only for shard-local state, which is what makes the
-/// drain phase safe to run concurrently.
+/// A `ParallelWorld` is instantiated **once per shard** (SPMD): each
+/// instance owns the mutable state of its shard and treats everything
+/// else as immutable construction data. Handlers therefore need
+/// `&mut self` only for shard-local state, which is what makes the drain
+/// phase safe to run concurrently.
 pub trait ParallelWorld: Send {
     /// The event type.
     type Event: Send;
@@ -178,9 +181,9 @@ impl WindowStats {
 const DONE: u64 = u64::MAX;
 
 /// Drives `N` per-shard [`ParallelWorld`] instances over a persistent
-/// worker pool with two barriers per conservative window. See the
-/// [module docs](self) for the protocol and determinism argument.
-pub struct ParallelShardedEngine<W: ParallelWorld> {
+/// worker pool with two barriers per conservative window (the protocol
+/// and the determinism argument head `parallel.rs`).
+pub struct ParallelEngine<W: ParallelWorld> {
     cells: Vec<Mutex<Cell<W>>>,
     lookahead: SimDuration,
     threads: usize,
@@ -188,7 +191,7 @@ pub struct ParallelShardedEngine<W: ParallelWorld> {
     delivered: u64,
 }
 
-impl<W: ParallelWorld> ParallelShardedEngine<W> {
+impl<W: ParallelWorld> ParallelEngine<W> {
     /// Creates an engine over one world instance per shard. `threads` is
     /// clamped to `[1, shards]`; shard `s` is statically assigned to
     /// worker `s % threads` (worker 0 is the calling thread).
@@ -216,7 +219,7 @@ impl<W: ParallelWorld> ParallelShardedEngine<W> {
                 })
             })
             .collect();
-        ParallelShardedEngine {
+        ParallelEngine {
             cells,
             lookahead,
             threads,
@@ -315,39 +318,6 @@ impl<W: ParallelWorld> ParallelShardedEngine<W> {
         }
     }
 
-    /// Merge phase: delivers every buffered post in `(time, src, src_seq)`
-    /// order, then computes the next window's horizon. Returns the horizon
-    /// in nanoseconds, or [`DONE`] when every queue is drained.
-    fn merge_and_pick(&mut self) -> u64 {
-        let mut posts: Vec<Post<W::Event>> = Vec::new();
-        for cell in &self.cells {
-            posts.append(&mut cell.lock().expect("cell lock").posts);
-        }
-        posts.sort_by_key(|p| (p.at, p.src, p.src_seq));
-        self.stats.mailbox_posted += posts.len() as u64;
-        for p in posts {
-            let cell = &mut *self.cells[p.dest as usize].lock().expect("cell lock");
-            let mut at = p.at;
-            if at < cell.queue.now() {
-                self.stats.mailbox_late += 1;
-                at = cell.queue.now();
-            }
-            cell.queue.schedule_at(at, p.event);
-            self.delivered += 1;
-        }
-        let t_min = self
-            .cells
-            .iter()
-            .filter_map(|c| c.lock().expect("cell lock").queue.peek_time())
-            .min();
-        let Some(t_min) = t_min else { return DONE };
-        self.stats.windows += 1;
-        t_min
-            .as_nanos()
-            .saturating_add(self.lookahead.as_nanos())
-            .min(DONE - 1)
-    }
-
     /// Folds the per-cell processed counters into the aggregate stats.
     fn fold_processed(&mut self) {
         self.stats.processed = self
@@ -366,7 +336,12 @@ impl<W: ParallelWorld> ParallelShardedEngine<W> {
         let zero_la = self.lookahead == SimDuration::ZERO;
         if self.threads == 1 {
             loop {
-                let horizon = self.merge_and_pick();
+                let horizon = merge_phase(
+                    &self.cells,
+                    self.lookahead,
+                    &mut self.stats,
+                    &mut self.delivered,
+                );
                 if horizon == DONE {
                     break;
                 }
@@ -435,9 +410,12 @@ impl<W: ParallelWorld> ParallelShardedEngine<W> {
     }
 }
 
-/// The merge phase, factored free of `&mut self` so the coordinator can
-/// run it inside the worker scope (the cells are only ever touched under
-/// their mutexes, and the barriers guarantee no worker holds one here).
+/// Merge phase: delivers every buffered post in `(time, src, src_seq)`
+/// order, then computes the next window's horizon. Returns the horizon in
+/// nanoseconds, or [`DONE`] when every queue is drained. Free of
+/// `&mut self` so the coordinator can run it inside the worker scope (the
+/// cells are only ever touched under their mutexes, and the barriers
+/// guarantee no worker holds one here).
 fn merge_phase<W: ParallelWorld>(
     cells: &[Mutex<Cell<W>>],
     lookahead: SimDuration,
@@ -518,7 +496,7 @@ mod tests {
     type ToyLog = Vec<Vec<(u64, u32, u32)>>;
 
     fn run_toy(shards: u32, threads: usize) -> (ToyLog, WindowStats) {
-        let mut e = ParallelShardedEngine::new(toys(shards, 10), threads);
+        let mut e = ParallelEngine::new(toys(shards, 10), threads);
         e.prime_each(|_, _, q| {
             // Every shard primes the full schedule; the engine keeps
             // only its own events (SPMD filtering).
@@ -551,7 +529,7 @@ mod tests {
         // what becomes a window boundary: delivery order must still be
         // the (time, src, src_seq) total order, regardless of threads.
         let run = |threads: usize| {
-            let mut e = ParallelShardedEngine::new(toys(4, 10), threads);
+            let mut e = ParallelEngine::new(toys(4, 10), threads);
             e.prime_each(|_, _, q| {
                 for id in 0..32u32 {
                     // All at t=10 (== the first horizon for t_min=0 is
@@ -599,7 +577,7 @@ mod tests {
             }
         }
         for threads in [1, 2] {
-            let mut e = ParallelShardedEngine::new(
+            let mut e = ParallelEngine::new(
                 vec![Cheater { log: Vec::new() }, Cheater { log: Vec::new() }],
                 threads,
             );
@@ -615,7 +593,7 @@ mod tests {
 
     #[test]
     fn single_shard_runs_without_mailbox_traffic() {
-        let mut e = ParallelShardedEngine::new(toys(1, 10), 8);
+        let mut e = ParallelEngine::new(toys(1, 10), 8);
         assert_eq!(e.threads(), 1, "threads clamp to the shard count");
         e.prime_each(|_, _, q| {
             for id in 0..4u32 {
@@ -630,7 +608,7 @@ mod tests {
     #[test]
     fn busy_and_processed_per_shard_have_one_entry_per_shard() {
         let (_, _) = run_toy(3, 2);
-        let mut e = ParallelShardedEngine::new(toys(3, 10), 2);
+        let mut e = ParallelEngine::new(toys(3, 10), 2);
         e.prime_each(|_, _, q| {
             for id in 0..6u32 {
                 q.schedule_at(SimTime::ZERO, (id % 3, id, 2));

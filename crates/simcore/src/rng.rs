@@ -72,14 +72,13 @@ impl SimRng {
     /// stream's *seed* — it neither consumes randomness from `self` nor
     /// depends on how many draws `self` has already made, so the shard
     /// streams are stable across runs and across shard-creation order.
-    /// Two properties matter to the sharded engine
-    /// (`netrs_simcore::ShardedEngine`):
+    /// Two properties matter to a world built for
+    /// [`ParallelEngine`](crate::ParallelEngine):
     ///
     /// 1. **Identity at `shards == 1`**: `split(0, 1)` returns the
     ///    stream's pristine state (`SimRng::from_seed(seed)`), so a
     ///    single-shard world draws *exactly* the sequence the unsharded
-    ///    world draws and the engine's byte-identity guarantee extends
-    ///    through the RNG layer.
+    ///    world draws.
     /// 2. **Disjointness at `shards > 1`**: each `(shard, shards)` pair
     ///    maps to a distinct splitmix64-whitened stream id, so one
     ///    shard's draws carry no correlation with another's (tested over

@@ -33,10 +33,10 @@ use std::sync::{Arc, Mutex};
 
 use netrs_selection::CubicConfig;
 use netrs_sim::{
-    run_observed, run_observed_sharded, AllocStats, CacheAdmission, CacheWritePolicy, FaultPlan,
-    HostMeta, HostProfile, HotCacheConfig, KindRecord, ObsOptions, OverloadPolicy, ParallelPerf,
-    PerfOptions, PlanSource, QueueStats, RequestTableStats, Scheme, SimConfig, WriteConsistency,
-    PERF_SCHEMA_VERSION,
+    run_observed, run_observed_sharded_parallel, AllocStats, CacheAdmission, CacheWritePolicy,
+    FaultPlan, HostMeta, HostProfile, HotCacheConfig, KindRecord, ObsOptions, OverloadPolicy,
+    ParallelOptions, ParallelPerf, PerfOptions, PlanSource, QueueStats, RequestTableStats, Scheme,
+    SimConfig, WriteConsistency, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::SimDuration;
 
@@ -128,9 +128,7 @@ struct Artifacts {
     control: Vec<u8>,
 }
 
-/// `shards: Some(n)` drives the same observed run through the windowed
-/// sharded engine.
-fn run_case(cfg: SimConfig, shards: Option<u32>) -> Artifacts {
+fn run_case(cfg: SimConfig) -> Artifacts {
     let trace_sink = SharedBuf::default();
     // The control sink rides along on every case: the pre-control-stream
     // fixtures double as proof that attaching it never perturbs the run.
@@ -146,10 +144,7 @@ fn run_case(cfg: SimConfig, shards: Option<u32>) -> Artifacts {
         perf: Some(PerfOptions { stride: 3 }),
         progress: false,
     };
-    let out = match shards {
-        Some(n) => run_observed_sharded(cfg, n, obs),
-        None => run_observed(cfg, obs),
-    };
+    let out = run_observed(cfg, obs);
     let perf = out.perf.as_ref().expect("perf profile was enabled");
     assert_eq!(
         perf.kind_count_sum(),
@@ -194,7 +189,7 @@ fn golden_runs_are_byte_identical() {
         std::fs::create_dir_all(&dir).expect("create fixture dir");
     }
     for (name, cfg) in cases() {
-        let art = run_case(cfg, None);
+        let art = run_case(cfg);
         // The RW subsystem (write consistency modes, hot-key caching) is
         // strictly opt-in: none of these pre-RW configs enable it, so
         // their stats must not mention it — that, plus the unchanged
@@ -252,20 +247,20 @@ fn cache_case(admission: CacheAdmission, write_policy: CacheWritePolicy) -> SimC
     cfg
 }
 
-/// Cache-run goldens. The three `netrs-tor-rw-cache*` fixtures were
-/// captured at commit dc05ccd, when every coherence message was its own
-/// heap event. Since the fan-out became one event per (arrival time,
-/// shard) batch they differ from those captures in the `"events"` line
-/// only (and `parallel.mailbox_posted` under two shards): loss draws,
+/// Cache-run goldens. The `netrs-tor-rw-cache*` fixtures were captured
+/// at commit dc05ccd, when every coherence message was its own heap
+/// event. Since the fan-out became one event per arrival-time batch they
+/// differ from those captures in the `"events"` line only: loss draws,
 /// counters, trace and device bytes are the same. A regeneration that
 /// moves any other line is a behaviour change, not a refresh.
 #[test]
 fn cache_runs_are_byte_identical() {
     let dir = fixtures_dir();
     let regen = std::env::var_os("GOLDEN_REGEN").is_some();
-    let lru = || cache_case(CacheAdmission::Lru, CacheWritePolicy::Invalidate);
-
-    let art = run_case(lru(), None);
+    let art = run_case(cache_case(
+        CacheAdmission::Lru,
+        CacheWritePolicy::Invalidate,
+    ));
     assert!(art.stats_json.contains("\"rw\""), "cache runs report rw");
     pin(
         &dir.join("netrs-tor-rw-cache.stats.json"),
@@ -283,27 +278,55 @@ fn cache_runs_are_byte_identical() {
     );
 
     // Stats only: refresh-in-place coherence and sketch-gated admission.
-    let art = run_case(
-        cache_case(
-            CacheAdmission::Frequency { threshold: 2 },
-            CacheWritePolicy::Through,
-        ),
-        None,
-    );
+    let art = run_case(cache_case(
+        CacheAdmission::Frequency { threshold: 2 },
+        CacheWritePolicy::Through,
+    ));
     pin(
         &dir.join("netrs-tor-rw-cache-through-freq.stats.json"),
         &art.stats_json,
         regen,
     );
+}
 
-    // Stats only: the LRU config again under `--shards 2`, where batches
-    // also split by owning shard.
-    let art = run_case(lru(), Some(2));
-    pin(
-        &dir.join("netrs-tor-rw-cache-shards2.stats.json"),
-        &art.stats_json,
-        regen,
-    );
+/// The replica engine — the path the benchmark's `read-clirs-windowed`
+/// workload times — on the `clirs` golden's config under two shards,
+/// captured at commit 1657ef1. Only the trace and control sinks ride
+/// along: `run_case`'s device and perf sinks make a run ineligible for
+/// replicas. The bytes must not depend on the worker count.
+#[test]
+fn replica_runs_are_byte_identical() {
+    let dir = fixtures_dir();
+    let regen = std::env::var_os("GOLDEN_REGEN").is_some();
+    let (_, cfg) = cases()
+        .into_iter()
+        .find(|(name, _)| *name == "clirs")
+        .expect("the clirs case");
+    let replicated = |threads| {
+        let trace_sink = SharedBuf::default();
+        let control_sink = SharedBuf::default();
+        let obs = ObsOptions {
+            trace: Some(Box::new(trace_sink.clone())),
+            control: Some(Box::new(control_sink.clone())),
+            ..ObsOptions::default()
+        };
+        let par = ParallelOptions {
+            threads,
+            ..ParallelOptions::default()
+        };
+        let out = run_observed_sharded_parallel(cfg.clone(), 2, par, obs);
+        assert!(out.stats.parallel.is_some(), "the run must use replicas");
+        assert!(control_sink.take().is_empty(), "client schemes stay silent");
+        let stats = serde_json::to_string_pretty(&out.stats).expect("stats serialize");
+        (
+            stats,
+            format!("{}\n", digest_line("trace", &trace_sink.take())),
+        )
+    };
+    let one = replicated(1);
+    assert_eq!(one, replicated(2), "worker count leaked into the artifacts");
+    pin(&dir.join("clirs-shards2.stats.json"), &one.0, regen);
+    pin(&dir.join("clirs-shards2.digests.txt"), &one.1, regen);
 }
 
 /// Artifact schemas no run golden above reaches, captured at commit
@@ -322,7 +345,7 @@ fn artifact_schemas_are_byte_identical() {
     cfg.scheme = Scheme::NetRsToR;
     cfg.seed = 7;
     cfg.faults = Some(FaultPlan::from_json(&plan).expect("valid fault plan"));
-    let art = run_case(cfg, None);
+    let art = run_case(cfg);
     assert!(art.stats_json.contains("\"availability\""));
     let control = String::from_utf8(art.control).expect("control stream is UTF-8");
     assert!(control.contains("\"kind\":\"drs_span\""));

@@ -1,20 +1,17 @@
-//! Sharded-engine equivalence tests.
+//! Replica-engine equivalence tests.
 //!
-//! The shard refactor's acceptance contract (DESIGN.md §13): driving the
-//! cluster through [`netrs_sim::run_sharded`] with one shard must be
-//! **byte-identical** to the sequential engine — same `RunStats`, same
-//! request-trace JSONL, same device telemetry — for every scheme, and
-//! multi-shard runs must be deterministic per seed (run twice, get the
-//! same bytes) even though their within-window event order differs from
-//! the sequential engine's.
+//! The contract of `run_observed_sharded_parallel` (DESIGN.md §13): a
+//! run that cannot execute as replicas *is* the sequential engine's run —
+//! same `RunStats`, same trace JSONL — and says why; a run that can is
+//! byte-identical whatever the worker count, even though its event order
+//! differs from the sequential engine's.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use netrs_sim::{
-    run, run_observed, run_observed_sharded, run_observed_sharded_parallel, run_seeds,
-    run_seeds_sharded, run_sharded, run_sharded_parallel, ObsOptions, ParallelOptions, Scheme,
-    SimConfig,
+    run, run_observed, run_observed_sharded_parallel, FaultPlan, HotCacheConfig, ObsOptions,
+    ParallelOptions, PerfOptions, SamplerSpec, Scheme, SimConfig,
 };
 use proptest::prelude::*;
 
@@ -54,94 +51,73 @@ fn stats_json(stats: &netrs_sim::RunStats) -> String {
     serde_json::to_string_pretty(stats).expect("stats serialize")
 }
 
-/// One shard, no observers: `RunStats` byte-identical to the sequential
-/// engine for all four schemes and three seeds.
-#[test]
-fn one_shard_stats_match_sequential_for_all_schemes() {
-    for scheme in Scheme::ALL {
-        for seed in SEEDS {
-            let sequential = run(tiny(scheme, seed));
-            let sharded = run_sharded(tiny(scheme, seed), 1);
-            assert_eq!(
-                stats_json(&sequential),
-                stats_json(&sharded),
-                "{scheme:?} seed {seed}: one-shard run diverged from sequential"
-            );
-        }
-    }
+/// `run_observed_sharded_parallel` on the calling thread, no observers.
+fn run_shards(cfg: SimConfig, shards: u32, threads: usize) -> netrs_sim::RunStats {
+    let par = ParallelOptions {
+        threads,
+        ..ParallelOptions::default()
+    };
+    run_observed_sharded_parallel(cfg, shards, par, ObsOptions::default()).stats
 }
 
-/// One shard with the full observer set attached: the trace JSONL and
-/// device telemetry are byte-identical too, so downstream artifact
-/// diffs cannot tell the engines apart.
+/// Every reason a run is not replica-eligible: asking for shards returns
+/// the sequential engine's bytes — stats and trace — without a `parallel`
+/// block, and the output names the reason.
 #[test]
-fn one_shard_trace_and_devices_match_sequential() {
-    for scheme in Scheme::ALL {
-        let observed = |sharded: Option<u32>| {
+fn ineligible_runs_are_the_sequential_engine_and_say_why() {
+    type Case = (&'static str, fn(&mut SimConfig, &mut ObsOptions));
+    const INSTRUMENTED: &str = "device / hop / timeseries / perf instrumentation";
+    let cases: [Case; 9] = [
+        ("in-network scheme", |cfg, _| cfg.scheme = Scheme::NetRsToR),
+        ("in-network scheme", |cfg, _| cfg.scheme = Scheme::NetRsIlp),
+        ("active fault plan", |cfg, _| {
+            let plan = include_str!("fixtures/faults/smoke.json");
+            cfg.faults = Some(FaultPlan::from_json(plan).expect("valid fault plan"));
+        }),
+        ("hot-key cache", |cfg, _| {
+            cfg.hot_cache = Some(HotCacheConfig::default());
+        }),
+        (INSTRUMENTED, |_, obs| obs.device_stats = true),
+        (INSTRUMENTED, |_, obs| obs.trace_hops = true),
+        (INSTRUMENTED, |_, obs| {
+            obs.timeseries = Some(SamplerSpec::default());
+        }),
+        (INSTRUMENTED, |_, obs| {
+            obs.perf = Some(PerfOptions::default());
+        }),
+        // Four shards with a generator each, one client between them.
+        (
+            "a shard with generators but no clients to draw from",
+            |cfg, _| cfg.clients = 1,
+        ),
+    ];
+    for (reason, setup) in cases {
+        let observed = |shards: Option<u32>| {
             let sink = SharedBuf::default();
-            let obs = ObsOptions {
+            let mut cfg = tiny(Scheme::CliRs, 11);
+            let mut obs = ObsOptions {
                 trace: Some(Box::new(sink.clone())),
-                trace_hops: true,
-                device_stats: true,
                 ..ObsOptions::default()
             };
-            let cfg = tiny(scheme, 11);
-            let out = match sharded {
-                Some(shards) => run_observed_sharded(cfg, shards, obs),
+            setup(&mut cfg, &mut obs);
+            let out = match shards {
+                Some(n) => run_observed_sharded_parallel(cfg, n, ParallelOptions::default(), obs),
                 None => run_observed(cfg, obs),
             };
-            let report = out.devices.expect("device stats requested");
-            let devices: String = report
-                .records
-                .iter()
-                .map(|r| {
-                    let mut line = serde_json::to_string(r).expect("device record serialize");
-                    line.push('\n');
-                    line
-                })
-                .collect();
-            (stats_json(&out.stats), sink.take_string(), devices)
+            (out, sink.take_string())
         };
-        let (seq_stats, seq_trace, seq_devices) = observed(None);
-        let (sh_stats, sh_trace, sh_devices) = observed(Some(1));
-        assert_eq!(seq_stats, sh_stats, "{scheme:?}: stats diverged");
-        assert_eq!(seq_trace, sh_trace, "{scheme:?}: trace JSONL diverged");
+        let (sequential, seq_trace) = observed(None);
+        let (sharded, sh_trace) = observed(Some(4));
+        assert_eq!(sharded.shards_not_applied, Some(reason));
+        assert_eq!(sequential.shards_not_applied, None, "{reason}");
+        assert!(sharded.stats.parallel.is_none(), "{reason}");
         assert_eq!(
-            seq_devices, sh_devices,
-            "{scheme:?}: device report diverged"
+            stats_json(&sequential.stats),
+            stats_json(&sharded.stats),
+            "{reason}: stats diverged from the sequential engine"
         );
+        assert_eq!(seq_trace, sh_trace, "{reason}: trace JSONL diverged");
     }
-}
-
-/// Multi-shard runs are deterministic: the same seed produces the same
-/// bytes run after run, for every scheme, and the workload still
-/// completes.
-#[test]
-fn multi_shard_runs_are_deterministic_per_seed() {
-    for scheme in Scheme::ALL {
-        for seed in SEEDS {
-            let a = run_sharded(tiny(scheme, seed), 4);
-            let b = run_sharded(tiny(scheme, seed), 4);
-            assert_eq!(
-                stats_json(&a),
-                stats_json(&b),
-                "{scheme:?} seed {seed}: multi-shard run not reproducible"
-            );
-            assert_eq!(a.completed, 1_500, "{scheme:?} seed {seed}: work lost");
-        }
-    }
-}
-
-/// Different seeds still produce different multi-shard runs (the
-/// per-shard RNG split must not collapse the seed space).
-#[test]
-fn multi_shard_seeds_differ() {
-    let a = run_sharded(tiny(Scheme::NetRsIlp, 11), 4);
-    let b = run_sharded(tiny(Scheme::NetRsIlp, 12), 4);
-    assert_ne!(
-        a.latency, b.latency,
-        "different seeds must produce different runs"
-    );
 }
 
 /// Runs one parallel sharded run with trace + control sinks attached and
@@ -169,11 +145,11 @@ fn parallel_observed(
     )
 }
 
-/// The tentpole acceptance invariant: for all four schemes, a
+/// The replica engine's acceptance invariant: for all four schemes, a
 /// `--shards 4 --threads 4` run is byte-identical to `--shards 4
 /// --threads 1` — RunStats, trace JSONL, and control JSONL. Client-side
 /// schemes exercise the SPMD replica engine (true concurrency);
-/// in-network schemes exercise the sequential-window fallback.
+/// in-network schemes run the sequential engine either way.
 #[test]
 fn four_threads_byte_identical_to_one_thread_for_all_schemes() {
     for scheme in Scheme::ALL {
@@ -192,7 +168,7 @@ fn four_threads_byte_identical_to_one_thread_for_all_schemes() {
 }
 
 /// Same invariant with the device probe and hop tracing attached (which
-/// routes every scheme through the fallback engine): stats, trace, and
+/// routes every scheme to the sequential engine): stats, trace, and
 /// control still thread-invariant, and the device report too.
 #[test]
 fn four_threads_byte_identical_with_device_stats() {
@@ -213,7 +189,7 @@ fn four_threads_byte_identical_with_device_stats() {
 fn one_shard_parallel_matches_sequential_engine() {
     for scheme in Scheme::ALL {
         let sequential = run(tiny(scheme, 12));
-        let parallel = run_sharded_parallel(tiny(scheme, 12), 1, 4);
+        let parallel = run_shards(tiny(scheme, 12), 1, 4);
         assert_eq!(
             stats_json(&sequential),
             stats_json(&parallel),
@@ -227,7 +203,7 @@ fn one_shard_parallel_matches_sequential_engine() {
 /// safe) 1× lookahead.
 #[test]
 fn replica_engine_completes_with_clean_window_accounting() {
-    let stats = run_sharded_parallel(tiny(Scheme::CliRs, 11), 4, 2);
+    let stats = run_shards(tiny(Scheme::CliRs, 11), 4, 2);
     assert_eq!(stats.completed, 1_500, "work lost in replica mode");
     let par = stats
         .parallel
@@ -268,14 +244,13 @@ fn wide_lookahead_clamps_late_posts_and_still_completes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Satellite property: a parallel N-shard run equals the
-    /// sequential-windowed N-shard run (threads = 1 of the same engine)
-    /// under random seed, scheme, shard count, thread count, and write
-    /// fraction.
+    /// Satellite property: a threaded N-shard replica run equals the
+    /// same run windowed on one thread, under random seed, client-side
+    /// scheme, shard count, thread count, and write fraction.
     #[test]
     fn parallel_equals_sequential_windowed(
         seed in 0u64..1_000,
-        scheme_idx in 0usize..4,
+        scheme_idx in 0usize..2,
         shards in 2u32..5,
         threads in 2usize..5,
         write_pct in 0u32..3,
@@ -283,43 +258,10 @@ proptest! {
         let mut cfg = tiny(Scheme::ALL[scheme_idx], seed);
         cfg.requests = 400;
         cfg.write_fraction = f64::from(write_pct) * 0.1;
-        let par = |threads| ParallelOptions { threads, ..ParallelOptions::default() };
-        let a = run_observed_sharded_parallel(
-            cfg.clone(), shards, par(1), ObsOptions::default()).stats;
-        let b = run_observed_sharded_parallel(
-            cfg, shards, par(threads), ObsOptions::default()).stats;
+        let a = run_shards(cfg.clone(), shards, 1);
+        let b = run_shards(cfg, shards, threads);
+        prop_assert!(a.parallel.is_some(), "the case must run the replica engine");
         prop_assert_eq!(stats_json(&a), stats_json(&b));
         prop_assert_eq!(a.completed, 400);
-    }
-}
-
-/// The multi-seed fan-out on the sharded path serializes to the same
-/// bytes as running each seed alone — thread scheduling must not leak
-/// into results (the sharded extension of the `run_seeds`
-/// parallel-matches-sequential property).
-#[test]
-fn run_seeds_sharded_parallel_matches_sequential_runs() {
-    let cfg = tiny(Scheme::NetRsToR, 0);
-    let parallel = run_seeds_sharded(&cfg, 4, &SEEDS);
-    for (&seed, p) in SEEDS.iter().zip(&parallel) {
-        let mut one = cfg.clone();
-        one.seed = seed;
-        let s = run_sharded(one, 4);
-        assert_eq!(
-            stats_json(p),
-            stats_json(&s),
-            "seed {seed}: parallel and sequential sharded runs diverged"
-        );
-    }
-    // And with one shard the fan-out agrees with the sequential-engine
-    // fan-out, closing the loop between the two runners.
-    let one_shard = run_seeds_sharded(&cfg, 1, &SEEDS);
-    let sequential = run_seeds(&cfg, &SEEDS);
-    for ((&seed, a), b) in SEEDS.iter().zip(&one_shard).zip(&sequential) {
-        assert_eq!(
-            stats_json(a),
-            stats_json(b),
-            "seed {seed}: one-shard fan-out diverged from sequential fan-out"
-        );
     }
 }
