@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test --release (simcore)"
+# Release-only branches: the calendar proptest's phase that clamps a past
+# `at` to now (debug builds panic on it instead) and the profiler's clock
+# calibration at release speed.
+cargo test --release -q -p netrs-simcore
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 

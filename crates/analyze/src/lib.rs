@@ -2085,6 +2085,7 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
                 live_high_water: 310,
                 overflow_high_water: 4,
             }),
+            clock_pair_ns: None,
             kinds: vec![
                 KindRecord {
                     kind: "Generate".into(),

@@ -452,6 +452,7 @@ fn run_parallel_cell(cfg: &SimConfig, shards: u32, threads: usize, repeats: u32)
         alloc: None,
         parallel,
         request_table: None,
+        clock_pair_ns: None,
         kinds: Vec::new(),
     }
 }

@@ -45,7 +45,7 @@ use crate::config::SimConfig;
 use crate::obs::{DeviceStatsReport, PlanEventRecord, SamplerSpec, TimeSeries};
 use crate::perf::RequestTableStats;
 use crate::policy::{NotInNetwork, SchemePolicy};
-use crate::server::ServerToken;
+use crate::server::{CopyId, ServerToken};
 use crate::state::{Core, GenOutcome, RetryAction};
 use crate::stats::RunStats;
 
@@ -90,14 +90,14 @@ pub enum Ev {
     /// A request copy arrives at a server.
     ServerArrive {
         /// The copy.
-        token: ServerToken,
+        copy: CopyId,
     },
     /// A server finishes one request copy.
     ServerDone {
         /// The server.
         server: ServerId,
         /// The finished copy.
-        token: ServerToken,
+        copy: CopyId,
     },
     /// An accelerator finishes processing a cloned response.
     SelectorUpdate {
@@ -109,7 +109,7 @@ pub enum Ev {
     /// A response reaches the client.
     ClientReceive {
         /// The copy.
-        token: ServerToken,
+        copy: CopyId,
         /// Piggybacked server status at response time.
         status: ServerStatus,
     },
@@ -479,6 +479,12 @@ impl<D: DeviceProbe> Cluster<D> {
         self.core.completed
     }
 
+    /// Request copies sent and neither delivered nor lost yet (0 once
+    /// the run drains).
+    pub(crate) fn copies_in_flight(&self) -> usize {
+        self.core.copies.live()
+    }
+
     /// How big the request table is and how full it ever got.
     pub(crate) fn request_table_stats(&self) -> RequestTableStats {
         self.core.requests.stats()
@@ -538,33 +544,35 @@ impl<D: DeviceProbe> World for Cluster<D> {
                 self.policy
                     .on_select(&mut self.core, now, req, op, arrived, waited, queue);
             }
-            Ev::ServerArrive { token } => {
+            Ev::ServerArrive { copy } => {
                 if self.core.packet_lost(now) {
-                    self.core.drop_copy(token.req.0);
+                    self.core.lose_copy(copy);
                 } else {
-                    self.core.server_arrive(now, token, queue);
+                    self.core.server_arrive(now, copy, queue);
                 }
             }
-            Ev::ServerDone { server, mut token } => {
-                if self.core.servers.absorb_ghost(server, &token) {
-                    // The copy was in service when the server crashed.
-                    self.core.drop_copy(token.req.0);
-                } else if let Some(status) =
-                    self.core.finish_service(now, server, &mut token, queue)
+            Ev::ServerDone { server, copy } => {
+                if self
+                    .core
+                    .servers
+                    .absorb_ghost(server, &self.core.copies[copy])
                 {
+                    // The copy was in service when the server crashed.
+                    self.core.lose_copy(copy);
+                } else if let Some(status) = self.core.finish_service(now, server, copy, queue) {
                     // Chain writes propagate server → server; only the
                     // tail's completion produces a client reply.
-                    if !self.core.forward_chain_write(now, &token, queue) {
+                    if !self.core.forward_chain_write(now, copy, queue) {
                         self.policy
-                            .route_reply(&mut self.core, now, token, status, queue);
+                            .route_reply(&mut self.core, now, copy, status, queue);
                     }
                 }
             }
             Ev::SelectorUpdate { op, fb } => self.policy.on_selector_update(now, op, fb),
-            Ev::ClientReceive { token, status } => {
+            Ev::ClientReceive { copy, status } => {
                 if self.core.packet_lost(now) {
-                    self.core.drop_copy(token.req.0);
-                } else if let Some(info) = self.core.receive_reply(now, token, status) {
+                    self.core.lose_copy(copy);
+                } else if let Some(info) = self.core.receive_reply(now, copy, status) {
                     self.policy.on_reply(&mut self.core, now, &info);
                 }
             }
@@ -654,9 +662,12 @@ impl<D: DeviceProbe> World for Cluster<D> {
 /// Replica-mode parallel execution: each [`Cluster`] instance is one
 /// shard's SPMD replica (`Core::enable_replica`); dispatch is the same
 /// [`World`] impl, and events route to the shard of the device whose
-/// state their handler touches (`Core::shard_of_event`).
+/// state their handler touches (`Core::shard_of_event`). A copy's handle
+/// means nothing in another replica's slab, so a copy event crosses
+/// shards with its token and is re-parked on arrival.
 impl<D: DeviceProbe + Send> ParallelWorld for Cluster<D> {
     type Event = Ev;
+    type Parcel = (Ev, Option<ServerToken>);
 
     fn handle(&mut self, now: SimTime, event: Ev, queue: &mut EventQueue<Ev>) {
         <Self as World>::handle(self, now, event, queue);
@@ -669,39 +680,69 @@ impl<D: DeviceProbe + Send> ParallelWorld for Cluster<D> {
     fn lookahead(&self) -> SimDuration {
         self.core.replica_lookahead()
     }
+
+    fn export(&mut self, mut event: Ev) -> (Ev, Option<ServerToken>) {
+        let token = event.copy_mut().map(|copy| self.core.copies.remove(*copy));
+        (event, token)
+    }
+
+    fn import(&mut self, (mut event, token): (Ev, Option<ServerToken>)) -> Ev {
+        if let (Some(copy), Some(token)) = (event.copy_mut(), token) {
+            *copy = self.core.copies.insert(token);
+        }
+        event
+    }
+}
+
+impl Ev {
+    /// The handle of the copy a per-copy event refers to.
+    fn copy_mut(&mut self) -> Option<&mut CopyId> {
+        match self {
+            Ev::ServerArrive { copy }
+            | Ev::ServerDone { copy, .. }
+            | Ev::ClientReceive { copy, .. } => Some(copy),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use netrs_faults::{FaultPlan, TimedFault};
+    use netrs_faults::{AvailabilityStats, FaultPlan, LinkRef, RetryPolicy, TimedFault};
     use netrs_netdev::HotCacheConfig;
 
     use super::*;
     use crate::config::{Scheme, WriteConsistency};
 
-    /// The benchmark's `rw-faults-netrs-tor` shape at test scale: the
-    /// request table stays the size of what is live while stragglers pile
-    /// up behind a crashed server and a loss burst, and the run drains —
-    /// asserted, not `debug_assert`ed, so release builds check it too.
-    #[test]
-    fn request_table_follows_what_is_live_through_faults_and_drains() {
-        let ms = SimDuration::from_millis;
-        let mut cfg = SimConfig::small();
-        cfg.scheme = Scheme::NetRsToR;
-        cfg.seed = 3;
-        cfg.requests = 20_000;
-        cfg.utilization = 0.7;
-        cfg.write_fraction = 0.1;
-        cfg.write_consistency = WriteConsistency::Quorum { w: 2 };
-        cfg.hot_cache = Some(HotCacheConfig {
-            capacity: 64,
-            ..HotCacheConfig::default()
-        });
+    fn ms(t: u64) -> SimDuration {
+        SimDuration::from_millis(t)
+    }
+
+    /// A plan that takes every way a sent copy can be lost: a crash of a
+    /// server slowed down to build a queue first (arrivals dropped at the
+    /// dead server, its queue drained, copies in service turned into
+    /// ghosts), a loss burst (copies lost at `ServerArrive` and
+    /// `ClientReceive`), and a dead server uplink (request and reply paths
+    /// severed, at the client or at the RSNode). A tight timeout with one
+    /// retry abandons requests whose straggler copies are then dropped as
+    /// duplicates, at the server or the client.
+    fn lossy_plan(cfg: &SimConfig) -> FaultPlan {
+        let cut = Cluster::new(cfg.clone()).core.server_hosts[2].0;
+        let uplink = LinkRef::HostUplink { host: cut };
         let at = |t, fault| TimedFault { at: ms(t), fault };
-        cfg.faults = Some(FaultPlan {
+        FaultPlan {
             events: vec![
+                at(
+                    150,
+                    FaultEvent::ServerSlowdown {
+                        server: 1,
+                        factor: 0.05,
+                    },
+                ),
                 at(200, FaultEvent::ServerCrash { server: 1 }),
                 at(400, FaultEvent::ServerRecover { server: 1 }),
+                at(500, FaultEvent::LinkFail { link: uplink }),
+                at(550, FaultEvent::LinkRecover { link: uplink }),
                 at(
                     600,
                     FaultEvent::PacketLossBurst {
@@ -710,9 +751,21 @@ mod tests {
                     },
                 ),
             ],
+            retry: RetryPolicy {
+                timeout: ms(5),
+                max_retries: 1,
+                ..RetryPolicy::default()
+            },
             ..FaultPlan::default()
-        });
+        }
+    }
 
+    /// Runs `cfg` to the end in 10 ms slices, checking at every slice that
+    /// the request table stays the size of what is live — asserted, not
+    /// `debug_assert`ed, so release builds check it too — and returns the
+    /// drained cluster with every copy's slab slot freed.
+    fn drain(cfg: SimConfig) -> Cluster {
+        let requests = cfg.requests;
         let mut engine = Cluster::primed_engine(cfg);
         let mut t = SimTime::ZERO;
         while !engine.queue().is_empty() {
@@ -727,11 +780,90 @@ mod tests {
         }
         let cluster = engine.into_world();
         assert!(cluster.drained(), "simulation ended with work outstanding");
-        assert_eq!(cluster.issued(), 20_000);
+        assert_eq!(cluster.issued(), requests);
+        assert_eq!(
+            cluster.copies_in_flight(),
+            0,
+            "a delivered or lost copy kept its slab slot"
+        );
+        cluster
+    }
+
+    fn availability(cluster: &Cluster) -> AvailabilityStats {
+        cluster.core.availability().expect("fault plan is active")
+    }
+
+    /// The benchmark's `rw-faults-netrs-tor` shape at test scale:
+    /// stragglers pile up behind a crashed server and a loss burst, and
+    /// the run drains.
+    #[test]
+    fn request_table_follows_what_is_live_through_faults_and_drains() {
+        let mut cfg = SimConfig::small();
+        cfg.scheme = Scheme::NetRsToR;
+        cfg.seed = 3;
+        cfg.requests = 20_000;
+        cfg.utilization = 0.7;
+        cfg.write_fraction = 0.1;
+        cfg.write_consistency = WriteConsistency::Quorum { w: 2 };
+        cfg.hot_cache = Some(HotCacheConfig {
+            capacity: 64,
+            ..HotCacheConfig::default()
+        });
+        cfg.faults = Some(lossy_plan(&cfg));
+        let cluster = drain(cfg);
         let table = cluster.request_table_stats();
         assert!(
             table.overflow_high_water > 0,
             "no straggler was ever lapped: {table:?}"
+        );
+        let lost = availability(&cluster);
+        assert!(
+            lost.copies_dropped > 0 && lost.duplicate_drops > 0,
+            "{lost:?}"
+        );
+    }
+
+    /// Chain writes hand each hop on as a new copy and free the old one;
+    /// a crash or a dead uplink mid-chain loses the hop.
+    #[test]
+    fn chain_writes_free_every_hop_through_faults() {
+        let mut cfg = SimConfig::small();
+        cfg.scheme = Scheme::CliRs;
+        cfg.seed = 4;
+        cfg.requests = 20_000;
+        cfg.utilization = 0.7;
+        cfg.write_fraction = 0.2;
+        cfg.write_consistency = WriteConsistency::Chain;
+        cfg.faults = Some(lossy_plan(&cfg));
+        let cluster = drain(cfg);
+        let rw = cluster
+            .stats(SimTime::ZERO, 0)
+            .rw
+            .expect("chain runs report writes");
+        assert!(rw.writes_completed > 100, "{rw:?}");
+        let lost = availability(&cluster);
+        assert!(
+            lost.copies_dropped > 0 && lost.duplicate_drops > 0,
+            "{lost:?}"
+        );
+    }
+
+    /// CliRS-R95 duplicates are copies of their own: the straggler of a
+    /// pair, and the copies of an abandoned read, are freed on arrival.
+    #[test]
+    fn r95_duplicates_free_their_copies_through_faults() {
+        let mut cfg = SimConfig::small();
+        cfg.scheme = Scheme::CliRsR95;
+        cfg.seed = 5;
+        cfg.requests = 20_000;
+        cfg.utilization = 0.5;
+        cfg.faults = Some(lossy_plan(&cfg));
+        let cluster = drain(cfg);
+        assert!(cluster.core.duplicates > 500, "{}", cluster.core.duplicates);
+        let lost = availability(&cluster);
+        assert!(
+            lost.copies_dropped > 0 && lost.duplicate_drops > 0,
+            "{lost:?}"
         );
     }
 }

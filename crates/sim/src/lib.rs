@@ -65,6 +65,6 @@ pub use runner::{
     run, run_all_schemes, run_observed, run_observed_sharded_parallel, run_seeds, ParallelOptions,
     RunOutput,
 };
-pub use server::ServerToken;
+pub use server::{CopyId, ServerToken};
 pub use stats::{LatencyBreakdown, MeanStats, ParallelStats, RunStats, RwStats};
 pub use sweep::{run_grid, run_sweep, SweepCell, SweepJob, SweepReport, SWEEP_SCHEMA_VERSION};

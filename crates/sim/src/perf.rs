@@ -10,8 +10,8 @@
 //! on-disk history: `schema_version` plus an append-only list of runs.
 //!
 //! The JSON schema is the field order of the structs below; the optional
-//! `alloc`, `parallel` and `request_table` blocks are omitted (never
-//! null) when absent.
+//! `alloc`, `parallel`, `request_table` and `clock_pair_ns` entries are
+//! omitted (never null) when absent.
 
 use netrs_simcore::{PerfReport, DEPTH_BUCKETS};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -268,6 +268,11 @@ pub struct HostProfile {
     /// run (the `sharded-parallel` suite) or written before it existed.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub request_table: Option<RequestTableStats>,
+    /// Calibrated cost (ns) of the clock pair bracketing each sampled
+    /// step, already subtracted from every `self_ns`; absent on rows
+    /// measured without the profiler or written before it was subtracted.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub clock_pair_ns: Option<u64>,
     /// Per-event-kind attribution, [`EV_KINDS`] order, zero-count kinds
     /// included (empty on rows measured without the profiler).
     pub kinds: Vec<KindRecord>,
@@ -398,6 +403,7 @@ mod tests {
             alloc: None,
             parallel: None,
             request_table: None,
+            clock_pair_ns: None,
             kinds: vec![
                 KindRecord {
                     kind: "Generate".into(),

@@ -126,7 +126,8 @@ impl CliRsPolicy {
             core.drop_copy(req.0); // partitioned by link faults
             return;
         };
-        queue.schedule_after(latency, Ev::ServerArrive { token });
+        let copy = core.copies.insert(token);
+        queue.schedule_after(latency, Ev::ServerArrive { copy });
         if core.fabric.observing() {
             let sink = HopSink::Copy(req.0, server.0);
             // The copy sat at the client from issue to departure.
@@ -168,10 +169,10 @@ impl CliRsPolicy {
     /// and rate controller (CliRS schemes observe every copy's response).
     fn feed_back(&mut self, now: SimTime, info: &ReplyInfo) {
         let idx = info.client as usize;
-        let copy_latency = now - info.token.copy_sent_at;
+        let copy_latency = now - info.copy_sent_at;
         self.selectors[idx].on_response(
             &Feedback {
-                server: info.token.server,
+                server: info.server,
                 queue_len: info.status.queue_len,
                 service_time: info.status.service_time(),
                 latency: copy_latency,
@@ -179,7 +180,7 @@ impl CliRsPolicy {
             now,
         );
         if let Some(ctl) = self.rates[idx].as_mut() {
-            ctl.on_response(info.token.server, now);
+            ctl.on_response(info.server, now);
         }
     }
 }

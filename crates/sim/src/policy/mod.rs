@@ -22,7 +22,7 @@ use netrs_topology::{FatTree, SwitchId};
 
 use crate::cluster::{Ev, ReqId};
 use crate::config::Scheme;
-use crate::server::ServerToken;
+use crate::server::CopyId;
 use crate::state::Core;
 
 pub(crate) use self::client::{CliRsPolicy, CliRsR95Policy};
@@ -74,7 +74,10 @@ pub(crate) type FanoutTemplates = (Option<FanoutTemplate>, FanoutTemplate);
 /// [`SchemePolicy::on_reply`] after [`Core::receive_reply`] has done the
 /// scheme-independent accounting.
 pub(crate) struct ReplyInfo {
-    pub(crate) token: ServerToken,
+    /// The server that answered.
+    pub(crate) server: ServerId,
+    /// When the copy left its last sender (client or selector).
+    pub(crate) copy_sent_at: SimTime,
     pub(crate) status: ServerStatus,
     /// Index of the issuing client.
     pub(crate) client: u32,
@@ -227,11 +230,11 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
-        token: ServerToken,
+        copy: CopyId,
         status: ServerStatus,
         queue: &mut EventQueue<Ev>,
     ) {
-        core.send_reply_direct(now, token, status, queue);
+        core.send_reply_direct(now, copy, status, queue);
     }
 
     /// Feedback when a response copy reaches the client: selector /

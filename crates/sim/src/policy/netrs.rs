@@ -29,7 +29,7 @@ use crate::config::{PlanSource, SimConfig};
 use crate::dense::SwitchTable;
 use crate::fabric::HopSink;
 use crate::obs::{CacheRecord, PlanEventRecord, SolveRecord};
-use crate::server::ServerToken;
+use crate::server::{CopyId, ServerToken};
 use crate::state::{flow_hash, Core, REQ_BYTES, RESP_BYTES};
 
 use super::{ControlStats, NotInNetwork, ReplyInfo, SchemePolicy};
@@ -422,7 +422,8 @@ impl InNetwork {
             core.drop_copy(req.0); // no live path to the backup
             return;
         };
-        queue.schedule_after(latency, Ev::ServerArrive { token });
+        let copy = core.copies.insert(token);
+        queue.schedule_after(latency, Ev::ServerArrive { copy });
         core.fabric
             .devices
             .bump(DeviceId::Switch(from.0), DeviceCounter::Drop, 1);
@@ -526,7 +527,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                     core.drop_copy(req.0); // partitioned by link faults
                     return;
                 };
-                queue.schedule_after(latency, Ev::ServerArrive { token });
+                let copy = core.copies.insert(token);
+                queue.schedule_after(latency, Ev::ServerArrive { copy });
                 core.fabric
                     .devices
                     .bump(DeviceId::Switch(tor.0), DeviceCounter::Clamp, 1);
@@ -661,7 +663,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                     queue.schedule_after(
                         latency,
                         Ev::ClientReceive {
-                            token,
+                            copy: core.copies.insert(token),
                             status: netrs_kvstore::ServerStatus::default(),
                         },
                     );
@@ -748,7 +750,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             core.drop_copy(req.0); // no live path to the chosen replica
             return;
         };
-        queue.schedule_after(latency, Ev::ServerArrive { token });
+        let copy = core.copies.insert(token);
+        queue.schedule_after(latency, Ev::ServerArrive { copy });
         let accel = DeviceId::Accelerator(op.0);
         core.fabric.devices.selection(accel, waited);
         core.fabric
@@ -782,24 +785,27 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
-        token: ServerToken,
+        copy: CopyId,
         status: netrs_kvstore::ServerStatus,
         queue: &mut EventQueue<Ev>,
     ) {
+        let token = &core.copies[copy];
+        let (req, server, rsnode_sent_at) = (token.req, token.server, token.rsnode_sent_at);
         let Some(op) = token.rsnode else {
-            core.send_reply_direct(now, token, status, queue);
+            core.send_reply_direct(now, copy, status, queue);
             return;
         };
-        let Some(state) = core.requests.get(token.req.0) else {
+        let Some(state) = core.requests.get(req.0) else {
+            core.copies.remove(copy);
             return;
         };
         let key = state.key;
         let client_host = core.client_hosts[state.client as usize];
-        let server_host = core.server_hosts[token.server.0 as usize];
-        let hash = flow_hash(token.req, 23);
-        let sink = HopSink::Copy(token.req.0, token.server.0);
+        let server_host = core.server_hosts[server.0 as usize];
+        let hash = flow_hash(req, 23);
+        let sink = HopSink::Copy(req.0, server.0);
         let Some(to_rsnode) = core.fabric.try_host_to_switch(server_host, op, hash) else {
-            core.drop_copy(token.req.0); // reply path to the RSNode severed
+            core.lose_copy(copy); // reply path to the RSNode severed
             return;
         };
         let at_rsnode = now + to_rsnode;
@@ -809,7 +815,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 // observed response, stamped with the store's committed
                 // version so later hits can be checked for staleness.
                 let before = cache.stats().evictions;
-                cache.admit(key, core.versions.get(key), token.server);
+                cache.admit(key, core.versions.get(key), server);
                 let evicted = cache.stats().evictions - before;
                 if evicted > 0 {
                     core.fabric.devices.bump(
@@ -821,10 +827,10 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             }
             let update_at = operator.accel.schedule_clone(at_rsnode);
             let fb = Feedback {
-                server: token.server,
+                server,
                 queue_len: status.queue_len,
                 service_time: status.service_time(),
-                latency: at_rsnode - token.rsnode_sent_at,
+                latency: at_rsnode - rsnode_sent_at,
             };
             queue.schedule_at(update_at, Ev::SelectorUpdate { op, fb });
             let accel = DeviceId::Accelerator(op.0);
@@ -836,11 +842,11 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 .busy(accel, core.cfg.accelerator.service_time);
         }
         let Some(to_client) = core.fabric.try_switch_to_host(op, client_host, hash) else {
-            core.drop_copy(token.req.0); // reply path to the client severed
+            core.lose_copy(copy); // reply path to the client severed
             return;
         };
         let at_client = at_rsnode + to_client;
-        queue.schedule_at(at_client, Ev::ClientReceive { token, status });
+        queue.schedule_at(at_client, Ev::ClientReceive { copy, status });
         if core.fabric.observing() {
             let p = core
                 .fabric
@@ -863,7 +869,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         let server_rack = core
             .fabric
             .topo
-            .rack_of_host(core.server_hosts[info.token.server.0 as usize]);
+            .rack_of_host(core.server_hosts[info.server.0 as usize]);
         let marker = self.controller.marker_of_rack(server_rack);
         if let Some(m) = self.monitors.get_mut(self.groups.info(group).tor) {
             m.record(group, marker);

@@ -144,6 +144,7 @@ fn run_engine<D: DeviceProbe, P: Probe>(
     let events = engine.processed();
     let (mut cluster, probe) = engine.into_parts();
     debug_assert!(cluster.drained(), "simulation ended with work outstanding");
+    debug_assert_eq!(cluster.copies_in_flight(), 0, "a copy was never freed");
     cluster.flush_tracer();
     cluster.flush_control(now);
     let timeseries = cluster.take_timeseries();
@@ -283,6 +284,12 @@ fn run_replicated(
         first.drained() && rest.iter().all(Cluster::drained),
         "replica ended with work outstanding"
     );
+    debug_assert!(
+        std::iter::once(&first)
+            .chain(&rest)
+            .all(|w| w.copies_in_flight() == 0),
+        "a replica never freed a copy"
+    );
     if let Some(mut sink) = obs.trace.take() {
         use std::io::Write as _;
         // Canonical trace order: (receive time, shard), with each
@@ -412,6 +419,7 @@ fn host_profile(
         alloc,
         parallel: None,
         request_table: Some(request_table),
+        clock_pair_ns: Some(report.clock_ns),
         kinds: HostProfile::kinds_from_report(report),
     }
 }

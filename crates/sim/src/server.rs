@@ -7,6 +7,13 @@
 //! queue → service → done and stamps their timeline; it neither routes
 //! packets (the fabric's job) nor decides where replies go next (the
 //! policy's job).
+//!
+//! A copy's [`ServerToken`] stays put in the [`CopySlab`] from send until
+//! the reply reaches the client or the copy is lost; events and server
+//! queues carry its 4-byte [`CopyId`], and handlers stamp the timeline in
+//! place.
+
+use std::ops::{Index, IndexMut};
 
 use netrs_kvstore::{Arrival, Server, ServerConfig, ServerId, ServerStatus};
 use netrs_simcore::{
@@ -91,9 +98,102 @@ impl ServerToken {
     }
 }
 
+/// Handle of one in-flight copy's [`ServerToken`] in the cluster's copy
+/// slab. Local to one replica: a copy that crosses shards travels as its
+/// token and is re-inserted on arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopyId(u32);
+
+/// End of the slab's free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a live copy's token, or a link in the free list.
+enum CopySlot {
+    Live(ServerToken),
+    Free { next: u32 },
+}
+
+/// Every in-flight copy's token. Freed slots recycle through an intrusive
+/// free list, so the slab stays at the in-flight high-water size and a
+/// steady-state run never allocates.
+pub(crate) struct CopySlab {
+    slots: Vec<CopySlot>,
+    free: u32,
+    live: usize,
+}
+
+impl CopySlab {
+    pub(crate) fn new() -> Self {
+        CopySlab {
+            slots: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+
+    /// Parks a freshly sent copy's token and returns its handle.
+    pub(crate) fn insert(&mut self, token: ServerToken) -> CopyId {
+        self.live += 1;
+        if self.free == NIL {
+            let idx = u32::try_from(self.slots.len()).expect("fewer than 2^32 copies in flight");
+            assert_ne!(idx, NIL, "fewer than 2^32 - 1 copies in flight");
+            self.slots.push(CopySlot::Live(token));
+            return CopyId(idx);
+        }
+        let idx = self.free;
+        match std::mem::replace(&mut self.slots[idx as usize], CopySlot::Live(token)) {
+            CopySlot::Free { next } => self.free = next,
+            CopySlot::Live(_) => unreachable!("free list holds a live copy"),
+        }
+        CopyId(idx)
+    }
+
+    /// Frees a copy that was delivered or lost, returning its token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copy was already freed.
+    pub(crate) fn remove(&mut self, id: CopyId) -> ServerToken {
+        let slot = CopySlot::Free { next: self.free };
+        match std::mem::replace(&mut self.slots[id.0 as usize], slot) {
+            CopySlot::Live(token) => {
+                self.free = id.0;
+                self.live -= 1;
+                token
+            }
+            CopySlot::Free { .. } => panic!("copy {} freed twice", id.0),
+        }
+    }
+
+    /// Copies currently in flight.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+}
+
+impl Index<CopyId> for CopySlab {
+    type Output = ServerToken;
+
+    fn index(&self, id: CopyId) -> &ServerToken {
+        match &self.slots[id.0 as usize] {
+            CopySlot::Live(token) => token,
+            CopySlot::Free { .. } => panic!("copy {} used after free", id.0),
+        }
+    }
+}
+
+impl IndexMut<CopyId> for CopySlab {
+    fn index_mut(&mut self, id: CopyId) -> &mut ServerToken {
+        match &mut self.slots[id.0 as usize] {
+            CopySlot::Live(token) => token,
+            CopySlot::Free { .. } => panic!("copy {} used after free", id.0),
+        }
+    }
+}
+
 /// The cluster's storage servers.
 pub(crate) struct ServerPool {
-    servers: Vec<Server<ServerToken>>,
+    servers: Vec<Server<CopyId>>,
     /// Per server: in-service copies lost to a crash whose `ServerDone`
     /// events are still in the event queue and must be absorbed.
     ghosts: Vec<u32>,
@@ -127,24 +227,27 @@ impl ServerPool {
     pub(crate) fn arrive<D: DeviceProbe>(
         &mut self,
         now: SimTime,
-        mut token: ServerToken,
+        copy: CopyId,
+        copies: &mut CopySlab,
         fabric: &mut Fabric<D>,
         queue: &mut EventQueue<Ev>,
     ) {
+        let token = &mut copies[copy];
         token.server_arrived_at = now;
         // Provisional: correct if a slot is free; a queued copy gets its
         // real service start stamped when it is dispatched.
         token.service_started_at = now;
-        let dev = DeviceId::Server(token.server.0);
+        let server_id = token.server;
+        let dev = DeviceId::Server(server_id.0);
         fabric.devices.bump(dev, DeviceCounter::Op, 1);
-        let server = &mut self.servers[token.server.0 as usize];
-        match server.arrive(token, now) {
+        let server = &mut self.servers[server_id.0 as usize];
+        match server.arrive(copy, now) {
             Arrival::Started { finish_at } => {
                 queue.schedule_at(
                     finish_at,
                     Ev::ServerDone {
-                        server: token.server,
-                        token,
+                        server: server_id,
+                        copy,
                     },
                 );
             }
@@ -164,10 +267,12 @@ impl ServerPool {
         &mut self,
         now: SimTime,
         server_id: ServerId,
-        token: &mut ServerToken,
+        copy: CopyId,
+        copies: &mut CopySlab,
         fabric: &mut Fabric<D>,
         queue: &mut EventQueue<Ev>,
     ) -> ServerStatus {
+        let token = &mut copies[copy];
         token.served_at = now;
         let server_dev = DeviceId::Server(server_id.0);
         fabric
@@ -175,14 +280,14 @@ impl ServerPool {
             .busy(server_dev, now - token.service_started_at);
         let server = &mut self.servers[server_id.0 as usize];
         let status = server.status();
-        if let Some((mut next_token, finish_at)) = server.complete(now).next {
+        if let Some((next, finish_at)) = server.complete(now).next {
             // The queued copy enters service now that a slot freed up.
-            next_token.service_started_at = now;
+            copies[next].service_started_at = now;
             queue.schedule_at(
                 finish_at,
                 Ev::ServerDone {
                     server: server_id,
-                    token: next_token,
+                    copy: next,
                 },
             );
             fabric.devices.queue_delta(now, server_dev, -1);
@@ -198,15 +303,15 @@ impl ServerPool {
     }
 
     /// Fail-stops a server. Queued copies are drained (their device queue
-    /// accounting reversed) and returned as lost request ids; in-service
-    /// copies become ghosts whose pending `ServerDone` events
-    /// [`Self::absorb_ghost`] swallows. No-op if already down.
+    /// accounting reversed) and returned as lost; in-service copies become
+    /// ghosts whose pending `ServerDone` events [`Self::absorb_ghost`]
+    /// swallows. No-op if already down.
     pub(crate) fn crash<D: DeviceProbe>(
         &mut self,
         now: SimTime,
         server: ServerId,
         fabric: &mut Fabric<D>,
-    ) -> Vec<u64> {
+    ) -> Vec<CopyId> {
         let idx = server.0 as usize;
         if !self.servers[idx].is_up() {
             return Vec::new();
@@ -215,12 +320,10 @@ impl ServerPool {
         self.ghosts[idx] += in_service;
         self.crash_at[idx] = now;
         let dev = DeviceId::Server(server.0);
-        let mut lost = Vec::with_capacity(queued.len());
-        for t in queued {
+        for _ in &queued {
             fabric.devices.queue_delta(now, dev, -1);
-            lost.push(t.req.0);
         }
-        lost
+        queued
     }
 
     /// A crashed server comes back empty. No-op if already up.
@@ -251,7 +354,17 @@ impl ServerPool {
     /// Adopts server `idx` from another pool (parallel replica merge:
     /// the other pool is the replica on which that server's queue and
     /// busy time actually advanced).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adopted server still holds copies: their handles
+    /// point into the other replica's slab.
     pub(crate) fn adopt(&mut self, other: &mut ServerPool, idx: usize) {
+        assert_eq!(
+            other.servers[idx].queue_len(),
+            0,
+            "server {idx} adopted with copies still queued"
+        );
         std::mem::swap(&mut self.servers[idx], &mut other.servers[idx]);
         std::mem::swap(&mut self.ghosts[idx], &mut other.ghosts[idx]);
         std::mem::swap(&mut self.crash_at[idx], &mut other.crash_at[idx]);
@@ -265,5 +378,64 @@ impl ServerPool {
     /// Mean slot utilization over `[0, now]` across servers.
     pub(crate) fn mean_utilization(&self, now: SimTime) -> f64 {
         self.servers.iter().map(|s| s.utilization(now)).sum::<f64>() / self.servers.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn token(req: u64) -> ServerToken {
+        let t = SimTime::ZERO;
+        ServerToken::new(
+            ReqId(req),
+            ServerId(0),
+            0,
+            0,
+            false,
+            t,
+            t,
+            SimDuration::ZERO,
+            t,
+            None,
+        )
+    }
+
+    #[test]
+    fn copy_slab_recycles_freed_slots_and_counts_live_copies() {
+        let mut slab = CopySlab::new();
+        let a = slab.insert(token(1));
+        let b = slab.insert(token(2));
+        assert_eq!(slab.live(), 2);
+        assert_eq!(slab.remove(a).req, ReqId(1));
+        assert_eq!(slab.live(), 1);
+        assert_eq!(slab.insert(token(3)), a, "the freed slot is reused");
+        assert_eq!(slab.slots.len(), 2);
+        slab[b].served_at = SimTime::from_nanos(7);
+        assert_eq!(slab.remove(b).served_at, SimTime::from_nanos(7));
+        // The free link lives in the token's niche: a slot is no bigger
+        // than what it holds.
+        assert_eq!(
+            std::mem::size_of::<CopySlot>(),
+            std::mem::size_of::<ServerToken>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "freed twice")]
+    fn freeing_a_copy_twice_panics() {
+        let mut slab = CopySlab::new();
+        let a = slab.insert(token(1));
+        slab.remove(a);
+        slab.remove(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "used after free")]
+    fn reading_a_freed_copy_panics() {
+        let mut slab = CopySlab::new();
+        let a = slab.insert(token(1));
+        slab.remove(a);
+        let _ = slab[a].req;
     }
 }

@@ -21,7 +21,7 @@ use crate::dense::RequestTable;
 use crate::fabric::{DeviceCapacities, Fabric, HopSink};
 use crate::obs::{ControlLog, DeviceStatsReport, SamplerSpec, TimeSeries, TraceRecord};
 use crate::policy::{ControlStats, ReplyInfo};
-use crate::server::{ServerPool, ServerToken};
+use crate::server::{CopyId, CopySlab, ServerPool, ServerToken};
 use crate::stats::{LatencyBreakdown, RunStats, RwStats};
 
 /// Simulated size of one request packet on the wire (the NetRS request
@@ -212,6 +212,9 @@ pub(crate) struct Core<D: DeviceProbe> {
     pub(crate) cfg: SimConfig,
     pub(crate) fabric: Fabric<D>,
     pub(crate) servers: ServerPool,
+    /// Every in-flight copy's token, addressed by the [`CopyId`]s that
+    /// events and server queues carry.
+    pub(crate) copies: CopySlab,
     pub(crate) ring: Ring,
     zipf: Zipf,
     pub(crate) server_hosts: Vec<HostId>,
@@ -354,6 +357,7 @@ impl<D: DeviceProbe> Core<D> {
             host_shard,
             fabric: Fabric::new(topo, cfg.link_latency, devices),
             servers,
+            copies: CopySlab::new(),
             ring,
             zipf,
             server_hosts,
@@ -533,12 +537,12 @@ impl<D: DeviceProbe> Core<D> {
         match *ev {
             Ev::Generate { gen } => gen % self.shards,
             Ev::GatedSend { req, .. } | Ev::R95Check { req } => self.req_shard(req),
-            Ev::ServerArrive { token } => self.server_shard(token.server),
+            Ev::ServerArrive { copy } => self.server_shard(self.copies[copy].server),
             Ev::ServerDone { server, .. } | Ev::Fluctuate { server } => self.server_shard(server),
             // The emitting replica cannot consult the request table of
             // the client's replica, so replies route by the client
             // carried on the token.
-            Ev::ClientReceive { token, .. } => self.client_shard(token.client),
+            Ev::ClientReceive { copy, .. } => self.client_shard(self.copies[copy].client),
             _ => 0,
         }
     }
@@ -793,7 +797,8 @@ impl<D: DeviceProbe> Core<D> {
                 self.drop_copy(req.0); // partitioned by link faults
                 continue;
             };
-            queue.schedule_after(latency, Ev::ServerArrive { token });
+            let copy = self.copies.insert(token);
+            queue.schedule_after(latency, Ev::ServerArrive { copy });
             if self.fabric.observing() {
                 let sink = HopSink::Copy(req.0, server.0);
                 self.fabric
@@ -814,16 +819,18 @@ impl<D: DeviceProbe> Core<D> {
     /// update propagates server → server down the replica group; only
     /// the tail replies to the client, certifying the whole chain.
     /// Returns `true` when the copy was forwarded onward (or lost
-    /// trying) and therefore must not produce a client reply.
+    /// trying) and therefore must not produce a client reply; the hop
+    /// travels as a new copy, so this one is freed.
     pub(crate) fn forward_chain_write(
         &mut self,
         now: SimTime,
-        token: &ServerToken,
+        copy: CopyId,
         queue: &mut EventQueue<Ev>,
     ) -> bool {
         if self.cfg.write_consistency != WriteConsistency::Chain {
             return false;
         }
+        let token = &self.copies[copy];
         // Replica mode runs at a server shard that has no view of the
         // request table; the token carries the write flag, group, and
         // issue time the chain hop needs.
@@ -847,6 +854,8 @@ impl<D: DeviceProbe> Core<D> {
         }
         let next = replicas[idx + 1];
         let req = token.req;
+        let from_host = self.server_hosts[token.server.0 as usize];
+        self.copies.remove(copy);
         let chain_token = ServerToken::new(
             req,
             next,
@@ -860,13 +869,13 @@ impl<D: DeviceProbe> Core<D> {
             None,
         );
         let hash = flow_hash(req, 31 + (idx + 1) as u64);
-        let from_host = self.server_hosts[token.server.0 as usize];
         let next_host = self.server_hosts[next.0 as usize];
         let Some(latency) = self.fabric.try_host_to_host(from_host, next_host, hash) else {
             self.drop_copy(req.0); // chain severed by link faults
             return true;
         };
-        queue.schedule_after(latency, Ev::ServerArrive { token: chain_token });
+        let copy = self.copies.insert(chain_token);
+        queue.schedule_after(latency, Ev::ServerArrive { copy });
         if self.fabric.observing() {
             self.fabric.observe_host_to_host(
                 now,
@@ -885,36 +894,40 @@ impl<D: DeviceProbe> Core<D> {
     /// [`Ev::ServerArrive`] mechanics: hand the copy to its server. A
     /// crashed server drops the copy on the floor (the client timeout
     /// machinery recovers it).
-    pub(crate) fn server_arrive(
-        &mut self,
-        now: SimTime,
-        token: ServerToken,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if self.servers.is_down(token.server) {
+    pub(crate) fn server_arrive(&mut self, now: SimTime, copy: CopyId, queue: &mut EventQueue<Ev>) {
+        let server = self.copies[copy].server;
+        if self.servers.is_down(server) {
             self.fabric
                 .devices
-                .bump(DeviceId::Server(token.server.0), DeviceCounter::Drop, 1);
-            self.drop_copy(token.req.0);
+                .bump(DeviceId::Server(server.0), DeviceCounter::Drop, 1);
+            self.lose_copy(copy);
             return;
         }
-        self.servers.arrive(now, token, &mut self.fabric, queue);
+        self.servers
+            .arrive(now, copy, &mut self.copies, &mut self.fabric, queue);
     }
 
     /// [`Ev::ServerDone`] mechanics: completion bookkeeping at the server,
     /// then — if the logical request is still live — the copy's server
     /// residency hop. Returns the piggybacked status for reply routing,
-    /// or `None` when the request was already cleaned up.
+    /// or `None` (and frees the copy) when the request was already
+    /// cleaned up.
     pub(crate) fn finish_service(
         &mut self,
         now: SimTime,
         server_id: ServerId,
-        token: &mut ServerToken,
+        copy: CopyId,
         queue: &mut EventQueue<Ev>,
     ) -> Option<ServerStatus> {
-        let status = self
-            .servers
-            .finish_service(now, server_id, token, &mut self.fabric, queue);
+        let status = self.servers.finish_service(
+            now,
+            server_id,
+            copy,
+            &mut self.copies,
+            &mut self.fabric,
+            queue,
+        );
+        let token = &self.copies[copy];
         // Replica mode: the request lives on the issuing client's
         // replica, not here; eligibility excludes faults, so it is
         // always still live and the liveness probe must be skipped.
@@ -924,6 +937,7 @@ impl<D: DeviceProbe> Core<D> {
             if let Some(f) = &mut self.faults {
                 f.duplicate_drops += 1;
             }
+            self.copies.remove(copy);
             return None;
         }
         if self.fabric.observing() {
@@ -943,35 +957,38 @@ impl<D: DeviceProbe> Core<D> {
     pub(crate) fn send_reply_direct(
         &mut self,
         now: SimTime,
-        token: ServerToken,
+        copy: CopyId,
         status: ServerStatus,
         queue: &mut EventQueue<Ev>,
     ) {
+        let token = &self.copies[copy];
+        let (req, server) = (token.req, token.server);
         let client = if self.replica.is_some() {
             // The request table lives on the client's replica; the token
             // carries everything reply routing needs.
             token.client
         } else {
-            let Some(state) = self.requests.get(token.req.0) else {
+            let Some(state) = self.requests.get(req.0) else {
+                self.copies.remove(copy);
                 return;
             };
             state.client
         };
         let client_host = self.client_hosts[client as usize];
-        let server_host = self.server_hosts[token.server.0 as usize];
-        let hash = flow_hash(token.req, 23);
+        let server_host = self.server_hosts[server.0 as usize];
+        let hash = flow_hash(req, 23);
         let Some(latency) = self.fabric.try_host_to_host(server_host, client_host, hash) else {
-            self.drop_copy(token.req.0); // reply path severed by link faults
+            self.lose_copy(copy); // reply path severed by link faults
             return;
         };
-        queue.schedule_after(latency, Ev::ClientReceive { token, status });
+        queue.schedule_after(latency, Ev::ClientReceive { copy, status });
         if self.fabric.observing() {
             self.fabric.observe_host_to_host(
                 now,
                 server_host,
                 client_host,
                 hash,
-                HopSink::Copy(token.req.0, token.server.0),
+                HopSink::Copy(req.0, server.0),
                 RESP_BYTES,
             );
         }
@@ -980,15 +997,17 @@ impl<D: DeviceProbe> Core<D> {
     // ---- clients --------------------------------------------------------
 
     /// [`Ev::ClientReceive`] mechanics: completion accounting, the trace
-    /// record, the phase breakdown, and the latency histograms. Returns
-    /// the reply context for the policy's feedback hooks, or `None` for
-    /// writes (plain traffic: no selector feedback, no monitor counting).
+    /// record, the phase breakdown, and the latency histograms; the copy
+    /// is delivered, so it is freed. Returns the reply context for the
+    /// policy's feedback hooks, or `None` for writes (plain traffic: no
+    /// selector feedback, no monitor counting).
     pub(crate) fn receive_reply(
         &mut self,
         now: SimTime,
-        token: ServerToken,
+        copy: CopyId,
         status: ServerStatus,
     ) -> Option<ReplyInfo> {
+        let token = self.copies.remove(copy);
         let Some(state) = self.requests.get_mut(token.req.0) else {
             // A straggler reply for a request already resolved (fault
             // runs only: the client abandoned it after a timeout).
@@ -1098,7 +1117,8 @@ impl<D: DeviceProbe> Core<D> {
             self.track_recovery(now, latency);
         }
         Some(ReplyInfo {
-            token,
+            server: token.server,
+            copy_sent_at: token.copy_sent_at,
             status,
             client: client_idx as u32,
             first_completion,
@@ -1162,9 +1182,16 @@ impl<D: DeviceProbe> Core<D> {
     /// Fail-stops a server: queued and in-service copies are lost.
     fn crash_server(&mut self, now: SimTime, server: ServerId) {
         let dropped = self.servers.crash(now, server, &mut self.fabric);
-        for req in dropped {
-            self.drop_copy(req);
+        for copy in dropped {
+            self.lose_copy(copy);
         }
+    }
+
+    /// Loses an in-flight copy that was already sent: frees its token and
+    /// accounts the loss ([`Self::drop_copy`]).
+    pub(crate) fn lose_copy(&mut self, copy: CopyId) {
+        let req = self.copies.remove(copy).req;
+        self.drop_copy(req.0);
     }
 
     /// Loses one in-flight copy of request `req`. The logical request

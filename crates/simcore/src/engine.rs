@@ -43,9 +43,9 @@ pub trait World: Sized {
 
 /// Sort key of a pending event plus its slot in the payload slab. Keeping
 /// the payload out of the ordered structures means a sort or sift moves
-/// 24 bytes instead of a full event (~120 bytes for the simulator's
-/// `Ev`). The derived order is `(at, seq)` — `seq` is unique, so `idx`
-/// never decides.
+/// 24 bytes whatever the event's size (32 bytes for the simulator's `Ev`).
+/// The derived order is `(at, seq)` — `seq` is unique, so `idx` never
+/// decides.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at: SimTime,
@@ -66,20 +66,38 @@ struct Slot<E> {
 
 /// End of an intrusive slot list.
 const NIL: u32 = u32::MAX;
-/// A bucket spans `2^14` ns ≈ 16 µs: a handful of events at the
-/// simulator's densities, so the sort that opens a bucket is tiny.
-const BUCKET_SHIFT: u32 = 14;
+/// A bucket spans `2^11` ns ≈ 2 µs: 1.4–1.8 events at the simulator's
+/// densities (16 µs buckets held 10.3 on average on NetRS-ILP, and the
+/// insertion sort that opened them was 9 % of the run).
+const BUCKET_SHIFT: u32 = 11;
 /// Buckets in the ring — with the width, a `2^26` ns ≈ 67 ms horizon (every
 /// network and service delay; only periodic timers and retry checks lie
-/// beyond it) in 16 KB of list heads. Measured end to end, 2 µs to 16 µs
-/// buckets at this horizon are indistinguishable, so the smallest ring
-/// wins.
-const RING_BUCKETS: usize = 4096;
+/// beyond it) in 128 KB of list heads.
+const RING_BUCKETS: usize = 32_768;
 const RING_MASK: u64 = RING_BUCKETS as u64 - 1;
+/// Occupancy words: one bit per ring bucket.
+const OCC_WORDS: usize = RING_BUCKETS / 64;
+/// Summary words: one bit per occupancy word, set while that word is
+/// non-zero. Finding the next occupied bucket reads at most one word of
+/// each level plus these eight — an empty ring (every replica outbox,
+/// after each event) costs the same as a full one.
+const SUMMARY_WORDS: usize = OCC_WORDS / 64;
 
 /// The absolute bucket number of a timestamp.
 fn bucket_of(at: SimTime) -> u64 {
     at.as_nanos() >> BUCKET_SHIFT
+}
+
+/// The index of the first set bit at or after bit `from` of `words`
+/// (`from` may be one past the end), not wrapping.
+fn first_set_from(words: &[u64], from: usize) -> Option<usize> {
+    let mut word = from / 64;
+    let mut bits = *words.get(word)? & (!0u64 << (from % 64));
+    while bits == 0 {
+        word += 1;
+        bits = *words.get(word)?;
+    }
+    Some(word * 64 + bits.trailing_zeros() as usize)
 }
 
 /// A future-event list ordered by `(time, insertion sequence)`.
@@ -127,7 +145,9 @@ pub struct EventQueue<E> {
     /// modulo the ring.
     heads: Vec<u32>,
     /// One bit per ring bucket: set while its list is non-empty.
-    occupied: [u64; RING_BUCKETS / 64],
+    occupied: [u64; OCC_WORDS],
+    /// One bit per `occupied` word: set while that word is non-zero.
+    summary: [u64; SUMMARY_WORDS],
     far: BinaryHeap<Reverse<Entry>>,
     /// Event payloads; freed slots recycle through the `free` list, so the
     /// slab stays at the queue's high-water size.
@@ -154,7 +174,8 @@ impl<E> EventQueue<E> {
             run: VecDeque::new(),
             cursor: 0,
             heads: vec![NIL; RING_BUCKETS],
-            occupied: [0; RING_BUCKETS / 64],
+            occupied: [0; OCC_WORDS],
+            summary: [0; SUMMARY_WORDS],
             far: BinaryHeap::new(),
             slab: Vec::new(),
             free: NIL,
@@ -263,6 +284,7 @@ impl<E> EventQueue<E> {
         } else if bucket - self.cursor < RING_BUCKETS as u64 {
             let b = (bucket & RING_MASK) as usize;
             self.occupied[b / 64] |= 1u64 << (b % 64);
+            self.summary[b / 64 / 64] |= 1u64 << (b / 64 % 64);
             self.slab[idx as usize].next = std::mem::replace(&mut self.heads[b], idx);
         } else {
             self.far.push(Reverse(entry));
@@ -317,6 +339,9 @@ impl<E> EventQueue<E> {
         // in ascending order (the cursor's own slot is never occupied).
         self.cursor += 1 + ((b + RING_BUCKETS - first) as u64 & RING_MASK);
         self.occupied[b / 64] &= !(1u64 << (b % 64));
+        if self.occupied[b / 64] == 0 {
+            self.summary[b / 64 / 64] &= !(1u64 << (b / 64 % 64));
+        }
         let mut idx = std::mem::replace(&mut self.heads[b], NIL);
         while idx != NIL {
             let slot = &self.slab[idx as usize];
@@ -332,13 +357,13 @@ impl<E> EventQueue<E> {
 
     /// The first occupied ring slot at or after `from`, not wrapping.
     fn occupied_from(&self, from: usize) -> Option<usize> {
-        let mut word = from / 64;
-        let mut bits = self.occupied[word] & (!0u64 << (from % 64));
-        while bits == 0 {
-            word += 1;
-            bits = *self.occupied.get(word)?;
+        let word = from / 64;
+        let bits = self.occupied[word] & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
         }
-        Some(word * 64 + bits.trailing_zeros() as usize)
+        let word = first_set_from(&self.summary, word + 1)?;
+        Some(word * 64 + self.occupied[word].trailing_zeros() as usize)
     }
 
     /// Returns the timestamp of the earliest pending event, if any.
@@ -819,7 +844,8 @@ mod tests {
         }
         assert_eq!(free, q.slab.len(), "all slots free after drain");
         assert!(q.run.is_empty() && q.far.is_empty());
-        assert_eq!(q.occupied, [0; RING_BUCKETS / 64]);
+        assert_eq!(q.occupied, [0; OCC_WORDS]);
+        assert_eq!(q.summary, [0; SUMMARY_WORDS]);
     }
 
     /// The ring's horizon in nanoseconds.
@@ -915,7 +941,7 @@ mod tests {
         #[test]
         fn calendar_pops_exactly_what_the_heap_pops(
             seed in any::<u64>(),
-            phases in proptest::collection::vec(0u8..7, 8..24),
+            phases in proptest::collection::vec(0u8..8, 8..24),
         ) {
             let mut rng = TestRng::from_seed(seed);
             let mut l = Lockstep::new();
@@ -986,6 +1012,20 @@ mod tests {
                         l.reset_clock(rng.below(8 * HORIZON));
                         for _ in 0..1 + rng.below(4) {
                             l.push_after(any_delay(&mut rng));
+                        }
+                    },
+                    // A sparse ring at full size: one event per occupancy
+                    // word, from a random ring position, so refills step
+                    // across words, summary words and the wrap.
+                    6 => for _ in 0..steps / 256 {
+                        l.drain();
+                        let base = l.now() + rng.below(HORIZON);
+                        l.reset_clock(base);
+                        for word in 0..OCC_WORDS as u64 - 1 {
+                            l.push_at(base + word * 64 * BUCKET + rng.below(64 * BUCKET));
+                            if rng.below(8) == 0 {
+                                l.pop();
+                            }
                         }
                     },
                     // A past `at`: release builds clamp it to `now` (debug

@@ -67,6 +67,10 @@ pub trait ParallelWorld: Send {
     /// The event type.
     type Event: Send;
 
+    /// What a cross-shard event travels as: the event plus whatever state
+    /// it refers to by a handle into the emitting replica.
+    type Parcel: Send;
+
     /// Processes one event at `now`, scheduling follow-ups into `queue`.
     /// Events whose [`shard_of`](ParallelWorld::shard_of) is this shard
     /// re-enter the shard's own queue (and may still run inside the
@@ -74,20 +78,29 @@ pub trait ParallelWorld: Send {
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 
     /// The shard that owns `event`. Consulted on the **emitting** shard's
-    /// instance, so it must depend only on the event and immutable data.
+    /// instance, before [`export`](ParallelWorld::export), so it must
+    /// depend only on the event, what it refers to in this replica, and
+    /// immutable data.
     fn shard_of(&self, event: &Self::Event) -> ShardId;
 
     /// Minimum cross-shard scheduling delay this world guarantees.
     fn lookahead(&self) -> SimDuration;
+
+    /// Packs an event bound for another shard, releasing what it holds
+    /// in this replica.
+    fn export(&mut self, event: Self::Event) -> Self::Parcel;
+
+    /// Unpacks a parcel from another shard into this replica's event.
+    fn import(&mut self, parcel: Self::Parcel) -> Self::Event;
 }
 
 /// One cross-shard event buffered during a drain phase.
-struct Post<E> {
+struct Post<P> {
     at: SimTime,
     src: u32,
     src_seq: u64,
     dest: u32,
-    event: E,
+    parcel: P,
 }
 
 /// Cache-line-padded per-shard state so adjacent shards' hot fields
@@ -101,7 +114,7 @@ struct Cell<W: ParallelWorld> {
     /// Scratch queue handed to the handler; drained and routed after
     /// each event (same shard → own queue, cross shard → `posts`).
     outbox: EventQueue<W::Event>,
-    posts: Vec<Post<W::Event>>,
+    posts: Vec<Post<W::Parcel>>,
     post_seq: u64,
     processed: u64,
     /// Wall-clock nanoseconds this shard spent draining (diagnostic
@@ -137,7 +150,7 @@ impl<W: ParallelWorld> Cell<W> {
                         src: self.shard,
                         src_seq: self.post_seq,
                         dest,
-                        event: ev,
+                        parcel: self.world.export(ev),
                     });
                     self.post_seq += 1;
                 }
@@ -422,7 +435,7 @@ fn merge_phase<W: ParallelWorld>(
     stats: &mut WindowStats,
     delivered: &mut u64,
 ) -> u64 {
-    let mut posts: Vec<Post<W::Event>> = Vec::new();
+    let mut posts: Vec<Post<W::Parcel>> = Vec::new();
     for cell in cells {
         posts.append(&mut cell.lock().expect("cell lock").posts);
     }
@@ -435,7 +448,8 @@ fn merge_phase<W: ParallelWorld>(
             stats.mailbox_late += 1;
             at = cell.queue.now();
         }
-        cell.queue.schedule_at(at, p.event);
+        let event = cell.world.import(p.parcel);
+        cell.queue.schedule_at(at, event);
         *delivered += 1;
     }
     let t_min = cells
@@ -466,6 +480,7 @@ mod tests {
 
     impl ParallelWorld for Toy {
         type Event = TEv;
+        type Parcel = TEv;
         fn handle(&mut self, now: SimTime, ev: TEv, queue: &mut EventQueue<TEv>) {
             let (shard, id, hops) = ev;
             self.log.push((now.as_nanos(), shard, id));
@@ -480,6 +495,12 @@ mod tests {
         }
         fn lookahead(&self) -> SimDuration {
             SimDuration::from_nanos(self.lookahead_ns)
+        }
+        fn export(&mut self, ev: TEv) -> TEv {
+            ev
+        }
+        fn import(&mut self, ev: TEv) -> TEv {
+            ev
         }
     }
 
@@ -563,6 +584,7 @@ mod tests {
         }
         impl ParallelWorld for Cheater {
             type Event = (u32, u32);
+            type Parcel = (u32, u32);
             fn handle(&mut self, now: SimTime, ev: (u32, u32), q: &mut EventQueue<(u32, u32)>) {
                 self.log.push(now.as_nanos());
                 if ev.1 > 0 {
@@ -574,6 +596,12 @@ mod tests {
             }
             fn lookahead(&self) -> SimDuration {
                 SimDuration::from_nanos(1000)
+            }
+            fn export(&mut self, ev: (u32, u32)) -> (u32, u32) {
+                ev
+            }
+            fn import(&mut self, ev: (u32, u32)) -> (u32, u32) {
+                ev
             }
         }
         for threads in [1, 2] {

@@ -386,6 +386,7 @@ fn artifact_schemas_are_byte_identical() {
         alloc: None,
         parallel: None,
         request_table: None,
+        clock_pair_ns: None,
         kinds: vec![
             KindRecord {
                 kind: "Generate".into(),

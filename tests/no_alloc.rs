@@ -5,8 +5,9 @@
 //! healthy-fabric timing trio — the code that runs for every simulated
 //! packet — never touches the heap, that a warm hot-key cache does not
 //! either, that a whole steady-state read (generate → select → serve →
-//! receive) does not under CliRS or NetRS-ToR, and pins the size of the
-//! event payload the queue copies around.
+//! receive) does not under CliRS or NetRS-ToR — the copy slab's free list
+//! included — and pins the size of the event payload the queue copies
+//! around.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -141,16 +142,15 @@ fn steady_state_read_never_allocates() {
 
 #[test]
 fn event_payload_stays_within_audited_size() {
-    // Every scheduled event is moved into the queue's payload slab; the
-    // heap entries themselves are a fixed 24 bytes. The audited bound
-    // here is set by the `ServerToken`-carrying variants (~104 bytes) —
-    // a new variant or field that pushes past it deserves a Box. 112 is
-    // also exactly what `Ev` measured when every coherence message was
-    // its own event: batching them put the operator list in the policy's
-    // side table, not in the event.
+    // Every scheduled event is moved into the queue's payload slab and out
+    // again when it fires. Per-copy events carry a 4-byte handle to the
+    // copy's token, which stays put in the cluster's copy slab, so the
+    // largest variants are `Select` and `SelectorUpdate` (three 8-byte
+    // fields and a switch id). A new variant or field that pushes past 32
+    // bytes deserves a handle of its own.
     let size = std::mem::size_of::<Ev>();
     assert!(
-        size <= 112,
-        "Ev grew to {size} bytes; box the large variant"
+        size <= 32,
+        "Ev grew to {size} bytes; move the payload aside"
     );
 }

@@ -125,6 +125,7 @@ fn host_profile() -> HostProfile {
             live_high_water: 1_700,
             overflow_high_water: 310,
         }),
+        clock_pair_ns: Some(27),
         kinds: vec![KindRecord {
             kind: "Generate".into(),
             layer: "state".into(),
@@ -338,7 +339,7 @@ fn every_record_parser_rejects_bad_input() {
         &host_profile(),
         "HostProfile",
         None,
-        &["alloc", "parallel", "request_table"],
+        &["alloc", "parallel", "request_table", "clock_pair_ns"],
     );
     check(
         &host_profile().request_table.expect("populated above"),
