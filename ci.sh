@@ -36,9 +36,8 @@ done
 ./target/debug/netrs-analyze report \
     --trace "clirs=$SMOKE/clirs.jsonl" --trace "netrs-ilp=$SMOKE/netrs-ilp.jsonl" \
     --devices "$SMOKE/netrs-ilp-dev.jsonl" --timeseries "$SMOKE/netrs-ilp-ts.jsonl" \
-    --bench-json "$SMOKE/bench.json" --top 5 > "$SMOKE/report.txt"
+    --top 5 > "$SMOKE/report.txt"
 grep -q "Per-phase latency comparison" "$SMOKE/report.txt"
-./target/debug/netrs-analyze check-bench "$SMOKE/bench.json"
 
 # Same-seed-twice byte diffs live in the test suite (golden_runs,
 # shard_equiv, faults, rw, observability), not here. The smokes below drive
@@ -122,18 +121,12 @@ echo "==> perf smoke (tiny perf suite, artifact validates)"
 # for that; real baselines are pinned in BENCH_PERF.json at the repo root.
 cargo build -q -p netrs-bench --bin repro
 ./target/debug/repro perf --small --tag smoke --out "$SMOKE/perf.json"
-# check-bench also runs the intra-artifact parallel gate (1-shard/1-thread
-# dispatch vs the sequential baseline row); the wide threshold absorbs the
-# wall-clock noise of tiny --small cells.
-./target/debug/netrs-analyze check-bench "$SMOKE/perf.json" --threshold 0.5 \
-    > "$SMOKE/perf-check.txt"
-grep -q "versioned v1" "$SMOKE/perf-check.txt"
-grep -q "parallel gate" "$SMOKE/perf-check.txt"
-./target/debug/netrs-analyze perf "$SMOKE/perf.json" | grep -q "sharded-parallel grid"
-# Two-artifact mode: an artifact never regresses against itself. The wide
-# threshold is for the intra-artifact parallel gate, which runs here too.
+./target/debug/netrs-analyze check-bench "$SMOKE/perf.json" \
+    | grep -q "valid perf artifact (runs: 5)"
+./target/debug/netrs-analyze perf "$SMOKE/perf.json" | grep -q "smoke/rw-cache"
+# Two-artifact mode: an artifact never regresses against itself.
 ./target/debug/netrs-analyze check-bench "$SMOKE/perf.json" "$SMOKE/perf.json" \
-    --threshold 0.5 | grep -q "Bench comparison"
+    | grep -q "Bench comparison"
 
 echo "==> perf-profile smoke (simulate --perf, profiler must not perturb)"
 # A profiled run must produce byte-identical stats to the plain run above
@@ -142,13 +135,11 @@ echo "==> perf-profile smoke (simulate --perf, profiler must not perturb)"
     --perf "$SMOKE/perf-profile.json" --json > "$SMOKE/perf-prof-stats.json"
 diff -u "$SMOKE/ctl-stats-plain.json" "$SMOKE/perf-prof-stats.json"
 grep -q '"schema_version": 1' "$SMOKE/perf-profile.json"
-./target/debug/netrs-analyze check-bench "$SMOKE/perf-profile.json" | grep -q "versioned v1"
+./target/debug/netrs-analyze check-bench "$SMOKE/perf-profile.json" \
+    | grep -q "valid perf artifact (runs: 1)"
 ./target/debug/netrs-analyze perf "$SMOKE/perf-profile.json" | grep -q "by layer"
-# The pinned repo baseline stays schema-valid too (via a file: it prints a
-# parallel-gate line after the match, and grep -q closing the pipe early
-# would fail the writer).
-./target/debug/netrs-analyze check-bench BENCH_PERF.json > "$SMOKE/baseline-check.txt"
-grep -q "versioned v1" "$SMOKE/baseline-check.txt"
+# The pinned repo baseline stays schema-valid too.
+./target/debug/netrs-analyze check-bench BENCH_PERF.json | grep -q "valid perf artifact"
 
 echo "==> parallel-sweep smoke (grid artifact, renderer, cells match solo runs)"
 # No wall-clock gating (CI boxes are too noisy and may be single-core);

@@ -13,12 +13,13 @@
 //!   1% of requests spend their time in;
 //! * **hotspot tables** — the busiest devices per kind, per-tier traffic
 //!   totals, and ECMP path skew from per-link packet counts;
-//! * **bench artifact** — a small JSON regression file
-//!   (`label → {mean_ns, p50_ns, p95_ns, p99_ns, …}`) that CI can diff;
+//! * **perf profiles** — per-event-kind host-cost tables from
+//!   `simulate --perf` / `repro perf` artifacts, validated and compared
+//!   run for run by `check-bench`;
 //! * **availability tables** — timeout rate, retries and time-to-recover
 //!   per scheme from `simulate --faults … --json` stats files.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
 use std::path::Path;
@@ -33,7 +34,7 @@ use serde::Value;
 /// One labeled trace: a scheme (or experiment) name plus its records.
 #[derive(Debug, Clone)]
 pub struct LabeledTrace {
-    /// Column label in comparison tables and the bench artifact.
+    /// Column label in comparison tables.
     pub label: String,
     /// Every record of the trace file, in file order.
     pub records: Vec<TraceRecord>,
@@ -782,154 +783,33 @@ pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
     out
 }
 
-/// The keys every per-label entry of the sim-time bench artifact
-/// (`report --bench-json`) must carry, in artifact order.
-pub const BENCH_KEYS: [&str; 7] = [
-    "mean_ns",
-    "p50_ns",
-    "p95_ns",
-    "p99_ns",
-    "requests",
-    "sim_seconds",
-    "requests_per_sim_sec",
-];
-
-/// Optional extension keys a bench entry *may* carry without failing
-/// validation: the read/write-mix statistics added with the write path
-/// and the in-switch hot-key cache. Present values must still be
-/// numbers, but artifacts generated before (or without) the RW
-/// subsystem simply omit them.
-pub const BENCH_OPTIONAL_KEYS: [&str; 5] = [
-    "writes",
-    "write_mean_ns",
-    "write_p99_ns",
-    "cache_hit_ratio",
-    "stale_reads",
-];
-
-/// Builds the bench regression artifact: one entry per labeled trace
-/// with the e2e latency statistics over winning reads plus throughput
-/// derived from the trace's time span.
-#[must_use]
-pub fn bench_artifact(traces: &[LabeledTrace]) -> Value {
-    let entries = traces
-        .iter()
-        .map(|t| {
-            let reads = winning_reads(&t.records);
-            let s = summarize(&reads, |r| r.e2e_ns);
-            let end_ns = t.records.iter().map(|r| r.received_ns).max().unwrap_or(0);
-            let sim_seconds = end_ns as f64 / 1e9;
-            let rps = if sim_seconds > 0.0 {
-                s.count as f64 / sim_seconds
-            } else {
-                0.0
-            };
-            let entry = Value::Obj(vec![
-                ("mean_ns".into(), Value::U(u128::from(s.mean.as_nanos()))),
-                ("p50_ns".into(), Value::U(u128::from(s.p50.as_nanos()))),
-                ("p95_ns".into(), Value::U(u128::from(s.p95.as_nanos()))),
-                ("p99_ns".into(), Value::U(u128::from(s.p99.as_nanos()))),
-                ("requests".into(), Value::U(u128::from(s.count))),
-                ("sim_seconds".into(), Value::F(sim_seconds)),
-                ("requests_per_sim_sec".into(), Value::F(rps)),
-            ]);
-            (t.label.clone(), entry)
-        })
-        .collect();
-    Value::Obj(entries)
-}
-
-/// Which of the two bench artifacts a file turned out to be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchSchema {
-    /// The sim-time latency artifact `report --bench-json` writes: a flat
-    /// `label → entry` JSON object whose entries carry [`BENCH_KEYS`].
-    SimTime,
-    /// The versioned wall-clock perf artifact (`schema_version: 1` +
-    /// `runs`, or a bare `simulate --perf` profile).
-    V1,
-}
-
-impl fmt::Display for BenchSchema {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BenchSchema::SimTime => "sim-time flat map",
-            BenchSchema::V1 => "versioned v1",
-        })
-    }
-}
-
-/// Validates a bench artifact and reports which schema it is.
-///
-/// A `schema_version` key marks the versioned perf artifact: it must
-/// parse as a [`PerfArtifact`], carry at least one run, and every
-/// profiled run's kind-table counts must sum exactly to its event total
-/// (rows measured without the profiler have no kind table and are
-/// exempt). Without the key, the artifact must be the sim-time one: a
-/// non-empty `label → entry` object whose every entry carries all of
-/// [`BENCH_KEYS`] as numbers. Entries may additionally carry any of the
-/// [`BENCH_OPTIONAL_KEYS`] RW extension fields (numbers when present);
-/// unknown keys beyond those still fail.
+/// Validates a perf artifact — the versioned history (`schema_version` +
+/// `runs`) or a bare `simulate --perf` profile — and returns it parsed.
+/// It must carry at least one run, and every run a per-event-kind table
+/// whose counts sum exactly to the run's event total.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation found.
-pub fn check_bench(artifact: &Value) -> Result<BenchSchema, String> {
-    if artifact.get("schema_version").is_some() {
-        let art = PerfArtifact::from_value(artifact)?;
-        if art.runs.is_empty() {
-            return Err("versioned perf artifact has no runs".to_string());
-        }
-        for run in &art.runs {
-            if !run.kinds.is_empty() && run.kind_count_sum() != run.events {
-                return Err(format!(
-                    "run {:?}: kind counts sum to {} but events is {}",
-                    run.label,
-                    run.kind_count_sum(),
-                    run.events
-                ));
-            }
-        }
-        return Ok(BenchSchema::V1);
+pub fn check_bench(artifact: &Value) -> Result<PerfArtifact, String> {
+    let art = PerfArtifact::from_value(artifact)?;
+    if art.runs.is_empty() {
+        return Err("perf artifact has no runs".to_string());
     }
-    let entries = artifact
-        .as_obj()
-        .ok_or_else(|| "bench artifact must be a JSON object".to_string())?;
-    if entries.is_empty() {
-        return Err("bench artifact has no entries".to_string());
-    }
-    for (label, entry) in entries {
-        let fields = entry
-            .as_obj()
-            .ok_or_else(|| format!("entry {label:?} must be an object"))?;
-        for &key in &BENCH_KEYS {
-            match entry.get(key) {
-                Some(Value::U(_) | Value::I(_) | Value::F(_)) => {}
-                Some(other) => {
-                    return Err(format!(
-                        "entry {label:?} key {key:?} is not a number: {other:?}"
-                    ))
-                }
-                None => return Err(format!("entry {label:?} is missing key {key:?}")),
-            }
+    for run in &art.runs {
+        if run.kinds.is_empty() {
+            return Err(format!("run {:?} has no kind table", run.label));
         }
-        // RW extension keys are optional but must be numbers if present.
-        for &key in &BENCH_OPTIONAL_KEYS {
-            if let Some(v) = entry.get(key) {
-                if as_f64(v).is_none() {
-                    return Err(format!(
-                        "entry {label:?} optional key {key:?} is not a number: {v:?}"
-                    ));
-                }
-            }
-        }
-        for (key, _) in fields {
-            if !BENCH_KEYS.contains(&key.as_str()) && !BENCH_OPTIONAL_KEYS.contains(&key.as_str()) {
-                return Err(format!("entry {label:?} has unknown key {key:?}"));
-            }
+        if run.kind_count_sum() != run.events {
+            return Err(format!(
+                "run {:?}: kind counts sum to {} but events is {}",
+                run.label,
+                run.kind_count_sum(),
+                run.events
+            ));
         }
     }
-    Ok(BenchSchema::SimTime)
+    Ok(art)
 }
 
 /// The outcome of a two-artifact bench comparison: the rendered table
@@ -943,75 +823,22 @@ pub struct BenchComparison {
     pub regressions: Vec<String>,
 }
 
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::U(u) => Some(*u as f64),
-        Value::I(i) => Some(*i as f64),
-        Value::F(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// One label's throughput metric, normalized out of either schema.
-struct MetricRow {
-    label: String,
-    metric: &'static str,
-    value: f64,
-}
-
-/// Normalizes an artifact of either schema into `label → throughput`
-/// rows. Perf artifacts report `events_per_sec` with the *latest* run per
-/// label winning (the artifact is an append-only history); sim-time
-/// entries report `requests_per_sim_sec`.
-fn bench_metrics(artifact: &Value) -> Result<Vec<MetricRow>, String> {
-    let rows = match check_bench(artifact)? {
-        BenchSchema::V1 => {
-            let art = PerfArtifact::from_value(artifact)?;
-            let mut rows: Vec<MetricRow> = Vec::new();
-            for run in &art.runs {
-                match rows.iter_mut().find(|r| r.label == run.label) {
-                    Some(row) => row.value = run.events_per_sec,
-                    None => rows.push(MetricRow {
-                        label: run.label.clone(),
-                        metric: "events_per_sec",
-                        value: run.events_per_sec,
-                    }),
-                }
-            }
-            rows
-        }
-        BenchSchema::SimTime => artifact
-            .as_obj()
-            .expect("validated above")
-            .iter()
-            .map(|(label, entry)| MetricRow {
-                label: label.clone(),
-                metric: "requests_per_sim_sec",
-                value: entry
-                    .get("requests_per_sim_sec")
-                    .and_then(as_f64)
-                    .expect("validated above"),
-            })
-            .collect(),
-    };
-    Ok(rows)
-}
-
-/// Compares two bench artifacts label by label and flags throughput
-/// regressions beyond `threshold` (a fraction: 0.1 → a 10% drop fails).
-/// Both sides normalize to `label → events_per_sec` (perf artifacts; the
-/// latest run per label) or `label → requests_per_sim_sec` (sim-time
-/// artifacts); a label whose two sides are of different kinds is skipped.
-/// Labels present in only one artifact are reported but never fail the
-/// gate.
+/// Compares two perf artifacts label by label on `events_per_sec` (the
+/// latest run per label: an artifact is an append-only history) and flags
+/// drops beyond `threshold` (a fraction: 0.1 → a 10% drop fails). The
+/// candidate must pass [`check_bench`]; the baseline need only parse, since
+/// it may predate the rules `check_bench` enforces. Labels present in only
+/// one artifact are reported but never fail the gate.
 ///
 /// # Errors
 ///
-/// Returns a description when either artifact is malformed (see
-/// [`check_bench`]) or when the two artifacts share no label.
+/// Returns a description when either artifact is malformed or when the
+/// two artifacts share no label.
 pub fn compare_bench(base: &Value, new: &Value, threshold: f64) -> Result<BenchComparison, String> {
-    let base_rows = bench_metrics(base).map_err(|e| format!("baseline: {e}"))?;
-    let new_rows = bench_metrics(new).map_err(|e| format!("candidate: {e}"))?;
+    let base = PerfArtifact::from_value(base).map_err(|e| format!("baseline: {e}"))?;
+    let new = check_bench(new).map_err(|e| format!("candidate: {e}"))?;
+    let base_rows = latest_by_label(&base.runs);
+    let new_rows = latest_by_label(&new.runs);
 
     let mut out = String::new();
     let mut regressions = Vec::new();
@@ -1026,17 +853,14 @@ pub fn compare_bench(base: &Value, new: &Value, threshold: f64) -> Result<BenchC
         "{:<18} {:>14} {:>14} {:>14} {:>8}  verdict",
         "label", "metric", "baseline", "candidate", "delta"
     );
+    let metric = "events_per_sec";
     for row in &base_rows {
         let label = &row.label;
         let Some(n_row) = new_rows.iter().find(|r| &r.label == label) else {
             let _ = writeln!(out, "{label:<18} (only in baseline)");
             continue;
         };
-        if row.metric != n_row.metric {
-            let _ = writeln!(out, "{label:<18} (entry kinds differ; skipped)");
-            continue;
-        }
-        let (metric, b, n) = (row.metric, row.value, n_row.value);
+        let (b, n) = (row.events_per_sec, n_row.events_per_sec);
         shared += 1;
         let delta = if b > 0.0 { (n - b) / b } else { 0.0 };
         let regressed = delta < -threshold;
@@ -1186,19 +1010,9 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
         if i > 0 {
             let _ = writeln!(out);
         }
-        let profiled = art.runs.iter().filter(|r| !r.kinds.is_empty()).count();
         let _ = writeln!(out, "## Perf profile: {name}");
-        let _ = writeln!(
-            out,
-            "   {} runs ({} profiled, {} throughput-only)",
-            art.runs.len(),
-            profiled,
-            art.runs.len() - profiled
-        );
+        let _ = writeln!(out, "   {} runs", art.runs.len());
         for run in latest_by_label(&art.runs) {
-            if run.kinds.is_empty() {
-                continue;
-            }
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
@@ -1222,59 +1036,6 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
             );
             kind_table(&mut out, run);
         }
-        let grid: Vec<&HostProfile> = latest_by_label(&art.runs)
-            .into_iter()
-            .filter(|r| r.parallel.is_some())
-            .collect();
-        if !grid.is_empty() {
-            // The sharded-parallel throughput grid: speedup is relative
-            // to the suite's sequential-engine baseline row when one was
-            // measured alongside.
-            let seq_eps = latest_by_label(&art.runs)
-                .into_iter()
-                .find(|r| r.label.ends_with("sharded-parallel/seq"))
-                .map(|r| r.events_per_sec);
-            let _ = writeln!(out);
-            let _ = writeln!(out, "   sharded-parallel grid:");
-            let _ = writeln!(
-                out,
-                "     {:<26} {:>6} {:>7} {:>8} {:>10} {:>12} {:>8} {:>10}",
-                "label",
-                "shards",
-                "threads",
-                "windows",
-                "ev/window",
-                "events/s",
-                "speedup",
-                "imbalance"
-            );
-            for run in grid {
-                let p = run.parallel.as_ref().expect("filtered on parallel");
-                let speedup = match seq_eps {
-                    Some(base) if base > 0.0 => {
-                        format!("{:.2}x", run.events_per_sec / base)
-                    }
-                    _ => "-".to_string(),
-                };
-                let imbalance = if p.busy_imbalance > 0.0 {
-                    format!("{:.2}x", p.busy_imbalance)
-                } else {
-                    "-".to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "     {:<26} {:>6} {:>7} {:>8} {:>10.1} {:>12.0} {:>8} {:>10}",
-                    run.label,
-                    p.shards,
-                    p.threads,
-                    p.windows,
-                    p.events_per_window,
-                    run.events_per_sec,
-                    speedup,
-                    imbalance
-                );
-            }
-        }
         if art.runs.len() > 1 {
             let _ = writeln!(out);
             let _ = writeln!(
@@ -1282,19 +1043,14 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
                 "   trajectory (run · label · events/s · peak RSS kB · attributed):"
             );
             for (ri, run) in art.runs.iter().enumerate() {
-                let attributed = if run.kinds.is_empty() {
-                    "-".to_string()
-                } else {
-                    format!("{:.1}%", coverage_pct(run))
-                };
                 let _ = writeln!(
                     out,
-                    "     {:<4} {:<18} {:>12.0} {:>12} {:>10}",
+                    "     {:<4} {:<18} {:>12.0} {:>12} {:>9.1}%",
                     ri + 1,
                     run.label,
                     run.events_per_sec,
                     run.peak_rss_kb,
-                    attributed
+                    coverage_pct(run)
                 );
             }
         }
@@ -1323,70 +1079,18 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
             } else {
                 0.0
             };
-            let attributed = if run.kinds.is_empty() {
-                "-".to_string()
-            } else {
-                format!("{:.1}%", coverage_pct(run))
-            };
             let _ = writeln!(
                 out,
-                "{name:<12} {:<18} {:>12.0} {:>10.1} {:>12} {:>10}",
-                run.label, run.events_per_sec, per_event, run.peak_rss_kb, attributed
+                "{name:<12} {:<18} {:>12.0} {:>10.1} {:>12} {:>9.1}%",
+                run.label,
+                run.events_per_sec,
+                per_event,
+                run.peak_rss_kb,
+                coverage_pct(run)
             );
         }
     }
     out
-}
-
-/// Gates the parallel entry point's dispatch overhead inside one perf
-/// artifact: the latest `…sharded-parallel/s1-t1` row (one shard, one
-/// thread — the parallel runner collapsing to the sequential engine)
-/// must hold at least `1 - threshold` of the latest
-/// `…sharded-parallel/seq` baseline's throughput. Wall-clock–free CI
-/// boxes keep their protection from the byte-identity tests; this gate
-/// exists so a dispatch-layer slowdown shows up where throughput is
-/// actually measured.
-///
-/// Returns `Ok(None)` when the artifact carries no such pair of rows.
-///
-/// # Errors
-///
-/// Returns the regression description when the gated row falls below
-/// the baseline by more than `threshold`.
-pub fn parallel_gate(artifact: &PerfArtifact, threshold: f64) -> Result<Option<String>, String> {
-    let latest = latest_by_label(&artifact.runs);
-    let seq = latest
-        .iter()
-        .find(|r| r.label.ends_with("sharded-parallel/seq"));
-    let gated = latest.iter().find(|r| {
-        r.label.contains("sharded-parallel/")
-            && r.parallel
-                .as_ref()
-                .is_some_and(|p| p.shards == 1 && p.threads == 1)
-    });
-    let (Some(seq), Some(gated)) = (seq, gated) else {
-        return Ok(None);
-    };
-    if seq.events_per_sec <= 0.0 {
-        return Ok(None);
-    }
-    let ratio = gated.events_per_sec / seq.events_per_sec;
-    let line = format!(
-        "parallel gate: {} at {:.0} events/s vs {} at {:.0} events/s ({:.1}% of baseline)\n",
-        gated.label,
-        gated.events_per_sec,
-        seq.label,
-        seq.events_per_sec,
-        ratio * 100.0
-    );
-    if ratio < 1.0 - threshold {
-        return Err(format!(
-            "{line}parallel 1-shard/1-thread dispatch regressed more than {:.0}% below the \
-             sequential baseline",
-            threshold * 100.0
-        ));
-    }
-    Ok(Some(line))
 }
 
 /// Loads a `simulate sweep` artifact (one pretty-printed
@@ -1588,18 +1292,6 @@ mod tests {
         assert_eq!(link_source("link:h3>s0"), Some("h3"));
         assert_eq!(link_source("link:s12>h40"), Some("s12"));
         assert_eq!(link_source("server:3"), None);
-    }
-
-    #[test]
-    fn bench_artifact_round_trips_and_validates() {
-        let traces = vec![trace("clirs", &[600, 1_200]), trace("ilp", &[300])];
-        let artifact = bench_artifact(&traces);
-        check_bench(&artifact).expect("generated artifact is valid");
-        let text = serde_json::to_string_pretty(&artifact).unwrap();
-        let back: Value = serde_json::from_str(&text).unwrap();
-        check_bench(&back).expect("artifact survives a round trip");
-        let clirs = back.get("clirs").expect("labels are keys");
-        assert_eq!(clirs.get("requests"), Some(&Value::U(2)));
     }
 
     #[test]
@@ -2006,32 +1698,26 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
 
     #[test]
     fn compare_bench_flags_regressions_beyond_threshold() {
-        let perf = |rps: f64| {
-            Value::Obj(
-                BENCH_KEYS
+        let art = |rows: &[(&str, f64)]| {
+            to_value(&PerfArtifact {
+                runs: rows
                     .iter()
-                    .map(|k| ((*k).to_string(), Value::F(rps)))
+                    .map(|&(label, eps)| host_profile(label, 18_000, eps))
                     .collect(),
-            )
+            })
         };
-        let base = Value::Obj(vec![
-            ("CliRS".into(), perf(1_000_000.0)),
-            ("NetRS-ILP".into(), perf(800_000.0)),
-            ("gone".into(), perf(1.0)),
+        let base = art(&[
+            ("CliRS", 1_000_000.0),
+            ("NetRS-ILP", 800_000.0),
+            ("gone", 1.0),
         ]);
-        let ok_new = Value::Obj(vec![
-            ("CliRS".into(), perf(950_000.0)),
-            ("NetRS-ILP".into(), perf(850_000.0)),
-        ]);
+        let ok_new = art(&[("CliRS", 950_000.0), ("NetRS-ILP", 850_000.0)]);
         let cmp = compare_bench(&base, &ok_new, 0.1).expect("valid artifacts compare");
         assert!(cmp.regressions.is_empty(), "5% drop is within 10%");
         assert!(cmp.report.contains("only in baseline"));
         assert!(cmp.report.contains("ok"));
 
-        let bad_new = Value::Obj(vec![
-            ("CliRS".into(), perf(850_000.0)),
-            ("NetRS-ILP".into(), perf(850_000.0)),
-        ]);
+        let bad_new = art(&[("CliRS", 850_000.0), ("NetRS-ILP", 850_000.0)]);
         let cmp = compare_bench(&base, &bad_new, 0.1).expect("valid artifacts compare");
         assert_eq!(cmp.regressions.len(), 1, "15% drop fails a 10% gate");
         assert!(cmp.regressions[0].contains("CliRS"));
@@ -2043,7 +1729,8 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
 
         // Malformed or disjoint artifacts are errors, not empty passes.
         assert!(compare_bench(&Value::Arr(vec![]), &ok_new, 0.1).is_err());
-        let disjoint = Value::Obj(vec![("other".into(), perf(1.0))]);
+        assert!(compare_bench(&base, &Value::Arr(vec![]), 0.1).is_err());
+        let disjoint = art(&[("other", 1.0)]);
         assert!(compare_bench(&base, &disjoint, 0.1)
             .unwrap_err()
             .contains("no comparable label"));
@@ -2079,7 +1766,6 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
                 deallocs: 100,
                 peak_bytes: 9_000_000,
             }),
-            parallel: None,
             request_table: Some(RequestTableStats {
                 slots: 1_024,
                 live_high_water: 310,
@@ -2105,20 +1791,6 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
         }
     }
 
-    /// A row measured without the profiler (the `sharded-parallel` suite
-    /// writes these): throughput only, no kind table.
-    fn throughput_only(label: &str, events: u64, eps: f64) -> HostProfile {
-        HostProfile {
-            wall_s: 0.0072,
-            peak_rss_kb: 6_000,
-            stride: 0,
-            attributed_ns: 0,
-            alloc: None,
-            kinds: Vec::new(),
-            ..host_profile(label, events, eps)
-        }
-    }
-
     fn to_value(artifact: &PerfArtifact) -> Value {
         let text = serde_json::to_string(artifact).unwrap();
         serde_json::from_str(&text).unwrap()
@@ -2128,24 +1800,26 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
     fn check_bench_detects_and_validates_versioned_artifacts() {
         let art = PerfArtifact {
             runs: vec![
-                throughput_only("smoke/CliRS", 18_000, 2_500_000.0),
+                host_profile("smoke/CliRS", 18_000, 2_500_000.0),
                 host_profile("smoke/CliRS", 18_000, 3_000_000.0),
             ],
         };
-        assert_eq!(check_bench(&to_value(&art)).unwrap(), BenchSchema::V1);
-        // A bare `simulate --perf` profile is also versioned.
+        assert_eq!(check_bench(&to_value(&art)).unwrap(), art);
+        // A bare `simulate --perf` profile is a one-run artifact.
         let bare: Value = serde_json::from_str(
             &serde_json::to_string(&host_profile("CliRS", 18_000, 3e6)).unwrap(),
         )
         .unwrap();
-        assert_eq!(check_bench(&bare).unwrap(), BenchSchema::V1);
-        // A flat map of wall-clock entries is neither artifact: perf
-        // artifacts are versioned, sim-time entries carry `BENCH_KEYS`.
+        assert_eq!(check_bench(&bare).unwrap().runs.len(), 1);
+        // A flat map of wall-clock entries carries no version: not a perf
+        // artifact.
         let flat: Value = serde_json::from_str(
             r#"{"x": {"events": 1, "events_per_sec": 1.0, "peak_rss_kb": 1, "wall_clock_s": 1.0}}"#,
         )
         .unwrap();
-        assert!(check_bench(&flat).unwrap_err().contains("missing key"));
+        assert!(check_bench(&flat)
+            .unwrap_err()
+            .contains("missing field `schema_version`"));
         // Kind counts that do not sum to the event total are rejected.
         let mut bad = host_profile("CliRS", 18_000, 3e6);
         bad.kinds[0].count += 1;
@@ -2184,16 +1858,17 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
 
     #[test]
     fn perf_report_pins_its_format() {
+        let older = HostProfile {
+            peak_rss_kb: 6_000,
+            ..host_profile("smoke/CliRS", 18_000, 2_500_000.0)
+        };
         let art = PerfArtifact {
-            runs: vec![
-                throughput_only("smoke/CliRS", 18_000, 2_500_000.0),
-                host_profile("smoke/CliRS", 18_000, 3_000_000.0),
-            ],
+            runs: vec![older, host_profile("smoke/CliRS", 18_000, 3_000_000.0)],
         };
         let report = perf_report(&[("bench".to_string(), art.clone())]);
         let expected = "\
 ## Perf profile: bench
-   2 runs (1 profiled, 1 throughput-only)
+   2 runs
 
 ### smoke/CliRS — scheme CliRS · seed 1 · 2000 requests
    host: Test CPU · 8 cores · commit ab12cd3
@@ -2209,7 +1884,7 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
    alloc: 120 allocs · 100 deallocs · peak 9000000 bytes (0.007 allocs/event)
 
    trajectory (run · label · events/s · peak RSS kB · attributed):
-     1    smoke/CliRS             2500000         6000          -
+     1    smoke/CliRS             2500000         6000      75.0%
      2    smoke/CliRS             3000000         6900      75.0%
 ";
         assert_eq!(report, expected);
@@ -2223,106 +1898,61 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
     }
 
     #[test]
-    fn parallel_gate_passes_fails_and_skips() {
-        use netrs_sim::ParallelPerf;
-        let row = |label: &str, eps: f64, parallel: Option<ParallelPerf>| {
-            let mut p = host_profile(label, 18_000, eps);
-            p.parallel = parallel;
-            p
-        };
-        let marker = ParallelPerf {
-            shards: 1,
-            threads: 1,
-            windows: 0,
-            events_per_window: 0.0,
-            busy_imbalance: 0.0,
-        };
-        // No sharded-parallel rows at all: nothing to gate.
-        let plain = PerfArtifact {
-            runs: vec![row("smoke/CliRS", 1_000_000.0, None)],
-        };
-        assert_eq!(parallel_gate(&plain, 0.1).unwrap(), None);
-
-        // Dispatch within threshold passes and reports the ratio.
-        let ok = PerfArtifact {
-            runs: vec![
-                row("smoke/sharded-parallel/seq", 1_000_000.0, None),
-                row("smoke/sharded-parallel/s1-t1", 950_000.0, Some(marker)),
-            ],
-        };
-        let line = parallel_gate(&ok, 0.1).unwrap().expect("pair gated");
-        assert!(line.contains("95.0% of baseline"), "{line}");
-
-        // A dispatch-layer collapse beyond the threshold fails.
-        let bad = PerfArtifact {
-            runs: vec![
-                row("smoke/sharded-parallel/seq", 1_000_000.0, None),
-                row("smoke/sharded-parallel/s1-t1", 500_000.0, Some(marker)),
-            ],
-        };
-        let err = parallel_gate(&bad, 0.1).unwrap_err();
-        assert!(err.contains("regressed"), "{err}");
-
-        // Only the latest row per label counts: a newer, healthy s1-t1
-        // supersedes the historical regression above.
-        let healed = PerfArtifact {
-            runs: bad
-                .runs
-                .iter()
-                .cloned()
-                .chain([row("smoke/sharded-parallel/s1-t1", 990_000.0, Some(marker))])
-                .collect(),
-        };
-        assert!(parallel_gate(&healed, 0.1).unwrap().is_some());
-    }
-
-    #[test]
     fn check_bench_rejects_malformed_artifacts() {
         assert!(check_bench(&Value::Arr(vec![])).is_err());
         assert!(check_bench(&Value::Obj(vec![])).is_err());
-        let missing = Value::Obj(vec![(
-            "x".into(),
-            Value::Obj(vec![("mean_ns".into(), Value::U(1))]),
-        )]);
-        assert!(check_bench(&missing).unwrap_err().contains("missing"));
-        let extra_entries: Vec<(String, Value)> = BENCH_KEYS
+        // A row without a kind table — what an unprofiled measurement
+        // would write — is rejected, wherever it sits in the history.
+        let unprofiled = HostProfile {
+            stride: 0,
+            attributed_ns: 0,
+            kinds: Vec::new(),
+            ..host_profile("smoke/seq", 18_000, 3e6)
+        };
+        let art = PerfArtifact {
+            runs: vec![host_profile("smoke/CliRS", 18_000, 3e6), unprofiled],
+        };
+        let err = check_bench(&to_value(&art)).unwrap_err();
+        assert!(err.contains("\"smoke/seq\" has no kind table"), "{err}");
+        // A run missing a required key, or carrying a wrong-typed one.
+        let bare: Value = serde_json::from_str(
+            &serde_json::to_string(&host_profile("CliRS", 18_000, 3e6)).unwrap(),
+        )
+        .unwrap();
+        let run = bare.as_obj().expect("a profile is an object");
+        let without_events: Vec<_> = run.iter().filter(|(k, _)| k != "events").cloned().collect();
+        assert!(check_bench(&Value::Obj(without_events))
+            .unwrap_err()
+            .contains("`events`"));
+        let wrong_type: Vec<_> = run
             .iter()
-            .map(|k| ((*k).to_string(), Value::U(1)))
-            .chain([("bogus".to_string(), Value::U(1))])
+            .map(|(k, v)| match k.as_str() {
+                "events" => (k.clone(), Value::Str("nope".into())),
+                _ => (k.clone(), v.clone()),
+            })
             .collect();
-        let extra = Value::Obj(vec![("x".into(), Value::Obj(extra_entries))]);
-        assert!(check_bench(&extra).unwrap_err().contains("unknown key"));
-        let wrong_type: Vec<(String, Value)> = BENCH_KEYS
-            .iter()
-            .map(|k| ((*k).to_string(), Value::Str("nope".into())))
-            .collect();
-        let wrong = Value::Obj(vec![("x".into(), Value::Obj(wrong_type))]);
-        assert!(check_bench(&wrong).unwrap_err().contains("not a number"));
+        assert!(check_bench(&Value::Obj(wrong_type)).is_err());
     }
 
     #[test]
-    fn check_bench_tolerates_optional_rw_keys() {
-        // Artifacts from RW-enabled runs may append the optional
-        // extension keys; older consumers of the same schema must still
-        // validate them, and present values must be numeric.
-        let with_rw: Vec<(String, Value)> = BENCH_KEYS
-            .iter()
-            .map(|k| ((*k).to_string(), Value::U(1)))
-            .chain(
-                BENCH_OPTIONAL_KEYS
-                    .iter()
-                    .map(|k| ((*k).to_string(), Value::F(0.25))),
-            )
-            .collect();
-        let ok = Value::Obj(vec![("x".into(), Value::Obj(with_rw))]);
-        assert_eq!(check_bench(&ok).unwrap(), BenchSchema::SimTime);
-
-        let bad_entries: Vec<(String, Value)> = BENCH_KEYS
-            .iter()
-            .map(|k| ((*k).to_string(), Value::U(1)))
-            .chain([("stale_reads".to_string(), Value::Str("two".into()))])
-            .collect();
-        let bad = Value::Obj(vec![("x".into(), Value::Obj(bad_entries))]);
-        assert!(check_bench(&bad).unwrap_err().contains("stale_reads"));
+    fn repo_bench_perf_artifact_holds_only_profiled_rows() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PERF.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_PERF.json is readable");
+        let v: Value = serde_json::from_str(&text).expect("BENCH_PERF.json parses");
+        let art = check_bench(&v).unwrap_or_else(|e| panic!("BENCH_PERF.json: {e}"));
+        for run in &art.runs {
+            assert!(!run.kinds.is_empty(), "{} has no kind table", run.label);
+        }
+        let raw = v
+            .get("runs")
+            .and_then(Value::as_arr)
+            .expect("BENCH_PERF.json is a versioned history");
+        assert_eq!(raw.len(), art.runs.len());
+        for run in raw {
+            assert!(
+                run.get("parallel").is_none(),
+                "{run:?} has a parallel block"
+            );
+        }
     }
 }

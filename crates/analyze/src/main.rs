@@ -1,31 +1,30 @@
 //! `netrs-analyze` — turn `simulate` JSONL artifacts into reports.
 //!
 //! ```text
-//! # compare two schemes, emit a regression artifact
+//! # compare two schemes
 //! simulate --scheme clirs --trace clirs.jsonl --trace-hops --devices clirs-dev.jsonl
 //! simulate --scheme netrs-ilp --trace ilp.jsonl --trace-hops --devices ilp-dev.jsonl
 //! netrs-analyze report --trace clirs=clirs.jsonl --trace netrs-ilp=ilp.jsonl \
-//!     --devices ilp-dev.jsonl --bench-json bench.json
+//!     --devices ilp-dev.jsonl
 //!
-//! # gate CI on the artifact's shape
-//! netrs-analyze check-bench bench.json
+//! # validate a perf artifact, then gate it against a baseline
+//! simulate --scheme netrs-ilp --perf perf.json
+//! netrs-analyze check-bench perf.json
+//! netrs-analyze check-bench perf.json BENCH_PERF.json
 //! ```
 
-use std::io::Write;
-
 use netrs_analyze::{
-    availability_report, bench_artifact, check_bench, compare_bench, comparison_report,
-    control_report, hotspot_report, load_control, load_devices, load_stats, load_sweep,
-    load_timeseries, load_trace, parallel_gate, perf_report, rw_report, split_label, sweep_report,
-    tail_report, timeseries_report, BenchSchema, LabeledTrace,
+    availability_report, check_bench, compare_bench, comparison_report, control_report,
+    hotspot_report, load_control, load_devices, load_stats, load_sweep, load_timeseries,
+    load_trace, perf_report, rw_report, split_label, sweep_report, tail_report, timeseries_report,
+    LabeledTrace,
 };
-use netrs_sim::PerfArtifact;
 use serde::Value;
 
 fn usage() -> ! {
     eprintln!(
         "usage: netrs-analyze report --trace [LABEL=]FILE [--trace [LABEL=]FILE ...] \
-         [--devices FILE] [--timeseries FILE] [--bench-json OUT] [--top N]\n\
+         [--devices FILE] [--timeseries FILE] [--top N]\n\
          \x20      netrs-analyze control [LABEL=]FILE [[LABEL=]FILE ...]\n\
          \x20      netrs-analyze availability --stats [LABEL=]FILE [--stats [LABEL=]FILE ...]\n\
          \x20      netrs-analyze rw --stats [LABEL=]FILE [--stats [LABEL=]FILE ...] [--devices FILE]\n\
@@ -45,7 +44,6 @@ fn report(args: &[String]) {
     let mut traces: Vec<LabeledTrace> = Vec::new();
     let mut devices_path: Option<String> = None;
     let mut timeseries_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
     let mut top = 10usize;
 
     let mut i = 0;
@@ -65,7 +63,6 @@ fn report(args: &[String]) {
             }
             "--devices" => devices_path = Some(next()),
             "--timeseries" => timeseries_path = Some(next()),
-            "--bench-json" => bench_path = Some(next()),
             "--top" => top = next().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
@@ -91,18 +88,6 @@ fn report(args: &[String]) {
             load_timeseries(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
         println!();
         print!("{}", timeseries_report(&points));
-    }
-    if let Some(path) = bench_path.as_deref() {
-        let artifact = bench_artifact(&traces);
-        let _ = check_bench(&artifact)
-            .unwrap_or_else(|e| fail(&format!("generated artifact invalid: {e}")));
-        let text = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
-        let mut f = std::fs::File::create(path)
-            .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
-        writeln!(f, "{text}").unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        println!();
-        println!("## Bench artifact");
-        println!("   wrote {} ({} entries)", path, traces.len());
     }
 }
 
@@ -175,13 +160,13 @@ fn control(args: &[String]) {
 
 /// `perf FILE [FILE...]` renders the host-perf report for one or more
 /// perf artifacts (versioned histories or bare `simulate --perf`
-/// profiles).
+/// profiles) that pass `check-bench`.
 fn perf(args: &[String]) {
     let mut entries = Vec::new();
     for spec in args {
         let (label, path) = split_label(spec);
-        let v = load_artifact(path);
-        let art = PerfArtifact::from_value(&v).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        let art =
+            check_bench(&load_artifact(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         entries.push((label, art));
     }
     if entries.is_empty() {
@@ -234,28 +219,8 @@ fn check_bench_cmd(args: &[String]) {
         _ => usage(),
     };
     let artifact = load_artifact(&path);
-    match check_bench(&artifact) {
-        Ok(schema) => {
-            let n = match schema {
-                BenchSchema::SimTime => artifact.as_obj().map_or(0, <[_]>::len),
-                BenchSchema::V1 => PerfArtifact::from_value(&artifact).map_or(0, |a| a.runs.len()),
-            };
-            println!("{path}: valid bench artifact ({n} entries, {schema})");
-            if let BenchSchema::V1 = schema {
-                // The sharded-parallel suite carries its own intra-file
-                // gate: 1-shard/1-thread dispatch vs the sequential
-                // baseline row.
-                if let Ok(art) = PerfArtifact::from_value(&artifact) {
-                    match parallel_gate(&art, threshold) {
-                        Ok(Some(line)) => print!("{line}"),
-                        Ok(None) => {}
-                        Err(e) => fail(&format!("{path}: {e}")),
-                    }
-                }
-            }
-        }
-        Err(e) => fail(&format!("{path}: {e}")),
-    }
+    let art = check_bench(&artifact).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+    println!("{path}: valid perf artifact (runs: {})", art.runs.len());
     if let Some(base_path) = baseline {
         let base = load_artifact(&base_path);
         let cmp = compare_bench(&base, &artifact, threshold)

@@ -16,8 +16,7 @@ use std::io::Write as _;
 
 use netrs_bench::{
     ablate_c3, ablate_cap, ablate_group, ablate_hops, append_perf_artifact, fig4, fig5, fig6, fig7,
-    paper_base, render_tables, rsp_experiment, run_figure, run_parallel_suite, run_perf_suite,
-    FigureSpec,
+    paper_base, render_tables, rsp_experiment, run_figure, run_perf_suite, FigureSpec,
 };
 use netrs_sim::SimConfig;
 
@@ -33,10 +32,23 @@ struct Options {
     out: Option<String>,
 }
 
+/// Every flag `repro` knows: the figure commands' three, then `perf`'s
+/// three (`rsp` takes none).
+const FLAGS: [&str; 6] = [
+    "--requests",
+    "--seeds",
+    "--paper-scale",
+    "--small",
+    "--tag",
+    "--out",
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <fig4|fig5|fig6|fig7|rsp|perf|ablate-hops|ablate-cap|ablate-group|ablate-c3|all> \
-         [--requests N] [--seeds a,b,c] [--paper-scale] [--small] [--tag NAME] [--out FILE]"
+        "usage: repro <fig4|fig5|fig6|fig7|ablate-hops|ablate-cap|ablate-group|ablate-c3|all> \
+         [--requests N] [--seeds a,b,c] [--paper-scale]\n\
+         \x20      repro perf [--small] [--tag NAME] [--out FILE]\n\
+         \x20      repro rsp"
     );
     std::process::exit(2);
 }
@@ -62,6 +74,13 @@ fn main() {
         usage();
     }
     let command = args[0].clone();
+    let accepted: &[&str] = match command.as_str() {
+        "perf" => &FLAGS[3..],
+        "rsp" => &[],
+        "fig4" | "fig5" | "fig6" | "fig7" | "ablate-hops" | "ablate-cap" | "ablate-group"
+        | "ablate-c3" | "all" => &FLAGS[..3],
+        _ => usage(),
+    };
     let mut opts = Options {
         requests: 200_000,
         seeds: vec![1, 2, 3],
@@ -71,7 +90,15 @@ fn main() {
     };
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        if !accepted.contains(&flag) {
+            if FLAGS.contains(&flag) {
+                eprintln!("repro: {flag} does not apply to `{command}`");
+                std::process::exit(2);
+            }
+            usage();
+        }
+        match flag {
             "--requests" => {
                 i += 1;
                 opts.requests = args
@@ -136,7 +163,7 @@ fn main() {
             println!("{}", rsp_experiment(2018));
             return;
         }
-        _ => usage(),
+        _ => unreachable!("the command was checked before the flags"),
     };
 
     std::fs::create_dir_all("target/repro").ok();
@@ -189,44 +216,21 @@ fn run_perf(opts: &Options) {
         .out
         .clone()
         .unwrap_or_else(|| "target/repro/BENCH_PERF.json".to_string());
-    let mut runs = run_perf_suite(&cfg, opts.tag.as_deref());
-    // The sharded-parallel throughput grid rides the same artifact; the
-    // fastest of `repeats` walls is kept per cell (tiny --small cells
-    // are pure noise on one run).
-    runs.extend(run_parallel_suite(
-        &cfg,
-        opts.tag.as_deref(),
-        if opts.small { 2 } else { 1 },
-    ));
+    let runs = run_perf_suite(&cfg, opts.tag.as_deref());
     for r in &runs {
-        match r.parallel.as_ref() {
-            Some(p) => log_line(&format!(
-                "perf: {}: {:.3}s wall, {} events, {:.0} events/s, {} shards x {} threads, \
-                 {} windows ({:.1} events/window), busy imbalance {:.2}x",
-                r.label,
-                r.wall_s,
-                r.events,
-                r.events_per_sec,
-                p.shards,
-                p.threads,
-                p.windows,
-                p.events_per_window,
-                p.busy_imbalance,
-            )),
-            None => log_line(&format!(
-                "perf: {}: {:.3}s wall, {} events, {:.0} events/s, {:.1}% attributed, peak RSS {} kB",
-                r.label,
-                r.wall_s,
-                r.events,
-                r.events_per_sec,
-                if r.wall_s > 0.0 {
-                    r.attributed_ns as f64 / (r.wall_s * 1e9) * 100.0
-                } else {
-                    0.0
-                },
-                r.peak_rss_kb
-            )),
-        }
+        log_line(&format!(
+            "perf: {}: {:.3}s wall, {} events, {:.0} events/s, {:.1}% attributed, peak RSS {} kB",
+            r.label,
+            r.wall_s,
+            r.events,
+            r.events_per_sec,
+            if r.wall_s > 0.0 {
+                r.attributed_ns as f64 / (r.wall_s * 1e9) * 100.0
+            } else {
+                0.0
+            },
+            r.peak_rss_kb
+        ));
     }
     let existing = std::fs::read_to_string(&out).ok();
     let artifact = append_perf_artifact(existing.as_deref(), runs).unwrap_or_else(|e| {

@@ -16,10 +16,9 @@
 use netrs::{PlacementProblem, PlanConstraints, PlanSolver, TrafficGroups, TrafficMatrix};
 use netrs_selection::CubicConfig;
 use netrs_sim::{
-    run_observed, run_observed_sharded_parallel, run_seeds, CacheAdmission, CacheWritePolicy,
-    HostMeta, HostProfile, HotCacheConfig, MeanStats, ObsOptions, ParallelOptions, ParallelPerf,
-    PerfArtifact, PerfOptions, QueueStats, RunStats, Scheme, SimConfig, WriteConsistency,
-    PERF_SCHEMA_VERSION,
+    run_observed, run_seeds, CacheAdmission, CacheWritePolicy, HostProfile, HotCacheConfig,
+    MeanStats, ObsOptions, PerfArtifact, PerfOptions, RunStats, Scheme, SimConfig,
+    WriteConsistency,
 };
 use netrs_simcore::{SimDuration, SimRng};
 use netrs_topology::{FatTree, HostId};
@@ -360,138 +359,6 @@ pub fn run_perf_suite(cfg: &SimConfig, tag: Option<&str>) -> Vec<HostProfile> {
     eprintln!("perf: running {label}...");
     let rw = rw_cache_config(cfg.requests, cfg.seed);
     runs.push(run_perf_profile(&rw, rw.scheme, &label));
-    runs
-}
-
-/// One measured cell of the sharded-parallel throughput grid. `shards ==
-/// 0` runs the plain sequential engine (the `seq` baseline row); any
-/// other value goes through [`run_observed_sharded_parallel`], so the
-/// row measures exactly what `simulate --shards S --threads T` runs.
-/// The fastest of `repeats` runs is kept — the simulation bytes are
-/// identical across repeats, only the wall clock varies.
-fn run_parallel_cell(cfg: &SimConfig, shards: u32, threads: usize, repeats: u32) -> HostProfile {
-    let mut best: Option<netrs_sim::RunOutput> = None;
-    for _ in 0..repeats.max(1) {
-        let out = if shards == 0 {
-            run_observed(cfg.clone(), ObsOptions::default())
-        } else {
-            run_observed_sharded_parallel(
-                cfg.clone(),
-                shards,
-                ParallelOptions {
-                    threads,
-                    lookahead_mult: 1,
-                },
-                ObsOptions::default(),
-            )
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| out.profile.wall_seconds < b.profile.wall_seconds)
-        {
-            best = Some(out);
-        }
-    }
-    let out = best.expect("at least one repeat ran");
-    let events = out.stats.events;
-    // Max/mean per-shard busy time; 0.0 when the run had no worker pool
-    // (sequential baseline or fallback path) — "not measured", not
-    // "perfectly balanced".
-    let busy_imbalance = out.busy_ns.as_ref().map_or(0.0, |busy| {
-        let max = busy.iter().copied().max().unwrap_or(0) as f64;
-        let mean = busy.iter().copied().sum::<u64>() as f64 / busy.len().max(1) as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            0.0
-        }
-    });
-    // A 1-shard parallel cell collapses to the sequential engine and so
-    // carries no window accounting, but it is still a grid cell — the
-    // check-bench gate keys on its `shards == 1 && threads == 1` marker
-    // to compare dispatch overhead against the `/seq` baseline row.
-    let parallel = out.stats.parallel.map_or_else(
-        || {
-            (shards > 0).then_some(ParallelPerf {
-                shards: shards.max(1),
-                threads: 1,
-                windows: 0,
-                events_per_window: 0.0,
-                busy_imbalance,
-            })
-        },
-        |p| {
-            Some(ParallelPerf {
-                shards: p.shards,
-                threads: threads.clamp(1, p.shards as usize) as u32,
-                windows: p.windows,
-                events_per_window: p.events_per_window(events),
-                busy_imbalance,
-            })
-        },
-    );
-    HostProfile {
-        label: String::new(), // the suite runner fills this in
-        schema_version: PERF_SCHEMA_VERSION,
-        scheme: cfg.scheme.label().to_string(),
-        seed: cfg.seed,
-        requests: cfg.requests,
-        events,
-        wall_s: out.profile.wall_seconds,
-        events_per_sec: out.profile.events_per_sec,
-        peak_rss_kb: out.profile.peak_rss_kb,
-        stride: 0,
-        attributed_ns: 0,
-        host: HostMeta::detect(),
-        queue: QueueStats {
-            pushes: out.profile.pushes,
-            pops: out.profile.pops,
-            high_water: out.profile.queue_high_water as u64,
-            depth_hist: Vec::new(),
-        },
-        alloc: None,
-        parallel,
-        request_table: None,
-        clock_pair_ns: None,
-        kinds: Vec::new(),
-    }
-}
-
-/// Runs the sharded-parallel throughput suite: the sequential-engine
-/// baseline (`seq`), then every (shards × threads) cell of the grid —
-/// shards 1/2/4/8 (clamped to the topology's pods by the engine) ×
-/// threads 1..=cores (powers of two). Labels are
-/// `{tag}/sharded-parallel/{seq|sN-tM}`; the `s1-t1` row is what
-/// `check-bench` gates against `seq`. Runs under CliRS — the replica
-/// engine's home scheme — so multi-thread rows measure the real worker
-/// pool, not the fallback.
-#[must_use]
-pub fn run_parallel_suite(cfg: &SimConfig, tag: Option<&str>, repeats: u32) -> Vec<HostProfile> {
-    let mut cfg = cfg.clone();
-    cfg.scheme = Scheme::CliRs;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut threads_list = vec![1usize, 2, 4, 8, cores];
-    threads_list.retain(|&t| t <= cores);
-    threads_list.sort_unstable();
-    threads_list.dedup();
-    let label = |name: &str| match tag {
-        Some(t) => format!("{t}/sharded-parallel/{name}"),
-        None => format!("sharded-parallel/{name}"),
-    };
-    let mut runs = Vec::new();
-    eprintln!("perf: running {}...", label("seq"));
-    let mut seq = run_parallel_cell(&cfg, 0, 1, repeats);
-    seq.label = label("seq");
-    runs.push(seq);
-    for &shards in &[1u32, 2, 4, 8] {
-        for &threads in &threads_list {
-            let name = format!("s{shards}-t{threads}");
-            eprintln!("perf: running {}...", label(&name));
-            let mut cell = run_parallel_cell(&cfg, shards, threads, repeats);
-            cell.label = label(&name);
-            runs.push(cell);
-        }
-    }
     runs
 }
 

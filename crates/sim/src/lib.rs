@@ -57,8 +57,8 @@ pub use obs::{
     SnapshotRecord, SolveRecord, TimeSeries, TraceRecord,
 };
 pub use perf::{
-    AllocStats, HostMeta, HostProfile, KindRecord, ParallelPerf, PerfArtifact, QueueStats,
-    RequestTableStats, PERF_SCHEMA_VERSION,
+    AllocStats, HostMeta, HostProfile, KindRecord, PerfArtifact, QueueStats, RequestTableStats,
+    PERF_SCHEMA_VERSION,
 };
 pub use policy::{NotInNetwork, OraclePlacement};
 pub use runner::{

@@ -10,8 +10,8 @@
 //! on-disk history: `schema_version` plus an append-only list of runs.
 //!
 //! The JSON schema is the field order of the structs below; the optional
-//! `alloc`, `parallel`, `request_table` and `clock_pair_ns` entries are
-//! omitted (never null) when absent.
+//! `alloc`, `request_table` and `clock_pair_ns` entries are omitted (never
+//! null) when absent.
 
 use netrs_simcore::{PerfReport, DEPTH_BUCKETS};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -108,7 +108,8 @@ impl Ev {
 /// cross-machine comparisons visible instead of silent.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostMeta {
-    /// Short git commit of the build tree (`unknown` outside a repo).
+    /// Short git commit of the build tree, with `-dirty` when tracked
+    /// files differed from it (`unknown` outside a repo).
     pub commit: String,
     /// CPU model string from `/proc/cpuinfo` (`unknown` elsewhere).
     pub cpu: String,
@@ -121,15 +122,18 @@ impl HostMeta {
     /// value rather than failing.
     #[must_use]
     pub fn detect() -> Self {
-        let commit = std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".into());
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+        };
+        let commit = commit_stamp(
+            git(&["rev-parse", "--short", "HEAD"]).as_deref(),
+            git(&["status", "--porcelain", "--untracked-files=no"]).as_deref(),
+        );
         let cpu = std::fs::read_to_string("/proc/cpuinfo")
             .ok()
             .and_then(|info| {
@@ -142,6 +146,19 @@ impl HostMeta {
             .unwrap_or_else(|| "unknown".into());
         let cores = std::thread::available_parallelism().map_or(0, |n| n.get() as u32);
         HostMeta { commit, cpu, cores }
+    }
+}
+
+/// The `commit` stamp from the outputs of `git rev-parse --short HEAD` and
+/// `git status --porcelain --untracked-files=no`: the short hash, with
+/// `-dirty` when a tracked file differs from it — a row measured before
+/// its change is committed would otherwise carry the parent's hash — and
+/// `unknown` without a hash.
+fn commit_stamp(head: Option<&str>, status: Option<&str>) -> String {
+    match head.map(str::trim).filter(|h| !h.is_empty()) {
+        None => "unknown".into(),
+        Some(h) if status.is_some_and(|s| !s.trim().is_empty()) => format!("{h}-dirty"),
+        Some(h) => h.into(),
     }
 }
 
@@ -171,27 +188,6 @@ pub struct AllocStats {
     pub deallocs: u64,
     /// Peak live heap bytes over the whole process so far.
     pub peak_bytes: u64,
-}
-
-/// Window-driver shape of one parallel sharded run — the
-/// `sharded-parallel` suite's extra columns. Unlike [`QueueStats`] these
-/// mix schedule facts (shards, windows, events/window) with wall-clock
-/// facts (threads, busy imbalance), which is why they live in the perf
-/// artifact and never in `RunStats`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ParallelPerf {
-    /// Event shards the run was partitioned into (after pod clamping).
-    pub shards: u32,
-    /// Worker threads that drained the shards (clamped to the shard
-    /// count).
-    pub threads: u32,
-    /// Conservative lookahead windows the driver executed.
-    pub windows: u64,
-    /// Mean events drained per window across all shards.
-    pub events_per_window: f64,
-    /// Max/mean per-shard busy wall-time — 1.0 is a perfectly balanced
-    /// drain, higher means idle workers at the barrier.
-    pub busy_imbalance: f64,
 }
 
 /// How big the run's request table got. Counts, not clocks: they repeat
@@ -246,8 +242,7 @@ pub struct HostProfile {
     pub events_per_sec: f64,
     /// Peak resident-set size (kB; 0 when unavailable).
     pub peak_rss_kb: u64,
-    /// Wall-clock sampling stride the profiler used (0 on rows measured
-    /// without the profiler, e.g. the `sharded-parallel` suite).
+    /// Wall-clock sampling stride the profiler used.
     pub stride: u64,
     /// Sum of per-kind estimated self-times (ns) — the portion of
     /// `wall_s` the kind table accounts for.
@@ -260,21 +255,16 @@ pub struct HostProfile {
     /// registered.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub alloc: Option<AllocStats>,
-    /// Window-driver shape; present only on `sharded-parallel` suite
-    /// rows.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub parallel: Option<ParallelPerf>,
-    /// Request-table size; absent on rows not measured on one cluster's
-    /// run (the `sharded-parallel` suite) or written before it existed.
+    /// Request-table size; absent on rows written before it existed.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub request_table: Option<RequestTableStats>,
     /// Calibrated cost (ns) of the clock pair bracketing each sampled
     /// step, already subtracted from every `self_ns`; absent on rows
-    /// measured without the profiler or written before it was subtracted.
+    /// written before it was subtracted.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub clock_pair_ns: Option<u64>,
     /// Per-event-kind attribution, [`EV_KINDS`] order, zero-count kinds
-    /// included (empty on rows measured without the profiler).
+    /// included.
     pub kinds: Vec<KindRecord>,
 }
 
@@ -401,7 +391,6 @@ mod tests {
                 depth_hist: vec![1, 2, 4, 8],
             },
             alloc: None,
-            parallel: None,
             request_table: None,
             clock_pair_ns: None,
             kinds: vec![
@@ -441,26 +430,6 @@ mod tests {
         let line = serde_json::to_string(&with_alloc).unwrap();
         let back: HostProfile = serde_json::from_str(&line).unwrap();
         assert_eq!(back, with_alloc);
-    }
-
-    #[test]
-    fn host_profile_round_trips_parallel_block_and_omits_it_when_absent() {
-        let p = profile();
-        let line = serde_json::to_string(&p).unwrap();
-        assert!(!line.contains("parallel"), "{line}");
-
-        let mut with_parallel = p;
-        with_parallel.parallel = Some(ParallelPerf {
-            shards: 4,
-            threads: 2,
-            windows: 4_882,
-            events_per_window: 1.65,
-            busy_imbalance: 1.29,
-        });
-        let line = serde_json::to_string(&with_parallel).unwrap();
-        assert!(line.contains("\"parallel\""), "{line}");
-        let back: HostProfile = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, with_parallel);
     }
 
     #[test]
@@ -506,6 +475,20 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EV_KINDS.len());
+    }
+
+    #[test]
+    fn commit_stamp_marks_a_dirty_tree() {
+        assert_eq!(commit_stamp(Some("4c3ea17\n"), Some("")), "4c3ea17");
+        assert_eq!(
+            commit_stamp(Some("4c3ea17\n"), Some(" M crates/sim/src/perf.rs\n")),
+            "4c3ea17-dirty"
+        );
+        // A status that could not be read is no evidence of a dirty tree.
+        assert_eq!(commit_stamp(Some("4c3ea17"), None), "4c3ea17");
+        for head in [None, Some(""), Some("\n")] {
+            assert_eq!(commit_stamp(head, Some(" M x\n")), "unknown");
+        }
     }
 
     #[test]

@@ -417,7 +417,6 @@ fn host_profile(
             depth_hist: HostProfile::trim_depth_hist(&report.depth_hist),
         },
         alloc,
-        parallel: None,
         request_table: Some(request_table),
         clock_pair_ns: Some(report.clock_ns),
         kinds: HostProfile::kinds_from_report(report),

@@ -1,25 +1,32 @@
 //! Allocation-tracking integration test (requires the `alloc-profile`
 //! feature). Lives in its own test binary because registering a global
-//! allocator is process-wide.
+//! allocator is process-wide — and it is one test, not several: the
+//! counters are process-wide too, so a second test running concurrently
+//! would count its cluster build into this one's run.
 
 use netrs_allocprobe::CountingAllocator;
-use netrs_sim::{run_observed, ObsOptions, PerfOptions, Scheme, SimConfig};
+use netrs_sim::{run_observed, HostProfile, ObsOptions, PerfOptions, Scheme, SimConfig};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-#[test]
-fn perf_profile_reports_allocation_counters_when_allocator_registered() {
+fn profiled_run(scheme: Scheme, requests: u64, seed: u64) -> HostProfile {
     let mut cfg = SimConfig::small();
-    cfg.requests = 2_000;
-    cfg.scheme = Scheme::NetRsIlp;
-    cfg.seed = 7;
+    cfg.requests = requests;
+    cfg.scheme = scheme;
+    cfg.seed = seed;
     let obs = ObsOptions {
         perf: Some(PerfOptions::default()),
         ..ObsOptions::default()
     };
-    let out = run_observed(cfg, obs);
-    let perf = out.perf.expect("perf profile requested");
+    run_observed(cfg, obs).perf.expect("perf profile requested")
+}
+
+#[test]
+fn perf_profile_counts_allocations_and_the_hot_loop_stays_below_one_per_event() {
+    // The counting allocator is registered, so the profile carries the
+    // alloc block.
+    let perf = profiled_run(Scheme::NetRsIlp, 2_000, 7);
     let alloc = perf
         .alloc
         .expect("counting allocator is registered, so alloc stats must be present");
@@ -31,23 +38,12 @@ fn perf_profile_reports_allocation_counters_when_allocator_registered() {
     let json = serde_json::to_string(&perf).unwrap();
     assert!(json.contains("\"alloc\""), "{json}");
     assert!(json.contains("\"peak_bytes\""), "{json}");
-}
 
-#[test]
-fn hot_loop_allocation_rate_is_bounded() {
     // The hot-path overhaul proved the steady-state loop allocation-free
     // per event; the counting allocator must agree at whole-run scale —
-    // allocations amortize to (well under) one per event.
-    let mut cfg = SimConfig::small();
-    cfg.requests = 5_000;
-    cfg.scheme = Scheme::CliRs;
-    cfg.seed = 1;
-    let obs = ObsOptions {
-        perf: Some(PerfOptions::default()),
-        ..ObsOptions::default()
-    };
-    let out = run_observed(cfg, obs);
-    let perf = out.perf.unwrap();
+    // allocations amortize to (well under) one per event. Run after the
+    // case above, never beside it, so only this run's allocations count.
+    let perf = profiled_run(Scheme::CliRs, 5_000, 1);
     let alloc = perf.alloc.unwrap();
     assert!(
         alloc.allocs < perf.events,

@@ -35,8 +35,8 @@ use netrs_selection::CubicConfig;
 use netrs_sim::{
     run_observed, run_observed_sharded_parallel, AllocStats, CacheAdmission, CacheWritePolicy,
     FaultPlan, HostMeta, HostProfile, HotCacheConfig, KindRecord, ObsOptions, OverloadPolicy,
-    ParallelOptions, ParallelPerf, PerfOptions, PlanSource, QueueStats, RequestTableStats, Scheme,
-    SimConfig, WriteConsistency, PERF_SCHEMA_VERSION,
+    ParallelOptions, PerfOptions, PlanSource, QueueStats, RequestTableStats, Scheme, SimConfig,
+    WriteConsistency, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::SimDuration;
 
@@ -384,7 +384,6 @@ fn artifact_schemas_are_byte_identical() {
             depth_hist: vec![1, 2, 4, 8],
         },
         alloc: None,
-        parallel: None,
         request_table: None,
         clock_pair_ns: None,
         kinds: vec![
@@ -404,18 +403,11 @@ fn artifact_schemas_are_byte_identical() {
             },
         ],
     };
-    let full = HostProfile {
+    let counted = HostProfile {
         alloc: Some(AllocStats {
             allocs: 120,
             deallocs: 100,
             peak_bytes: 9_000_000,
-        }),
-        parallel: Some(ParallelPerf {
-            shards: 4,
-            threads: 2,
-            windows: 4_882,
-            events_per_window: 3.687,
-            busy_imbalance: 1.29,
         }),
         ..bare.clone()
     };
@@ -429,7 +421,7 @@ fn artifact_schemas_are_byte_identical() {
     };
     for (name, profile) in [
         ("host-profile", bare),
-        ("host-profile-alloc-parallel", full),
+        ("host-profile-alloc", counted),
         ("host-profile-request-table", sized),
     ] {
         let text = serde_json::to_string_pretty(&profile).expect("profile serializes");

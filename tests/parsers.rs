@@ -7,9 +7,9 @@
 use netrs_sim::{
     AllocStats, AvailabilityStats, CacheRecord, ControlRecord, DeviceRecord, DisplacedGroup,
     DrsSpanRecord, FaultEvent, FaultPlan, HopSpan, HostMeta, HostProfile, KindRecord,
-    LatencyBreakdown, ParallelPerf, ParallelStats, PerfArtifact, PlanEventRecord, QueueStats,
-    RequestTableStats, RunStats, RwStats, SamplePoint, Scheme, SnapshotGroup, SnapshotRecord,
-    SolveRecord, TimedFault, TraceRecord, PERF_SCHEMA_VERSION,
+    LatencyBreakdown, ParallelStats, PerfArtifact, PlanEventRecord, QueueStats, RequestTableStats,
+    RunStats, RwStats, SamplePoint, Scheme, SnapshotGroup, SnapshotRecord, SolveRecord, TimedFault,
+    TraceRecord, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::{SimDuration, SimTime, Summary};
 use serde::{Deserialize, Serialize, Value};
@@ -112,13 +112,6 @@ fn host_profile() -> HostProfile {
             allocs: 120,
             deallocs: 100,
             peak_bytes: 9_000_000,
-        }),
-        parallel: Some(ParallelPerf {
-            shards: 4,
-            threads: 2,
-            windows: 4_882,
-            events_per_window: 3.5,
-            busy_imbalance: 1.25,
         }),
         request_table: Some(RequestTableStats {
             slots: 4_096,
@@ -339,7 +332,7 @@ fn every_record_parser_rejects_bad_input() {
         &host_profile(),
         "HostProfile",
         None,
-        &["alloc", "parallel", "request_table", "clock_pair_ns"],
+        &["alloc", "request_table", "clock_pair_ns"],
     );
     check(
         &host_profile().request_table.expect("populated above"),
