@@ -18,6 +18,11 @@ echo "==> cargo test --release (simcore)"
 # calibration at release speed.
 cargo test --release -q -p netrs-simcore
 
+echo "==> cargo test --release (selection)"
+# The C3 table's differential proptest compares f64 scores bit for bit:
+# run it under release codegen too.
+cargo test --release -q -p netrs-selection
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 

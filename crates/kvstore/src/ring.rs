@@ -45,20 +45,24 @@ impl std::error::Error for RingError {}
 /// `servers × vnodes` distinct replica sets.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplicaGroups {
-    groups: Vec<Vec<ServerId>>,
+    /// Every group's replica set back to back, `stride` servers each:
+    /// group `gid` is `servers[gid * stride..(gid + 1) * stride]`.
+    servers: Vec<ServerId>,
+    /// Servers per group (the replication factor).
+    stride: usize,
 }
 
 impl ReplicaGroups {
     /// Number of distinct replica groups.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.servers.len() / self.stride
     }
 
     /// Whether the database is empty (never true for a built ring).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.servers.is_empty()
     }
 
     /// The replica set of a group.
@@ -68,22 +72,24 @@ impl ReplicaGroups {
     /// Panics if `gid` is out of range.
     #[must_use]
     pub fn replicas(&self, gid: u32) -> &[ServerId] {
-        &self.groups[gid as usize]
+        let start = gid as usize * self.stride;
+        &self.servers[start..start + self.stride]
     }
 
     /// The replica set of a group, or `None` if `gid` is unknown — used by
     /// selectors to reject corrupted RGIDs.
     #[must_use]
     pub fn get(&self, gid: u32) -> Option<&[ServerId]> {
-        self.groups.get(gid as usize).map(Vec::as_slice)
+        let start = gid as usize * self.stride;
+        self.servers.get(start..start + self.stride)
     }
 
     /// Iterates over `(gid, replica set)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &[ServerId])> {
-        self.groups
-            .iter()
+        self.servers
+            .chunks_exact(self.stride)
             .enumerate()
-            .map(|(i, g)| (i as u32, g.as_slice()))
+            .map(|(i, g)| (i as u32, g))
     }
 }
 
@@ -158,7 +164,7 @@ impl Ring {
         // distinct sets into the group database.
         let n = points.len();
         let mut group_ids: HashMap<Vec<ServerId>, u32> = HashMap::new();
-        let mut groups: Vec<Vec<ServerId>> = Vec::new();
+        let mut groups: Vec<ServerId> = Vec::new();
         let mut segment_group = Vec::with_capacity(n);
         for i in 0..n {
             let mut set = Vec::with_capacity(replication as usize);
@@ -171,9 +177,9 @@ impl Ring {
                 j += 1;
                 debug_assert!(j < i + n + 1, "ring walk must terminate");
             }
-            let next_id = groups.len() as u32;
-            let gid = *group_ids.entry(set.clone()).or_insert_with(|| {
-                groups.push(set);
+            let next_id = (groups.len() / replication as usize) as u32;
+            let gid = *group_ids.entry(set).or_insert_with_key(|set| {
+                groups.extend_from_slice(set);
                 next_id
             });
             segment_group.push(gid);
@@ -194,7 +200,10 @@ impl Ring {
             directory,
             replication,
             segment_group,
-            groups: ReplicaGroups { groups },
+            groups: ReplicaGroups {
+                servers: groups,
+                stride: replication as usize,
+            },
         }
     }
 
@@ -365,8 +374,12 @@ mod tests {
     #[test]
     fn get_rejects_unknown_gid() {
         let r = ring();
+        let len = r.groups().len() as u32;
         assert!(r.groups().get(u32::MAX).is_none());
+        assert!(r.groups().get(len).is_none(), "one past the last group");
+        assert_eq!(r.groups().get(len - 1), Some(r.groups().replicas(len - 1)));
         assert!(r.groups().get(0).is_some());
+        assert_eq!(r.groups().iter().count(), r.groups().len());
     }
 
     /// The directory lookup against the binary search it replaced, on

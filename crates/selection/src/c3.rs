@@ -20,6 +20,8 @@
 //! term explodes, which happens *before* the queue physically builds up
 //! because `os_s · n` rises instantly at the RSNode itself.
 
+use std::collections::BTreeMap;
+
 use netrs_kvstore::ServerId;
 use netrs_simcore::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
@@ -49,14 +51,15 @@ impl Default for C3Config {
     }
 }
 
+/// What one selector knows about one server: 32 bytes, so two cells share
+/// a cache line. All zeros means "never heard from".
 #[derive(Debug, Clone, Copy, Default)]
-struct ServerEstimate {
+struct Estimate {
     ewma_latency_ns: f64,
     ewma_service_ns: f64,
     ewma_queue: f64,
     outstanding: u32,
-    responses: u64,
-    timeout_penalty_ns: f64,
+    responses: u32,
 }
 
 /// Additive score penalty applied after the first timeout (100 ms in
@@ -64,75 +67,101 @@ struct ServerEstimate {
 /// it. Large enough to outrank any healthy replica under normal load.
 const TIMEOUT_PENALTY_BASE_NS: f64 = 100.0e6;
 
-/// The C3 selector state held by one RSNode.
+/// The C3 state of many independent selectors over one server id space —
+/// every client of a CliRS run — in one allocation.
+///
+/// Row `r` is selector `r`: its estimates of servers `0..width` sit at
+/// `r * width..(r + 1) * width`, and it draws its tie-breaking jitter from
+/// its own RNG, so a row behaves exactly like a [`C3Selector`] built with
+/// that RNG (which is this table with one row).
 #[derive(Debug)]
-pub struct C3Selector {
+pub struct C3Table {
     cfg: C3Config,
-    /// Per-server estimates indexed by `ServerId.0` (server ids are
-    /// dense). A missing slot means "never heard from", which is exactly
-    /// the all-zero [`ServerEstimate`] — so reads fall back to the
-    /// default and writes grow the table on demand.
-    servers: Vec<ServerEstimate>,
-    rng: SimRng,
+    /// Servers per row. An id at or past it reads as never heard from; the
+    /// first write to one widens every row.
+    width: usize,
+    estimates: Vec<Estimate>,
+    rngs: Vec<SimRng>,
+    /// Timeout penalties by `(row, server)`, cleared by the next response
+    /// from that server. Empty unless a fault run timed a request out, so
+    /// fault-free scoring never looks here.
+    penalties: BTreeMap<(u32, u32), f64>,
 }
 
-impl C3Selector {
-    /// Creates a selector.
+impl C3Table {
+    /// Bytes of one `(row, server)` cell.
+    pub const ESTIMATE_BYTES: usize = std::mem::size_of::<Estimate>();
+
+    /// A table of one row per RNG in `rngs`, each sized for servers
+    /// `0..servers` up front.
     ///
     /// # Panics
     ///
     /// Panics if `alpha` is outside `[0, 1)`, `exponent < 1` or
     /// `concurrency < 1`.
     #[must_use]
-    pub fn new(cfg: C3Config, rng: SimRng) -> Self {
+    pub fn new(cfg: C3Config, rngs: Vec<SimRng>, servers: u32) -> Self {
         assert!((0.0..1.0).contains(&cfg.alpha), "alpha must be in [0, 1)");
         assert!(cfg.exponent >= 1.0, "exponent must be >= 1");
         assert!(cfg.concurrency >= 1.0, "concurrency must be >= 1");
-        C3Selector {
+        let width = servers as usize;
+        C3Table {
             cfg,
-            servers: Vec::new(),
-            rng,
+            width,
+            estimates: vec![Estimate::default(); rngs.len() * width],
+            rngs,
+            penalties: BTreeMap::new(),
         }
     }
 
-    /// The configuration in use.
+    fn rows(&self) -> usize {
+        self.rngs.len()
+    }
+
+    /// Row `row`'s RNG, as its next jitter draw would find it.
     #[must_use]
-    pub fn config(&self) -> &C3Config {
-        &self.cfg
+    pub fn rng(&self, row: usize) -> &SimRng {
+        &self.rngs[row]
     }
 
-    /// Updates the concurrency-compensation factor (the controller resets
-    /// it when the number of RSNodes changes after a re-plan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 1`.
-    pub fn set_concurrency(&mut self, n: f64) {
-        assert!(n >= 1.0, "concurrency must be >= 1");
-        self.cfg.concurrency = n;
-    }
-
-    fn est(&self, server: ServerId) -> ServerEstimate {
-        self.servers
-            .get(server.0 as usize)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    fn est_mut(&mut self, server: ServerId) -> &mut ServerEstimate {
-        let i = server.0 as usize;
-        if i >= self.servers.len() {
-            self.servers.resize_with(i + 1, ServerEstimate::default);
+    fn est(&self, row: usize, server: ServerId) -> Estimate {
+        let s = server.0 as usize;
+        if s < self.width {
+            self.estimates[row * self.width + s]
+        } else {
+            Estimate::default()
         }
-        &mut self.servers[i]
     }
 
-    /// The Ψ score of one server (lower is better). Servers never heard
-    /// from score by their compensated-outstanding penalty only, so fresh
-    /// replicas are explored early.
+    fn est_mut(&mut self, row: usize, server: ServerId) -> &mut Estimate {
+        let s = server.0 as usize;
+        if s >= self.width {
+            self.widen(s + 1);
+        }
+        &mut self.estimates[row * self.width + s]
+    }
+
+    /// Re-lays the table out at `width` servers per row, last row first so
+    /// no row is overwritten before it moves; new cells are never heard
+    /// from. With one row this is a plain (amortized) resize.
+    fn widen(&mut self, width: usize) {
+        let old = self.width;
+        self.estimates
+            .resize(self.rows() * width, Estimate::default());
+        for r in (0..self.rows()).rev() {
+            self.estimates
+                .copy_within(r * old..(r + 1) * old, r * width);
+            self.estimates[r * width + old..(r + 1) * width].fill(Estimate::default());
+        }
+        self.width = width;
+    }
+
+    /// Row `row`'s Ψ score of one server (lower is better). Servers never
+    /// heard from score by their compensated-outstanding penalty only, so
+    /// fresh replicas are explored early.
     #[must_use]
-    pub fn score(&self, server: ServerId) -> f64 {
-        let est = self.est(server);
+    pub fn score(&self, row: usize, server: ServerId) -> f64 {
+        let est = self.est(row, server);
         let q_hat = 1.0 + f64::from(est.outstanding) * self.cfg.concurrency + est.ewma_queue;
         // The paper's cube is two multiplies; any other exponent (the
         // ABL-B sweep) pays for libm's `pow`.
@@ -141,34 +170,43 @@ impl C3Selector {
         } else {
             q_hat.powf(self.cfg.exponent)
         };
-        est.ewma_latency_ns - est.ewma_service_ns
-            + penalty * est.ewma_service_ns
-            + est.timeout_penalty_ns
+        let psi = est.ewma_latency_ns - est.ewma_service_ns + penalty * est.ewma_service_ns;
+        if self.penalties.is_empty() {
+            psi
+        } else {
+            psi + self
+                .penalties
+                .get(&(row as u32, server.0))
+                .copied()
+                .unwrap_or(0.0)
+        }
     }
 
-    /// Number of responses folded in from `server` (freshness indicator).
+    /// Number of responses row `row` folded in from `server` (freshness
+    /// indicator).
     #[must_use]
-    pub fn responses_seen(&self, server: ServerId) -> u64 {
-        self.est(server).responses
+    pub fn responses_seen(&self, row: usize, server: ServerId) -> u64 {
+        u64::from(self.est(row, server).responses)
     }
-}
 
-fn ewma(old: f64, sample: f64, alpha: f64, first: bool) -> f64 {
-    if first {
-        sample
-    } else {
-        alpha * old + (1.0 - alpha) * sample
+    /// Requests row `row` has routed to `server` and not yet seen answered.
+    #[must_use]
+    pub fn outstanding(&self, row: usize, server: ServerId) -> u32 {
+        self.est(row, server).outstanding
     }
-}
 
-impl ReplicaSelector for C3Selector {
-    fn rank(&mut self, candidates: &[ServerId], _now: SimTime) -> Vec<ServerId> {
+    /// Row `row`'s order of `candidates`, best first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidates` is empty.
+    pub fn rank(&mut self, row: usize, candidates: &[ServerId]) -> Vec<ServerId> {
         assert!(!candidates.is_empty(), "rank needs at least one candidate");
         // Random jitter breaks ties among equally scored (e.g. unseen)
         // servers so cold-start traffic spreads instead of herding.
         let mut scored: Vec<(f64, u64, ServerId)> = candidates
             .iter()
-            .map(|&s| (self.score(s), self.rng.next_u64(), s))
+            .map(|&s| (self.score(row, s), self.rngs[row].next_u64(), s))
             .collect();
         scored.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -178,20 +216,24 @@ impl ReplicaSelector for C3Selector {
         scored.into_iter().map(|(_, _, s)| s).collect()
     }
 
-    /// Allocation-free pick of the best-ranked replica: a single scan
-    /// that keeps the first minimum under `rank`'s exact comparator
-    /// (score, then jitter), drawing the per-candidate jitter in the
-    /// same order — so the choice *and* the RNG stream match
-    /// `rank(...)[0]` bit for bit without building the two vectors.
-    fn select(&mut self, candidates: &[ServerId], _now: SimTime) -> ServerId {
+    /// Allocation-free pick of row `row`'s best-ranked replica: a single
+    /// scan that keeps the first minimum under `rank`'s exact comparator
+    /// (score, then jitter), drawing the per-candidate jitter in the same
+    /// order — so the choice *and* the RNG stream match `rank(...)[0]` bit
+    /// for bit without building the two vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidates` is empty.
+    pub fn select(&mut self, row: usize, candidates: &[ServerId]) -> ServerId {
         assert!(!candidates.is_empty(), "rank needs at least one candidate");
         let mut best = (
-            self.score(candidates[0]),
-            self.rng.next_u64(),
+            self.score(row, candidates[0]),
+            self.rngs[row].next_u64(),
             candidates[0],
         );
         for &s in &candidates[1..] {
-            let key = (self.score(s), self.rng.next_u64(), s);
+            let key = (self.score(row, s), self.rngs[row].next_u64(), s);
             let better = match key.0.partial_cmp(&best.0) {
                 Some(std::cmp::Ordering::Less) => true,
                 Some(std::cmp::Ordering::Greater) => false,
@@ -204,13 +246,15 @@ impl ReplicaSelector for C3Selector {
         best.2
     }
 
-    fn on_send(&mut self, server: ServerId, _now: SimTime) {
-        self.est_mut(server).outstanding += 1;
+    /// Accounts a request row `row` dispatched to `server`.
+    pub fn on_send(&mut self, row: usize, server: ServerId) {
+        self.est_mut(row, server).outstanding += 1;
     }
 
-    fn on_response(&mut self, fb: &Feedback, _now: SimTime) {
+    /// Folds a response row `row` observed into its estimates.
+    pub fn on_response(&mut self, row: usize, fb: &Feedback) {
         let alpha = self.cfg.alpha;
-        let est = self.est_mut(fb.server);
+        let est = self.est_mut(row, fb.server);
         let first = est.responses == 0;
         est.ewma_latency_ns = ewma(
             est.ewma_latency_ns,
@@ -226,18 +270,110 @@ impl ReplicaSelector for C3Selector {
         );
         est.ewma_queue = ewma(est.ewma_queue, f64::from(fb.queue_len), alpha, first);
         est.outstanding = est.outstanding.saturating_sub(1);
-        est.responses += 1;
+        est.responses = est.responses.saturating_add(1);
         // A response proves the server answers again; drop the penalty.
-        est.timeout_penalty_ns = 0.0;
+        if !self.penalties.is_empty() {
+            self.penalties.remove(&(row as u32, fb.server.0));
+        }
+    }
+
+    /// Notes that a request row `row` sent to `server` timed out: an
+    /// additive penalty that doubles on each repeat until a response.
+    pub fn on_timeout(&mut self, row: usize, server: ServerId) {
+        let penalty = self.penalties.entry((row as u32, server.0)).or_insert(0.0);
+        *penalty = (*penalty * 2.0).max(TIMEOUT_PENALTY_BASE_NS);
+    }
+}
+
+fn ewma(old: f64, sample: f64, alpha: f64, first: bool) -> f64 {
+    if first {
+        sample
+    } else {
+        alpha * old + (1.0 - alpha) * sample
+    }
+}
+
+/// The C3 selector state held by one RSNode: a one-row [`C3Table`] that
+/// grows as it hears from servers.
+#[derive(Debug)]
+pub struct C3Selector {
+    table: C3Table,
+}
+
+impl C3Selector {
+    /// Creates a selector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is outside `[0, 1)`, `exponent < 1` or
+    /// `concurrency < 1`.
+    #[must_use]
+    pub fn new(cfg: C3Config, rng: SimRng) -> Self {
+        C3Selector {
+            table: C3Table::new(cfg, vec![rng], 0),
+        }
+    }
+
+    /// The configuration in use.
+    #[must_use]
+    pub fn config(&self) -> &C3Config {
+        &self.table.cfg
+    }
+
+    /// Updates the concurrency-compensation factor (the controller resets
+    /// it when the number of RSNodes changes after a re-plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 1`.
+    pub fn set_concurrency(&mut self, n: f64) {
+        assert!(n >= 1.0, "concurrency must be >= 1");
+        self.table.cfg.concurrency = n;
+    }
+
+    /// The Ψ score of one server (lower is better; see
+    /// [`C3Table::score`]).
+    #[must_use]
+    pub fn score(&self, server: ServerId) -> f64 {
+        self.table.score(0, server)
+    }
+
+    /// Number of responses folded in from `server` (freshness indicator).
+    #[must_use]
+    pub fn responses_seen(&self, server: ServerId) -> u64 {
+        self.table.responses_seen(0, server)
+    }
+
+    /// The RNG, as the next jitter draw would find it.
+    #[must_use]
+    pub fn rng(&self) -> &SimRng {
+        self.table.rng(0)
+    }
+}
+
+impl ReplicaSelector for C3Selector {
+    fn rank(&mut self, candidates: &[ServerId], _now: SimTime) -> Vec<ServerId> {
+        self.table.rank(0, candidates)
+    }
+
+    fn select(&mut self, candidates: &[ServerId], _now: SimTime) -> ServerId {
+        self.table.select(0, candidates)
+    }
+
+    fn on_send(&mut self, server: ServerId, _now: SimTime) {
+        self.table.on_send(0, server);
+    }
+
+    fn on_response(&mut self, fb: &Feedback, _now: SimTime) {
+        self.table.on_response(0, fb);
     }
 
     fn on_timeout(&mut self, server: ServerId, _now: SimTime) {
-        let est = self.est_mut(server);
-        est.timeout_penalty_ns = (est.timeout_penalty_ns * 2.0).max(TIMEOUT_PENALTY_BASE_NS);
+        self.table.on_timeout(0, server);
     }
 
     fn outstanding(&self, server: ServerId) -> u32 {
-        self.est(server).outstanding
+        self.table.outstanding(0, server)
     }
 
     fn name(&self) -> &'static str {

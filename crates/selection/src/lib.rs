@@ -14,7 +14,9 @@
 //! All selectors implement [`ReplicaSelector`], the interface NetRS
 //! operators and clients drive: rank candidates at request time, account
 //! an outstanding request on send, and fold in [`Feedback`] when a
-//! response passes by.
+//! response passes by. Where many selectors run side by side (one per
+//! client under CliRS), a [`SelectorTable`] holds them as rows behind the
+//! same calls; C3 rows share one flat [`C3Table`].
 //!
 //! # Examples
 //!
@@ -60,7 +62,7 @@ mod cubic;
 pub use baselines::{
     DynamicSnitch, LeastOutstanding, PowerOfTwoChoices, RandomSelector, RoundRobin,
 };
-pub use c3::{C3Config, C3Selector};
+pub use c3::{C3Config, C3Selector, C3Table};
 pub use cubic::{CubicConfig, CubicRateController};
 
 use netrs_kvstore::ServerId;
@@ -170,6 +172,78 @@ impl SelectorKind {
         c3.concurrency = concurrency;
         self.build(c3, rng)
     }
+
+    /// Builds one selector per RNG in `rngs` as the rows of a
+    /// [`SelectorTable`], with C3's concurrency compensation set as in
+    /// [`SelectorKind::build_with_concurrency`]. C3 rows are sized for
+    /// servers `0..servers` up front.
+    #[must_use]
+    pub fn build_table(
+        self,
+        mut c3: C3Config,
+        concurrency: f64,
+        servers: u32,
+        rngs: Vec<SimRng>,
+    ) -> SelectorTable {
+        c3.concurrency = concurrency;
+        SelectorTable(match self {
+            SelectorKind::C3 => Rows::C3(C3Table::new(c3, rngs, servers)),
+            kind => Rows::Boxed(rngs.into_iter().map(|rng| kind.build(c3, rng)).collect()),
+        })
+    }
+}
+
+/// Independent selectors of one kind, addressed by row (a CliRS client
+/// each): C3 rows live in one [`C3Table`], any other kind is one boxed
+/// selector per row. Each call is the [`ReplicaSelector`] call of the
+/// same name on that row.
+pub struct SelectorTable(Rows);
+
+enum Rows {
+    C3(C3Table),
+    Boxed(Vec<Box<dyn ReplicaSelector + Send>>),
+}
+
+impl SelectorTable {
+    /// Row `row`'s order of `candidates`, best first.
+    pub fn rank(&mut self, row: usize, candidates: &[ServerId], now: SimTime) -> Vec<ServerId> {
+        match &mut self.0 {
+            Rows::C3(t) => t.rank(row, candidates),
+            Rows::Boxed(b) => b[row].rank(candidates, now),
+        }
+    }
+
+    /// Row `row`'s preferred replica.
+    pub fn select(&mut self, row: usize, candidates: &[ServerId], now: SimTime) -> ServerId {
+        match &mut self.0 {
+            Rows::C3(t) => t.select(row, candidates),
+            Rows::Boxed(b) => b[row].select(candidates, now),
+        }
+    }
+
+    /// Accounts a request row `row` dispatched to `server`.
+    pub fn on_send(&mut self, row: usize, server: ServerId, now: SimTime) {
+        match &mut self.0 {
+            Rows::C3(t) => t.on_send(row, server),
+            Rows::Boxed(b) => b[row].on_send(server, now),
+        }
+    }
+
+    /// Folds feedback from a response row `row` observed.
+    pub fn on_response(&mut self, row: usize, feedback: &Feedback, now: SimTime) {
+        match &mut self.0 {
+            Rows::C3(t) => t.on_response(row, feedback),
+            Rows::Boxed(b) => b[row].on_response(feedback, now),
+        }
+    }
+
+    /// Notes that a request row `row` sent to `server` timed out.
+    pub fn on_timeout(&mut self, row: usize, server: ServerId, now: SimTime) {
+        match &mut self.0 {
+            Rows::C3(t) => t.on_timeout(row, server),
+            Rows::Boxed(b) => b[row].on_timeout(server, now),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +271,53 @@ mod tests {
                 explicit.select(&candidates, now),
                 via_helper.select(&candidates, now)
             );
+        }
+    }
+
+    #[test]
+    fn table_rows_behave_like_built_selectors() {
+        // Row 1 of a three-row table against a selector built alone from
+        // the same RNG, for every kind: the same picks and ranks under the
+        // same sends, responses and timeouts.
+        let candidates = [ServerId(0), ServerId(1), ServerId(2)];
+        let t = SimTime::ZERO;
+        for kind in [
+            SelectorKind::C3,
+            SelectorKind::Random,
+            SelectorKind::RoundRobin,
+            SelectorKind::LeastOutstanding,
+            SelectorKind::PowerOfTwo,
+            SelectorKind::DynamicSnitch,
+        ] {
+            let rngs = (0..3).map(SimRng::from_seed).collect();
+            let mut table = kind.build_table(C3Config::default(), 5.0, 3, rngs);
+            let mut alone =
+                kind.build_with_concurrency(C3Config::default(), 5.0, SimRng::from_seed(1));
+            for step in 0..40u64 {
+                let pick = alone.select(&candidates, t);
+                assert_eq!(
+                    table.select(1, &candidates, t),
+                    pick,
+                    "{kind:?} step {step}"
+                );
+                alone.on_send(pick, t);
+                table.on_send(1, pick, t);
+                if step % 3 == 0 {
+                    let fb = Feedback {
+                        server: pick,
+                        queue_len: step as u32 % 5,
+                        service_time: SimDuration::from_micros(100 + step),
+                        latency: SimDuration::from_micros(900 + 7 * step),
+                    };
+                    alone.on_response(&fb, t);
+                    table.on_response(1, &fb, t);
+                }
+                if step % 11 == 0 {
+                    alone.on_timeout(pick, t);
+                    table.on_timeout(1, pick, t);
+                }
+                assert_eq!(table.rank(1, &candidates, t), alone.rank(&candidates, t));
+            }
         }
     }
 

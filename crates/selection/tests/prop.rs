@@ -2,7 +2,8 @@
 
 use netrs_kvstore::ServerId;
 use netrs_selection::{
-    C3Config, C3Selector, CubicConfig, CubicRateController, Feedback, ReplicaSelector, SelectorKind,
+    C3Config, C3Selector, C3Table, CubicConfig, CubicRateController, Feedback, ReplicaSelector,
+    SelectorKind,
 };
 use netrs_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -14,6 +15,103 @@ fn arb_feedback() -> impl Strategy<Value = Feedback> {
         service_time: SimDuration::from_micros(svc_us),
         latency: SimDuration::from_micros(lat_us),
     })
+}
+
+/// One call on a C3 selector, for the differential test below.
+#[derive(Debug, Clone)]
+enum C3Op {
+    Send(u32),
+    Response(Feedback),
+    Timeout(u32),
+    Select(Vec<u32>),
+    Rank(Vec<u32>),
+}
+
+fn arb_c3_op() -> impl Strategy<Value = C3Op> {
+    let candidates = || proptest::collection::vec(0u32..16, 1..5);
+    prop_oneof![
+        (0u32..16).prop_map(C3Op::Send),
+        arb_feedback().prop_map(C3Op::Response),
+        (0u32..16).prop_map(C3Op::Timeout),
+        candidates().prop_map(C3Op::Select),
+        candidates().prop_map(C3Op::Rank),
+    ]
+}
+
+fn ids(servers: &[u32]) -> Vec<ServerId> {
+    servers.iter().copied().map(ServerId).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// There is one C3 implementation: a `C3Selector` is a one-row
+    /// `C3Table`, and row `row` of a many-row table driven by the same
+    /// calls (with every other row busy on calls of its own) agrees with it
+    /// on every pick and rank, every count, and the next jitter draw —
+    /// including timeout penalties a response clears, servers past the
+    /// table's initial width, and an exponent other than the cube.
+    #[test]
+    fn c3_table_row_matches_one_row_selector(
+        seed in any::<u64>(),
+        rows in 1usize..6,
+        row_pick in any::<usize>(),
+        width in 0u32..12,
+        exponent in prop_oneof![Just(3.0), 1.0f64..5.0],
+        ops in proptest::collection::vec(arb_c3_op(), 1..200),
+    ) {
+        let cfg = C3Config { exponent, concurrency: 4.0, ..C3Config::default() };
+        let row = row_pick % rows;
+        let mut one = C3Selector::new(cfg, SimRng::from_seed(seed));
+        let rngs = (0..rows)
+            .map(|r| SimRng::from_seed(if r == row { seed } else { seed ^ (r as u64 + 1) }))
+            .collect();
+        let mut table = C3Table::new(cfg, rngs, width);
+        let now = SimTime::ZERO;
+        for (i, op) in ops.iter().enumerate() {
+            // Another row gets the previous call, so rows that share the
+            // table but not the calls must not leak into `row`.
+            let other = (row + 1 + i) % rows;
+            if other != row {
+                match &ops[i.saturating_sub(1)] {
+                    C3Op::Send(s) => table.on_send(other, ServerId(*s)),
+                    C3Op::Response(fb) => table.on_response(other, fb),
+                    C3Op::Timeout(s) => table.on_timeout(other, ServerId(*s)),
+                    C3Op::Select(c) | C3Op::Rank(c) => {
+                        let _ = table.select(other, &ids(c));
+                    }
+                }
+            }
+            match op {
+                C3Op::Send(s) => {
+                    one.on_send(ServerId(*s), now);
+                    table.on_send(row, ServerId(*s));
+                }
+                C3Op::Response(fb) => {
+                    one.on_response(fb, now);
+                    table.on_response(row, fb);
+                }
+                C3Op::Timeout(s) => {
+                    one.on_timeout(ServerId(*s), now);
+                    table.on_timeout(row, ServerId(*s));
+                }
+                C3Op::Select(c) => {
+                    let c = ids(c);
+                    prop_assert_eq!(one.select(&c, now), table.select(row, &c));
+                }
+                C3Op::Rank(c) => {
+                    let c = ids(c);
+                    prop_assert_eq!(one.rank(&c, now), table.rank(row, &c));
+                }
+            }
+            for s in (0..16).map(ServerId) {
+                prop_assert_eq!(one.outstanding(s), table.outstanding(row, s));
+                prop_assert_eq!(one.responses_seen(s), table.responses_seen(row, s));
+                prop_assert_eq!(one.score(s).to_bits(), table.score(row, s).to_bits());
+            }
+        }
+        prop_assert_eq!(one.rng().clone().next_u64(), table.rng(row).clone().next_u64());
+    }
 }
 
 proptest! {

@@ -376,6 +376,14 @@ impl SimConfig {
             if !(0.0..=1.0).contains(&s) {
                 return Err("demand skew must be in [0, 1]".into());
             }
+            // Skew splits the clients into a hot top fifth and the rest;
+            // with one client the rest is empty.
+            if self.clients < 2 {
+                return Err(format!(
+                    "demand skew {s} needs at least 2 clients, got {}",
+                    self.clients
+                ));
+            }
         }
         if self.utilization <= 0.0 {
             return Err("utilization must be positive".into());
@@ -544,6 +552,23 @@ mod tests {
         let mut cfg = SimConfig::small();
         cfg.clients = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_skew_with_one_client() {
+        let mut cfg = SimConfig::small();
+        cfg.clients = 1;
+        cfg.demand_skew = Some(0.5);
+        let msg = cfg.validate().unwrap_err();
+        assert!(
+            msg.contains("0.5") && msg.contains("got 1"),
+            "names both values: {msg}"
+        );
+        cfg.demand_skew = None;
+        assert!(cfg.validate().is_ok(), "one client without skew is fine");
+        cfg.clients = 2;
+        cfg.demand_skew = Some(0.5);
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

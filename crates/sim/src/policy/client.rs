@@ -8,7 +8,7 @@
 //! replica.
 
 use netrs_kvstore::ServerId;
-use netrs_selection::{CubicRateController, Feedback, ReplicaSelector};
+use netrs_selection::{CubicRateController, Feedback, SelectorTable};
 use netrs_simcore::{
     DeviceCounter, DeviceId, DeviceProbe, EventQueue, Histogram, SimDuration, SimRng, SimTime,
 };
@@ -23,10 +23,12 @@ use super::{ReplyInfo, SchemePolicy};
 /// CliRS: per-client selectors (and optional cubic rate control), no
 /// in-network state.
 pub(crate) struct CliRsPolicy {
-    /// One selector per client, forked from the root RNG at
-    /// `10_000 + client`.
-    selectors: Vec<Box<dyn ReplicaSelector + Send>>,
-    rates: Vec<Option<CubicRateController>>,
+    /// One selector per client, row `client` of one table, each drawing
+    /// from the root RNG's fork `10_000 + client`.
+    selectors: SelectorTable,
+    /// One cubic rate controller per client; empty unless `rate_control`
+    /// is configured.
+    rates: Vec<CubicRateController>,
 }
 
 impl CliRsPolicy {
@@ -35,18 +37,17 @@ impl CliRsPolicy {
         // Each client's C3 concurrency estimate is the client count: all
         // clients contend for the same servers.
         let concurrency = f64::from(cfg.clients).max(1.0);
-        let selectors = (0..cfg.clients)
-            .map(|idx| {
-                cfg.selector.build_with_concurrency(
-                    cfg.c3,
-                    concurrency,
-                    root.fork(10_000 + u64::from(idx)),
-                )
-            })
+        let rngs = (0..cfg.clients)
+            .map(|idx| root.fork(10_000 + u64::from(idx)))
             .collect();
-        let rates = (0..cfg.clients)
-            .map(|_| cfg.rate_control.map(CubicRateController::new))
-            .collect();
+        let selectors = cfg
+            .selector
+            .build_table(cfg.c3, concurrency, cfg.servers, rngs);
+        let rates = cfg.rate_control.map_or_else(Vec::new, |rc| {
+            (0..cfg.clients)
+                .map(|_| CubicRateController::new(rc))
+                .collect()
+        });
         CliRsPolicy { selectors, rates }
     }
 
@@ -61,7 +62,7 @@ impl CliRsPolicy {
     ) {
         let replicas = core.ring.groups().replicas(rgid);
         let state = core.requests.get_mut(req.0).expect("request just created");
-        let target = self.selectors[state.client as usize].select(replicas, now);
+        let target = self.selectors.select(state.client as usize, replicas, now);
         state.primary = Some(target);
         self.dispatch_copy(core, now, req, target, queue);
     }
@@ -80,7 +81,7 @@ impl CliRsPolicy {
             return;
         };
         let client_idx = state.client as usize;
-        let gated = if let Some(ctl) = self.rates[client_idx].as_mut() {
+        let gated = if let Some(ctl) = self.rates.get_mut(client_idx) {
             if ctl.try_send(server, now) {
                 None
             } else {
@@ -101,7 +102,7 @@ impl CliRsPolicy {
         state.copies += 1;
         let issued_at = state.sent_at;
         let rgid = state.rgid;
-        self.selectors[client_idx].on_send(server, now);
+        self.selectors.on_send(client_idx, server, now);
         // Client-side selection has no steering hop: the interval from
         // issue to departure (rate gating, duplicate timers) is the
         // "selection" phase of the breakdown.
@@ -161,7 +162,8 @@ impl CliRsPolicy {
             return;
         };
         if let Some(server) = primary {
-            self.selectors[state.client as usize].on_timeout(server, now);
+            self.selectors
+                .on_timeout(state.client as usize, server, now);
         }
     }
 
@@ -170,7 +172,8 @@ impl CliRsPolicy {
     fn feed_back(&mut self, now: SimTime, info: &ReplyInfo) {
         let idx = info.client as usize;
         let copy_latency = now - info.copy_sent_at;
-        self.selectors[idx].on_response(
+        self.selectors.on_response(
+            idx,
             &Feedback {
                 server: info.server,
                 queue_len: info.status.queue_len,
@@ -179,7 +182,7 @@ impl CliRsPolicy {
             },
             now,
         );
-        if let Some(ctl) = self.rates[idx].as_mut() {
+        if let Some(ctl) = self.rates.get_mut(idx) {
             ctl.on_response(info.server, now);
         }
     }
@@ -293,7 +296,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
         let primary = state.primary;
         let client_idx = state.client as usize;
         let replicas = core.ring.groups().replicas(rgid);
-        let ranked = self.inner.selectors[client_idx].rank(replicas, now);
+        let ranked = self.inner.selectors.rank(client_idx, replicas, now);
         let Some(dup) = ranked.into_iter().find(|&s| Some(s) != primary) else {
             return; // replication factor 1: nowhere else to go
         };

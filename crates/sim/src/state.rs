@@ -8,6 +8,8 @@
 //! [`crate::policy::SchemePolicy`]; policies receive `&mut Core` at every
 //! decision point.
 
+use std::collections::VecDeque;
+
 use netrs_faults::{AvailabilityStats, FaultEvent, FaultPlan, LinkRef};
 use netrs_kvstore::{Ring, ServerId, ServerStatus, VersionTable};
 use netrs_simcore::{
@@ -29,6 +31,21 @@ use crate::stats::{LatencyBreakdown, RunStats, RwStats};
 pub(crate) const REQ_BYTES: u64 = netrs_wire::REQUEST_HEADER_LEN as u64;
 /// Simulated size of one response packet (fixed NetRS response fields).
 pub(crate) const RESP_BYTES: u64 = netrs_wire::RESPONSE_FIXED_LEN as u64;
+
+/// Workload-generator firings drawn ahead per refill of a shard's
+/// look-ahead buffer (fewer once the quota is nearly spent).
+pub(crate) const LOOKAHEAD: usize = 64;
+
+/// One workload-generator firing, drawn ahead of time: the gap to the
+/// firing generator's next arrival and everything the request needs.
+struct Arrival {
+    gap: SimDuration,
+    key: u64,
+    client: u32,
+    rgid: u32,
+    backup: ServerId,
+    is_write: bool,
+}
 
 /// The flow hash ECMP spreads a copy's packets with. Pure in `(req,
 /// salt)` so replies replay the request's path decisions.
@@ -248,6 +265,14 @@ pub(crate) struct Core<D: DeviceProbe> {
     /// generator `g` draws from stream `g % shards`. At `shards == 1`
     /// this is the single pre-shard stream, byte-identical draws.
     workload: Vec<SimRng>,
+    /// Per shard, the next firings of its generators, drawn from its
+    /// workload stream (and the clients' backup streams) in the order
+    /// [`Core::generate`] consumes them — the only reader of those
+    /// streams after priming — so drawing ahead moves no draw. (A core
+    /// fires one shard's generators: it has one shard, or it is that
+    /// shard's replica, and replicas run client schemes, which draw no
+    /// backups.)
+    ahead: Vec<VecDeque<Arrival>>,
     /// Event shards the world is partitioned into (`>= 1`). Pods map to
     /// shards round-robin (`pod % shards`).
     shards: u32,
@@ -353,6 +378,9 @@ impl<D: DeviceProbe> Core<D> {
                 let stream = root.fork(2);
                 (0..shards).map(|s| stream.split(s, shards)).collect()
             },
+            ahead: (0..shards)
+                .map(|_| VecDeque::with_capacity(LOOKAHEAD))
+                .collect(),
             shards,
             host_shard,
             fabric: Fabric::new(topo, cfg.link_latency, devices),
@@ -677,8 +705,9 @@ impl<D: DeviceProbe> Core<D> {
         }
     }
 
-    /// One workload-generator firing: draws the client, key and replica
-    /// group, registers the request, and handles writes (replica-group
+    /// One workload-generator firing: takes the shard's next drawn-ahead
+    /// arrival (client, key, replica group), schedules the generator's
+    /// next firing, registers the request, and handles writes (replica-group
     /// fan-out under the configured consistency mode) directly. Returns
     /// what the cluster should route next: the read to steer, or the
     /// write for coherence hooks.
@@ -693,21 +722,19 @@ impl<D: DeviceProbe> Core<D> {
             return GenOutcome::None; // workload exhausted: let the generator die out
         }
         let shard = (gen % self.shards) as usize;
-        let gap = self.workload[shard].exp_duration(self.gen_interarrival);
+        if self.ahead[shard].is_empty() {
+            self.draw_ahead(shard, quota);
+        }
+        let Arrival {
+            gap,
+            key,
+            client: client_idx,
+            rgid,
+            backup,
+            is_write,
+        } = self.ahead[shard].pop_front().expect("refilled above");
         queue.schedule_after(gap, Ev::Generate { gen });
 
-        let client_idx = self.pick_client(shard);
-        let key = self.zipf.sample(&mut self.workload[shard]);
-        let rgid = self.ring.group_of_key(key);
-        let replicas = self.ring.groups().replicas(rgid);
-        // Only in-network schemes ever route to the backup (DRS).
-        let backup = match self.backup_rngs.get_mut(client_idx as usize) {
-            Some(rng) => replicas[rng.index(replicas.len())],
-            None => replicas[0],
-        };
-
-        let is_write =
-            self.cfg.write_fraction > 0.0 && self.workload[shard].chance(self.cfg.write_fraction);
         // Replica mode strides request ids (`shard + k·shards`) so ids
         // are globally unique without cross-replica coordination; the
         // strided id doubles as the request's approximate global issue
@@ -750,13 +777,42 @@ impl<D: DeviceProbe> Core<D> {
             self.writes_issued += 1;
             self.versions.bump(key);
             let targets = match self.cfg.write_consistency {
-                WriteConsistency::All | WriteConsistency::Quorum { .. } => replicas.len(),
+                WriteConsistency::All | WriteConsistency::Quorum { .. } => {
+                    self.ring.replication() as usize
+                }
                 WriteConsistency::Chain => 1,
             };
             self.issue_write(now, req, targets, queue);
             return GenOutcome::Write { req, key };
         }
         GenOutcome::Read { req, rgid }
+    }
+
+    /// Refills `shard`'s look-ahead with up to [`LOOKAHEAD`] firings, never
+    /// more than the quota has left.
+    fn draw_ahead(&mut self, shard: usize, quota: u64) {
+        for _ in 0..(quota - self.issued).min(LOOKAHEAD as u64) {
+            let gap = self.workload[shard].exp_duration(self.gen_interarrival);
+            let client = self.pick_client(shard);
+            let key = self.zipf.sample(&mut self.workload[shard]);
+            let rgid = self.ring.group_of_key(key);
+            let replicas = self.ring.groups().replicas(rgid);
+            // Only in-network schemes ever route to the backup (DRS).
+            let backup = match self.backup_rngs.get_mut(client as usize) {
+                Some(rng) => replicas[rng.index(replicas.len())],
+                None => replicas[0],
+            };
+            let is_write = self.cfg.write_fraction > 0.0
+                && self.workload[shard].chance(self.cfg.write_fraction);
+            self.ahead[shard].push_back(Arrival {
+                gap,
+                key,
+                client,
+                rgid,
+                backup,
+                is_write,
+            });
+        }
     }
 
     /// Fans a write out to the first `targets` replicas of its group (the

@@ -4,12 +4,17 @@
 //! that proves the timing fast path never allocates has to live in an
 //! integration-test crate (`tests/no_alloc.rs`). Fabric timing is
 //! crate-private; [`TimingProbe`] re-exposes exactly the healthy-fabric
-//! trio that runs once per simulated packet, and nothing else.
+//! trio that runs once per simulated packet, and
+//! [`ARRIVAL_LOOKAHEAD`] how many generator firings are drawn per refill,
+//! so the test can size its window past a refill.
 
 use netrs_simcore::{NoDeviceProbe, SimDuration};
 use netrs_topology::{FatTree, HostId, SwitchId};
 
 use crate::fabric::Fabric;
+
+/// Workload-generator firings drawn ahead per refill of a shard's buffer.
+pub const ARRIVAL_LOOKAHEAD: usize = crate::state::LOOKAHEAD;
 
 /// A healthy fabric plus just enough surface to drive its per-packet
 /// timing helpers from outside the crate.

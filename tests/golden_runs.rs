@@ -329,6 +329,72 @@ fn replica_runs_are_byte_identical() {
     pin(&dir.join("clirs-shards2.digests.txt"), &one.1, regen);
 }
 
+/// The `--json` stats of a `--small` run of `requests` requests in one of
+/// the look-ahead boundary cases (without `--json`'s final newline).
+fn boundary_stats(case: &str, requests: u64) -> String {
+    let mut cfg = SimConfig::small();
+    cfg.requests = requests;
+    let stats = match case {
+        "clirs-writes" => {
+            cfg.scheme = Scheme::CliRs;
+            cfg.write_fraction = 0.1;
+            run_observed(cfg, ObsOptions::default()).stats
+        }
+        "netrs-tor" => {
+            cfg.scheme = Scheme::NetRsToR;
+            run_observed(cfg, ObsOptions::default()).stats
+        }
+        "clirs-shards2" => {
+            cfg.scheme = Scheme::CliRs;
+            let par = ParallelOptions {
+                threads: 1,
+                ..ParallelOptions::default()
+            };
+            let out = run_observed_sharded_parallel(cfg, 2, par, ObsOptions::default());
+            assert!(out.stats.parallel.is_some(), "the run must use replicas");
+            out.stats
+        }
+        other => panic!("unknown boundary case {other}"),
+    };
+    serde_json::to_string_pretty(&stats).expect("stats serialize")
+}
+
+/// The workload look-ahead at its refill boundaries: generators draw up to
+/// 64 arrivals ahead per shard, so runs of 1, 63, 64, 65 and 129 requests
+/// end inside, at, and just past a refill. The digests were captured at
+/// commit c0c1f8c, before arrivals were drawn ahead, so they prove the
+/// look-ahead moves no draw: the write coin (CliRS with 10 % writes), the
+/// per-client backup pick (NetRS-ToR) and the per-shard streams of the
+/// replica engine (CliRS on two shards).
+#[test]
+fn lookahead_boundary_runs_are_byte_identical() {
+    const PINNED: [(&str, u64, &str); 15] = [
+        ("clirs-writes", 1, "stats 9fb4c6931f08ad04 1352"),
+        ("clirs-writes", 63, "stats 59239f974461addb 1401"),
+        ("clirs-writes", 64, "stats 8b854c4cb3f3db49 1402"),
+        ("clirs-writes", 65, "stats 535b3457e92d9d81 1402"),
+        ("clirs-writes", 129, "stats 3fbc54d030ed1600 1457"),
+        ("netrs-tor", 1, "stats 78d71f331738d6ca 1385"),
+        ("netrs-tor", 63, "stats 82ae2f7a5c0177bc 1438"),
+        ("netrs-tor", 64, "stats 24a04752da47e4a9 1452"),
+        ("netrs-tor", 65, "stats a7c86040ec55ac42 1429"),
+        ("netrs-tor", 129, "stats 208bd791f334cbf1 1458"),
+        ("clirs-shards2", 1, "stats 4a6547a92113918d 1445"),
+        ("clirs-shards2", 63, "stats 572c6af78549ce25 1503"),
+        ("clirs-shards2", 64, "stats fc11af1467222583 1503"),
+        ("clirs-shards2", 65, "stats 620671bfb20fbbd9 1503"),
+        ("clirs-shards2", 129, "stats 4529c857ae825c22 1513"),
+    ];
+    for (case, requests, want) in PINNED {
+        let stats = boundary_stats(case, requests);
+        assert_eq!(
+            digest_line("stats", stats.as_bytes()),
+            want,
+            "{case} at {requests} requests"
+        );
+    }
+}
+
 /// Artifact schemas no run golden above reaches, captured at commit
 /// 071f355 from the hand-written serializers the derives replaced: a
 /// fault run's stats (the `availability` block) with its control stream
