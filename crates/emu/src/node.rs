@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use netrs::{ControllerConfig, NetRsController, PlanSolver, TrafficGroups, TrafficMatrix};
 use netrs_kvstore::{Ring, ServerId, ServerStatus};
 use netrs_netdev::{IngressAction, NetRsRules, PacketMeta};
-use netrs_selection::{C3Config, Feedback, ReplicaSelector, SelectorKind};
+use netrs_selection::{C3Config, C3Selector, Feedback, ReplicaSelector};
 use netrs_simcore::{Histogram, SimDuration, SimRng, SimTime};
 use netrs_topology::{FatTree, HostId, SwitchId};
 use netrs_wire::{classify, MagicField, PacketKind, RequestHeader, ResponseHeader, Rgid, RsnodeId};
@@ -215,7 +215,7 @@ impl EmuCluster {
                 sw,
                 rules: rules[&sw].clone(),
                 selector: rsnodes.contains(&sw).then(|| {
-                    SelectorKind::C3.build(
+                    C3Selector::new(
                         C3Config::default(),
                         SimRng::from_seed(cfg.seed ^ (0xACCE1 + u64::from(sw.0))),
                     )
@@ -385,7 +385,7 @@ impl Drop for EmuCluster {
 struct SwitchCtx {
     sw: SwitchId,
     rules: NetRsRules,
-    selector: Option<Box<dyn ReplicaSelector + Send>>,
+    selector: Option<C3Selector>,
     topo: FatTree,
     ring: Arc<Ring>,
     server_host_of: Arc<HashMap<u32, u32>>,

@@ -7,7 +7,7 @@
 //! [`RsOperator`] bundles those two so the control plane can create,
 //! retain, and retire RSNodes as one unit across re-plans.
 
-use netrs_selection::ReplicaSelector;
+use netrs_selection::C3Selector;
 
 use crate::{Accelerator, AcceleratorConfig, HotCacheConfig, HotKeyCache};
 
@@ -15,9 +15,10 @@ use crate::{Accelerator, AcceleratorConfig, HotCacheConfig, HotKeyCache};
 /// information the paper's §II transient is about), the accelerator
 /// executing selections and folding in cloned responses, and the
 /// optional hot-key cache serving `GET`s straight from the switch.
+#[derive(Debug)]
 pub struct RsOperator {
-    /// The selection algorithm with this RSNode's learned server view.
-    pub selector: Box<dyn ReplicaSelector + Send>,
+    /// The C3 selector with this RSNode's learned server view.
+    pub selector: C3Selector,
     /// The accelerator attached to this RSNode's switch.
     pub accel: Accelerator,
     /// The in-switch hot-key cache, when the run enables one.
@@ -25,11 +26,10 @@ pub struct RsOperator {
 }
 
 impl RsOperator {
-    /// A fresh operator: the given selector (typically built via
-    /// [`netrs_selection::SelectorKind::build_with_concurrency`]) and a
-    /// new, idle accelerator. No cache — see [`RsOperator::with_cache`].
+    /// A fresh operator: the given selector and a new, idle accelerator.
+    /// No cache — see [`RsOperator::with_cache`].
     #[must_use]
-    pub fn new(selector: Box<dyn ReplicaSelector + Send>, accel: AcceleratorConfig) -> Self {
+    pub fn new(selector: C3Selector, accel: AcceleratorConfig) -> Self {
         RsOperator {
             selector,
             accel: Accelerator::new(accel),
@@ -45,33 +45,23 @@ impl RsOperator {
     }
 }
 
-impl std::fmt::Debug for RsOperator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RsOperator")
-            .field("selector", &self.selector.name())
-            .field("accel", &self.accel.stats())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netrs_kvstore::ServerId;
-    use netrs_selection::{C3Config, SelectorKind};
+    use netrs_selection::{C3Config, ReplicaSelector};
     use netrs_simcore::{SimRng, SimTime};
 
     #[test]
     fn operator_bundles_selector_and_idle_accelerator() {
-        let selector =
-            SelectorKind::C3.build_with_concurrency(C3Config::default(), 2.0, SimRng::from_seed(1));
+        let mut selector = C3Selector::new(C3Config::default(), SimRng::from_seed(1));
+        selector.set_concurrency(2.0);
         let mut op = RsOperator::new(selector, AcceleratorConfig::default());
-        assert_eq!(op.selector.name(), "c3");
         assert_eq!(op.accel.stats().busy_core_ns, 0);
         let pick = op
             .selector
             .select(&[ServerId(0), ServerId(1)], SimTime::ZERO);
         assert!(pick == ServerId(0) || pick == ServerId(1));
-        assert!(format!("{op:?}").contains("c3"));
+        assert!(format!("{op:?}").contains("C3Selector"));
     }
 }

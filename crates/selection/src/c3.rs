@@ -28,17 +28,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Feedback, ReplicaSelector};
 
-/// C3 parameters (paper defaults in [`Default`]).
+/// C3 parameters (paper defaults in [`Default`]). The concurrency
+/// compensation `n` is not one of them: it is how many RSNodes share each
+/// server, which the scheme decides (the client count under CliRS, the
+/// RSNode count under NetRS).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct C3Config {
     /// EWMA weight of the *old* value (C3 uses 0.9).
     pub alpha: f64,
     /// Queue-penalty exponent `b` (3 in C3; swept by the ABL-B ablation).
     pub exponent: f64,
-    /// Concurrency compensation `n`: how many RSNodes share each server.
-    /// Under CliRS this is the client count; under NetRS the (much
-    /// smaller) RSNode count.
-    pub concurrency: f64,
 }
 
 impl Default for C3Config {
@@ -46,9 +46,30 @@ impl Default for C3Config {
         C3Config {
             alpha: 0.9,
             exponent: 3.0,
-            concurrency: 1.0,
         }
     }
+}
+
+impl C3Config {
+    /// Checks the parameters' bounds: `alpha` in `[0, 1)`, `exponent >= 1`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter out of bounds.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..1.0).contains(&self.alpha) {
+            return Err(format!("alpha must be in [0, 1), got {}", self.alpha));
+        }
+        if !(1.0..).contains(&self.exponent) {
+            return Err(format!("exponent must be >= 1, got {}", self.exponent));
+        }
+        Ok(())
+    }
+}
+
+/// Panics unless `n`, a concurrency compensation, is at least 1.
+fn check_concurrency(n: f64) {
+    assert!(n >= 1.0, "concurrency must be >= 1");
 }
 
 /// What one selector knows about one server: 32 bytes, so two cells share
@@ -77,6 +98,8 @@ const TIMEOUT_PENALTY_BASE_NS: f64 = 100.0e6;
 #[derive(Debug)]
 pub struct C3Table {
     cfg: C3Config,
+    /// Concurrency compensation `n` of every row.
+    concurrency: f64,
     /// Servers per row. An id at or past it reads as never heard from; the
     /// first write to one widens every row.
     width: usize,
@@ -93,20 +116,22 @@ impl C3Table {
     pub const ESTIMATE_BYTES: usize = std::mem::size_of::<Estimate>();
 
     /// A table of one row per RNG in `rngs`, each sized for servers
-    /// `0..servers` up front.
+    /// `0..servers` up front, whose rows each assume `concurrency` peers
+    /// share every server.
     ///
     /// # Panics
     ///
-    /// Panics if `alpha` is outside `[0, 1)`, `exponent < 1` or
-    /// `concurrency < 1`.
+    /// Panics if `cfg` fails [`C3Config::validate`] or `concurrency < 1`.
     #[must_use]
-    pub fn new(cfg: C3Config, rngs: Vec<SimRng>, servers: u32) -> Self {
-        assert!((0.0..1.0).contains(&cfg.alpha), "alpha must be in [0, 1)");
-        assert!(cfg.exponent >= 1.0, "exponent must be >= 1");
-        assert!(cfg.concurrency >= 1.0, "concurrency must be >= 1");
+    pub fn new(cfg: C3Config, concurrency: f64, rngs: Vec<SimRng>, servers: u32) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid C3 config: {e}");
+        }
+        check_concurrency(concurrency);
         let width = servers as usize;
         C3Table {
             cfg,
+            concurrency,
             width,
             estimates: vec![Estimate::default(); rngs.len() * width],
             rngs,
@@ -162,7 +187,7 @@ impl C3Table {
     #[must_use]
     pub fn score(&self, row: usize, server: ServerId) -> f64 {
         let est = self.est(row, server);
-        let q_hat = 1.0 + f64::from(est.outstanding) * self.cfg.concurrency + est.ewma_queue;
+        let q_hat = 1.0 + f64::from(est.outstanding) * self.concurrency + est.ewma_queue;
         // The paper's cube is two multiplies; any other exponent (the
         // ABL-B sweep) pays for libm's `pow`.
         let penalty = if self.cfg.exponent == 3.0 {
@@ -301,34 +326,28 @@ pub struct C3Selector {
 }
 
 impl C3Selector {
-    /// Creates a selector.
+    /// Creates a selector that assumes it has the servers to itself
+    /// (concurrency compensation 1; see [`C3Selector::set_concurrency`]).
     ///
     /// # Panics
     ///
-    /// Panics if `alpha` is outside `[0, 1)`, `exponent < 1` or
-    /// `concurrency < 1`.
+    /// Panics if `cfg` fails [`C3Config::validate`].
     #[must_use]
     pub fn new(cfg: C3Config, rng: SimRng) -> Self {
         C3Selector {
-            table: C3Table::new(cfg, vec![rng], 0),
+            table: C3Table::new(cfg, 1.0, vec![rng], 0),
         }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &C3Config {
-        &self.table.cfg
-    }
-
-    /// Updates the concurrency-compensation factor (the controller resets
-    /// it when the number of RSNodes changes after a re-plan).
+    /// Sets the concurrency compensation `n`: how many RSNodes share each
+    /// server (the RSNode count of the plan that deployed this one).
     ///
     /// # Panics
     ///
     /// Panics if `n < 1`.
     pub fn set_concurrency(&mut self, n: f64) {
-        assert!(n >= 1.0, "concurrency must be >= 1");
-        self.table.cfg.concurrency = n;
+        check_concurrency(n);
+        self.table.concurrency = n;
     }
 
     /// The Ψ score of one server (lower is better; see
@@ -374,10 +393,6 @@ impl ReplicaSelector for C3Selector {
 
     fn outstanding(&self, server: ServerId) -> u32 {
         self.table.outstanding(0, server)
-    }
-
-    fn name(&self) -> &'static str {
-        "c3"
     }
 }
 
@@ -442,21 +457,17 @@ mod tests {
     }
 
     #[test]
+    fn outstanding_counters_never_underflow() {
+        let mut s = c3();
+        s.on_response(&fb(0, 1, 4, 8), SimTime::ZERO); // response without a send
+        assert_eq!(s.outstanding(ServerId(0)), 0);
+    }
+
+    #[test]
     fn concurrency_compensation_amplifies_outstanding() {
-        let mut low = C3Selector::new(
-            C3Config {
-                concurrency: 1.0,
-                ..C3Config::default()
-            },
-            SimRng::from_seed(1),
-        );
-        let mut high = C3Selector::new(
-            C3Config {
-                concurrency: 500.0,
-                ..C3Config::default()
-            },
-            SimRng::from_seed(1),
-        );
+        let mut low = C3Selector::new(C3Config::default(), SimRng::from_seed(1));
+        let mut high = C3Selector::new(C3Config::default(), SimRng::from_seed(1));
+        high.set_concurrency(500.0);
         let t = SimTime::ZERO;
         for s in [&mut low, &mut high] {
             s.on_response(&fb(0, 1, 4, 8), t);

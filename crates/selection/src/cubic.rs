@@ -54,6 +54,50 @@ impl Default for CubicConfig {
     }
 }
 
+impl CubicConfig {
+    /// Checks the parameters' bounds: positive rates, `beta` in `(0, 1)`,
+    /// positive `c` and `smax`, `burst >= 1` and `alpha` in `[0, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter out of bounds.
+    pub fn validate(&self) -> Result<(), String> {
+        let checks = [
+            (
+                "init_rate",
+                self.init_rate,
+                self.init_rate > 0.0,
+                "be positive",
+            ),
+            (
+                "min_rate",
+                self.min_rate,
+                self.min_rate > 0.0,
+                "be positive",
+            ),
+            (
+                "beta",
+                self.beta,
+                self.beta > 0.0 && self.beta < 1.0,
+                "be in (0, 1)",
+            ),
+            ("c", self.c, self.c > 0.0, "be positive"),
+            ("smax", self.smax, self.smax > 0.0, "be positive"),
+            ("burst", self.burst, self.burst >= 1.0, "be >= 1"),
+            (
+                "alpha",
+                self.alpha,
+                (0.0..1.0).contains(&self.alpha),
+                "be in [0, 1)",
+            ),
+        ];
+        match checks.into_iter().find(|&(_, _, ok, _)| !ok) {
+            Some((name, value, _, bound)) => Err(format!("{name} must {bound}, got {value}")),
+            None => Ok(()),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Lane {
     rate: f64,
@@ -79,23 +123,12 @@ impl CubicRateController {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is non-positive, `beta` is outside
-    /// `(0, 1)`, or `alpha` is outside `[0, 1)`.
+    /// Panics if `cfg` fails [`CubicConfig::validate`].
     #[must_use]
     pub fn new(cfg: CubicConfig) -> Self {
-        assert!(
-            cfg.init_rate > 0.0 && cfg.min_rate > 0.0,
-            "rates must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&cfg.beta) && cfg.beta > 0.0,
-            "beta must be in (0, 1)"
-        );
-        assert!(
-            cfg.c > 0.0 && cfg.smax > 0.0 && cfg.burst >= 1.0,
-            "growth parameters must be positive"
-        );
-        assert!((0.0..1.0).contains(&cfg.alpha), "alpha must be in [0, 1)");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid rate-control config: {e}");
+        }
         CubicRateController {
             cfg,
             lanes: HashMap::new(),

@@ -3,7 +3,6 @@
 use netrs_kvstore::ServerId;
 use netrs_selection::{
     C3Config, C3Selector, C3Table, CubicConfig, CubicRateController, Feedback, ReplicaSelector,
-    SelectorKind,
 };
 use netrs_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -60,13 +59,14 @@ proptest! {
         exponent in prop_oneof![Just(3.0), 1.0f64..5.0],
         ops in proptest::collection::vec(arb_c3_op(), 1..200),
     ) {
-        let cfg = C3Config { exponent, concurrency: 4.0, ..C3Config::default() };
+        let cfg = C3Config { exponent, ..C3Config::default() };
         let row = row_pick % rows;
         let mut one = C3Selector::new(cfg, SimRng::from_seed(seed));
+        one.set_concurrency(4.0);
         let rngs = (0..rows)
             .map(|r| SimRng::from_seed(if r == row { seed } else { seed ^ (r as u64 + 1) }))
             .collect();
-        let mut table = C3Table::new(cfg, rngs, width);
+        let mut table = C3Table::new(cfg, 4.0, rngs, width);
         let now = SimTime::ZERO;
         for (i, op) in ops.iter().enumerate() {
             // Another row gets the previous call, so rows that share the
@@ -115,26 +115,18 @@ proptest! {
 }
 
 proptest! {
-    /// Every selector kind: rank is always a permutation of the
-    /// candidates, select is its head, and outstanding counters never
-    /// underflow, across arbitrary interleavings of events.
+    /// Rank is always a permutation of the candidates, select is its
+    /// head, and outstanding counters never underflow, across arbitrary
+    /// interleavings of events.
     #[test]
     fn selectors_are_well_behaved(
-        kind in prop_oneof![
-            Just(SelectorKind::C3),
-            Just(SelectorKind::Random),
-            Just(SelectorKind::RoundRobin),
-            Just(SelectorKind::LeastOutstanding),
-            Just(SelectorKind::PowerOfTwo),
-            Just(SelectorKind::DynamicSnitch),
-        ],
         seed in any::<u64>(),
         events in proptest::collection::vec(prop_oneof![
             arb_feedback().prop_map(Some),
             Just(None), // None = a select+send round
         ], 1..100),
     ) {
-        let mut sel = kind.build(C3Config::default(), SimRng::from_seed(seed));
+        let mut sel = C3Selector::new(C3Config::default(), SimRng::from_seed(seed));
         let candidates: Vec<ServerId> = (0..8).map(ServerId).collect();
         let now = SimTime::ZERO;
         for ev in events {

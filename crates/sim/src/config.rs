@@ -5,7 +5,7 @@ use netrs::{Granularity, PlanConstraints, PlanSolver};
 use netrs_faults::{FaultEvent, FaultPlan, LinkRef};
 use netrs_kvstore::ServerConfig;
 use netrs_netdev::{AcceleratorConfig, CacheAdmission, HotCacheConfig};
-use netrs_selection::{C3Config, CubicConfig, SelectorKind};
+use netrs_selection::{C3Config, CubicConfig};
 use netrs_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -167,8 +167,10 @@ impl Default for OverloadPolicy {
 
 /// The full simulation configuration. [`SimConfig::paper`] reproduces the
 /// §V-A defaults; [`SimConfig::small`] is a laptop-scale setup for tests
-/// and examples.
+/// and examples. Unknown keys are an error, so a misspelled or retired
+/// field fails to parse instead of running the defaults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SimConfig {
     /// Fat-tree arity `k` (paper: 16 → 1024 hosts).
     pub arity: u32,
@@ -202,9 +204,8 @@ pub struct SimConfig {
     pub link_latency: SimDuration,
     /// The scheme under test.
     pub scheme: Scheme,
-    /// Replica-selection algorithm run at RSNodes (paper: C3 throughout).
-    pub selector: SelectorKind,
-    /// C3 parameters (concurrency compensation is filled in per scheme).
+    /// Parameters of C3, the replica selector at every RSNode (the
+    /// concurrency compensation is the scheme's RSNode count).
     pub c3: C3Config,
     /// Cubic rate control at CliRS clients (`None` = scoring only; the
     /// ABL-B ablation turns this on).
@@ -265,7 +266,6 @@ impl SimConfig {
             warmup_fraction: 0.05,
             link_latency: SimDuration::from_micros(30),
             scheme: Scheme::CliRs,
-            selector: SelectorKind::C3,
             c3: C3Config::default(),
             rate_control: None,
             r95: R95Config::default(),
@@ -413,6 +413,10 @@ impl SimConfig {
             if policy.utilization_limit <= 0.0 || policy.interval == SimDuration::ZERO {
                 return Err("overload policy needs a positive limit and interval".into());
             }
+        }
+        self.c3.validate().map_err(|e| format!("c3: {e}"))?;
+        if let Some(rc) = &self.rate_control {
+            rc.validate().map_err(|e| format!("rate_control: {e}"))?;
         }
         if self.r95.quantile <= 0.0 || self.r95.quantile >= 1.0 || self.r95.min_samples == 0 {
             return Err(format!(

@@ -1,4 +1,5 @@
-//! Client-side replica selection: the CliRS and CliRS-R95 baselines.
+//! Client-side replica selection: the CliRS and CliRS-R95 schemes NetRS is
+//! compared against.
 //!
 //! Every client runs its own selector instance (its partial, possibly
 //! stale view of server state — the situation §II argues against) and,
@@ -8,7 +9,7 @@
 //! replica.
 
 use netrs_kvstore::ServerId;
-use netrs_selection::{CubicRateController, Feedback, SelectorTable};
+use netrs_selection::{C3Table, CubicRateController, Feedback};
 use netrs_simcore::{
     DeviceCounter, DeviceId, DeviceProbe, EventQueue, Histogram, SimDuration, SimRng, SimTime,
 };
@@ -23,9 +24,9 @@ use super::{ReplyInfo, SchemePolicy};
 /// CliRS: per-client selectors (and optional cubic rate control), no
 /// in-network state.
 pub(crate) struct CliRsPolicy {
-    /// One selector per client, row `client` of one table, each drawing
-    /// from the root RNG's fork `10_000 + client`.
-    selectors: SelectorTable,
+    /// One C3 selector per client, row `client` of one table, each
+    /// drawing from the root RNG's fork `10_000 + client`.
+    selectors: C3Table,
     /// One cubic rate controller per client; empty unless `rate_control`
     /// is configured.
     rates: Vec<CubicRateController>,
@@ -40,9 +41,7 @@ impl CliRsPolicy {
         let rngs = (0..cfg.clients)
             .map(|idx| root.fork(10_000 + u64::from(idx)))
             .collect();
-        let selectors = cfg
-            .selector
-            .build_table(cfg.c3, concurrency, cfg.servers, rngs);
+        let selectors = C3Table::new(cfg.c3, concurrency, rngs, cfg.servers);
         let rates = cfg.rate_control.map_or_else(Vec::new, |rc| {
             (0..cfg.clients)
                 .map(|_| CubicRateController::new(rc))
@@ -62,7 +61,7 @@ impl CliRsPolicy {
     ) {
         let replicas = core.ring.groups().replicas(rgid);
         let state = core.requests.get_mut(req.0).expect("request just created");
-        let target = self.selectors.select(state.client as usize, replicas, now);
+        let target = self.selectors.select(state.client as usize, replicas);
         state.primary = Some(target);
         self.dispatch_copy(core, now, req, target, queue);
     }
@@ -102,7 +101,7 @@ impl CliRsPolicy {
         state.copies += 1;
         let issued_at = state.sent_at;
         let rgid = state.rgid;
-        self.selectors.on_send(client_idx, server, now);
+        self.selectors.on_send(client_idx, server);
         // Client-side selection has no steering hop: the interval from
         // issue to departure (rate gating, duplicate timers) is the
         // "selection" phase of the breakdown.
@@ -154,7 +153,6 @@ impl CliRsPolicy {
     fn note_timeout<D: DeviceProbe>(
         &mut self,
         core: &mut Core<D>,
-        now: SimTime,
         req: ReqId,
         primary: Option<ServerId>,
     ) {
@@ -162,8 +160,7 @@ impl CliRsPolicy {
             return;
         };
         if let Some(server) = primary {
-            self.selectors
-                .on_timeout(state.client as usize, server, now);
+            self.selectors.on_timeout(state.client as usize, server);
         }
     }
 
@@ -180,7 +177,6 @@ impl CliRsPolicy {
                 service_time: info.status.service_time(),
                 latency: copy_latency,
             },
-            now,
         );
         if let Some(ctl) = self.rates.get_mut(idx) {
             ctl.on_response(info.server, now);
@@ -218,11 +214,11 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsPolicy {
     fn on_request_timeout(
         &mut self,
         core: &mut Core<D>,
-        now: SimTime,
+        _now: SimTime,
         req: ReqId,
         primary: Option<ServerId>,
     ) {
-        self.note_timeout(core, now, req, primary);
+        self.note_timeout(core, req, primary);
     }
 }
 
@@ -296,7 +292,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
         let primary = state.primary;
         let client_idx = state.client as usize;
         let replicas = core.ring.groups().replicas(rgid);
-        let ranked = self.inner.selectors.rank(client_idx, replicas, now);
+        let ranked = self.inner.selectors.rank(client_idx, replicas);
         let Some(dup) = ranked.into_iter().find(|&s| Some(s) != primary) else {
             return; // replication factor 1: nowhere else to go
         };
@@ -316,10 +312,10 @@ impl<D: DeviceProbe> SchemePolicy<D> for CliRsR95Policy {
     fn on_request_timeout(
         &mut self,
         core: &mut Core<D>,
-        now: SimTime,
+        _now: SimTime,
         req: ReqId,
         primary: Option<ServerId>,
     ) {
-        self.inner.note_timeout(core, now, req, primary);
+        self.inner.note_timeout(core, req, primary);
     }
 }

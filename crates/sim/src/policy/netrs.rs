@@ -17,7 +17,7 @@ use netrs::{
 use netrs_netdev::{
     Accelerator, CacheStats, GroupId, IngressAction, Monitor, NetRsRules, PacketMeta, RsOperator,
 };
-use netrs_selection::Feedback;
+use netrs_selection::{C3Selector, Feedback, ReplicaSelector};
 use netrs_simcore::{
     DeviceCounter, DeviceId, DeviceProbe, EventQueue, NoDeviceProbe, SimDuration, SimRng, SimTime,
 };
@@ -322,14 +322,9 @@ impl InNetwork {
         let mut next = SwitchTable::new(self.operators.capacity());
         for sw in rsnodes {
             let op = self.operators.remove(sw).unwrap_or_else(|| {
-                let op = RsOperator::new(
-                    cfg.selector.build_with_concurrency(
-                        cfg.c3,
-                        n,
-                        root.fork(30_000 + u64::from(sw.0)),
-                    ),
-                    cfg.accelerator,
-                );
+                let mut selector = C3Selector::new(cfg.c3, root.fork(30_000 + u64::from(sw.0)));
+                selector.set_concurrency(n);
+                let op = RsOperator::new(selector, cfg.accelerator);
                 // Fresh RSNodes start with an empty hot-key cache when
                 // one is configured (retained RSNodes keep theirs).
                 match cfg.hot_cache {
@@ -976,16 +971,14 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         let cfg = &core.cfg;
         let n = rsnodes.len().max(1) as f64;
         self.operators.get_or_insert_with(sw, || {
-            let op = RsOperator::new(
-                cfg.selector.build_with_concurrency(
-                    cfg.c3,
-                    n,
-                    SimRng::from_seed(
-                        cfg.seed ^ 0x0DD0_FA17 ^ (u64::from(sw.0) << 32) ^ now.as_nanos(),
-                    ),
+            let mut selector = C3Selector::new(
+                cfg.c3,
+                SimRng::from_seed(
+                    cfg.seed ^ 0x0DD0_FA17 ^ (u64::from(sw.0) << 32) ^ now.as_nanos(),
                 ),
-                cfg.accelerator,
             );
+            selector.set_concurrency(n);
+            let op = RsOperator::new(selector, cfg.accelerator);
             // The recovered switch comes back with empty cache memory.
             match cfg.hot_cache {
                 Some(c) => op.with_cache(c),

@@ -4,12 +4,13 @@
 //! One table-driven helper covers every record type an artifact file is
 //! read back into. A new record type joins by one `check` line.
 
+use netrs_selection::CubicConfig;
 use netrs_sim::{
     AllocStats, AvailabilityStats, CacheRecord, ControlRecord, DeviceRecord, DisplacedGroup,
     DrsSpanRecord, FaultEvent, FaultPlan, HopSpan, HostMeta, HostProfile, KindRecord,
     LatencyBreakdown, ParallelStats, PerfArtifact, PlanEventRecord, QueueStats, RequestTableStats,
-    RunStats, RwStats, SamplePoint, Scheme, SnapshotGroup, SnapshotRecord, SolveRecord, TimedFault,
-    TraceRecord, PERF_SCHEMA_VERSION,
+    RunStats, RwStats, SamplePoint, Scheme, SimConfig, SnapshotGroup, SnapshotRecord, SolveRecord,
+    TimedFault, TraceRecord, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::{SimDuration, SimTime, Summary};
 use serde::{Deserialize, Serialize, Value};
@@ -385,4 +386,93 @@ fn bad_plan_and_artifact_text_is_an_error_not_a_panic() {
         assert!(serde_json::from_str::<PerfArtifact>(text).is_err());
         assert!(serde_json::from_str::<ControlRecord>(text).is_err());
     }
+}
+
+/// `cfg` parsed and validated, or the error of the step that refused it.
+fn load_config(cfg: &Value) -> Result<SimConfig, String> {
+    let cfg = SimConfig::deser(cfg).map_err(|e| e.to_string())?;
+    cfg.validate()?;
+    Ok(cfg)
+}
+
+/// `SimConfig::small()` with `"c3": {.., key: value}`.
+fn with_c3(key: &str, value: Value) -> Value {
+    let cfg = SimConfig::small().ser();
+    let c3 = cfg
+        .get("c3")
+        .and_then(Value::as_obj)
+        .expect("c3 is an object");
+    edited(
+        cfg.as_obj().unwrap(),
+        "c3",
+        Some(edited(c3, key, Some(value))),
+    )
+}
+
+#[test]
+fn bad_configs_are_errors_naming_the_field() {
+    let small = SimConfig::small().ser();
+    let top = small.as_obj().unwrap();
+    let beta = CubicConfig {
+        beta: 1.5,
+        ..CubicConfig::default()
+    };
+    let selector = Some(Value::Str("Random".into()));
+    for (field, cfg, error) in [
+        (
+            "c3.alpha",
+            with_c3("alpha", Value::F(1.5)),
+            "c3: alpha must be in [0, 1), got 1.5",
+        ),
+        (
+            "c3.exponent",
+            with_c3("exponent", Value::I(-3)),
+            "c3: exponent must be >= 1, got -3",
+        ),
+        (
+            "rate_control.beta",
+            edited(top, "rate_control", Some(beta.ser())),
+            "rate_control: beta must be in (0, 1), got 1.5",
+        ),
+        (
+            "selector",
+            edited(top, "selector", selector.clone()),
+            "unknown field `selector`, expected one of `arity`, `servers`,",
+        ),
+        (
+            "selectr",
+            edited(top, "selectr", selector),
+            "unknown field `selectr`, expected one of `arity`, `servers`,",
+        ),
+        (
+            "c3.concurrency",
+            with_c3("concurrency", Value::F(250.0)),
+            "unknown field `concurrency`, expected `alpha` or `exponent`",
+        ),
+    ] {
+        let err = load_config(&cfg).expect_err(field);
+        assert!(err.starts_with(error), "{field}: {err}");
+    }
+    assert_eq!(load_config(&small), Ok(SimConfig::small()));
+}
+
+#[test]
+fn simulate_exits_1_on_a_bad_config_without_panicking() {
+    let path = std::env::temp_dir().join(format!("netrs-bad-config-{}.json", std::process::id()));
+    let text = serde_json::to_string(&with_c3("alpha", Value::F(1.5))).unwrap();
+    std::fs::write(&path, text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .arg("--config")
+        .arg(&path)
+        .arg("--json")
+        .output()
+        .expect("simulate runs");
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("invalid configuration: c3: alpha"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -137,20 +137,3 @@ fn demand_skew_runs_and_preserves_completion() {
         assert_eq!(stats.completed, 10_000, "skew {skew}");
     }
 }
-
-#[test]
-fn c3_beats_random_selection_in_the_tail() {
-    // The C3 selector is the point of the whole exercise: against the
-    // same cluster, random selection must have a worse tail.
-    let mut c3 = base();
-    c3.scheme = Scheme::CliRs;
-    c3.requests = 20_000;
-    let mut random = c3.clone();
-    random.selector = netrs_selection::SelectorKind::Random;
-    let c3_p99 = run(c3).latency.p99;
-    let random_p99 = run(random).latency.p99;
-    assert!(
-        c3_p99 < random_p99,
-        "C3 p99 ({c3_p99}) must beat random p99 ({random_p99})"
-    );
-}
