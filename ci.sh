@@ -3,6 +3,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> Cargo.lock is current (a stale lock fails here instead of being rewritten)"
+cargo metadata --offline --locked --format-version 1 > /dev/null
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -476,7 +476,8 @@ fn switch_loop(socket: UdpSocket, mut ctx: SwitchCtx) {
 }
 
 fn handle_request(socket: &UdpSocket, ctx: &mut SwitchCtx, mut frame: EmuFrame, from_host: bool) {
-    let Ok((hdr, payload)) = RequestHeader::decode(&frame.body) else {
+    let body = std::mem::take(&mut frame.body);
+    let Ok((hdr, payload)) = RequestHeader::decode(&body) else {
         return;
     };
     let mut meta = PacketMeta::Request {
@@ -496,7 +497,7 @@ fn handle_request(socket: &UdpSocket, ctx: &mut SwitchCtx, mut frame: EmuFrame, 
         rv: hdr.rv,
         rgid: hdr.rgid,
     };
-    frame.body = rebuilt.encode(&payload);
+    frame.body = rebuilt.encode(payload);
 
     match action {
         IngressAction::Forward => {
@@ -540,7 +541,7 @@ fn handle_request(socket: &UdpSocket, ctx: &mut SwitchCtx, mut frame: EmuFrame, 
                 rgid: hdr.rgid,
             };
             frame.dst = target_host;
-            frame.body = rebuilt.encode(&payload);
+            frame.body = rebuilt.encode(payload);
             frame.route = ctx.route_to_host(HostId(target_host), u64::from(frame.src));
             ctx.emit(socket, &frame);
         }
@@ -549,7 +550,8 @@ fn handle_request(socket: &UdpSocket, ctx: &mut SwitchCtx, mut frame: EmuFrame, 
 }
 
 fn handle_response(socket: &UdpSocket, ctx: &mut SwitchCtx, mut frame: EmuFrame, from_host: bool) {
-    let Ok((hdr, payload)) = ResponseHeader::decode(&frame.body) else {
+    let body = std::mem::take(&mut frame.body);
+    let Ok((hdr, payload)) = ResponseHeader::decode(&body) else {
         return;
     };
     let mut meta = PacketMeta::Response {
@@ -570,7 +572,7 @@ fn handle_response(socket: &UdpSocket, ctx: &mut SwitchCtx, mut frame: EmuFrame,
         sm,
         status: hdr.status.clone(),
     };
-    frame.body = rebuilt.encode(&payload);
+    frame.body = rebuilt.encode(payload);
 
     match action {
         IngressAction::ForwardTowardRsnode(rid) => {
@@ -677,13 +679,14 @@ fn server_loop(
                 queue_len: 0,
                 service_time_ns: svc_ewma_ns as u64,
             }
-            .encode(),
+            .encode()
+            .to_vec(),
         };
         let reply = EmuFrame {
             src: host.0,
             dst: frame.src,
             route: vec![],
-            body: response.encode(&payload),
+            body: response.encode(payload),
         };
         let _ = socket.send_to(&reply.encode(), tor_addr);
     }

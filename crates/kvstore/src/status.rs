@@ -6,7 +6,6 @@
 //! estimate. The paper's packet format reserves the variable-length SS
 //! segment for exactly this; our canonical encoding is 12 bytes.
 
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// Server status piggybacked on every response (§IV-A, SS segment).
@@ -32,11 +31,11 @@ impl ServerStatus {
     /// Encodes the status into the SS byte layout (big-endian `queue_len`
     /// then `service_time_ns`).
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(STATUS_WIRE_LEN);
-        buf.put_u32(self.queue_len);
-        buf.put_u64(self.service_time_ns);
-        buf.freeze()
+    pub fn encode(&self) -> [u8; STATUS_WIRE_LEN] {
+        let mut buf = [0u8; STATUS_WIRE_LEN];
+        buf[..4].copy_from_slice(&self.queue_len.to_be_bytes());
+        buf[4..].copy_from_slice(&self.service_time_ns.to_be_bytes());
+        buf
     }
 
     /// Decodes a status from an SS segment.
@@ -86,7 +85,11 @@ mod tests {
             service_time_ns: 3_987_654,
         };
         let wire = s.encode();
-        assert_eq!(wire.len(), STATUS_WIRE_LEN);
+        assert_eq!(
+            wire,
+            [0, 0, 0, 17, 0, 0, 0, 0, 0, 0x3C, 0xD8, 0xC6],
+            "big-endian"
+        );
         assert_eq!(ServerStatus::decode(&wire).unwrap(), s);
     }
 

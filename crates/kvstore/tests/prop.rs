@@ -1,6 +1,8 @@
 //! Property-based tests of the key-value substrate.
 
-use netrs_kvstore::{Arrival, Ring, Server, ServerConfig, ServerId, ServerStatus};
+use netrs_kvstore::{
+    Arrival, Ring, Server, ServerConfig, ServerId, ServerStatus, StatusError, STATUS_WIRE_LEN,
+};
 use netrs_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -82,6 +84,19 @@ proptest! {
     fn status_roundtrip(queue_len in any::<u32>(), service in any::<u64>()) {
         let s = ServerStatus { queue_len, service_time_ns: service };
         prop_assert_eq!(ServerStatus::decode(&s.encode()).unwrap(), s);
+    }
+
+    /// Decoding is total: arbitrary bytes give `Ok` or `Err`, never a
+    /// panic, and every `Ok` re-encodes to the bytes it came from.
+    #[test]
+    fn status_decode_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..2 * STATUS_WIRE_LEN)) {
+        match ServerStatus::decode(&bytes) {
+            Ok(s) => prop_assert_eq!(&s.encode()[..], &bytes[..]),
+            Err(StatusError::BadLength(n)) => {
+                prop_assert_eq!(n, bytes.len());
+                prop_assert!(n != STATUS_WIRE_LEN);
+            }
+        }
     }
 
     /// Fluctuation only ever produces the two configured modes.

@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
@@ -96,9 +95,9 @@ pub fn run_grid(jobs: &[SweepJob], threads: usize) -> Vec<SweepCell> {
     let threads = effective_threads(threads, jobs.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<SweepCell>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(i) else { break };
                 let started = Instant::now();
@@ -113,8 +112,7 @@ pub fn run_grid(jobs: &[SweepJob], threads: usize) -> Vec<SweepCell> {
                 });
             });
         }
-    })
-    .expect("crossbeam scope");
+    });
     slots
         .into_iter()
         .map(|s| s.into_inner().expect("sweep slot").expect("every job ran"))
@@ -214,6 +212,18 @@ mod tests {
                 x.seed
             );
         }
+    }
+
+    #[test]
+    fn an_invalid_job_panics_the_grid_instead_of_returning_part_of_it() {
+        // `run_grid`'s documented `# Panics`: the worker that runs the bad
+        // config panics, and the scope re-raises it on the calling thread
+        // once every worker has joined.
+        let mut jobs = grid();
+        jobs[2].cfg.servers = 0;
+        assert!(jobs[2].cfg.validate().is_err());
+        let grid = std::panic::catch_unwind(|| run_grid(&jobs, 2));
+        assert!(grid.is_err(), "a grid with an invalid job returned");
     }
 
     #[test]

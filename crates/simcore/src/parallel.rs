@@ -374,14 +374,13 @@ impl<W: ParallelWorld> ParallelEngine<W> {
         let start = Barrier::new(threads);
         let end = Barrier::new(threads);
         let cells = &self.cells;
-        let stats = Mutex::new((WindowStats::default(), 0u64));
 
-        crossbeam::thread::scope(|scope| {
+        let (local, delivered) = std::thread::scope(|scope| {
             for w in 1..threads {
                 let horizon = &horizon;
                 let start = &start;
                 let end = &end;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     start.wait();
                     let h = horizon.load(Ordering::Acquire);
                     if h == DONE {
@@ -410,11 +409,8 @@ impl<W: ParallelWorld> ParallelEngine<W> {
                 }
                 end.wait();
             }
-            *stats.lock().expect("stats lock") = (local, delivered);
-        })
-        .expect("worker thread panicked");
-
-        let (local, delivered) = *stats.lock().expect("stats lock");
+            (local, delivered)
+        });
         self.stats.windows += local.windows;
         self.stats.mailbox_posted += local.mailbox_posted;
         self.stats.mailbox_late += local.mailbox_late;

@@ -3,11 +3,9 @@
 //! The NetRS paper (§V-A) draws from three non-uniform distributions:
 //! exponential service times, Zipfian key popularity (Zipf parameter 0.99
 //! over 100 million keys) and a bimodal server-performance fluctuation.
-//! `rand` only gives us uniform bits; the distributions themselves are
-//! implemented here so the workspace has no further dependencies.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+//! All of them sit on one uniform generator, xoshiro256++ seeded through
+//! SplitMix64, which [`SimRng`] holds itself; the distributions are
+//! implemented here too, so the workspace needs no random-number crate.
 
 use crate::time::{round_to_u64, SimDuration};
 
@@ -32,13 +30,18 @@ use crate::time::{round_to_u64, SimDuration};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: SmallRng,
+    /// xoshiro256++ state.
+    s: [u64; 4],
     seed: u64,
 }
 
-/// SplitMix64 step, used to whiten seeds when forking sub-streams.
+/// SplitMix64's increment (2⁶⁴ / φ).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output that follows state `z`: whitens seeds and fills the
+/// xoshiro256++ state.
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -48,10 +51,13 @@ impl SimRng {
     /// Creates a stream from a 64-bit seed.
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
-        SimRng {
-            inner: SmallRng::seed_from_u64(splitmix64(seed)),
-            seed,
-        }
+        // The state is the first four outputs of a SplitMix64 sequence
+        // started at the whitened seed.
+        let start = splitmix64(seed);
+        let s = std::array::from_fn(|i| {
+            splitmix64(start.wrapping_add(GOLDEN_GAMMA.wrapping_mul(i as u64)))
+        });
+        SimRng { s, seed }
     }
 
     /// Derives an independent child stream identified by `stream`.
@@ -102,12 +108,21 @@ impl SimRng {
 
     /// Next raw 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform `f64` in `[0, 1)`.
+    /// Uniform `f64` in `[0, 1)`: 53 uniform mantissa bits.
     pub fn f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f64` in `(0, 1]` — safe as the argument of `ln`.
@@ -122,7 +137,19 @@ impl SimRng {
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
-        self.inner.gen_range(0..bound)
+        if bound.is_power_of_two() {
+            return self.next_u64() & (bound - 1);
+        }
+        // Widening multiply, rejecting the biased zone `lo < 2^64 mod
+        // bound`. The zone is smaller than `bound`, so `lo >= bound`
+        // accepts without the 64-bit division (Lemire).
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(bound);
+            let lo = m as u64;
+            if lo >= bound || lo >= bound.wrapping_neg() % bound {
+                return (m >> 64) as u64;
+            }
+        }
     }
 
     /// Uniform index in `[0, len)` for indexing slices.
@@ -132,7 +159,7 @@ impl SimRng {
     /// Panics if `len` is zero.
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "len must be positive");
-        self.inner.gen_range(0..len)
+        self.below(len as u64) as usize
     }
 
     /// Bernoulli draw: returns `true` with probability `p` (clamped to
@@ -386,6 +413,254 @@ impl Bimodal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Draws `n` values of `draw` from a fresh copy of `rng`.
+    fn first<T>(rng: &SimRng, n: usize, mut draw: impl FnMut(&mut SimRng) -> T) -> Vec<T> {
+        let mut r = rng.clone();
+        (0..n).map(|_| draw(&mut r)).collect()
+    }
+
+    #[test]
+    fn streams_are_pinned_by_value() {
+        // Literal values, not SimRng against itself: a generator, seeding
+        // or bounded-draw change that drifts shows here before it shows
+        // as a moved golden. f64s are compared by bit pattern.
+        struct Pinned {
+            name: &'static str,
+            rng: SimRng,
+            u64s: [u64; 8],
+            f64_bits: [u64; 8],
+            below_3: [u64; 8],
+            below_100: [u64; 8],
+            below_2_63_plus_1: [u64; 8],
+            index_7: [usize; 8],
+        }
+        let pinned = [
+            Pinned {
+                name: "from_seed(1)",
+                rng: SimRng::from_seed(1),
+                u64s: [
+                    0x7045_60ce_d7cc_0501,
+                    0x4eef_9003_6c89_c53a,
+                    0xdce0_5af2_ba13_64d7,
+                    0xe019_c821_60db_bf4c,
+                    0x6e7a_461e_9e4b_7686,
+                    0x396e_bf4c_ea28_a8f0,
+                    0xc112_645a_b690_b517,
+                    0x284f_0558_ce63_47d3,
+                ],
+                f64_bits: [
+                    0x3fdc_1158_33b5_f300,
+                    0x3fd3_bbe4_00db_2270,
+                    0x3feb_9c0b_5e57_426c,
+                    0x3fec_0339_042c_1b77,
+                    0x3fdb_9e91_87a7_92dc,
+                    0x3fcc_b75f_a675_1454,
+                    0x3fe8_224c_8b56_d216,
+                    0x3fc4_2782_ac67_31a0,
+                ],
+                below_3: [1, 0, 2, 2, 1, 0, 2, 0],
+                below_100: [43, 30, 86, 87, 43, 22, 75, 15],
+                below_2_63_plus_1: [
+                    4_044_989_373_570_482_816,
+                    8_074_078_992_299_057_062,
+                    1_452_273_081_827_566_569,
+                    1_297_442_526_878_338_076,
+                    4_287_359_970_616_098_213,
+                    7_736_922_669_004_436_570,
+                    7_890_938_535_037_859_625,
+                    2_527_078_958_729_155_458,
+                ],
+                index_7: [3, 2, 6, 6, 3, 1, 5, 1],
+            },
+            Pinned {
+                name: "from_seed(1).fork(40_000)",
+                rng: SimRng::from_seed(1).fork(40_000),
+                u64s: [
+                    0xc394_5d70_3700_07f3,
+                    0x5a09_a6c9_5051_feb5,
+                    0xcd49_8c50_2453_00c4,
+                    0xa047_60bb_ee8e_381b,
+                    0x3cb0_0e06_f2d2_ee55,
+                    0x7700_ae02_7895_f9b4,
+                    0x3d43_0690_cf03_7dfa,
+                    0x397a_c1f7_8ad8_a485,
+                ],
+                f64_bits: [
+                    0x3fe8_728b_ae06_e000,
+                    0x3fd6_8269_b254_147e,
+                    0x3fe9_a931_8a04_8a60,
+                    0x3fe4_08ec_177d_d1c7,
+                    0x3fce_5807_0379_6974,
+                    0x3fdd_c02b_809e_257e,
+                    0x3fce_a183_4867_81bc,
+                    0x3fcc_bd60_fbc5_6c50,
+                ],
+                below_3: [2, 1, 2, 1, 0, 1, 0, 0],
+                below_100: [76, 35, 80, 62, 23, 46, 23, 22],
+                below_2_63_plus_1: [
+                    3_243_950_060_885_049_178,
+                    7_396_254_363_454_898_274,
+                    2_186_505_330_591_627_050,
+                    2_070_918_038_125_564_482,
+                    1_548_481_786_805_233_124,
+                    8_462_819_311_029_995_027,
+                    216_939_120_867_261_076,
+                    7_154_437_313_817_900_444,
+                ],
+                index_7: [5, 2, 5, 4, 1, 3, 1, 1],
+            },
+            Pinned {
+                name: "from_seed(1).split(1, 2)",
+                rng: SimRng::from_seed(1).split(1, 2),
+                u64s: [
+                    0x1c6c_a6db_7796_db2f,
+                    0x831c_301f_48d5_4919,
+                    0xc952_fb6f_1f15_9975,
+                    0xfb81_d3ee_d78a_a599,
+                    0xaa19_fad9_fb96_b523,
+                    0x59f4_6b94_74ab_f77d,
+                    0x11a7_a56b_7dc7_b3f8,
+                    0x46d9_0547_ec5a_cfeb,
+                ],
+                f64_bits: [
+                    0x3fbc_6ca6_db77_96d8,
+                    0x3fe0_6386_03e9_1aa9,
+                    0x3fe9_2a5f_6de3_e2b3,
+                    0x3fef_703a_7dda_f154,
+                    0x3fe5_433f_5b3f_72d6,
+                    0x3fd6_7d1a_e51d_2afc,
+                    0x3fb1_a7a5_6b7d_c7b0,
+                    0x3fd1_b641_51fb_16b2,
+                ],
+                below_3: [0, 1, 2, 2, 1, 1, 0, 0],
+                below_100: [11, 51, 78, 98, 66, 35, 6, 27],
+                below_2_63_plus_1: [
+                    1_024_097_696_040_578_455,
+                    3_240_962_024_524_872_638,
+                    2_552_558_729_533_679_605,
+                    5_925_880_730_642_612_004,
+                    7_427_377_235_417_809_856,
+                    313_417_354_087_726_925,
+                    1_266_947_887_459_674_949,
+                    2_036_374_288_019_377_073,
+                ],
+                index_7: [0, 3, 5, 6, 4, 2, 0, 1],
+            },
+        ];
+        for p in &pinned {
+            let name = p.name;
+            assert_eq!(
+                first(&p.rng, 8, SimRng::next_u64),
+                p.u64s,
+                "{name}: next_u64"
+            );
+            assert_eq!(
+                first(&p.rng, 8, |r| r.f64().to_bits()),
+                p.f64_bits,
+                "{name}: f64"
+            );
+            assert_eq!(
+                first(&p.rng, 8, |r| r.below(3)),
+                p.below_3,
+                "{name}: below(3)"
+            );
+            assert_eq!(
+                first(&p.rng, 8, |r| r.below(100)),
+                p.below_100,
+                "{name}: below(100)"
+            );
+            assert_eq!(
+                first(&p.rng, 8, |r| r.below((1 << 63) + 1)),
+                p.below_2_63_plus_1,
+                "{name}: below(2^63 + 1)"
+            );
+            assert_eq!(
+                first(&p.rng, 8, |r| r.index(7)),
+                p.index_7,
+                "{name}: index(7)"
+            );
+        }
+    }
+
+    /// `below` with the rejection zone computed up front for every call,
+    /// as it was before the division moved off the common path.
+    fn below_eager(rng: &mut SimRng, bound: u64) -> u64 {
+        if bound.is_power_of_two() {
+            return rng.next_u64() & (bound - 1);
+        }
+        let zone = bound.wrapping_neg() % bound;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(bound);
+            if m as u64 >= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_zone_draws_what_the_eager_zone_drew() {
+        // Same values from the same number of `next_u64` draws: the two
+        // must stay in lockstep, including across rejections (about half
+        // the draws reject at 2^63 + 1).
+        let bounds = [1, 2, 3, 5, 100, 500, 1 << 32, (1 << 63) + 1, u64::MAX];
+        for bound in bounds {
+            let mut lazy = SimRng::from_seed(bound);
+            let mut eager = lazy.clone();
+            for i in 0..100_000 {
+                assert_eq!(
+                    lazy.below(bound),
+                    below_eager(&mut eager, bound),
+                    "bound {bound}, draw {i}"
+                );
+            }
+            assert_eq!(
+                first(&lazy, 4, SimRng::next_u64),
+                first(&eager, 4, SimRng::next_u64),
+                "bound {bound}: stream positions diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn below_is_uniform_and_in_bounds() {
+        let mut rng = SimRng::from_seed(2);
+        let mut counts = [0u32; 10];
+        for _ in 0..100_000 {
+            counts[rng.below(10) as usize] += 1;
+        }
+        for &c in &counts {
+            assert!((8_000..12_000).contains(&c), "skewed bucket: {counts:?}");
+        }
+        for _ in 0..1_000 {
+            assert!(rng.index(3) < 3);
+        }
+    }
+
+    #[test]
+    fn f64_in_unit_interval() {
+        let mut rng = SimRng::from_seed(1);
+        let mut sum = 0.0;
+        for _ in 0..10_000 {
+            let v = rng.f64();
+            assert!((0.0..1.0).contains(&v));
+            sum += v;
+        }
+        let mean = sum / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
+
+    #[test]
+    #[should_panic(expected = "bound must be positive")]
+    fn below_zero_panics() {
+        let _ = SimRng::from_seed(4).below(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "len must be positive")]
+    fn index_zero_panics() {
+        let _ = SimRng::from_seed(4).index(0);
+    }
 
     #[test]
     fn fork_is_order_independent_and_distinct() {

@@ -39,7 +39,7 @@
 //! let wire = hdr.encode(b"GET k");
 //! let (back, payload) = RequestHeader::decode(&wire)?;
 //! assert_eq!(back, hdr);
-//! assert_eq!(&payload[..], b"GET k");
+//! assert_eq!(payload, b"GET k");
 //! # Ok::<(), netrs_wire::WireError>(())
 //! ```
 
@@ -48,7 +48,6 @@
 
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// Length of the fixed request header (RID + MF + RV + RGID).
@@ -287,22 +286,23 @@ pub struct RequestHeader {
 impl RequestHeader {
     /// Serializes the header followed by the application payload.
     #[must_use]
-    pub fn encode(&self, payload: &[u8]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(REQUEST_HEADER_LEN + payload.len());
-        buf.put_u16(self.rid.0);
-        buf.put_slice(&self.magic.0);
-        buf.put_u16(self.rv);
-        buf.put_uint(u64::from(self.rgid.0), 3);
-        buf.put_slice(payload);
-        buf.freeze()
+    pub fn encode(&self, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(REQUEST_HEADER_LEN + payload.len());
+        buf.extend_from_slice(&self.rid.0.to_be_bytes());
+        buf.extend_from_slice(&self.magic.0);
+        buf.extend_from_slice(&self.rv.to_be_bytes());
+        buf.extend_from_slice(&self.rgid.0.to_be_bytes()[1..]);
+        buf.extend_from_slice(payload);
+        buf
     }
 
-    /// Parses a request, returning the header and the application payload.
+    /// Parses a request, returning the header and the application payload
+    /// (borrowed from `buf`).
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`] if the buffer is too short.
-    pub fn decode(buf: &[u8]) -> Result<(RequestHeader, Bytes), WireError> {
+    pub fn decode(buf: &[u8]) -> Result<(RequestHeader, &[u8]), WireError> {
         if buf.len() < REQUEST_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: REQUEST_HEADER_LEN,
@@ -321,7 +321,7 @@ impl RequestHeader {
                 rv,
                 rgid,
             },
-            Bytes::copy_from_slice(&buf[REQUEST_HEADER_LEN..]),
+            &buf[REQUEST_HEADER_LEN..],
         ))
     }
 }
@@ -339,7 +339,7 @@ pub struct ResponseHeader {
     /// Source marker stamped by the server-side ToR.
     pub sm: SourceMarker,
     /// Piggybacked server status (SS segment).
-    pub status: Bytes,
+    pub status: Vec<u8>,
 }
 
 impl ResponseHeader {
@@ -350,32 +350,28 @@ impl ResponseHeader {
     /// Panics if the status segment exceeds the 2-byte SSL range
     /// (65535 bytes) — server status is a few bytes by design.
     #[must_use]
-    pub fn encode(&self, payload: &[u8]) -> Bytes {
-        assert!(
-            self.status.len() <= usize::from(u16::MAX),
-            "server status too large for SSL"
-        );
-        let mut buf =
-            BytesMut::with_capacity(RESPONSE_FIXED_LEN + self.status.len() + payload.len());
-        buf.put_u16(self.rid.0);
-        buf.put_slice(&self.magic.0);
-        buf.put_u16(self.rv);
-        buf.put_u16(self.sm.pod);
-        buf.put_u16(self.sm.rack);
-        buf.put_u16(self.status.len() as u16);
-        buf.put_slice(&self.status);
-        buf.put_slice(payload);
-        buf.freeze()
+    pub fn encode(&self, payload: &[u8]) -> Vec<u8> {
+        let ssl = u16::try_from(self.status.len()).expect("server status too large for SSL");
+        let mut buf = Vec::with_capacity(RESPONSE_FIXED_LEN + self.status.len() + payload.len());
+        buf.extend_from_slice(&self.rid.0.to_be_bytes());
+        buf.extend_from_slice(&self.magic.0);
+        buf.extend_from_slice(&self.rv.to_be_bytes());
+        buf.extend_from_slice(&self.sm.pod.to_be_bytes());
+        buf.extend_from_slice(&self.sm.rack.to_be_bytes());
+        buf.extend_from_slice(&ssl.to_be_bytes());
+        buf.extend_from_slice(&self.status);
+        buf.extend_from_slice(payload);
+        buf
     }
 
     /// Parses a response, returning the header and the application
-    /// payload.
+    /// payload (borrowed from `buf`).
     ///
     /// # Errors
     ///
     /// Returns [`WireError::Truncated`] if the buffer is shorter than the
     /// fixed header plus the declared SS length.
-    pub fn decode(buf: &[u8]) -> Result<(ResponseHeader, Bytes), WireError> {
+    pub fn decode(buf: &[u8]) -> Result<(ResponseHeader, &[u8]), WireError> {
         if buf.len() < RESPONSE_FIXED_LEN {
             return Err(WireError::Truncated {
                 needed: RESPONSE_FIXED_LEN,
@@ -404,9 +400,9 @@ impl ResponseHeader {
                 magic: MagicField(magic),
                 rv,
                 sm,
-                status: Bytes::copy_from_slice(&buf[RESPONSE_FIXED_LEN..total]),
+                status: buf[RESPONSE_FIXED_LEN..total].to_vec(),
             },
-            Bytes::copy_from_slice(&buf[total..]),
+            &buf[total..],
         ))
     }
 }
@@ -430,7 +426,7 @@ pub struct SetCommand {
     /// The 64-bit key hash being written.
     pub key: u64,
     /// The value bytes.
-    pub value: Bytes,
+    pub value: Vec<u8>,
 }
 
 impl SetCommand {
@@ -441,28 +437,25 @@ impl SetCommand {
     /// Panics if the value exceeds the 4-byte VLEN range — a single
     /// key-value write is megabytes at most by design.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        assert!(
-            u32::try_from(self.value.len()).is_ok(),
-            "SET value too large for VLEN"
-        );
-        let mut buf = BytesMut::with_capacity(SET_FIXED_LEN + self.value.len());
-        buf.put_u8(OP_SET);
-        buf.put_u64(self.key);
-        buf.put_u32(self.value.len() as u32);
-        buf.put_slice(&self.value);
-        buf.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let vlen = u32::try_from(self.value.len()).expect("SET value too large for VLEN");
+        let mut buf = Vec::with_capacity(SET_FIXED_LEN + self.value.len());
+        buf.push(OP_SET);
+        buf.extend_from_slice(&self.key.to_be_bytes());
+        buf.extend_from_slice(&vlen.to_be_bytes());
+        buf.extend_from_slice(&self.value);
+        buf
     }
 
     /// Parses a `SET` frame, returning the command and any trailing
-    /// bytes after the value.
+    /// bytes after the value (borrowed from `buf`).
     ///
     /// # Errors
     ///
     /// Returns [`WireError::UnexpectedOpcode`] if the first byte is not
     /// [`OP_SET`], or [`WireError::Truncated`] if the buffer is shorter
     /// than the fixed frame plus the declared value length.
-    pub fn decode(buf: &[u8]) -> Result<(SetCommand, Bytes), WireError> {
+    pub fn decode(buf: &[u8]) -> Result<(SetCommand, &[u8]), WireError> {
         if buf.len() < SET_FIXED_LEN {
             return Err(WireError::Truncated {
                 needed: SET_FIXED_LEN,
@@ -484,9 +477,9 @@ impl SetCommand {
         Ok((
             SetCommand {
                 key,
-                value: Bytes::copy_from_slice(&buf[SET_FIXED_LEN..total]),
+                value: buf[SET_FIXED_LEN..total].to_vec(),
             },
-            Bytes::copy_from_slice(&buf[total..]),
+            &buf[total..],
         ))
     }
 }
@@ -536,7 +529,7 @@ mod tests {
         assert_eq!(wire.len(), REQUEST_HEADER_LEN + 13);
         let (back, payload) = RequestHeader::decode(&wire).unwrap();
         assert_eq!(back, hdr);
-        assert_eq!(&payload[..], b"payload bytes");
+        assert_eq!(payload, b"payload bytes");
     }
 
     #[test]
@@ -546,12 +539,12 @@ mod tests {
             magic: MagicField::RESPONSE,
             rv: 0x1234,
             sm: SourceMarker { pod: 3, rack: 25 },
-            status: Bytes::from_static(&[1, 2, 3, 4, 5]),
+            status: vec![1, 2, 3, 4, 5],
         };
         let wire = hdr.encode(b"value!");
         let (back, payload) = ResponseHeader::decode(&wire).unwrap();
         assert_eq!(back, hdr);
-        assert_eq!(&payload[..], b"value!");
+        assert_eq!(payload, b"value!");
     }
 
     #[test]
@@ -561,7 +554,7 @@ mod tests {
             magic: MagicField::MONITORED,
             rv: 0,
             sm: SourceMarker::default(),
-            status: Bytes::new(),
+            status: Vec::new(),
         };
         let wire = hdr.encode(b"");
         assert_eq!(wire.len(), RESPONSE_FIXED_LEN);
@@ -586,7 +579,7 @@ mod tests {
             magic: MagicField::RESPONSE,
             rv: 0,
             sm: SourceMarker { pod: 0, rack: 0 },
-            status: Bytes::from_static(&[9; 10]),
+            status: vec![9; 10],
         };
         let wire = hdr.encode(b"");
         let cut = &wire[..wire.len() - 3];
@@ -651,7 +644,7 @@ mod tests {
             magic: MagicField::RESPONSE,
             rv: 1,
             sm: SourceMarker { pod: 1, rack: 2 },
-            status: Bytes::new(),
+            status: Vec::new(),
         }
         .encode(b"y");
         assert_eq!(classify(&resp), PacketKind::NetRsResponse);
@@ -700,20 +693,20 @@ mod tests {
     fn set_frame_round_trips_with_trailing_bytes() {
         let cmd = SetCommand {
             key: 0xDEAD_BEEF_CAFE_F00D,
-            value: Bytes::from_static(b"hello"),
+            value: b"hello".to_vec(),
         };
-        let mut wire = cmd.encode().to_vec();
+        let mut wire = cmd.encode();
         wire.extend_from_slice(b"next");
         let (back, rest) = SetCommand::decode(&wire).unwrap();
         assert_eq!(back, cmd);
-        assert_eq!(&rest[..], b"next");
+        assert_eq!(rest, b"next");
     }
 
     #[test]
     fn set_frame_is_byte_exact() {
         let cmd = SetCommand {
             key: 0x0102_0304_0506_0708,
-            value: Bytes::from_static(&[0xAA, 0xBB]),
+            value: vec![0xAA, 0xBB],
         };
         let wire = cmd.encode();
         assert_eq!(wire.len(), SET_FIXED_LEN + 2);
@@ -735,10 +728,9 @@ mod tests {
         );
         let mut wire = SetCommand {
             key: 1,
-            value: Bytes::from_static(b"v"),
+            value: b"v".to_vec(),
         }
-        .encode()
-        .to_vec();
+        .encode();
         wire[0] = 0x47;
         let err = SetCommand::decode(&wire).unwrap_err();
         assert_eq!(err, WireError::UnexpectedOpcode(0x47));
@@ -746,11 +738,49 @@ mod tests {
         // VLEN promises more value bytes than the buffer carries.
         let cut = SetCommand {
             key: 1,
-            value: Bytes::from_static(&[7; 10]),
+            value: vec![7; 10],
         }
         .encode();
         let err = SetCommand::decode(&cut[..cut.len() - 3]).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }));
+    }
+
+    #[test]
+    fn headers_are_big_endian() {
+        // Byte-exact, not a round trip: an encoder and decoder that agreed
+        // on the wrong byte order would still round-trip.
+        let req = RequestHeader {
+            rid: RsnodeId(0x0102),
+            magic: MagicField::REQUEST,
+            rv: 0x0304,
+            rgid: Rgid::new(0x05_0607).unwrap(),
+        }
+        .encode(b"p");
+        assert_eq!(
+            req,
+            [&[1, 2][..], b"NRSREQ", &[3, 4, 5, 6, 7], b"p"].concat()
+        );
+        let resp = ResponseHeader {
+            rid: RsnodeId(0x0102),
+            magic: MagicField::RESPONSE,
+            rv: 0x0304,
+            sm: SourceMarker {
+                pod: 0x0506,
+                rack: 0x0708,
+            },
+            status: vec![0xAA],
+        }
+        .encode(b"p");
+        assert_eq!(
+            resp,
+            [
+                &[1, 2][..],
+                b"NRSRSP",
+                &[3, 4, 5, 6, 7, 8, 0, 1, 0xAA],
+                b"p"
+            ]
+            .concat()
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property-based tests for the NetRS wire formats.
 
-use bytes::Bytes;
 use netrs_wire::{
     classify, peek_rid, MagicField, PacketKind, RequestHeader, ResponseHeader, Rgid, RsnodeId,
     SetCommand, SourceMarker, WireError, OP_SET, SET_FIXED_LEN,
@@ -30,7 +29,7 @@ proptest! {
         let wire = hdr.encode(&payload);
         let (back, body) = RequestHeader::decode(&wire).unwrap();
         prop_assert_eq!(back, hdr);
-        prop_assert_eq!(&body[..], &payload[..]);
+        prop_assert_eq!(body, &payload[..]);
     }
 
     /// Any response header round-trips through the wire format.
@@ -49,12 +48,12 @@ proptest! {
             magic,
             rv,
             sm: SourceMarker { pod, rack },
-            status: Bytes::from(status.clone()),
+            status,
         };
         let wire = hdr.encode(&payload);
         let (back, body) = ResponseHeader::decode(&wire).unwrap();
         prop_assert_eq!(back, hdr);
-        prop_assert_eq!(&body[..], &payload[..]);
+        prop_assert_eq!(body, &payload[..]);
     }
 
     /// Any SET frame round-trips byte-exactly, trailing bytes included.
@@ -64,14 +63,14 @@ proptest! {
         value in proptest::collection::vec(any::<u8>(), 0..256),
         trailing in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let cmd = SetCommand { key, value: Bytes::from(value.clone()) };
-        let mut wire = cmd.encode().to_vec();
+        let cmd = SetCommand { key, value: value.clone() };
+        let mut wire = cmd.encode();
         prop_assert_eq!(wire.len(), SET_FIXED_LEN + value.len());
         prop_assert_eq!(wire[0], OP_SET);
         wire.extend_from_slice(&trailing);
         let (back, rest) = SetCommand::decode(&wire).unwrap();
         prop_assert_eq!(back, cmd);
-        prop_assert_eq!(&rest[..], &trailing[..]);
+        prop_assert_eq!(rest, &trailing[..]);
     }
 
     /// Decoding never panics on arbitrary bytes; it either parses or

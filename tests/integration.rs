@@ -93,7 +93,8 @@ fn wire_and_rules_agree_end_to_end() {
             queue_len: 3,
             service_time_ns: 4_000_000,
         }
-        .encode(),
+        .encode()
+        .to_vec(),
     };
     let resp_bytes = resp.encode(b"value");
     assert_eq!(classify(&resp_bytes), PacketKind::NetRsResponse);
