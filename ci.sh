@@ -80,16 +80,17 @@ diff -u "$SMOKE/ctl-stats-a.json" "$SMOKE/ctl-stats-plain.json"
     | grep -q "plan churn"
 
 echo "==> placement-solve smoke (paper-scale ILP proven at the root, by deterministic counts)"
-# The default 16-ary config: the greedy warm start must be proven optimal
-# by the rounded root bound alone. Gated on the plan record's counts, not
-# on wall clock — a solve that branches again shows up as nodes and
-# iterations on any box.
+# The default 16-ary config: the greedy plan must be proven optimal by the
+# cover bound alone, before any tableau is built. Gated on the plan
+# record's counts, not on wall clock — a solve that falls back to the LP
+# or branches again shows up as iterations and nodes on any box.
 ./target/debug/simulate --scheme netrs-ilp --requests 1000 \
     --control "$SMOKE/placement.jsonl" --json > /dev/null
 plan=$(grep -m 1 '"kind":"plan"' "$SMOKE/placement.jsonl")
 plan_field() { echo "$plan" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
 [ "$(plan_field branch_nodes)" -eq 0 ]
-[ "$(plan_field lp_iterations)" -lt 5000 ]
+[ "$(plan_field lp_iterations)" -eq 0 ]
+[ "$(plan_field bound)" -eq 2 ]
 [ "$(plan_field rsnodes)" -eq 2 ]
 grep -q '"proven_optimal":true' <<< "$plan"
 
@@ -97,12 +98,13 @@ echo "==> memory smoke (paper-scale set-up stays small; only CliRS-R95 keeps per
 # Peak RSS of a 1 000-request run on the default 16-ary config is all
 # set-up. 500 per-client latency histograms are 29 MB of it, and only
 # CliRS-R95 reads them: with them resident for every scheme these runs
-# peak at 29 MB, without at 6-7 MB.
+# peak at 29 MB, without at 6-7 MB. NetRS-ILP's set-up holds no simplex
+# tableau (12 MB) when the cover bound proves the greedy plan.
 peak_rss_kb() { # BUILD SCHEME REQUESTS [SIMULATE ARGS...]
     "./target/$1/simulate" --scheme "$2" --requests "$3" "${@:4}" --json 2>&1 >/dev/null \
         | sed -n 's/^engine: .*peak RSS \([0-9]*\) kB$/\1/p'
 }
-for scheme in clirs netrs-tor; do
+for scheme in clirs netrs-tor netrs-ilp; do
     [ "$(peak_rss_kb debug "$scheme" 1000)" -le 12288 ]
 done
 [ "$(peak_rss_kb debug clirs-r95 1000)" -le 49152 ]

@@ -100,7 +100,8 @@ pub enum PlanSolver {
     },
     /// The capacity/hop-aware greedy heuristic only.
     Greedy,
-    /// Greedy first, then branch-and-bound warm-started with the greedy
+    /// Greedy first, proven optimal outright when it meets the cover
+    /// bound; otherwise branch-and-bound warm-started with the greedy
     /// plan under a node budget — the paper's "terminate solving early"
     /// mode.
     Auto {
@@ -451,6 +452,30 @@ impl<'a> PlacementProblem<'a> {
         (p, pvars, dvars)
     }
 
+    /// The cover bound on the optimum of [`PlacementProblem::to_ilp`]`(drs)`,
+    /// whose operators are `dvars`' keys. Summing Eq. 6 over the opened
+    /// operators gives `Σ_o cap_o · D[o] ≥ Σ_g load_g`, so at least
+    /// `⌈Σ_g load_g ÷ max_o cap_o⌉` of them open, and Eq. 5 with Eq. 3
+    /// opens one while any group has a candidate. Zero when none has.
+    fn cover_bound(&self, drs: &BTreeSet<GroupId>, dvars: &BTreeMap<SwitchId, VarId>) -> f64 {
+        let mut placed = (0..self.groups.len() as GroupId)
+            .filter(|&g| !drs.contains(&g) && !self.candidates(g).is_empty())
+            .peekable();
+        if placed.peek().is_none() {
+            return 0.0;
+        }
+        let load: f64 = placed.map(|g| self.load_of(g)).sum();
+        let cap = dvars
+            .keys()
+            .map(|&sw| self.capacity_of(sw))
+            .fold(0.0, f64::max);
+        if cap > 0.0 {
+            (load / cap - 1e-6).ceil().max(1.0)
+        } else {
+            1.0
+        }
+    }
+
     /// Index of the shared-accelerator set a switch belongs to, if any.
     fn shared_set_of(&self, sw: SwitchId) -> Option<usize> {
         self.cons
@@ -610,6 +635,10 @@ impl<'a> PlacementProblem<'a> {
             }
         };
 
+        let bnb = BranchAndBound {
+            node_limit,
+            ..BranchAndBound::default()
+        };
         let mut drs: BTreeSet<GroupId> = warm.as_ref().map(|w| w.drs.clone()).unwrap_or_default();
         loop {
             let (problem, pvars, dvars) = self.to_ilp(&drs);
@@ -625,27 +654,39 @@ impl<'a> PlacementProblem<'a> {
                 }
                 x
             });
-            let bnb = BranchAndBound {
-                node_limit,
-                ..BranchAndBound::default()
+            let plan = |values: &[f64], drs, proven_optimal| {
+                let mut rsp = Rsp {
+                    drs,
+                    proven_optimal,
+                    ..Rsp::default()
+                };
+                for &(g, sw, v) in &pvars {
+                    if values[v] > 0.5 {
+                        rsp.assignment.insert(g, sw);
+                    }
+                }
+                rsp
             };
+            if let Some(x) = warm_vec.as_deref() {
+                // A warm start that meets the cover bound is optimal: the
+                // proof branch-and-bound would reach at its root, without
+                // building the tableau.
+                let objective = problem.objective_value(x);
+                let bound = self.cover_bound(&drs, &dvars);
+                if objective <= bound + 1e-9 && problem.is_feasible(x, bnb.int_tol) {
+                    stats.objective = objective;
+                    stats.bound = bound;
+                    return (plan(x, drs, true), stats);
+                }
+            }
             match bnb.solve_from(&problem, warm_vec.as_deref()) {
                 Ok(sol) => {
                     stats.lp_iterations += sol.lp_iterations;
                     stats.branch_nodes += sol.nodes;
                     stats.objective = sol.objective;
                     stats.bound = sol.bound;
-                    let mut rsp = Rsp {
-                        drs,
-                        proven_optimal: sol.status == netrs_ilp::IlpStatus::Optimal,
-                        ..Rsp::default()
-                    };
-                    for &(g, sw, v) in &pvars {
-                        if sol.values[v] > 0.5 {
-                            rsp.assignment.insert(g, sw);
-                        }
-                    }
-                    return (rsp, stats);
+                    let proven = sol.status == netrs_ilp::IlpStatus::Optimal;
+                    return (plan(&sol.values, drs, proven), stats);
                 }
                 Err(IlpError::BudgetExhausted) => {
                     // Only possible without a warm start (Exact mode with
@@ -918,11 +959,38 @@ mod tests {
         assert_eq!(stats.lp_iterations, 0);
         assert_eq!(stats.branch_nodes, 0);
         assert!((stats.objective - rsp.rsnodes().len() as f64).abs() < 1e-9);
-        // Auto on a small model runs the ILP and reports its effort.
+        // Auto proves a greedy plan that meets the cover bound without
+        // building the tableau: one core takes both cross-pod racks.
         let (auto_rsp, auto_stats) = p.solve_with_stats(PlanSolver::Auto { node_limit: 5_000 });
         assert!(!auto_stats.greedy);
-        assert!(auto_stats.lp_iterations > 0);
+        assert_eq!(
+            auto_rsp,
+            Rsp {
+                proven_optimal: true,
+                ..rsp
+            }
+        );
+        assert_eq!((auto_stats.lp_iterations, auto_stats.branch_nodes), (0, 0));
+        assert_eq!((auto_stats.objective, auto_stats.bound), (1.0, 1.0));
+
+        // Rack-local traffic under a zero hop budget pins each rack to its
+        // own ToR: two RSNodes against a cover bound of one, so Auto runs
+        // the ILP and reports its effort.
+        let topo = FatTree::new(4).unwrap();
+        let hosts = [HostId(0), HostId(4)];
+        let groups = TrafficGroups::rack_level(&topo, &hosts);
+        let rates = [(HostId(0), 100.0), (HostId(4), 100.0)];
+        let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &[HostId(1), HostId(5)]);
+        let cons = PlanConstraints {
+            extra_hop_budget: 0.0,
+            ..PlanConstraints::default()
+        };
+        let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+        let (auto_rsp, auto_stats) = p.solve_with_stats(PlanSolver::Auto { node_limit: 5_000 });
+        assert!(!auto_stats.greedy);
+        assert!(auto_stats.lp_iterations > 0, "{auto_stats:?}");
         assert!((auto_stats.objective - auto_rsp.rsnodes().len() as f64).abs() < 1e-6);
+        assert_eq!(auto_stats.objective, 2.0);
     }
 
     #[test]

@@ -385,8 +385,11 @@ impl SimConfig {
                 ));
             }
         }
-        if self.utilization <= 0.0 {
-            return Err("utilization must be positive".into());
+        if !self.utilization.is_finite() || self.utilization <= 0.0 {
+            return Err(format!(
+                "utilization must be finite and positive, got {}",
+                self.utilization
+            ));
         }
         if !(0.0..=1.0).contains(&self.write_fraction) {
             return Err("write fraction must be in [0, 1]".into());
@@ -425,9 +428,57 @@ impl SimConfig {
                 self.r95.quantile, self.r95.min_samples
             ));
         }
+        self.validate_planner()?;
         if let Some(plan) = &self.faults {
             plan.validate()?;
             self.validate_fault_targets(plan)?;
+        }
+        Ok(())
+    }
+
+    /// Checks the accelerator models and the placement constraints: every
+    /// capacity `U·c/t` (or override) the planner divides by must be
+    /// positive and finite.
+    fn validate_planner(&self) -> Result<(), String> {
+        for (name, acc) in [
+            ("accelerator", &self.accelerator),
+            ("plan.accelerator", &self.plan.accelerator),
+        ] {
+            if acc.cores == 0 {
+                return Err(format!("{name}.cores must be at least 1"));
+            }
+            if acc.service_time == SimDuration::ZERO {
+                return Err(format!("{name}.service_time must be positive"));
+            }
+        }
+        let plan = &self.plan;
+        if !plan.max_utilization.is_finite() || plan.max_utilization <= 0.0 {
+            return Err(format!(
+                "plan.max_utilization must be finite and positive, got {}",
+                plan.max_utilization
+            ));
+        }
+        let bad_override = plan
+            .capacity_overrides
+            .iter()
+            .filter(|&(_, &cap)| !cap.is_finite() || cap <= 0.0)
+            .min_by_key(|&(&sw, _)| sw);
+        if let Some((sw, cap)) = bad_override {
+            return Err(format!(
+                "plan.capacity_overrides[{sw}] must be finite and positive, got {cap}"
+            ));
+        }
+        if !plan.response_load_factor.is_finite() || plan.response_load_factor < 0.0 {
+            return Err(format!(
+                "plan.response_load_factor must be finite and non-negative, got {}",
+                plan.response_load_factor
+            ));
+        }
+        if plan.extra_hop_budget.is_nan() || plan.extra_hop_budget < 0.0 {
+            return Err(format!(
+                "plan.extra_hop_budget must be non-negative, got {}",
+                plan.extra_hop_budget
+            ));
         }
         Ok(())
     }
@@ -525,6 +576,33 @@ mod tests {
         let mut bad_warm = SimConfig::small();
         bad_warm.warmup_fraction = 2.0;
         assert!(bad_warm.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_rates_and_capacities() {
+        let bad: [fn(&mut SimConfig); 7] = [
+            |c| c.utilization = f64::NAN,
+            |c| c.utilization = f64::INFINITY,
+            |c| c.plan.max_utilization = f64::NAN,
+            |c| c.plan.max_utilization = f64::INFINITY,
+            |c| {
+                c.plan.capacity_overrides.insert(0, f64::INFINITY);
+            },
+            |c| c.plan.response_load_factor = f64::NAN,
+            |c| c.plan.extra_hop_budget = f64::NAN,
+        ];
+        for (i, edit) in bad.into_iter().enumerate() {
+            let mut cfg = SimConfig::small();
+            edit(&mut cfg);
+            assert!(cfg.validate().is_err(), "case {i}");
+        }
+        let mut cfg = SimConfig::small();
+        cfg.plan.extra_hop_budget = f64::INFINITY;
+        cfg.plan.response_load_factor = 0.0;
+        assert!(
+            cfg.validate().is_ok(),
+            "an unbounded hop budget stays legal"
+        );
     }
 
     #[test]

@@ -409,6 +409,13 @@ fn with_c3(key: &str, value: Value) -> Value {
     )
 }
 
+/// `SimConfig::small()` after `edit`, as the JSON a `--config` file holds.
+fn small_with(edit: impl FnOnce(&mut SimConfig)) -> Value {
+    let mut cfg = SimConfig::small();
+    edit(&mut cfg);
+    cfg.ser()
+}
+
 #[test]
 fn bad_configs_are_errors_naming_the_field() {
     let small = SimConfig::small().ser();
@@ -449,6 +456,54 @@ fn bad_configs_are_errors_naming_the_field() {
             with_c3("concurrency", Value::F(250.0)),
             "unknown field `concurrency`, expected `alpha` or `exponent`",
         ),
+        (
+            "accelerator.cores",
+            small_with(|c| c.accelerator.cores = 0),
+            "accelerator.cores must be at least 1",
+        ),
+        (
+            "accelerator.service_time",
+            small_with(|c| c.accelerator.service_time = SimDuration::ZERO),
+            "accelerator.service_time must be positive",
+        ),
+        (
+            "plan.accelerator.cores",
+            small_with(|c| c.plan.accelerator.cores = 0),
+            "plan.accelerator.cores must be at least 1",
+        ),
+        (
+            "plan.accelerator.service_time",
+            small_with(|c| c.plan.accelerator.service_time = SimDuration::ZERO),
+            "plan.accelerator.service_time must be positive",
+        ),
+        (
+            "plan.max_utilization = 0",
+            small_with(|c| c.plan.max_utilization = 0.0),
+            "plan.max_utilization must be finite and positive, got 0",
+        ),
+        (
+            "plan.max_utilization = -1",
+            small_with(|c| c.plan.max_utilization = -1.0),
+            "plan.max_utilization must be finite and positive, got -1",
+        ),
+        (
+            "plan.capacity_overrides",
+            small_with(|c| {
+                c.plan.capacity_overrides.insert(9, 4_000.0);
+                c.plan.capacity_overrides.insert(3, 0.0);
+            }),
+            "plan.capacity_overrides[3] must be finite and positive, got 0",
+        ),
+        (
+            "plan.response_load_factor",
+            small_with(|c| c.plan.response_load_factor = -0.5),
+            "plan.response_load_factor must be finite and non-negative, got -0.5",
+        ),
+        (
+            "plan.extra_hop_budget",
+            small_with(|c| c.plan.extra_hop_budget = -1.0),
+            "plan.extra_hop_budget must be non-negative, got -1",
+        ),
     ] {
         let err = load_config(&cfg).expect_err(field);
         assert!(err.starts_with(error), "{field}: {err}");
@@ -475,4 +530,28 @@ fn simulate_exits_1_on_a_bad_config_without_panicking() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn simulate_exits_1_on_a_non_finite_utilization_without_panicking() {
+    for value in ["nan", "inf"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args([
+                "--small",
+                "--requests",
+                "100",
+                "--utilization",
+                value,
+                "--json",
+            ])
+            .output()
+            .expect("simulate runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{value}: {stderr}");
+        assert!(
+            stderr.starts_with("invalid configuration: utilization must be finite and positive"),
+            "{value}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{value}: {stderr}");
+    }
 }

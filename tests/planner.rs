@@ -294,21 +294,106 @@ fn paper_config_is_proven_at_the_root_on_every_deployment() {
         let ((topo, groups, traffic), cons) = paper_instance(seed);
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
         let (plan, stats) = p.solve_with_stats(PlanSolver::default());
-        assert!(!stats.greedy, "seed {seed}: the ILP must run");
+        assert!(
+            !stats.greedy,
+            "seed {seed}: the greedy plan must come back proven, not as a fallback"
+        );
         assert_eq!(stats.objective, 2.0, "seed {seed}");
+        // The cover bound meets the greedy plan: no tableau is built.
+        assert_eq!(stats.bound, 2.0, "seed {seed}: {stats:?}");
+        assert_eq!(stats.lp_iterations, 0, "seed {seed}: {stats:?}");
         assert_eq!(stats.branch_nodes, 0, "seed {seed}: {stats:?}");
         assert!(plan.proven_optimal, "seed {seed}");
         assert_eq!(plan.rsnodes().len(), 2, "seed {seed}");
+        assert_eq!(
+            plan_digest(&plan),
+            plan_digest(&p.solve_greedy()),
+            "seed {seed}"
+        );
     }
+}
+
+#[test]
+fn cover_bound_never_exceeds_the_exact_optimum() {
+    // Random instances where every rack fits at its own ToR (capacity at
+    // least the heaviest group, and a ToR RSNode costs no extra hops), so
+    // neither solver degrades a group and the objectives compare.
+    let mut rng = SimRng::from_seed(30);
+    let (mut by_bound, mut by_search) = (0, 0);
+    for (arity, instances, servers, clients) in [(4, 24, 4, 6), (8, 8, 10, 12)] {
+        for i in 0..instances {
+            let (topo, servers, clients) =
+                random_deployment(arity, servers, clients, rng.next_u64());
+            let groups = TrafficGroups::rack_level(&topo, &clients);
+            let rates: Vec<(HostId, f64)> = clients
+                .iter()
+                .map(|&h| (h, 50.0 + 450.0 * rng.f64()))
+                .collect();
+            let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
+            let mut cons = PlanConstraints {
+                extra_hop_budget: [0.0, 200.0, 2_000.0, f64::INFINITY][rng.index(4)],
+                ..PlanConstraints::default()
+            };
+            let heaviest = (0..groups.len() as u32)
+                .map(|g| traffic.group_total(g) * (1.0 + cons.response_load_factor))
+                .fold(0.0, f64::max);
+            for sw in topo.switches() {
+                let cap = heaviest * (1.0 + 3.0 * rng.f64());
+                cons.capacity_overrides.insert(sw.0, cap);
+            }
+            let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
+            let at = format!("arity {arity} instance {i}");
+
+            let load: f64 = (0..groups.len() as u32).map(|g| p.load_of(g)).sum();
+            let cap = (0..groups.len() as u32)
+                .flat_map(|g| p.candidates(g))
+                .map(|&sw| p.capacity_of(sw))
+                .fold(0.0, f64::max);
+            let cover = (load / cap - 1e-6).ceil().max(1.0);
+
+            let (exact, exact_stats) = p.solve_with_stats(PlanSolver::Exact { node_limit: 10_000 });
+            let (auto, auto_stats) = p.solve_with_stats(PlanSolver::default());
+            assert!(exact.drs.is_empty() && auto.drs.is_empty(), "{at}");
+            assert!(!auto_stats.greedy, "{at}: {auto_stats:?}");
+            if exact.proven_optimal {
+                assert!(
+                    cover <= exact_stats.objective + 1e-9,
+                    "{at}: cover bound {cover} above the optimum {}",
+                    exact_stats.objective
+                );
+            }
+            if auto.proven_optimal {
+                let matches = if exact.proven_optimal {
+                    auto_stats.objective == exact_stats.objective
+                } else {
+                    auto_stats.objective <= exact_stats.objective
+                };
+                assert!(matches, "{at}: auto {auto_stats:?} exact {exact_stats:?}");
+            }
+            if auto_stats.lp_iterations == 0 {
+                // Proven by the bound alone.
+                assert!(auto.proven_optimal, "{at}");
+                assert_eq!(auto_stats.bound, cover, "{at}");
+                assert_eq!(plan_digest(&auto), plan_digest(&p.solve_greedy()), "{at}");
+                by_bound += 1;
+            } else {
+                by_search += 1;
+            }
+        }
+    }
+    assert!(by_bound > 0 && by_search > 0, "{by_bound} / {by_search}");
 }
 
 #[test]
 fn rsp_ex_objectives_and_effort_do_not_regress() {
     let ((topo, groups, traffic), scenarios) = rsp_ex_scenarios();
     // Objective caps are the plans of the parent search; iteration caps
-    // hold the branching path to a third of its 73 299 (the third
-    // scenario's model is past Auto's size cut-off and stays greedy).
-    let caps = [(2.0, 5_000), (42.0, 24_000), (13.0, 0)];
+    // hold the branching path to a third of its 73 299. The paper
+    // constants' greedy plan meets the cover bound and builds no tableau;
+    // the third scenario's model is past Auto's size cut-off and stays
+    // greedy.
+    let caps = [(2.0, 0), (42.0, 24_000), (13.0, 0)];
+    let mut effort = Vec::new();
     for ((name, cons), (at_most, max_iterations)) in scenarios.iter().zip(caps) {
         let p = PlacementProblem::new(&topo, &groups, &traffic, cons);
         let (plan, stats) = p.solve_with_stats(PlanSolver::Auto { node_limit: 50 });
@@ -321,7 +406,12 @@ fn rsp_ex_objectives_and_effort_do_not_regress() {
         );
         assert_eq!(plan.rsnodes().len() as f64, stats.objective, "{name}");
         assert!(stats.lp_iterations <= max_iterations, "{name}: {stats:?}");
+        effort.push(stats);
     }
+    // The tight hop budget leaves greedy at 42 against a cover bound of 2:
+    // the search runs, and its root bound is the one reported.
+    assert!(effort[1].lp_iterations > 0, "{:?}", effort[1]);
+    assert_eq!(effort[1].bound, 8.0, "{:?}", effort[1]);
 }
 
 /// A `Write` sink the test can read back after the run consumed the box.
