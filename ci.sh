@@ -83,11 +83,14 @@ echo "==> placement-solve smoke (paper-scale ILP proven at the root, by determin
 # The default 16-ary config: the greedy plan must be proven optimal by the
 # cover bound alone, before any tableau is built. Gated on the plan
 # record's counts, not on wall clock — a solve that falls back to the LP
-# or branches again shows up as iterations and nodes on any box.
+# or branches again shows up as iterations and nodes on any box, and a
+# model build that drops or adds a variable or row shows up as its size.
 ./target/debug/simulate --scheme netrs-ilp --requests 1000 \
     --control "$SMOKE/placement.jsonl" --json > /dev/null
 plan=$(grep -m 1 '"kind":"plan"' "$SMOKE/placement.jsonl")
 plan_field() { echo "$plan" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
+[ "$(plan_field variables)" -eq 1769 ]
+[ "$(plan_field constraints)" -eq 641 ]
 [ "$(plan_field branch_nodes)" -eq 0 ]
 [ "$(plan_field lp_iterations)" -eq 0 ]
 [ "$(plan_field bound)" -eq 2 ]

@@ -257,6 +257,29 @@ pub struct PlacementProblem<'a> {
     cands: Vec<Vec<SwitchId>>,
 }
 
+/// The `(group, candidate)` pairs of a set of groups regrouped by
+/// operator: a counting sort over switch ids. Pair `p` is the `p`-th in
+/// group-major order (the order of the `P` variables), so each switch's
+/// pairs come in ascending group order.
+struct OperatorIndex {
+    /// Switch id `s`'s pairs are `pairs[start[s]..start[s + 1]]`.
+    start: Vec<usize>,
+    /// `(group, pair position)`.
+    pairs: Vec<(GroupId, usize)>,
+}
+
+impl OperatorIndex {
+    /// The switches with at least one pair, in ascending id order (the
+    /// candidate universe), each with its pair range.
+    fn operators(&self) -> impl Iterator<Item = (SwitchId, std::ops::Range<usize>)> + '_ {
+        self.start
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(sw, w)| (SwitchId(sw as u32), w[0]..w[1]))
+    }
+}
+
 impl<'a> PlacementProblem<'a> {
     /// Creates the problem.
     ///
@@ -364,11 +387,441 @@ impl<'a> PlacementProblem<'a> {
         &self.cands[g as usize]
     }
 
+    /// Every group's accelerator load, by group id.
+    fn loads(&self) -> Vec<f64> {
+        (0..self.groups.len() as GroupId)
+            .map(|g| self.load_of(g))
+            .collect()
+    }
+
+    /// The candidate pairs of `active` (ascending group ids) by operator.
+    fn operator_index(&self, active: &[GroupId]) -> OperatorIndex {
+        let mut start = vec![0; self.topo.num_switches() as usize + 1];
+        for &g in active {
+            for sw in self.candidates(g) {
+                start[sw.0 as usize + 1] += 1;
+            }
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut next = start.clone();
+        let mut pairs = vec![(0, 0); *start.last().expect("non-empty offsets")];
+        let mut p = 0;
+        for &g in active {
+            for sw in self.candidates(g) {
+                let at = &mut next[sw.0 as usize];
+                pairs[*at] = (g, p);
+                *at += 1;
+                p += 1;
+            }
+        }
+        OperatorIndex { start, pairs }
+    }
+
     /// Builds the ILP over the groups *not* in `drs`. Returns the model
     /// and the variable maps (`P` variables as `(group, operator, var)`
     /// triples and `D` variables per operator).
     #[must_use]
     pub fn to_ilp(
+        &self,
+        drs: &BTreeSet<GroupId>,
+    ) -> (Problem, AssignmentVars, BTreeMap<SwitchId, VarId>) {
+        let mut p = Problem::minimize();
+        let active: Vec<GroupId> = (0..self.groups.len() as GroupId)
+            .filter(|g| !drs.contains(g))
+            .collect();
+        let loads = self.loads();
+
+        // D variables first (cost 1 each, Eq. 1), numbered in order of
+        // first appearance, then P variables (cost 0) for each (group,
+        // candidate) pair — Eq. 4 by construction.
+        let mut dvar_of = vec![VarId::MAX; self.topo.num_switches() as usize];
+        for &g in &active {
+            for sw in self.candidates(g) {
+                if dvar_of[sw.0 as usize] == VarId::MAX {
+                    dvar_of[sw.0 as usize] = p.add_binary(1.0);
+                }
+            }
+        }
+        let pairs = active.iter().map(|&g| self.candidates(g).len()).sum();
+        let mut pvars: AssignmentVars = Vec::with_capacity(pairs);
+        for &g in &active {
+            for &sw in self.candidates(g) {
+                pvars.push((g, sw, p.add_binary(0.0)));
+            }
+        }
+
+        // Eq. 5: exactly one RSNode per group — its P variables are
+        // consecutive.
+        let mut first = 0;
+        for &g in &active {
+            let n = self.candidates(g).len();
+            if n > 0 {
+                let terms = pvars[first..first + n].iter().map(|&(_, _, v)| (v, 1.0));
+                p.add_constraint(terms, Sense::Eq, 1.0);
+            }
+            first += n;
+        }
+
+        let index = self.operator_index(&active);
+        for (sw, range) in index.operators() {
+            let assigned = &index.pairs[range];
+            let dv = dvar_of[sw.0 as usize];
+            // Eq. 3 (aggregated linking), with the operator's own
+            // candidate-group count as the big-M.
+            let link = assigned
+                .iter()
+                .map(|&(_, at)| (pvars[at].2, 1.0))
+                .chain(std::iter::once((dv, -(assigned.len() as f64))));
+            p.add_constraint(link, Sense::Le, 0.0);
+            // Eq. 6 (capacity) as a variable upper bound: an operator
+            // offers its capacity only as far as it is opened.
+            let cap_terms = assigned
+                .iter()
+                .map(|&(g, at)| (pvars[at].2, loads[g as usize]))
+                .chain(std::iter::once((dv, -self.capacity_of(sw))));
+            p.add_constraint(cap_terms, Sense::Le, 0.0);
+        }
+
+        // §III-B's shared-accelerator variant of Eq. 6: the summed load
+        // of all switches wired to one accelerator stays within that
+        // accelerator's capacity.
+        let mut member = vec![false; dvar_of.len()];
+        for (set, cap) in &self.cons.shared_accelerators {
+            for &sw in set {
+                if let Some(m) = member.get_mut(sw as usize) {
+                    *m = true;
+                }
+            }
+            let terms: Vec<(VarId, f64)> = pvars
+                .iter()
+                .filter(|&&(_, sw, _)| member[sw.0 as usize])
+                .map(|&(g, _, v)| (v, loads[g as usize]))
+                .collect();
+            if !terms.is_empty() {
+                p.add_constraint(terms, Sense::Le, *cap);
+            }
+            member.fill(false);
+        }
+
+        // Eq. 7 (global extra-hop budget), only if finite.
+        if self.cons.extra_hop_budget.is_finite() {
+            let terms = pvars
+                .iter()
+                .map(|&(g, sw, v)| (v, self.extra_hop_rate(g, sw)))
+                .filter(|&(_, c)| c > 0.0);
+            p.add_constraint(terms, Sense::Le, self.cons.extra_hop_budget);
+        }
+
+        let dvars = dvar_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != VarId::MAX)
+            .map(|(sw, &v)| (SwitchId(sw as u32), v))
+            .collect();
+        (p, pvars, dvars)
+    }
+
+    /// The cover bound on the optimum of [`PlacementProblem::to_ilp`]`(drs)`,
+    /// whose operators are `dvars`' keys. Summing Eq. 6 over the opened
+    /// operators gives `Σ_o cap_o · D[o] ≥ Σ_g load_g`, so at least
+    /// `⌈Σ_g load_g ÷ max_o cap_o⌉` of them open, and Eq. 5 with Eq. 3
+    /// opens one while any group has a candidate. Zero when none has.
+    fn cover_bound(&self, drs: &BTreeSet<GroupId>, dvars: &BTreeMap<SwitchId, VarId>) -> f64 {
+        let mut placed = (0..self.groups.len() as GroupId)
+            .filter(|&g| !drs.contains(&g) && !self.candidates(g).is_empty())
+            .peekable();
+        if placed.peek().is_none() {
+            return 0.0;
+        }
+        let load: f64 = placed.map(|g| self.load_of(g)).sum();
+        let cap = dvars
+            .keys()
+            .map(|&sw| self.capacity_of(sw))
+            .fold(0.0, f64::max);
+        if cap > 0.0 {
+            (load / cap - 1e-6).ceil().max(1.0)
+        } else {
+            1.0
+        }
+    }
+
+    /// The greedy heuristic: repeatedly open (or extend) the operator
+    /// that absorbs the most remaining load within its capacity (own and
+    /// shared-accelerator, if any) and the global hop budget; groups
+    /// nothing can absorb fall back to DRS — highest-traffic groups are
+    /// preferred for DRS exactly as §III-C prescribes.
+    ///
+    /// Each operator offers its candidate groups cheap-hop, heavy first:
+    /// that order never changes, so it is sorted once, and a round walks
+    /// every operator's list skipping the groups already placed.
+    #[must_use]
+    pub fn solve_greedy(&self) -> Rsp {
+        let n_groups = self.groups.len();
+        let all: Vec<GroupId> = (0..n_groups as GroupId).collect();
+        let index = self.operator_index(&all);
+        let loads = self.loads();
+        // Each operator's takers as `(group, extra-hop rate, load)`,
+        // stably sorted by `(extra-hop rate, −load)` from ascending group
+        // order.
+        let mut takers: Vec<(GroupId, f64, f64)> = index
+            .pairs
+            .iter()
+            .map(|&(g, _)| (g, 0.0, loads[g as usize]))
+            .collect();
+        for (sw, range) in index.operators() {
+            let list = &mut takers[range];
+            for t in list.iter_mut() {
+                t.1 = self.extra_hop_rate(t.0, sw);
+            }
+            list.sort_by(|a, b| {
+                (a.1, -a.2)
+                    .partial_cmp(&(b.1, -b.2))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+
+        let n_switches = self.topo.num_switches() as usize;
+        let mut cap_left: Vec<f64> = (0..n_switches as u32)
+            .map(|sw| self.capacity_of(SwitchId(sw)))
+            .collect();
+        // The first shared-accelerator set each switch belongs to.
+        let mut shared_of = vec![usize::MAX; n_switches];
+        for (i, (set, _)) in self.cons.shared_accelerators.iter().enumerate() {
+            for &sw in set {
+                if let Some(slot) = shared_of.get_mut(sw as usize) {
+                    if *slot == usize::MAX {
+                        *slot = i;
+                    }
+                }
+            }
+        }
+        let mut shared_left: Vec<f64> = self
+            .cons
+            .shared_accelerators
+            .iter()
+            .map(|&(_, cap)| cap)
+            .collect();
+        let mut opened = vec![false; n_switches];
+        let mut remaining = vec![true; n_groups];
+        let mut n_remaining = n_groups;
+        let mut hops_left = self.cons.extra_hop_budget;
+        let mut rsp = Rsp::default();
+        let (mut taken, mut best_taken) = (Vec::new(), Vec::new());
+
+        while n_remaining > 0 {
+            // (taken load, already open, switch, hops used) of the best
+            // operator so far; its groups are in `best_taken`.
+            let mut best: Option<(f64, bool, SwitchId, f64)> = None;
+            for (sw, range) in index.operators() {
+                let s = sw.0 as usize;
+                let mut cap = cap_left[s];
+                if let Some(&shared) = shared_left.get(shared_of[s]) {
+                    cap = cap.min(shared);
+                }
+                let mut hops = hops_left;
+                taken.clear();
+                let mut taken_load = 0.0;
+                let mut hops_used = 0.0;
+                for &(g, hr, load) in &takers[range] {
+                    if remaining[g as usize] && load <= cap + 1e-9 && hr <= hops + 1e-9 {
+                        cap -= load;
+                        hops -= hr;
+                        hops_used += hr;
+                        taken_load += load;
+                        taken.push(g);
+                    }
+                }
+                if taken.is_empty() {
+                    continue;
+                }
+                let already_open = opened[s];
+                let better = match best {
+                    None => true,
+                    Some((bl, bo, ..)) => {
+                        taken_load > bl + 1e-9
+                            || ((taken_load - bl).abs() <= 1e-9 && already_open && !bo)
+                    }
+                };
+                if better {
+                    best = Some((taken_load, already_open, sw, hops_used));
+                    std::mem::swap(&mut taken, &mut best_taken);
+                }
+            }
+
+            match best {
+                Some((_, _, sw, hops_used)) => {
+                    let s = sw.0 as usize;
+                    opened[s] = true;
+                    for &g in &best_taken {
+                        let load = loads[g as usize];
+                        cap_left[s] -= load;
+                        if let Some(shared) = shared_left.get_mut(shared_of[s]) {
+                            *shared -= load;
+                        }
+                        remaining[g as usize] = false;
+                        rsp.assignment.insert(g, sw);
+                    }
+                    n_remaining -= best_taken.len();
+                    hops_left -= hops_used;
+                }
+                None => {
+                    // Nothing can take anything: degrade the
+                    // highest-traffic remaining group (§III-C).
+                    let g = (0..n_groups)
+                        .filter(|&g| remaining[g])
+                        .max_by(|&a, &b| {
+                            loads[a]
+                                .partial_cmp(&loads[b])
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                        })
+                        .expect("remaining is non-empty");
+                    remaining[g] = false;
+                    n_remaining -= 1;
+                    rsp.drs.insert(g as GroupId);
+                }
+            }
+        }
+        rsp
+    }
+
+    /// Solves the placement with the chosen solver. On an infeasible
+    /// model the controller's DRS fallback kicks in: the highest-traffic
+    /// group is degraded and the model re-solved, until feasible.
+    #[must_use]
+    pub fn solve(&self, solver: PlanSolver) -> Rsp {
+        self.solve_with_stats(solver).0
+    }
+
+    /// A greedy plan plus the solve stats it deterministically implies.
+    fn greedy_with_stats(&self, mut stats: PlanSolveStats) -> (Rsp, PlanSolveStats) {
+        let rsp = self.solve_greedy();
+        stats.greedy = true;
+        stats.objective = rsp.rsnodes().len() as f64;
+        (rsp, stats)
+    }
+
+    /// Like [`PlacementProblem::solve`], but also returns the
+    /// [`PlanSolveStats`] of the solve for the control-plane audit log.
+    #[must_use]
+    pub fn solve_with_stats(&self, solver: PlanSolver) -> (Rsp, PlanSolveStats) {
+        let mut stats = PlanSolveStats::default();
+        if self.groups.is_empty() {
+            return (Rsp::default(), stats);
+        }
+        let (node_limit, warm) = match solver {
+            PlanSolver::Greedy => return self.greedy_with_stats(stats),
+            PlanSolver::Exact { node_limit } => (node_limit, None),
+            PlanSolver::Auto { node_limit } => {
+                // The dense-simplex improvement phase pays off only while
+                // the model stays moderate; past that the greedy plan IS
+                // the anytime answer (the paper's early-termination mode).
+                let model_size: usize = self.cands.iter().map(Vec::len).sum();
+                if model_size > 2_500 {
+                    return self.greedy_with_stats(stats);
+                }
+                (node_limit, Some(self.solve_greedy()))
+            }
+        };
+
+        let bnb = BranchAndBound {
+            node_limit,
+            ..BranchAndBound::default()
+        };
+        let mut drs: BTreeSet<GroupId> = warm.as_ref().map(|w| w.drs.clone()).unwrap_or_default();
+        loop {
+            let (problem, pvars, dvars) = self.to_ilp(&drs);
+            stats.variables = problem.num_vars();
+            stats.constraints = problem.num_constraints();
+            let warm_vec = warm.as_ref().map(|w| {
+                let mut x = vec![0.0; problem.num_vars()];
+                for &(g, sw, v) in &pvars {
+                    if w.assignment.get(&g) == Some(&sw) {
+                        x[v] = 1.0;
+                        x[dvars[&sw]] = 1.0;
+                    }
+                }
+                x
+            });
+            let plan = |values: &[f64], drs, proven_optimal| {
+                let mut rsp = Rsp {
+                    drs,
+                    proven_optimal,
+                    ..Rsp::default()
+                };
+                for &(g, sw, v) in &pvars {
+                    if values[v] > 0.5 {
+                        rsp.assignment.insert(g, sw);
+                    }
+                }
+                rsp
+            };
+            if let Some(x) = warm_vec.as_deref() {
+                // A warm start that meets the cover bound is optimal: the
+                // proof branch-and-bound would reach at its root, without
+                // building the tableau.
+                let objective = problem.objective_value(x);
+                let bound = self.cover_bound(&drs, &dvars);
+                if objective <= bound + 1e-9 && problem.is_feasible(x, bnb.int_tol) {
+                    stats.objective = objective;
+                    stats.bound = bound;
+                    return (plan(x, drs, true), stats);
+                }
+            }
+            match bnb.solve_from(&problem, warm_vec.as_deref()) {
+                Ok(sol) => {
+                    stats.lp_iterations += sol.lp_iterations;
+                    stats.branch_nodes += sol.nodes;
+                    stats.objective = sol.objective;
+                    stats.bound = sol.bound;
+                    let proven = sol.status == netrs_ilp::IlpStatus::Optimal;
+                    return (plan(&sol.values, drs, proven), stats);
+                }
+                Err(IlpError::BudgetExhausted) => {
+                    // Only possible without a warm start (Exact mode with
+                    // a tiny budget): fall back to the heuristic rather
+                    // than degrading groups that may well be placeable.
+                    return self.greedy_with_stats(stats);
+                }
+                Err(IlpError::Infeasible) => {
+                    // §III-C(i): no feasible RSP — degrade the
+                    // highest-traffic active group and retry.
+                    let candidate = (0..self.groups.len() as GroupId)
+                        .filter(|g| !drs.contains(g))
+                        .max_by(|&a, &b| {
+                            self.load_of(a)
+                                .partial_cmp(&self.load_of(b))
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                        });
+                    match candidate {
+                        Some(g) => {
+                            drs.insert(g);
+                        }
+                        None => {
+                            return (
+                                Rsp {
+                                    drs,
+                                    ..Rsp::default()
+                                },
+                                stats,
+                            )
+                        }
+                    }
+                }
+                Err(IlpError::Unbounded) => {
+                    unreachable!("placement objective is non-negative")
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl PlacementProblem<'_> {
+    /// The reference model build the per-operator index replaced: every
+    /// row filters the whole `P` variable list.
+    fn to_ilp_by_filter(
         &self,
         drs: &BTreeSet<GroupId>,
     ) -> (Problem, AssignmentVars, BTreeMap<SwitchId, VarId>) {
@@ -452,30 +905,6 @@ impl<'a> PlacementProblem<'a> {
         (p, pvars, dvars)
     }
 
-    /// The cover bound on the optimum of [`PlacementProblem::to_ilp`]`(drs)`,
-    /// whose operators are `dvars`' keys. Summing Eq. 6 over the opened
-    /// operators gives `Σ_o cap_o · D[o] ≥ Σ_g load_g`, so at least
-    /// `⌈Σ_g load_g ÷ max_o cap_o⌉` of them open, and Eq. 5 with Eq. 3
-    /// opens one while any group has a candidate. Zero when none has.
-    fn cover_bound(&self, drs: &BTreeSet<GroupId>, dvars: &BTreeMap<SwitchId, VarId>) -> f64 {
-        let mut placed = (0..self.groups.len() as GroupId)
-            .filter(|&g| !drs.contains(&g) && !self.candidates(g).is_empty())
-            .peekable();
-        if placed.peek().is_none() {
-            return 0.0;
-        }
-        let load: f64 = placed.map(|g| self.load_of(g)).sum();
-        let cap = dvars
-            .keys()
-            .map(|&sw| self.capacity_of(sw))
-            .fold(0.0, f64::max);
-        if cap > 0.0 {
-            (load / cap - 1e-6).ceil().max(1.0)
-        } else {
-            1.0
-        }
-    }
-
     /// Index of the shared-accelerator set a switch belongs to, if any.
     fn shared_set_of(&self, sw: SwitchId) -> Option<usize> {
         self.cons
@@ -484,13 +913,10 @@ impl<'a> PlacementProblem<'a> {
             .position(|(set, _)| set.contains(&sw.0))
     }
 
-    /// The greedy heuristic: repeatedly open (or extend) the operator
-    /// that absorbs the most remaining load within its capacity (own and
-    /// shared-accelerator, if any) and the global hop budget; groups
-    /// nothing can absorb fall back to DRS — highest-traffic groups are
-    /// preferred for DRS exactly as §III-C prescribes.
-    #[must_use]
-    pub fn solve_greedy(&self) -> Rsp {
+    /// The reference greedy the per-operator index replaced: every
+    /// round rescans every remaining group's candidates for every
+    /// operator.
+    fn solve_greedy_by_rescan(&self) -> Rsp {
         let mut remaining: BTreeSet<GroupId> = (0..self.groups.len() as GroupId).collect();
         let mut cap_left: HashMap<SwitchId, f64> = HashMap::new();
         let mut shared_left: Vec<f64> = self
@@ -593,143 +1019,13 @@ impl<'a> PlacementProblem<'a> {
         }
         rsp
     }
-
-    /// Solves the placement with the chosen solver. On an infeasible
-    /// model the controller's DRS fallback kicks in: the highest-traffic
-    /// group is degraded and the model re-solved, until feasible.
-    #[must_use]
-    pub fn solve(&self, solver: PlanSolver) -> Rsp {
-        self.solve_with_stats(solver).0
-    }
-
-    /// A greedy plan plus the solve stats it deterministically implies.
-    fn greedy_with_stats(&self, mut stats: PlanSolveStats) -> (Rsp, PlanSolveStats) {
-        let rsp = self.solve_greedy();
-        stats.greedy = true;
-        stats.objective = rsp.rsnodes().len() as f64;
-        (rsp, stats)
-    }
-
-    /// Like [`PlacementProblem::solve`], but also returns the
-    /// [`PlanSolveStats`] of the solve for the control-plane audit log.
-    #[must_use]
-    pub fn solve_with_stats(&self, solver: PlanSolver) -> (Rsp, PlanSolveStats) {
-        let mut stats = PlanSolveStats::default();
-        if self.groups.is_empty() {
-            return (Rsp::default(), stats);
-        }
-        let (node_limit, warm) = match solver {
-            PlanSolver::Greedy => return self.greedy_with_stats(stats),
-            PlanSolver::Exact { node_limit } => (node_limit, None),
-            PlanSolver::Auto { node_limit } => {
-                // The dense-simplex improvement phase pays off only while
-                // the model stays moderate; past that the greedy plan IS
-                // the anytime answer (the paper's early-termination mode).
-                let model_size: usize = (0..self.groups.len() as GroupId)
-                    .map(|g| self.candidates(g).len())
-                    .sum();
-                if model_size > 2_500 {
-                    return self.greedy_with_stats(stats);
-                }
-                (node_limit, Some(self.solve_greedy()))
-            }
-        };
-
-        let bnb = BranchAndBound {
-            node_limit,
-            ..BranchAndBound::default()
-        };
-        let mut drs: BTreeSet<GroupId> = warm.as_ref().map(|w| w.drs.clone()).unwrap_or_default();
-        loop {
-            let (problem, pvars, dvars) = self.to_ilp(&drs);
-            stats.variables = problem.num_vars();
-            stats.constraints = problem.num_constraints();
-            let warm_vec = warm.as_ref().map(|w| {
-                let mut x = vec![0.0; problem.num_vars()];
-                for &(g, sw, v) in &pvars {
-                    if w.assignment.get(&g) == Some(&sw) {
-                        x[v] = 1.0;
-                        x[dvars[&sw]] = 1.0;
-                    }
-                }
-                x
-            });
-            let plan = |values: &[f64], drs, proven_optimal| {
-                let mut rsp = Rsp {
-                    drs,
-                    proven_optimal,
-                    ..Rsp::default()
-                };
-                for &(g, sw, v) in &pvars {
-                    if values[v] > 0.5 {
-                        rsp.assignment.insert(g, sw);
-                    }
-                }
-                rsp
-            };
-            if let Some(x) = warm_vec.as_deref() {
-                // A warm start that meets the cover bound is optimal: the
-                // proof branch-and-bound would reach at its root, without
-                // building the tableau.
-                let objective = problem.objective_value(x);
-                let bound = self.cover_bound(&drs, &dvars);
-                if objective <= bound + 1e-9 && problem.is_feasible(x, bnb.int_tol) {
-                    stats.objective = objective;
-                    stats.bound = bound;
-                    return (plan(x, drs, true), stats);
-                }
-            }
-            match bnb.solve_from(&problem, warm_vec.as_deref()) {
-                Ok(sol) => {
-                    stats.lp_iterations += sol.lp_iterations;
-                    stats.branch_nodes += sol.nodes;
-                    stats.objective = sol.objective;
-                    stats.bound = sol.bound;
-                    let proven = sol.status == netrs_ilp::IlpStatus::Optimal;
-                    return (plan(&sol.values, drs, proven), stats);
-                }
-                Err(IlpError::BudgetExhausted) => {
-                    // Only possible without a warm start (Exact mode with
-                    // a tiny budget): fall back to the heuristic rather
-                    // than degrading groups that may well be placeable.
-                    return self.greedy_with_stats(stats);
-                }
-                Err(IlpError::Infeasible) => {
-                    // §III-C(i): no feasible RSP — degrade the
-                    // highest-traffic active group and retry.
-                    let candidate = (0..self.groups.len() as GroupId)
-                        .filter(|g| !drs.contains(g))
-                        .max_by(|&a, &b| {
-                            self.load_of(a)
-                                .partial_cmp(&self.load_of(b))
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        });
-                    match candidate {
-                        Some(g) => {
-                            drs.insert(g);
-                        }
-                        None => {
-                            return (
-                                Rsp {
-                                    drs,
-                                    ..Rsp::default()
-                                },
-                                stats,
-                            )
-                        }
-                    }
-                }
-                Err(IlpError::Unbounded) => {
-                    unreachable!("placement objective is non-negative")
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::Granularity;
+    use netrs_simcore::SimRng;
     use netrs_topology::HostId;
 
     fn setup(clients: &[u32], per_client_rate: f64) -> (FatTree, TrafficGroups, TrafficMatrix) {
@@ -1035,6 +1331,138 @@ mod tests {
             1,
             "sanity: unconstrained uses one core"
         );
+    }
+
+    /// `clients` and `servers` on distinct random hosts of a k-ary tree.
+    fn random_deployment(
+        arity: u32,
+        servers: usize,
+        clients: usize,
+        seed: u64,
+    ) -> (FatTree, Vec<HostId>, Vec<HostId>) {
+        let topo = FatTree::new(arity).unwrap();
+        let mut rng = SimRng::from_seed(seed);
+        let picks = rng.sample_indices(topo.num_hosts() as usize, servers + clients);
+        let hosts: Vec<HostId> = picks.into_iter().map(|h| HostId(h as u32)).collect();
+        let (s, c) = hosts.split_at(servers);
+        (topo, s.to_vec(), c.to_vec())
+    }
+
+    type Instance = (FatTree, TrafficGroups, TrafficMatrix, PlanConstraints);
+
+    /// The random arity-4 and arity-8 instances of the planner suite's
+    /// `cover_bound_never_exceeds_the_exact_optimum`, drawn the same way.
+    fn cover_bound_instances() -> Vec<Instance> {
+        let mut rng = SimRng::from_seed(30);
+        let mut out = Vec::new();
+        for (arity, instances, servers, clients) in [(4, 24, 4, 6), (8, 8, 10, 12)] {
+            for _ in 0..instances {
+                let (topo, servers, clients) =
+                    random_deployment(arity, servers, clients, rng.next_u64());
+                let groups = TrafficGroups::rack_level(&topo, &clients);
+                let rates: Vec<(HostId, f64)> = clients
+                    .iter()
+                    .map(|&h| (h, 50.0 + 450.0 * rng.f64()))
+                    .collect();
+                let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
+                let mut cons = PlanConstraints {
+                    extra_hop_budget: [0.0, 200.0, 2_000.0, f64::INFINITY][rng.index(4)],
+                    ..PlanConstraints::default()
+                };
+                let heaviest = (0..groups.len() as u32)
+                    .map(|g| traffic.group_total(g) * (1.0 + cons.response_load_factor))
+                    .fold(0.0, f64::max);
+                for sw in topo.switches() {
+                    let cap = heaviest * (1.0 + 3.0 * rng.f64());
+                    cons.capacity_overrides.insert(sw.0, cap);
+                }
+                out.push((topo, groups, traffic, cons));
+            }
+        }
+        out
+    }
+
+    /// The greedy plan and the model (variables, rows, terms, bit for
+    /// bit) against the reference builds, for several DRS sets.
+    fn assert_same_as_reference(p: &PlacementProblem, at: &str) {
+        let greedy = p.solve_greedy();
+        assert_eq!(greedy, p.solve_greedy_by_rescan(), "{at}");
+        let every_third = (0..p.groups.len() as GroupId).step_by(3).collect();
+        for drs in [BTreeSet::new(), greedy.drs, every_third] {
+            let (model, pvars, dvars) = p.to_ilp(&drs);
+            let (want, want_pvars, want_dvars) = p.to_ilp_by_filter(&drs);
+            assert_eq!(pvars, want_pvars, "{at}, drs {drs:?}");
+            assert_eq!(dvars, want_dvars, "{at}, drs {drs:?}");
+            assert_eq!(
+                format!("{model:?}"),
+                format!("{want:?}"),
+                "{at}, drs {drs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn operator_index_builds_equal_the_rescanning_references() {
+        let mut rng = SimRng::from_seed(31);
+        for (i, (topo, groups, traffic, cons)) in cover_bound_instances().iter().enumerate() {
+            let at = format!("instance {i}");
+            assert_same_as_reference(&PlacementProblem::new(topo, groups, traffic, cons), &at);
+
+            // Shared accelerators: one set over two cores, one agg and an
+            // id outside the tree, and a second set repeating a core.
+            let heaviest = (0..groups.len() as GroupId)
+                .map(|g| traffic.group_total(g) * 2.0)
+                .fold(0.0, f64::max);
+            let shared = PlanConstraints {
+                shared_accelerators: vec![
+                    (
+                        vec![topo.core(0).0, topo.core(1).0, topo.agg(0, 0).0, 9_999],
+                        heaviest * 1.5,
+                    ),
+                    (vec![topo.core(1).0, topo.core(2).0], heaviest * 2.5),
+                ],
+                ..cons.clone()
+            };
+            let p = PlacementProblem::new(topo, groups, traffic, &shared);
+            assert_same_as_reference(&p, &format!("{at}, shared"));
+
+            // Failed operators leave holes in the candidate lists.
+            let excluded: Vec<SwitchId> = (0..3)
+                .map(|_| SwitchId(rng.below(u64::from(topo.num_switches())) as u32))
+                .collect();
+            let p = PlacementProblem::new(topo, groups, traffic, cons)
+                .without_operators(excluded.iter().copied());
+            assert_same_as_reference(&p, &format!("{at}, without {excluded:?}"));
+        }
+    }
+
+    #[test]
+    fn operator_index_builds_equal_the_references_at_paper_scale() {
+        // The RSP-EX instance (seed 2018) under its three scenarios, at
+        // rack and host granularity.
+        let (topo, servers, clients) = random_deployment(16, 100, 500, 2018);
+        let a = 90_000.0;
+        let rates: Vec<(HostId, f64)> = clients
+            .iter()
+            .map(|&h| (h, a / clients.len() as f64))
+            .collect();
+        let with_budget = |share: f64| PlanConstraints {
+            extra_hop_budget: share * a,
+            ..PlanConstraints::default()
+        };
+        let mut small_accelerators = with_budget(0.2);
+        for sw in topo.switches() {
+            small_accelerators.capacity_overrides.insert(sw.0, 15_000.0);
+        }
+        let scenarios = [with_budget(0.2), with_budget(0.02), small_accelerators];
+        for granularity in [Granularity::Rack, Granularity::Host] {
+            let groups = TrafficGroups::build(&topo, &clients, granularity);
+            let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
+            for (i, cons) in scenarios.iter().enumerate() {
+                let p = PlacementProblem::new(&topo, &groups, &traffic, cons);
+                assert_same_as_reference(&p, &format!("{granularity:?} scenario {i}"));
+            }
+        }
     }
 
     #[test]

@@ -121,11 +121,14 @@ impl TrafficMatrix {
     /// at its given rate, spread uniformly over the server hosts (which is
     /// the long-run behaviour of an unbiased selector over a balanced
     /// ring). Tier shares follow from where the servers sit relative to
-    /// the client.
+    /// the client: its rack's servers are Tier-2, the rest of its pod's
+    /// Tier-1, everyone else Tier-0, counted from per-rack and per-pod
+    /// server tallies.
     ///
     /// # Panics
     ///
-    /// Panics if `servers` is empty or a client host has no group.
+    /// Panics if `servers` is empty, a server host is outside the
+    /// topology, or a client host has no group.
     #[must_use]
     pub fn oracle(
         topo: &FatTree,
@@ -134,12 +137,45 @@ impl TrafficMatrix {
         servers: &[HostId],
     ) -> Self {
         assert!(!servers.is_empty(), "oracle needs at least one server");
+        let mut in_rack = vec![0u32; topo.num_tors() as usize];
+        let mut in_pod = vec![0u32; topo.num_pods() as usize];
+        for &s in servers {
+            assert!(s.0 < topo.num_hosts(), "server host {s} outside topology");
+            in_rack[topo.rack_of_host(s) as usize] += 1;
+            in_pod[topo.pod_of_host(s) as usize] += 1;
+        }
         let mut m = Self::zero(groups.len());
         let total_servers = servers.len() as f64;
         for &(client, rate) in client_rates {
             let group = groups
                 .group_of_host(client)
                 .expect("every client host must belong to a group");
+            let rack = in_rack[topo.rack_of_host(client) as usize];
+            let pod = in_pod[topo.pod_of_host(client) as usize];
+            let mut counts = [0u32; 3];
+            counts[Tier::Tor.id() as usize] = rack;
+            counts[Tier::Agg.id() as usize] = pod - rack;
+            counts[Tier::Core.id() as usize] = servers.len() as u32 - pod;
+            for (k, c) in counts.into_iter().enumerate() {
+                m.rates[group as usize][k] += rate * f64::from(c) / total_servers;
+            }
+        }
+        m
+    }
+
+    /// The reference oracle the tallies replaced: every `(client, server)`
+    /// pair classified on its own.
+    #[cfg(test)]
+    fn oracle_by_pairs(
+        topo: &FatTree,
+        groups: &TrafficGroups,
+        client_rates: &[(HostId, f64)],
+        servers: &[HostId],
+    ) -> Self {
+        let mut m = Self::zero(groups.len());
+        let total_servers = servers.len() as f64;
+        for &(client, rate) in client_rates {
+            let group = groups.group_of_host(client).unwrap();
             let mut counts = [0u32; 3];
             for &s in servers {
                 counts[topo.traffic_tier(client, s).id() as usize] += 1;
@@ -155,6 +191,7 @@ impl TrafficMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::Granularity;
     use netrs_simcore::{SimDuration, SimTime};
     use netrs_wire::SourceMarker;
 
@@ -232,6 +269,40 @@ mod tests {
             &servers,
         );
         assert!((m.group_total(0) - 40.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rack_tallies_equal_the_pairwise_oracle_bit_for_bit() {
+        let mut rng = netrs_simcore::SimRng::from_seed(17);
+        for (arity, servers, clients) in [(4, 1, 1), (4, 5, 6), (8, 10, 40), (16, 100, 500)] {
+            let topo = FatTree::new(arity).unwrap();
+            for granularity in [
+                Granularity::Rack,
+                Granularity::Host,
+                Granularity::SubRack(3),
+            ] {
+                let picks = rng.sample_indices(topo.num_hosts() as usize, servers + clients);
+                let hosts: Vec<HostId> = picks.into_iter().map(|h| HostId(h as u32)).collect();
+                let (servers, clients) = hosts.split_at(servers);
+                let groups = TrafficGroups::build(&topo, clients, granularity);
+                // Uneven rates, listed in a shuffled order with one client
+                // twice: the per-group sums see the same addends in order.
+                let mut rates: Vec<(HostId, f64)> =
+                    clients.iter().map(|&h| (h, 1e4 * rng.f64())).collect();
+                rng.shuffle(&mut rates);
+                rates.push(rates[0]);
+                let fast = TrafficMatrix::oracle(&topo, &groups, &rates, servers);
+                let reference = TrafficMatrix::oracle_by_pairs(&topo, &groups, &rates, servers);
+                let bits = |m: &TrafficMatrix| -> Vec<u64> {
+                    m.rates.iter().flatten().map(|r| r.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(&fast),
+                    bits(&reference),
+                    "{arity}-ary, {granularity:?}"
+                );
+            }
+        }
     }
 
     #[test]

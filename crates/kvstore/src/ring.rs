@@ -1,6 +1,5 @@
 //! Consistent hashing and the replica-group database.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -117,6 +116,18 @@ pub struct Ring {
 /// that is under one point per bucket.
 const DIRECTORY_BITS: u32 = 13;
 
+/// The `vnodes` ring points of each of `servers` servers under `seed`.
+fn vnode_points(servers: u32, vnodes: u32, seed: u64) -> Vec<(u64, ServerId)> {
+    let mut points = Vec::with_capacity(servers as usize * vnodes as usize);
+    for s in 0..servers {
+        for v in 0..vnodes {
+            let h = hash64_pair(hash64(seed ^ u64::from(s)), u64::from(v));
+            points.push((h, ServerId(s)));
+        }
+    }
+    points
+}
+
 impl Ring {
     /// Builds a ring of `servers` servers with `vnodes` virtual nodes each
     /// and the given replication factor. `seed` perturbs vnode placement
@@ -143,14 +154,10 @@ impl Ring {
             });
         }
 
-        let mut points = Vec::with_capacity((servers * vnodes) as usize);
-        for s in 0..servers {
-            for v in 0..vnodes {
-                let h = hash64_pair(hash64(seed ^ u64::from(s)), u64::from(v));
-                points.push((h, ServerId(s)));
-            }
-        }
-        Ok(Ring::from_points(points, replication))
+        Ok(Ring::from_points(
+            vnode_points(servers, vnodes, seed),
+            replication,
+        ))
     }
 
     /// Builds the ring over the given `(hash, server)` points (any order;
@@ -161,27 +168,45 @@ impl Ring {
         points.dedup_by_key(|p| p.0);
 
         // Precompute the replica set of every ring segment and dedup the
-        // distinct sets into the group database.
+        // distinct sets into the group database. Each segment's set is
+        // walked onto the tail of `groups`; `table` (open addressing,
+        // linear probing, at most half full) finds an earlier copy, in
+        // which case the tail is dropped again. Ids follow first
+        // appearance.
         let n = points.len();
-        let mut group_ids: HashMap<Vec<ServerId>, u32> = HashMap::new();
-        let mut groups: Vec<ServerId> = Vec::new();
+        let r = replication as usize;
+        let mut groups: Vec<ServerId> = Vec::with_capacity(n * r);
+        let mut table = vec![u32::MAX; (2 * n).next_power_of_two()];
+        let mask = table.len() - 1;
         let mut segment_group = Vec::with_capacity(n);
         for i in 0..n {
-            let mut set = Vec::with_capacity(replication as usize);
+            let start = groups.len();
             let mut j = i;
-            while set.len() < replication as usize {
+            while groups.len() - start < r {
                 let candidate = points[j % n].1;
-                if !set.contains(&candidate) {
-                    set.push(candidate);
+                if !groups[start..].contains(&candidate) {
+                    groups.push(candidate);
                 }
                 j += 1;
                 debug_assert!(j < i + n + 1, "ring walk must terminate");
             }
-            let next_id = (groups.len() / replication as usize) as u32;
-            let gid = *group_ids.entry(set).or_insert_with_key(|set| {
-                groups.extend_from_slice(set);
-                next_id
-            });
+            let hash = groups[start..]
+                .iter()
+                .fold(0, |h, s| hash64(h ^ u64::from(s.0)));
+            let mut slot = hash as usize & mask;
+            let gid = loop {
+                let gid = table[slot];
+                if gid == u32::MAX {
+                    table[slot] = (start / r) as u32;
+                    break table[slot];
+                }
+                let at = gid as usize * r;
+                if groups[at..at + r] == groups[start..] {
+                    groups.truncate(start);
+                    break gid;
+                }
+                slot = (slot + 1) & mask;
+            };
             segment_group.push(gid);
         }
 
@@ -247,6 +272,46 @@ impl Ring {
             Ok(i) => i,
             Err(i) => i % self.hashes.len(),
         }
+    }
+
+    /// The reference group build the flat table replaced: one `Vec` per
+    /// segment, deduped through a map keyed by the replica set. Returns
+    /// each segment's group id and the group database.
+    #[cfg(test)]
+    fn groups_by_map(
+        mut points: Vec<(u64, ServerId)>,
+        replication: u32,
+    ) -> (Vec<u32>, ReplicaGroups) {
+        use std::collections::HashMap;
+
+        points.sort_unstable();
+        points.dedup_by_key(|p| p.0);
+        let n = points.len();
+        let mut group_ids: HashMap<Vec<ServerId>, u32> = HashMap::new();
+        let mut groups: Vec<ServerId> = Vec::new();
+        let mut segment_group = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut set = Vec::with_capacity(replication as usize);
+            let mut j = i;
+            while set.len() < replication as usize {
+                let candidate = points[j % n].1;
+                if !set.contains(&candidate) {
+                    set.push(candidate);
+                }
+                j += 1;
+            }
+            let next_id = (groups.len() / replication as usize) as u32;
+            let gid = *group_ids.entry(set).or_insert_with_key(|set| {
+                groups.extend_from_slice(set);
+                next_id
+            });
+            segment_group.push(gid);
+        }
+        let groups = ReplicaGroups {
+            servers: groups,
+            stride: replication as usize,
+        };
+        (segment_group, groups)
     }
 
     /// The replica-group ID a key belongs to (the RGID a client stamps on
@@ -421,9 +486,40 @@ mod tests {
             (u64::MAX, ServerId(2)),
             (u64::MAX, ServerId(0)),
         ];
-        let r = Ring::from_points(points, 2);
+        let r = Ring::from_points(points.clone(), 2);
         assert_eq!(r.hashes.len(), 6, "two collisions removed");
         assert_directory_matches_search(&r);
+        assert_build_matches_reference(&r, points, "colliding points");
+    }
+
+    /// `r`'s segment → group map and group database against the
+    /// map-based reference build over the same points.
+    fn assert_build_matches_reference(r: &Ring, points: Vec<(u64, ServerId)>, at: &str) {
+        let (segment_group, groups) = Ring::groups_by_map(points, r.replication);
+        assert_eq!(r.segment_group, segment_group, "{at}");
+        assert_eq!(r.groups, groups, "{at}");
+    }
+
+    #[test]
+    fn flat_group_table_equals_the_map_build() {
+        let mut rng = netrs_simcore::SimRng::from_seed(31);
+        let mut shapes = vec![(100, 64, 3), (1, 1, 1), (3, 1, 3), (2, 200, 2)];
+        shapes.extend((0..40).map(|_| {
+            let servers = 1 + rng.below(120) as u32;
+            let replication = 1 + rng.below(u64::from(servers.min(5))) as u32;
+            (servers, 1 + rng.below(80) as u32, replication)
+        }));
+        for (servers, vnodes, replication) in shapes {
+            let seed = rng.next_u64();
+            let at = format!("{servers} servers x {vnodes} vnodes, rf {replication}, seed {seed}");
+            let r = Ring::new(servers, vnodes, replication, seed).unwrap();
+            assert_build_matches_reference(&r, vnode_points(servers, vnodes, seed), &at);
+        }
+        // Few servers and many points: most segments repeat a set seen
+        // earlier, so the table's hit path carries the build.
+        let r = Ring::new(4, 500, 3, 7).unwrap();
+        assert!(r.groups().len() <= 24, "{} groups", r.groups().len());
+        assert_build_matches_reference(&r, vnode_points(4, 500, 7), "4 servers");
     }
 
     #[test]

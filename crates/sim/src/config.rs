@@ -366,6 +366,14 @@ impl SimConfig {
                 self.replication, self.servers
             ));
         }
+        if self.vnodes == 0 {
+            return Err("vnodes must be at least 1".into());
+        }
+        // Each fluctuation re-arms the next one an interval later: a zero
+        // interval would redraw service times forever at one instant.
+        if self.server.fluctuation_interval == SimDuration::ZERO {
+            return Err("server.fluctuation_interval must be positive".into());
+        }
         if self.generators == 0 || self.clients == 0 {
             return Err("need at least one generator and one client".into());
         }

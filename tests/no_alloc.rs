@@ -7,16 +7,18 @@
 //! either, that a whole steady-state read (generate → select → serve →
 //! receive) does not under CliRS or NetRS-ToR — the copy slab's free list
 //! and the workload look-ahead's refills included — and pins the size of
-//! the event payload the queue copies around and of a C3 table cell.
+//! the event payload the queue copies around and of a C3 table cell, and
+//! the allocation counts of the one-time ring build and placement solve.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use netrs_kvstore::ServerId;
+use netrs::{PlacementProblem, PlanSolver};
+use netrs_kvstore::{Ring, ServerId};
 use netrs_netdev::HotKeyCache;
 use netrs_selection::C3Table;
 use netrs_sim::testhooks::{TimingProbe, ARRIVAL_LOOKAHEAD};
-use netrs_sim::{Cluster, Ev, HotCacheConfig, Scheme, SimConfig};
+use netrs_sim::{Cluster, Ev, HotCacheConfig, OraclePlacement, Scheme, SimConfig};
 use netrs_simcore::{Engine, SimDuration};
 
 // Per-thread counter so the measurement ignores allocations made by
@@ -167,4 +169,29 @@ fn c3_estimate_stays_at_32_bytes() {
     // fill 32 bytes, two cells to a cache line; the timeout penalty lives
     // in a side map that fault-free runs never read.
     assert_eq!(C3Table::ESTIMATE_BYTES, 32);
+}
+
+#[test]
+fn set_up_allocations_are_pinned() {
+    // Set-up work counted exactly, so it gates on any machine. The ring
+    // build allocates its point list, group table and the ring's four
+    // arrays: one allocation per segment (6 400 here) coming back fails.
+    let ring = allocs_during(|| drop(Ring::new(100, 64, 3, 42).unwrap()));
+    assert_eq!(ring, 6, "Ring::new(100, 64, 3, _)");
+
+    // The paper-config solve: greedy, `to_ilp` and the cover-bound proof.
+    // The model holds one term list per row (641 rows); the rest is the
+    // model's columns, the variable maps, the operator index and the
+    // plans. A per-round or per-operator rescan allocates far more.
+    let run = OraclePlacement::of(SimConfig::default());
+    let p = PlacementProblem::new(&run.topo, &run.groups, &run.traffic, &run.constraints);
+    let mut stats = None;
+    let solve = allocs_during(|| stats = Some(p.solve_with_stats(PlanSolver::default()).1));
+    let stats = stats.expect("solved");
+    assert_eq!(
+        (stats.constraints, stats.lp_iterations),
+        (641, 0),
+        "{stats:?}"
+    );
+    assert_eq!(solve, 806, "paper-config solve_with_stats");
 }

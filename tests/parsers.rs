@@ -504,6 +504,16 @@ fn bad_configs_are_errors_naming_the_field() {
             small_with(|c| c.plan.extra_hop_budget = -1.0),
             "plan.extra_hop_budget must be non-negative, got -1",
         ),
+        (
+            "vnodes",
+            small_with(|c| c.vnodes = 0),
+            "vnodes must be at least 1",
+        ),
+        (
+            "server.fluctuation_interval",
+            small_with(|c| c.server.fluctuation_interval = SimDuration::ZERO),
+            "server.fluctuation_interval must be positive",
+        ),
     ] {
         let err = load_config(&cfg).expect_err(field);
         assert!(err.starts_with(error), "{field}: {err}");
@@ -530,6 +540,56 @@ fn simulate_exits_1_on_a_bad_config_without_panicking() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn simulate_exits_1_on_zero_vnodes_or_fluctuation_interval_in_time() {
+    // Zero vnodes used to panic building the ring; a zero fluctuation
+    // interval re-armed its timer at the same instant forever.
+    let budget = std::time::Duration::from_secs(30);
+    for (name, cfg, error) in [
+        (
+            "vnodes",
+            small_with(|c| c.vnodes = 0),
+            "invalid configuration: vnodes must be at least 1",
+        ),
+        (
+            "fluctuation",
+            small_with(|c| c.server.fluctuation_interval = SimDuration::ZERO),
+            "invalid configuration: server.fluctuation_interval must be positive",
+        ),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("netrs-zero-{name}-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&cfg).unwrap()).unwrap();
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .arg("--config")
+            .arg(&path)
+            .args(["--requests", "1000", "--json"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("simulate runs");
+        let started = std::time::Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait on simulate") {
+                break status;
+            }
+            if started.elapsed() > budget {
+                child.kill().expect("kill simulate");
+                child.wait().expect("reap simulate");
+                std::fs::remove_file(&path).unwrap();
+                panic!("{name}: simulate still running after {budget:?}");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        std::fs::remove_file(&path).unwrap();
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.starts_with(error), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
 }
 
 #[test]
