@@ -189,6 +189,14 @@ grep -q "speedup" "$SMOKE/sweep.txt"
 mean_solo=$(grep -A 2 '"latency"' "$SMOKE/shard-seq.json" | grep '"mean"' | head -1 | tr -dc 0-9)
 grep -q "\"mean\": $mean_solo" "$SMOKE/sweep.json"
 
+echo "==> repro smoke (a figure's grid is one sweep artifact the analyzer reads)"
+# repro writes target/repro/<id>.json under its working directory.
+repro_bin="$PWD/target/debug/repro"
+(cd "$SMOKE" && "$repro_bin" fig4 --requests 2000 --seeds 1,2 > fig4.txt 2> fig4.err)
+grep -q "== Impact of the number of clients (Fig. 4) ==" "$SMOKE/fig4.txt"
+./target/debug/netrs-analyze sweep "$SMOKE/target/repro/fig4.json" \
+    | grep -qF "## Sweep: 32 cells (16 configs × 2 seeds)"
+
 echo "==> shard fallback smoke (an ineligible run is the sequential engine and says why)"
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
     --shards 4 --json > "$SMOKE/shard-four.json" 2> "$SMOKE/shard-four.err"

@@ -1143,15 +1143,20 @@ pub fn sweep_report(report: &SweepReport) -> String {
     };
     let _ = writeln!(out, "{timing}");
     let _ = writeln!(out);
+    // `repro` labels cells `<point>/<scheme>`; the column fits the longest.
+    let width = configs
+        .iter()
+        .map(|l| l.chars().count())
+        .fold(16, usize::max);
     let _ = writeln!(
         out,
-        "{:<16} {:>6} {:>10} {:>10} {:>10} {:>9}",
+        "{:<width$} {:>6} {:>10} {:>10} {:>10} {:>9}",
         "label", "seed", "completed", "mean", "p99", "wall_s"
     );
     for cell in &report.cells {
         let _ = writeln!(
             out,
-            "{:<16} {:>6} {:>10} {:>10} {:>10} {:>9.3}",
+            "{:<width$} {:>6} {:>10} {:>10} {:>10} {:>9.3}",
             cell.label,
             cell.seed,
             cell.stats.completed,

@@ -8,17 +8,18 @@
 //! cargo run --release -p netrs-bench --bin repro -- perf --tag after
 //! ```
 //!
-//! Results print as the four text panels of each figure and are also
-//! written as JSON under `target/repro/`; a run log accumulates in
-//! `target/repro/repro.log`.
+//! Results print as the four text panels of each figure. Each figure's
+//! grid runs as one sweep, written to `target/repro/<id>.json` as a
+//! `SweepReport` that `netrs-analyze sweep` reads; a run log accumulates
+//! in `target/repro/repro.log`.
 
 use std::io::Write as _;
 
 use netrs_bench::{
     ablate_c3, ablate_cap, ablate_group, ablate_hops, append_perf_artifact, fig4, fig5, fig6, fig7,
-    paper_base, render_tables, rsp_experiment, run_figure, run_perf_suite, FigureSpec,
+    paper_base, render_tables, rsp_experiment, run_perf_suite, FigureSpec,
 };
-use netrs_sim::SimConfig;
+use netrs_sim::{run_sweep, SimConfig, SweepJob};
 
 struct Options {
     requests: u64,
@@ -168,6 +169,13 @@ fn main() {
 
     std::fs::create_dir_all("target/repro").ok();
     for spec in figures {
+        // Open the artifact before the grid runs: a run that cannot keep
+        // its JSON fails in seconds, not after the simulations.
+        let path = format!("target/repro/{}.json", spec.id);
+        let mut file = std::fs::File::create(&path).unwrap_or_else(|e| {
+            eprintln!("repro: cannot create {path}: {e}");
+            std::process::exit(1);
+        });
         let started = std::time::Instant::now();
         log_line(&format!(
             "running {} ({} points x {} schemes x {} seeds, {} requests each)...",
@@ -177,17 +185,17 @@ fn main() {
             opts.seeds.len(),
             opts.requests
         ));
-        let result = run_figure(&spec, &opts.seeds);
-        println!("{}", render_tables(&result, spec.sweep));
-        let path = format!("target/repro/{}.json", spec.id);
-        if let Ok(mut f) = std::fs::File::create(&path) {
-            let _ = writeln!(
-                f,
-                "{}",
-                serde_json::to_string_pretty(&result).expect("serializable result")
-            );
-            log_line(&format!("wrote {path}"));
-        }
+        let jobs = SweepJob::grid(&spec.points, &spec.schemes, &opts.seeds);
+        let report = run_sweep(jobs, 0, false);
+        println!("{}", render_tables(&spec, &report, &opts.seeds));
+        let json = serde_json::to_string_pretty(&report).expect("sweep report serializes");
+        writeln!(file, "{json}")
+            .and_then(|()| file.flush())
+            .unwrap_or_else(|e| {
+                eprintln!("repro: cannot write {path}: {e}");
+                std::process::exit(1);
+            });
+        log_line(&format!("wrote {path}"));
         log_line(&format!(
             "{} finished in {:.1}s",
             spec.id,

@@ -16,26 +16,15 @@
 use netrs::{PlacementProblem, PlanConstraints, PlanSolver, TrafficGroups, TrafficMatrix};
 use netrs_selection::CubicConfig;
 use netrs_sim::{
-    run_observed, run_seeds, CacheAdmission, CacheWritePolicy, HostProfile, HotCacheConfig,
-    MeanStats, ObsOptions, PerfArtifact, PerfOptions, RunStats, Scheme, SimConfig,
+    cell_label, run_observed, CacheAdmission, CacheWritePolicy, HostProfile, HotCacheConfig,
+    MeanStats, ObsOptions, PerfArtifact, PerfOptions, Scheme, SimConfig, SweepReport,
     WriteConsistency,
 };
 use netrs_simcore::{SimDuration, SimRng};
 use netrs_topology::{FatTree, HostId};
-use serde::Serialize;
 
+pub use netrs_sim::SweepPoint;
 pub use netrs_simcore::peak_rss_kb;
-
-/// One sweep point: a label for the x-axis plus the configuration
-/// overrides that realize it.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// X-axis label (e.g. `"500"` clients, `"70%"` skew).
-    pub label: String,
-    /// The fully materialized configuration of this point (scheme is
-    /// filled in per row by the runner).
-    pub config: SimConfig,
-}
 
 /// A figure to regenerate: an id, a caption and its sweep.
 #[derive(Debug, Clone)]
@@ -50,23 +39,6 @@ pub struct FigureSpec {
     pub points: Vec<SweepPoint>,
     /// The schemes compared at every point.
     pub schemes: Vec<Scheme>,
-}
-
-/// Results of one figure: `cells[point][scheme]`.
-#[derive(Debug, Clone, Serialize)]
-pub struct FigureResult {
-    /// The figure id.
-    pub id: String,
-    /// The caption.
-    pub title: String,
-    /// Point labels (x axis).
-    pub labels: Vec<String>,
-    /// Scheme labels (series).
-    pub schemes: Vec<String>,
-    /// Seed-averaged statistics per `[point][scheme]`.
-    pub cells: Vec<Vec<MeanStats>>,
-    /// Raw per-seed statistics per `[point][scheme]`.
-    pub raw: Vec<Vec<Vec<RunStats>>>,
 }
 
 /// The paper's base setup with a configurable request budget (the paper
@@ -383,40 +355,29 @@ pub fn append_perf_artifact(
     serde_json::to_string_pretty(&artifact).map_err(|e| e.to_string())
 }
 
-/// Runs a figure across its sweep and schemes.
+/// Renders a figure's sweep as the four text panels the paper plots
+/// (Avg / 95th / 99th / 99.9th, all in milliseconds). Each (point,
+/// scheme) entry is [`SweepReport::mean`] over `seeds`.
+///
+/// # Panics
+///
+/// Panics if `report` lacks a (point, scheme, seed) cell of the figure.
 #[must_use]
-pub fn run_figure(spec: &FigureSpec, seeds: &[u64]) -> FigureResult {
-    let mut cells = Vec::new();
-    let mut raw = Vec::new();
-    for point in &spec.points {
-        let mut row = Vec::new();
-        let mut row_raw = Vec::new();
-        for &scheme in &spec.schemes {
-            let mut cfg = point.config.clone();
-            cfg.scheme = scheme;
-            let runs = run_seeds(&cfg, seeds);
-            row.push(RunStats::mean_of(&runs));
-            row_raw.push(runs);
-        }
-        cells.push(row);
-        raw.push(row_raw);
-    }
-    FigureResult {
-        id: spec.id.to_string(),
-        title: spec.title.to_string(),
-        labels: spec.points.iter().map(|p| p.label.clone()).collect(),
-        schemes: spec.schemes.iter().map(|s| s.label().to_string()).collect(),
-        cells,
-        raw,
-    }
-}
-
-/// Renders a figure result as the four text panels the paper plots
-/// (Avg / 95th / 99th / 99.9th, all in milliseconds).
-#[must_use]
-pub fn render_tables(result: &FigureResult, sweep: &str) -> String {
+pub fn render_tables(spec: &FigureSpec, report: &SweepReport, seeds: &[u64]) -> String {
     use std::fmt::Write;
     type Pick = fn(&MeanStats) -> f64;
+    let rows: Vec<(&str, Vec<MeanStats>)> = spec
+        .points
+        .iter()
+        .map(|point| {
+            let means = spec
+                .schemes
+                .iter()
+                .map(|&s| report.mean(&cell_label(&point.label, s), seeds))
+                .collect();
+            (point.label.as_str(), means)
+        })
+        .collect();
     let mut out = String::new();
     let panels: [(&str, Pick); 4] = [
         ("Avg.", |m| m.mean_ms),
@@ -424,15 +385,15 @@ pub fn render_tables(result: &FigureResult, sweep: &str) -> String {
         ("99th Percentile", |m| m.p99_ms),
         ("99.9th Percentile", |m| m.p999_ms),
     ];
-    let _ = writeln!(out, "== {} ==", result.title);
+    let _ = writeln!(out, "== {} ==", spec.title);
     for (panel, pick) in panels {
         let _ = writeln!(out, "\n-- {panel} latency (ms) --");
-        let _ = write!(out, "{:<14}", sweep);
-        for scheme in &result.schemes {
-            let _ = write!(out, "{scheme:>12}");
+        let _ = write!(out, "{:<14}", spec.sweep);
+        for scheme in &spec.schemes {
+            let _ = write!(out, "{:>12}", scheme.label());
         }
         let _ = writeln!(out);
-        for (label, row) in result.labels.iter().zip(&result.cells) {
+        for (label, row) in &rows {
             let _ = write!(out, "{label:<14}");
             for cell in row {
                 let _ = write!(out, "{:>12.3}", pick(cell));
@@ -442,7 +403,7 @@ pub fn render_tables(result: &FigureResult, sweep: &str) -> String {
     }
     // Plan shape / duplicates context row.
     let _ = writeln!(out, "\n-- RSNodes (mean) / duplicates (mean) --");
-    for (label, row) in result.labels.iter().zip(&result.cells) {
+    for (label, row) in &rows {
         let _ = write!(out, "{label:<14}");
         for cell in row {
             let _ = write!(out, "{:>7.1}/{:<5.0}", cell.rsnodes, cell.duplicates);
@@ -547,9 +508,12 @@ mod tests {
     }
 
     #[test]
-    fn run_figure_produces_full_grid() {
+    fn figure_tables_match_across_threads_and_solo_runs() {
+        use netrs_sim::{run, run_sweep, SweepCell, SweepJob, SWEEP_SCHEMA_VERSION};
         let mut base = SimConfig::small();
         base.requests = 300;
+        let mut busy = base.clone();
+        busy.utilization = 0.5;
         let spec = FigureSpec {
             id: "test",
             title: "tiny",
@@ -557,23 +521,64 @@ mod tests {
             points: vec![
                 SweepPoint {
                     label: "a".into(),
-                    config: base.clone(),
+                    config: base,
                 },
                 SweepPoint {
                     label: "b".into(),
-                    config: base,
+                    config: busy,
                 },
             ],
             schemes: vec![Scheme::CliRs, Scheme::NetRsToR],
         };
-        let result = run_figure(&spec, &[1, 2]);
-        assert_eq!(result.cells.len(), 2);
-        assert_eq!(result.cells[0].len(), 2);
-        assert_eq!(result.raw[0][0].len(), 2);
-        let table = render_tables(&result, "x");
-        assert!(table.contains("Avg."));
-        assert!(table.contains("99.9th"));
-        assert!(table.contains("CliRS"));
+        let seeds = [2, 1];
+        let jobs = SweepJob::grid(&spec.points, &spec.schemes, &seeds);
+        assert_eq!(jobs.len(), 8);
+        let one = render_tables(&spec, &run_sweep(jobs.clone(), 1, false), &seeds);
+        let three = render_tables(&spec, &run_sweep(jobs.clone(), 3, false), &seeds);
+        let solo = SweepReport {
+            schema_version: SWEEP_SCHEMA_VERSION,
+            threads: 1,
+            wall_s: 0.0,
+            sequential_wall_s: None,
+            speedup: None,
+            cells: jobs
+                .into_iter()
+                .map(|job| {
+                    let mut cfg = job.cfg;
+                    cfg.seed = job.seed;
+                    SweepCell {
+                        label: job.label,
+                        seed: job.seed,
+                        wall_s: 0.0,
+                        stats: run(cfg),
+                    }
+                })
+                .collect(),
+        };
+        assert_eq!(one, three);
+        assert_eq!(one, render_tables(&spec, &solo, &seeds));
+        assert!(one.contains("Avg."));
+        assert!(one.contains("99.9th"));
+        assert!(one.contains("CliRS"));
+    }
+
+    #[test]
+    fn every_figure_has_unique_point_labels() {
+        let base = paper_base(1_000);
+        for spec in [
+            fig4(&base),
+            fig5(&base),
+            fig6(&base),
+            fig7(&base),
+            ablate_hops(&base),
+            ablate_cap(&base),
+            ablate_group(&base),
+            ablate_c3(&base),
+        ] {
+            let labels: std::collections::HashSet<&str> =
+                spec.points.iter().map(|p| p.label.as_str()).collect();
+            assert_eq!(labels.len(), spec.points.len(), "{}", spec.id);
+        }
     }
 
     #[test]

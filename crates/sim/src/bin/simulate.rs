@@ -17,7 +17,7 @@ use std::io::BufWriter;
 use netrs_sim::{
     run_observed_sharded_parallel, run_sweep, CacheAdmission, CacheWritePolicy, FaultPlan,
     HotCacheConfig, ObsOptions, ParallelOptions, PerfOptions, SamplerSpec, Scheme, SimConfig,
-    SweepJob, WriteConsistency,
+    SweepJob, SweepPoint, WriteConsistency,
 };
 use netrs_simcore::SimDuration;
 
@@ -149,21 +149,11 @@ fn sweep_main(args: &[String]) -> ! {
         std::process::exit(1);
     }
 
-    let jobs: Vec<SweepJob> = schemes
-        .iter()
-        .flat_map(|&scheme| {
-            let cfg = cfg.clone();
-            seeds.iter().map(move |&seed| {
-                let mut cell_cfg = cfg.clone();
-                cell_cfg.scheme = scheme;
-                SweepJob {
-                    label: scheme.label().into(),
-                    cfg: cell_cfg,
-                    seed,
-                }
-            })
-        })
-        .collect();
+    let point = SweepPoint {
+        label: String::new(),
+        config: cfg,
+    };
+    let jobs = SweepJob::grid(&[point], &schemes, &seeds);
     eprintln!(
         "[sweep] {} cells ({} schemes × {} seeds)",
         jobs.len(),

@@ -369,11 +369,16 @@ impl SimConfig {
         if self.vnodes == 0 {
             return Err("vnodes must be at least 1".into());
         }
-        // Each fluctuation re-arms the next one an interval later: a zero
-        // interval would redraw service times forever at one instant.
-        if self.server.fluctuation_interval == SimDuration::ZERO {
-            return Err("server.fluctuation_interval must be positive".into());
+        if self.keys == 0 {
+            return Err("keys must be at least 1".into());
         }
+        if !self.zipf.is_finite() || self.zipf <= 0.0 {
+            return Err(format!(
+                "zipf must be finite and positive, got {}",
+                self.zipf
+            ));
+        }
+        self.validate_server()?;
         if self.generators == 0 || self.clients == 0 {
             return Err("need at least one generator and one client".into());
         }
@@ -440,6 +445,36 @@ impl SimConfig {
         if let Some(plan) = &self.faults {
             plan.validate()?;
             self.validate_fault_targets(plan)?;
+        }
+        Ok(())
+    }
+
+    /// Checks the server model's fields, each of which a constructor
+    /// would otherwise assert on (or loop on).
+    fn validate_server(&self) -> Result<(), String> {
+        let server = &self.server;
+        if server.slots == 0 {
+            return Err("server.slots must be at least 1".into());
+        }
+        if server.base_service_time == SimDuration::ZERO {
+            return Err("server.base_service_time must be positive".into());
+        }
+        if !(0.0..1.0).contains(&server.status_ewma_alpha) {
+            return Err(format!(
+                "server.status_ewma_alpha must be in [0, 1), got {}",
+                server.status_ewma_alpha
+            ));
+        }
+        if !server.fluctuation_range.is_finite() || server.fluctuation_range < 1.0 {
+            return Err(format!(
+                "server.fluctuation_range must be finite and at least 1, got {}",
+                server.fluctuation_range
+            ));
+        }
+        // Each fluctuation re-arms the next one an interval later: a zero
+        // interval would redraw service times forever at one instant.
+        if server.fluctuation_interval == SimDuration::ZERO {
+            return Err("server.fluctuation_interval must be positive".into());
         }
         Ok(())
     }

@@ -61,10 +61,9 @@ pub use perf::{
     PERF_SCHEMA_VERSION,
 };
 pub use policy::{NotInNetwork, OraclePlacement};
-pub use runner::{
-    run, run_all_schemes, run_observed, run_observed_sharded_parallel, run_seeds, ParallelOptions,
-    RunOutput,
-};
+pub use runner::{run, run_observed, run_observed_sharded_parallel, ParallelOptions, RunOutput};
 pub use server::{CopyId, ServerToken};
 pub use stats::{LatencyBreakdown, MeanStats, ParallelStats, RunStats, RwStats};
-pub use sweep::{run_grid, run_sweep, SweepCell, SweepJob, SweepReport, SWEEP_SCHEMA_VERSION};
+pub use sweep::{
+    cell_label, run_sweep, SweepCell, SweepJob, SweepPoint, SweepReport, SWEEP_SCHEMA_VERSION,
+};

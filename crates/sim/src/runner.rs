@@ -1,5 +1,6 @@
-//! Experiment execution: single runs (instrumented or not), multi-seed
-//! repetition, and scheme sweeps.
+//! Single-run execution: one configuration, instrumented or not, on the
+//! sequential engine or the replica engine. Grids of runs (seeds,
+//! schemes, sweep points) go through [`crate::sweep::run_sweep`].
 
 use std::time::{Duration, Instant};
 
@@ -502,41 +503,6 @@ fn run_with_heartbeat<D: DeviceProbe, P: Probe>(
     }
 }
 
-/// Runs the same configuration under `seeds.len()` different seeds (the
-/// paper repeats every experiment 3 times with different random
-/// deployments), fanned across cores by the sweep executor
-/// ([`crate::sweep::run_grid`]). Results come back in `seeds` order.
-#[must_use]
-pub fn run_seeds(cfg: &SimConfig, seeds: &[u64]) -> Vec<RunStats> {
-    let jobs: Vec<crate::sweep::SweepJob> = seeds
-        .iter()
-        .map(|&seed| crate::sweep::SweepJob {
-            label: cfg.scheme.label().into(),
-            cfg: cfg.clone(),
-            seed,
-        })
-        .collect();
-    crate::sweep::run_grid(&jobs, 0)
-        .into_iter()
-        .map(|cell| cell.stats)
-        .collect()
-}
-
-/// Runs every scheme of the paper's comparison under the same base
-/// configuration and seeds. Returns `(scheme, per-seed stats)` in the
-/// paper's ordering.
-#[must_use]
-pub fn run_all_schemes(base: &SimConfig, seeds: &[u64]) -> Vec<(Scheme, Vec<RunStats>)> {
-    Scheme::ALL
-        .iter()
-        .map(|&scheme| {
-            let mut cfg = base.clone();
-            cfg.scheme = scheme;
-            (scheme, run_seeds(&cfg, seeds))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,26 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn run_seeds_parallel_matches_sequential_runs() {
-        // Thread scheduling must not leak into results: each seed's run
-        // is self-contained, so the parallel fan-out serializes to the
-        // same bytes as running the seeds one after another.
-        let cfg = tiny(Scheme::NetRsToR);
-        let seeds = [11u64, 12, 13];
-        let parallel = run_seeds(&cfg, &seeds);
-        for (&seed, p) in seeds.iter().zip(&parallel) {
-            let mut one = cfg.clone();
-            one.seed = seed;
-            let s = run(one);
-            assert_eq!(
-                serde_json::to_string_pretty(p).expect("stats serialize"),
-                serde_json::to_string_pretty(&s).expect("stats serialize"),
-                "seed {seed}: parallel and sequential runs diverged"
-            );
-        }
-    }
-
-    #[test]
     fn perf_profile_counts_sum_to_total_events() {
         let obs = ObsOptions {
             perf: Some(crate::obs::PerfOptions::default()),
@@ -622,15 +568,5 @@ mod tests {
         let plain = run(tiny(Scheme::NetRsToR));
         assert_eq!(out.stats.latency, plain.latency);
         assert_eq!(out.stats.events, plain.events);
-    }
-
-    #[test]
-    fn run_seeds_spawns_one_run_per_seed() {
-        let runs = run_seeds(&tiny(Scheme::CliRs), &[1, 2, 3]);
-        assert_eq!(runs.len(), 3);
-        assert!(runs.iter().all(|r| r.completed == 2_000));
-        let means: std::collections::HashSet<u64> =
-            runs.iter().map(|r| r.latency.mean.as_nanos()).collect();
-        assert!(means.len() > 1, "seeds should differ");
     }
 }

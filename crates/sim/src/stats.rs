@@ -163,7 +163,6 @@ impl RunStats {
         let n = runs.len() as f64;
         let avg = |f: fn(&RunStats) -> f64| runs.iter().map(f).sum::<f64>() / n;
         MeanStats {
-            scheme: runs[0].scheme,
             runs: runs.len(),
             mean_ms: avg(|r| r.latency.mean.as_millis_f64()),
             p95_ms: avg(|r| r.latency.p95.as_millis_f64()),
@@ -175,11 +174,10 @@ impl RunStats {
     }
 }
 
-/// Seed-averaged statistics for one (scheme, sweep-point) cell.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// Seed-averaged statistics for one (scheme, sweep-point) cell: what
+/// `repro`'s tables print (artifacts carry the per-seed cells instead).
+#[derive(Debug, Clone, Copy)]
 pub struct MeanStats {
-    /// The scheme.
-    pub scheme: Scheme,
     /// Number of seeds averaged.
     pub runs: usize,
     /// Mean latency (ms).

@@ -1,5 +1,9 @@
-//! Parallel multi-core sweep execution: a (config × seed) grid fanned
-//! out across worker threads, merged into one deterministic artifact.
+//! Parallel multi-core sweep execution: a (point × scheme × seed) grid
+//! fanned out across worker threads, merged into one deterministic
+//! artifact. [`run_sweep`] is the only fan-out of simulations across
+//! threads: `simulate sweep`, `repro`'s figures and the scheme
+//! comparisons all build their jobs with [`SweepJob::grid`] and run them
+//! here.
 //!
 //! The executor is a work-stealing-free job pool: jobs sit in a fixed
 //! vector, workers claim the next index from an atomic counter, and
@@ -13,7 +17,7 @@
 //! (its own [`Cluster`], RNG tree, and engine) — this fan-out is the only
 //! parallelism a sweep has — so it cannot perturb results: the
 //! per-cell statistics are byte-identical to running the same
-//! configuration alone. `runner::run_seeds` is rebuilt on this executor.
+//! configuration alone.
 //!
 //! [`Cluster`]: crate::cluster::Cluster
 
@@ -23,9 +27,9 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::SimConfig;
+use crate::config::{Scheme, SimConfig};
 use crate::runner::run;
-use crate::stats::RunStats;
+use crate::stats::{MeanStats, RunStats};
 
 /// Version stamp on every [`SweepReport`] artifact; bump on any schema
 /// change so offline consumers can reject files they don't understand.
@@ -34,13 +38,57 @@ pub const SWEEP_SCHEMA_VERSION: u32 = 2;
 /// One (config, seed) job of a sweep grid.
 #[derive(Debug, Clone)]
 pub struct SweepJob {
-    /// Config key the artifact is sorted and rendered by (typically the
-    /// scheme label, plus whatever the sweep varies).
+    /// Config key the artifact is sorted and rendered by
+    /// ([`cell_label`] for a [`SweepJob::grid`] job).
     pub label: String,
     /// The configuration to run (its `seed` is overwritten per job).
     pub cfg: SimConfig,
     /// The seed for this cell.
     pub seed: u64,
+}
+
+/// One point of a sweep: an x-axis label and the configuration that
+/// realizes it (its scheme and seed are set per job).
+#[derive(Debug, Clone)]
+pub struct SweepPoint {
+    /// X-axis label (e.g. `"500"` clients, `"70%"` skew); empty for a
+    /// sweep over schemes and seeds alone.
+    pub label: String,
+    /// The fully materialized configuration of this point.
+    pub config: SimConfig,
+}
+
+/// The label of a `(point, scheme)` cell: the scheme label for an unnamed
+/// point, `"<point>/<scheme>"` otherwise.
+#[must_use]
+pub fn cell_label(point: &str, scheme: Scheme) -> String {
+    if point.is_empty() {
+        scheme.label().to_string()
+    } else {
+        format!("{point}/{}", scheme.label())
+    }
+}
+
+impl SweepJob {
+    /// Builds the point × scheme × seed grid, one job per combination,
+    /// labelled by [`cell_label`].
+    #[must_use]
+    pub fn grid(points: &[SweepPoint], schemes: &[Scheme], seeds: &[u64]) -> Vec<SweepJob> {
+        let mut jobs = Vec::with_capacity(points.len() * schemes.len() * seeds.len());
+        for point in points {
+            for &scheme in schemes {
+                let label = cell_label(&point.label, scheme);
+                let mut cfg = point.config.clone();
+                cfg.scheme = scheme;
+                jobs.extend(seeds.iter().map(|&seed| SweepJob {
+                    label: label.clone(),
+                    cfg: cfg.clone(),
+                    seed,
+                }));
+            }
+        }
+        jobs
+    }
 }
 
 /// One completed cell of the sweep grid.
@@ -75,6 +123,32 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
 }
 
+impl SweepReport {
+    /// Seed-averaged statistics of the cells labelled `label`, summed in
+    /// `seeds` order (so a report renders the same numbers whatever
+    /// order its cells are sorted in).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a seed has no cell under `label`.
+    #[must_use]
+    pub fn mean(&self, label: &str, seeds: &[u64]) -> MeanStats {
+        let runs: Vec<RunStats> = seeds
+            .iter()
+            .map(|&seed| {
+                let cell = self
+                    .cells
+                    .iter()
+                    .find(|c| c.label == label && c.seed == seed);
+                cell.unwrap_or_else(|| panic!("sweep has no cell {label} seed {seed}"))
+                    .stats
+                    .clone()
+            })
+            .collect();
+        RunStats::mean_of(&runs)
+    }
+}
+
 /// Resolves a worker-count request: `0` means one worker per available
 /// core, and there is never a point in more workers than jobs.
 fn effective_threads(requested: usize, jobs: usize) -> usize {
@@ -91,7 +165,7 @@ fn effective_threads(requested: usize, jobs: usize) -> usize {
 ///
 /// Panics if a job's configuration is invalid or a worker panics.
 #[must_use]
-pub fn run_grid(jobs: &[SweepJob], threads: usize) -> Vec<SweepCell> {
+fn run_grid(jobs: &[SweepJob], threads: usize) -> Vec<SweepCell> {
     let threads = effective_threads(threads, jobs.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<SweepCell>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
@@ -157,7 +231,6 @@ pub fn run_sweep(mut jobs: Vec<SweepJob>, threads: usize, baseline: bool) -> Swe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scheme;
 
     fn tiny(scheme: Scheme, seed: u64) -> SimConfig {
         let mut cfg = SimConfig::small();
@@ -167,18 +240,84 @@ mod tests {
         cfg
     }
 
-    fn grid() -> Vec<SweepJob> {
-        let mut jobs = Vec::new();
-        for scheme in [Scheme::NetRsToR, Scheme::CliRs] {
-            for seed in [5u64, 4, 3] {
-                jobs.push(SweepJob {
-                    label: scheme.label().into(),
-                    cfg: tiny(scheme, seed),
-                    seed,
-                });
-            }
+    fn unnamed(config: SimConfig) -> SweepPoint {
+        SweepPoint {
+            label: String::new(),
+            config,
         }
-        jobs
+    }
+
+    fn grid() -> Vec<SweepJob> {
+        SweepJob::grid(
+            &[unnamed(tiny(Scheme::CliRs, 1))],
+            &[Scheme::NetRsToR, Scheme::CliRs],
+            &[5, 4, 3],
+        )
+    }
+
+    #[test]
+    fn grid_labels_points_and_runs_one_cell_per_seed() {
+        let jobs = grid();
+        let keys: Vec<(&str, u64)> = jobs.iter().map(|j| (j.label.as_str(), j.seed)).collect();
+        assert_eq!(
+            keys,
+            [
+                ("NetRS-ToR", 5),
+                ("NetRS-ToR", 4),
+                ("NetRS-ToR", 3),
+                ("CliRS", 5),
+                ("CliRS", 4),
+                ("CliRS", 3)
+            ]
+        );
+        assert!(jobs.iter().all(|j| j.cfg.scheme.label() == j.label));
+
+        let points: Vec<SweepPoint> = ["100", "300"]
+            .into_iter()
+            .map(|label| SweepPoint {
+                label: label.into(),
+                config: tiny(Scheme::NetRsToR, 1),
+            })
+            .collect();
+        let named = SweepJob::grid(&points, &[Scheme::CliRs, Scheme::NetRsIlp], &[2]);
+        let labels: Vec<&str> = named.iter().map(|j| j.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["100/CliRS", "100/NetRS-ILP", "300/CliRS", "300/NetRS-ILP"]
+        );
+
+        let report = run_sweep(
+            SweepJob::grid(&points[..1], &[Scheme::CliRs], &[1, 2, 3]),
+            0,
+            false,
+        );
+        assert_eq!(report.cells.len(), 3);
+        assert!(report.cells.iter().all(|c| c.stats.completed == 800));
+        let means: std::collections::HashSet<u64> = report
+            .cells
+            .iter()
+            .map(|c| c.stats.latency.mean.as_nanos())
+            .collect();
+        assert!(means.len() > 1, "seeds should differ");
+    }
+
+    #[test]
+    fn cells_serialize_equal_to_solo_runs() {
+        // Thread scheduling must not leak into results: each cell is
+        // self-contained, so the parallel fan-out serializes to the same
+        // bytes as running each configuration alone.
+        let report = run_sweep(grid(), 3, false);
+        for cell in &report.cells {
+            let scheme: Scheme = cell.label.parse().expect("a scheme label");
+            assert_eq!(
+                serde_json::to_string_pretty(&cell.stats).expect("stats serialize"),
+                serde_json::to_string_pretty(&run(tiny(scheme, cell.seed)))
+                    .expect("stats serialize"),
+                "{} seed {}: parallel and solo runs diverged",
+                cell.label,
+                cell.seed
+            );
+        }
     }
 
     #[test]

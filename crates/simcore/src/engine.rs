@@ -473,11 +473,6 @@ impl<W: World, P: Probe> Engine<W, P> {
         &self.probe
     }
 
-    /// Exclusive access to the probe.
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
-    }
-
     /// Consumes the engine and returns the world.
     pub fn into_world(self) -> W {
         self.world

@@ -148,22 +148,6 @@ impl SimDuration {
         SimDuration(round_to_u64(secs * 1e9))
     }
 
-    /// Creates a duration from fractional microseconds, rounding to the
-    /// nearest nanosecond. Negative and non-finite inputs are clamped to
-    /// zero.
-    #[must_use]
-    pub fn from_micros_f64(micros: f64) -> Self {
-        Self::from_secs_f64(micros * 1e-6)
-    }
-
-    /// Creates a duration from fractional milliseconds, rounding to the
-    /// nearest nanosecond. Negative and non-finite inputs are clamped to
-    /// zero.
-    #[must_use]
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis * 1e-3)
-    }
-
     /// Returns the raw nanosecond count.
     #[must_use]
     pub const fn as_nanos(self) -> u64 {
@@ -351,14 +335,6 @@ mod tests {
         assert_eq!(
             SimDuration::from_secs_f64(0.0000025),
             SimDuration::from_nanos(2_500)
-        );
-        assert_eq!(
-            SimDuration::from_micros_f64(2.5),
-            SimDuration::from_nanos(2_500)
-        );
-        assert_eq!(
-            SimDuration::from_millis_f64(0.0005),
-            SimDuration::from_nanos(500)
         );
     }
 

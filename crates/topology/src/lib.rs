@@ -774,25 +774,6 @@ impl FatTree {
         Ok(up)
     }
 
-    /// Like [`FatTree::path_via`], but masks the ECMP choice over `dead`
-    /// links (see [`FatTree::path_avoiding`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`FatTree::path_avoiding`].
-    pub fn path_via_avoiding(
-        &self,
-        src: HostId,
-        via: SwitchId,
-        dst: HostId,
-        flow_hash: u64,
-        dead: &LinkSet,
-    ) -> Result<Vec<SwitchId>, TopologyError> {
-        let mut p = self.path_host_to_switch_avoiding(src, via, flow_hash, dead)?;
-        p.extend(self.path_switch_to_host_avoiding(via, dst, flow_hash, dead)?);
-        Ok(p)
-    }
-
     /// [`TopologyError::HostPartitioned`] when the host's uplink is dead.
     fn check_uplink(&self, h: HostId, dead: &LinkSet) -> Result<(), TopologyError> {
         if dead.contains(&Link::uplink(h)) {
@@ -819,17 +800,6 @@ impl FatTree {
         Err(TopologyError::NoAlivePath)
     }
 
-    /// Number of links traversed host-to-host along a switch path produced
-    /// by [`FatTree::path`] or [`FatTree::path_via`] (switch count + 1).
-    #[must_use]
-    pub fn link_count(path: &[SwitchId]) -> u32 {
-        if path.is_empty() {
-            0
-        } else {
-            path.len() as u32 + 1
-        }
-    }
-
     /// Classifies a path segment by the topologically highest tier it
     /// touches (the tier of smallest numeric ID: core = 0). For a full
     /// host-to-host default path this agrees with
@@ -842,13 +812,6 @@ impl FatTree {
             .map(|&s| self.tier(s))
             .min()
             .unwrap_or(Tier::Tor)
-    }
-
-    /// Number of switch forwardings on the default path between two hosts
-    /// (1, 3 or 5 for rack-, pod- and core-tier traffic respectively).
-    #[must_use]
-    pub fn default_forwardings(&self, src: HostId, dst: HostId) -> u32 {
-        self.hops(src, dst)
     }
 }
 
@@ -1146,20 +1109,12 @@ mod tests {
     }
 
     #[test]
-    fn default_forwardings_match_paper() {
+    fn hops_match_paper() {
         let n = net();
-        assert_eq!(n.default_forwardings(HostId(0), HostId(1)), 1);
-        assert_eq!(n.default_forwardings(HostId(0), HostId(2)), 3);
-        assert_eq!(n.default_forwardings(HostId(0), HostId(12)), 5);
-        assert_eq!(n.default_forwardings(HostId(3), HostId(3)), 0);
-    }
-
-    #[test]
-    fn link_count_is_switches_plus_one() {
-        let n = net();
-        let p = n.path(HostId(0), HostId(12), 0);
-        assert_eq!(FatTree::link_count(&p), 6);
-        assert_eq!(FatTree::link_count(&[]), 0);
+        assert_eq!(n.hops(HostId(0), HostId(1)), 1);
+        assert_eq!(n.hops(HostId(0), HostId(2)), 3);
+        assert_eq!(n.hops(HostId(0), HostId(12)), 5);
+        assert_eq!(n.hops(HostId(3), HostId(3)), 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ proptest! {
             Tier::Core => 5,
         };
         prop_assert_eq!(path.len(), expected);
-        prop_assert_eq!(topo.default_forwardings(src, dst) as usize, expected);
+        prop_assert_eq!(topo.hops(src, dst) as usize, expected);
     }
 
     /// Via-waypoint paths contain the waypoint, stay link-connected, and

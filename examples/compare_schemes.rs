@@ -6,7 +6,7 @@
 //! cargo run --release --example compare_schemes
 //! ```
 
-use netrs_sim::{run_all_schemes, RunStats, SimConfig};
+use netrs_sim::{run_sweep, Scheme, SimConfig, SweepJob, SweepPoint};
 
 fn main() {
     let mut cfg = SimConfig::small();
@@ -29,8 +29,14 @@ fn main() {
         "scheme", "mean(ms)", "p95(ms)", "p99(ms)", "p99.9", "rsnodes", "dups"
     );
 
-    for (scheme, runs) in run_all_schemes(&cfg, &[1, 2, 3]) {
-        let m = RunStats::mean_of(&runs);
+    let point = SweepPoint {
+        label: String::new(),
+        config: cfg,
+    };
+    let seeds = [1, 2, 3];
+    let report = run_sweep(SweepJob::grid(&[point], &Scheme::ALL, &seeds), 0, false);
+    for scheme in Scheme::ALL {
+        let m = report.mean(scheme.label(), &seeds);
         println!(
             "{:<12} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>8.1} {:>7.0}",
             scheme.label(),

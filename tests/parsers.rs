@@ -514,6 +514,56 @@ fn bad_configs_are_errors_naming_the_field() {
             small_with(|c| c.server.fluctuation_interval = SimDuration::ZERO),
             "server.fluctuation_interval must be positive",
         ),
+        (
+            "keys",
+            small_with(|c| c.keys = 0),
+            "keys must be at least 1",
+        ),
+        (
+            "zipf = 0",
+            small_with(|c| c.zipf = 0.0),
+            "zipf must be finite and positive, got 0",
+        ),
+        (
+            "zipf = -1",
+            small_with(|c| c.zipf = -1.0),
+            "zipf must be finite and positive, got -1",
+        ),
+        (
+            "zipf = NaN",
+            small_with(|c| c.zipf = f64::NAN),
+            "zipf must be finite and positive, got NaN",
+        ),
+        (
+            "server.slots",
+            small_with(|c| c.server.slots = 0),
+            "server.slots must be at least 1",
+        ),
+        (
+            "server.status_ewma_alpha = 1",
+            small_with(|c| c.server.status_ewma_alpha = 1.0),
+            "server.status_ewma_alpha must be in [0, 1), got 1",
+        ),
+        (
+            "server.status_ewma_alpha = -0.1",
+            small_with(|c| c.server.status_ewma_alpha = -0.1),
+            "server.status_ewma_alpha must be in [0, 1), got -0.1",
+        ),
+        (
+            "server.base_service_time",
+            small_with(|c| c.server.base_service_time = SimDuration::ZERO),
+            "server.base_service_time must be positive",
+        ),
+        (
+            "server.fluctuation_range = 0.5",
+            small_with(|c| c.server.fluctuation_range = 0.5),
+            "server.fluctuation_range must be finite and at least 1, got 0.5",
+        ),
+        (
+            "server.fluctuation_range = NaN",
+            small_with(|c| c.server.fluctuation_range = f64::NAN),
+            "server.fluctuation_range must be finite and at least 1, got NaN",
+        ),
     ] {
         let err = load_config(&cfg).expect_err(field);
         assert!(err.starts_with(error), "{field}: {err}");
@@ -544,8 +594,9 @@ fn simulate_exits_1_on_a_bad_config_without_panicking() {
 
 #[test]
 fn simulate_exits_1_on_zero_vnodes_or_fluctuation_interval_in_time() {
-    // Zero vnodes used to panic building the ring; a zero fluctuation
-    // interval re-armed its timer at the same instant forever.
+    // Zero vnodes used to panic building the ring and zero keys building
+    // the Zipf table; a zero fluctuation interval re-armed its timer at
+    // the same instant forever.
     let budget = std::time::Duration::from_secs(30);
     for (name, cfg, error) in [
         (
@@ -557,6 +608,11 @@ fn simulate_exits_1_on_zero_vnodes_or_fluctuation_interval_in_time() {
             "fluctuation",
             small_with(|c| c.server.fluctuation_interval = SimDuration::ZERO),
             "invalid configuration: server.fluctuation_interval must be positive",
+        ),
+        (
+            "keys",
+            small_with(|c| c.keys = 0),
+            "invalid configuration: keys must be at least 1",
         ),
     ] {
         let path =

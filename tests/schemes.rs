@@ -1,7 +1,7 @@
 //! Behavioural comparisons between schemes: the directional claims of the
 //! paper's evaluation must hold in miniature (deterministic seeds).
 
-use netrs_sim::{run, run_seeds, RunStats, Scheme, SimConfig};
+use netrs_sim::{run, run_sweep, Scheme, SimConfig, SweepJob, SweepPoint};
 
 /// A mid-size cluster big enough for scheme differences to show.
 fn base() -> SimConfig {
@@ -17,10 +17,12 @@ fn base() -> SimConfig {
 }
 
 fn mean_of(scheme: Scheme) -> f64 {
-    let mut cfg = base();
-    cfg.scheme = scheme;
-    let runs = run_seeds(&cfg, &[1, 2]);
-    RunStats::mean_of(&runs).mean_ms
+    let point = SweepPoint {
+        label: String::new(),
+        config: base(),
+    };
+    let report = run_sweep(SweepJob::grid(&[point], &[scheme], &[1, 2]), 0, false);
+    report.mean(scheme.label(), &[1, 2]).mean_ms
 }
 
 #[test]
