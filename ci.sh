@@ -55,19 +55,22 @@ grep -q "Per-phase latency comparison" "$SMOKE/report.txt"
 echo "==> config round-trip smoke (an emitted config is the same run; a stray key fails)"
 # The benchmark builds its inputs by patching `--emit-config` output, so an
 # emitted config must parse back into the run it came from, and a key the
-# config does not have (misspelled, or retired like `selector`) must exit 1
-# rather than run the defaults.
+# config does not have (misspelled, or retired like `selector` and
+# `rate_control`) must exit 1 rather than run the defaults.
 ./target/debug/simulate --small --emit-config > "$SMOKE/cfg.json"
 ./target/debug/simulate --config "$SMOKE/cfg.json" --requests 5000 --seed 5 \
     --json > "$SMOKE/cfg-stats.json"
 ./target/debug/simulate --small --requests 5000 --seed 5 --json > "$SMOKE/small-stats.json"
 cmp "$SMOKE/cfg-stats.json" "$SMOKE/small-stats.json"
-sed 's/^{$/{\n  "selector": "Random",/' "$SMOKE/cfg.json" > "$SMOKE/cfg-selector.json"
-status=0
-./target/debug/simulate --config "$SMOKE/cfg-selector.json" --requests 5000 --json \
-    > /dev/null 2> "$SMOKE/cfg-selector.err" || status=$?
-[ "$status" -eq 1 ]
-grep -q 'unknown field `selector`' "$SMOKE/cfg-selector.err"
+for retired in 'selector="Random"' 'rate_control=null'; do
+    key=${retired%%=*}
+    sed "s/^{\$/{\n  \"$key\": ${retired#*=},/" "$SMOKE/cfg.json" > "$SMOKE/cfg-$key.json"
+    status=0
+    ./target/debug/simulate --config "$SMOKE/cfg-$key.json" --requests 5000 --json \
+        > /dev/null 2> "$SMOKE/cfg-$key.err" || status=$?
+    [ "$status" -eq 1 ]
+    grep -q "unknown field \`$key\`" "$SMOKE/cfg-$key.err"
+done
 
 echo "==> control-plane smoke (stream renders, run unperturbed)"
 ./target/debug/simulate --small --scheme netrs-ilp --requests 5000 --seed 5 \

@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 use netrs::{PlacementProblem, PlanConstraints, PlanSolver, TrafficGroups, TrafficMatrix};
-use netrs_selection::CubicConfig;
 use netrs_sim::{
     cell_label, run_observed, CacheAdmission, CacheWritePolicy, HostProfile, HotCacheConfig,
     MeanStats, ObsOptions, PerfArtifact, PerfOptions, Scheme, SimConfig, SweepReport,
@@ -229,35 +228,23 @@ pub fn ablate_group(base: &SimConfig) -> FigureSpec {
     }
 }
 
-/// ABL-B: C3 design knobs under CliRS — scoring exponent b and cubic
-/// rate control.
+/// ABL-B: C3's scoring exponent b under CliRS.
 #[must_use]
 pub fn ablate_c3(base: &SimConfig) -> FigureSpec {
-    let variants: Vec<(String, f64, bool)> = vec![
-        ("b=1".into(), 1.0, false),
-        ("b=2".into(), 2.0, false),
-        ("b=3".into(), 3.0, false),
-        ("b=3+CRC".into(), 3.0, true),
-    ];
-    let points = variants
+    let points = [1.0, 2.0, 3.0]
         .into_iter()
-        .map(|(label, b, crc)| {
+        .map(|b| {
             let mut cfg = base.clone();
             cfg.c3.exponent = b;
-            // Make the token buckets actually bind: budget each
-            // (client, server) lane at ~1/10th of a client's total rate,
-            // so bursts toward one hot replica are spread out.
-            cfg.rate_control = crc.then(|| CubicConfig {
-                init_rate: cfg.arrival_rate() / f64::from(cfg.clients) / 10.0,
-                smax: 20.0,
-                ..CubicConfig::default()
-            });
-            SweepPoint { label, config: cfg }
+            SweepPoint {
+                label: format!("b={b}"),
+                config: cfg,
+            }
         })
         .collect();
     FigureSpec {
         id: "ablate-c3",
-        title: "Ablation: C3 scoring exponent and rate control (CliRS)",
+        title: "Ablation: C3 scoring exponent (CliRS)",
         sweep: "C3 variant",
         points,
         schemes: vec![Scheme::CliRs],

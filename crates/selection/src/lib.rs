@@ -5,8 +5,9 @@
 //! builds on; what varies is *where* the selector runs (client vs.
 //! in-network RSNode). This crate implements C3 faithfully
 //! ([`C3Selector`]: EWMA tracking of response times and piggybacked server
-//! status, concurrency compensation, cubic queue penalty) and C3's
-//! optional cubic rate control ([`CubicRateController`]).
+//! status, concurrency compensation, cubic queue penalty). C3's cubic
+//! rate control is not modelled: the paper's schemes never rate-limit a
+//! send.
 //!
 //! [`C3Selector`] is one RSNode's selector behind [`ReplicaSelector`], the
 //! interface NetRS operators drive: rank candidates at request time,
@@ -53,10 +54,8 @@
 #![warn(missing_docs)]
 
 mod c3;
-mod cubic;
 
 pub use c3::{C3Config, C3Selector, C3Table};
-pub use cubic::{CubicConfig, CubicRateController};
 
 use netrs_kvstore::ServerId;
 use netrs_simcore::{SimDuration, SimTime};

@@ -1,9 +1,7 @@
 //! Property-based tests of the replica selectors.
 
 use netrs_kvstore::ServerId;
-use netrs_selection::{
-    C3Config, C3Selector, C3Table, CubicConfig, CubicRateController, Feedback, ReplicaSelector,
-};
+use netrs_selection::{C3Config, C3Selector, C3Table, Feedback, ReplicaSelector};
 use netrs_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -182,62 +180,5 @@ proptest! {
             sel.score(ServerId(0))
         };
         prop_assert!(mk(l1) < mk(l2));
-    }
-
-    /// The token bucket never grants more sends than `burst + rate·t`.
-    #[test]
-    fn cubic_bucket_never_overspends(
-        rate in 1.0f64..1_000.0,
-        burst in 1.0f64..8.0,
-        attempts in 1usize..200,
-        gap_us in 0u64..5_000,
-    ) {
-        let cfg = CubicConfig { init_rate: rate, burst, ..CubicConfig::default() };
-        let mut ctl = CubicRateController::new(cfg);
-        let mut now = SimTime::ZERO;
-        let mut granted = 0u32;
-        for _ in 0..attempts {
-            now += SimDuration::from_micros(gap_us);
-            if ctl.try_send(ServerId(0), now) {
-                granted += 1;
-            }
-        }
-        let elapsed = now.as_secs_f64();
-        // No responses arrived, so the rate never grew past init_rate.
-        let ceiling = burst + rate * elapsed + 1.0;
-        prop_assert!(
-            f64::from(granted) <= ceiling,
-            "granted {granted} > ceiling {ceiling}"
-        );
-    }
-
-    /// Rate stays within [min_rate, +smax·responses] regardless of the
-    /// response pattern.
-    #[test]
-    fn cubic_rate_bounded(
-        seed in any::<u64>(),
-        events in proptest::collection::vec((any::<bool>(), 1u64..100_000), 1..100),
-    ) {
-        let cfg = CubicConfig::default();
-        let mut ctl = CubicRateController::new(cfg);
-        let mut rng = SimRng::from_seed(seed);
-        let mut now = SimTime::ZERO;
-        let mut responses = 0u32;
-        for (is_resp, gap) in events {
-            now += SimDuration::from_micros(gap);
-            if is_resp {
-                ctl.on_response(ServerId(0), now);
-                responses += 1;
-            } else {
-                let _ = ctl.try_send(ServerId(0), now);
-            }
-            let _ = rng.next_u64();
-            let r = ctl.rate(ServerId(0));
-            prop_assert!(r >= cfg.min_rate);
-            prop_assert!(
-                r <= cfg.init_rate + cfg.smax * f64::from(responses) + 1e-9,
-                "rate {r} grew past the per-response cap"
-            );
-        }
     }
 }

@@ -61,13 +61,6 @@ pub enum Ev {
         /// Generator index.
         gen: u32,
     },
-    /// A rate-control-gated send retries (CliRS with CRC only).
-    GatedSend {
-        /// The waiting request.
-        req: ReqId,
-        /// Its chosen server.
-        server: ServerId,
-    },
     /// A request reaches its RSNode's switch and enters the accelerator.
     RsnodeArrive {
         /// The request.
@@ -527,10 +520,6 @@ impl<D: DeviceProbe> World for Cluster<D> {
                 }
                 GenOutcome::None => {}
             },
-            Ev::GatedSend { req, server } => {
-                self.policy
-                    .on_gated_send(&mut self.core, now, req, server, queue);
-            }
             Ev::RsnodeArrive { req, op } => {
                 self.policy
                     .on_rsnode_arrive(&mut self.core, now, req, op, queue);

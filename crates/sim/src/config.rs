@@ -5,8 +5,8 @@ use netrs::{Granularity, PlanConstraints, PlanSolver};
 use netrs_faults::{FaultEvent, FaultPlan, LinkRef};
 use netrs_kvstore::ServerConfig;
 use netrs_netdev::{AcceleratorConfig, CacheAdmission, HotCacheConfig};
-use netrs_selection::{C3Config, CubicConfig};
-use netrs_simcore::SimDuration;
+use netrs_selection::C3Config;
+use netrs_simcore::{Bimodal, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// The replica-selection scheme under evaluation (§V-A).
@@ -207,9 +207,6 @@ pub struct SimConfig {
     /// Parameters of C3, the replica selector at every RSNode (the
     /// concurrency compensation is the scheme's RSNode count).
     pub c3: C3Config,
-    /// Cubic rate control at CliRS clients (`None` = scoring only; the
-    /// ABL-B ablation turns this on).
-    pub rate_control: Option<CubicConfig>,
     /// Redundant-request policy for CliRS-R95.
     pub r95: R95Config,
     /// Accelerator model on each NetRS operator.
@@ -267,7 +264,6 @@ impl SimConfig {
             link_latency: SimDuration::from_micros(30),
             scheme: Scheme::CliRs,
             c3: C3Config::default(),
-            rate_control: None,
             r95: R95Config::default(),
             accelerator: AcceleratorConfig::default(),
             plan: PlanConstraints {
@@ -431,9 +427,6 @@ impl SimConfig {
             }
         }
         self.c3.validate().map_err(|e| format!("c3: {e}"))?;
-        if let Some(rc) = &self.rate_control {
-            rc.validate().map_err(|e| format!("rate_control: {e}"))?;
-        }
         if self.r95.quantile <= 0.0 || self.r95.quantile >= 1.0 || self.r95.min_samples == 0 {
             return Err(format!(
                 "inconsistent R95 config: quantile {} must be in (0, 1) and \
@@ -534,6 +527,10 @@ impl SimConfig {
         // ToRs + aggs + cores of a k-ary fat-tree.
         let switches =
             self.arity * self.arity / 2 + self.arity * self.arity / 2 + self.arity * self.arity / 4;
+        // A server's mean service time under a slowdown is its current
+        // mode's mean divided by the factor, in whole nanoseconds.
+        let fastest =
+            Bimodal::new(self.server.base_service_time, self.server.fluctuation_range).fast();
         let check_link = |i: usize, link: LinkRef| match link {
             LinkRef::HostUplink { host } if host >= hosts => {
                 Err(format!("fault {i}: host {host} out of range (< {hosts})"))
@@ -545,6 +542,16 @@ impl SimConfig {
         };
         for (i, ev) in plan.events.iter().enumerate() {
             match ev.fault {
+                FaultEvent::ServerSlowdown { factor, .. }
+                    if !factor.is_finite()
+                        || fastest.mul_f64(1.0 / factor) == SimDuration::ZERO =>
+                {
+                    return Err(format!(
+                        "fault {i}: server slowdown factor must be finite and keep the \
+                         fastest mean service time ({} ns) above 0 ns, got {factor}",
+                        fastest.as_nanos()
+                    ));
+                }
                 FaultEvent::ServerCrash { server }
                 | FaultEvent::ServerRecover { server }
                 | FaultEvent::ServerSlowdown { server, .. } => {

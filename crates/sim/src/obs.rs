@@ -75,7 +75,7 @@ pub struct TraceRecord {
     pub steer_ns: u64,
     /// Time spent selecting a replica: the accelerator's half-RTT +
     /// queue wait + processing + half-RTT in-network, or the client-side
-    /// hold (rate gating, duplicate timers) for client schemes.
+    /// hold (duplicate timers) for client schemes.
     pub selection_ns: u64,
     /// Accelerator queue wait alone (a sub-interval of `selection_ns`;
     /// zero for client schemes).
@@ -263,8 +263,7 @@ pub struct DeviceRecord {
     pub max_queue_depth: u32,
     /// Work abandoned at the device (retired-RSNode fallbacks).
     pub drops: u64,
-    /// Load-induced degradations (rate-controller holds, DRS
-    /// forwarding).
+    /// Load-induced degradations (DRS forwarding).
     pub clamps: u64,
     /// Hot-key-cache reads served at the switch (RSNode operators only).
     #[serde(default)]

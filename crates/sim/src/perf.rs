@@ -32,9 +32,8 @@ pub const PERF_SCHEMA_VERSION: u64 = 1;
 /// batch of coherence messages (every operator one write reaches at one
 /// instant), so its count is batches and its ns/event covers a walk over
 /// the batch.
-pub const EV_KINDS: [(&str, &str); 17] = [
+pub const EV_KINDS: [(&str, &str); 16] = [
     ("Generate", "state"),
-    ("GatedSend", "policy"),
     ("RsnodeArrive", "policy"),
     ("Select", "policy"),
     ("ServerArrive", "server"),
@@ -56,25 +55,15 @@ pub const EV_KINDS: [(&str, &str); 17] = [
 /// to [`netrs_simcore::PerfProbe::new`].
 #[must_use]
 pub fn kind_names() -> &'static [&'static str] {
-    static NAMES: [&str; 17] = [
-        EV_KINDS[0].0,
-        EV_KINDS[1].0,
-        EV_KINDS[2].0,
-        EV_KINDS[3].0,
-        EV_KINDS[4].0,
-        EV_KINDS[5].0,
-        EV_KINDS[6].0,
-        EV_KINDS[7].0,
-        EV_KINDS[8].0,
-        EV_KINDS[9].0,
-        EV_KINDS[10].0,
-        EV_KINDS[11].0,
-        EV_KINDS[12].0,
-        EV_KINDS[13].0,
-        EV_KINDS[14].0,
-        EV_KINDS[15].0,
-        EV_KINDS[16].0,
-    ];
+    static NAMES: [&str; EV_KINDS.len()] = {
+        let mut names = [""; EV_KINDS.len()];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = EV_KINDS[i].0;
+            i += 1;
+        }
+        names
+    };
     &NAMES
 }
 
@@ -84,22 +73,21 @@ impl Ev {
     pub fn kind_index(&self) -> u32 {
         match self {
             Ev::Generate { .. } => 0,
-            Ev::GatedSend { .. } => 1,
-            Ev::RsnodeArrive { .. } => 2,
-            Ev::Select { .. } => 3,
-            Ev::ServerArrive { .. } => 4,
-            Ev::ServerDone { .. } => 5,
-            Ev::SelectorUpdate { .. } => 6,
-            Ev::ClientReceive { .. } => 7,
-            Ev::R95Check { .. } => 8,
-            Ev::Fluctuate { .. } => 9,
-            Ev::OverloadCheck => 10,
-            Ev::Replan => 11,
-            Ev::Sample => 12,
-            Ev::Fault { .. } => 13,
-            Ev::RetryCheck { .. } => 14,
-            Ev::OperatorDetect { .. } => 15,
-            Ev::CacheInvalidate { .. } => 16,
+            Ev::RsnodeArrive { .. } => 1,
+            Ev::Select { .. } => 2,
+            Ev::ServerArrive { .. } => 3,
+            Ev::ServerDone { .. } => 4,
+            Ev::SelectorUpdate { .. } => 5,
+            Ev::ClientReceive { .. } => 6,
+            Ev::R95Check { .. } => 7,
+            Ev::Fluctuate { .. } => 8,
+            Ev::OverloadCheck => 9,
+            Ev::Replan => 10,
+            Ev::Sample => 11,
+            Ev::Fault { .. } => 12,
+            Ev::RetryCheck { .. } => 13,
+            Ev::OperatorDetect { .. } => 14,
+            Ev::CacheInvalidate { .. } => 15,
         }
     }
 }
@@ -364,7 +352,14 @@ impl Deserialize for PerfArtifact {
 
 #[cfg(test)]
 mod tests {
+    use netrs_kvstore::{ServerId, ServerStatus};
+    use netrs_selection::Feedback;
+    use netrs_simcore::{SimDuration, SimTime};
+    use netrs_topology::SwitchId;
+
     use super::*;
+    use crate::cluster::ReqId;
+    use crate::server::{CopySlab, ServerToken};
 
     fn profile() -> HostProfile {
         HostProfile {
@@ -461,14 +456,75 @@ mod tests {
 
     #[test]
     fn kind_table_matches_ev_variants() {
-        // Spot-check the index → (name, layer) mapping against real
-        // events at both ends of the enum.
-        assert_eq!(Ev::Generate { gen: 0 }.kind_index(), 0);
-        assert_eq!(EV_KINDS[0], ("Generate", "state"));
-        assert_eq!(Ev::OverloadCheck.kind_index(), 10);
-        assert_eq!(EV_KINDS[10], ("OverloadCheck", "policy"));
-        assert_eq!(Ev::Sample.kind_index(), 12);
-        assert_eq!(EV_KINDS[12], ("Sample", "state"));
+        // One real event per variant: its `kind_index` must name its own
+        // variant (the `Debug` prefix) in `EV_KINDS`, and together they
+        // must cover every row.
+        let req = ReqId(0);
+        let op = SwitchId(0);
+        let server = ServerId(0);
+        let copy = CopySlab::new().insert(ServerToken::new(
+            req,
+            server,
+            0,
+            0,
+            false,
+            SimTime::ZERO,
+            SimTime::ZERO,
+            SimDuration::ZERO,
+            SimTime::ZERO,
+            None,
+        ));
+        let events = [
+            Ev::Generate { gen: 0 },
+            Ev::RsnodeArrive { req, op },
+            Ev::Select {
+                req,
+                op,
+                arrived: SimTime::ZERO,
+                waited: SimDuration::ZERO,
+            },
+            Ev::ServerArrive { copy },
+            Ev::ServerDone { server, copy },
+            Ev::SelectorUpdate {
+                op,
+                fb: Feedback {
+                    server,
+                    queue_len: 0,
+                    service_time: SimDuration::ZERO,
+                    latency: SimDuration::ZERO,
+                },
+            },
+            Ev::ClientReceive {
+                copy,
+                status: ServerStatus::default(),
+            },
+            Ev::R95Check { req },
+            Ev::Fluctuate { server },
+            Ev::OverloadCheck,
+            Ev::Replan,
+            Ev::Sample,
+            Ev::Fault { idx: 0 },
+            Ev::RetryCheck { req, attempt: 0 },
+            Ev::OperatorDetect { sw: op },
+            Ev::CacheInvalidate {
+                batch: 0,
+                key: 0,
+                version: 0,
+            },
+        ];
+        let mut seen: Vec<u32> = events
+            .iter()
+            .map(|ev| {
+                let idx = ev.kind_index();
+                let debug = format!("{ev:?}");
+                let variant = debug.split([' ', '{']).next().unwrap();
+                assert_eq!(EV_KINDS[idx as usize].0, variant);
+                assert_eq!(kind_names()[idx as usize], variant);
+                idx
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..EV_KINDS.len() as u32).collect::<Vec<_>>());
         assert_eq!(kind_names().len(), EV_KINDS.len());
         // Names must be unique: the analyzer keys tables on them.
         let mut names: Vec<_> = kind_names().to_vec();

@@ -25,7 +25,7 @@ use crate::config::Scheme;
 use crate::server::CopyId;
 use crate::state::Core;
 
-pub(crate) use self::client::{CliRsPolicy, CliRsR95Policy};
+pub(crate) use self::client::ClientPolicy;
 #[cfg(test)]
 pub(crate) use self::netrs::FanoutTemplate;
 pub(crate) use self::netrs::InNetwork;
@@ -116,19 +116,6 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
         queue: &mut EventQueue<Ev>,
     );
 
-    /// A rate-gated client send retries ([`Ev::GatedSend`]).
-    fn on_gated_send(
-        &mut self,
-        core: &mut Core<D>,
-        now: SimTime,
-        req: ReqId,
-        server: ServerId,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let _ = (core, now, req, server, queue);
-        unreachable!("GatedSend is only scheduled by client policies");
-    }
-
     /// A request reaches its RSNode's switch ([`Ev::RsnodeArrive`]).
     fn on_rsnode_arrive(
         &mut self,
@@ -209,7 +196,7 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
         queue: &mut EventQueue<Ev>,
     ) {
         let _ = (core, now, req, queue);
-        unreachable!("R95Check is only scheduled by the CliRS-R95 policy");
+        unreachable!("R95Check is only scheduled by the client policy");
     }
 
     /// The controller checks operator utilization ([`Ev::OverloadCheck`]).
@@ -237,9 +224,9 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
         core.send_reply_direct(now, copy, status, queue);
     }
 
-    /// Feedback when a response copy reaches the client: selector /
-    /// rate-controller updates (client schemes) or ToR monitor counting
-    /// (in-network schemes).
+    /// Feedback when a response copy reaches the client: selector
+    /// updates (client schemes) or ToR monitor counting (in-network
+    /// schemes).
     fn on_reply(&mut self, core: &mut Core<D>, now: SimTime, info: &ReplyInfo) {
         let _ = (core, now, info);
     }
@@ -338,8 +325,8 @@ pub(crate) fn build<D: DeviceProbe>(
     root: &SimRng,
 ) -> Box<dyn SchemePolicy<D> + Send> {
     match core.cfg.scheme {
-        Scheme::CliRs => Box::new(CliRsPolicy::new(core, root)),
-        Scheme::CliRsR95 => Box::new(CliRsR95Policy::new(core, root)),
+        Scheme::CliRs => Box::new(ClientPolicy::new(core, root, false)),
+        Scheme::CliRsR95 => Box::new(ClientPolicy::new(core, root, true)),
         // NetRS-ToR pins an RSNode to every client ToR for good; NetRS-ILP
         // optimizes the placement from the configured plan source.
         Scheme::NetRsToR => Box::new(InNetwork::new(core, root, None)),

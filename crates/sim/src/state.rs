@@ -236,8 +236,8 @@ pub(crate) struct Core<D: DeviceProbe> {
     zipf: Zipf,
     pub(crate) server_hosts: Vec<HostId>,
     /// Host of every client, dense: read on every packet to or from a
-    /// client. Selectors, rate controllers and the CliRS-R95 latency
-    /// histograms are per-scheme and live in the policy.
+    /// client. Selectors and the CliRS-R95 latency histograms are
+    /// per-scheme and live in the policy.
     pub(crate) client_hosts: Vec<HostId>,
     /// Per-client streams for backup-replica picks (`root.fork(40_000 +
     /// client)`). Only in-network schemes route to the backup (DRS), so
@@ -564,7 +564,7 @@ impl<D: DeviceProbe> Core<D> {
     pub(crate) fn shard_of_event(&self, ev: &Ev) -> u32 {
         match *ev {
             Ev::Generate { gen } => gen % self.shards,
-            Ev::GatedSend { req, .. } | Ev::R95Check { req } => self.req_shard(req),
+            Ev::R95Check { req } => self.req_shard(req),
             Ev::ServerArrive { copy } => self.server_shard(self.copies[copy].server),
             Ev::ServerDone { server, .. } | Ev::Fluctuate { server } => self.server_shard(server),
             // The emitting replica cannot consult the request table of

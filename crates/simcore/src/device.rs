@@ -83,8 +83,7 @@ pub enum DeviceCounter {
     /// Work abandoned at the device (e.g. a request reaching a retired
     /// RSNode and falling back to its backup replica).
     Drop,
-    /// Load-induced degradations (rate-controller holds, DRS
-    /// forwarding).
+    /// Load-induced degradations (DRS forwarding).
     Clamp,
     /// Response clones processed for selector state (no latency cost).
     CloneUpdate,

@@ -15,11 +15,13 @@
 //! that control-plane observation never perturbs a run.
 //!
 //! Together the six cases cover every scheme and every event path of the
-//! simulator: client selection, R95 duplicates, cubic rate gating,
-//! writes, demand skew, in-network steering, the monitored re-plan loop
-//! and operator overload degradation. Any refactor of the cluster must
-//! keep these bytes identical — the fixtures were captured before the
-//! fabric/server/policy split and have not been regenerated since.
+//! simulator: client selection, R95 duplicates, writes, demand skew,
+//! in-network steering, the monitored re-plan loop and operator overload
+//! degradation. Any refactor of the cluster must keep these bytes
+//! identical — the fixtures were captured before the fabric/server/policy
+//! split and have not been regenerated since. `clirs-skewed-writes` is
+//! the one exception: it was captured at commit 2654938, where the same
+//! config ran through code since deleted.
 //!
 //! To (re)generate after an *intentional* behavior change:
 //!
@@ -31,7 +33,6 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use netrs_selection::CubicConfig;
 use netrs_sim::{
     run_observed, run_observed_sharded_parallel, AllocStats, CacheAdmission, CacheWritePolicy,
     FaultPlan, HostMeta, HostProfile, HotCacheConfig, KindRecord, ObsOptions, OverloadPolicy,
@@ -105,18 +106,14 @@ fn cases() -> Vec<(&'static str, SimConfig)> {
     cfg.overload = Some(OverloadPolicy::default());
     cases.push(("netrs-ilp-monitored", cfg));
 
-    // Client-side extras: cubic rate gating (GatedSend events), a write
-    // mix (per-replica fan-out, last-response completion) and demand skew.
+    // Client-side extras: a write mix (per-replica fan-out,
+    // last-response completion) and demand skew.
     let mut cfg = SimConfig::small();
     cfg.scheme = Scheme::CliRs;
     cfg.seed = 9;
     cfg.write_fraction = 0.2;
     cfg.demand_skew = Some(0.7);
-    cfg.rate_control = Some(CubicConfig {
-        init_rate: 2_000.0,
-        ..CubicConfig::default()
-    });
-    cases.push(("clirs-gated-writes", cfg));
+    cases.push(("clirs-skewed-writes", cfg));
 
     cases
 }

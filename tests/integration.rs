@@ -224,18 +224,6 @@ fn operator_failure_mid_run_engages_drs_and_loses_nothing() {
 }
 
 #[test]
-fn rate_controlled_clirs_still_completes() {
-    let mut cfg = small(Scheme::CliRs);
-    cfg.rate_control = Some(netrs_selection::CubicConfig {
-        init_rate: 2_000.0,
-        ..netrs_selection::CubicConfig::default()
-    });
-    cfg.requests = 5_000;
-    let stats = run(cfg);
-    assert_eq!(stats.completed, 5_000);
-}
-
-#[test]
 fn tor_plan_and_ilp_plan_agree_on_coverage() {
     let topo = FatTree::new(4).unwrap();
     let clients = [HostId(0), HostId(2), HostId(5), HostId(13)];

@@ -4,7 +4,6 @@
 //! One table-driven helper covers every record type an artifact file is
 //! read back into. A new record type joins by one `check` line.
 
-use netrs_selection::CubicConfig;
 use netrs_sim::{
     AllocStats, AvailabilityStats, CacheRecord, ControlRecord, DeviceRecord, DisplacedGroup,
     DrsSpanRecord, FaultEvent, FaultPlan, HopSpan, HostMeta, HostProfile, KindRecord,
@@ -420,10 +419,6 @@ fn small_with(edit: impl FnOnce(&mut SimConfig)) -> Value {
 fn bad_configs_are_errors_naming_the_field() {
     let small = SimConfig::small().ser();
     let top = small.as_obj().unwrap();
-    let beta = CubicConfig {
-        beta: 1.5,
-        ..CubicConfig::default()
-    };
     let selector = Some(Value::Str("Random".into()));
     for (field, cfg, error) in [
         (
@@ -437,9 +432,9 @@ fn bad_configs_are_errors_naming_the_field() {
             "c3: exponent must be >= 1, got -3",
         ),
         (
-            "rate_control.beta",
-            edited(top, "rate_control", Some(beta.ser())),
-            "rate_control: beta must be in (0, 1), got 1.5",
+            "rate_control",
+            edited(top, "rate_control", Some(Value::Null)),
+            "unknown field `rate_control`, expected one of `arity`, `servers`,",
         ),
         (
             "selector",
@@ -563,6 +558,25 @@ fn bad_configs_are_errors_naming_the_field() {
             "server.fluctuation_range = NaN",
             small_with(|c| c.server.fluctuation_range = f64::NAN),
             "server.fluctuation_range must be finite and at least 1, got NaN",
+        ),
+        (
+            // 1.33 ms / 1e9 rounds to a 0 ns mean: the exponential draw
+            // would assert.
+            "faults[0].factor",
+            small_with(|c| {
+                c.faults = Some(FaultPlan {
+                    events: vec![TimedFault {
+                        at: SimDuration::from_millis(5),
+                        fault: FaultEvent::ServerSlowdown {
+                            server: 0,
+                            factor: 1e9,
+                        },
+                    }],
+                    ..FaultPlan::default()
+                });
+            }),
+            "fault 0: server slowdown factor must be finite and keep the fastest mean \
+             service time (1333333 ns) above 0 ns, got 1000000000",
         ),
     ] {
         let err = load_config(&cfg).expect_err(field);
