@@ -14,25 +14,34 @@
 
 use crate::hash64;
 
+/// The key of an empty slot. Workload keys are Zipf ranks, `1..=keys`,
+/// so no written key is 0 and a slot needs no tag beside its key.
+const EMPTY: u64 = 0;
+
 /// Per-key version counters: key `→` number of committed writes.
 ///
 /// Keys that were never written report version 0 without occupying a
 /// slot, so memory is proportional to the *written* key population.
+/// Key 0 cannot be written: it marks an empty slot.
 #[derive(Debug, Clone, Default)]
 pub struct VersionTable {
-    slots: Vec<Option<(u64, u64)>>,
+    /// `(key, version)`, `(EMPTY, 0)` when vacant.
+    slots: Vec<(u64, u64)>,
     mask: u64,
     len: usize,
     writes: u64,
 }
 
 impl VersionTable {
+    /// Bytes of one slot: a key and its version, no tag or padding.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<(u64, u64)>();
+
     /// An empty table sized for at least `cap` written keys.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         let cap = cap.max(16).next_power_of_two();
         VersionTable {
-            slots: vec![None; cap],
+            slots: vec![(EMPTY, 0); cap],
             mask: cap as u64 - 1,
             len: 0,
             writes: 0,
@@ -52,16 +61,23 @@ impl VersionTable {
         }
         let mut i = self.probe(key);
         loop {
+            // An empty slot holds version 0, so `get(EMPTY)` needs no
+            // case of its own.
             match self.slots[i] {
-                Some((k, v)) if k == key => return v,
-                Some(_) => i = (i + 1) & self.mask as usize,
-                None => return 0,
+                (k, v) if k == key => return v,
+                (EMPTY, _) => return 0,
+                _ => i = (i + 1) & self.mask as usize,
             }
         }
     }
 
     /// Commits one write to `key`, returning the new version (≥ 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is 0, the empty-slot marker.
     pub fn bump(&mut self, key: u64) -> u64 {
+        assert_ne!(key, EMPTY, "key 0 marks an empty version slot");
         if self.slots.is_empty() {
             *self = VersionTable::with_capacity(16);
         }
@@ -69,23 +85,23 @@ impl VersionTable {
         let mut i = self.probe(key);
         loop {
             match &mut self.slots[i] {
-                Some((k, v)) if *k == key => {
+                (k, v) if *k == key => {
                     *v += 1;
                     return *v;
                 }
-                Some(_) => i = (i + 1) & self.mask as usize,
-                None => break,
+                (EMPTY, _) => break,
+                _ => i = (i + 1) & self.mask as usize,
             }
         }
         // Keep the load factor under 1/2 so probes stay short.
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
             i = self.probe(key);
-            while self.slots[i].is_some() {
+            while self.slots[i].0 != EMPTY {
                 i = (i + 1) & self.mask as usize;
             }
         }
-        self.slots[i] = Some((key, 1));
+        self.slots[i] = (key, 1);
         self.len += 1;
         1
     }
@@ -104,14 +120,14 @@ impl VersionTable {
 
     fn grow(&mut self) {
         let cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![None; cap]);
+        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, 0); cap]);
         self.mask = cap as u64 - 1;
-        for entry in old.into_iter().flatten() {
+        for entry in old.into_iter().filter(|&(k, _)| k != EMPTY) {
             let mut i = (hash64(entry.0) & self.mask) as usize;
-            while self.slots[i].is_some() {
+            while self.slots[i].0 != EMPTY {
                 i = (i + 1) & self.mask as usize;
             }
-            self.slots[i] = Some(entry);
+            self.slots[i] = entry;
         }
     }
 }
@@ -144,18 +160,34 @@ mod tests {
     #[test]
     fn grows_past_initial_capacity_without_losing_versions() {
         let mut t = VersionTable::with_capacity(4);
-        for key in 0..1000u64 {
+        for key in 1..=1000u64 {
             assert_eq!(t.bump(key), 1);
         }
-        for key in 0..1000u64 {
+        for key in 1..=1000u64 {
             assert_eq!(t.get(key), 1, "key {key} lost in growth");
         }
         assert_eq!(t.keys_written(), 1000);
         // Second round: versions advance independently.
-        for key in (0..1000u64).step_by(3) {
+        for key in (1..=1000u64).step_by(3) {
             assert_eq!(t.bump(key), 2);
         }
         assert_eq!(t.get(998), 1);
-        assert_eq!(t.get(3), 2);
+        assert_eq!(t.get(4), 2);
+    }
+
+    #[test]
+    fn the_lowest_zipf_rank_is_a_key_and_zero_is_the_empty_marker() {
+        let mut t = VersionTable::with_capacity(4);
+        assert_eq!(t.get(0), 0, "probing for the marker finds an empty slot");
+        assert_eq!(t.bump(1), 1);
+        assert_eq!(t.bump(u64::MAX), 1);
+        assert_eq!((t.get(1), t.get(u64::MAX), t.get(0)), (1, 1, 0));
+        assert_eq!(t.keys_written(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 0 marks an empty version slot")]
+    fn writing_key_zero_panics() {
+        VersionTable::default().bump(0);
     }
 }

@@ -123,16 +123,17 @@ impl CacheStats {
 /// counters). Fixed so the switch-side memory model stays bounded.
 const SKETCH_WIDTH: usize = 1024;
 
-/// Presence-filter bits per unit of capacity (4 KB at 1 024 entries).
+/// Presence-filter bits per unit of capacity (1 KB at 1 024 entries).
 /// With at most `capacity` live keys and `capacity` stale bits between
-/// rebuilds, at most one bit in sixteen is set.
-const FILTER_BITS_PER_ENTRY: usize = 32;
+/// rebuilds, at most one bit in four is set.
+const FILTER_BITS_PER_ENTRY: usize = 8;
 
-/// "No slot": list ends, the empty free list, vacant index buckets.
+/// "No slot" on the recency and free lists.
 const NIL: u32 = u32::MAX;
 
-/// Initial (and minimum) bucket count of the key index.
-const MIN_BUCKETS: usize = 8;
+/// A vacant index bucket. Buckets store slot id + 1, so an index that is
+/// never written stays on the zero pages it was allocated on.
+const VACANT: u32 = 0;
 
 /// One slab slot: a cached key threaded on the recency list, or a freed
 /// slot threaded on the free list through `next`.
@@ -152,8 +153,9 @@ struct Slot {
 /// Entries live in a slab; an open-addressing index (linear probing,
 /// backward-shift deletion, at most half full) maps keys to slots, and
 /// the recency list runs `head` (most recent) → `tail` (eviction
-/// victim). Both grow with the contents up to `capacity` and then stop:
-/// a warm cache never touches the heap.
+/// victim). The slab is reserved and the index sized for `capacity` when
+/// the cache is built, so no operation after [`HotKeyCache::new`] touches
+/// the heap.
 ///
 /// A write's coherence message reaches every operator and finds its key
 /// cached at few of them, so [`HotKeyCache::apply_write`] first asks a
@@ -170,7 +172,8 @@ pub struct HotKeyCache {
     tail: u32,
     free: u32,
     len: usize,
-    /// Bucket → slot, `NIL` when vacant; a power of two long.
+    /// Bucket → slot id + 1, [`VACANT`] when empty; a power of two long,
+    /// at least twice `capacity`.
     index: Vec<u32>,
     /// Presence filter: a power of two of bits, at least
     /// [`FILTER_BITS_PER_ENTRY`] per unit of capacity. A clear bit means
@@ -185,7 +188,8 @@ pub struct HotKeyCache {
 }
 
 impl HotKeyCache {
-    /// An empty cache.
+    /// An empty cache with its slab, index and filter allocated for
+    /// `cfg.capacity` entries.
     ///
     /// # Panics
     ///
@@ -200,12 +204,13 @@ impl HotKeyCache {
         let filter_bits = (cfg.capacity * FILTER_BITS_PER_ENTRY).next_power_of_two();
         HotKeyCache {
             cfg,
-            slots: Vec::new(),
+            slots: Vec::with_capacity(cfg.capacity),
             head: NIL,
             tail: NIL,
             free: NIL,
             len: 0,
-            index: vec![NIL; MIN_BUCKETS],
+            // At capacity the index is at most half full: short probe runs.
+            index: vec![VACANT; (2 * cfg.capacity).next_power_of_two()],
             filter: vec![0; filter_bits.div_ceil(64)],
             removed_since_rebuild: 0,
             stats: CacheStats::default(),
@@ -319,7 +324,7 @@ impl HotKeyCache {
         self.slots.clear();
         (self.head, self.tail, self.free) = (NIL, NIL, NIL);
         self.len = 0;
-        self.index.fill(NIL);
+        self.index.fill(VACANT);
         self.filter.fill(0);
         self.removed_since_rebuild = 0;
         self.sketch.fill(0);
@@ -340,10 +345,10 @@ impl HotKeyCache {
         let mask = self.index.len() - 1;
         let mut b = Self::home(key, self.index.len());
         loop {
-            let slot = self.index[b];
-            if slot == NIL {
-                return None;
-            }
+            let slot = match self.index[b] {
+                VACANT => return None,
+                stored => stored - 1,
+            };
             if self.slots[slot as usize].key == key {
                 return Some((b, slot));
             }
@@ -352,13 +357,13 @@ impl HotKeyCache {
     }
 
     /// Points the first vacant bucket of `key`'s probe run at `slot`.
-    fn index_insert(index: &mut [u32], key: u64, slot: u32) {
-        let mask = index.len() - 1;
-        let mut b = Self::home(key, index.len());
-        while index[b] != NIL {
+    fn index_insert(&mut self, key: u64, slot: u32) {
+        let mask = self.index.len() - 1;
+        let mut b = Self::home(key, self.index.len());
+        while self.index[b] != VACANT {
             b = (b + 1) & mask;
         }
-        index[b] = slot;
+        self.index[b] = slot + 1;
     }
 
     /// Vacates `bucket`, shifting later members of its probe run back so
@@ -369,19 +374,19 @@ impl HotKeyCache {
         let mut b = bucket;
         loop {
             b = (b + 1) & mask;
-            let slot = self.index[b];
-            if slot == NIL {
+            let stored = self.index[b];
+            if stored == VACANT {
                 break;
             }
-            let home = Self::home(self.slots[slot as usize].key, self.index.len());
-            // `slot` may fill the hole unless its home lies cyclically
+            let home = Self::home(self.slots[stored as usize - 1].key, self.index.len());
+            // The slot may fill the hole unless its home lies cyclically
             // after the hole (it would become unreachable).
             if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
-                self.index[hole] = slot;
+                self.index[hole] = stored;
                 hole = b;
             }
         }
-        self.index[hole] = NIL;
+        self.index[hole] = VACANT;
     }
 
     // ---- presence filter ------------------------------------------------
@@ -427,16 +432,6 @@ impl HotKeyCache {
     /// Inserts an absent `key` as the most recently used entry. The
     /// caller has made room (`len < capacity`).
     fn insert(&mut self, key: u64, entry: CacheEntry) {
-        if (self.len + 1) * 2 > self.index.len() {
-            // Keep the index at most half full: short probe runs.
-            let mut grown = vec![NIL; self.index.len() * 2];
-            let mut at = self.head;
-            while at != NIL {
-                Self::index_insert(&mut grown, self.slots[at as usize].key, at);
-                at = self.slots[at as usize].next;
-            }
-            self.index = grown;
-        }
         let fresh = Slot {
             key,
             entry,
@@ -444,6 +439,7 @@ impl HotKeyCache {
             next: NIL,
         };
         let slot = if self.free == NIL {
+            // Below `capacity`, so within the reservation made by `new`.
             let slot = u32::try_from(self.slots.len()).expect("slot ids fit in u32");
             assert_ne!(slot, NIL, "slot ids stay below the NIL sentinel");
             self.slots.push(fresh);
@@ -454,7 +450,7 @@ impl HotKeyCache {
             self.slots[slot as usize] = fresh;
             slot
         };
-        Self::index_insert(&mut self.index, key, slot);
+        self.index_insert(key, slot);
         self.filter_set(key);
         self.link_front(slot);
         self.len += 1;
@@ -810,11 +806,14 @@ mod tests {
     }
 
     /// Past the differential test's 16 keys: probe runs that wrap the
-    /// index, several growth steps, and removals from the middle of a
-    /// run, checked against a plain map.
+    /// index and removals from the middle of a run, checked against a
+    /// plain map, in storage that never moves from what `new` allocated.
     #[test]
-    fn index_survives_growth_wraparound_and_mid_run_removal() {
+    fn index_survives_wraparound_and_mid_run_removal() {
         let mut c = lru(1024);
+        assert_eq!(c.index.len(), 2_048, "at most half full at capacity");
+        assert_eq!(c.slots.capacity(), 1024);
+        let slab = c.slots.as_ptr();
         let mut model = BTreeMap::new();
         let mut x = 0x1234_5678_9ABC_DEF0u64;
         for i in 0..20_000u64 {
@@ -840,7 +839,9 @@ mod tests {
         assert_eq!(c.contents(), model);
         c.assert_filter_covers_contents();
         assert!(c.stats().evictions > 0 && c.stats().invalidations > 0);
-        assert_eq!(c.index.len(), 2_048, "at most half full at capacity");
+        assert_eq!(c.index.len(), 2_048);
+        assert_eq!((c.slots.len(), c.slots.capacity()), (1024, 1024));
+        assert_eq!(c.slots.as_ptr(), slab, "the slab was never reallocated");
     }
 
     fn lru(cap: usize) -> HotKeyCache {

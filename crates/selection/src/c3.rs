@@ -318,8 +318,9 @@ fn ewma(old: f64, sample: f64, alpha: f64, first: bool) -> f64 {
     }
 }
 
-/// The C3 selector state held by one RSNode: a one-row [`C3Table`] that
-/// grows as it hears from servers.
+/// The C3 selector state held by one RSNode: a one-row [`C3Table`], sized
+/// for the run's servers by [`C3Selector::with_servers`]. A row built by
+/// [`C3Selector::new`] starts empty and widens as it hears from servers.
 #[derive(Debug)]
 pub struct C3Selector {
     table: C3Table,
@@ -334,8 +335,20 @@ impl C3Selector {
     /// Panics if `cfg` fails [`C3Config::validate`].
     #[must_use]
     pub fn new(cfg: C3Config, rng: SimRng) -> Self {
+        Self::with_servers(cfg, rng, 0)
+    }
+
+    /// [`C3Selector::new`] with estimates for servers `0..servers`
+    /// allocated up front, so the row never widens for a server id below
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`C3Config::validate`].
+    #[must_use]
+    pub fn with_servers(cfg: C3Config, rng: SimRng, servers: u32) -> Self {
         C3Selector {
-            table: C3Table::new(cfg, 1.0, vec![rng], 0),
+            table: C3Table::new(cfg, 1.0, vec![rng], servers),
         }
     }
 

@@ -46,20 +46,21 @@ proptest! {
     /// `C3Table`, and row `row` of a many-row table driven by the same
     /// calls (with every other row busy on calls of its own) agrees with it
     /// on every pick and rank, every count, and the next jitter draw —
-    /// including timeout penalties a response clears, servers past the
-    /// table's initial width, and an exponent other than the cube.
+    /// including timeout penalties a response clears, servers past either
+    /// side's initial width, and an exponent other than the cube.
     #[test]
     fn c3_table_row_matches_one_row_selector(
         seed in any::<u64>(),
         rows in 1usize..6,
         row_pick in any::<usize>(),
         width in 0u32..12,
+        one_width in 0u32..12,
         exponent in prop_oneof![Just(3.0), 1.0f64..5.0],
         ops in proptest::collection::vec(arb_c3_op(), 1..200),
     ) {
         let cfg = C3Config { exponent, ..C3Config::default() };
         let row = row_pick % rows;
-        let mut one = C3Selector::new(cfg, SimRng::from_seed(seed));
+        let mut one = C3Selector::with_servers(cfg, SimRng::from_seed(seed), one_width);
         one.set_concurrency(4.0);
         let rngs = (0..rows)
             .map(|r| SimRng::from_seed(if r == row { seed } else { seed ^ (r as u64 + 1) }))

@@ -322,7 +322,11 @@ impl InNetwork {
         let mut next = SwitchTable::new(self.operators.capacity());
         for sw in rsnodes {
             let op = self.operators.remove(sw).unwrap_or_else(|| {
-                let mut selector = C3Selector::new(cfg.c3, root.fork(30_000 + u64::from(sw.0)));
+                let mut selector = C3Selector::with_servers(
+                    cfg.c3,
+                    root.fork(30_000 + u64::from(sw.0)),
+                    cfg.servers,
+                );
                 selector.set_concurrency(n);
                 let op = RsOperator::new(selector, cfg.accelerator);
                 // Fresh RSNodes start with an empty hot-key cache when
@@ -971,11 +975,12 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         let cfg = &core.cfg;
         let n = rsnodes.len().max(1) as f64;
         self.operators.get_or_insert_with(sw, || {
-            let mut selector = C3Selector::new(
+            let mut selector = C3Selector::with_servers(
                 cfg.c3,
                 SimRng::from_seed(
                     cfg.seed ^ 0x0DD0_FA17 ^ (u64::from(sw.0) << 32) ^ now.as_nanos(),
                 ),
+                cfg.servers,
             );
             selector.set_concurrency(n);
             let op = RsOperator::new(selector, cfg.accelerator);

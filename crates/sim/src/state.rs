@@ -58,7 +58,6 @@ pub(crate) fn flow_hash(req: ReqId, salt: u64) -> u64 {
 pub(crate) struct RequestState {
     pub(crate) client: u32,
     pub(crate) rgid: u32,
-    pub(crate) issue_idx: u64,
     pub(crate) sent_at: SimTime,
     pub(crate) backup: ServerId,
     pub(crate) primary: Option<ServerId>,
@@ -748,7 +747,6 @@ impl<D: DeviceProbe> Core<D> {
             RequestState {
                 client: client_idx,
                 rgid,
-                issue_idx: req.0,
                 sent_at: now,
                 backup,
                 primary: None,
@@ -1106,7 +1104,8 @@ impl<D: DeviceProbe> Core<D> {
             self.completed += 1;
         }
         let latency = now - state.sent_at;
-        let issue_idx = state.issue_idx;
+        // The request id is its issue position (strided in replica mode).
+        let issue_idx = token.req.0;
         let drained = state.copies == 0;
         if drained {
             self.requests.remove(token.req.0);

@@ -6,7 +6,8 @@
 //! crate-private; [`TimingProbe`] re-exposes exactly the healthy-fabric
 //! trio that runs once per simulated packet, and
 //! [`ARRIVAL_LOOKAHEAD`] how many generator firings are drawn per refill,
-//! so the test can size its window past a refill.
+//! so the test can size its window past a refill; [`REQUEST_SLOT_BYTES`]
+//! lets it pin the size of a request-table slot.
 
 use netrs_simcore::{NoDeviceProbe, SimDuration};
 use netrs_topology::{FatTree, HostId, SwitchId};
@@ -15,6 +16,10 @@ use crate::fabric::Fabric;
 
 /// Workload-generator firings drawn ahead per refill of a shard's buffer.
 pub const ARRIVAL_LOOKAHEAD: usize = crate::state::LOOKAHEAD;
+
+/// Bytes of one request-table slot: the request id and its state.
+pub const REQUEST_SLOT_BYTES: usize =
+    std::mem::size_of::<Option<(u64, crate::state::RequestState)>>();
 
 /// A healthy fabric plus just enough surface to drive its per-packet
 /// timing helpers from outside the crate.

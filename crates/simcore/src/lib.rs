@@ -79,4 +79,4 @@ pub use metrics::{Histogram, Summary};
 pub use parallel::{ParallelEngine, ParallelWorld, ShardId, WindowStats};
 pub use rng::{Bimodal, SimRng, Zipf};
 pub use time::{round_to_u64, SimDuration, SimTime};
-pub use trace::{CollectingProbe, EngineProfile, NoProbe, Probe, RingSeries, Span};
+pub use trace::{CollectingProbe, EngineProfile, NoProbe, Probe, RingSeries};

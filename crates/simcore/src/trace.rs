@@ -1,5 +1,5 @@
-//! Zero-cost-when-disabled observability: engine probes, sim-time spans,
-//! engine profiles and bounded time-series buffers.
+//! Zero-cost-when-disabled observability: engine probes, engine profiles
+//! and bounded time-series buffers.
 //!
 //! The [`Probe`] trait is the engine's instrumentation hook. Every method
 //! has a no-op default body and the engine is monomorphized over the
@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Instrumentation sink driven by the [`Engine`](crate::Engine).
 ///
@@ -49,21 +49,6 @@ pub trait Probe {
     fn on_event_kind(&mut self, kind: u32, sampled_ns: Option<u64>) {
         let _ = (kind, sampled_ns);
     }
-
-    /// Adds `delta` to the named monotonic counter.
-    fn count(&mut self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// Records an instantaneous value of the named gauge.
-    fn gauge(&mut self, now: SimTime, name: &'static str, value: f64) {
-        let _ = (now, name, value);
-    }
-
-    /// Records a completed sim-time span.
-    fn span(&mut self, span: Span) {
-        let _ = span;
-    }
 }
 
 /// The default probe: every hook is a no-op and vanishes at compile time.
@@ -72,40 +57,13 @@ pub struct NoProbe;
 
 impl Probe for NoProbe {}
 
-/// A named sim-time interval attributed to an entity (request, server…).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct Span {
-    /// What happened during the interval.
-    pub name: &'static str,
-    /// The entity the span belongs to (caller-defined, e.g. request id).
-    pub id: u64,
-    /// When the interval began.
-    pub start: SimTime,
-    /// When the interval ended.
-    pub end: SimTime,
-}
-
-impl Span {
-    /// The span's length.
-    #[must_use]
-    pub fn duration(&self) -> SimDuration {
-        self.end - self.start
-    }
-}
-
-/// A probe that keeps everything it is told, for tests and offline export.
+/// A probe that counts events and the deepest queue it saw, for tests.
 #[derive(Debug, Default)]
 pub struct CollectingProbe {
     /// Events observed via [`Probe::on_event`].
     pub events: u64,
     /// Deepest pending queue seen after any event.
     pub max_queue_depth: usize,
-    /// Counter totals in first-use order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Every gauge observation, in order.
-    pub gauges: Vec<(SimTime, &'static str, f64)>,
-    /// Every recorded span, in order.
-    pub spans: Vec<Span>,
 }
 
 impl CollectingProbe {
@@ -114,36 +72,12 @@ impl CollectingProbe {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The total of the named counter (zero if never incremented).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    }
 }
 
 impl Probe for CollectingProbe {
     fn on_event(&mut self, _now: SimTime, queue_depth: usize) {
         self.events += 1;
         self.max_queue_depth = self.max_queue_depth.max(queue_depth);
-    }
-
-    fn count(&mut self, name: &'static str, delta: u64) {
-        match self.counters.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += delta,
-            None => self.counters.push((name, delta)),
-        }
-    }
-
-    fn gauge(&mut self, now: SimTime, name: &'static str, value: f64) {
-        self.gauges.push((now, name, value));
-    }
-
-    fn span(&mut self, span: Span) {
-        self.spans.push(span);
     }
 }
 
@@ -299,42 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn collecting_probe_aggregates_counters() {
-        let mut p = CollectingProbe::new();
-        p.count("steps", 2);
-        p.count("steps", 3);
-        p.count("drops", 1);
-        assert_eq!(p.counter("steps"), 5);
-        assert_eq!(p.counter("drops"), 1);
-        assert_eq!(p.counter("missing"), 0);
-    }
-
-    #[test]
-    fn collecting_probe_keeps_spans_and_gauges_in_order() {
-        let mut p = CollectingProbe::new();
-        p.gauge(t(5), "util", 0.5);
-        p.span(Span {
-            name: "service",
-            id: 7,
-            start: t(10),
-            end: t(40),
-        });
-        assert_eq!(p.gauges, vec![(t(5), "util", 0.5)]);
-        assert_eq!(p.spans[0].duration(), SimDuration::from_nanos(30));
-    }
-
-    #[test]
     fn no_probe_is_trivially_usable() {
         let mut p = NoProbe;
         p.on_event(t(1), 3);
-        p.count("x", 1);
-        p.gauge(t(2), "y", 0.0);
-        p.span(Span {
-            name: "z",
-            id: 0,
-            start: t(0),
-            end: t(1),
-        });
+        assert!(!p.sample_due());
+        p.on_event_kind(0, None);
     }
 
     #[test]

@@ -3,21 +3,22 @@
 //! A counting `#[global_allocator]` (which needs `unsafe`, so it cannot
 //! live inside the `#![forbid(unsafe_code)]` library) proves that the
 //! healthy-fabric timing trio — the code that runs for every simulated
-//! packet — never touches the heap, that a warm hot-key cache does not
-//! either, that a whole steady-state read (generate → select → serve →
+//! packet — never touches the heap, that a hot-key cache does not either
+//! once built, that a whole steady-state read (generate → select → serve →
 //! receive) does not under CliRS or NetRS-ToR — the copy slab's free list
 //! and the workload look-ahead's refills included — and pins the size of
-//! the event payload the queue copies around and of a C3 table cell, and
-//! the allocation counts of the one-time ring build and placement solve.
+//! the event payload the queue copies around, of a C3 table cell, of a
+//! version slot and of a request-table slot, and the allocation counts of
+//! the one-time ring build, hot-key cache build and placement solve.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use netrs::{PlacementProblem, PlanSolver};
-use netrs_kvstore::{Ring, ServerId};
+use netrs_kvstore::{Ring, ServerId, VersionTable};
 use netrs_netdev::HotKeyCache;
 use netrs_selection::C3Table;
-use netrs_sim::testhooks::{TimingProbe, ARRIVAL_LOOKAHEAD};
+use netrs_sim::testhooks::{TimingProbe, ARRIVAL_LOOKAHEAD, REQUEST_SLOT_BYTES};
 use netrs_sim::{Cluster, Ev, HotCacheConfig, OraclePlacement, Scheme, SimConfig};
 use netrs_simcore::{Engine, SimDuration};
 
@@ -83,11 +84,11 @@ fn warm_hot_key_cache_never_allocates() {
         capacity: 64,
         ..HotCacheConfig::default()
     });
-    // Warm: fill to capacity (slab and index reach their final size).
-    for key in 0..64 {
-        cache.admit(key, 1, ServerId(0));
-    }
     let allocs = allocs_during(|| {
+        // Fill to capacity: the slab and index `new` allocated hold it.
+        for key in 0..64 {
+            cache.admit(key, 1, ServerId(0));
+        }
         for i in 0..4_096u64 {
             // Every admission of a new key evicts; every seventh write
             // frees a slot that the next admission reuses.
@@ -103,7 +104,7 @@ fn warm_hot_key_cache_never_allocates() {
     assert!(cache.stats().evictions > 3_000 && cache.stats().invalidations > 500);
     assert_eq!(
         allocs, 0,
-        "admit at capacity reuses the victim's slot: no heap traffic"
+        "storage is sized at construction and a victim's slot is reused: no heap traffic"
     );
 }
 
@@ -172,12 +173,38 @@ fn c3_estimate_stays_at_32_bytes() {
 }
 
 #[test]
+fn version_slot_stays_at_16_bytes() {
+    // One slot per written key, probed on every write and every cache
+    // hit's stale check: a key and its version, with key 0 marking an
+    // empty slot instead of an `Option` tag (24 bytes with it).
+    assert_eq!(VersionTable::SLOT_BYTES, 16);
+}
+
+#[test]
+fn request_slot_stays_at_56_bytes() {
+    // The request table is a ring of these, sized by the in-flight
+    // window (8 192 slots on the fault benchmark). The request id is the
+    // issue position the warm-up cutoff reads, so no copy of it is kept.
+    assert_eq!(REQUEST_SLOT_BYTES, 56);
+}
+
+#[test]
 fn set_up_allocations_are_pinned() {
     // Set-up work counted exactly, so it gates on any machine. The ring
     // build allocates its point list, group table and the ring's four
     // arrays: one allocation per segment (6 400 here) coming back fails.
     let ring = allocs_during(|| drop(Ring::new(100, 64, 3, 42).unwrap()));
     assert_eq!(ring, 6, "Ring::new(100, 64, 3, _)");
+
+    // A hot-key cache is allocated once, at capacity: the entry slab, the
+    // key index and the presence filter (an LRU cache keeps no sketch).
+    let cache = allocs_during(|| {
+        drop(HotKeyCache::new(HotCacheConfig {
+            capacity: 1024,
+            ..HotCacheConfig::default()
+        }))
+    });
+    assert_eq!(cache, 3, "HotKeyCache::new at capacity 1 024");
 
     // The paper-config solve: greedy, `to_ilp` and the cover-bound proof.
     // The model holds one term list per row (641 rows); the rest is the
