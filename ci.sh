@@ -58,6 +58,10 @@ echo "==> config round-trip smoke (an emitted config is the same run; a stray ke
 # config does not have (misspelled, or retired like `selector` and
 # `rate_control`) must exit 1 rather than run the defaults.
 ./target/debug/simulate --small --emit-config > "$SMOKE/cfg.json"
+# A config is one base plus overrides: where a flag stands never matters.
+./target/debug/simulate --emit-config --small --seed 5 --scheme netrs-ilp > "$SMOKE/emit-first.json"
+./target/debug/simulate --small --scheme netrs-ilp --seed 5 --emit-config > "$SMOKE/emit-last.json"
+cmp "$SMOKE/emit-first.json" "$SMOKE/emit-last.json"
 ./target/debug/simulate --config "$SMOKE/cfg.json" --requests 5000 --seed 5 \
     --json > "$SMOKE/cfg-stats.json"
 ./target/debug/simulate --small --requests 5000 --seed 5 --json > "$SMOKE/small-stats.json"

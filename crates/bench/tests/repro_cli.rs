@@ -18,18 +18,32 @@ fn repro(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn ignored_flags_exit_2_naming_flag_and_subcommand() {
-    for (args, flag, command) in [
-        (&["perf", "--requests", "10"][..], "--requests", "perf"),
-        (&["perf", "--small", "--seeds", "2"][..], "--seeds", "perf"),
-        (&["rsp", "--tag", "x"][..], "--tag", "rsp"),
-        (&["fig4", "--small"][..], "--small", "fig4"),
-        (&["all", "--out", "x.json"][..], "--out", "all"),
+    // Each row: the command line, then what its one stderr line must name
+    // (the flag and the subcommand it does not apply to, or both flags of
+    // a conflict).
+    for (args, named) in [
+        (&["perf", "--requests", "10"][..], ["--requests", "perf"]),
+        (
+            &["perf", "--small", "--seeds", "2"][..],
+            ["--seeds", "perf"],
+        ),
+        (&["rsp", "--tag", "x"][..], ["--tag", "rsp"]),
+        (&["fig4", "--small"][..], ["--small", "fig4"]),
+        (&["all", "--out", "x.json"][..], ["--out", "all"]),
+        (
+            &["fig4", "--requests", "10", "--paper-scale"][..],
+            ["--requests", "--paper-scale"],
+        ),
+        (
+            &["fig4", "--seeds", "1", "--seeds", "2"][..],
+            ["--seeds", "twice"],
+        ),
     ] {
         let (code, stderr) = repro(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(
-            stderr.contains(flag) && stderr.contains(command),
+            named.iter().all(|n| stderr.contains(n)),
             "{args:?}: {stderr}"
         );
     }

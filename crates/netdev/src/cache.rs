@@ -53,6 +53,35 @@ pub enum CacheWritePolicy {
     Through,
 }
 
+impl std::str::FromStr for CacheAdmission {
+    type Err = String;
+
+    /// Parses the CLI form: `lru` or `freq:N`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "lru" => Ok(CacheAdmission::Lru),
+            _ => s
+                .strip_prefix("freq:")
+                .and_then(|n| n.parse().ok())
+                .map(|threshold| CacheAdmission::Frequency { threshold })
+                .ok_or_else(|| "want lru or freq:N".into()),
+        }
+    }
+}
+
+impl std::str::FromStr for CacheWritePolicy {
+    type Err = String;
+
+    /// Parses the CLI form: `invalidate` or `through`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "invalidate" => Ok(CacheWritePolicy::Invalidate),
+            "through" => Ok(CacheWritePolicy::Through),
+            _ => Err("want invalidate or through".into()),
+        }
+    }
+}
+
 /// Hot-key cache parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HotCacheConfig {

@@ -1,7 +1,7 @@
 //! `simulate` — run one NetRS experiment from the command line.
 //!
 //! ```text
-//! # paper-scale CliRS run, 100k requests
+//! # paper-scale NetRS-ILP run, 100k requests
 //! cargo run --release -p netrs-sim --bin simulate -- --scheme netrs-ilp --requests 100000
 //!
 //! # emit the full §V-A default configuration for editing
@@ -10,14 +10,19 @@
 //! # run an edited configuration
 //! cargo run --release -p netrs-sim --bin simulate -- --config cfg.json --json
 //! ```
+//!
+//! The config is one base (the paper's, `--small` or `--config FILE`)
+//! with every other config flag applied over it; flag order does not
+//! matter ([`netrs_sim::cli`]).
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
+use std::num::{NonZeroU32, NonZeroU64};
 
+use netrs_sim::cli::{Cli, CliError, SIMULATE, SWEEP};
 use netrs_sim::{
-    run_observed_sharded_parallel, run_sweep, CacheAdmission, CacheWritePolicy, FaultPlan,
-    HotCacheConfig, ObsOptions, ParallelOptions, PerfOptions, SamplerSpec, Scheme, SimConfig,
-    SweepJob, SweepPoint, WriteConsistency,
+    run_observed_sharded_parallel, run_sweep, ObsOptions, ParallelOptions, PerfOptions,
+    SamplerSpec, Scheme, SimConfig, SweepJob, SweepPoint,
 };
 use netrs_simcore::SimDuration;
 
@@ -30,128 +35,38 @@ use netrs_simcore::SimDuration;
 #[global_allocator]
 static ALLOC: netrs_allocprobe::CountingAllocator = netrs_allocprobe::CountingAllocator;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate [--config FILE] [--scheme clirs|clirs-r95|netrs-tor|netrs-ilp] \
-         [--requests N] [--clients N] [--utilization F] [--skew F] [--seed N] \
-         [--shards N] [--threads N] [--lookahead-mult N] [--small] [--faults FILE] \
-         [--emit-config] [--json] \
-         [--write-fraction F] [--consistency all|quorum:W|chain] [--hot-cache CAP] \
-         [--cache-admission lru|freq:N] [--cache-write invalidate|through] \
-         [--trace FILE] [--trace-hops] [--timeseries FILE] [--sample-every-us N] \
-         [--devices FILE] [--control FILE] [--perf FILE] [--perf-stride N] [--progress]\n\
-         \n\
-         simulate sweep --out FILE [--config FILE] [--schemes all|s1,s2,...] \
-         [--seeds s1,s2,...] [--requests N] [--utilization F] [--small] \
-         [--threads N] [--baseline]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_consistency(spec: &str) -> Option<WriteConsistency> {
-    match spec {
-        "all" => Some(WriteConsistency::All),
-        "chain" => Some(WriteConsistency::Chain),
-        _ => {
-            let w = spec.strip_prefix("quorum:")?.parse().ok()?;
-            Some(WriteConsistency::Quorum { w })
-        }
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.split_first() {
+        Some((sub, rest)) if sub == "sweep" => sweep(rest),
+        _ => simulate(&args),
     }
+    .unwrap_or_else(|e| e.exit());
 }
 
-fn parse_admission(spec: &str) -> Option<CacheAdmission> {
-    match spec {
-        "lru" => Some(CacheAdmission::Lru),
-        _ => {
-            let threshold = spec.strip_prefix("freq:")?.parse().ok()?;
-            Some(CacheAdmission::Frequency { threshold })
-        }
-    }
-}
-
-fn create(path: &str) -> BufWriter<File> {
-    BufWriter::new(File::create(path).unwrap_or_else(|e| {
-        eprintln!("cannot create {path}: {e}");
-        std::process::exit(1);
-    }))
+/// The run's config over the paper's or `--small`'s, both at 100 000
+/// requests unless `--requests` says otherwise.
+fn cli_config(cli: &Cli) -> Result<SimConfig, CliError> {
+    let at = |cfg| SimConfig {
+        requests: 100_000,
+        ..cfg
+    };
+    cli.config(at(SimConfig::paper()), at(SimConfig::small()))
 }
 
 /// `simulate sweep`: run a (scheme × seed) grid across cores and write
 /// the merged [`netrs_sim::SweepReport`] artifact.
-fn sweep_main(args: &[String]) -> ! {
-    let mut cfg = SimConfig::paper();
-    cfg.requests = 100_000;
-    let mut out_path: Option<String> = None;
-    let mut schemes: Vec<Scheme> = Scheme::ALL.to_vec();
-    let mut seeds: Vec<u64> = vec![1, 2, 3];
-    let mut threads: usize = 0;
-    let mut baseline = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let mut next = || {
-            i += 1;
-            args.get(i).cloned().unwrap_or_else(|| usage())
-        };
-        match arg.as_str() {
-            "--out" => out_path = Some(next()),
-            "--config" => {
-                let path = next();
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(1);
-                });
-                cfg = serde_json::from_str(&text).unwrap_or_else(|e| {
-                    eprintln!("cannot parse {path}: {e}");
-                    std::process::exit(1);
-                });
-            }
-            "--schemes" => {
-                let spec = next();
-                if spec != "all" {
-                    schemes = spec
-                        .split(',')
-                        .map(|s| {
-                            s.parse().unwrap_or_else(|e| {
-                                eprintln!("{e}");
-                                usage()
-                            })
-                        })
-                        .collect();
-                }
-            }
-            "--seeds" => {
-                seeds = next()
-                    .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--requests" => cfg.requests = next().parse().unwrap_or_else(|_| usage()),
-            "--utilization" => cfg.utilization = next().parse().unwrap_or_else(|_| usage()),
-            "--small" => {
-                let requests = cfg.requests;
-                cfg = SimConfig::small();
-                cfg.requests = requests;
-            }
-            "--threads" => threads = next().parse().unwrap_or_else(|_| usage()),
-            "--baseline" => baseline = true,
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if schemes.is_empty() || seeds.is_empty() {
-        eprintln!("sweep needs at least one scheme and one seed");
-        std::process::exit(2);
-    }
-    if let Err(msg) = cfg.clone().finalize().validate() {
-        eprintln!("invalid configuration: {msg}");
-        std::process::exit(1);
-    }
-
+fn sweep(args: &[String]) -> Result<(), CliError> {
+    let cli = Cli::parse(args, &SWEEP)?;
+    let config = cli_config(&cli)?;
+    let schemes: Vec<Scheme> = match cli.str("--schemes") {
+        None | Some("all") => Scheme::ALL.to_vec(),
+        Some(_) => cli.list("--schemes")?.unwrap_or_default(),
+    };
+    let seeds = cli.list("--seeds")?.unwrap_or_else(|| vec![1, 2, 3]);
     let point = SweepPoint {
         label: String::new(),
-        config: cfg,
+        config,
     };
     let jobs = SweepJob::grid(&[point], &schemes, &seeds);
     eprintln!(
@@ -160,7 +75,8 @@ fn sweep_main(args: &[String]) -> ! {
         schemes.len(),
         seeds.len(),
     );
-    let report = run_sweep(jobs, threads, baseline);
+    let threads = cli.get("--threads")?.unwrap_or(0);
+    let report = run_sweep(jobs, threads, cli.has("--baseline"));
     eprintln!(
         "[sweep] parallel {:.2}s on {} threads{}",
         report.wall_s,
@@ -171,217 +87,70 @@ fn sweep_main(args: &[String]) -> ! {
         },
     );
     let json = serde_json::to_string_pretty(&report).expect("sweep report serializes");
-    match out_path.as_deref() {
-        Some(path) => std::fs::write(path, json + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }),
-        None => println!("{json}"),
+    match cli.str("--out") {
+        Some(path) => std::fs::write(path, json + "\n")
+            .map_err(|e| CliError::invalid(format!("cannot write {path}: {e}"))),
+        None => {
+            println!("{json}");
+            Ok(())
+        }
     }
-    std::process::exit(0);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("sweep") {
-        sweep_main(&args[1..]);
+fn simulate(args: &[String]) -> Result<(), CliError> {
+    let cli = Cli::parse(args, &SIMULATE)?;
+    let cfg = cli_config(&cli)?;
+    if cli.has("--emit-config") {
+        let json = serde_json::to_string_pretty(&cfg.finalize()).expect("config serializes");
+        println!("{json}");
+        return Ok(());
     }
-    let mut cfg = SimConfig::paper();
-    cfg.requests = 100_000;
-    let mut json_out = false;
-    let mut trace_path: Option<String> = None;
-    let mut trace_hops = false;
-    let mut timeseries_path: Option<String> = None;
-    let mut devices_path: Option<String> = None;
-    let mut control_path: Option<String> = None;
-    let mut perf_path: Option<String> = None;
-    let mut perf_stride: u32 = PerfOptions::default().stride;
-    let mut sample_every_us: u64 = 10_000;
-    let mut progress = false;
-    let mut shards: u32 = 1;
-    let mut threads: usize = 1;
-    let mut lookahead_mult: u32 = 1;
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let mut next = || {
-            i += 1;
-            args.get(i).cloned().unwrap_or_else(|| usage())
-        };
-        match arg.as_str() {
-            "--config" => {
-                let path = next();
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(1);
-                });
-                cfg = serde_json::from_str(&text).unwrap_or_else(|e| {
-                    eprintln!("cannot parse {path}: {e}");
-                    std::process::exit(1);
-                });
-            }
-            "--scheme" => {
-                cfg.scheme = next().parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-            }
-            "--requests" => cfg.requests = next().parse().unwrap_or_else(|_| usage()),
-            "--clients" => cfg.clients = next().parse().unwrap_or_else(|_| usage()),
-            "--utilization" => cfg.utilization = next().parse().unwrap_or_else(|_| usage()),
-            "--skew" => cfg.demand_skew = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--seed" => cfg.seed = next().parse().unwrap_or_else(|_| usage()),
-            "--small" => {
-                let requests = cfg.requests;
-                cfg = SimConfig::small();
-                cfg.requests = requests;
-            }
-            "--faults" => {
-                let path = next();
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(1);
-                });
-                cfg.faults = Some(FaultPlan::from_json(&text).unwrap_or_else(|e| {
-                    eprintln!("cannot parse fault plan {path}: {e}");
-                    std::process::exit(1);
-                }));
-            }
-            "--emit-config" => {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&cfg.finalize()).expect("config serializes")
-                );
-                return;
-            }
-            "--write-fraction" => {
-                cfg.write_fraction = next().parse().unwrap_or_else(|_| usage());
-            }
-            "--consistency" => {
-                let spec = next();
-                cfg.write_consistency = parse_consistency(&spec).unwrap_or_else(|| {
-                    eprintln!("bad --consistency {spec:?}: want all, quorum:W or chain");
-                    std::process::exit(2);
-                });
-            }
-            "--hot-cache" => {
-                let capacity: usize = next().parse().unwrap_or_else(|_| usage());
-                cfg.hot_cache = match capacity {
-                    0 => None,
-                    _ => Some(HotCacheConfig {
-                        capacity,
-                        ..cfg.hot_cache.unwrap_or_default()
-                    }),
-                };
-            }
-            "--cache-admission" => {
-                let spec = next();
-                let admission = parse_admission(&spec).unwrap_or_else(|| {
-                    eprintln!("bad --cache-admission {spec:?}: want lru or freq:N");
-                    std::process::exit(2);
-                });
-                let cache = cfg.hot_cache.get_or_insert_with(HotCacheConfig::default);
-                cache.admission = admission;
-            }
-            "--cache-write" => {
-                let spec = next();
-                let policy = match spec.as_str() {
-                    "invalidate" => CacheWritePolicy::Invalidate,
-                    "through" => CacheWritePolicy::Through,
-                    _ => {
-                        eprintln!("bad --cache-write {spec:?}: want invalidate or through");
-                        std::process::exit(2);
-                    }
-                };
-                let cache = cfg.hot_cache.get_or_insert_with(HotCacheConfig::default);
-                cache.write_policy = policy;
-            }
-            "--json" => json_out = true,
-            "--trace" => trace_path = Some(next()),
-            "--trace-hops" => trace_hops = true,
-            "--timeseries" => timeseries_path = Some(next()),
-            "--devices" => devices_path = Some(next()),
-            "--control" => control_path = Some(next()),
-            "--perf" => perf_path = Some(next()),
-            "--perf-stride" => {
-                perf_stride = next().parse().unwrap_or_else(|_| usage());
-                if perf_stride == 0 {
-                    eprintln!("--perf-stride must be at least 1");
-                    std::process::exit(2);
-                }
-            }
-            "--sample-every-us" => {
-                sample_every_us = next().parse().unwrap_or_else(|_| usage());
-                if sample_every_us == 0 {
-                    eprintln!("--sample-every-us must be at least 1");
-                    std::process::exit(2);
-                }
-            }
-            "--progress" => progress = true,
-            "--shards" => shards = next().parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = next().parse().unwrap_or_else(|_| usage()),
-            "--lookahead-mult" => {
-                lookahead_mult = next().parse().unwrap_or_else(|_| usage());
-                if lookahead_mult == 0 {
-                    eprintln!("--lookahead-mult must be at least 1");
-                    std::process::exit(2);
-                }
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    if let Err(msg) = cfg.clone().finalize().validate() {
-        eprintln!("invalid configuration: {msg}");
-        std::process::exit(1);
-    }
-
-    let scheme = cfg.scheme;
+    let shards: u32 = cli.get("--shards")?.unwrap_or(1);
+    let par = ParallelOptions {
+        threads: cli.get("--threads")?.unwrap_or(1),
+        lookahead_mult: cli.get("--lookahead-mult")?.map_or(1, NonZeroU32::get),
+    };
+    let sample_every = cli
+        .get("--sample-every-us")?
+        .map_or(10_000, NonZeroU64::get);
+    let perf_stride = cli.get("--perf-stride")?.map(NonZeroU32::get);
     // Open every output file before the run so a bad path fails in
     // milliseconds, not after minutes of simulation.
-    let mut timeseries_file = timeseries_path.as_deref().map(create);
-    let mut devices_file = devices_path.as_deref().map(create);
-    let mut perf_file = perf_path.as_deref().map(create);
+    let open = |flag| {
+        let create = |path| match File::create(path) {
+            Ok(file) => Ok((path, BufWriter::new(file))),
+            Err(e) => Err(CliError::invalid(format!("cannot create {path}: {e}"))),
+        };
+        cli.str(flag).map(create).transpose()
+    };
+    let mut timeseries_file = open("--timeseries")?;
+    let mut devices_file = open("--devices")?;
+    let mut perf_file = open("--perf")?;
     let obs = ObsOptions {
-        trace: trace_path
-            .as_deref()
-            .map(|p| Box::new(create(p)) as Box<dyn std::io::Write + Send>),
-        trace_hops,
-        timeseries: timeseries_path.as_deref().map(|_| SamplerSpec {
-            interval: SimDuration::from_micros(sample_every_us),
+        trace: open("--trace")?.map(|(_, w)| Box::new(w) as _),
+        trace_hops: cli.has("--trace-hops"),
+        timeseries: timeseries_file.as_ref().map(|_| SamplerSpec {
+            interval: SimDuration::from_micros(sample_every),
             ..SamplerSpec::default()
         }),
-        device_stats: devices_path.is_some(),
-        control: control_path
-            .as_deref()
-            .map(|p| Box::new(create(p)) as Box<dyn std::io::Write + Send>),
-        perf: perf_path.as_deref().map(|_| PerfOptions {
-            stride: perf_stride,
+        device_stats: devices_file.is_some(),
+        control: open("--control")?.map(|(_, w)| Box::new(w) as _),
+        perf: perf_file.as_ref().map(|_| PerfOptions {
+            stride: perf_stride.unwrap_or(PerfOptions::default().stride),
         }),
-        progress,
-    };
-    let par = ParallelOptions {
-        threads,
-        lookahead_mult,
+        progress: cli.has("--progress"),
     };
     let out = run_observed_sharded_parallel(cfg, shards, par, obs);
     if let Some(reason) = out.shards_not_applied {
         eprintln!("--shards {shards} not applied: {reason}; sequential engine");
     }
     let stats = out.stats;
-    if let (Some(w), Some(perf)) = (perf_file.as_mut(), out.perf.as_ref()) {
-        use std::io::Write;
-        writeln!(
-            w,
-            "{}",
-            serde_json::to_string_pretty(perf).expect("perf profile serializes")
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", perf_path.as_deref().unwrap());
-            std::process::exit(1);
-        });
+    let written = |path: &str, r: std::io::Result<()>| {
+        r.map_err(|e| CliError::invalid(format!("cannot write {path}: {e}")))
+    };
+    if let (Some((path, w)), Some(perf)) = (perf_file.as_mut(), out.perf.as_ref()) {
+        let json = serde_json::to_string_pretty(perf).expect("perf profile serializes");
+        written(path, writeln!(w, "{json}"))?;
         eprintln!(
             "perf: {} events · {:.1}% of wall attributed across {} kinds · stride {}",
             perf.events,
@@ -394,19 +163,13 @@ fn main() {
             perf.stride,
         );
     }
-    if let (Some(w), Some(ts)) = (timeseries_file.as_mut(), out.timeseries.as_ref()) {
-        ts.write_jsonl(w).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", timeseries_path.as_deref().unwrap());
-            std::process::exit(1);
-        });
+    if let (Some((path, w)), Some(ts)) = (timeseries_file.as_mut(), out.timeseries.as_ref()) {
+        written(path, ts.write_jsonl(w))?;
     }
-    if let (Some(w), Some(report)) = (devices_file.as_mut(), out.devices.as_ref()) {
-        report.write_jsonl(w).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", devices_path.as_deref().unwrap());
-            std::process::exit(1);
-        });
+    if let (Some((path, w)), Some(report)) = (devices_file.as_mut(), out.devices.as_ref()) {
+        written(path, report.write_jsonl(w))?;
     }
-    if json_out {
+    if cli.has("--json") {
         // Keep stdout pure JSON; the profile goes to stderr.
         eprintln!("engine: {}", out.profile);
         println!(
@@ -414,7 +177,7 @@ fn main() {
             serde_json::to_string_pretty(&stats).expect("stats serialize")
         );
     } else {
-        println!("scheme              : {scheme}");
+        println!("scheme              : {}", stats.scheme);
         println!(
             "requests            : {} issued, {} completed",
             stats.issued, stats.completed
@@ -503,4 +266,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

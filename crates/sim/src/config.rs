@@ -134,6 +134,23 @@ pub enum WriteConsistency {
     Chain,
 }
 
+impl std::str::FromStr for WriteConsistency {
+    type Err = String;
+
+    /// Parses the CLI form: `all`, `quorum:W` or `chain`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "all" => Ok(WriteConsistency::All),
+            "chain" => Ok(WriteConsistency::Chain),
+            _ => s
+                .strip_prefix("quorum:")
+                .and_then(|w| w.parse().ok())
+                .map(|w| WriteConsistency::Quorum { w })
+                .ok_or_else(|| "want all, quorum:W or chain".into()),
+        }
+    }
+}
+
 impl WriteConsistency {
     /// The effective quorum for a group of `n` replicas: how many
     /// replica commits precede the ack.

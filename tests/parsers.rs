@@ -664,24 +664,37 @@ fn simulate_exits_1_on_zero_vnodes_or_fluctuation_interval_in_time() {
 
 #[test]
 fn simulate_exits_1_on_a_non_finite_utilization_without_panicking() {
-    for value in ["nan", "inf"] {
+    // `--emit-config` prints only a config that would run.
+    for args in [
+        &[
+            "--small",
+            "--requests",
+            "100",
+            "--utilization",
+            "nan",
+            "--json",
+        ][..],
+        &[
+            "--small",
+            "--requests",
+            "100",
+            "--utilization",
+            "inf",
+            "--json",
+        ],
+        &["--small", "--utilization", "nan", "--emit-config"],
+    ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
-            .args([
-                "--small",
-                "--requests",
-                "100",
-                "--utilization",
-                value,
-                "--json",
-            ])
+            .args(args)
             .output()
             .expect("simulate runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{value}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
             stderr.starts_with("invalid configuration: utilization must be finite and positive"),
-            "{value}: {stderr}"
+            "{args:?}: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
     }
 }
