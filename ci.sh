@@ -47,6 +47,19 @@ done
     --top 5 > "$SMOKE/report.txt"
 grep -q "Per-phase latency comparison" "$SMOKE/report.txt"
 
+echo "==> analyzer misuse smoke (a misused flag exits 2 naming it)"
+analyze_status() { # ARGS... -> exit code; stderr in $SMOKE/misuse.err
+    local status=0
+    ./target/debug/netrs-analyze "$@" > /dev/null 2> "$SMOKE/misuse.err" || status=$?
+    echo "$status"
+}
+[ "$(analyze_status report --trace "$SMOKE/clirs.jsonl" \
+    --devices "$SMOKE/clirs-dev.jsonl" --devices "$SMOKE/netrs-ilp-dev.jsonl")" -eq 2 ]
+grep -q -e "--devices" "$SMOKE/misuse.err"
+[ "$(analyze_status report --trace "$SMOKE/clirs.jsonl" --no-such-flag)" -eq 2 ]
+grep -q -e "--no-such-flag" "$SMOKE/misuse.err"
+[ "$(analyze_status sweep)" -eq 2 ]
+
 # Same-seed-twice byte diffs live in the test suite (golden_runs,
 # shard_equiv, faults, rw, observability), not here. The smokes below drive
 # the binaries: artifacts the analyzer must read, count gates, and sinks

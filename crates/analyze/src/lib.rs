@@ -1,11 +1,20 @@
 //! Offline analysis of NetRS simulation artifacts.
 //!
-//! The `simulate` binary emits three JSONL artifact kinds: per-request
-//! traces (`--trace`, one [`TraceRecord`] per copy), virtual-time series
-//! (`--timeseries`, one [`SamplePoint`] per tick) and end-of-run device
-//! telemetry (`--devices`, one [`DeviceRecord`] per device). This crate —
-//! and its `netrs-analyze` CLI — turns those files into the reports the
+//! This crate — and its `netrs-analyze` CLI — reads back seven artifacts
+//! that `simulate` and `repro` write, and turns them into the reports the
 //! paper's evaluation is built from:
+//!
+//! | artifact | written by | read by |
+//! |---|---|---|
+//! | per-copy traces, one [`TraceRecord`] a line | `simulate --trace` | `report --trace` |
+//! | device telemetry, one [`DeviceRecord`] a line | `simulate --devices` | `report --devices`, `rw --devices` |
+//! | virtual-time samples, one [`SamplePoint`] a line | `simulate --timeseries` | `report --timeseries` |
+//! | the control-plane stream, one [`ControlRecord`] a line | `simulate --control` | `control` |
+//! | run stats, one [`RunStats`] document | `simulate --json` | `availability --stats`, `rw --stats` |
+//! | a (config × seed) grid, one [`SweepReport`] | `simulate sweep`, `repro fig4` … | `sweep` |
+//! | perf profiles and histories, one [`PerfArtifact`] | `simulate --perf`, `repro perf` | `perf`, `check-bench` |
+//!
+//! The reports:
 //!
 //! * **scheme comparison** — mean / median / p95 / p99 per latency phase,
 //!   side by side across labeled traces (CliRS vs NetRS-ILP, …);
@@ -13,20 +22,25 @@
 //!   1% of requests spend their time in;
 //! * **hotspot tables** — the busiest devices per kind, per-tier traffic
 //!   totals, and ECMP path skew from per-link packet counts;
-//! * **perf profiles** — per-event-kind host-cost tables from
-//!   `simulate --perf` / `repro perf` artifacts, validated and compared
-//!   run for run by `check-bench`;
-//! * **availability tables** — timeout rate, retries and time-to-recover
-//!   per scheme from `simulate --faults … --json` stats files.
+//! * **control-plane tables** — traffic-matrix batches, plan churn with
+//!   solver effort, DRS spans and cache audits per `--control` stream;
+//! * **availability and read/write tables** — timeout rate, retries and
+//!   time-to-recover, read vs write latency and cache hit ratio per stats
+//!   file;
+//! * **perf profiles** — per-event-kind host-cost tables, validated and
+//!   compared workload by workload by `check-bench`;
+//! * **sweep grids** — completion, mean and p99 per (config, seed) cell.
 
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{Display, Write as _};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader};
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use netrs_sim::{
-    ControlRecord, DeviceRecord, HostProfile, KindRecord, PerfArtifact, RunStats, SamplePoint,
-    Scheme, SnapshotRecord, SweepReport, TraceRecord, SWEEP_SCHEMA_VERSION,
+    CacheRecord, ControlRecord, DeviceRecord, DrsSpanRecord, HostProfile, KindRecord, PerfArtifact,
+    PlanEventRecord, RunStats, SamplePoint, Scheme, SnapshotRecord, SweepReport, TraceRecord,
+    SWEEP_SCHEMA_VERSION,
 };
 use netrs_simcore::{Histogram, SimDuration, SimTime, Summary};
 use serde::Value;
@@ -81,50 +95,168 @@ fn canonical_label(label: &str) -> String {
         .map_or_else(|_| label.to_string(), |s| s.label().to_string())
 }
 
-fn parse_jsonl<T: serde::Deserialize>(path: &str) -> io::Result<Vec<T>> {
-    let file = BufReader::new(File::open(path)?);
-    let mut out = Vec::new();
-    for (i, line) in file.lines().enumerate() {
-        let line = line?;
+/// An artifact record the reports can rely on: [`load_jsonl`] and
+/// [`load_json`] refuse a file holding one that fails [`Checked::check`],
+/// so no report subtracts its way to a wrapped number.
+pub trait Checked: serde::Deserialize {
+    /// Why this record, read after `prev` in the same file, cannot be
+    /// reported on.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field.
+    fn check(&self, _prev: Option<&Self>) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl Checked for TraceRecord {}
+impl Checked for DeviceRecord {}
+impl Checked for Value {}
+
+impl Checked for SamplePoint {
+    /// The report spans first to last sample.
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        match prev {
+            Some(p) if self.t_ns < p.t_ns => {
+                Err(format!("t_ns {} goes back from {}", self.t_ns, p.t_ns))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+impl Checked for ControlRecord {
+    /// The report prints a DRS span's detection lag.
+    fn check(&self, _prev: Option<&Self>) -> Result<(), String> {
+        match self {
+            ControlRecord::DrsSpan(s) if s.detect_ns.is_some_and(|d| d < s.fail_ns) => {
+                Err(format!(
+                    "DRS span detect_ns {} precedes its fail_ns {}",
+                    s.detect_ns.unwrap_or_default(),
+                    s.fail_ns
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+impl Checked for RunStats {
+    /// The read/write report counts `issued - writes_issued` reads.
+    fn check(&self, _prev: Option<&Self>) -> Result<(), String> {
+        if self.writes_issued > self.issued {
+            return Err(format!(
+                "writes_issued {} exceeds issued {}",
+                self.writes_issued, self.issued
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Checked for SweepReport {
+    fn check(&self, _prev: Option<&Self>) -> Result<(), String> {
+        if self.schema_version != SWEEP_SCHEMA_VERSION {
+            return Err(format!(
+                "sweep artifact schema v{} (this build reads v{SWEEP_SCHEMA_VERSION})",
+                self.schema_version
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Loads a JSONL artifact (`--trace`, `--devices`, `--timeseries`,
+/// `--control`): one record per non-blank line, each passing
+/// [`Checked::check`].
+///
+/// # Errors
+///
+/// Names the file when it cannot be opened, and the file and line of the
+/// first line that cannot be read, parsed or checked.
+pub fn load_jsonl<T: Checked>(path: &str) -> Result<Vec<T>, String> {
+    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut out: Vec<T> = Vec::new();
+    for (i, line) in BufReader::new(file).lines().enumerate() {
+        let at = |e: &dyn Display| format!("{path}:{}: {e}", i + 1);
+        let line = line.map_err(|e| at(&e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let item = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("{path}:{}: {e}", i + 1))
-        })?;
-        out.push(item);
+        let record: T = serde_json::from_str(&line).map_err(|e| at(&e))?;
+        record.check(out.last()).map_err(|e| at(&e))?;
+        out.push(record);
     }
     Ok(out)
 }
 
-/// Loads a `--trace` JSONL file.
+/// Loads a JSON artifact (`--json` stats, a sweep, a perf artifact): one
+/// document passing [`Checked::check`].
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error, or [`io::ErrorKind::InvalidData`]
-/// naming the offending line when a line fails to parse.
-pub fn load_trace(path: &str) -> io::Result<Vec<TraceRecord>> {
-    parse_jsonl(path)
+/// Names the file when it cannot be read, parsed or checked.
+pub fn load_json<T: Checked>(path: &str) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc: T = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    doc.check(None).map_err(|e| format!("{path}: {e}"))?;
+    Ok(doc)
 }
 
-/// Loads a `--devices` JSONL file (same error contract as
-/// [`load_trace`]).
-///
-/// # Errors
-///
-/// See [`load_trace`].
-pub fn load_devices(path: &str) -> io::Result<Vec<DeviceRecord>> {
-    parse_jsonl(path)
-}
+/// An aligned table, given as its row template: literal text with one
+/// slot per column, `{HEADER<WIDTH}` left-aligned or
+/// `{HEADER>WIDTH.PRECISION}` right-aligned (width and precision
+/// optional). The text before the first slot is the indent. The header
+/// row and every data row are written through the same template, so the
+/// two cannot drift apart; a table under a title line leaves its headers
+/// empty.
+struct Table<'a>(&'a str);
 
-/// Loads a `--timeseries` JSONL file (same error contract as
-/// [`load_trace`]).
-///
-/// # Errors
-///
-/// See [`load_trace`].
-pub fn load_timeseries(path: &str) -> io::Result<Vec<SamplePoint>> {
-    parse_jsonl(path)
+impl Table<'_> {
+    /// Writes the header row: each column's header in its slot.
+    fn header(&self, out: &mut String) {
+        self.write(out, None);
+    }
+
+    /// Writes one data row. A row with fewer cells than the template has
+    /// slots ends after its last cell.
+    fn row(&self, out: &mut String, cells: &[&dyn Display]) {
+        self.write(out, Some(cells));
+    }
+
+    fn write(&self, out: &mut String, cells: Option<&[&dyn Display]>) {
+        let mut rest = self.0;
+        for n in 0.. {
+            let Some((text, tail)) = rest.split_once('{') else {
+                break;
+            };
+            if cells.is_some_and(|cells| n == cells.len()) {
+                rest = "";
+                break;
+            }
+            let (slot, tail) = tail.split_once('}').expect("a table slot is closed");
+            let (head, spec) = slot.split_at(slot.find(['<', '>']).unwrap_or(slot.len()));
+            let (width, precision) = spec
+                .get(1..)
+                .map_or(("", ""), |s| s.split_once('.').unwrap_or((s, "")));
+            let cell = match (cells, precision.parse::<usize>()) {
+                (None, _) => head.to_string(),
+                (Some(cells), Ok(p)) => format!("{:.p$}", cells[n]),
+                (Some(cells), Err(_)) => cells[n].to_string(),
+            };
+            // An empty width is 0: the cell as it is.
+            let width = width.parse().unwrap_or(0);
+            out.push_str(text);
+            let _ = match spec.starts_with('<') {
+                true => write!(out, "{cell:<width$}"),
+                false => write!(out, "{cell:>width$}"),
+            };
+            rest = tail;
+        }
+        out.push_str(rest);
+        out.push('\n');
+    }
 }
 
 /// The records the latency analysis is over: winning read copies — the
@@ -142,29 +274,35 @@ fn summarize(records: &[&TraceRecord], extract: fn(&TraceRecord) -> u64) -> Summ
     h.summary()
 }
 
-fn fmt_dur(ns: SimDuration) -> String {
-    ns.to_string()
-}
-
 /// Renders the side-by-side per-phase comparison: one table per
 /// statistic (mean, median, p95, p99), phases as rows, labels as
 /// columns. Statistics are over winning reads.
 #[must_use]
 pub fn comparison_report(traces: &[LabeledTrace]) -> String {
-    let per_label: Vec<(String, Vec<Summary>, Summary)> = traces
+    // Per label: the six phases' summaries, then end to end's.
+    let per_label: Vec<(&str, Vec<Summary>)> = traces
         .iter()
         .map(|t| {
             let reads = winning_reads(&t.records);
-            let phases = PHASES.iter().map(|&(_, f)| summarize(&reads, f)).collect();
-            (t.label.clone(), phases, summarize(&reads, |r| r.e2e_ns))
+            let mut summaries: Vec<Summary> =
+                PHASES.iter().map(|&(_, f)| summarize(&reads, f)).collect();
+            summaries.push(summarize(&reads, |r| r.e2e_ns));
+            (t.label.as_str(), summaries)
         })
         .collect();
+    let rows = PHASES.iter().map(|&(phase, _)| phase).chain(["e2e"]);
 
     let mut out = String::new();
     let _ = writeln!(out, "## Per-phase latency comparison (winning reads)");
-    for (label, _, e2e) in &per_label {
-        let _ = writeln!(out, "   {label}: {} requests", e2e.count);
+    for (label, summaries) in &per_label {
+        let _ = writeln!(
+            out,
+            "   {label}: {} requests",
+            summaries[PHASES.len()].count
+        );
     }
+    let table = format!("{{<14}}{}", " {>14}".repeat(per_label.len()));
+    let table = Table(&table);
     type StatPick = fn(&Summary) -> SimDuration;
     let stats: [(&str, StatPick); 4] = [
         ("mean", |s| s.mean),
@@ -173,24 +311,16 @@ pub fn comparison_report(traces: &[LabeledTrace]) -> String {
         ("p99", |s| s.p99),
     ];
     for (stat_name, pick) in stats {
-        let _ = writeln!(out);
-        let _ = write!(out, "{:<14}", stat_name);
-        for (label, _, _) in &per_label {
-            let _ = write!(out, " {:>14}", label);
+        out.push('\n');
+        let mut header: Vec<&dyn Display> = vec![&stat_name];
+        header.extend(per_label.iter().map(|(label, _)| label as &dyn Display));
+        table.row(&mut out, &header);
+        for (i, name) in rows.clone().enumerate() {
+            let values: Vec<SimDuration> = per_label.iter().map(|(_, s)| pick(&s[i])).collect();
+            let mut row: Vec<&dyn Display> = vec![&name];
+            row.extend(values.iter().map(|v| v as &dyn Display));
+            table.row(&mut out, &row);
         }
-        let _ = writeln!(out);
-        for (pi, &(phase, _)) in PHASES.iter().enumerate() {
-            let _ = write!(out, "{:<14}", phase);
-            for (_, phases, _) in &per_label {
-                let _ = write!(out, " {:>14}", fmt_dur(pick(&phases[pi])));
-            }
-            let _ = writeln!(out);
-        }
-        let _ = write!(out, "{:<14}", "e2e");
-        for (_, _, e2e) in &per_label {
-            let _ = write!(out, " {:>14}", fmt_dur(pick(e2e)));
-        }
-        let _ = writeln!(out);
     }
     out
 }
@@ -211,34 +341,38 @@ pub fn tail_report(label: &str, records: &[TraceRecord], top: usize) -> String {
     for r in &reads {
         h.record_nanos(r.e2e_ns);
     }
-    let p99 = h.percentile(99.0).as_nanos();
-    let tail: Vec<&&TraceRecord> = reads.iter().filter(|r| r.e2e_ns >= p99).collect();
+    let p99 = h.percentile(99.0);
+    let tail: Vec<&&TraceRecord> = reads
+        .iter()
+        .filter(|r| r.e2e_ns >= p99.as_nanos())
+        .collect();
     let _ = writeln!(
         out,
-        "   p99 = {} · {} requests at or above it",
-        fmt_dur(SimDuration::from_nanos(p99)),
+        "   p99 = {p99} · {} requests at or above it",
         tail.len()
     );
     let tail_e2e: u128 = tail.iter().map(|r| u128::from(r.e2e_ns)).sum();
     if tail_e2e > 0 {
         let _ = writeln!(out, "   phase shares of tail time:");
+        let shares = Table("     {<14} {>5.1}%");
         for (phase, extract) in PHASES {
             let spent: u128 = tail.iter().map(|r| u128::from(extract(r))).sum();
-            let share = spent as f64 / tail_e2e as f64 * 100.0;
-            let _ = writeln!(out, "     {phase:<14} {share:5.1}%");
+            shares.row(
+                &mut out,
+                &[&phase, &(spent as f64 / tail_e2e as f64 * 100.0)],
+            );
         }
     }
-    let mut by_server: Vec<(u32, u64)> = Vec::new();
+    let mut by_server: BTreeMap<u32, u64> = BTreeMap::new();
     for r in &tail {
-        match by_server.iter_mut().find(|(s, _)| *s == r.server) {
-            Some((_, n)) => *n += 1,
-            None => by_server.push((r.server, 1)),
-        }
+        *by_server.entry(r.server).or_default() += 1;
     }
+    let mut by_server: Vec<(u32, u64)> = by_server.into_iter().collect();
     by_server.sort_by_key(|&(s, n)| (std::cmp::Reverse(n), s));
     let _ = writeln!(out, "   top tail servers (server · tail requests):");
+    let servers = Table("     server:{<8} {}");
     for (server, n) in by_server.iter().take(top) {
-        let _ = writeln!(out, "     server:{server:<8} {n}");
+        servers.row(&mut out, &[server, n]);
     }
     out
 }
@@ -256,23 +390,16 @@ pub fn hotspot_report(devices: &[DeviceRecord], top: usize) -> String {
     let _ = writeln!(out, "## Device hotspots");
 
     // Per-tier traffic totals across all devices that forward traffic.
-    let mut tier_packets = [0u64; 3];
-    let mut tier_bytes = [0u64; 3];
-    for d in devices.iter().filter(|d| d.kind == "link") {
-        for t in 0..3 {
-            tier_packets[t] += d.packets[t];
-            tier_bytes[t] += d.bytes[t];
-        }
-    }
+    let links: Vec<&DeviceRecord> = devices.iter().filter(|d| d.kind == "link").collect();
     let _ = writeln!(out, "   link traffic per tier (packets · bytes):");
+    let tiers = Table("     Tier-{}          {>12} · {>12}");
     for t in 0..3 {
-        let _ = writeln!(
-            out,
-            "     Tier-{t}          {:>12} · {:>12}",
-            tier_packets[t], tier_bytes[t]
-        );
+        let packets: u64 = links.iter().map(|d| d.packets[t]).sum();
+        let bytes: u64 = links.iter().map(|d| d.bytes[t]).sum();
+        tiers.row(&mut out, &[&t, &packets, &bytes]);
     }
 
+    let busiest = Table("     {<14} {>6.2}% {>10} {>8} {>6}");
     for (kind, plural) in [
         ("switch", "switches"),
         ("accel", "accelerators"),
@@ -295,14 +422,15 @@ pub fn hotspot_report(devices: &[DeviceRecord], top: usize) -> String {
         );
         for d in of_kind.iter().take(top) {
             let work = if kind == "accel" { d.selections } else { d.ops };
-            let _ = writeln!(
-                out,
-                "     {:<14} {:6.2}% {:>10} {:>8} {:>6}",
-                d.dev,
-                d.utilization * 100.0,
-                d.total_packets(),
-                work,
-                d.max_queue_depth
+            busiest.row(
+                &mut out,
+                &[
+                    &d.dev,
+                    &(d.utilization * 100.0),
+                    &d.total_packets(),
+                    &work,
+                    &d.max_queue_depth,
+                ],
             );
         }
     }
@@ -310,13 +438,10 @@ pub fn hotspot_report(devices: &[DeviceRecord], top: usize) -> String {
     // ECMP skew: group directed links by source endpoint; endpoints with
     // several outgoing links (hosts have one) show hash imbalance as
     // max/mean packet ratio.
-    let mut groups: Vec<(&str, Vec<u64>)> = Vec::new();
-    for d in devices.iter().filter(|d| d.kind == "link") {
+    let mut groups: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+    for d in &links {
         if let Some(src) = link_source(&d.dev) {
-            match groups.iter_mut().find(|(s, _)| *s == src) {
-                Some((_, counts)) => counts.push(d.total_packets()),
-                None => groups.push((src, vec![d.total_packets()])),
-            }
+            groups.entry(src).or_default().push(d.total_packets());
         }
     }
     let mut skews: Vec<(&str, usize, f64)> = groups
@@ -333,29 +458,26 @@ pub fn hotspot_report(devices: &[DeviceRecord], top: usize) -> String {
         out,
         "   ECMP skew (endpoint · outgoing links · max/mean packets):"
     );
+    let skew_rows = Table("     {<8} {>3} {>8.3}");
     for (src, fanout, skew) in skews.iter().take(top) {
-        let _ = writeln!(out, "     {src:<8} {fanout:>3} {skew:8.3}");
+        skew_rows.row(&mut out, &[src, fanout, skew]);
     }
     out
 }
 
 /// Renders a short summary of a `--timeseries` file: sample count, span,
-/// and the peak / mean of each sampled series.
+/// and the peak / mean of each sampled series. The samples are in time
+/// order, as [`load_jsonl`] checks.
 #[must_use]
 pub fn timeseries_report(points: &[SamplePoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## Time series");
-    if points.is_empty() {
+    let (Some(first), Some(last)) = (points.first(), points.last()) else {
         let _ = writeln!(out, "   (no samples)");
         return out;
-    }
-    let span = points.last().unwrap().t_ns - points.first().unwrap().t_ns;
-    let _ = writeln!(
-        out,
-        "   {} samples over {}",
-        points.len(),
-        fmt_dur(SimDuration::from_nanos(span))
-    );
+    };
+    let span = SimDuration::from_nanos(last.t_ns - first.t_ns);
+    let _ = writeln!(out, "   {} samples over {span}", points.len());
     type SeriesPick = fn(&SamplePoint) -> f64;
     let series: [(&str, SeriesPick); 4] = [
         ("accel util", |p| p.accel_util),
@@ -363,24 +485,13 @@ pub fn timeseries_report(points: &[SamplePoint]) -> String {
         ("outstanding", |p| p.outstanding),
         ("DRS groups", |p| p.drs_groups),
     ];
+    let rows = Table("   {<18} mean {>8.3} · peak {>8.3}");
     for (name, pick) in series {
         let mean = points.iter().map(pick).sum::<f64>() / points.len() as f64;
         let peak = points.iter().map(pick).fold(f64::MIN, f64::max);
-        let _ = writeln!(out, "   {name:<18} mean {mean:8.3} · peak {peak:8.3}");
+        rows.row(&mut out, &[&name, &mean, &peak]);
     }
     out
-}
-
-/// Loads a `simulate --json` stats file (one [`RunStats`] JSON object).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error, or [`io::ErrorKind::InvalidData`]
-/// when the file is not a stats JSON.
-pub fn load_stats(path: &str) -> io::Result<RunStats> {
-    let text = std::fs::read_to_string(path)?;
-    serde_json::from_str(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{path}: {e}")))
 }
 
 /// Renders the per-run availability table: timeout rate, retries,
@@ -391,47 +502,47 @@ pub fn load_stats(path: &str) -> io::Result<RunStats> {
 pub fn availability_report(entries: &[(String, RunStats)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## Availability under faults");
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>9} {:>12} {:>8} {:>9} {:>12} {:>12}",
-        "label",
-        "issued",
-        "timeouts",
-        "timeout-rate",
-        "retries",
-        "dropped",
-        "failed-p99",
-        "recover"
+    let table = Table(
+        "{label<14} {issued>8} {timeouts>9} {timeout-rate>12} {retries>8} {dropped>9} \
+         {failed-p99>12} {recover>12}",
     );
+    table.header(&mut out);
     for (label, stats) in entries {
-        match stats.availability.as_ref() {
-            Some(a) => {
-                let rate = if stats.issued > 0 {
-                    a.timeouts as f64 / stats.issued as f64 * 100.0
-                } else {
-                    0.0
-                };
-                let recover = a
-                    .time_to_recover
-                    .map_or_else(|| "never".to_string(), |t| t.to_string());
-                let _ = writeln!(
-                    out,
-                    "{label:<14} {:>8} {:>9} {:>11.3}% {:>8} {:>9} {:>12} {:>12}",
-                    stats.issued,
-                    a.timeouts,
-                    rate,
-                    a.retries,
-                    a.copies_dropped,
-                    fmt_dur(a.failed_window_p99),
-                    recover
-                );
-            }
-            None => {
-                let _ = writeln!(out, "{label:<14} {:>8} (fault-free run)", stats.issued);
-            }
-        }
+        let Some(a) = stats.availability.as_ref() else {
+            table.row(&mut out, &[label, &stats.issued, &"(fault-free run)"]);
+            continue;
+        };
+        let rate = if stats.issued > 0 {
+            a.timeouts as f64 / stats.issued as f64 * 100.0
+        } else {
+            0.0
+        };
+        let recover = a
+            .time_to_recover
+            .map_or_else(|| "never".to_string(), |t| t.to_string());
+        table.row(
+            &mut out,
+            &[
+                label,
+                &stats.issued,
+                &a.timeouts,
+                &format!("{rate:.3}%"),
+                &a.retries,
+                &a.copies_dropped,
+                &a.failed_window_p99,
+                &recover,
+            ],
+        );
     }
     out
+}
+
+/// `hits / (hits + misses)` as a percentage, `-` before the first lookup.
+fn hit_ratio(hits: u64, misses: u64) -> String {
+    match hits + misses {
+        0 => "-".to_string(),
+        gets => format!("{:.1}%", hits as f64 / gets as f64 * 100.0),
+    }
 }
 
 /// Renders the read/write-mix report: per-label read vs write latency
@@ -439,49 +550,48 @@ pub fn availability_report(entries: &[(String, RunStats)]) -> String {
 /// Labels without an `rw` stats block (read-only runs, or legacy
 /// all-replica writes with no cache) render as a read-only row. When
 /// `devices` is non-empty a per-operator cache table follows, one row
-/// per switch that recorded cache traffic, in file order.
+/// per switch that recorded cache traffic, in file order. Each run's
+/// `writes_issued` is at most its `issued`, as [`load_json`] checks.
 #[must_use]
 pub fn rw_report(entries: &[(String, RunStats)], devices: &[DeviceRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## Read/write mix");
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>12} {:>12} {:>8} {:>12} {:>12} {:>10} {:>8}",
-        "label", "reads", "r-mean", "r-p99", "writes", "w-mean", "w-p99", "hit-ratio", "stale"
+    let table = Table(
+        "{label<14} {reads>8} {r-mean>12} {r-p99>12} {writes>8} {w-mean>12} {w-p99>12} \
+         {hit-ratio>10} {stale>8}",
     );
+    table.header(&mut out);
     for (label, stats) in entries {
         let reads = stats.issued - stats.writes_issued;
-        let _ = write!(
-            out,
-            "{label:<14} {reads:>8} {:>12} {:>12}",
-            fmt_dur(stats.latency.mean),
-            fmt_dur(stats.latency.p99)
-        );
+        let (mean, p99) = (&stats.latency.mean, &stats.latency.p99);
         if stats.writes_issued == 0 {
-            let _ = writeln!(out, " {:>8} (read-only run)", 0);
+            table.row(
+                &mut out,
+                &[label, &reads, mean, p99, &0, &"(read-only run)"],
+            );
             continue;
         }
-        let _ = write!(
-            out,
-            " {:>8} {:>12} {:>12}",
-            stats.writes_issued,
-            fmt_dur(stats.write_latency.mean),
-            fmt_dur(stats.write_latency.p99)
+        let (ratio, stale) = match stats.rw.as_ref() {
+            Some(rw) => (
+                hit_ratio(rw.cache_hits, rw.cache_misses),
+                rw.stale_reads.to_string(),
+            ),
+            None => ("-".to_string(), "-".to_string()),
+        };
+        table.row(
+            &mut out,
+            &[
+                label,
+                &reads,
+                mean,
+                p99,
+                &stats.writes_issued,
+                &stats.write_latency.mean,
+                &stats.write_latency.p99,
+                &ratio,
+                &stale,
+            ],
         );
-        match stats.rw.as_ref() {
-            Some(rw) => {
-                let gets = rw.cache_hits + rw.cache_misses;
-                let ratio = if gets > 0 {
-                    format!("{:.1}%", rw.cache_hits as f64 / gets as f64 * 100.0)
-                } else {
-                    "-".to_string()
-                };
-                let _ = writeln!(out, " {ratio:>10} {:>8}", rw.stale_reads);
-            }
-            None => {
-                let _ = writeln!(out, " {:>10} {:>8}", "-", "-");
-            }
-        }
     }
     let cached: Vec<&DeviceRecord> = devices
         .iter()
@@ -490,151 +600,112 @@ pub fn rw_report(entries: &[(String, RunStats)], devices: &[DeviceRecord]) -> St
     if !cached.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "## Per-operator cache");
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>8} {:>10} {:>8} {:>9} {:>13}",
-            "operator", "hits", "misses", "hit-ratio", "stale", "evicted", "invalidated"
+        let table = Table(
+            "{operator<12} {hits>8} {misses>8} {hit-ratio>10} {stale>8} {evicted>9} \
+             {invalidated>13}",
         );
+        table.header(&mut out);
         for d in cached {
-            let gets = d.cache_hits + d.cache_misses;
-            let ratio = if gets > 0 {
-                format!("{:.1}%", d.cache_hits as f64 / gets as f64 * 100.0)
-            } else {
-                "-".to_string()
-            };
-            let _ = writeln!(
-                out,
-                "{:<12} {:>8} {:>8} {ratio:>10} {:>8} {:>9} {:>13}",
-                d.dev,
-                d.cache_hits,
-                d.cache_misses,
-                d.cache_stale_hits,
-                d.cache_evictions,
-                d.cache_invalidations
+            table.row(
+                &mut out,
+                &[
+                    &d.dev,
+                    &d.cache_hits,
+                    &d.cache_misses,
+                    &hit_ratio(d.cache_hits, d.cache_misses),
+                    &d.cache_stale_hits,
+                    &d.cache_evictions,
+                    &d.cache_invalidations,
+                ],
             );
         }
     }
     out
 }
 
-/// Loads a `--control` JSONL file (same error contract as
-/// [`load_trace`]).
-///
-/// # Errors
-///
-/// See [`load_trace`].
-pub fn load_control(path: &str) -> io::Result<Vec<ControlRecord>> {
-    parse_jsonl(path)
-}
+/// A `--control` stream's records by kind, each in stream order.
+type ControlSplit<'a> = (
+    Vec<&'a SnapshotRecord>,
+    Vec<&'a PlanEventRecord>,
+    Vec<&'a DrsSpanRecord>,
+    Vec<&'a CacheRecord>,
+);
 
-fn fmt_time(ns: u64) -> String {
-    SimTime::from_nanos(ns).to_string()
-}
-
-/// One batch of monitor windows consumed by the plan decision that
-/// follows it in the stream: window count, reporting ToRs, and the
-/// summed response rates per tier (exactly what the controller's
-/// `TrafficMatrix` aggregation sums them into).
-struct SnapshotBatch {
-    windows: usize,
-    tors: usize,
-    tier_rates: [f64; 3],
-}
-
-fn batch_of(snaps: &[&SnapshotRecord]) -> SnapshotBatch {
-    let mut tors: Vec<u32> = snaps.iter().map(|s| s.tor).collect();
-    tors.sort_unstable();
-    tors.dedup();
-    let mut tier_rates = [0.0f64; 3];
-    for s in snaps {
-        for g in &s.groups {
-            for (t, r) in g.rates.iter().enumerate() {
-                tier_rates[t] += r;
-            }
+fn split_control(records: &[ControlRecord]) -> ControlSplit<'_> {
+    let mut split: ControlSplit = Default::default();
+    for record in records {
+        match record {
+            ControlRecord::Snapshot(s) => split.0.push(s),
+            ControlRecord::Plan(p) => split.1.push(p),
+            ControlRecord::DrsSpan(s) => split.2.push(s),
+            ControlRecord::Cache(c) => split.3.push(c),
         }
     }
-    SnapshotBatch {
-        windows: snaps.len(),
-        tors: tors.len(),
-        tier_rates,
-    }
+    split
 }
 
 /// Renders the control-plane report for labeled `--control` streams:
 /// the traffic-matrix evolution (one row per snapshot batch), the plan
 /// churn table (one row per controller decision, with solver effort),
 /// and the DRS span timeline. With more than one label, a side-by-side
-/// summary table closes the report.
+/// summary table closes the report. Every DRS span is detected no
+/// earlier than it failed, as [`load_jsonl`] checks.
 #[must_use]
 pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
+    let batches_table = Table("     {<5} {>7} {>5} {>10.1} {>10.1} {>10.1}");
+    let plans_table = Table("     {<11} {<20} {>3}/{>3}/{>3}  {>3} (+{}/-{}) {>4} {>6}  {}");
+    let spans_table = Table("     sw{<4} {>11} {>11} {>11} {>3} {>11}");
+    let caches_table = Table("     {<8} {>8} {>8}/{<8} {>5} {>7} {>11}");
     let mut out = String::new();
     for (i, (label, records)) in entries.iter().enumerate() {
         if i > 0 {
             let _ = writeln!(out);
         }
-        let snapshots = records
-            .iter()
-            .filter(|r| matches!(r, ControlRecord::Snapshot(_)))
-            .count();
-        let plans = records
-            .iter()
-            .filter(|r| matches!(r, ControlRecord::Plan(_)))
-            .count();
-        let spans = records
-            .iter()
-            .filter(|r| matches!(r, ControlRecord::DrsSpan(_)))
-            .count();
+        let (snapshots, plans, spans, caches) = split_control(records);
         let _ = writeln!(out, "## Control plane: {label}");
         let _ = writeln!(
             out,
-            "   {} records: {snapshots} snapshots · {plans} plan events · {spans} DRS spans",
-            records.len()
+            "   {} records: {} snapshots · {} plan events · {} DRS spans",
+            records.len(),
+            snapshots.len(),
+            plans.len(),
+            spans.len()
         );
 
-        // Traffic-matrix evolution: consecutive snapshots form a batch;
-        // the plan decision that follows consumed exactly that batch.
-        let mut batches: Vec<SnapshotBatch> = Vec::new();
-        let mut pending: Vec<&SnapshotRecord> = Vec::new();
-        for rec in records {
-            match rec {
-                ControlRecord::Snapshot(s) => pending.push(s),
-                ControlRecord::Plan(_) if !pending.is_empty() => {
-                    batches.push(batch_of(&pending));
-                    pending.clear();
-                }
-                _ => {}
-            }
-        }
-        if !pending.is_empty() {
-            batches.push(batch_of(&pending));
-        }
+        // Traffic-matrix evolution: the snapshots since the previous plan
+        // decision form a batch, which the next decision consumes.
+        let batches: Vec<Vec<&SnapshotRecord>> = records
+            .split(|r| matches!(r, ControlRecord::Plan(_)))
+            .map(|between| split_control(between).0)
+            .filter(|batch| !batch.is_empty())
+            .collect();
         if !batches.is_empty() {
             let _ = writeln!(
                 out,
                 "   traffic evolution (batch · windows · ToRs · resp/s by tier):"
             );
-            for (bi, b) in batches.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "     {:<5} {:>7} {:>5} {:>10.1} {:>10.1} {:>10.1}",
-                    bi + 1,
-                    b.windows,
-                    b.tors,
-                    b.tier_rates[0],
-                    b.tier_rates[1],
-                    b.tier_rates[2]
-                );
+        }
+        for (bi, batch) in batches.iter().enumerate() {
+            let tors: BTreeSet<u32> = batch.iter().map(|s| s.tor).collect();
+            // Summed per tier, as the controller's `TrafficMatrix` sums them.
+            let mut rates = [0.0f64; 3];
+            for group in batch.iter().flat_map(|s| &s.groups) {
+                for (t, r) in group.rates.iter().enumerate() {
+                    rates[t] += r;
+                }
             }
+            let [t0, t1, t2] = &rates;
+            batches_table.row(
+                &mut out,
+                &[&(bi + 1), &batch.len(), &tors.len(), t0, t1, t2],
+            );
         }
 
         let _ = writeln!(
             out,
             "   plan churn (t · trigger · groups re/new/un · RSNodes +/- · DRS · rules · solve):"
         );
-        for rec in records {
-            let ControlRecord::Plan(p) = rec else {
-                continue;
-            };
+        for p in &plans {
             let trigger = match p.switch {
                 Some(sw) => format!("{}(sw{sw})", p.trigger),
                 None => p.trigger.clone(),
@@ -656,127 +727,115 @@ pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
                 }
                 None => "-".to_string(),
             };
-            let _ = writeln!(
-                out,
-                "     {:<11} {:<20} {:>3}/{:>3}/{:>3}  {:>3} (+{}/-{}) {:>4} {:>6}  {solve}",
-                fmt_time(p.t_ns),
-                trigger,
-                p.reassigned.len(),
-                p.newly_assigned.len(),
-                p.unassigned.len(),
-                p.rsnodes,
-                p.rsnodes_added.len(),
-                p.rsnodes_removed.len(),
-                p.drs_groups,
-                p.rules_recompiled
+            plans_table.row(
+                &mut out,
+                &[
+                    &SimTime::from_nanos(p.t_ns),
+                    &trigger,
+                    &p.reassigned.len(),
+                    &p.newly_assigned.len(),
+                    &p.unassigned.len(),
+                    &p.rsnodes,
+                    &p.rsnodes_added.len(),
+                    &p.rsnodes_removed.len(),
+                    &p.drs_groups,
+                    &p.rules_recompiled,
+                    &solve,
+                ],
             );
         }
 
-        if spans > 0 {
+        if !spans.is_empty() {
             let _ = writeln!(
                 out,
                 "   DRS spans (switch · fail · detect-lag · recover · groups · displaced):"
             );
-            for rec in records {
-                let ControlRecord::DrsSpan(s) = rec else {
-                    continue;
-                };
-                let detect = s.detect_ns.map_or_else(
-                    || "-".to_string(),
-                    |d| format!("+{}", fmt_dur(SimDuration::from_nanos(d - s.fail_ns))),
-                );
-                let recover = s.recover_ns.map_or_else(|| "open".to_string(), fmt_time);
-                let _ = writeln!(
-                    out,
-                    "     sw{:<4} {:>11} {:>11} {:>11} {:>3} {:>11}",
-                    s.switch,
-                    fmt_time(s.fail_ns),
-                    detect,
-                    recover,
-                    s.groups.len(),
-                    fmt_dur(SimDuration::from_nanos(s.total_displaced_ns()))
-                );
-            }
+        }
+        for s in &spans {
+            let detect = s.detect_ns.map_or_else(
+                || "-".to_string(),
+                |d| format!("+{}", SimDuration::from_nanos(d - s.fail_ns)),
+            );
+            let recover = s.recover_ns.map_or_else(
+                || "open".to_string(),
+                |t| SimTime::from_nanos(t).to_string(),
+            );
+            spans_table.row(
+                &mut out,
+                &[
+                    &s.switch,
+                    &SimTime::from_nanos(s.fail_ns),
+                    &detect,
+                    &recover,
+                    &s.groups.len(),
+                    &SimDuration::from_nanos(s.total_displaced_ns()),
+                ],
+            );
         }
 
         // Hot-key cache audits, only present when a cache was configured
         // (cache-off reports are byte-identical to the pre-cache format).
-        let caches = records
-            .iter()
-            .filter(|r| matches!(r, ControlRecord::Cache(_)))
-            .count();
-        if caches > 0 {
+        if !caches.is_empty() {
             let _ = writeln!(
                 out,
                 "   cache audits (operator · resident · hits/misses · stale · evicted · invalidated):"
             );
-            for rec in records {
-                let ControlRecord::Cache(c) = rec else {
-                    continue;
-                };
-                let operator = c
-                    .switch
-                    .map_or_else(|| "retired".to_string(), |sw| format!("sw{sw}"));
-                let _ = writeln!(
-                    out,
-                    "     {operator:<8} {:>8} {:>8}/{:<8} {:>5} {:>7} {:>11}",
-                    c.len, c.hits, c.misses, c.stale_hits, c.evictions, c.invalidations
-                );
-            }
+        }
+        for c in &caches {
+            let operator = c
+                .switch
+                .map_or_else(|| "retired".to_string(), |sw| format!("sw{sw}"));
+            caches_table.row(
+                &mut out,
+                &[
+                    &operator,
+                    &c.len,
+                    &c.hits,
+                    &c.misses,
+                    &c.stale_hits,
+                    &c.evictions,
+                    &c.invalidations,
+                ],
+            );
         }
     }
 
-    // Side-by-side: how much the control plane worked per run.
+    // Side-by-side: how much the control plane worked per run. Cache
+    // audits have their own table in `rw_report`; this one stays
+    // cache-agnostic.
     if entries.len() > 1 {
         let _ = writeln!(out);
         let _ = writeln!(out, "## Control plane comparison");
-        let _ = writeln!(
-            out,
-            "{:<14} {:>6} {:>8} {:>7} {:>12} {:>10} {:>6} {:>12}",
-            "label", "plans", "replans", "solves", "lp-it/solve", "snapshots", "spans", "displaced"
+        let table = Table(
+            "{label<14} {plans>6} {replans>8} {solves>7} {lp-it/solve>12} {snapshots>10} \
+             {spans>6} {displaced>12}",
         );
+        table.header(&mut out);
         for (label, records) in entries {
-            let mut plans = 0usize;
-            let mut replans = 0usize;
-            let mut solves = 0usize;
-            let mut lp_iterations = 0u64;
-            let mut snapshots = 0usize;
-            let mut spans = 0usize;
-            let mut displaced = 0u64;
-            for rec in records {
-                match rec {
-                    ControlRecord::Snapshot(_) => snapshots += 1,
-                    ControlRecord::Plan(p) => {
-                        plans += 1;
-                        if p.trigger == "replan" {
-                            replans += 1;
-                        }
-                        if let Some(s) = &p.solve {
-                            if !s.greedy {
-                                solves += 1;
-                                lp_iterations += s.lp_iterations;
-                            }
-                        }
-                    }
-                    ControlRecord::DrsSpan(s) => {
-                        spans += 1;
-                        displaced += s.total_displaced_ns();
-                    }
-                    // Cache audits have their own table in `rw_report`;
-                    // the control comparison stays cache-agnostic.
-                    ControlRecord::Cache(_) => {}
-                }
-            }
-            let mean_it = if solves > 0 {
-                format!("{:.1}", lp_iterations as f64 / solves as f64)
-            } else {
-                "-".to_string()
+            let (snapshots, plans, spans, _) = split_control(records);
+            let replans = plans.iter().filter(|p| p.trigger == "replan").count();
+            let solves: Vec<u64> = plans
+                .iter()
+                .filter_map(|p| p.solve.as_ref().filter(|s| !s.greedy))
+                .map(|s| s.lp_iterations)
+                .collect();
+            let mean_it = match solves.len() {
+                0 => "-".to_string(),
+                n => format!("{:.1}", solves.iter().sum::<u64>() as f64 / n as f64),
             };
-            let _ = writeln!(
-                out,
-                "{label:<14} {plans:>6} {replans:>8} {solves:>7} {mean_it:>12} {snapshots:>10} \
-                 {spans:>6} {:>12}",
-                fmt_dur(SimDuration::from_nanos(displaced))
+            let displaced: u64 = spans.iter().map(|s| s.total_displaced_ns()).sum();
+            table.row(
+                &mut out,
+                &[
+                    label,
+                    &plans.len(),
+                    &replans,
+                    &solves.len(),
+                    &mean_it,
+                    &snapshots.len(),
+                    &spans.len(),
+                    &SimDuration::from_nanos(displaced),
+                ],
             );
         }
     }
@@ -813,32 +872,43 @@ pub fn check_bench(artifact: &Value) -> Result<PerfArtifact, String> {
 }
 
 /// The outcome of a two-artifact bench comparison: the rendered table
-/// plus the labels that regressed beyond the threshold (empty → pass).
+/// plus the workloads that regressed beyond the threshold (empty → pass).
 #[derive(Debug)]
 pub struct BenchComparison {
-    /// The comparison table, one row per label present in both artifacts.
+    /// The comparison table, one row per workload in either artifact.
     pub report: String,
     /// `label: old → new (−x%)` lines for throughput drops beyond the
     /// threshold.
     pub regressions: Vec<String>,
 }
 
-/// Compares two perf artifacts label by label on `events_per_sec` (the
-/// latest run per label: an artifact is an append-only history) and flags
-/// drops beyond `threshold` (a fraction: 0.1 → a 10% drop fails). The
-/// candidate must pass [`check_bench`]; the baseline need only parse, since
-/// it may predate the rules `check_bench` enforces. Labels present in only
-/// one artifact are reported but never fail the gate.
+/// The workload a perf row measured, as [`compare_bench`] pairs rows.
+fn workload(run: &HostProfile) -> (&str, &str, u64, u64) {
+    let name = run.label.rsplit('/').next().unwrap_or(&run.label);
+    (name, &run.scheme, run.seed, run.requests)
+}
+
+/// Compares two perf artifacts workload by workload on `events_per_sec`
+/// and flags drops beyond `threshold` (a fraction: 0.1 → a 10% drop
+/// fails). Rows pair by workload — the label after its last `/` (the
+/// `--tag` before it names the measurement, not the workload), the scheme,
+/// the seed and the request count — so `after/CliRS` is measured against
+/// `before/CliRS` and never against a `--small` run of the same scheme; on
+/// each side the latest row of a workload counts (an artifact is an
+/// append-only history). The candidate must pass [`check_bench`]; the
+/// baseline need only parse, since it may predate the rules `check_bench`
+/// enforces. Workloads present in only one artifact are reported but never
+/// fail the gate.
 ///
 /// # Errors
 ///
 /// Returns a description when either artifact is malformed or when the
-/// two artifacts share no label.
+/// two artifacts share no workload.
 pub fn compare_bench(base: &Value, new: &Value, threshold: f64) -> Result<BenchComparison, String> {
     let base = PerfArtifact::from_value(base).map_err(|e| format!("baseline: {e}"))?;
     let new = check_bench(new).map_err(|e| format!("candidate: {e}"))?;
-    let base_rows = latest_by_label(&base.runs);
-    let new_rows = latest_by_label(&new.runs);
+    let base_rows = latest_by(&base.runs, workload);
+    let new_rows = latest_by(&new.runs, workload);
 
     let mut out = String::new();
     let mut regressions = Vec::new();
@@ -848,44 +918,49 @@ pub fn compare_bench(base: &Value, new: &Value, threshold: f64) -> Result<BenchC
         "## Bench comparison (threshold {:.1}%)",
         threshold * 100.0
     );
-    let _ = writeln!(
-        out,
-        "{:<18} {:>14} {:>14} {:>14} {:>8}  verdict",
-        "label", "metric", "baseline", "candidate", "delta"
-    );
+    let table =
+        Table("{label<18} {metric>14} {baseline>14.1} {candidate>14.1} {delta>8}  {verdict}");
+    table.header(&mut out);
     let metric = "events_per_sec";
     for row in &base_rows {
-        let label = &row.label;
-        let Some(n_row) = new_rows.iter().find(|r| &r.label == label) else {
-            let _ = writeln!(out, "{label:<18} (only in baseline)");
+        let Some(n_row) = new_rows.iter().find(|r| workload(r) == workload(row)) else {
+            table.row(&mut out, &[&row.label, &"(only in baseline)"]);
             continue;
         };
         let (b, n) = (row.events_per_sec, n_row.events_per_sec);
         shared += 1;
         let delta = if b > 0.0 { (n - b) / b } else { 0.0 };
         let regressed = delta < -threshold;
-        let verdict = if regressed { "REGRESSION" } else { "ok" };
+        let against = match n_row.label == row.label {
+            true => String::new(),
+            false => format!(" against {}", row.label),
+        };
+        let verdict = format!("{}{against}", if regressed { "REGRESSION" } else { "ok" });
         // The bench metrics shorten to fit the row; full precision lives
         // in the artifacts themselves.
-        let _ = writeln!(
-            out,
-            "{label:<18} {metric:>14} {b:>14.1} {n:>14.1} {:>7.1}%  {verdict}",
-            delta * 100.0
+        let delta_pct = format!("{:.1}%", delta * 100.0);
+        table.row(
+            &mut out,
+            &[&n_row.label, &metric, &b, &n, &delta_pct, &verdict],
         );
         if regressed {
             regressions.push(format!(
-                "{label}: {metric} {b:.1} -> {n:.1} ({:.1}%)",
-                delta * 100.0
+                "{}: {metric} {b:.1} -> {n:.1} ({delta_pct}){against}",
+                n_row.label
             ));
         }
     }
     for row in &new_rows {
-        if !base_rows.iter().any(|b| b.label == row.label) {
-            let _ = writeln!(out, "{:<18} (only in candidate)", row.label);
+        if !base_rows.iter().any(|b| workload(b) == workload(row)) {
+            table.row(&mut out, &[&row.label, &"(only in candidate)"]);
         }
     }
     if shared == 0 {
-        return Err("the two artifacts share no comparable label".to_string());
+        return Err(
+            "the two artifacts share no comparable label (a workload: the label after its \
+             last `/`, scheme, seed and requests)"
+                .to_string(),
+        );
     }
     Ok(BenchComparison {
         report: out,
@@ -893,13 +968,16 @@ pub fn compare_bench(base: &Value, new: &Value, threshold: f64) -> Result<BenchC
     })
 }
 
-/// The latest run per label, in first-appearance order. A perf artifact
-/// is an append-only history, so the last record under a label is the
+/// The latest run per `key`, in first-appearance order. A perf artifact
+/// is an append-only history, so the last record under a key is the
 /// current measurement.
-fn latest_by_label(runs: &[HostProfile]) -> Vec<&HostProfile> {
+fn latest_by<'a, K: PartialEq>(
+    runs: &'a [HostProfile],
+    key: impl Fn(&'a HostProfile) -> K,
+) -> Vec<&'a HostProfile> {
     let mut out: Vec<&HostProfile> = Vec::new();
     for run in runs {
-        match out.iter_mut().find(|r| r.label == run.label) {
+        match out.iter_mut().find(|r| key(r) == key(run)) {
             Some(slot) => *slot = run,
             None => out.push(run),
         }
@@ -917,11 +995,9 @@ fn coverage_pct(run: &HostProfile) -> f64 {
 
 fn kind_table(out: &mut String, run: &HostProfile) {
     let wall_ns = run.wall_s * 1e9;
-    let _ = writeln!(
-        out,
-        "   {:<16} {:<8} {:>12} {:>10} {:>8} {:>10}",
-        "kind", "layer", "count", "self-ms", "% wall", "ns/event"
-    );
+    let table =
+        Table("   {kind<16} {layer<8} {count>12} {self-ms>10.3} {% wall>8} {ns/event>10.1}");
+    table.header(out);
     let mut kinds: Vec<&KindRecord> = run.kinds.iter().filter(|k| k.count > 0).collect();
     kinds.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.kind.cmp(&b.kind)));
     for k in kinds {
@@ -930,45 +1006,37 @@ fn kind_table(out: &mut String, run: &HostProfile) {
         } else {
             0.0
         };
-        let _ = writeln!(
+        table.row(
             out,
-            "   {:<16} {:<8} {:>12} {:>10.3} {:>7.1}% {:>10.1}",
-            k.kind,
-            k.layer,
-            k.count,
-            k.self_ns as f64 / 1e6,
-            pct,
-            k.self_ns as f64 / k.count as f64
+            &[
+                &k.kind,
+                &k.layer,
+                &k.count,
+                &(k.self_ns as f64 / 1e6),
+                &format!("{pct:.1}%"),
+                &(k.self_ns as f64 / k.count as f64),
+            ],
         );
     }
     // Layer rollup: shares of the *attributed* time, so the column sums
     // to ~100% regardless of sampling coverage.
-    let mut layers: Vec<(&str, u64, u64)> = Vec::new();
+    let mut layers: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for k in &run.kinds {
-        match layers.iter_mut().find(|(l, _, _)| *l == k.layer.as_str()) {
-            Some((_, ns, n)) => {
-                *ns += k.self_ns;
-                *n += k.count;
-            }
-            None => layers.push((k.layer.as_str(), k.self_ns, k.count)),
-        }
+        let (ns, n) = layers.entry(&k.layer).or_default();
+        (*ns, *n) = (*ns + k.self_ns, *n + k.count);
     }
+    let mut layers: Vec<(&str, u64, u64)> =
+        layers.into_iter().map(|(l, (ns, n))| (l, ns, n)).collect();
     layers.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     let _ = writeln!(out, "   by layer (self-ms · % of attributed · events):");
+    let layer_rows = Table("     {<14} {>10.3} {>7.1}% {>12}");
     for (layer, ns, n) in layers.iter().filter(|(_, _, n)| *n > 0) {
         let share = if run.attributed_ns > 0 {
             *ns as f64 / run.attributed_ns as f64 * 100.0
         } else {
             0.0
         };
-        let _ = writeln!(
-            out,
-            "     {:<14} {:>10.3} {:>7.1}% {:>12}",
-            layer,
-            *ns as f64 / 1e6,
-            share,
-            n
-        );
+        layer_rows.row(out, &[layer, &(*ns as f64 / 1e6), &share, n]);
     }
     let _ = writeln!(
         out,
@@ -1012,7 +1080,7 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
         }
         let _ = writeln!(out, "## Perf profile: {name}");
         let _ = writeln!(out, "   {} runs", art.runs.len());
-        for run in latest_by_label(&art.runs) {
+        for run in latest_by(&art.runs, |run| run.label.as_str()) {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
@@ -1042,15 +1110,17 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
                 out,
                 "   trajectory (run · label · events/s · peak RSS kB · attributed):"
             );
+            let trajectory = Table("     {<4} {<18} {>12.0} {>12} {>9.1}%");
             for (ri, run) in art.runs.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "     {:<4} {:<18} {:>12.0} {:>12} {:>9.1}%",
-                    ri + 1,
-                    run.label,
-                    run.events_per_sec,
-                    run.peak_rss_kb,
-                    coverage_pct(run)
+                trajectory.row(
+                    &mut out,
+                    &[
+                        &(ri + 1),
+                        &run.label,
+                        &run.events_per_sec,
+                        &run.peak_rss_kb,
+                        &coverage_pct(run),
+                    ],
                 );
             }
         }
@@ -1060,7 +1130,7 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
     let rows: Vec<(&str, &HostProfile)> = entries
         .iter()
         .flat_map(|(name, art)| {
-            latest_by_label(&art.runs)
+            latest_by(&art.runs, |run| run.label.as_str())
                 .into_iter()
                 .map(move |run| (name.as_str(), run))
         })
@@ -1068,52 +1138,31 @@ pub fn perf_report(entries: &[(String, PerfArtifact)]) -> String {
     if rows.len() > 1 {
         let _ = writeln!(out);
         let _ = writeln!(out, "## Perf comparison");
-        let _ = writeln!(
-            out,
-            "{:<12} {:<18} {:>12} {:>10} {:>12} {:>10}",
-            "file", "label", "events/s", "ns/event", "peak RSS kB", "attributed"
+        let table = Table(
+            "{file<12} {label<18} {events/s>12.0} {ns/event>10.1} {peak RSS kB>12} {attributed>10}",
         );
+        table.header(&mut out);
         for (name, run) in rows {
             let per_event = if run.events > 0 {
                 run.wall_s * 1e9 / run.events as f64
             } else {
                 0.0
             };
-            let _ = writeln!(
-                out,
-                "{name:<12} {:<18} {:>12.0} {:>10.1} {:>12} {:>9.1}%",
-                run.label,
-                run.events_per_sec,
-                per_event,
-                run.peak_rss_kb,
-                coverage_pct(run)
+            let attributed = format!("{:.1}%", coverage_pct(run));
+            table.row(
+                &mut out,
+                &[
+                    &name,
+                    &run.label,
+                    &run.events_per_sec,
+                    &per_event,
+                    &run.peak_rss_kb,
+                    &attributed,
+                ],
             );
         }
     }
     out
-}
-
-/// Loads a `simulate sweep` artifact (one pretty-printed
-/// [`SweepReport`] JSON document), rejecting unknown schema versions.
-///
-/// # Errors
-///
-/// Returns an error when the file cannot be read or parsed, or carries
-/// a schema version this build does not understand.
-pub fn load_sweep(path: &str) -> io::Result<SweepReport> {
-    let text = std::fs::read_to_string(path)?;
-    let report: SweepReport = serde_json::from_str(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    if report.schema_version != SWEEP_SCHEMA_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "sweep artifact schema v{} (this build reads v{})",
-                report.schema_version, SWEEP_SCHEMA_VERSION
-            ),
-        ));
-    }
-    Ok(report)
 }
 
 /// Renders a merged sweep artifact: the (config × seed) grid with each
@@ -1148,21 +1197,22 @@ pub fn sweep_report(report: &SweepReport) -> String {
         .iter()
         .map(|l| l.chars().count())
         .fold(16, usize::max);
-    let _ = writeln!(
-        out,
-        "{:<width$} {:>6} {:>10} {:>10} {:>10} {:>9}",
-        "label", "seed", "completed", "mean", "p99", "wall_s"
+    let table = format!(
+        "{{label<{width}}} {{seed>6}} {{completed>10}} {{mean>10}} {{p99>10}} {{wall_s>9.3}}"
     );
+    let table = Table(&table);
+    table.header(&mut out);
     for cell in &report.cells {
-        let _ = writeln!(
-            out,
-            "{:<width$} {:>6} {:>10} {:>10} {:>10} {:>9.3}",
-            cell.label,
-            cell.seed,
-            cell.stats.completed,
-            fmt_dur(cell.stats.latency.mean),
-            fmt_dur(cell.stats.latency.p99),
-            cell.wall_s
+        table.row(
+            &mut out,
+            &[
+                &cell.label,
+                &cell.seed,
+                &cell.stats.completed,
+                &cell.stats.latency.mean,
+                &cell.stats.latency.p99,
+                &cell.wall_s,
+            ],
         );
     }
     out
@@ -1214,13 +1264,11 @@ mod tests {
         let path_str = path.to_str().unwrap();
         for cut in [&full[..full.len() / 2], "{\"req\":", &"[".repeat(1_000_000)] {
             std::fs::write(&path, format!("{full}\n\n{cut}\n")).unwrap();
-            let err = load_trace(path_str).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            let msg = err.to_string();
+            let msg = load_jsonl::<TraceRecord>(path_str).unwrap_err();
             assert!(msg.starts_with(&format!("{path_str}:3: ")), "{msg}");
         }
         std::fs::write(&path, format!("{full}\n")).unwrap();
-        assert_eq!(load_trace(path_str).unwrap().len(), 1);
+        assert_eq!(load_jsonl::<TraceRecord>(path_str).unwrap().len(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1276,6 +1324,57 @@ mod tests {
     }
 
     #[test]
+    fn comparison_report_pins_its_format() {
+        // A label wider than its column shifts the row; nothing is cut.
+        let traces = vec![
+            trace("clirs", &[600, 1_200, 2_400]),
+            trace("netrs-ilp-with-hops", &[300, 600, 900]),
+        ];
+        let expected = "\
+## Per-phase latency comparison (winning reads)
+   clirs: 3 requests
+   netrs-ilp-with-hops: 3 requests
+
+mean                    clirs netrs-ilp-with-hops
+steer                   233ns          100ns
+selection               233ns          100ns
+to-server               233ns          100ns
+server-queue            233ns          100ns
+service                 233ns          100ns
+reply                   233ns          100ns
+e2e                   1.400us          600ns
+
+median                  clirs netrs-ilp-with-hops
+steer                   200ns          100ns
+selection               200ns          100ns
+to-server               200ns          100ns
+server-queue            200ns          100ns
+service                 200ns          100ns
+reply                   200ns          100ns
+e2e                   1.207us          603ns
+
+p95                     clirs netrs-ilp-with-hops
+steer                   400ns          150ns
+selection               400ns          150ns
+to-server               400ns          150ns
+server-queue            400ns          150ns
+service                 400ns          150ns
+reply                   400ns          150ns
+e2e                   2.400us          900ns
+
+p99                     clirs netrs-ilp-with-hops
+steer                   400ns          150ns
+selection               400ns          150ns
+to-server               400ns          150ns
+server-queue            400ns          150ns
+service                 400ns          150ns
+reply                   400ns          150ns
+e2e                   2.400us          900ns
+";
+        assert_eq!(comparison_report(&traces), expected);
+    }
+
+    #[test]
     fn tail_report_attributes_full_tail_time() {
         let t = trace("x", &[600, 600, 600, 600, 60_000]);
         let report = tail_report("x", &t.records, 5);
@@ -1290,6 +1389,118 @@ mod tests {
             .filter_map(|n| n.parse::<f64>().ok())
             .sum();
         assert!((total - 100.0).abs() < 0.5, "shares sum to {total}");
+    }
+
+    #[test]
+    fn tail_report_pins_its_format() {
+        let t = trace("x", &[600, 600, 600, 600, 60_000]);
+        let expected = "\
+## Tail attribution: x
+   p99 = 60.000us · 1 requests at or above it
+   phase shares of tail time:
+     steer           16.7%
+     selection       16.7%
+     to-server       16.7%
+     server-queue    16.7%
+     service         16.7%
+     reply           16.7%
+   top tail servers (server · tail requests):
+     server:1        1
+";
+        assert_eq!(tail_report("x", &t.records, 5), expected);
+        let expected = "\
+## Tail attribution: none
+   (no winning reads in trace)
+";
+        assert_eq!(tail_report("none", &[], 5), expected);
+    }
+
+    fn pin_devices() -> Vec<DeviceRecord> {
+        let dev = |dev: &str, kind: &str, packets: [u64; 3], util: f64| DeviceRecord {
+            dev: dev.into(),
+            kind: kind.into(),
+            packets,
+            bytes: packets.map(|p| p * 64),
+            ops: packets[0] / 2,
+            selections: packets[1] / 3,
+            utilization: util,
+            max_queue_depth: (packets[2] % 7) as u32,
+            ..devices_proto()
+        };
+        vec![
+            dev("switch:0", "switch", [1_200, 300, 0], 0.0),
+            dev("switch:1", "switch", [900, 450, 12], 0.0),
+            dev("accel:0", "accel", [0, 600, 0], 0.4321),
+            dev("accel:1", "accel", [0, 300, 0], 0.8765),
+            dev("server:3", "server", [500, 0, 0], 0.91),
+            dev("server:4", "server", [700, 0, 0], 0.91),
+            dev("link:h0>s0", "link", [400, 20, 3], 0.05),
+            dev("link:s0>s4", "link", [0, 900, 40], 0.2),
+            dev("link:s0>s5", "link", [0, 300, 10], 0.1),
+            dev("link:s4>s8", "link", [0, 0, 250], 0.3),
+            dev("link:s4>s9", "link", [0, 0, 250], 0.3),
+            dev("link:s5>s8", "link", [0, 0, 0], 0.0),
+            // Wider than its column: the row shifts, nothing is cut.
+            dev("link:s0>agg-switch-17", "link", [0, 60, 0], 0.35),
+        ]
+    }
+
+    fn pin_points() -> Vec<SamplePoint> {
+        (0..4u32)
+            .map(|i| SamplePoint {
+                t_ns: 10_000_000 * u64::from(i + 1),
+                accel_util: 0.125 * f64::from(i),
+                server_occupancy: 0.9 - 0.2 * f64::from(i),
+                outstanding: f64::from(40 + 7 * i),
+                drs_groups: f64::from(i / 2),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hotspot_report_pins_its_format() {
+        let expected = "\
+## Device hotspots
+   link traffic per tier (packets · bytes):
+     Tier-0                   400 ·        25600
+     Tier-1                  1280 ·        81920
+     Tier-2                   553 ·        35392
+   top switches (device · util · packets · ops/selections · max queue):
+     switch:0         0.00%       1500      600      0
+     switch:1         0.00%       1362      450      5
+   top accelerators (device · util · packets · ops/selections · max queue):
+     accel:1         87.65%        300      100      0
+     accel:0         43.21%        600      200      0
+   top servers (device · util · packets · ops/selections · max queue):
+     server:4        91.00%        700      350      0
+     server:3        91.00%        500      250      0
+   top links (device · util · packets · ops/selections · max queue):
+     link:s0>agg-switch-17  35.00%         60        0      0
+     link:s4>s8      30.00%        250        0      5
+     link:s4>s9      30.00%        250        0      5
+   ECMP skew (endpoint · outgoing links · max/mean packets):
+     s0         3    2.153
+     s4         2    1.000
+";
+        assert_eq!(hotspot_report(&pin_devices(), 3), expected);
+    }
+
+    #[test]
+    fn timeseries_report_pins_its_format() {
+        let expected = "\
+## Time series
+   4 samples over 30.000ms
+   accel util         mean    0.188 · peak    0.375
+   server occupancy   mean    0.600 · peak    0.900
+   outstanding        mean   50.500 · peak   61.000
+   DRS groups         mean    0.500 · peak    1.000
+";
+        assert_eq!(timeseries_report(&pin_points()), expected);
+        let expected = "\
+## Time series
+   (no samples)
+";
+        assert_eq!(timeseries_report(&[]), expected);
     }
 
     #[test]
@@ -1859,6 +2070,80 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
         };
         let cmp = compare_bench(&to_value(&base), &to_value(&bad), 0.1).expect("both validate");
         assert_eq!(cmp.regressions.len(), 1, "20% drop fails a 10% gate");
+    }
+
+    #[test]
+    fn compare_bench_pairs_a_tagged_row_with_the_same_workload_under_another_tag() {
+        // A history as `repro perf --tag` grows it: untagged rows, then
+        // tagged suites, all on the same 600 000-request workloads.
+        let row = |label: &str, eps: f64| HostProfile {
+            requests: 600_000,
+            ..host_profile(label, 18_000, eps)
+        };
+        let parent = PerfArtifact {
+            runs: vec![
+                row("CliRS", 2_900_000.0),
+                row("before/CliRS", 7_965_371.5),
+                row("before/NetRS-ILP", 5_917_352.0),
+            ],
+        };
+        // The next suite appends its rows; CliRS at 0.3x its last run.
+        let mut appended = parent.clone();
+        appended.runs.push(row("after/CliRS", 0.3 * 7_965_371.5));
+        appended.runs.push(row("after/NetRS-ILP", 5_900_000.0));
+        let cmp =
+            compare_bench(&to_value(&parent), &to_value(&appended), 0.1).expect("both validate");
+        assert_eq!(cmp.regressions.len(), 1, "{:?}", cmp.regressions);
+        assert_eq!(
+            cmp.regressions[0],
+            "after/CliRS: events_per_sec 7965371.5 -> 2389611.4 (-70.0%) against before/CliRS"
+        );
+        // The untagged CliRS row is the same workload's older run, not a
+        // baseline of its own.
+        let expected = "\
+## Bench comparison (threshold 10.0%)
+label                      metric       baseline      candidate    delta  verdict
+after/CliRS        events_per_sec      7965371.5      2389611.4   -70.0%  REGRESSION against before/CliRS
+after/NetRS-ILP    events_per_sec      5917352.0      5900000.0    -0.3%  ok against before/NetRS-ILP
+";
+        assert_eq!(cmp.report, expected);
+    }
+
+    #[test]
+    fn compare_bench_never_measures_a_small_run_against_the_history() {
+        let row = |label: &str, eps: f64| HostProfile {
+            requests: 600_000,
+            ..host_profile(label, 18_000, eps)
+        };
+        let history = PerfArtifact {
+            runs: vec![
+                row("NetRS-ILP", 5_500_000.0),
+                row("before/NetRS-ILP", 5_900_000.0),
+            ],
+        };
+        // A `--small` profile: the same scheme on a 3 000-request run, at
+        // a fifth of the throughput.
+        let small = HostProfile {
+            requests: 3_000,
+            ..host_profile("NetRS-ILP", 18_000, 1_170_000.0)
+        };
+        let alone = PerfArtifact {
+            runs: vec![small.clone()],
+        };
+        let err = compare_bench(&to_value(&history), &to_value(&alone), 0.1).unwrap_err();
+        assert!(err.contains("no comparable label"), "{err}");
+        // Appended to the history it is reported, and fails nothing.
+        let mut appended = history.clone();
+        appended.runs.push(small);
+        let cmp =
+            compare_bench(&to_value(&history), &to_value(&appended), 0.1).expect("both validate");
+        assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
+        assert!(
+            cmp.report
+                .contains("NetRS-ILP          (only in candidate)"),
+            "{}",
+            cmp.report
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `netrs-analyze` — turn `simulate` JSONL artifacts into reports.
+//! `netrs-analyze` — turn `simulate` artifacts into reports.
 //!
 //! ```text
 //! # compare two schemes
@@ -7,244 +7,148 @@
 //! netrs-analyze report --trace clirs=clirs.jsonl --trace netrs-ilp=ilp.jsonl \
 //!     --devices ilp-dev.jsonl
 //!
-//! # validate a perf artifact, then gate it against a baseline
-//! simulate --scheme netrs-ilp --perf perf.json
+//! # validate a perf artifact; gate this tree's perf rows against the parent's
 //! netrs-analyze check-bench perf.json
-//! netrs-analyze check-bench perf.json BENCH_PERF.json
+//! git show HEAD:BENCH_PERF.json > parent-perf.json
+//! repro perf --tag after --out BENCH_PERF.json
+//! netrs-analyze check-bench BENCH_PERF.json parent-perf.json
 //! ```
+//!
+//! Argv is read by `netrs_sim::cli` against the synopsis lines below: a
+//! misused flag exits 2 naming it, a file that cannot be read, parsed or
+//! trusted exits 1 naming it.
 
 use netrs_analyze::{
     availability_report, check_bench, compare_bench, comparison_report, control_report,
-    hotspot_report, load_control, load_devices, load_stats, load_sweep, load_timeseries,
-    load_trace, perf_report, rw_report, split_label, sweep_report, tail_report, timeseries_report,
-    LabeledTrace,
+    hotspot_report, load_json, load_jsonl, perf_report, rw_report, split_label, sweep_report,
+    tail_report, timeseries_report, LabeledTrace,
 };
+use netrs_sim::cli::{Cli, CliError, Command};
 use serde::Value;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: netrs-analyze report --trace [LABEL=]FILE [--trace [LABEL=]FILE ...] \
-         [--devices FILE] [--timeseries FILE] [--top N]\n\
-         \x20      netrs-analyze control [LABEL=]FILE [[LABEL=]FILE ...]\n\
-         \x20      netrs-analyze availability --stats [LABEL=]FILE [--stats [LABEL=]FILE ...]\n\
-         \x20      netrs-analyze rw --stats [LABEL=]FILE [--stats [LABEL=]FILE ...] [--devices FILE]\n\
-         \x20      netrs-analyze perf [LABEL=]FILE [[LABEL=]FILE ...]\n\
-         \x20      netrs-analyze sweep FILE\n\
-         \x20      netrs-analyze check-bench FILE [BASELINE] [--threshold F]"
-    );
-    std::process::exit(2);
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("netrs-analyze: {msg}");
-    std::process::exit(1);
-}
-
-fn report(args: &[String]) {
-    let mut traces: Vec<LabeledTrace> = Vec::new();
-    let mut devices_path: Option<String> = None;
-    let mut timeseries_path: Option<String> = None;
-    let mut top = 10usize;
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let mut next = || {
-            i += 1;
-            args.get(i).cloned().unwrap_or_else(|| usage())
-        };
-        match arg.as_str() {
-            "--trace" => {
-                let spec = next();
-                let (label, path) = split_label(&spec);
-                let records =
-                    load_trace(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-                traces.push(LabeledTrace { label, records });
-            }
-            "--devices" => devices_path = Some(next()),
-            "--timeseries" => timeseries_path = Some(next()),
-            "--top" => top = next().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if traces.is_empty() {
-        usage();
-    }
-
-    print!("{}", comparison_report(&traces));
-    for t in &traces {
-        println!();
-        print!("{}", tail_report(&t.label, &t.records, top));
-    }
-    if let Some(path) = devices_path.as_deref() {
-        let devices =
-            load_devices(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-        println!();
-        print!("{}", hotspot_report(&devices, top));
-    }
-    if let Some(path) = timeseries_path.as_deref() {
-        let points =
-            load_timeseries(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-        println!();
-        print!("{}", timeseries_report(&points));
-    }
-}
-
-fn availability(args: &[String]) {
-    let mut entries = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--stats" => {
-                i += 1;
-                let spec = args.get(i).cloned().unwrap_or_else(|| usage());
-                let (label, path) = split_label(&spec);
-                let stats =
-                    load_stats(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-                entries.push((label, stats));
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if entries.is_empty() {
-        usage();
-    }
-    print!("{}", availability_report(&entries));
-}
-
-fn rw(args: &[String]) {
-    let mut entries = Vec::new();
-    let mut devices = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--stats" => {
-                i += 1;
-                let spec = args.get(i).cloned().unwrap_or_else(|| usage());
-                let (label, path) = split_label(&spec);
-                let stats =
-                    load_stats(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-                entries.push((label, stats));
-            }
-            "--devices" => {
-                i += 1;
-                let path = args.get(i).cloned().unwrap_or_else(|| usage());
-                devices = load_devices(&path)
-                    .unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if entries.is_empty() {
-        usage();
-    }
-    print!("{}", rw_report(&entries, &devices));
-}
-
-fn control(args: &[String]) {
-    let mut entries = Vec::new();
-    for spec in args {
-        let (label, path) = split_label(spec);
-        let records =
-            load_control(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-        entries.push((label, records));
-    }
-    if entries.is_empty() {
-        usage();
-    }
-    print!("{}", control_report(&entries));
-}
-
-/// `perf FILE [FILE...]` renders the host-perf report for one or more
-/// perf artifacts (versioned histories or bare `simulate --perf`
-/// profiles) that pass `check-bench`.
-fn perf(args: &[String]) {
-    let mut entries = Vec::new();
-    for spec in args {
-        let (label, path) = split_label(spec);
-        let art =
-            check_bench(&load_artifact(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-        entries.push((label, art));
-    }
-    if entries.is_empty() {
-        usage();
-    }
-    print!("{}", perf_report(&entries));
-}
-
-/// `sweep FILE` renders the merged (config × seed) sweep artifact
-/// written by `simulate sweep`.
-fn sweep(args: &[String]) {
-    let [path] = args else { usage() };
-    let report = load_sweep(path).unwrap_or_else(|e| fail(&format!("cannot load {path}: {e}")));
-    print!("{}", sweep_report(&report));
-}
-
-fn load_artifact(path: &str) -> Value {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    serde_json::from_str(&text).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")))
-}
-
-/// `check-bench FILE` validates the artifact's shape; `check-bench FILE
-/// BASELINE` additionally compares it against the baseline and fails on
-/// throughput regressions beyond `--threshold` (default 10%).
-fn check_bench_cmd(args: &[String]) {
-    let mut paths: Vec<String> = Vec::new();
-    let mut threshold = 0.1f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                i += 1;
-                threshold = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if !(0.0..1.0).contains(&threshold) {
-                    fail("--threshold must be a fraction in [0, 1)");
-                }
-            }
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let (path, baseline) = match paths.as_slice() {
-        [path] => (path.clone(), None),
-        [path, base] => (path.clone(), Some(base.clone())),
-        _ => usage(),
-    };
-    let artifact = load_artifact(&path);
-    let art = check_bench(&artifact).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-    println!("{path}: valid perf artifact (runs: {})", art.runs.len());
-    if let Some(base_path) = baseline {
-        let base = load_artifact(&base_path);
-        let cmp = compare_bench(&base, &artifact, threshold)
-            .unwrap_or_else(|e| fail(&format!("{base_path} vs {path}: {e}")));
-        print!("{}", cmp.report);
-        if !cmp.regressions.is_empty() {
-            for r in &cmp.regressions {
-                eprintln!("netrs-analyze: regression: {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
+/// Every subcommand's synopsis: the usage text, and the flags and files
+/// each subcommand takes.
+const SYNOPSES: &[&str] = &[
+    "netrs-analyze report --trace [LABEL=]FILE [--trace [LABEL=]FILE ...] \
+     [--devices FILE] [--timeseries FILE] [--top N]",
+    "netrs-analyze control [LABEL=]FILE [[LABEL=]FILE ...]",
+    "netrs-analyze availability --stats [LABEL=]FILE [--stats [LABEL=]FILE ...]",
+    "netrs-analyze rw --stats [LABEL=]FILE [--stats [LABEL=]FILE ...] [--devices FILE]",
+    "netrs-analyze perf [LABEL=]FILE [[LABEL=]FILE ...]",
+    "netrs-analyze sweep FILE",
+    "netrs-analyze check-bench FILE [BASELINE] [--threshold F]",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("report") => report(&args[1..]),
-        Some("control") => control(&args[1..]),
-        Some("availability") => availability(&args[1..]),
-        Some("rw") => rw(&args[1..]),
-        Some("perf") => perf(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("check-bench") => check_bench_cmd(&args[1..]),
-        _ => usage(),
+    let name = args.first().map_or("", String::as_str);
+    let cmd = Command {
+        prog: "netrs-analyze",
+        name,
+        synopses: SYNOPSES,
+        synopsis: 0,
+    };
+    let Some(synopsis) = SYNOPSES
+        .iter()
+        .position(|line| line.split_whitespace().nth(1) == Some(name))
+    else {
+        CliError::misuse(cmd.usage()).exit()
+    };
+    let cmd = Command { synopsis, ..cmd };
+    match Cli::parse(&args[1..], &cmd).and_then(|cli| run(name, &cli)) {
+        Ok(report) => print!("{report}"),
+        Err(e) => e.exit(),
     }
+}
+
+/// A file the reports cannot use: exit 1 naming it.
+fn invalid(message: String) -> CliError {
+    CliError::invalid(format!("netrs-analyze: {message}"))
+}
+
+/// Loads each `[LABEL=]FILE` with `load`, labelled by [`split_label`].
+fn labeled<'a, T>(
+    specs: impl IntoIterator<Item = &'a str>,
+    load: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<(String, T)>, CliError> {
+    specs
+        .into_iter()
+        .map(|spec| {
+            let (label, path) = split_label(spec);
+            Ok((label, load(path).map_err(invalid)?))
+        })
+        .collect()
+}
+
+/// The subcommand's report.
+fn run(name: &str, cli: &Cli) -> Result<String, CliError> {
+    let files = || cli.files().iter().map(String::as_str);
+    let report = match name {
+        "report" => {
+            let top = cli.get("--top")?.unwrap_or(10);
+            let traces: Vec<LabeledTrace> = labeled(cli.all("--trace"), load_jsonl)?
+                .into_iter()
+                .map(|(label, records)| LabeledTrace { label, records })
+                .collect();
+            let mut out = comparison_report(&traces);
+            for t in &traces {
+                out = out + "\n" + &tail_report(&t.label, &t.records, top);
+            }
+            if let Some(path) = cli.str("--devices") {
+                out = out + "\n" + &hotspot_report(&load_jsonl(path).map_err(invalid)?, top);
+            }
+            if let Some(path) = cli.str("--timeseries") {
+                out = out + "\n" + &timeseries_report(&load_jsonl(path).map_err(invalid)?);
+            }
+            out
+        }
+        "control" => control_report(&labeled(files(), load_jsonl)?),
+        "availability" => availability_report(&labeled(cli.all("--stats"), load_json)?),
+        "rw" => {
+            let devices = match cli.str("--devices") {
+                Some(path) => load_jsonl(path).map_err(invalid)?,
+                None => Vec::new(),
+            };
+            rw_report(&labeled(cli.all("--stats"), load_json)?, &devices)
+        }
+        "perf" => perf_report(&labeled(files(), |path| {
+            check_bench(&load_json(path)?).map_err(|e| format!("{path}: {e}"))
+        })?),
+        "sweep" => sweep_report(&load_json(&cli.files()[0]).map_err(invalid)?),
+        _ => check_bench_cmd(cli)?,
+    };
+    Ok(report)
+}
+
+/// `check-bench FILE` validates a perf artifact; `check-bench FILE
+/// BASELINE` also compares it with the baseline, workload by workload, and
+/// exits 1 on a throughput drop beyond `--threshold` (default 10%).
+fn check_bench_cmd(cli: &Cli) -> Result<String, CliError> {
+    let threshold = cli.get("--threshold")?.unwrap_or(0.1);
+    if !(0.0..1.0).contains(&threshold) {
+        return Err(invalid(
+            "--threshold must be a fraction in [0, 1)".to_string(),
+        ));
+    }
+    let path = &cli.files()[0];
+    let artifact: Value = load_json(path).map_err(invalid)?;
+    let art = check_bench(&artifact).map_err(|e| invalid(format!("{path}: {e}")))?;
+    let mut out = format!("{path}: valid perf artifact (runs: {})\n", art.runs.len());
+    let Some(base_path) = cli.files().get(1) else {
+        return Ok(out);
+    };
+    let base = load_json(base_path).map_err(invalid)?;
+    let cmp = compare_bench(&base, &artifact, threshold)
+        .map_err(|e| invalid(format!("{base_path} vs {path}: {e}")))?;
+    out += &cmp.report;
+    if cmp.regressions.is_empty() {
+        return Ok(out);
+    }
+    print!("{out}");
+    let lines: Vec<String> = cmp
+        .regressions
+        .iter()
+        .map(|r| format!("netrs-analyze: regression: {r}"))
+        .collect();
+    Err(CliError::invalid(lines.join("\n")))
 }

@@ -1,8 +1,9 @@
-//! The one command-line builder behind `simulate`, `simulate sweep` and
-//! `repro`.
+//! The one command-line reader behind `simulate`, `simulate sweep`,
+//! `repro` and `netrs-analyze`, and the config builder of the first three.
 //!
-//! Argv is read once into a [`Cli`]: each flag at most once, with its
-//! value. The run's [`SimConfig`] is then built in one pass: one base (the
+//! Argv is read once into a [`Cli`]: each flag at most once (unless its
+//! synopsis lets it repeat), with its value, and the bare words as files.
+//! The run's [`SimConfig`] is then built in one pass: one base (the
 //! caller's default, `--small` or `--config FILE`), every override in a
 //! fixed order, then `finalize().validate()`. So the order of flags on the
 //! command line never changes the experiment.
@@ -28,7 +29,10 @@ use netrs_netdev::HotCacheConfig;
 ///
 /// The flags come from the program's usage text, so the text and the
 /// parser cannot disagree: a `--flag` followed by a placeholder (`--seed N`,
-/// `[--config FILE]`) takes a value, one followed by `]` or `|` does not.
+/// `[--config FILE]`) takes a value, one followed by `]` or `|` does not;
+/// one whose synopsis ends in `...]` may repeat. Any other word after the
+/// subcommand's name is a file (`FILE [BASELINE]`), which a bare argument
+/// fills. A flag or file outside every `[...]` must be given.
 pub struct Command<'a> {
     /// Prefix of every message about a misused flag (`simulate`, `repro`).
     pub prog: &'a str,
@@ -50,7 +54,7 @@ const SIMULATE_SYNOPSES: &[&str] = &[
      [--emit-config] [--json] [--trace FILE] [--trace-hops] [--timeseries FILE] \
      [--sample-every-us N] [--devices FILE] [--control FILE] [--perf FILE] \
      [--perf-stride N] [--progress] [--shards N] [--threads N] [--lookahead-mult N]",
-    "simulate sweep --out FILE [--small | --config FILE] [--schemes all|s1,s2,...] \
+    "simulate sweep [--out FILE] [--small | --config FILE] [--schemes all|s1,s2,...] \
      [--seeds s1,s2,...] [--requests N] [--utilization F] [--threads N] [--baseline]",
 ];
 
@@ -78,11 +82,52 @@ impl Command<'_> {
     }
 }
 
-/// Whether `line` names `flag`, and if so whether it takes a value.
-fn takes_value(line: &str, flag: &str) -> Option<bool> {
-    let mut words = line.split_whitespace().map(|w| w.trim_start_matches('['));
-    let word = words.find(|w| w.trim_end_matches(']') == flag)?;
-    Some(!word.ends_with(']') && words.next().is_some_and(|next| next != "|"))
+/// What a synopsis line lets one argument be.
+struct Slot<'a> {
+    /// The flag (`--seed`), or `None` for a file.
+    flag: Option<&'a str>,
+    /// The flag takes a value.
+    valued: bool,
+    /// It may be given again: its synopsis ends in `...]`.
+    repeats: bool,
+    /// It must be given: it stands outside every `[...]`.
+    required: bool,
+}
+
+/// The slots of a synopsis line, after the program's name and the
+/// subcommand's (a second word that is no flag).
+fn slots(line: &str) -> Vec<Slot<'_>> {
+    let mut words = line.split_whitespace().skip(1).peekable();
+    words.next_if(|w| !w.starts_with(['[', '-']));
+    let mut slots: Vec<Slot> = Vec::new();
+    let (mut depth, mut value) = (0, false);
+    while let Some(word) = words.next() {
+        // How deep in `[...]` the word itself sits: `[LABEL=]FILE` is
+        // required, `[BASELINE]` and `[[LABEL=]FILE` are not.
+        let name = word.trim_end_matches(']');
+        let at = depth + name.matches('[').count() - name.matches(']').count();
+        depth = depth + word.matches('[').count() - word.matches(']').count();
+        let name = name.trim_start_matches('[');
+        if std::mem::take(&mut value) || name == "|" {
+            continue;
+        }
+        if name == "..." {
+            let last = slots.last().expect("`...` follows a slot").flag;
+            for slot in slots.iter_mut().filter(|s| s.flag == last) {
+                slot.repeats = true;
+            }
+            continue;
+        }
+        let flag = name.starts_with('-').then_some(name);
+        value = flag.is_some() && !word.ends_with(']') && words.peek() != Some(&"|");
+        slots.push(Slot {
+            flag,
+            valued: value,
+            repeats: false,
+            required: at == 0,
+        });
+    }
+    slots
 }
 
 /// Why a command line cannot run, and the exit code that says so: 2 for
@@ -115,10 +160,11 @@ impl CliError {
     }
 }
 
-/// One command line: every flag given, each once, with its value.
+/// One command line: every flag given, with its value, and the files.
 pub struct Cli {
     prog: String,
     given: Vec<(String, Option<String>)>,
+    files: Vec<String>,
 }
 
 impl Cli {
@@ -128,32 +174,55 @@ impl Cli {
     /// # Errors
     ///
     /// Exit 2 naming the flag when it is unknown (after the usage text),
-    /// not one of `cmd`'s, repeated, or missing its value.
+    /// not one of `cmd`'s, repeated without a `...]`, or missing its value,
+    /// and naming what `cmd` needs when a required flag or file is missing.
     pub fn parse(args: &[String], cmd: &Command) -> Result<Cli, CliError> {
-        let prog = cmd.prog;
+        let (prog, name) = (cmd.prog, cmd.name);
+        let accepted = slots(cmd.synopses[cmd.synopsis]);
+        let file_slots = accepted.iter().filter(|s| s.flag.is_none());
+        let max_files = match file_slots.clone().any(|s| s.repeats) {
+            true => usize::MAX,
+            false => file_slots.clone().count(),
+        };
         let mut given: Vec<(String, Option<String>)> = Vec::new();
+        let mut files = Vec::new();
         let mut args = args.iter();
         while let Some(flag) = args.next() {
-            let Some(valued) = takes_value(cmd.synopses[cmd.synopsis], flag) else {
-                let known = cmd.synopses.iter().any(|l| takes_value(l, flag).is_some());
+            if !flag.starts_with('-') && files.len() < max_files {
+                files.push(flag.clone());
+                continue;
+            }
+            let named = |s: &Slot| s.flag == Some(flag.as_str());
+            let Some(slot) = accepted.iter().find(|s| named(s)) else {
+                let known = cmd.synopses.iter().any(|l| slots(l).iter().any(named));
                 return Err(CliError::misuse(match known {
-                    true => format!("{prog}: {flag} does not apply to `{}`", cmd.name),
+                    true => format!("{prog}: {flag} does not apply to `{name}`"),
                     false => format!("{}\n{prog}: unknown flag {flag:?}", cmd.usage()),
                 }));
             };
-            if given.iter().any(|(f, _)| f == flag) {
+            if !slot.repeats && given.iter().any(|(f, _)| f == flag) {
                 return Err(CliError::misuse(format!("{prog}: {flag} given twice")));
             }
             let missing = || CliError::misuse(format!("{prog}: {flag} needs a value"));
-            let value = match valued {
+            let value = match slot.valued {
                 true => Some(args.next().ok_or_else(missing)?.clone()),
                 false => None,
             };
             given.push((flag.clone(), value));
         }
+        let needs = |what: &str| CliError::misuse(format!("{prog}: `{name}` needs {what}"));
+        let absent = |flag: &&str| !given.iter().any(|(f, _)| f == flag);
+        let required = accepted.iter().filter(|s| s.required);
+        if let Some(flag) = required.clone().filter_map(|s| s.flag).find(absent) {
+            return Err(needs(flag));
+        }
+        if files.len() < required.filter(|s| s.flag.is_none()).count() {
+            return Err(needs("a file"));
+        }
         Ok(Cli {
             prog: prog.to_string(),
             given,
+            files,
         })
     }
 
@@ -168,6 +237,19 @@ impl Cli {
     pub fn str(&self, flag: &str) -> Option<&str> {
         let (_, value) = self.given.iter().find(|(f, _)| f == flag)?;
         value.as_deref()
+    }
+
+    /// Every value given to `flag`, in order: more than one only for a
+    /// flag whose synopsis ends in `...]`.
+    pub fn all<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+        let values = self.given.iter().filter(move |(f, _)| f == flag);
+        values.filter_map(|(_, value)| value.as_deref())
+    }
+
+    /// The files given, in order.
+    #[must_use]
+    pub fn files(&self) -> &[String] {
+        &self.files
     }
 
     /// `flag`'s value parsed as `T`.
@@ -306,4 +388,70 @@ impl Cli {
 
 fn read(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| CliError::invalid(format!("cannot read {path}: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TOOL: Command<'static> = Command {
+        prog: "tool",
+        name: "cmp",
+        synopses: &[
+            "tool cmp --in [LABEL=]FILE [--in [LABEL=]FILE ...] FILE [BASELINE] [--top N]",
+            "tool list [LABEL=]FILE [[LABEL=]FILE ...] [--all]",
+        ],
+        synopsis: 0,
+    };
+
+    fn parse(args: &[&str], synopsis: usize) -> Result<Cli, CliError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let name = ["cmp", "list"][synopsis];
+        Cli::parse(
+            &args,
+            &Command {
+                name,
+                synopsis,
+                ..TOOL
+            },
+        )
+    }
+
+    #[test]
+    fn synopsis_words_say_what_repeats_what_is_a_file_and_what_is_required() {
+        // `...]` lets a flag repeat and a file slot take any number.
+        let cli = parse(&["a.json", "--in", "x=1", "--top", "3", "--in", "2"], 0).unwrap();
+        assert_eq!(cli.all("--in").collect::<Vec<_>>(), ["x=1", "2"]);
+        assert_eq!(cli.files(), ["a.json"]);
+        assert_eq!(cli.get::<u32>("--top"), Ok(Some(3)));
+        let cli = parse(&["a", "--all", "b", "c"], 1).unwrap();
+        assert_eq!(cli.files(), ["a", "b", "c"]);
+        assert!(cli.has("--all"));
+        // `FILE [BASELINE]` takes one or two; anything else is misuse.
+        assert_eq!(
+            parse(&["--in", "1", "a", "b"], 0).unwrap().files(),
+            ["a", "b"]
+        );
+        for (args, synopsis, named) in [
+            (&["--in", "1", "a", "b", "c"][..], 0, "unknown flag \"c\""),
+            (&["--in", "1"], 0, "`cmp` needs a file"),
+            (&["a"], 0, "`cmp` needs --in"),
+            (&["--all"], 1, "`list` needs a file"),
+            (
+                &["--in", "1", "a", "--top", "1", "--top", "2"],
+                0,
+                "--top given twice",
+            ),
+            (
+                &["--in", "1", "a", "--all"],
+                0,
+                "--all does not apply to `cmp`",
+            ),
+            (&["--in", "1", "a", "--top"], 0, "--top needs a value"),
+        ] {
+            let err = parse(args, synopsis).err().expect("misuse");
+            assert_eq!(err.code, 2, "{args:?}");
+            assert!(err.message.contains(named), "{args:?}: {}", err.message);
+        }
+    }
 }
