@@ -111,8 +111,28 @@ pub trait Checked: serde::Deserialize {
 }
 
 impl Checked for TraceRecord {}
-impl Checked for DeviceRecord {}
 impl Checked for Value {}
+
+/// Why `field`'s `counts` cannot be summed in a `u64`, if they cannot.
+fn check_sum(field: &str, counts: &[u64]) -> Result<(), String> {
+    let sum = counts
+        .iter()
+        .try_fold(0u64, |total, &n| total.checked_add(n));
+    sum.map(drop)
+        .ok_or_else(|| format!("{field} {counts:?} sum past u64::MAX"))
+}
+
+impl Checked for DeviceRecord {
+    /// The reports add a record's tiers (`total_packets`) and its cache
+    /// counters.
+    fn check(&self, _prev: Option<&Self>) -> Result<(), String> {
+        check_sum("packets", &self.packets)?;
+        check_sum(
+            "cache_hits + cache_misses + cache_invalidations",
+            &[self.cache_hits, self.cache_misses, self.cache_invalidations],
+        )
+    }
+}
 
 impl Checked for SamplePoint {
     /// The report spans first to last sample.
@@ -127,18 +147,21 @@ impl Checked for SamplePoint {
 }
 
 impl Checked for ControlRecord {
-    /// The report prints a DRS span's detection lag.
+    /// The report prints a DRS span's detection lag and its displaced
+    /// time summed over its groups.
     fn check(&self, _prev: Option<&Self>) -> Result<(), String> {
-        match self {
-            ControlRecord::DrsSpan(s) if s.detect_ns.is_some_and(|d| d < s.fail_ns) => {
-                Err(format!(
-                    "DRS span detect_ns {} precedes its fail_ns {}",
-                    s.detect_ns.unwrap_or_default(),
-                    s.fail_ns
-                ))
-            }
-            _ => Ok(()),
+        let ControlRecord::DrsSpan(s) = self else {
+            return Ok(());
+        };
+        if s.detect_ns.is_some_and(|d| d < s.fail_ns) {
+            return Err(format!(
+                "DRS span detect_ns {} precedes its fail_ns {}",
+                s.detect_ns.unwrap_or_default(),
+                s.fail_ns
+            ));
         }
+        let displaced: Vec<u64> = s.groups.iter().map(|g| g.displaced_ns).collect();
+        check_sum("DRS span displaced_ns", &displaced)
     }
 }
 
@@ -394,8 +417,8 @@ pub fn hotspot_report(devices: &[DeviceRecord], top: usize) -> String {
     let _ = writeln!(out, "   link traffic per tier (packets · bytes):");
     let tiers = Table("     Tier-{}          {>12} · {>12}");
     for t in 0..3 {
-        let packets: u64 = links.iter().map(|d| d.packets[t]).sum();
-        let bytes: u64 = links.iter().map(|d| d.bytes[t]).sum();
+        let packets: u128 = links.iter().map(|d| u128::from(d.packets[t])).sum();
+        let bytes: u128 = links.iter().map(|d| u128::from(d.bytes[t])).sum();
         tiers.row(&mut out, &[&t, &packets, &bytes]);
     }
 
@@ -444,12 +467,13 @@ pub fn hotspot_report(devices: &[DeviceRecord], top: usize) -> String {
             groups.entry(src).or_default().push(d.total_packets());
         }
     }
+    let sum = |counts: &[u64]| counts.iter().map(|&n| u128::from(n)).sum::<u128>();
     let mut skews: Vec<(&str, usize, f64)> = groups
         .iter()
-        .filter(|(_, c)| c.len() > 1 && c.iter().sum::<u64>() > 0)
+        .filter(|(_, c)| c.len() > 1 && sum(c) > 0)
         .map(|(src, counts)| {
             let max = *counts.iter().max().unwrap() as f64;
-            let mean = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
+            let mean = sum(counts) as f64 / counts.len() as f64;
             (*src, counts.len(), max / mean)
         })
         .collect();
@@ -823,7 +847,15 @@ pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
                 0 => "-".to_string(),
                 n => format!("{:.1}", solves.iter().sum::<u64>() as f64 / n as f64),
             };
-            let displaced: u64 = spans.iter().map(|s| s.total_displaced_ns()).sum();
+            // Each span's own sum is checked at load; theirs may still not
+            // fit in u64 nanoseconds.
+            let displaced = spans
+                .iter()
+                .try_fold(0u64, |total, s| total.checked_add(s.total_displaced_ns()))
+                .map_or_else(
+                    || "overflow".to_string(),
+                    |ns| SimDuration::from_nanos(ns).to_string(),
+                );
             table.row(
                 &mut out,
                 &[
@@ -834,7 +866,7 @@ pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
                     &mean_it,
                     &snapshots.len(),
                     &spans.len(),
-                    &SimDuration::from_nanos(displaced),
+                    &displaced,
                 ],
             );
         }

@@ -169,3 +169,96 @@ fn stats_with_more_writes_than_requests_exit_1_naming_file_and_field() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("## Read/write mix"), "{stdout}");
 }
+
+#[test]
+fn device_counters_past_u64_max_exit_1_naming_file_and_field() {
+    let link = |dev: &str, packets: &str, tail: &str| {
+        format!(
+            "{{\"dev\":\"link:{dev}\",\"kind\":\"link\",\"tier\":2,\"packets\":{packets},\
+             \"bytes\":[16,0,0],\"ops\":0,\"selections\":0,\"mean_selection_wait_ns\":0,\
+             \"clone_updates\":0,\"busy_ns\":30000,\"utilization\":0.5,\
+             \"mean_queue_depth\":0,\"max_queue_depth\":0,\"drops\":0,\"clamps\":0{tail}}}\n"
+        )
+    };
+    let trace = artifact("dev-trace.jsonl", "");
+    let trace = trace.to_str().unwrap();
+    let stats = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/golden/netrs-tor-rw-cache.stats.json"
+    );
+    let max = u64::MAX;
+    for (name, line, field) in [
+        (
+            "tiers",
+            link("h0>s0", &format!("[{max},1,0]"), ""),
+            "packets",
+        ),
+        (
+            "cache",
+            link(
+                "h0>s0",
+                "[1,0,0]",
+                &format!(
+                    ",\"cache_hits\":{max},\"cache_misses\":1,\"cache_stale_hits\":0,\
+                     \"cache_evictions\":0,\"cache_invalidations\":0"
+                ),
+            ),
+            "cache_hits",
+        ),
+    ] {
+        let devices = artifact(
+            &format!("dev-{name}.jsonl"),
+            &(link("h1>s0", "[2,0,0]", "") + &line),
+        );
+        let devices = devices.to_str().unwrap();
+        refused(
+            &["report", "--trace", trace, "--devices", devices],
+            &[&format!("{devices}:2:"), field],
+        );
+        refused(
+            &["rw", "--stats", stats, "--devices", devices],
+            &[&format!("{devices}:2:"), field],
+        );
+        std::fs::remove_file(devices).unwrap();
+    }
+    // Each record fits; the per-tier totals across them are u128.
+    let devices = artifact(
+        "dev-tiers-sum.jsonl",
+        &(link("h0>s0", &format!("[{max},0,0]"), "") + &link("h1>s0", &format!("[{max},0,0]"), "")),
+    );
+    let devices = devices.to_str().unwrap();
+    let (code, stdout, stderr) = analyze(&["report", "--trace", trace, "--devices", devices]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("36893488147419103230"), "{stdout}");
+    std::fs::remove_file(devices).unwrap();
+    std::fs::remove_file(trace).unwrap();
+}
+
+#[test]
+fn a_drs_span_displacing_past_u64_max_exits_1_naming_file_and_field() {
+    let span = |groups: &str| {
+        format!(
+            "{{\"kind\":\"drs_span\",\"switch\":16,\"fail_ns\":1200000000,\
+             \"detect_ns\":1300000000,\"groups\":{groups}}}\n"
+        )
+    };
+    let max = u64::MAX;
+    let path = artifact(
+        "control-displaced.jsonl",
+        &span(&format!(
+            "[{{\"group\":0,\"displaced_ns\":{max}}},{{\"group\":1,\"displaced_ns\":1}}]"
+        )),
+    );
+    let path = path.to_str().unwrap();
+    refused(&["control", path], &[&format!("{path}:1:"), "displaced_ns"]);
+    std::fs::remove_file(path).unwrap();
+    // Two spans that fit alone but not together: the comparison table
+    // says so instead of wrapping.
+    let one = span(&format!("[{{\"group\":0,\"displaced_ns\":{max}}}]"));
+    let path = artifact("control-displaced-sum.jsonl", &(one.clone() + &one));
+    let path = path.to_str().unwrap();
+    let (code, stdout, stderr) = analyze(&["control", &format!("a={path}"), &format!("b={path}")]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("overflow"), "{stdout}");
+    std::fs::remove_file(path).unwrap();
+}

@@ -107,7 +107,7 @@ pub fn fig6(base: &SimConfig) -> FigureSpec {
             let mut cfg = base.clone();
             cfg.utilization = util;
             // E = 20%·A must track the changed arrival rate.
-            cfg.plan.extra_hop_budget = f64::INFINITY;
+            cfg.plan.extra_hop_budget = None;
             SweepPoint {
                 label: format!("{:.0}%", util * 100.0),
                 config: cfg,
@@ -131,7 +131,7 @@ pub fn fig7(base: &SimConfig) -> FigureSpec {
         .map(|micros| {
             let mut cfg = base.clone();
             cfg.server.base_service_time = SimDuration::from_micros(micros);
-            cfg.plan.extra_hop_budget = f64::INFINITY; // re-derive 20%·A
+            cfg.plan.extra_hop_budget = None; // re-derive 20%·A
             SweepPoint {
                 label: format!("{:.1}", micros as f64 / 1_000.0),
                 config: cfg,
@@ -155,7 +155,7 @@ pub fn ablate_hops(base: &SimConfig) -> FigureSpec {
         .into_iter()
         .map(|frac| {
             let mut cfg = base.clone();
-            cfg.plan.extra_hop_budget = frac * a;
+            cfg.plan.extra_hop_budget = Some(frac * a);
             SweepPoint {
                 label: format!("{:.0}%A", frac * 100.0),
                 config: cfg,
@@ -432,7 +432,7 @@ pub fn rsp_experiment(seed: u64) -> String {
     );
 
     let mut shared = PlanConstraints {
-        extra_hop_budget: 0.2 * a,
+        extra_hop_budget: Some(0.2 * a),
         ..PlanConstraints::default()
     };
     for sw in topo.switches() {
@@ -442,14 +442,14 @@ pub fn rsp_experiment(seed: u64) -> String {
         (
             "paper constants: U=50%, E=20%A, dedicated accelerators",
             PlanConstraints {
-                extra_hop_budget: 0.2 * a,
+                extra_hop_budget: Some(0.2 * a),
                 ..PlanConstraints::default()
             },
         ),
         (
             "tight hop budget: U=50%, E=2%A",
             PlanConstraints {
-                extra_hop_budget: 0.02 * a,
+                extra_hop_budget: Some(0.02 * a),
                 ..PlanConstraints::default()
             },
         ),

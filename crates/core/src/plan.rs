@@ -58,8 +58,9 @@ pub struct PlanConstraints {
     /// administrators give each accelerator its own threshold.
     pub capacity_overrides: HashMap<u32, f64>,
     /// Extra-hop budget `E` in hops/second (Constraint 3; the paper uses
-    /// 20 % of the aggregate request rate `A`).
-    pub extra_hop_budget: f64,
+    /// 20 % of the aggregate request rate `A`); `None` leaves detours
+    /// unbounded.
+    pub extra_hop_budget: Option<f64>,
     /// Additional accelerator load per request for the cloned response
     /// the selector must also process (1.0 = every request produces one
     /// clone task; 0.0 reproduces the paper's request-only Eq. 6).
@@ -82,7 +83,7 @@ impl Default for PlanConstraints {
             max_utilization: 0.5,
             accelerator: AcceleratorConfig::default(),
             capacity_overrides: HashMap::new(),
-            extra_hop_budget: f64::INFINITY,
+            extra_hop_budget: None,
             response_load_factor: 1.0,
             core_candidates: 0,
             shared_accelerators: Vec::new(),
@@ -505,13 +506,13 @@ impl<'a> PlacementProblem<'a> {
             member.fill(false);
         }
 
-        // Eq. 7 (global extra-hop budget), only if finite.
-        if self.cons.extra_hop_budget.is_finite() {
+        // Eq. 7 (global extra-hop budget), only if bounded.
+        if let Some(budget) = self.cons.extra_hop_budget {
             let terms = pvars
                 .iter()
                 .map(|&(g, sw, v)| (v, self.extra_hop_rate(g, sw)))
                 .filter(|&(_, c)| c > 0.0);
-            p.add_constraint(terms, Sense::Le, self.cons.extra_hop_budget);
+            p.add_constraint(terms, Sense::Le, budget);
         }
 
         let dvars = dvar_of
@@ -606,7 +607,7 @@ impl<'a> PlacementProblem<'a> {
         let mut opened = vec![false; n_switches];
         let mut remaining = vec![true; n_groups];
         let mut n_remaining = n_groups;
-        let mut hops_left = self.cons.extra_hop_budget;
+        let mut hops_left = self.cons.extra_hop_budget.unwrap_or(f64::INFINITY);
         let mut rsp = Rsp::default();
         let (mut taken, mut best_taken) = (Vec::new(), Vec::new());
 
@@ -892,14 +893,14 @@ impl PlacementProblem<'_> {
             }
         }
 
-        // Eq. 7 (global extra-hop budget), only if finite.
-        if self.cons.extra_hop_budget.is_finite() {
+        // Eq. 7 (global extra-hop budget), only if bounded.
+        if let Some(budget) = self.cons.extra_hop_budget {
             let terms: Vec<(VarId, f64)> = pvars
                 .iter()
                 .map(|&(g, sw, v)| (v, self.extra_hop_rate(g, sw)))
                 .filter(|&(_, c)| c > 0.0)
                 .collect();
-            p.add_constraint(terms, Sense::Le, self.cons.extra_hop_budget);
+            p.add_constraint(terms, Sense::Le, budget);
         }
 
         (p, pvars, dvars)
@@ -926,7 +927,7 @@ impl PlacementProblem<'_> {
             .map(|&(_, cap)| cap)
             .collect();
         let mut opened: BTreeSet<SwitchId> = BTreeSet::new();
-        let mut hops_left = self.cons.extra_hop_budget;
+        let mut hops_left = self.cons.extra_hop_budget.unwrap_or(f64::INFINITY);
         let mut rsp = Rsp::default();
 
         // Candidate operator universe.
@@ -1065,7 +1066,7 @@ mod tests {
         // with zero extra hops.
         let (topo, groups, traffic) = setup(&[0, 4], 100.0);
         let cons = PlanConstraints {
-            extra_hop_budget: 0.0, // force on-path RSNodes only
+            extra_hop_budget: Some(0.0), // force on-path RSNodes only
             ..PlanConstraints::default()
         };
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
@@ -1083,7 +1084,7 @@ mod tests {
         // Each group loads 100 req/s * 2 (clones). Cap capacity at 250/s:
         // one operator cannot take both groups (2 * 200 = 400).
         let mut cons = PlanConstraints {
-            extra_hop_budget: f64::INFINITY,
+            extra_hop_budget: None,
             ..PlanConstraints::default()
         };
         for sw in topo.switches() {
@@ -1105,7 +1106,7 @@ mod tests {
         let servers = [HostId(1)]; // same rack → all Tier-2 traffic
         let traffic = TrafficMatrix::oracle(&topo, &groups, &[(HostId(0), 100.0)], &servers);
         let cons = PlanConstraints {
-            extra_hop_budget: 0.0,
+            extra_hop_budget: Some(0.0),
             ..PlanConstraints::default()
         };
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
@@ -1115,7 +1116,7 @@ mod tests {
         // With budget for the detour, a core RSNode becomes legal too —
         // but minimizing count still gives 1 RSNode either way.
         let cons = PlanConstraints {
-            extra_hop_budget: 1_000.0,
+            extra_hop_budget: Some(1_000.0),
             ..PlanConstraints::default()
         };
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
@@ -1205,7 +1206,7 @@ mod tests {
         let (topo, groups, traffic) = setup(&[0, 12], 100.0);
         let cons = PlanConstraints {
             core_candidates: 1,
-            extra_hop_budget: 500.0,
+            extra_hop_budget: Some(500.0),
             ..PlanConstraints::default()
         };
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
@@ -1278,7 +1279,7 @@ mod tests {
         let rates = [(HostId(0), 100.0), (HostId(4), 100.0)];
         let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &[HostId(1), HostId(5)]);
         let cons = PlanConstraints {
-            extra_hop_budget: 0.0,
+            extra_hop_budget: Some(0.0),
             ..PlanConstraints::default()
         };
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
@@ -1366,7 +1367,7 @@ mod tests {
                     .collect();
                 let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
                 let mut cons = PlanConstraints {
-                    extra_hop_budget: [0.0, 200.0, 2_000.0, f64::INFINITY][rng.index(4)],
+                    extra_hop_budget: [Some(0.0), Some(200.0), Some(2_000.0), None][rng.index(4)],
                     ..PlanConstraints::default()
                 };
                 let heaviest = (0..groups.len() as u32)
@@ -1447,7 +1448,7 @@ mod tests {
             .map(|&h| (h, a / clients.len() as f64))
             .collect();
         let with_budget = |share: f64| PlanConstraints {
-            extra_hop_budget: share * a,
+            extra_hop_budget: Some(share * a),
             ..PlanConstraints::default()
         };
         let mut small_accelerators = with_budget(0.2);

@@ -69,6 +69,20 @@ pub fn hash64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The stored form of a workload key: its Zipf rank as a `u32`. Keys are
+/// ranks in `1..=SimConfig::keys`, and `SimConfig::validate` refuses
+/// `keys > u32::MAX`, so tables that hold keys (request slots, version
+/// slots, hot-key cache slots) store this while their APIs take `u64`.
+///
+/// # Panics
+///
+/// Panics if `key` exceeds `u32::MAX`, which no validated config draws:
+/// truncating would alias a smaller rank.
+#[must_use]
+pub fn key_rank(key: u64) -> u32 {
+    u32::try_from(key).expect("keys are Zipf ranks <= SimConfig::keys <= u32::MAX")
+}
+
 /// Combines two hash streams (e.g. server id and vnode index).
 #[must_use]
 pub fn hash64_pair(a: u64, b: u64) -> u64 {

@@ -11,12 +11,17 @@
 //! so it reuses the ring-slab idea of the simulator's dense tables
 //! rather than a `HashMap`. Unversioned keys implicitly sit at version
 //! 0, so only written keys occupy slots.
+//!
+//! A validated `SimConfig` has `keys <= u32::MAX` and `requests <=
+//! u32::MAX`, and every write is one request, so a slot stores both the
+//! key and its version as `u32`: 8 bytes. The API keeps `u64` keys and
+//! narrows at the slot.
 
-use crate::hash64;
+use crate::{hash64, key_rank};
 
 /// The key of an empty slot. Workload keys are Zipf ranks, `1..=keys`,
 /// so no written key is 0 and a slot needs no tag beside its key.
-const EMPTY: u64 = 0;
+const EMPTY: u32 = 0;
 
 /// Per-key version counters: key `→` number of committed writes.
 ///
@@ -26,7 +31,7 @@ const EMPTY: u64 = 0;
 #[derive(Debug, Clone, Default)]
 pub struct VersionTable {
     /// `(key, version)`, `(EMPTY, 0)` when vacant.
-    slots: Vec<(u64, u64)>,
+    slots: Vec<(u32, u32)>,
     mask: u64,
     len: usize,
     writes: u64,
@@ -34,7 +39,7 @@ pub struct VersionTable {
 
 impl VersionTable {
     /// Bytes of one slot: a key and its version, no tag or padding.
-    pub const SLOT_BYTES: usize = std::mem::size_of::<(u64, u64)>();
+    pub const SLOT_BYTES: usize = std::mem::size_of::<(u32, u32)>();
 
     /// An empty table sized for at least `cap` written keys.
     #[must_use]
@@ -49,13 +54,18 @@ impl VersionTable {
     }
 
     #[inline]
-    fn probe(&self, key: u64) -> usize {
-        (hash64(key) & self.mask) as usize
+    fn probe(&self, key: u32) -> usize {
+        (hash64(u64::from(key)) & self.mask) as usize
     }
 
     /// The committed version of `key` (0 when never written).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` exceeds `u32::MAX`.
     #[must_use]
-    pub fn get(&self, key: u64) -> u64 {
+    pub fn get(&self, key: u64) -> u32 {
+        let key = key_rank(key);
         if self.slots.is_empty() {
             return 0;
         }
@@ -75,8 +85,11 @@ impl VersionTable {
     ///
     /// # Panics
     ///
-    /// Panics if `key` is 0, the empty-slot marker.
-    pub fn bump(&mut self, key: u64) -> u64 {
+    /// Panics if `key` is 0, the empty-slot marker, or exceeds
+    /// `u32::MAX`, and if the key's version would pass `u32::MAX` (more
+    /// writes than a validated config issues requests).
+    pub fn bump(&mut self, key: u64) -> u32 {
+        let key = key_rank(key);
         assert_ne!(key, EMPTY, "key 0 marks an empty version slot");
         if self.slots.is_empty() {
             *self = VersionTable::with_capacity(16);
@@ -86,7 +99,9 @@ impl VersionTable {
         loop {
             match &mut self.slots[i] {
                 (k, v) if *k == key => {
-                    *v += 1;
+                    *v = v
+                        .checked_add(1)
+                        .expect("versions count writes <= SimConfig::requests <= u32::MAX");
                     return *v;
                 }
                 (EMPTY, _) => break,
@@ -123,7 +138,7 @@ impl VersionTable {
         let old = std::mem::replace(&mut self.slots, vec![(EMPTY, 0); cap]);
         self.mask = cap as u64 - 1;
         for entry in old.into_iter().filter(|&(k, _)| k != EMPTY) {
-            let mut i = (hash64(entry.0) & self.mask) as usize;
+            let mut i = (hash64(u64::from(entry.0)) & self.mask) as usize;
             while self.slots[i].0 != EMPTY {
                 i = (i + 1) & self.mask as usize;
             }
@@ -180,9 +195,27 @@ mod tests {
         let mut t = VersionTable::with_capacity(4);
         assert_eq!(t.get(0), 0, "probing for the marker finds an empty slot");
         assert_eq!(t.bump(1), 1);
-        assert_eq!(t.bump(u64::MAX), 1);
-        assert_eq!((t.get(1), t.get(u64::MAX), t.get(0)), (1, 1, 0));
+        let top = u64::from(u32::MAX);
+        assert_eq!(t.bump(top), 1);
+        assert_eq!((t.get(1), t.get(top), t.get(0)), (1, 1, 0));
         assert_eq!(t.keys_written(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "keys are Zipf ranks")]
+    fn a_key_past_u32_max_panics_instead_of_aliasing_a_rank() {
+        // Truncated, it would be key 0, the empty marker's slot.
+        VersionTable::default().bump(u64::from(u32::MAX) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "versions count writes")]
+    fn a_version_past_u32_max_panics_instead_of_wrapping_to_zero() {
+        let mut t = VersionTable::with_capacity(4);
+        t.bump(7);
+        let slot = t.slots.iter_mut().find(|(k, _)| *k == 7).expect("written");
+        slot.1 = u32::MAX;
+        t.bump(7);
     }
 
     #[test]

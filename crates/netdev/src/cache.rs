@@ -22,8 +22,13 @@
 //! coherence message and an eviction each cost O(1); the
 //! frequency-admission sketch is a fixed-width count-min over the key
 //! hash.
+//!
+//! Keys are Zipf ranks and versions count writes, and a validated
+//! `SimConfig` bounds both by `u32::MAX` (`keys` and `requests`), so a
+//! slot stores them as `u32`: 20 bytes with its origin and two list links.
+//! The public API keeps `u64` keys and narrows at the slot.
 
-use netrs_kvstore::{hash64, ServerId};
+use netrs_kvstore::{hash64, key_rank, ServerId};
 use serde::{Deserialize, Serialize};
 
 /// How keys earn a slot in the cache.
@@ -108,7 +113,7 @@ impl Default for HotCacheConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheEntry {
     /// Committed version of the value at capture time.
-    pub version: u64,
+    pub version: u32,
     /// The server whose response populated the entry.
     pub origin: ServerId,
 }
@@ -168,7 +173,7 @@ const VACANT: u32 = 0;
 /// slot threaded on the free list through `next`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    key: u64,
+    key: u32,
     entry: CacheEntry,
     /// Toward the most recently used end.
     prev: u32,
@@ -217,6 +222,10 @@ pub struct HotKeyCache {
 }
 
 impl HotKeyCache {
+    /// Bytes of one slab slot: key, version and origin, and the two
+    /// recency links, all `u32`.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+
     /// An empty cache with its slab, index and filter allocated for
     /// `cfg.capacity` entries.
     ///
@@ -274,7 +283,12 @@ impl HotKeyCache {
     /// Consults the cache for a `GET`. A hit refreshes recency and
     /// returns the entry; a miss feeds the admission sketch. Exactly one
     /// of `hits`/`misses` is bumped per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` exceeds `u32::MAX`.
     pub fn lookup(&mut self, key: u64) -> Option<CacheEntry> {
+        let key = key_rank(key);
         if let Some((_, slot)) = self.find(key) {
             self.touch(slot);
             self.stats.hits += 1;
@@ -294,7 +308,12 @@ impl HotKeyCache {
 
     /// Offers an observed response for admission. Returns `true` when
     /// the key is cached afterwards.
-    pub fn admit(&mut self, key: u64, version: u64, origin: ServerId) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` exceeds `u32::MAX`.
+    pub fn admit(&mut self, key: u64, version: u32, origin: ServerId) -> bool {
+        let key = key_rank(key);
         if let Some((_, slot)) = self.find(key) {
             // Refresh, never regress: a slower response for an older
             // version must not shadow a fresher entry.
@@ -325,7 +344,12 @@ impl HotKeyCache {
     /// `version`. Under `Invalidate` a present entry is removed; under
     /// `Through` it is refreshed in place. Returns `true` when an entry
     /// was present.
-    pub fn apply_write(&mut self, key: u64, version: u64) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` exceeds `u32::MAX`.
+    pub fn apply_write(&mut self, key: u64, version: u32) -> bool {
+        let key = key_rank(key);
         if !self.filter_test(key) {
             debug_assert!(self.find(key).is_none(), "filter false negative");
             return false;
@@ -365,12 +389,13 @@ impl HotKeyCache {
     /// buckets: Fibonacci hashing, the top bits of a golden-ratio
     /// multiply. Keys are workload key ids, not attacker-chosen, so a
     /// keyed hash buys nothing here.
-    fn home(key: u64, buckets: usize) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - buckets.trailing_zeros())) as usize
+    fn home(key: u32, buckets: usize) -> usize {
+        (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - buckets.trailing_zeros()))
+            as usize
     }
 
     /// The bucket and slot holding `key`, if cached.
-    fn find(&self, key: u64) -> Option<(usize, u32)> {
+    fn find(&self, key: u32) -> Option<(usize, u32)> {
         let mask = self.index.len() - 1;
         let mut b = Self::home(key, self.index.len());
         loop {
@@ -386,7 +411,7 @@ impl HotKeyCache {
     }
 
     /// Points the first vacant bucket of `key`'s probe run at `slot`.
-    fn index_insert(&mut self, key: u64, slot: u32) {
+    fn index_insert(&mut self, key: u32, slot: u32) {
         let mask = self.index.len() - 1;
         let mut b = Self::home(key, self.index.len());
         while self.index[b] != VACANT {
@@ -422,18 +447,18 @@ impl HotKeyCache {
 
     /// Word and bit of `key`'s hash class: its home among as many
     /// buckets as the filter has bits.
-    fn filter_bit(&self, key: u64) -> (usize, u64) {
+    fn filter_bit(&self, key: u32) -> (usize, u64) {
         let bit = Self::home(key, self.filter.len() * 64);
         (bit / 64, 1 << (bit % 64))
     }
 
     /// `false` only if `key` is certainly not cached.
-    fn filter_test(&self, key: u64) -> bool {
+    fn filter_test(&self, key: u32) -> bool {
         let (word, mask) = self.filter_bit(key);
         self.filter[word] & mask != 0
     }
 
-    fn filter_set(&mut self, key: u64) {
+    fn filter_set(&mut self, key: u32) {
         let (word, mask) = self.filter_bit(key);
         self.filter[word] |= mask;
     }
@@ -460,7 +485,7 @@ impl HotKeyCache {
 
     /// Inserts an absent `key` as the most recently used entry. The
     /// caller has made room (`len < capacity`).
-    fn insert(&mut self, key: u64, entry: CacheEntry) {
+    fn insert(&mut self, key: u32, entry: CacheEntry) {
         let fresh = Slot {
             key,
             entry,
@@ -534,7 +559,7 @@ impl HotKeyCache {
         self.head = slot;
     }
 
-    fn sketch_bump(&mut self, key: u64) {
+    fn sketch_bump(&mut self, key: u32) {
         if self.sketch.is_empty() {
             return;
         }
@@ -543,7 +568,7 @@ impl HotKeyCache {
         self.sketch[SKETCH_WIDTH + b] = self.sketch[SKETCH_WIDTH + b].saturating_add(1);
     }
 
-    fn sketch_estimate(&self, key: u64) -> u32 {
+    fn sketch_estimate(&self, key: u32) -> u32 {
         if self.sketch.is_empty() {
             return u32::MAX;
         }
@@ -551,8 +576,8 @@ impl HotKeyCache {
         self.sketch[a].min(self.sketch[SKETCH_WIDTH + b])
     }
 
-    fn sketch_slots(key: u64) -> (usize, usize) {
-        let h = hash64(key);
+    fn sketch_slots(key: u32) -> (usize, usize) {
+        let h = hash64(u64::from(key));
         (
             (h as usize) % SKETCH_WIDTH,
             ((h >> 32) as usize) % SKETCH_WIDTH,
@@ -572,7 +597,7 @@ mod reference {
 
     #[derive(Clone, Copy)]
     struct Stamped {
-        version: u64,
+        version: u32,
         origin: ServerId,
         last_used: u64,
     }
@@ -604,7 +629,7 @@ mod reference {
             self.stats
         }
 
-        pub(super) fn contents(&self) -> BTreeMap<u64, (u64, ServerId)> {
+        pub(super) fn contents(&self) -> BTreeMap<u64, (u32, ServerId)> {
             self.entries
                 .iter()
                 .map(|(&k, e)| (k, (e.version, e.origin)))
@@ -623,7 +648,7 @@ mod reference {
             } else {
                 self.stats.misses += 1;
                 if !self.sketch.is_empty() {
-                    let (a, b) = HotKeyCache::sketch_slots(key);
+                    let (a, b) = HotKeyCache::sketch_slots(key_rank(key));
                     self.sketch[a] = self.sketch[a].saturating_add(1);
                     self.sketch[SKETCH_WIDTH + b] = self.sketch[SKETCH_WIDTH + b].saturating_add(1);
                 }
@@ -631,7 +656,7 @@ mod reference {
             }
         }
 
-        pub(super) fn admit(&mut self, key: u64, version: u64, origin: ServerId) -> bool {
+        pub(super) fn admit(&mut self, key: u64, version: u32, origin: ServerId) -> bool {
             self.tick += 1;
             if let Some(e) = self.entries.get_mut(&key) {
                 if version >= e.version {
@@ -642,7 +667,7 @@ mod reference {
                 return true;
             }
             if let CacheAdmission::Frequency { threshold } = self.cfg.admission {
-                let (a, b) = HotKeyCache::sketch_slots(key);
+                let (a, b) = HotKeyCache::sketch_slots(key_rank(key));
                 if self.sketch[a].min(self.sketch[SKETCH_WIDTH + b]) < threshold {
                     return false;
                 }
@@ -669,7 +694,7 @@ mod reference {
             true
         }
 
-        pub(super) fn apply_write(&mut self, key: u64, version: u64) -> bool {
+        pub(super) fn apply_write(&mut self, key: u64, version: u32) -> bool {
             match self.cfg.write_policy {
                 CacheWritePolicy::Invalidate => {
                     if self.entries.remove(&key).is_none() {
@@ -703,12 +728,12 @@ mod tests {
 
     impl HotKeyCache {
         /// Key → (version, origin) of everything cached.
-        fn contents(&self) -> BTreeMap<u64, (u64, ServerId)> {
+        fn contents(&self) -> BTreeMap<u64, (u32, ServerId)> {
             let mut out = BTreeMap::new();
             let mut at = self.head;
             while at != NIL {
                 let s = &self.slots[at as usize];
-                out.insert(s.key, (s.entry.version, s.entry.origin));
+                out.insert(u64::from(s.key), (s.entry.version, s.entry.origin));
                 at = s.next;
             }
             assert_eq!(out.len(), self.len, "recency list and len agree");
@@ -718,7 +743,10 @@ mod tests {
         /// No false negative: every cached key's filter bit is set.
         fn assert_filter_covers_contents(&self) {
             for &key in self.contents().keys() {
-                assert!(self.filter_test(key), "cached key {key} filtered out");
+                assert!(
+                    self.filter_test(key_rank(key)),
+                    "cached key {key} filtered out"
+                );
             }
         }
     }
@@ -726,24 +754,29 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Lookup(u64),
-        Admit(u64, u64, u32),
-        ApplyWrite(u64, u64),
+        Admit(u64, u32, u32),
+        ApplyWrite(u64, u32),
         Flush,
     }
 
+    /// The `k`-th of sixteen keys scattered over the `u32` ranks by a
+    /// hash, so that at these capacities (64 to 256 filter classes) some
+    /// of them share a filter bit.
+    fn scattered(k: u64) -> u64 {
+        hash64(k) >> 32
+    }
+
     fn op() -> impl Strategy<Value = Op> {
-        // Sixteen keys scattered by a hash, so that at these capacities
-        // (64 to 256 filter classes) some of them share a filter bit.
-        let key = || (0u64..16).prop_map(hash64);
+        let key = || (0u64..16).prop_map(scattered);
         // Lookups and admissions dominate, as on the data path; a flush
         // is the rare operator fail-stop.
         prop_oneof![
             key().prop_map(Op::Lookup),
             key().prop_map(Op::Lookup),
-            (key(), 0u64..6, 0u32..4).prop_map(|(k, v, o)| Op::Admit(k, v, o)),
-            (key(), 0u64..6, 0u32..4).prop_map(|(k, v, o)| Op::Admit(k, v, o)),
-            (key(), 0u64..6, 0u32..4).prop_map(|(k, v, o)| Op::Admit(k, v, o)),
-            (key(), 0u64..6).prop_map(|(k, v)| Op::ApplyWrite(k, v)),
+            (key(), 0u32..6, 0u32..4).prop_map(|(k, v, o)| Op::Admit(k, v, o)),
+            (key(), 0u32..6, 0u32..4).prop_map(|(k, v, o)| Op::Admit(k, v, o)),
+            (key(), 0u32..6, 0u32..4).prop_map(|(k, v, o)| Op::Admit(k, v, o)),
+            (key(), 0u32..6).prop_map(|(k, v)| Op::ApplyWrite(k, v)),
             (0u32..12, key()).prop_map(|(n, k)| if n == 0 { Op::Flush } else { Op::Lookup(k) }),
         ]
     }
@@ -818,9 +851,9 @@ mod tests {
                 while removals < goal {
                     let k = i as u64 % 16;
                     for op in [
-                        Op::Lookup(hash64(k)),
-                        Op::Admit(hash64(k), i as u64, 0),
-                        Op::ApplyWrite(hash64((k * 7 + 3) % 16), i as u64),
+                        Op::Lookup(scattered(k)),
+                        Op::Admit(scattered(k), i as u32, 0),
+                        Op::ApplyWrite(scattered((k * 7 + 3) % 16), i as u32),
                     ] {
                         removals = step(op, i);
                         i += 1;
@@ -845,7 +878,7 @@ mod tests {
         let slab = c.slots.as_ptr();
         let mut model = BTreeMap::new();
         let mut x = 0x1234_5678_9ABC_DEF0u64;
-        for i in 0..20_000u64 {
+        for i in 0..20_000u32 {
             // xorshift: keys cluster in a 4 096-wide band, so the cache
             // stays under capacity pressure.
             x ^= x << 13;
@@ -858,7 +891,7 @@ mod tests {
                 if model.len() == 1024 && !model.contains_key(&key) {
                     // Learn the victim from the cache itself; the
                     // differential test owns eviction order.
-                    let victim = c.slots[c.tail as usize].key;
+                    let victim = u64::from(c.slots[c.tail as usize].key);
                     model.remove(&victim);
                 }
                 c.admit(key, i, ServerId(0));
@@ -956,6 +989,12 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.stats().hits, 1, "counters survive a flush");
         assert!(c.lookup(1).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "keys are Zipf ranks")]
+    fn a_key_past_u32_max_panics_instead_of_aliasing_a_rank() {
+        lru(4).admit(u64::from(u32::MAX) + 1, 1, ServerId(0));
     }
 
     #[test]

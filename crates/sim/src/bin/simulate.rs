@@ -101,7 +101,7 @@ fn simulate(args: &[String]) -> Result<(), CliError> {
     let cli = Cli::parse(args, &SIMULATE)?;
     let cfg = cli_config(&cli)?;
     if cli.has("--emit-config") {
-        let json = serde_json::to_string_pretty(&cfg.finalize()).expect("config serializes");
+        let json = serde_json::to_string_pretty(&cfg).expect("config serializes");
         println!("{json}");
         return Ok(());
     }

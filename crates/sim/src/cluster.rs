@@ -159,7 +159,7 @@ pub enum Ev {
         /// The written key.
         key: u64,
         /// The key's newly committed version.
-        version: u64,
+        version: u32,
     },
 }
 

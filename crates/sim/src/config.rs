@@ -284,7 +284,7 @@ impl SimConfig {
             r95: R95Config::default(),
             accelerator: AcceleratorConfig::default(),
             plan: PlanConstraints {
-                // E = 20%·A is filled in by `finalize_hop_budget`.
+                // E = 20%·A is filled in by `finalize`.
                 ..PlanConstraints::default()
             },
             plan_solver: PlanSolver::default(),
@@ -343,12 +343,14 @@ impl SimConfig {
             / self.server.base_service_time.as_secs_f64()
     }
 
-    /// Fills the paper's `E = 20%·A` extra-hop budget (and leaves an
-    /// explicitly set finite budget alone).
+    /// Fills the paper's `E = 20%·A` extra-hop budget where it is unset
+    /// (`null` in a config file), and leaves an explicitly set budget
+    /// alone. A config is stored and emitted unfinalized, so the budget
+    /// follows its own utilization, service time and server count.
     #[must_use]
     pub fn finalize(mut self) -> Self {
-        if self.plan.extra_hop_budget.is_infinite() {
-            self.plan.extra_hop_budget = 0.2 * self.arrival_rate();
+        if self.plan.extra_hop_budget.is_none() {
+            self.plan.extra_hop_budget = Some(0.2 * self.arrival_rate());
         }
         self
     }
@@ -384,6 +386,14 @@ impl SimConfig {
         }
         if self.keys == 0 {
             return Err("keys must be at least 1".into());
+        }
+        // Caches, version slots and request slots store a key as a `u32`
+        // rank and a version (a count of writes, each one request) as a
+        // `u32`.
+        for (field, n) in [("keys", self.keys), ("requests", self.requests)] {
+            if n > u64::from(u32::MAX) {
+                return Err(format!("{field} must be at most {}, got {n}", u32::MAX));
+            }
         }
         if !self.zipf.is_finite() || self.zipf <= 0.0 {
             return Err(format!(
@@ -527,11 +537,19 @@ impl SimConfig {
                 plan.response_load_factor
             ));
         }
-        if plan.extra_hop_budget.is_nan() || plan.extra_hop_budget < 0.0 {
-            return Err(format!(
-                "plan.extra_hop_budget must be non-negative, got {}",
-                plan.extra_hop_budget
-            ));
+        match plan.extra_hop_budget {
+            Some(e) if e.is_nan() || e < 0.0 => {
+                return Err(format!(
+                    "plan.extra_hop_budget must be non-negative, got {e}"
+                ));
+            }
+            Some(e) if e.is_infinite() => {
+                return Err(format!(
+                    "plan.extra_hop_budget must be finite (null derives 20 % of the \
+                     arrival rate), got {e}"
+                ));
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -616,11 +634,11 @@ mod tests {
     #[test]
     fn finalize_sets_hop_budget_to_20_percent() {
         let cfg = SimConfig::paper().finalize();
-        assert!((cfg.plan.extra_hop_budget - 18_000.0).abs() < 1e-6);
+        assert!((cfg.plan.extra_hop_budget.unwrap() - 18_000.0).abs() < 1e-6);
         // An explicit budget is preserved.
         let mut cfg = SimConfig::paper();
-        cfg.plan.extra_hop_budget = 5.0;
-        assert_eq!(cfg.finalize().plan.extra_hop_budget, 5.0);
+        cfg.plan.extra_hop_budget = Some(5.0);
+        assert_eq!(cfg.finalize().plan.extra_hop_budget, Some(5.0));
     }
 
     #[test]
@@ -647,7 +665,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_non_finite_rates_and_capacities() {
-        let bad: [fn(&mut SimConfig); 7] = [
+        let bad: [fn(&mut SimConfig); 8] = [
             |c| c.utilization = f64::NAN,
             |c| c.utilization = f64::INFINITY,
             |c| c.plan.max_utilization = f64::NAN,
@@ -656,7 +674,8 @@ mod tests {
                 c.plan.capacity_overrides.insert(0, f64::INFINITY);
             },
             |c| c.plan.response_load_factor = f64::NAN,
-            |c| c.plan.extra_hop_budget = f64::NAN,
+            |c| c.plan.extra_hop_budget = Some(f64::NAN),
+            |c| c.plan.extra_hop_budget = Some(f64::INFINITY),
         ];
         for (i, edit) in bad.into_iter().enumerate() {
             let mut cfg = SimConfig::small();
@@ -664,12 +683,9 @@ mod tests {
             assert!(cfg.validate().is_err(), "case {i}");
         }
         let mut cfg = SimConfig::small();
-        cfg.plan.extra_hop_budget = f64::INFINITY;
+        cfg.plan.extra_hop_budget = None;
         cfg.plan.response_load_factor = 0.0;
-        assert!(
-            cfg.validate().is_ok(),
-            "an unbounded hop budget stays legal"
-        );
+        assert!(cfg.validate().is_ok(), "an unset hop budget stays legal");
     }
 
     #[test]
@@ -778,14 +794,18 @@ mod tests {
 
     #[test]
     fn config_serializes_round_trip() {
-        let cfg = SimConfig::paper().finalize();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SimConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-        // The RW extension fields round-trip too. (Base on the finalized
-        // paper config: `small()` leaves `extra_hop_budget` infinite, and
-        // JSON has no representation of non-finite floats.)
-        let mut cfg = SimConfig::paper().finalize();
+        // Unfinalized (the budget is `null`, to be derived) and finalized.
+        for cfg in [
+            SimConfig::paper(),
+            SimConfig::small(),
+            SimConfig::paper().finalize(),
+        ] {
+            let json = serde_json::to_string(&cfg).unwrap();
+            let back: SimConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, cfg);
+        }
+        // The RW extension fields round-trip too.
+        let mut cfg = SimConfig::small();
         cfg.write_fraction = 0.1;
         cfg.write_consistency = WriteConsistency::Quorum { w: 2 };
         cfg.hot_cache = Some(HotCacheConfig {

@@ -175,7 +175,7 @@ pub(crate) trait SchemePolicy<D: DeviceProbe>: Send {
         now: SimTime,
         batch: u32,
         key: u64,
-        version: u64,
+        version: u32,
     ) {
         let _ = (core, now, batch, key, version);
         unreachable!("CacheInvalidate is only scheduled by in-network policies");

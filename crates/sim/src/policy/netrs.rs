@@ -622,7 +622,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             let meta = core
                 .requests
                 .get(req.0)
-                .map(|s| (s.key, s.sent_at, s.client));
+                .map(|s| (u64::from(s.key), s.sent_at, s.client));
             if let Some((key, sent_at, client)) = meta {
                 if let Some(entry) = cache.lookup(key) {
                     // Serve from the switch; a version behind the store's
@@ -789,7 +789,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         queue: &mut EventQueue<Ev>,
     ) {
         let token = &core.copies[copy];
-        let (req, server, rsnode_sent_at) = (token.req, token.server, token.rsnode_sent_at);
+        // A copy with an RSNode was last sent by that RSNode's selector.
+        let (req, server, rsnode_sent_at) = (token.req, token.server, token.copy_sent_at);
         let Some(op) = token.rsnode else {
             core.send_reply_direct(now, copy, status, queue);
             return;
@@ -798,7 +799,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             core.copies.remove(copy);
             return;
         };
-        let key = state.key;
+        let key = u64::from(state.key);
         let client_host = core.client_hosts[state.client as usize];
         let server_host = core.server_hosts[server.0 as usize];
         let hash = flow_hash(req, 23);
@@ -1067,7 +1068,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         now: SimTime,
         batch: u32,
         key: u64,
-        version: u64,
+        version: u32,
     ) {
         let InNetwork {
             batches, operators, ..

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use netrs_faults::{AvailabilityStats, FaultEvent, FaultPlan, LinkRef};
-use netrs_kvstore::{Ring, ServerId, ServerStatus, VersionTable};
+use netrs_kvstore::{key_rank, Ring, ServerId, ServerStatus, VersionTable};
 use netrs_simcore::{
     DeviceCounter, DeviceId, DeviceProbe, EventQueue, Histogram, SimDuration, SimRng, SimTime, Zipf,
 };
@@ -40,7 +40,9 @@ pub(crate) const LOOKAHEAD: usize = 64;
 /// firing generator's next arrival and everything the request needs.
 struct Arrival {
     gap: SimDuration,
-    key: u64,
+    /// A Zipf rank, at most `SimConfig::keys`, which `validate` bounds
+    /// by `u32::MAX`.
+    key: u32,
     client: u32,
     rgid: u32,
     backup: ServerId,
@@ -65,8 +67,9 @@ pub(crate) struct RequestState {
     pub(crate) copies: u8,
     pub(crate) dup_sent: bool,
     pub(crate) is_write: bool,
-    /// The requested key (stale checks and cache invalidation need it).
-    pub(crate) key: u64,
+    /// The requested key (stale checks and cache invalidation need it),
+    /// as stored in [`Arrival`].
+    pub(crate) key: u32,
     /// Replica commits acknowledged so far (quorum writes only).
     pub(crate) acks: u8,
 }
@@ -773,7 +776,7 @@ impl<D: DeviceProbe> Core<D> {
             // group directly and the configured consistency mode decides
             // when the client may acknowledge.
             self.writes_issued += 1;
-            self.versions.bump(key);
+            self.versions.bump(u64::from(key));
             let targets = match self.cfg.write_consistency {
                 WriteConsistency::All | WriteConsistency::Quorum { .. } => {
                     self.ring.replication() as usize
@@ -781,7 +784,10 @@ impl<D: DeviceProbe> Core<D> {
                 WriteConsistency::Chain => 1,
             };
             self.issue_write(now, req, targets, queue);
-            return GenOutcome::Write { req, key };
+            return GenOutcome::Write {
+                req,
+                key: u64::from(key),
+            };
         }
         GenOutcome::Read { req, rgid }
     }
@@ -794,6 +800,7 @@ impl<D: DeviceProbe> Core<D> {
             let client = self.pick_client(shard);
             let key = self.zipf.sample(&mut self.workload[shard]);
             let rgid = self.ring.group_of_key(key);
+            let key = key_rank(key);
             let replicas = self.ring.groups().replicas(rgid);
             // Only in-network schemes ever route to the backup (DRS).
             let backup = match self.backup_rngs.get_mut(client as usize) {

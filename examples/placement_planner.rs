@@ -44,13 +44,13 @@ fn main() {
         (
             "paper constants (U=50%, E=20%A, dedicated accelerators)",
             PlanConstraints {
-                extra_hop_budget: 0.2 * a,
+                extra_hop_budget: Some(0.2 * a),
                 ..PlanConstraints::default()
             },
         ),
         ("shared accelerators (~15k tasks/s each), E=20%A", {
             let mut c = PlanConstraints {
-                extra_hop_budget: 0.2 * a,
+                extra_hop_budget: Some(0.2 * a),
                 ..PlanConstraints::default()
             };
             for sw in topo.switches() {
@@ -61,7 +61,7 @@ fn main() {
         (
             "tight hop budget (E=2%A)",
             PlanConstraints {
-                extra_hop_budget: 0.02 * a,
+                extra_hop_budget: Some(0.02 * a),
                 ..PlanConstraints::default()
             },
         ),

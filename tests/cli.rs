@@ -112,7 +112,7 @@ fn every_order_of_the_flags_builds_the_same_config() {
     assert_eq!((cfg.arity, cfg.scheme, cfg.seed), (4, Scheme::NetRsIlp, 5));
     assert_eq!(cfg.requests, 100_000);
 
-    // A config file as `--emit-config` writes it: finalized.
+    // A config file with an explicit hop budget keeps it.
     let mut file = SimConfig::small().finalize();
     file.requests = 7_000;
     file.hot_cache = Some(Default::default());
@@ -208,4 +208,49 @@ fn emit_config_prints_the_same_bytes_wherever_it_stands() {
         (printed.arity, printed.scheme, printed.seed),
         (4, Scheme::NetRsIlp, 5)
     );
+}
+
+/// `simulate ARGS`'s stdout; the run must succeed.
+fn simulate_stdout(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(args)
+        .output()
+        .expect("simulate runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn a_config_file_re_derives_the_hop_budget_at_its_own_utilization() {
+    // `--emit-config` prints the budget unset, so a file patched to
+    // another utilization plans NetRS-ILP with E = 20 % of its own
+    // arrival rate, not of the emitting run's.
+    let emitted = simulate_stdout(&["--emit-config"]);
+    assert!(emitted.contains("\"extra_hop_budget\": null"), "{emitted}");
+    let path = std::env::temp_dir().join(format!("netrs-cli-emitted-{}.json", std::process::id()));
+    std::fs::write(&path, &emitted).unwrap();
+    let path = path.to_str().unwrap();
+    let direct = simulate_stdout(&["--utilization", "0.5", "--emit-config"]);
+    let via_file = simulate_stdout(&["--config", path, "--utilization", "0.5", "--emit-config"]);
+    assert_eq!(via_file, direct);
+    let cfg = build(&["--config", path, "--utilization", "0.5"]).unwrap();
+    std::fs::remove_file(path).unwrap();
+    // A = 0.5 × 100 servers × 4 slots / 4 ms = 50 000 requests/s.
+    assert_eq!(cfg.finalize().plan.extra_hop_budget, Some(10_000.0));
+}
+
+#[test]
+fn an_unfinalized_config_round_trips_through_a_config_file() {
+    // The unset budget is written as `null` and must read back unset,
+    // not as NaN (which `validate` refuses).
+    for base in [SimConfig::small(), SimConfig::paper()] {
+        assert_eq!(base.plan.extra_hop_budget, None);
+        let path =
+            std::env::temp_dir().join(format!("netrs-cli-unset-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string(&base).unwrap()).unwrap();
+        let cfg = build(&["--config", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(cfg, Ok(base));
+    }
 }

@@ -8,8 +8,9 @@
 //! receive) does not under CliRS or NetRS-ToR — the copy slab's free list
 //! and the workload look-ahead's refills included — and pins the size of
 //! the event payload the queue copies around, of a C3 table cell, of a
-//! version slot and of a request-table slot, and the allocation counts of
-//! the one-time ring build, hot-key cache build and placement solve.
+//! hot-key cache slot, of a version slot and of a request-table slot, and
+//! the allocation counts of the one-time ring build, hot-key cache build
+//! and placement solve.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,10 +90,10 @@ fn warm_hot_key_cache_never_allocates() {
         for key in 0..64 {
             cache.admit(key, 1, ServerId(0));
         }
-        for i in 0..4_096u64 {
+        for i in 0..4_096u32 {
             // Every admission of a new key evicts; every seventh write
             // frees a slot that the next admission reuses.
-            let key = 64 + i;
+            let key = 64 + u64::from(i);
             if cache.lookup(key).is_none() {
                 cache.admit(key, i, ServerId(0));
             }
@@ -173,19 +174,29 @@ fn c3_estimate_stays_at_32_bytes() {
 }
 
 #[test]
-fn version_slot_stays_at_16_bytes() {
-    // One slot per written key, probed on every write and every cache
-    // hit's stale check: a key and its version, with key 0 marking an
-    // empty slot instead of an `Option` tag (24 bytes with it).
-    assert_eq!(VersionTable::SLOT_BYTES, 16);
+fn cache_slot_stays_at_20_bytes() {
+    // Every RSNode operator's cache holds `capacity` of these (1 024 at
+    // every ToR operator on the fault benchmark): a `u32` key rank,
+    // version and origin, and two `u32` recency links. `u64` keys and
+    // versions would make it 32 bytes, four of them padding.
+    assert_eq!(HotKeyCache::SLOT_BYTES, 20);
 }
 
 #[test]
-fn request_slot_stays_at_56_bytes() {
+fn version_slot_stays_at_8_bytes() {
+    // One slot per written key, probed on every write and every cache
+    // hit's stale check: a `u32` key rank and a `u32` version, with key 0
+    // marking an empty slot instead of an `Option` tag.
+    assert_eq!(VersionTable::SLOT_BYTES, 8);
+}
+
+#[test]
+fn request_slot_stays_at_48_bytes() {
     // The request table is a ring of these, sized by the in-flight
     // window (8 192 slots on the fault benchmark). The request id is the
-    // issue position the warm-up cutoff reads, so no copy of it is kept.
-    assert_eq!(REQUEST_SLOT_BYTES, 56);
+    // issue position the warm-up cutoff reads, so no copy of it is kept,
+    // and the key is a `u32` rank.
+    assert_eq!(REQUEST_SLOT_BYTES, 48);
 }
 
 #[test]

@@ -496,7 +496,7 @@ fn bad_configs_are_errors_naming_the_field() {
         ),
         (
             "plan.extra_hop_budget",
-            small_with(|c| c.plan.extra_hop_budget = -1.0),
+            small_with(|c| c.plan.extra_hop_budget = Some(-1.0)),
             "plan.extra_hop_budget must be non-negative, got -1",
         ),
         (
@@ -513,6 +513,16 @@ fn bad_configs_are_errors_naming_the_field() {
             "keys",
             small_with(|c| c.keys = 0),
             "keys must be at least 1",
+        ),
+        (
+            "keys = 2^32",
+            small_with(|c| c.keys = 1 << 32),
+            "keys must be at most 4294967295, got 4294967296",
+        ),
+        (
+            "requests = 2^32",
+            small_with(|c| c.requests = 1 << 32),
+            "requests must be at most 4294967295, got 4294967296",
         ),
         (
             "zipf = 0",
@@ -610,23 +620,46 @@ fn simulate_exits_1_on_a_bad_config_without_panicking() {
 fn simulate_exits_1_on_zero_vnodes_or_fluctuation_interval_in_time() {
     // Zero vnodes used to panic building the ring and zero keys building
     // the Zipf table; a zero fluctuation interval re-armed its timer at
-    // the same instant forever.
+    // the same instant forever. Keys and requests past `u32::MAX` would
+    // not fit the caches', version table's and request table's slots.
     let budget = std::time::Duration::from_secs(30);
-    for (name, cfg, error) in [
+    let short = &["--requests", "1000", "--json"][..];
+    for (name, cfg, args, error) in [
         (
             "vnodes",
             small_with(|c| c.vnodes = 0),
+            short,
             "invalid configuration: vnodes must be at least 1",
         ),
         (
             "fluctuation",
             small_with(|c| c.server.fluctuation_interval = SimDuration::ZERO),
+            short,
             "invalid configuration: server.fluctuation_interval must be positive",
         ),
         (
             "keys",
             small_with(|c| c.keys = 0),
+            short,
             "invalid configuration: keys must be at least 1",
+        ),
+        (
+            "keys-2^32",
+            small_with(|c| c.keys = 1 << 32),
+            short,
+            "invalid configuration: keys must be at most 4294967295, got 4294967296",
+        ),
+        (
+            "requests-2^32",
+            small_with(|c| c.requests = 1 << 32),
+            &["--json"],
+            "invalid configuration: requests must be at most 4294967295, got 4294967296",
+        ),
+        (
+            "requests-flag-2^32",
+            SimConfig::small().ser(),
+            &["--requests", "4294967296", "--json"],
+            "invalid configuration: requests must be at most 4294967295, got 4294967296",
         ),
     ] {
         let path =
@@ -635,7 +668,7 @@ fn simulate_exits_1_on_zero_vnodes_or_fluctuation_interval_in_time() {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
             .arg("--config")
             .arg(&path)
-            .args(["--requests", "1000", "--json"])
+            .args(args)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::piped())
             .spawn()

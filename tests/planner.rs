@@ -77,7 +77,7 @@ fn plans_respect_the_hop_budget() {
     let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
     for budget in [0.0, 100.0, 5_000.0] {
         let cons = PlanConstraints {
-            extra_hop_budget: budget,
+            extra_hop_budget: Some(budget),
             ..PlanConstraints::default()
         };
         let p = PlacementProblem::new(&topo, &groups, &traffic, &cons);
@@ -232,7 +232,7 @@ fn rsp_ex_scenarios() -> (Instance, [(&'static str, PlanConstraints); 3]) {
         .collect();
     let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
     let with_budget = |share: f64| PlanConstraints {
-        extra_hop_budget: share * a,
+        extra_hop_budget: Some(share * a),
         ..PlanConstraints::default()
     };
     let mut small_accelerators = with_budget(0.2);
@@ -331,7 +331,7 @@ fn cover_bound_never_exceeds_the_exact_optimum() {
                 .collect();
             let traffic = TrafficMatrix::oracle(&topo, &groups, &rates, &servers);
             let mut cons = PlanConstraints {
-                extra_hop_budget: [0.0, 200.0, 2_000.0, f64::INFINITY][rng.index(4)],
+                extra_hop_budget: [Some(0.0), Some(200.0), Some(2_000.0), None][rng.index(4)],
                 ..PlanConstraints::default()
             };
             let heaviest = (0..groups.len() as u32)
