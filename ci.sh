@@ -168,19 +168,6 @@ table_field() {
 [ "$(table_field live_high_water)" -gt 0 ]
 [ "$(table_field slots)" -le $((8 * $(table_field live_high_water))) ]
 
-echo "==> perf smoke (tiny perf suite, artifact validates)"
-# Runs the perf harness end to end at test scale and validates the
-# artifact's shape. Deliberately no time gating: CI boxes are too noisy
-# for that; real baselines are pinned in BENCH_PERF.json at the repo root.
-cargo build -q -p netrs-bench --bin repro
-./target/debug/repro perf --small --tag smoke --out "$SMOKE/perf.json"
-./target/debug/netrs-analyze check-bench "$SMOKE/perf.json" \
-    | grep -q "valid perf artifact (runs: 5)"
-./target/debug/netrs-analyze perf "$SMOKE/perf.json" | grep -q "smoke/rw-cache"
-# Two-artifact mode: an artifact never regresses against itself.
-./target/debug/netrs-analyze check-bench "$SMOKE/perf.json" "$SMOKE/perf.json" \
-    | grep -q "Bench comparison"
-
 echo "==> perf-profile smoke (simulate --perf, profiler must not perturb)"
 # A profiled run must produce byte-identical stats to the plain run above
 # and a schema-valid profile the analyzer can render.
@@ -188,11 +175,8 @@ echo "==> perf-profile smoke (simulate --perf, profiler must not perturb)"
     --perf "$SMOKE/perf-profile.json" --json > "$SMOKE/perf-prof-stats.json"
 diff -u "$SMOKE/ctl-stats-plain.json" "$SMOKE/perf-prof-stats.json"
 grep -q '"schema_version": 1' "$SMOKE/perf-profile.json"
-./target/debug/netrs-analyze check-bench "$SMOKE/perf-profile.json" \
-    | grep -q "valid perf artifact (runs: 1)"
-./target/debug/netrs-analyze perf "$SMOKE/perf-profile.json" | grep -q "by layer"
-# The pinned repo baseline stays schema-valid too.
-./target/debug/netrs-analyze check-bench BENCH_PERF.json | grep -q "valid perf artifact"
+./target/debug/netrs-analyze perf "$SMOKE/perf-profile.json" > "$SMOKE/perf-profile.txt"
+grep -q "by layer" "$SMOKE/perf-profile.txt"
 
 echo "==> parallel-sweep smoke (grid artifact, renderer, cells match solo runs)"
 # No wall-clock gating (CI boxes are too noisy and may be single-core);
@@ -214,6 +198,7 @@ grep -q "\"mean\": $mean_solo" "$SMOKE/sweep.json"
 
 echo "==> repro smoke (a figure's grid is one sweep artifact the analyzer reads)"
 # repro writes target/repro/<id>.json under its working directory.
+cargo build -q -p netrs-bench --bin repro
 repro_bin="$PWD/target/debug/repro"
 (cd "$SMOKE" && "$repro_bin" fig4 --requests 2000 --seeds 1,2 > fig4.txt 2> fig4.err)
 grep -q "== Impact of the number of clients (Fig. 4) ==" "$SMOKE/fig4.txt"

@@ -7,11 +7,10 @@
 //! netrs-analyze report --trace clirs=clirs.jsonl --trace netrs-ilp=ilp.jsonl \
 //!     --devices ilp-dev.jsonl
 //!
-//! # validate a perf artifact; gate this tree's perf rows against the parent's
-//! netrs-analyze check-bench perf.json
-//! git show HEAD:BENCH_PERF.json > parent-perf.json
-//! repro perf --tag after --out BENCH_PERF.json
-//! netrs-analyze check-bench BENCH_PERF.json parent-perf.json
+//! # profile one scheme before and after a change, and read them side by side
+//! simulate --scheme netrs-ilp --perf before.json --json > /dev/null
+//! simulate --scheme netrs-ilp --perf after.json --json > /dev/null
+//! netrs-analyze perf before.json after.json
 //! ```
 //!
 //! Argv is read by `netrs_sim::cli` against the synopsis lines below: a
@@ -19,12 +18,11 @@
 //! trusted exits 1 naming it.
 
 use netrs_analyze::{
-    availability_report, check_bench, compare_bench, comparison_report, control_report,
-    hotspot_report, load_json, load_jsonl, perf_report, rw_report, split_label, sweep_report,
-    tail_report, timeseries_report, LabeledTrace,
+    availability_report, comparison_report, control_report, hotspot_report, load_json, load_jsonl,
+    perf_report, rw_report, split_label, sweep_report, tail_report, timeseries_report,
+    LabeledTrace,
 };
 use netrs_sim::cli::{Cli, CliError, Command};
-use serde::Value;
 
 /// Every subcommand's synopsis: the usage text, and the flags and files
 /// each subcommand takes.
@@ -36,7 +34,6 @@ const SYNOPSES: &[&str] = &[
     "netrs-analyze rw --stats [LABEL=]FILE [--stats [LABEL=]FILE ...] [--devices FILE]",
     "netrs-analyze perf [LABEL=]FILE [[LABEL=]FILE ...]",
     "netrs-analyze sweep FILE",
-    "netrs-analyze check-bench FILE [BASELINE] [--threshold F]",
 ];
 
 fn main() {
@@ -111,44 +108,8 @@ fn run(name: &str, cli: &Cli) -> Result<String, CliError> {
             };
             rw_report(&labeled(cli.all("--stats"), load_json)?, &devices)
         }
-        "perf" => perf_report(&labeled(files(), |path| {
-            check_bench(&load_json(path)?).map_err(|e| format!("{path}: {e}"))
-        })?),
-        "sweep" => sweep_report(&load_json(&cli.files()[0]).map_err(invalid)?),
-        _ => check_bench_cmd(cli)?,
+        "perf" => perf_report(&labeled(files(), load_json)?),
+        _ => sweep_report(&load_json(&cli.files()[0]).map_err(invalid)?),
     };
     Ok(report)
-}
-
-/// `check-bench FILE` validates a perf artifact; `check-bench FILE
-/// BASELINE` also compares it with the baseline, workload by workload, and
-/// exits 1 on a throughput drop beyond `--threshold` (default 10%).
-fn check_bench_cmd(cli: &Cli) -> Result<String, CliError> {
-    let threshold = cli.get("--threshold")?.unwrap_or(0.1);
-    if !(0.0..1.0).contains(&threshold) {
-        return Err(invalid(
-            "--threshold must be a fraction in [0, 1)".to_string(),
-        ));
-    }
-    let path = &cli.files()[0];
-    let artifact: Value = load_json(path).map_err(invalid)?;
-    let art = check_bench(&artifact).map_err(|e| invalid(format!("{path}: {e}")))?;
-    let mut out = format!("{path}: valid perf artifact (runs: {})\n", art.runs.len());
-    let Some(base_path) = cli.files().get(1) else {
-        return Ok(out);
-    };
-    let base = load_json(base_path).map_err(invalid)?;
-    let cmp = compare_bench(&base, &artifact, threshold)
-        .map_err(|e| invalid(format!("{base_path} vs {path}: {e}")))?;
-    out += &cmp.report;
-    if cmp.regressions.is_empty() {
-        return Ok(out);
-    }
-    print!("{out}");
-    let lines: Vec<String> = cmp
-        .regressions
-        .iter()
-        .map(|r| format!("netrs-analyze: regression: {r}"))
-        .collect();
-    Err(CliError::invalid(lines.join("\n")))
 }

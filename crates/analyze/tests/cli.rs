@@ -67,14 +67,7 @@ fn misuse_exits_2_naming_the_flag() {
         (&["availability"], &["`availability`", "needs --stats"]),
         (&["sweep"], &["`sweep`", "needs a file"]),
         (&["control"], &["`control`", "needs a file"]),
-        (
-            &["check-bench", "--threshold", "0.2"],
-            &["`check-bench`", "needs a file"],
-        ),
-        (
-            &["check-bench", "a.json", "--threshold", "x"],
-            &["--threshold", "\"x\""],
-        ),
+        (&["perf"], &["`perf`", "needs a file"]),
     ] {
         let (code, stdout, stderr) = analyze(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
@@ -92,7 +85,7 @@ fn misuse_exits_2_naming_the_flag() {
             "\"--bogus\"",
         ),
         (&["sweep", "a.json", "b.json"], "\"b.json\""),
-        (&["check-bench", "a.json", "b.json", "c.json"], "\"c.json\""),
+        (&["perf", "a.json", "--threshold", "0.2"], "\"--threshold\""),
         (&["frobnicate"], "usage"),
         (&[], "usage"),
     ] {
@@ -104,6 +97,21 @@ fn misuse_exits_2_naming_the_flag() {
         );
         assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
+    // `check-bench` is no subcommand: in either of its old forms it exits
+    // 2 with the usage, which does not offer it.
+    for args in [
+        &["check-bench", "a.json"][..],
+        &["check-bench", "a.json", "b.json", "--threshold", "0.2"],
+    ] {
+        let (code, stdout, stderr) = analyze(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert_eq!(stdout, "", "{args:?}");
+        assert!(
+            stderr.starts_with("usage: netrs-analyze report"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("check-bench"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -113,6 +121,41 @@ fn a_missing_file_exits_1_naming_it() {
     refused(&["control", missing], &[missing]);
     refused(&["sweep", missing], &[missing]);
     refused(&["report", "--trace", missing], &[missing]);
+}
+
+/// The schema golden of a `simulate --perf` profile.
+const PROFILE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/fixtures/golden/host-profile.perf.json"
+);
+
+#[test]
+fn a_perf_profile_whose_kind_counts_miss_events_exits_1_naming_file_and_field() {
+    let profile = std::fs::read_to_string(PROFILE).expect("the golden profile is readable");
+    assert!(profile.contains("\"events\": 18000,"));
+    let path = artifact(
+        "perf.json",
+        &profile.replace("\"events\": 18000,", "\"events\": 18001,"),
+    );
+    let path = path.to_str().unwrap();
+    refused(&["perf", path], &[path, "events"]);
+    std::fs::remove_file(path).unwrap();
+    // The profile as the simulator wrote it renders.
+    let (code, stdout, stderr) = analyze(&["perf", PROFILE]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("by layer"), "{stdout}");
+}
+
+#[test]
+fn a_perf_history_exits_1_naming_the_file() {
+    // The retired multi-run history: `schema_version` plus `runs`.
+    let profile = std::fs::read_to_string(PROFILE).expect("the golden profile is readable");
+    let history = format!("{{\"schema_version\": 1, \"runs\": [{profile}]}}");
+    let path = artifact("history.json", &history);
+    let path = path.to_str().unwrap();
+    refused(&["perf", path], &[path]);
+    refused(&["perf", PROFILE, path], &[path]);
+    std::fs::remove_file(path).unwrap();
 }
 
 #[test]

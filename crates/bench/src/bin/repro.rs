@@ -5,7 +5,6 @@
 //! cargo run --release -p netrs-bench --bin repro -- all --requests 100000 --seeds 1,2
 //! cargo run --release -p netrs-bench --bin repro -- rsp
 //! cargo run --release -p netrs-bench --bin repro -- fig6 --paper-scale
-//! cargo run --release -p netrs-bench --bin repro -- perf --tag after
 //! ```
 //!
 //! Results print as the four text panels of each figure. Each figure's
@@ -16,21 +15,20 @@
 use std::io::Write as _;
 
 use netrs_bench::{
-    ablate_c3, ablate_cap, ablate_group, ablate_hops, append_perf_artifact, fig4, fig5, fig6, fig7,
-    paper_base, render_tables, rsp_experiment, run_perf_suite, FigureSpec,
+    ablate_c3, ablate_cap, ablate_group, ablate_hops, fig4, fig5, fig6, fig7, paper_base,
+    render_tables, rsp_experiment, FigureSpec,
 };
 use netrs_sim::cli::{Cli, CliError, Command};
 use netrs_sim::{run_sweep, SimConfig, SweepJob};
 
-/// `repro`'s usage, one synopsis line each for the figure commands,
-/// `perf` and `rsp`; a subcommand's `Command` names it and picks its line.
+/// `repro`'s usage, one synopsis line each for the figure commands and
+/// `rsp`; a subcommand's `Command` names it and picks its line.
 const REPRO: Command<'static> = Command {
     prog: "repro",
     name: "",
     synopses: &[
         "repro <fig4|fig5|fig6|fig7|ablate-hops|ablate-cap|ablate-group|ablate-c3|all> \
          [--requests N] [--seeds a,b,c] [--paper-scale]",
-        "repro perf [--small] [--tag NAME] [--out FILE]",
         "repro rsp",
     ],
     synopsis: 0,
@@ -70,8 +68,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map_or("", String::as_str);
     let synopsis = match command {
-        "perf" => 1,
-        "rsp" => 2,
+        "rsp" => 1,
         _ if command == "all" || FIGURES.iter().any(|(id, _)| *id == command) => 0,
         _ => CliError::misuse(REPRO.usage()).exit(),
     };
@@ -91,7 +88,6 @@ fn run(command: &str, cli: &Cli) -> Result<(), CliError> {
             println!("{}", rsp_experiment(2018));
             return Ok(());
         }
-        "perf" => return run_perf(cli),
         _ => cli.config(paper_base(200_000), SimConfig::small())?,
     };
     let seeds = cli.list("--seeds")?.unwrap_or_else(|| vec![1, 2, 3]);
@@ -130,52 +126,5 @@ fn run(command: &str, cli: &Cli) -> Result<(), CliError> {
             started.elapsed().as_secs_f64()
         ));
     }
-    Ok(())
-}
-
-/// The `perf` subcommand: run every scheme on the fixed perf config, and
-/// the paper-topology `rw-cache` write/cache profile at the same request
-/// count, with the host profiler attached and append the run records to
-/// the bench artifact (`--out`, default `target/repro/BENCH_PERF.json`).
-/// `--tag before|after` prefixes the run labels so successive
-/// suites coexist; `--small` substitutes the tiny test config for CI
-/// schema smoke.
-fn run_perf(cli: &Cli) -> Result<(), CliError> {
-    let perf = SimConfig {
-        seed: 1,
-        ..SimConfig::perf()
-    };
-    let small = SimConfig {
-        requests: 2_000,
-        seed: 1,
-        ..SimConfig::small()
-    };
-    let cfg = cli.config(perf, small)?;
-    let out = cli.str("--out").unwrap_or("target/repro/BENCH_PERF.json");
-    let runs = run_perf_suite(&cfg, cli.str("--tag"));
-    for r in &runs {
-        log_line(&format!(
-            "perf: {}: {:.3}s wall, {} events, {:.0} events/s, {:.1}% attributed, peak RSS {} kB",
-            r.label,
-            r.wall_s,
-            r.events,
-            r.events_per_sec,
-            if r.wall_s > 0.0 {
-                r.attributed_ns as f64 / (r.wall_s * 1e9) * 100.0
-            } else {
-                0.0
-            },
-            r.peak_rss_kb
-        ));
-    }
-    let existing = std::fs::read_to_string(out).ok();
-    let artifact = append_perf_artifact(existing.as_deref(), runs)
-        .map_err(|e| CliError::invalid(format!("cannot append into {out}: {e}")))?;
-    if let Some(dir) = std::path::Path::new(out).parent() {
-        std::fs::create_dir_all(dir).ok();
-    }
-    std::fs::write(out, artifact + "\n")
-        .map_err(|e| CliError::invalid(format!("cannot write {out}: {e}")))?;
-    log_line(&format!("wrote {out}"));
     Ok(())
 }

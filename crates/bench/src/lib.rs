@@ -14,11 +14,7 @@
 #![warn(missing_docs)]
 
 use netrs::{PlacementProblem, PlanConstraints, PlanSolver, TrafficGroups, TrafficMatrix};
-use netrs_sim::{
-    cell_label, run_observed, CacheAdmission, CacheWritePolicy, HostProfile, HotCacheConfig,
-    MeanStats, ObsOptions, PerfArtifact, PerfOptions, Scheme, SimConfig, SweepReport,
-    WriteConsistency,
-};
+use netrs_sim::{cell_label, MeanStats, Scheme, SimConfig, SweepReport};
 use netrs_simcore::{SimDuration, SimRng};
 use netrs_topology::{FatTree, HostId};
 
@@ -251,97 +247,6 @@ pub fn ablate_c3(base: &SimConfig) -> FigureSpec {
     }
 }
 
-/// Runs one scheme on `cfg` with the host profiler attached and returns
-/// its [`HostProfile`] relabeled to `label`.
-///
-/// The profiler's strided sampling costs a few percent of throughput, so
-/// profiled events/s runs slightly below an unobserved run — consistent
-/// across suites, which is what the before/after comparisons need. Peak
-/// RSS is monotonic across the process lifetime, so later schemes in one
-/// suite inherit earlier peaks; compare suites, not schemes, on that
-/// column.
-#[must_use]
-pub fn run_perf_profile(cfg: &SimConfig, scheme: Scheme, label: &str) -> HostProfile {
-    let mut cfg = cfg.clone();
-    cfg.scheme = scheme;
-    let obs = ObsOptions {
-        perf: Some(PerfOptions::default()),
-        ..ObsOptions::default()
-    };
-    let mut out = run_observed(cfg, obs);
-    let mut profile = out.perf.take().expect("perf profiling was requested");
-    profile.label = label.into();
-    profile
-}
-
-/// The write/cache profile of the perf suite: NetRS-ToR on the paper's
-/// 16-ary topology (an RSNode on every client ToR, so a write's coherence
-/// fan-out is as wide as it gets) with 10 % `Quorum{w:2}` writes and a
-/// 1 024-entry LRU/invalidate cache per RSNode.
-fn rw_cache_config(requests: u64, seed: u64) -> SimConfig {
-    SimConfig {
-        scheme: Scheme::NetRsToR,
-        requests,
-        seed,
-        write_fraction: 0.1,
-        write_consistency: WriteConsistency::Quorum { w: 2 },
-        hot_cache: Some(HotCacheConfig {
-            capacity: 1024,
-            admission: CacheAdmission::Lru,
-            write_policy: CacheWritePolicy::Invalidate,
-        }),
-        ..SimConfig::paper()
-    }
-}
-
-/// Runs the perf suite — every scheme once on `cfg` with the host
-/// profiler attached, then the `rw-cache` profile (paper-topology
-/// NetRS-ToR with quorum writes and a hot-key cache, at `cfg`'s request
-/// count and seed), the only row where writes, the
-/// hot-key cache and its coherence traffic run. `tag` prefixes each label
-/// (`"after/CliRS"`) so successive suites coexist in one artifact.
-#[must_use]
-pub fn run_perf_suite(cfg: &SimConfig, tag: Option<&str>) -> Vec<HostProfile> {
-    let label = |name: &str| match tag {
-        Some(t) => format!("{t}/{name}"),
-        None => name.to_string(),
-    };
-    let mut runs: Vec<HostProfile> = Scheme::ALL
-        .iter()
-        .map(|&scheme| {
-            let label = label(scheme.label());
-            eprintln!("perf: running {label}...");
-            run_perf_profile(cfg, scheme, &label)
-        })
-        .collect();
-    let label = label("rw-cache");
-    eprintln!("perf: running {label}...");
-    let rw = rw_cache_config(cfg.requests, cfg.seed);
-    runs.push(run_perf_profile(&rw, rw.scheme, &label));
-    runs
-}
-
-/// Appends profiled runs to a perf artifact, returning the serialized
-/// versioned artifact (`schema_version` + `runs`). `existing` may be a
-/// versioned artifact or a bare `simulate --perf` profile (see
-/// [`PerfArtifact::from_value`]). The result validates under
-/// `netrs-analyze check-bench`.
-///
-/// # Errors
-///
-/// Returns an error when `existing` is not valid JSON in either shape.
-pub fn append_perf_artifact(
-    existing: Option<&str>,
-    runs: Vec<HostProfile>,
-) -> Result<String, String> {
-    let mut artifact = match existing {
-        Some(text) => serde_json::from_str(text).map_err(|e| format!("existing artifact: {e}"))?,
-        None => PerfArtifact::default(),
-    };
-    artifact.runs.extend(runs);
-    serde_json::to_string_pretty(&artifact).map_err(|e| e.to_string())
-}
-
 /// Renders a figure's sweep as the four text panels the paper plots
 /// (Avg / 95th / 99th / 99.9th, all in milliseconds). Each (point,
 /// scheme) entry is [`SweepReport::mean`] over `seeds`.
@@ -566,52 +471,6 @@ mod tests {
                 spec.points.iter().map(|p| p.label.as_str()).collect();
             assert_eq!(labels.len(), spec.points.len(), "{}", spec.id);
         }
-    }
-
-    #[test]
-    fn perf_suite_profiles_every_scheme() {
-        let mut cfg = SimConfig::small();
-        cfg.requests = 300;
-        cfg.seed = 1;
-        let runs = run_perf_suite(&cfg, Some("t"));
-        assert_eq!(runs.len(), Scheme::ALL.len() + 1);
-        let rw = runs.last().expect("suite ran");
-        assert_eq!(rw.label, "t/rw-cache");
-        assert!(
-            rw.kinds
-                .iter()
-                .any(|k| k.kind == "CacheInvalidate" && k.count > 0),
-            "the rw-cache profile must exercise the coherence fan-out"
-        );
-        for run in &runs {
-            assert!(run.label.starts_with("t/"), "{}", run.label);
-            assert_eq!(run.kind_count_sum(), run.events, "{}", run.label);
-            assert!(run.events_per_sec > 0.0);
-            assert!(run.stride > 0);
-        }
-    }
-
-    #[test]
-    fn perf_artifact_appends_to_existing_history() {
-        let mut cfg = SimConfig::small();
-        cfg.requests = 300;
-        let before = run_perf_suite(&cfg, Some("before")).swap_remove(0);
-        let after = HostProfile {
-            label: "after/CliRS".into(),
-            ..before.clone()
-        };
-        let text = append_perf_artifact(None, vec![before]).expect("fresh artifact");
-        assert!(text.contains("\"schema_version\": 1"), "{text}");
-        let text = append_perf_artifact(Some(&text), vec![after]).expect("v1 append");
-        let art: PerfArtifact = serde_json::from_str(&text).unwrap();
-        assert_eq!(art.runs.len(), 2);
-        assert_eq!(art.runs[0].label, "before/CliRS");
-        assert_eq!(art.runs[1].label, "after/CliRS");
-        // Anything that is not a perf artifact — a flat label → entry map
-        // without `schema_version` included — is rejected, not clobbered.
-        assert!(append_perf_artifact(Some("[1,2]"), Vec::new()).is_err());
-        let flat = r#"{"before/CliRS": {"events": 100, "wall_clock_s": 2.0}}"#;
-        assert!(append_perf_artifact(Some(flat), Vec::new()).is_err());
     }
 
     #[test]

@@ -315,26 +315,6 @@ impl SimConfig {
         }
     }
 
-    /// The fixed mid-size configuration the `repro perf` subcommand times
-    /// (8-ary tree, 32 servers, 64 clients, 1 M keys, 600 k requests).
-    /// Large enough that per-event constant factors dominate, small
-    /// enough that all four schemes finish in seconds. Change it only
-    /// together with a re-baseline of `BENCH_PERF.json` (see DESIGN.md
-    /// "Performance").
-    #[must_use]
-    pub fn perf() -> Self {
-        SimConfig {
-            arity: 8,
-            servers: 32,
-            clients: 64,
-            generators: 32,
-            vnodes: 32,
-            keys: 1_000_000,
-            requests: 600_000,
-            ..SimConfig::paper()
-        }
-    }
-
     /// The aggregate request arrival rate `A` (requests/second) implied
     /// by the configured nominal utilization: `A = u·Ns·Np / tkv`.
     #[must_use]

@@ -58,7 +58,7 @@ pub use obs::{
     SnapshotRecord, SolveRecord, TimeSeries, TraceRecord,
 };
 pub use perf::{
-    AllocStats, HostMeta, HostProfile, KindRecord, PerfArtifact, QueueStats, RequestTableStats,
+    AllocStats, HostMeta, HostProfile, KindRecord, QueueStats, RequestTableStats,
     PERF_SCHEMA_VERSION,
 };
 pub use policy::{NotInNetwork, OraclePlacement};

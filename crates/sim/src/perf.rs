@@ -1,24 +1,22 @@
-//! Host-performance profiles: the versioned artifact emitted by
-//! `simulate --perf` and accumulated by the bench harness.
+//! Host-performance profiles: the versioned artifact `simulate --perf`
+//! writes and `netrs-analyze perf` reads.
 //!
 //! A [`HostProfile`] describes one run of the simulator *as a program on
 //! the host machine*: per-event-kind dispatch counts and estimated
 //! wall-clock self-time (from [`netrs_simcore::PerfProbe`]'s strided
 //! sampling), event-queue churn, peak RSS, optional allocation counters,
 //! and host metadata (commit, CPU model, core count) so numbers from
-//! different machines are never compared blind. [`PerfArtifact`] is the
-//! on-disk history: `schema_version` plus an append-only list of runs.
+//! different machines are never compared blind.
 //!
 //! The JSON schema is the field order of the structs below; the optional
-//! `alloc`, `request_table` and `clock_pair_ns` entries are omitted (never
-//! null) when absent.
+//! `alloc` entry is omitted (never null) when absent.
 
 use netrs_simcore::{PerfReport, DEPTH_BUCKETS};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::cluster::Ev;
 
-/// Version tag carried by every [`HostProfile`] and [`PerfArtifact`].
+/// Version tag carried by every [`HostProfile`].
 pub const PERF_SCHEMA_VERSION: u64 = 1;
 
 /// `(kind name, layer)` for every [`Ev`] variant, indexed by
@@ -207,12 +205,10 @@ pub struct KindRecord {
     pub self_ns: u64,
 }
 
-/// One run's host-performance profile: what `simulate --perf` writes and
-/// what a [`PerfArtifact`] accumulates.
+/// One run's host-performance profile: what `simulate --perf` writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostProfile {
-    /// Display label (defaults to the scheme label; the bench harness
-    /// prefixes its tag).
+    /// Display label (the scheme label).
     pub label: String,
     /// Schema version ([`PERF_SCHEMA_VERSION`]).
     pub schema_version: u64,
@@ -243,14 +239,11 @@ pub struct HostProfile {
     /// registered.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub alloc: Option<AllocStats>,
-    /// Request-table size; absent on rows written before it existed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub request_table: Option<RequestTableStats>,
+    /// Request-table size.
+    pub request_table: RequestTableStats,
     /// Calibrated cost (ns) of the clock pair bracketing each sampled
-    /// step, already subtracted from every `self_ns`; absent on rows
-    /// written before it was subtracted.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub clock_pair_ns: Option<u64>,
+    /// step, already subtracted from every `self_ns`.
+    pub clock_pair_ns: u64,
     /// Per-event-kind attribution, [`EV_KINDS`] order, zero-count kinds
     /// included.
     pub kinds: Vec<KindRecord>,
@@ -292,64 +285,6 @@ impl HostProfile {
     }
 }
 
-/// The on-disk perf history: `schema_version` plus append-only runs.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PerfArtifact {
-    /// The run records, oldest first.
-    pub runs: Vec<HostProfile>,
-}
-
-impl PerfArtifact {
-    /// Parses a perf artifact file: either the versioned history
-    /// (`schema_version` + `runs`) or a single [`HostProfile`] as written
-    /// by `simulate --perf`, wrapped as a one-run artifact.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first shape mismatch, including an absent or
-    /// unsupported `schema_version`.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let version = v
-            .get("schema_version")
-            .ok_or("missing field `schema_version` for PerfArtifact")?;
-        let version = u64::deser(version).map_err(|_| "schema_version is not an integer")?;
-        if version != PERF_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported perf schema_version {version} (expected {PERF_SCHEMA_VERSION})"
-            ));
-        }
-        let runs = match v.get("runs") {
-            Some(runs) => Vec::<HostProfile>::deser(runs).map_err(|e| e.to_string())?,
-            // A bare profile file from `simulate --perf`.
-            None => vec![HostProfile::deser(v)
-                .map_err(|e| format!("PerfArtifact without `runs` must be a bare profile: {e}"))?],
-        };
-        Ok(PerfArtifact { runs })
-    }
-}
-
-// Schema rule no field attribute expresses: `schema_version` is a
-// constant of the format, not a field of the value.
-impl Serialize for PerfArtifact {
-    fn ser(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "schema_version".into(),
-                Value::U(u128::from(PERF_SCHEMA_VERSION)),
-            ),
-            ("runs".into(), self.runs.ser()),
-        ])
-    }
-}
-
-// Schema rule no field attribute expresses: the version is checked before
-// anything else parses, and a bare profile reads as a one-run artifact.
-impl Deserialize for PerfArtifact {
-    fn deser(v: &Value) -> Result<Self, DeError> {
-        PerfArtifact::from_value(v).map_err(DeError::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use netrs_kvstore::{ServerId, ServerStatus};
@@ -386,8 +321,12 @@ mod tests {
                 depth_hist: vec![1, 2, 4, 8],
             },
             alloc: None,
-            request_table: None,
-            clock_pair_ns: None,
+            request_table: RequestTableStats {
+                slots: 1_024,
+                live_high_water: 310,
+                overflow_high_water: 4,
+            },
+            clock_pair_ns: 27,
             kinds: vec![
                 KindRecord {
                     kind: "Generate".into(),
@@ -425,33 +364,6 @@ mod tests {
         let line = serde_json::to_string(&with_alloc).unwrap();
         let back: HostProfile = serde_json::from_str(&line).unwrap();
         assert_eq!(back, with_alloc);
-    }
-
-    #[test]
-    fn artifact_round_trips_and_wraps_bare_profiles() {
-        let art = PerfArtifact {
-            runs: vec![profile()],
-        };
-        let text = serde_json::to_string(&art).unwrap();
-        let back: PerfArtifact = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, art);
-
-        // A bare `simulate --perf` file parses as a one-run artifact.
-        let bare = serde_json::to_string(&profile()).unwrap();
-        let v: Value = serde_json::from_str(&bare).unwrap();
-        let wrapped = PerfArtifact::from_value(&v).unwrap();
-        assert_eq!(wrapped.runs, vec![profile()]);
-    }
-
-    #[test]
-    fn unsupported_schema_version_is_rejected() {
-        let v: Value = serde_json::from_str(r#"{"schema_version": 99, "runs": []}"#).unwrap();
-        let err = PerfArtifact::from_value(&v).unwrap_err();
-        assert!(err.contains("unsupported"), "{err}");
-        // A flat label → entry map carries no version: not a perf artifact.
-        let v: Value = serde_json::from_str(r#"{"a/CliRS": {"events": 1}}"#).unwrap();
-        let err = PerfArtifact::from_value(&v).unwrap_err();
-        assert!(err.contains("missing field `schema_version`"), "{err}");
     }
 
     #[test]

@@ -418,8 +418,8 @@ fn host_profile(
             depth_hist: HostProfile::trim_depth_hist(&report.depth_hist),
         },
         alloc,
-        request_table: Some(request_table),
-        clock_pair_ns: Some(report.clock_ns),
+        request_table,
+        clock_pair_ns: report.clock_ns,
         kinds: HostProfile::kinds_from_report(report),
     }
 }

@@ -8,7 +8,10 @@
 //! * the `--trace` JSONL stream (pinned by FNV-1a hash + length),
 //! * the `--devices` JSONL report (pinned by FNV-1a hash + length),
 //! * the `--control` JSONL stream (pinned by FNV-1a hash + length; empty
-//!   for client schemes, which have no control plane to audit).
+//!   for client schemes, which have no control plane to audit),
+//! * the `--perf` profile's per-event-kind counts (the last line of the
+//!   digests file): the exact work the run did, kind by kind, so a change
+//!   that adds or drops events fails here at zero tolerance on any host.
 //!
 //! The stats/trace/devices fixtures predate the control stream and are
 //! asserted with the control sink *attached*, so they double as proof
@@ -123,6 +126,21 @@ struct Artifacts {
     trace: Vec<u8>,
     devices: Vec<u8>,
     control: Vec<u8>,
+    /// `kinds KIND=COUNT ...`: the profile's non-zero kind counts in
+    /// `EV_KINDS` order.
+    kinds: String,
+}
+
+impl Artifacts {
+    /// The digests file: trace and device digests, then the kind counts.
+    fn digests(&self) -> String {
+        format!(
+            "{}\n{}\n{}\n",
+            digest_line("trace", &self.trace),
+            digest_line("devices", &self.devices),
+            self.kinds
+        )
+    }
 }
 
 fn run_case(cfg: SimConfig) -> Artifacts {
@@ -148,6 +166,10 @@ fn run_case(cfg: SimConfig) -> Artifacts {
         out.stats.events,
         "perf kind counts must partition the event stream exactly"
     );
+    let mut kinds = String::from("kinds");
+    for k in perf.kinds.iter().filter(|k| k.count > 0) {
+        kinds += &format!(" {}={}", k.kind, k.count);
+    }
     let mut devices = Vec::new();
     out.devices
         .as_ref()
@@ -159,6 +181,7 @@ fn run_case(cfg: SimConfig) -> Artifacts {
         trace: trace_sink.take(),
         devices,
         control: control_sink.take(),
+        kinds,
     }
 }
 
@@ -203,11 +226,7 @@ fn golden_runs_are_byte_identical() {
             in_network,
             "{name}: in-network schemes audit their plans; client schemes stay silent"
         );
-        let digests = format!(
-            "{}\n{}\n",
-            digest_line("trace", &art.trace),
-            digest_line("devices", &art.devices)
-        );
+        let digests = art.digests();
         let control_digest = format!("{}\n", digest_line("control", &art.control));
         pin(
             &dir.join(format!("{name}.stats.json")),
@@ -266,11 +285,7 @@ fn cache_runs_are_byte_identical() {
     );
     pin(
         &dir.join("netrs-tor-rw-cache.digests.txt"),
-        &format!(
-            "{}\n{}\n",
-            digest_line("trace", &art.trace),
-            digest_line("devices", &art.devices)
-        ),
+        &art.digests(),
         regen,
     );
 
@@ -395,9 +410,9 @@ fn lookahead_boundary_runs_are_byte_identical() {
 /// Artifact schemas no run golden above reaches, captured at commit
 /// 071f355 from the hand-written serializers the derives replaced: a
 /// fault run's stats (the `availability` block) with its control stream
-/// (`drs_span` lines, `plan` lines naming a switch), a perf profile as
-/// `simulate --perf` writes it with and without the optional `alloc` /
-/// `parallel` blocks, and a fault-plan file holding only `events`.
+/// (`drs_span` lines, `plan` lines naming a switch), a perf profile in
+/// the two shapes `simulate --perf` writes (with and without the optional
+/// `alloc` block), and a fault-plan file holding only `events`.
 #[test]
 fn artifact_schemas_are_byte_identical() {
     let dir = fixtures_dir();
@@ -447,8 +462,12 @@ fn artifact_schemas_are_byte_identical() {
             depth_hist: vec![1, 2, 4, 8],
         },
         alloc: None,
-        request_table: None,
-        clock_pair_ns: None,
+        request_table: RequestTableStats {
+            slots: 4_096,
+            live_high_water: 1_700,
+            overflow_high_water: 310,
+        },
+        clock_pair_ns: 27,
         kinds: vec![
             KindRecord {
                 kind: "Generate".into(),
@@ -474,19 +493,7 @@ fn artifact_schemas_are_byte_identical() {
         }),
         ..bare.clone()
     };
-    let sized = HostProfile {
-        request_table: Some(RequestTableStats {
-            slots: 4_096,
-            live_high_water: 1_700,
-            overflow_high_water: 310,
-        }),
-        ..bare.clone()
-    };
-    for (name, profile) in [
-        ("host-profile", bare),
-        ("host-profile-alloc", counted),
-        ("host-profile-request-table", sized),
-    ] {
+    for (name, profile) in [("host-profile", bare), ("host-profile-alloc", counted)] {
         let text = serde_json::to_string_pretty(&profile).expect("profile serializes");
         pin(&dir.join(format!("{name}.perf.json")), &text, regen);
         let back: HostProfile = serde_json::from_str(&text).expect("profile parses");

@@ -7,8 +7,8 @@
 use netrs_sim::{
     AllocStats, AvailabilityStats, CacheRecord, ControlRecord, DeviceRecord, DisplacedGroup,
     DrsSpanRecord, FaultEvent, FaultPlan, HopSpan, HostMeta, HostProfile, KindRecord,
-    LatencyBreakdown, ParallelStats, PerfArtifact, PlanEventRecord, QueueStats, RequestTableStats,
-    RunStats, RwStats, SamplePoint, Scheme, SimConfig, SnapshotGroup, SnapshotRecord, SolveRecord,
+    LatencyBreakdown, ParallelStats, PlanEventRecord, QueueStats, RequestTableStats, RunStats,
+    RwStats, SamplePoint, Scheme, SimConfig, SnapshotGroup, SnapshotRecord, SolveRecord,
     TimedFault, TraceRecord, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::{SimDuration, SimTime, Summary};
@@ -113,12 +113,12 @@ fn host_profile() -> HostProfile {
             deallocs: 100,
             peak_bytes: 9_000_000,
         }),
-        request_table: Some(RequestTableStats {
+        request_table: RequestTableStats {
             slots: 4_096,
             live_high_water: 1_700,
             overflow_high_water: 310,
-        }),
-        clock_pair_ns: Some(27),
+        },
+        clock_pair_ns: 27,
         kinds: vec![KindRecord {
             kind: "Generate".into(),
             layer: "state".into(),
@@ -328,23 +328,10 @@ fn every_record_parser_rejects_bad_input() {
         None,
         &["availability", "rw", "parallel"],
     );
+    check(&host_profile(), "HostProfile", None, &["alloc"]);
     check(
-        &host_profile(),
-        "HostProfile",
-        None,
-        &["alloc", "request_table", "clock_pair_ns"],
-    );
-    check(
-        &host_profile().request_table.expect("populated above"),
+        &host_profile().request_table,
         "RequestTableStats",
-        None,
-        &[],
-    );
-    check(
-        &PerfArtifact {
-            runs: vec![host_profile()],
-        },
-        "PerfArtifact",
         None,
         &[],
     );
@@ -382,7 +369,7 @@ fn bad_plan_and_artifact_text_is_an_error_not_a_panic() {
         &r#"{"events":"#.repeat(1_000_000),
     ] {
         assert!(FaultPlan::from_json(text).is_err(), "{:.40}", text);
-        assert!(serde_json::from_str::<PerfArtifact>(text).is_err());
+        assert!(serde_json::from_str::<HostProfile>(text).is_err());
         assert!(serde_json::from_str::<ControlRecord>(text).is_err());
     }
 }
