@@ -174,7 +174,7 @@ echo "==> perf-profile smoke (simulate --perf, profiler must not perturb)"
 ./target/debug/simulate --small --scheme netrs-ilp --requests 5000 --seed 5 \
     --perf "$SMOKE/perf-profile.json" --json > "$SMOKE/perf-prof-stats.json"
 diff -u "$SMOKE/ctl-stats-plain.json" "$SMOKE/perf-prof-stats.json"
-grep -q '"schema_version": 1' "$SMOKE/perf-profile.json"
+grep -q '"schema_version": 2' "$SMOKE/perf-profile.json"
 ./target/debug/netrs-analyze perf "$SMOKE/perf-profile.json" > "$SMOKE/perf-profile.txt"
 grep -q "by layer" "$SMOKE/perf-profile.txt"
 
@@ -204,6 +204,11 @@ repro_bin="$PWD/target/debug/repro"
 grep -q "== Impact of the number of clients (Fig. 4) ==" "$SMOKE/fig4.txt"
 ./target/debug/netrs-analyze sweep "$SMOKE/target/repro/fig4.json" \
     | grep -qF "## Sweep: 32 cells (16 configs × 2 seeds)"
+
+echo "==> RSP-EX smoke (the worked placement example runs and prints its three plans)"
+# `cargo test` builds the example but never runs it.
+cargo run -q -p netrs-sim --example placement_planner > "$SMOKE/planner.txt"
+[ "$(grep -c "RSNodes:" "$SMOKE/planner.txt")" -eq 3 ]
 
 echo "==> shard fallback smoke (an ineligible run is the sequential engine and says why)"
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \

@@ -763,12 +763,11 @@ pub fn control_report(entries: &[(String, Vec<ControlRecord>)]) -> String {
             let solve = match &p.solve {
                 Some(s) if s.greedy => "greedy".to_string(),
                 Some(s) => {
-                    // How far a budget-capped solve stayed from a proof;
-                    // older streams carry neither field.
-                    let gap = match (s.proven_optimal, s.bound) {
-                        (Some(true), _) => " · proven".to_string(),
-                        (_, Some(bound)) => format!(" · gap {}", s.objective - bound),
-                        _ => String::new(),
+                    // How far a budget-capped solve stayed from a proof.
+                    let gap = if s.proven_optimal {
+                        " · proven".to_string()
+                    } else {
+                        format!(" · gap {}", s.objective - s.bound)
                     };
                     format!(
                         "ilp {} it · {} nodes · obj {}{gap}",
@@ -996,8 +995,8 @@ pub fn perf_report(entries: &[(String, HostProfile)]) -> String {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "### {} — scheme {} · seed {} · {} requests",
-            run.label, run.scheme, run.seed, run.requests
+            "### {} · seed {} · {} requests",
+            run.scheme, run.seed, run.requests
         );
         let _ = writeln!(
             out,
@@ -1022,7 +1021,7 @@ pub fn perf_report(entries: &[(String, HostProfile)]) -> String {
         let _ = writeln!(out);
         let _ = writeln!(out, "## Perf comparison");
         let table = Table(
-            "{file<12} {label<18} {events/s>12.0} {ns/event>10.1} {peak RSS kB>12} {attributed>10}",
+            "{file<12} {scheme<18} {events/s>12.0} {ns/event>10.1} {peak RSS kB>12} {attributed>10}",
         );
         table.header(&mut out);
         for (name, run) in entries {
@@ -1036,7 +1035,7 @@ pub fn perf_report(entries: &[(String, HostProfile)]) -> String {
                 &mut out,
                 &[
                     name,
-                    &run.label,
+                    &run.scheme,
                     &run.events_per_sec,
                     &per_event,
                     &run.peak_rss_kb,
@@ -1717,8 +1716,8 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
                     lp_iterations: 13_766,
                     branch_nodes: 200,
                     objective: 4.0,
-                    bound: Some(3.0),
-                    proven_optimal: Some(false),
+                    bound: 3.0,
+                    proven_optimal: false,
                 }),
                 reassigned: vec![],
                 newly_assigned: vec![0, 1, 2, 3, 4, 5, 6],
@@ -1775,18 +1774,13 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
 ";
         let mut entries = vec![("NetRS-ILP".to_string(), records)];
         assert_eq!(control_report(&entries), expected);
-        // A proven plan says so; a stream from before the bound was
-        // recorded renders without the suffix.
-        let mut set_proof = |bound, proven_optimal| {
-            let ControlRecord::Plan(plan) = &mut entries[0].1[0] else {
-                unreachable!("the first record is the initial plan");
-            };
-            let solve = plan.solve.as_mut().expect("the initial plan was solved");
-            (solve.bound, solve.proven_optimal) = (bound, proven_optimal);
-            control_report(&entries)
+        // A proven plan says so.
+        let ControlRecord::Plan(plan) = &mut entries[0].1[0] else {
+            unreachable!("the first record is the initial plan");
         };
-        assert!(set_proof(Some(4.0), Some(true)).contains("obj 4 · proven\n"));
-        assert!(set_proof(None, None).contains("obj 4\n"));
+        let solve = plan.solve.as_mut().expect("the initial plan was solved");
+        (solve.bound, solve.proven_optimal) = (4.0, true);
+        assert!(control_report(&entries).contains("obj 4 · proven\n"));
         // A second label appends the side-by-side summary.
         let two = vec![entries[0].clone(), ("NetRS-ToR".to_string(), Vec::new())];
         let report = control_report(&two);
@@ -1795,12 +1789,11 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
         assert!(report.contains("800.000ms"), "displaced total:\n{report}");
     }
 
-    fn host_profile(label: &str, events: u64, eps: f64) -> HostProfile {
+    fn host_profile(scheme: &str, events: u64, eps: f64) -> HostProfile {
         use netrs_sim::{AllocStats, HostMeta, QueueStats, RequestTableStats, PERF_SCHEMA_VERSION};
         HostProfile {
-            label: label.into(),
             schema_version: PERF_SCHEMA_VERSION,
-            scheme: label.rsplit('/').next().unwrap_or(label).into(),
+            scheme: scheme.into(),
             seed: 1,
             requests: 2_000,
             events,
@@ -1852,12 +1845,12 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
 
     #[test]
     fn perf_report_pins_its_format() {
-        let run = host_profile("smoke/CliRS", 18_000, 3_000_000.0);
+        let run = host_profile("CliRS", 18_000, 3_000_000.0);
         let report = perf_report(&[("bench".to_string(), run.clone())]);
         let expected = "\
 ## Perf profile: bench
 
-### smoke/CliRS — scheme CliRS · seed 1 · 2000 requests
+### CliRS · seed 1 · 2000 requests
    host: Test CPU · 8 cores · commit ab12cd3
    18000 events in 0.006s wall (3000000 events/s) · stride 7 · 75.0% of wall attributed · peak RSS 6900 kB
    kind             layer           count    self-ms   % wall   ns/event
@@ -1874,14 +1867,14 @@ NetRS-ToR             2       8000    1.234ms    7.777ms     1.500
         // Two files close with the side-by-side comparison.
         let before = HostProfile {
             peak_rss_kb: 6_000,
-            ..host_profile("smoke/CliRS", 18_000, 2_500_000.0)
+            ..host_profile("CliRS", 18_000, 2_500_000.0)
         };
         let report = perf_report(&[("before".to_string(), before), ("after".to_string(), run)]);
         let comparison = "\
 ## Perf comparison
-file         label                  events/s   ns/event  peak RSS kB attributed
-before       smoke/CliRS             2500000      333.3         6000      75.0%
-after        smoke/CliRS             3000000      333.3         6900      75.0%
+file         scheme                 events/s   ns/event  peak RSS kB attributed
+before       CliRS                   2500000      333.3         6000      75.0%
+after        CliRS                   3000000      333.3         6900      75.0%
 ";
         assert!(report.ends_with(comparison), "{report}");
     }
@@ -1927,8 +1920,9 @@ after        smoke/CliRS             3000000      333.3         6900      75.0%
             ..host_profile("CliRS", 18_000, 3e6)
         };
         let err = future.check(None).unwrap_err();
+        let (read, wrote) = (PERF_SCHEMA_VERSION, PERF_SCHEMA_VERSION + 1);
         assert!(
-            err.contains("schema v2") && err.contains("reads v1"),
+            err.contains(&format!("schema v{wrote} (this build reads v{read})")),
             "{err}"
         );
     }

@@ -156,6 +156,16 @@ fn a_perf_history_exits_1_naming_the_file() {
     refused(&["perf", path], &[path]);
     refused(&["perf", PROFILE, path], &[path]);
     std::fs::remove_file(path).unwrap();
+    // A schema v1 profile, which carried the scheme twice (`label` too).
+    let (v2, v1) = (
+        "  \"schema_version\": 2,",
+        "  \"label\": \"smoke/NetRS-ILP\",\n  \"schema_version\": 1,",
+    );
+    assert!(profile.contains(v2));
+    let path = artifact("perf-v1.json", &profile.replace(v2, v1));
+    let path = path.to_str().unwrap();
+    refused(&["perf", path], &[path, "schema v1"]);
+    std::fs::remove_file(path).unwrap();
 }
 
 #[test]

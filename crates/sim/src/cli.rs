@@ -31,8 +31,9 @@ use netrs_netdev::HotCacheConfig;
 /// parser cannot disagree: a `--flag` followed by a placeholder (`--seed N`,
 /// `[--config FILE]`) takes a value, one followed by `]` or `|` does not;
 /// one whose synopsis ends in `...]` may repeat. Any other word after the
-/// subcommand's name is a file (`FILE [BASELINE]`), which a bare argument
-/// fills. A flag or file outside every `[...]` must be given.
+/// subcommand's name is a file (`sweep FILE`, `[LABEL=]FILE [[LABEL=]FILE
+/// ...]`), which a bare argument fills. A flag or file outside every
+/// `[...]` must be given.
 pub struct Command<'a> {
     /// Prefix of every message about a misused flag (`simulate`, `repro`).
     pub prog: &'a str,
@@ -103,7 +104,7 @@ fn slots(line: &str) -> Vec<Slot<'_>> {
     let (mut depth, mut value) = (0, false);
     while let Some(word) = words.next() {
         // How deep in `[...]` the word itself sits: `[LABEL=]FILE` is
-        // required, `[BASELINE]` and `[[LABEL=]FILE` are not.
+        // required, `[[LABEL=]FILE` is not.
         let name = word.trim_end_matches(']');
         let at = depth + name.matches('[').count() - name.matches(']').count();
         depth = depth + word.matches('[').count() - word.matches(']').count();
@@ -394,11 +395,14 @@ fn read(path: &str) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    /// The three shapes of `netrs-analyze`'s synopses: a repeated
+    /// required flag, one file, and a list of labelled files.
     const TOOL: Command<'static> = Command {
         prog: "tool",
-        name: "cmp",
+        name: "report",
         synopses: &[
-            "tool cmp --in [LABEL=]FILE [--in [LABEL=]FILE ...] FILE [BASELINE] [--top N]",
+            "tool report --in [LABEL=]FILE [--in [LABEL=]FILE ...] [--top N]",
+            "tool sweep FILE",
             "tool list [LABEL=]FILE [[LABEL=]FILE ...] [--all]",
         ],
         synopsis: 0,
@@ -406,7 +410,7 @@ mod tests {
 
     fn parse(args: &[&str], synopsis: usize) -> Result<Cli, CliError> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        let name = ["cmp", "list"][synopsis];
+        let name = ["report", "sweep", "list"][synopsis];
         Cli::parse(
             &args,
             &Command {
@@ -420,34 +424,32 @@ mod tests {
     #[test]
     fn synopsis_words_say_what_repeats_what_is_a_file_and_what_is_required() {
         // `...]` lets a flag repeat and a file slot take any number.
-        let cli = parse(&["a.json", "--in", "x=1", "--top", "3", "--in", "2"], 0).unwrap();
+        let cli = parse(&["--in", "x=1", "--top", "3", "--in", "2"], 0).unwrap();
         assert_eq!(cli.all("--in").collect::<Vec<_>>(), ["x=1", "2"]);
-        assert_eq!(cli.files(), ["a.json"]);
+        assert!(cli.files().is_empty());
         assert_eq!(cli.get::<u32>("--top"), Ok(Some(3)));
-        let cli = parse(&["a", "--all", "b", "c"], 1).unwrap();
+        assert_eq!(parse(&["a.json"], 1).unwrap().files(), ["a.json"]);
+        let cli = parse(&["a", "--all", "b", "c"], 2).unwrap();
         assert_eq!(cli.files(), ["a", "b", "c"]);
         assert!(cli.has("--all"));
-        // `FILE [BASELINE]` takes one or two; anything else is misuse.
-        assert_eq!(
-            parse(&["--in", "1", "a", "b"], 0).unwrap().files(),
-            ["a", "b"]
-        );
+        // `FILE` takes exactly one; anything else is misuse.
         for (args, synopsis, named) in [
-            (&["--in", "1", "a", "b", "c"][..], 0, "unknown flag \"c\""),
-            (&["--in", "1"], 0, "`cmp` needs a file"),
-            (&["a"], 0, "`cmp` needs --in"),
-            (&["--all"], 1, "`list` needs a file"),
+            (&["a", "b"][..], 1, "unknown flag \"b\""),
+            (&[], 1, "`sweep` needs a file"),
+            (&["--in", "1", "a"], 0, "unknown flag \"a\""),
+            (&["--top", "1"], 0, "`report` needs --in"),
+            (&["--all"], 2, "`list` needs a file"),
             (
-                &["--in", "1", "a", "--top", "1", "--top", "2"],
+                &["--in", "1", "--top", "1", "--top", "2"],
                 0,
                 "--top given twice",
             ),
             (
-                &["--in", "1", "a", "--all"],
+                &["--in", "1", "--all"],
                 0,
-                "--all does not apply to `cmp`",
+                "--all does not apply to `report`",
             ),
-            (&["--in", "1", "a", "--top"], 0, "--top needs a value"),
+            (&["--in", "1", "--top"], 0, "--top needs a value"),
         ] {
             let err = parse(args, synopsis).err().expect("misuse");
             assert_eq!(err.code, 2, "{args:?}");

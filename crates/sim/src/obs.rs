@@ -446,13 +446,10 @@ pub struct SolveRecord {
     pub objective: f64,
     /// The solver's proven lower bound on the optimum (0 for greedy
     /// plans); `objective − bound` is the gap a budget-capped solve left
-    /// open. Absent in streams written before the field existed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub bound: Option<f64>,
-    /// Whether the solver proved the installed plan optimal. Absent in
-    /// streams written before the field existed.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub proven_optimal: Option<bool>,
+    /// open.
+    pub bound: f64,
+    /// Whether the solver proved the installed plan optimal.
+    pub proven_optimal: bool,
 }
 
 /// One `--control` JSONL line of kind `plan`: a controller decision —
@@ -890,8 +887,8 @@ mod tests {
             lp_iterations: 37,
             branch_nodes: 1,
             objective: 2.0,
-            bound: Some(2.0),
-            proven_optimal: Some(true),
+            bound: 2.0,
+            proven_optimal: true,
         });
         plan.reassigned = vec![1];
         let span = ControlRecord::DrsSpan(DrsSpanRecord {
@@ -916,12 +913,6 @@ mod tests {
             !line.contains("switch") && !line.contains("solve"),
             "{line}"
         );
-        // Streams written before `bound`/`proven_optimal` existed still
-        // parse.
-        let legacy = r#"{"greedy":false,"variables":40,"constraints":21,
-            "lp_iterations":37,"branch_nodes":1,"objective":2}"#;
-        let solve: SolveRecord = serde_json::from_str(legacy).unwrap();
-        assert_eq!((solve.bound, solve.proven_optimal), (None, None));
     }
 
     #[test]

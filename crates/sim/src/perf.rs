@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::Ev;
 
 /// Version tag carried by every [`HostProfile`].
-pub const PERF_SCHEMA_VERSION: u64 = 1;
+pub const PERF_SCHEMA_VERSION: u64 = 2;
 
 /// `(kind name, layer)` for every [`Ev`] variant, indexed by
 /// [`Ev::kind_index`]. The layer tags map attribution onto the layered
@@ -208,8 +208,6 @@ pub struct KindRecord {
 /// One run's host-performance profile: what `simulate --perf` writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostProfile {
-    /// Display label (the scheme label).
-    pub label: String,
     /// Schema version ([`PERF_SCHEMA_VERSION`]).
     pub schema_version: u64,
     /// Scheme label the run simulated.
@@ -298,7 +296,6 @@ mod tests {
 
     fn profile() -> HostProfile {
         HostProfile {
-            label: "smoke/CliRS".into(),
             schema_version: PERF_SCHEMA_VERSION,
             scheme: "CliRS".into(),
             seed: 1,
@@ -351,7 +348,7 @@ mod tests {
         let p = profile();
         let line = serde_json::to_string(&p).unwrap();
         assert!(!line.contains("alloc"), "{line}");
-        assert!(line.contains("\"schema_version\":1"), "{line}");
+        assert!(line.contains("\"schema_version\":2"), "{line}");
         let back: HostProfile = serde_json::from_str(&line).unwrap();
         assert_eq!(back, p);
 

@@ -56,8 +56,8 @@ fn plan_record(
             lp_iterations: s.lp_iterations,
             branch_nodes: s.branch_nodes,
             objective: s.objective,
-            bound: Some(s.bound),
-            proven_optimal: Some(plan.proven_optimal),
+            bound: s.bound,
+            proven_optimal: plan.proven_optimal,
         }),
         reassigned: diff.reassigned,
         newly_assigned: diff.newly_assigned,

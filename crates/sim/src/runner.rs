@@ -399,7 +399,6 @@ fn host_profile(
     request_table: RequestTableStats,
 ) -> HostProfile {
     HostProfile {
-        label: scheme.label().into(),
         schema_version: PERF_SCHEMA_VERSION,
         scheme: scheme.label().into(),
         seed,

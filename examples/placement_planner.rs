@@ -5,10 +5,12 @@
 //! consists of 6 RSNodes on aggregation switches and 1 RSNode on a core
 //! switch") under capacity settings that make aggregation placement
 //! attractive, and shows how the plan shape responds to the constraints.
+//! This is experiment RSP-EX of EXPERIMENTS.md; `tests/planner.rs` pins
+//! the same three plans (`rsp_ex_scenarios`).
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example placement_planner
+//! cargo run --release -p netrs-sim --example placement_planner
 //! ```
 
 use netrs::{PlacementProblem, PlanConstraints, PlanSolver, TrafficGroups, TrafficMatrix};
@@ -48,6 +50,13 @@ fn main() {
                 ..PlanConstraints::default()
             },
         ),
+        (
+            "tight hop budget (E=2%A)",
+            PlanConstraints {
+                extra_hop_budget: Some(0.02 * a),
+                ..PlanConstraints::default()
+            },
+        ),
         ("shared accelerators (~15k tasks/s each), E=20%A", {
             let mut c = PlanConstraints {
                 extra_hop_budget: Some(0.2 * a),
@@ -58,13 +67,6 @@ fn main() {
             }
             c
         }),
-        (
-            "tight hop budget (E=2%A)",
-            PlanConstraints {
-                extra_hop_budget: Some(0.02 * a),
-                ..PlanConstraints::default()
-            },
-        ),
     ];
 
     for (name, cons) in scenarios {

@@ -210,8 +210,8 @@ fn control_plan_record_matches_golden() {
             lp_iterations: 13_766,
             branch_nodes: 200,
             objective: 4.0,
-            bound: Some(3.0),
-            proven_optimal: Some(false),
+            bound: 3.0,
+            proven_optimal: false,
         }),
         reassigned: vec![2],
         newly_assigned: vec![5],

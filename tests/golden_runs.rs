@@ -439,7 +439,6 @@ fn artifact_schemas_are_byte_identical() {
     );
 
     let bare = HostProfile {
-        label: "smoke/NetRS-ILP".into(),
         schema_version: PERF_SCHEMA_VERSION,
         scheme: "NetRS-ILP".into(),
         seed: 5,

@@ -86,7 +86,6 @@ fn summary() -> Summary {
 
 fn host_profile() -> HostProfile {
     HostProfile {
-        label: "smoke/CliRS".into(),
         schema_version: PERF_SCHEMA_VERSION,
         scheme: "CliRS".into(),
         seed: 1,
@@ -220,21 +219,24 @@ fn every_record_parser_rejects_bad_input() {
         control,
         &[],
     );
+    // Every solve fills its bound and proof: both are required.
+    let solve = SolveRecord {
+        greedy: false,
+        variables: 52,
+        constraints: 42,
+        lp_iterations: 13_766,
+        branch_nodes: 200,
+        objective: 4.0,
+        bound: 3.0,
+        proven_optimal: false,
+    };
+    check(&solve, "SolveRecord", None, &[]);
     check(
         &ControlRecord::Plan(PlanEventRecord {
             t_ns: 1_500_000_000,
             trigger: "operator_fail".into(),
             switch: Some(16),
-            solve: Some(SolveRecord {
-                greedy: false,
-                variables: 52,
-                constraints: 42,
-                lp_iterations: 13_766,
-                branch_nodes: 200,
-                objective: 4.0,
-                bound: Some(3.0),
-                proven_optimal: Some(false),
-            }),
+            solve: Some(solve),
             reassigned: vec![2],
             newly_assigned: vec![5],
             unassigned: vec![6],

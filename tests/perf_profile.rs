@@ -129,11 +129,14 @@ fn emitted_profile_carries_schema_version_and_host_metadata() {
     let (_, perf) = profiled(tiny(Scheme::CliRs, 1), 7);
     assert_eq!(perf.schema_version, netrs_sim::PERF_SCHEMA_VERSION);
     assert_eq!(perf.scheme, "CliRS");
-    assert_eq!(perf.label, "CliRS");
     assert!(!perf.host.commit.is_empty());
     assert!(!perf.host.cpu.is_empty());
     let json = serde_json::to_string(&perf).unwrap();
-    assert!(json.contains("\"schema_version\":1"), "{json}");
+    assert!(json.contains("\"schema_version\":2"), "{json}");
+    assert!(
+        !json.contains("\"label\""),
+        "the scheme is written once: {json}"
+    );
     assert!(json.contains("\"host\""), "{json}");
     // Round-trips through the artifact model.
     let back: HostProfile = serde_json::from_str(&json).unwrap();

@@ -219,9 +219,9 @@ fn paper_instance(seed: u64) -> (Instance, PlanConstraints) {
     ((run.topo, run.groups, run.traffic), run.constraints)
 }
 
-/// The RSP-EX worked example of EXPERIMENTS.md (`repro rsp`, seed 2018):
-/// one instance under the paper's constants, a tight hop budget, and
-/// 15k-tasks/s accelerators.
+/// The RSP-EX worked example of EXPERIMENTS.md (seed 2018), which
+/// `examples/placement_planner.rs` prints: one instance under the paper's
+/// constants, a tight hop budget, and 15k-tasks/s accelerators.
 fn rsp_ex_scenarios() -> (Instance, [(&'static str, PlanConstraints); 3]) {
     let (topo, servers, clients) = random_deployment(16, 100, 500, 2018);
     let groups = TrafficGroups::rack_level(&topo, &clients);
