@@ -301,6 +301,49 @@ fn cache_runs_are_byte_identical() {
     );
 }
 
+/// Link faults, pinned before the fabric's routing was rebuilt on one
+/// masked ECMP builder per segment kind: `--small` CliRS and NetRS-ToR
+/// under `tests/fixtures/faults/links.json`, which fails a ToR–agg link
+/// and a client's uplink, degrades an agg–core link four-fold, then
+/// recovers all three. Every artifact `run_case` collects is pinned:
+/// stats, trace (with hops), devices, per-kind event counts and control.
+#[test]
+fn link_fault_runs_are_byte_identical() {
+    let dir = fixtures_dir();
+    let regen = std::env::var_os("GOLDEN_REGEN").is_some();
+    let plan = std::fs::read_to_string(dir.join("../faults/links.json")).expect("fault plan");
+    for (name, scheme) in [
+        ("clirs-links", Scheme::CliRs),
+        ("netrs-tor-links", Scheme::NetRsToR),
+    ] {
+        let mut cfg = SimConfig::small();
+        cfg.scheme = scheme;
+        cfg.seed = 42;
+        cfg.faults = Some(FaultPlan::from_json(&plan).expect("valid fault plan"));
+        let art = run_case(cfg);
+        assert!(
+            art.stats_json.contains("\"availability\"")
+                && !art.stats_json.contains("\"copies_dropped\": 0,"),
+            "{name}: the dead uplink must cost copies"
+        );
+        pin(
+            &dir.join(format!("{name}.stats.json")),
+            &art.stats_json,
+            regen,
+        );
+        pin(
+            &dir.join(format!("{name}.digests.txt")),
+            &art.digests(),
+            regen,
+        );
+        pin(
+            &dir.join(format!("{name}.control.txt")),
+            &format!("{}\n", digest_line("control", &art.control)),
+            regen,
+        );
+    }
+}
+
 /// The replica engine — the path the benchmark's `read-clirs-windowed`
 /// workload times — on the `clirs` golden's config under two shards,
 /// captured at commit 1657ef1. Only the trace and control sinks ride
