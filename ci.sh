@@ -210,6 +210,12 @@ echo "==> RSP-EX smoke (the worked placement example runs and prints its three p
 cargo run -q -p netrs-sim --example placement_planner > "$SMOKE/planner.txt"
 [ "$(grep -c "RSNodes:" "$SMOKE/planner.txt")" -eq 3 ]
 
+echo "==> link-fault smoke (the chaos example degrades and fails links; every request is accounted for)"
+# The only example that degrades a link. Captured to a file first: `grep -q`
+# closing the pipe early would fail the example's later prints.
+cargo run -q -p netrs-sim --example chaos > "$SMOKE/chaos.txt"
+grep -q "(accounted: true)" "$SMOKE/chaos.txt"
+
 echo "==> shard fallback smoke (an ineligible run is the sequential engine and says why)"
 ./target/debug/simulate --small --scheme netrs-tor --requests 5000 --seed 7 \
     --shards 4 --json > "$SMOKE/shard-four.json" 2> "$SMOKE/shard-four.err"

@@ -14,7 +14,7 @@ use netrs_kvstore::{Ring, ServerId, ServerStatus};
 use netrs_netdev::{IngressAction, NetRsRules, PacketMeta};
 use netrs_selection::{C3Config, C3Selector, Feedback, ReplicaSelector};
 use netrs_simcore::{Histogram, SimDuration, SimRng, SimTime};
-use netrs_topology::{FatTree, HostId, SwitchId};
+use netrs_topology::{FatTree, HostId, LinkSet, SwitchId};
 use netrs_wire::{classify, MagicField, PacketKind, RequestHeader, ResponseHeader, Rgid, RsnodeId};
 
 use crate::frame::EmuFrame;
@@ -419,7 +419,8 @@ impl SwitchCtx {
 
     fn route_to_host(&self, dst: HostId, hash: u64) -> Vec<u16> {
         self.topo
-            .path_switch_to_host(self.sw, dst, hash)
+            .path_switch_to_host(self.sw, dst, hash, &LinkSet::new())
+            .expect("the emulated fabric has no dead links")
             .into_iter()
             .map(|s| s.0 as u16)
             .collect()
@@ -434,7 +435,10 @@ impl SwitchCtx {
             .hosts_in_rack(self.sw.0)
             .next()
             .expect("tor has hosts");
-        let full = self.topo.path_via(src_host, via, dst, hash);
+        let full = self
+            .topo
+            .path_via(src_host, via, dst, hash, &LinkSet::new())
+            .expect("the emulated fabric has no dead links");
         full.into_iter()
             .skip(1) // ourselves
             .map(|s| s.0 as u16)

@@ -5,8 +5,9 @@
 //! channels that ride along without perturbing timing: the
 //! [`DeviceProbe`] (per-device counters) and the hop log (per-copy
 //! [`HopSpan`] timelines for `--trace-hops`). The fabric knows nothing
-//! about schemes, requests, or servers; callers hand it endpoints, a flow
-//! hash, and a hop sink.
+//! about schemes, requests, or servers; callers hand [`Fabric::send`]
+//! endpoints, a flow hash, a hop sink and the residency that led up to
+//! the send, or ask [`Fabric::latency`] for timing alone.
 //!
 //! Timing model (§V-A): every link traversal costs `link_latency`
 //! (30 µs); switch forwarding itself is free, so a packet's network time
@@ -15,7 +16,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use netrs_simcore::{DeviceId, DeviceProbe, NodeId, SimDuration, SimTime};
-use netrs_topology::{FatTree, HostId, Link, LinkSet, SwitchId};
+use netrs_topology::{FatTree, HostId, Link, LinkSet, SwitchId, Tier};
 
 use crate::obs::{DeviceRecord, DeviceStatsReport, HopSpan};
 
@@ -27,6 +28,45 @@ pub(crate) enum HopSink {
     Pending(u64),
     /// Hops of a concrete copy `(request, server)`.
     Copy(u64, u32),
+}
+
+/// Where a copy waited before a send: logged as one residency hop that
+/// ends at the send.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lead {
+    /// At `dev` since the given time (a client holding the copy).
+    Hold(DeviceId, SimTime),
+    /// At in-network device `dev` since the request's steer hops ended:
+    /// those pending hops become the copy's.
+    Steer(DeviceId),
+}
+
+/// One end of a network segment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum End {
+    Host(HostId),
+    Switch(SwitchId),
+}
+
+impl End {
+    fn node(self) -> NodeId {
+        match self {
+            End::Host(h) => NodeId::Host(h.0),
+            End::Switch(s) => NodeId::Switch(s.0),
+        }
+    }
+}
+
+impl From<HostId> for End {
+    fn from(h: HostId) -> Self {
+        End::Host(h)
+    }
+}
+
+impl From<SwitchId> for End {
+    fn from(s: SwitchId) -> Self {
+        End::Switch(s)
+    }
 }
 
 /// Device capacities the fabric needs to normalize utilization in the
@@ -75,17 +115,17 @@ impl<D: DeviceProbe> Fabric<D> {
     }
 
     /// Whether packet paths need to be walked for observation. With the
-    /// default probe and hop tracing off this is `false` and every
-    /// observation site reduces to an untaken branch.
-    pub(crate) fn observing(&self) -> bool {
+    /// default probe and hop tracing off this is `false` and
+    /// [`Fabric::send`] is [`Fabric::latency`].
+    fn observing(&self) -> bool {
         D::ENABLED || self.hop_log.is_some()
     }
 
     // ---- link faults ----------------------------------------------------
 
     /// Marks `link` failed: ECMP reroutes around it, and copies whose only
-    /// path crosses it are dropped by the caller (the `try_*` timing
-    /// helpers return `None`).
+    /// path crosses it are dropped by the caller ([`Fabric::send`] and
+    /// [`Fabric::latency`] return `None`).
     pub(crate) fn fail_link(&mut self, link: Link) {
         self.degraded.remove(&link);
         self.dead.insert(link);
@@ -108,123 +148,101 @@ impl<D: DeviceProbe> Fabric<D> {
         self.dead.is_empty() && self.degraded.is_empty()
     }
 
-    /// Latency of one traversal of `link`, honouring degradation.
-    fn edge(&self, link: Link) -> SimDuration {
-        match self.degraded.get(&link) {
-            Some(&f) => self.link_latency.mul_f64(f),
-            None => self.link_latency,
+    // ---- timing and routing ---------------------------------------------
+
+    /// How long a packet takes from `from` to `to`, or `None` when every
+    /// equal-cost path crosses a failed link (the packet is lost). Every
+    /// ECMP candidate has the same hop count, so on a healthy fabric this
+    /// is closed-form, hash-independent and allocation-free
+    /// (`hops_agree_with_path_lengths` in netrs-topology pins this);
+    /// otherwise it is the per-link cost of the masked path. Timing only:
+    /// nothing is observed.
+    pub(crate) fn latency(
+        &self,
+        from: impl Into<End>,
+        to: impl Into<End>,
+        hash: u64,
+    ) -> Option<SimDuration> {
+        let (from, to) = (from.into(), to.into());
+        if !self.links_healthy() {
+            return Some(self.cost(&self.route(from, to, hash)?));
         }
+        let t = &self.topo;
+        let edges = match (from, to) {
+            (End::Host(a), End::Host(b)) => t.hops(a, b) + 1,
+            (End::Host(a), End::Switch(s)) => t.hops_host_to_switch(a, s),
+            (End::Switch(s), End::Host(b)) => t.hops_switch_to_host(s, b) + 1,
+            (End::Switch(_), End::Switch(_)) => unreachable!("no segment joins two switches"),
+        };
+        Some(self.link_latency * u64::from(edges))
     }
 
-    fn cost_host_to_host(&self, a: HostId, p: &[SwitchId], b: HostId) -> SimDuration {
-        if p.is_empty() {
-            return self.edge(Link::uplink(a));
+    /// Sends a packet of `bytes` bytes from `from` to `to` at `now` and
+    /// returns its latency, or `None` when no live path exists (the
+    /// packet is lost and nothing is observed). When observing, the packet
+    /// is counted at every link and switch of its (possibly rerouted) path
+    /// and its hops are logged into `sink`, after the `lead` residency
+    /// that ends at `now`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn send(
+        &mut self,
+        now: SimTime,
+        from: impl Into<End>,
+        to: impl Into<End>,
+        hash: u64,
+        sink: HopSink,
+        bytes: u64,
+        lead: Option<Lead>,
+    ) -> Option<SimDuration> {
+        if !self.observing() {
+            return self.latency(from, to, hash);
         }
-        let mut t = self.edge(Link::uplink(a));
-        for w in p.windows(2) {
-            t += self.edge(Link::between(w[0], w[1]));
+        let nodes = self.route(from.into(), to.into(), hash)?;
+        match lead {
+            Some(Lead::Hold(dev, since)) => self.push_residency_hop(sink, dev, since, now),
+            Some(Lead::Steer(dev)) => self.seal_steer_hops(sink, dev, now),
+            None => {}
         }
-        t + self.edge(Link::uplink(b))
+        self.observe(now, &nodes, sink, bytes);
+        Some(self.cost(&nodes))
     }
 
-    fn cost_host_to_switch(&self, a: HostId, p: &[SwitchId]) -> SimDuration {
-        if p.is_empty() {
-            return SimDuration::ZERO;
+    /// The nodes a packet crosses from `from` to `to` over the masked ECMP
+    /// path, or `None` when that segment is severed.
+    fn route(&self, from: End, to: End, hash: u64) -> Option<Vec<NodeId>> {
+        let (t, dead) = (&self.topo, &self.dead);
+        let switches = match (from, to) {
+            (End::Host(a), End::Host(b)) => t.path(a, b, hash, dead),
+            (End::Host(a), End::Switch(s)) => t.path_host_to_switch(a, s, hash, dead),
+            (End::Switch(s), End::Host(b)) => t.path_switch_to_host(s, b, hash, dead),
+            (End::Switch(_), End::Switch(_)) => unreachable!("no segment joins two switches"),
         }
-        let mut t = self.edge(Link::uplink(a));
-        for w in p.windows(2) {
-            t += self.edge(Link::between(w[0], w[1]));
+        .ok()?;
+        let mut nodes = Vec::with_capacity(switches.len() + 2);
+        // A host→switch path already ends at the destination switch.
+        nodes.push(from.node());
+        nodes.extend(switches.iter().map(|s| NodeId::Switch(s.0)));
+        if let End::Host(b) = to {
+            nodes.push(NodeId::Host(b.0));
+        }
+        Some(nodes)
+    }
+
+    /// The latency along `nodes`: one link traversal per edge, honouring
+    /// degradation; switch forwarding is free.
+    fn cost(&self, nodes: &[NodeId]) -> SimDuration {
+        let mut t = SimDuration::ZERO;
+        for pair in nodes.windows(2) {
+            let link = match (pair[0], pair[1]) {
+                (NodeId::Host(h), _) | (_, NodeId::Host(h)) => Link::uplink(HostId(h)),
+                (NodeId::Switch(a), NodeId::Switch(b)) => Link::between(SwitchId(a), SwitchId(b)),
+            };
+            t += match self.degraded.get(&link) {
+                Some(&f) => self.link_latency.mul_f64(f),
+                None => self.link_latency,
+            };
         }
         t
-    }
-
-    fn cost_switch_to_host(&self, sw: SwitchId, p: &[SwitchId], b: HostId) -> SimDuration {
-        let mut t = SimDuration::ZERO;
-        let mut prev = sw;
-        for &s in p {
-            t += self.edge(Link::between(prev, s));
-            prev = s;
-        }
-        t + self.edge(Link::uplink(b))
-    }
-
-    /// Fault-aware [`Fabric::host_to_host`]: `None` when every candidate
-    /// path crosses a failed link (the copy is lost).
-    pub(crate) fn try_host_to_host(&self, a: HostId, b: HostId, hash: u64) -> Option<SimDuration> {
-        if self.links_healthy() {
-            return Some(self.host_to_host(a, b));
-        }
-        let p = self.topo.path_avoiding(a, b, hash, &self.dead).ok()?;
-        Some(self.cost_host_to_host(a, &p, b))
-    }
-
-    /// The (possibly rerouted) host-to-switch path, or `None` when severed.
-    pub(crate) fn host_to_switch_path(
-        &self,
-        a: HostId,
-        sw: SwitchId,
-        hash: u64,
-    ) -> Option<Vec<SwitchId>> {
-        if self.dead.is_empty() {
-            Some(self.topo.path_host_to_switch(a, sw, hash))
-        } else {
-            self.topo
-                .path_host_to_switch_avoiding(a, sw, hash, &self.dead)
-                .ok()
-        }
-    }
-
-    /// Fault-aware [`Fabric::host_to_switch`].
-    pub(crate) fn try_host_to_switch(
-        &self,
-        a: HostId,
-        sw: SwitchId,
-        hash: u64,
-    ) -> Option<SimDuration> {
-        if self.links_healthy() {
-            return Some(self.host_to_switch(a, sw));
-        }
-        let p = self.host_to_switch_path(a, sw, hash)?;
-        Some(self.cost_host_to_switch(a, &p))
-    }
-
-    /// Fault-aware [`Fabric::switch_to_host`].
-    pub(crate) fn try_switch_to_host(
-        &self,
-        sw: SwitchId,
-        b: HostId,
-        hash: u64,
-    ) -> Option<SimDuration> {
-        if self.links_healthy() {
-            return Some(self.switch_to_host(sw, b));
-        }
-        let p = self
-            .topo
-            .path_switch_to_host_avoiding(sw, b, hash, &self.dead)
-            .ok()?;
-        Some(self.cost_switch_to_host(sw, &p, b))
-    }
-
-    // ---- timing ---------------------------------------------------------
-
-    pub(crate) fn link(&self, edges: u32) -> SimDuration {
-        self.link_latency * u64::from(edges)
-    }
-
-    // Every ECMP candidate between two endpoints has the same hop count,
-    // so healthy-fabric timing is hash-independent and allocation-free
-    // (`hops_agree_with_path_lengths` in netrs-topology pins this).
-
-    pub(crate) fn host_to_host(&self, a: HostId, b: HostId) -> SimDuration {
-        self.link(self.topo.hops(a, b) + 1)
-    }
-
-    pub(crate) fn host_to_switch(&self, a: HostId, sw: SwitchId) -> SimDuration {
-        self.link(self.topo.hops_host_to_switch(a, sw))
-    }
-
-    pub(crate) fn switch_to_host(&self, sw: SwitchId, b: HostId) -> SimDuration {
-        self.link(self.topo.hops_switch_to_host(sw, b) + 1)
     }
 
     // ---- observation ----------------------------------------------------
@@ -240,7 +258,7 @@ impl<D: DeviceProbe> Fabric<D> {
     }
 
     /// Records the copy occupying `dev` over `[arrive, depart]` (client
-    /// hold, accelerator selection, server queue + service).
+    /// hold, server queue + service).
     pub(crate) fn push_residency_hop(
         &mut self,
         sink: HopSink,
@@ -259,18 +277,21 @@ impl<D: DeviceProbe> Fabric<D> {
         self.push_hops(sink, vec![hop]);
     }
 
-    /// Walks one network segment (consecutive `nodes`, one link latency
-    /// per edge, free switch forwarding) starting at `t0`: counts a
-    /// tier-`tier` packet of `bytes` bytes at every link and switch it
-    /// crosses, and logs the covering hop spans.
-    fn observe_nodes(
-        &mut self,
-        t0: SimTime,
-        nodes: &[NodeId],
-        tier: usize,
-        sink: HopSink,
-        bytes: u64,
-    ) {
+    /// Walks one segment (`nodes`, one link latency per edge, free switch
+    /// forwarding) starting at `t0`: counts a packet of `bytes` bytes, of
+    /// the tier of the highest switch on the segment, at every link and
+    /// switch it enters (a starting switch was counted on arrival there),
+    /// and logs the covering hop spans.
+    fn observe(&mut self, t0: SimTime, nodes: &[NodeId], sink: HopSink, bytes: u64) {
+        let tier = nodes
+            .iter()
+            .filter_map(|&n| match n {
+                NodeId::Switch(s) => Some(self.topo.tier(SwitchId(s))),
+                NodeId::Host(_) => None,
+            })
+            .min()
+            .unwrap_or(Tier::Tor)
+            .id() as usize;
         let link_latency = self.link_latency;
         let logging = self.hop_log.is_some();
         let mut hops: Vec<HopSpan> = Vec::new();
@@ -306,84 +327,17 @@ impl<D: DeviceProbe> Fabric<D> {
         }
     }
 
-    /// Observes a host-to-host packet leaving at `t0` along the same ECMP
-    /// path the timing helper charged for.
-    pub(crate) fn observe_host_to_host(
-        &mut self,
-        t0: SimTime,
-        a: HostId,
-        b: HostId,
-        hash: u64,
-        sink: HopSink,
-        bytes: u64,
-    ) {
-        let p = if self.dead.is_empty() {
-            self.topo.path(a, b, hash)
-        } else {
-            self.topo
-                .path_avoiding(a, b, hash, &self.dead)
-                .expect("observed copy must have had a live path")
-        };
-        let tier = self.topo.path_tier(&p).id() as usize;
-        let mut nodes = Vec::with_capacity(p.len() + 2);
-        nodes.push(NodeId::Host(a.0));
-        nodes.extend(p.iter().map(|s| NodeId::Switch(s.0)));
-        nodes.push(NodeId::Host(b.0));
-        self.observe_nodes(t0, &nodes, tier, sink, bytes);
-    }
-
-    /// Observes a host-to-switch packet along `path` (which includes the
-    /// destination switch, matching [`FatTree::path_host_to_switch`]).
-    pub(crate) fn observe_host_to_switch(
-        &mut self,
-        t0: SimTime,
-        a: HostId,
-        path: &[SwitchId],
-        sink: HopSink,
-        bytes: u64,
-    ) {
-        let tier = self.topo.path_tier(path).id() as usize;
-        let mut nodes = Vec::with_capacity(path.len() + 1);
-        nodes.push(NodeId::Host(a.0));
-        nodes.extend(path.iter().map(|s| NodeId::Switch(s.0)));
-        self.observe_nodes(t0, &nodes, tier, sink, bytes);
-    }
-
-    /// Observes a switch-to-host packet (the starting switch is part of
-    /// the segment for tier classification but was already counted on
-    /// arrival there).
-    pub(crate) fn observe_switch_to_host(
-        &mut self,
-        t0: SimTime,
-        sw: SwitchId,
-        b: HostId,
-        hash: u64,
-        sink: HopSink,
-        bytes: u64,
-    ) {
-        let p = if self.dead.is_empty() {
-            self.topo.path_switch_to_host(sw, b, hash)
-        } else {
-            self.topo
-                .path_switch_to_host_avoiding(sw, b, hash, &self.dead)
-                .expect("observed copy must have had a live path")
-        };
-        let tier = self.topo.path_tier(&p).min(self.topo.tier(sw)).id() as usize;
-        let mut nodes = Vec::with_capacity(p.len() + 2);
-        nodes.push(NodeId::Switch(sw.0));
-        nodes.extend(p.iter().map(|s| NodeId::Switch(s.0)));
-        nodes.push(NodeId::Host(b.0));
-        self.observe_nodes(t0, &nodes, tier, sink, bytes);
-    }
-
-    /// Closes the steer phase of an in-network request: appends the
-    /// residency at `dev` (the accelerator, or the retired operator's
-    /// switch) ending at `until`, and moves the request's pending hops
-    /// into the copy log under `(req, server)`.
-    pub(crate) fn seal_steer_hops(&mut self, req: u64, server: u32, dev: DeviceId, until: SimTime) {
+    /// Closes the steer phase of the in-network request behind the copy
+    /// `sink`: appends the residency at `dev` (the accelerator, or the
+    /// switch of a retired operator or a cache hit) ending at `until`, and
+    /// moves the request's pending hops into the copy's log.
+    fn seal_steer_hops(&mut self, sink: HopSink, dev: DeviceId, until: SimTime) {
         if self.hop_log.is_none() {
             return;
         }
+        let HopSink::Copy(req, _) = sink else {
+            unreachable!("a steer phase ends in a copy");
+        };
         let mut hops = self.pending_hops.remove(&req).unwrap_or_default();
         let arrive_ns = hops.last().map_or(until.as_nanos(), |h| h.depart_ns);
         hops.push(HopSpan {
@@ -391,7 +345,7 @@ impl<D: DeviceProbe> Fabric<D> {
             arrive_ns,
             depart_ns: until.as_nanos(),
         });
-        self.push_hops(HopSink::Copy(req, server), hops);
+        self.push_hops(sink, hops);
     }
 
     /// Drains the hop timeline of one received copy.
@@ -477,13 +431,13 @@ mod tests {
         for h in 0..32u64 {
             let (a, b) = (HostId(0), HostId(9));
             assert_eq!(
-                faulted.try_host_to_host(a, b, h),
-                Some(healthy.host_to_host(a, b)),
+                faulted.latency(a, b, h),
+                healthy.latency(a, b, h),
                 "reroute-free pairs must keep fast-path timing"
             );
         }
         assert_eq!(
-            faulted.try_host_to_host(HostId(15), HostId(0), 1),
+            faulted.latency(HostId(15), HostId(0), 1),
             None,
             "a severed host has no path"
         );

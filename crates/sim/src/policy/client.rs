@@ -12,7 +12,7 @@ use netrs_selection::{C3Table, Feedback};
 use netrs_simcore::{DeviceId, DeviceProbe, EventQueue, Histogram, SimDuration, SimRng, SimTime};
 
 use crate::cluster::{Ev, ReqId};
-use crate::fabric::HopSink;
+use crate::fabric::{HopSink, Lead};
 use crate::server::ServerToken;
 use crate::state::{flow_hash, Core, REQ_BYTES};
 
@@ -87,35 +87,21 @@ impl ClientPolicy {
             now,
             None,
         );
-        let hash = flow_hash(req, u64::from(server.0));
-        let client_host = core.client_hosts[client_idx];
-        let Some(latency) =
-            core.fabric
-                .try_host_to_host(client_host, core.server_hosts[server.0 as usize], hash)
-        else {
+        let Some(latency) = core.fabric.send(
+            now,
+            core.client_hosts[client_idx],
+            core.server_hosts[server.0 as usize],
+            flow_hash(req, u64::from(server.0)),
+            HopSink::Copy(req.0, server.0),
+            REQ_BYTES,
+            // The copy sat at the client from issue to departure.
+            Some(Lead::Hold(DeviceId::Client(client_idx as u32), issued_at)),
+        ) else {
             core.drop_copy(req.0); // partitioned by link faults
             return;
         };
         let copy = core.copies.insert(token);
         queue.schedule_after(latency, Ev::ServerArrive { copy });
-        if core.fabric.observing() {
-            let sink = HopSink::Copy(req.0, server.0);
-            // The copy sat at the client from issue to departure.
-            core.fabric.push_residency_hop(
-                sink,
-                DeviceId::Client(client_idx as u32),
-                issued_at,
-                now,
-            );
-            core.fabric.observe_host_to_host(
-                now,
-                client_host,
-                core.server_hosts[server.0 as usize],
-                hash,
-                sink,
-                REQ_BYTES,
-            );
-        }
     }
 }
 

@@ -27,7 +27,7 @@ use netrs_wire::{MagicField, RsnodeId};
 use crate::cluster::{Ev, ReqId};
 use crate::config::{PlanSource, SimConfig};
 use crate::dense::SwitchTable;
-use crate::fabric::HopSink;
+use crate::fabric::{HopSink, Lead};
 use crate::obs::{CacheRecord, PlanEventRecord, SolveRecord};
 use crate::server::{CopyId, ServerToken};
 use crate::state::{flow_hash, Core, REQ_BYTES, RESP_BYTES};
@@ -366,7 +366,7 @@ impl InNetwork {
         hash: u64,
     ) {
         for op in operators.keys() {
-            let Some(latency) = core.fabric.try_host_to_switch(client_host, op, hash) else {
+            let Some(latency) = core.fabric.latency(client_host, op, hash) else {
                 // No live path: the message is lost and any cached entry
                 // at `op` goes stale until evicted or re-admitted.
                 core.fabric
@@ -413,11 +413,17 @@ impl InNetwork {
             now,
             None,
         );
-        let hash = flow_hash(req, 13);
-        let Some(latency) =
-            core.fabric
-                .try_switch_to_host(from, core.server_hosts[backup.0 as usize], hash)
-        else {
+        let Some(latency) = core.fabric.send(
+            now,
+            from,
+            core.server_hosts[backup.0 as usize],
+            flow_hash(req, 13),
+            HopSink::Copy(req.0, backup.0),
+            REQ_BYTES,
+            // Any time spent at the retired operator belongs to its
+            // switch; then the copy heads for the backup replica.
+            Some(Lead::Steer(DeviceId::Switch(from.0))),
+        ) else {
             core.drop_copy(req.0); // no live path to the backup
             return;
         };
@@ -426,20 +432,6 @@ impl InNetwork {
         core.fabric
             .devices
             .bump(DeviceId::Switch(from.0), DeviceCounter::Drop, 1);
-        if core.fabric.observing() {
-            // Any time spent at the retired operator belongs to its
-            // switch; then the copy heads for the backup replica.
-            core.fabric
-                .seal_steer_hops(req.0, backup.0, DeviceId::Switch(from.0), now);
-            core.fabric.observe_switch_to_host(
-                now,
-                from,
-                core.server_hosts[backup.0 as usize],
-                hash,
-                HopSink::Copy(req.0, backup.0),
-                REQ_BYTES,
-            );
-        }
     }
 }
 
@@ -517,11 +509,14 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                     now,
                     None,
                 );
-                let hash = flow_hash(req, 7);
-                let Some(latency) = core.fabric.try_host_to_host(
+                let Some(latency) = core.fabric.send(
+                    now,
                     client_host,
                     core.server_hosts[backup.0 as usize],
-                    hash,
+                    flow_hash(req, 7),
+                    HopSink::Copy(req.0, backup.0),
+                    REQ_BYTES,
+                    Some(Lead::Hold(DeviceId::Client(client_idx), now)),
                 ) else {
                     core.drop_copy(req.0); // partitioned by link faults
                     return;
@@ -531,58 +526,29 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 core.fabric
                     .devices
                     .bump(DeviceId::Switch(tor.0), DeviceCounter::Clamp, 1);
-                if core.fabric.observing() {
-                    let sink = HopSink::Copy(req.0, backup.0);
-                    core.fabric
-                        .push_residency_hop(sink, DeviceId::Client(client_idx), now, now);
-                    core.fabric.observe_host_to_host(
-                        now,
-                        client_host,
-                        core.server_hosts[backup.0 as usize],
-                        hash,
-                        sink,
-                        REQ_BYTES,
-                    );
-                }
             }
-            IngressAction::ToAccelerator => {
-                // The RSNode is this very ToR: one host→ToR link.
-                let hash = flow_hash(req, 11);
-                let Some(latency) = core.fabric.try_host_to_switch(client_host, tor, hash) else {
-                    core.drop_copy(req.0); // the client's uplink is dark
-                    return;
+            IngressAction::ToAccelerator | IngressAction::ForwardTowardRsnode(_) => {
+                // The RSNode is this very ToR, or the one the rules name.
+                let op = match action {
+                    IngressAction::ForwardTowardRsnode(rid) => self
+                        .controller
+                        .switch_of_rsnode(rid)
+                        .expect("deployed rules only reference live operators"),
+                    _ => tor,
                 };
-                queue.schedule_after(latency, Ev::RsnodeArrive { req, op: tor });
-                if core.fabric.observing() {
-                    let sink = HopSink::Pending(req.0);
-                    core.fabric
-                        .push_residency_hop(sink, DeviceId::Client(client_idx), now, now);
-                    core.fabric
-                        .observe_host_to_switch(now, client_host, &[tor], sink, REQ_BYTES);
-                }
-            }
-            IngressAction::ForwardTowardRsnode(rid) => {
-                let op = self
-                    .controller
-                    .switch_of_rsnode(rid)
-                    .expect("deployed rules only reference live operators");
-                let hash = flow_hash(req, 11);
-                let Some(latency) = core.fabric.try_host_to_switch(client_host, op, hash) else {
+                let Some(latency) = core.fabric.send(
+                    now,
+                    client_host,
+                    op,
+                    flow_hash(req, 11),
+                    HopSink::Pending(req.0),
+                    REQ_BYTES,
+                    Some(Lead::Hold(DeviceId::Client(client_idx), now)),
+                ) else {
                     core.drop_copy(req.0); // no live path to the RSNode
                     return;
                 };
                 queue.schedule_after(latency, Ev::RsnodeArrive { req, op });
-                if core.fabric.observing() {
-                    let sink = HopSink::Pending(req.0);
-                    core.fabric
-                        .push_residency_hop(sink, DeviceId::Client(client_idx), now, now);
-                    let p = core
-                        .fabric
-                        .host_to_switch_path(client_host, op, hash)
-                        .expect("copy was just timed over a live path");
-                    core.fabric
-                        .observe_host_to_switch(now, client_host, &p, sink, REQ_BYTES);
-                }
             }
             IngressAction::CloneToAcceleratorAndForward => {
                 unreachable!("requests are never cloned")
@@ -652,10 +618,17 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                         now,
                         None,
                     );
-                    let hash = flow_hash(req, 23);
-                    let client_host = core.client_hosts[client as usize];
-                    let Some(latency) = core.fabric.try_switch_to_host(op, client_host, hash)
-                    else {
+                    let Some(latency) = core.fabric.send(
+                        now,
+                        op,
+                        core.client_hosts[client as usize],
+                        flow_hash(req, 23),
+                        HopSink::Copy(req.0, origin.0),
+                        RESP_BYTES,
+                        // Steer hops end at this switch; the cached
+                        // response heads straight for the client.
+                        Some(Lead::Steer(sw)),
+                    ) else {
                         core.drop_copy(req.0); // reply path to the client severed
                         return;
                     };
@@ -666,19 +639,6 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                             status: netrs_kvstore::ServerStatus::default(),
                         },
                     );
-                    if core.fabric.observing() {
-                        // Steer hops end at this switch; the cached
-                        // response heads straight for the client.
-                        core.fabric.seal_steer_hops(req.0, origin.0, sw, now);
-                        core.fabric.observe_switch_to_host(
-                            now,
-                            op,
-                            client_host,
-                            hash,
-                            HopSink::Copy(req.0, origin.0),
-                            RESP_BYTES,
-                        );
-                    }
                     return;
                 }
                 core.fabric
@@ -741,33 +701,26 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             now,
             Some(op),
         );
-        let hash = flow_hash(req, 17);
-        let Some(latency) =
-            core.fabric
-                .try_switch_to_host(op, core.server_hosts[target.0 as usize], hash)
-        else {
+        let accel = DeviceId::Accelerator(op.0);
+        let Some(latency) = core.fabric.send(
+            now,
+            op,
+            core.server_hosts[target.0 as usize],
+            flow_hash(req, 17),
+            HopSink::Copy(req.0, target.0),
+            REQ_BYTES,
+            // The copy occupied the RSNode from arrival through selection.
+            Some(Lead::Steer(accel)),
+        ) else {
             core.drop_copy(req.0); // no live path to the chosen replica
             return;
         };
         let copy = core.copies.insert(token);
         queue.schedule_after(latency, Ev::ServerArrive { copy });
-        let accel = DeviceId::Accelerator(op.0);
         core.fabric.devices.selection(accel, waited);
         core.fabric
             .devices
             .busy(accel, core.cfg.accelerator.service_time);
-        if core.fabric.observing() {
-            // The copy occupied the RSNode from arrival through selection.
-            core.fabric.seal_steer_hops(req.0, target.0, accel, now);
-            core.fabric.observe_switch_to_host(
-                now,
-                op,
-                core.server_hosts[target.0 as usize],
-                hash,
-                HopSink::Copy(req.0, target.0),
-                REQ_BYTES,
-            );
-        }
     }
 
     fn on_selector_update(&mut self, now: SimTime, op: SwitchId, fb: Feedback) {
@@ -803,8 +756,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         let client_host = core.client_hosts[state.client as usize];
         let server_host = core.server_hosts[server.0 as usize];
         let hash = flow_hash(req, 23);
-        let sink = HopSink::Copy(req.0, server.0);
-        let Some(to_rsnode) = core.fabric.try_host_to_switch(server_host, op, hash) else {
+        let Some(to_rsnode) = core.fabric.latency(server_host, op, hash) else {
             core.lose_copy(copy); // reply path to the RSNode severed
             return;
         };
@@ -841,22 +793,20 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 .devices
                 .busy(accel, core.cfg.accelerator.service_time);
         }
-        let Some(to_client) = core.fabric.try_switch_to_host(op, client_host, hash) else {
+        // A reply severed past its RSNode is lost there, observed nowhere:
+        // the walk is sent only once both segments are known to be live.
+        if core.fabric.latency(op, client_host, hash).is_none() {
             core.lose_copy(copy); // reply path to the client severed
             return;
-        };
-        let at_client = at_rsnode + to_client;
-        queue.schedule_at(at_client, Ev::ClientReceive { copy, status });
-        if core.fabric.observing() {
-            let p = core
-                .fabric
-                .host_to_switch_path(server_host, op, hash)
-                .expect("reply was just timed over a live path");
-            core.fabric
-                .observe_host_to_switch(now, server_host, &p, sink, RESP_BYTES);
-            core.fabric
-                .observe_switch_to_host(at_rsnode, op, client_host, hash, sink, RESP_BYTES);
         }
+        let sink = HopSink::Copy(req.0, server.0);
+        core.fabric
+            .send(now, server_host, op, hash, sink, RESP_BYTES, None);
+        let to_client = core
+            .fabric
+            .send(at_rsnode, op, client_host, hash, sink, RESP_BYTES, None)
+            .expect("both reply segments are live");
+        queue.schedule_at(at_rsnode + to_client, Ev::ClientReceive { copy, status });
     }
 
     /// Monitor accounting: the response leaves the network at the
@@ -1304,6 +1254,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
 mod tests {
     use netrs_faults::{FaultEvent, FaultPlan, LinkRef, TimedFault};
     use netrs_netdev::HotCacheConfig;
+    use netrs_topology::LinkSet;
 
     use super::*;
     use crate::config::{OverloadPolicy, Scheme};
@@ -1411,7 +1362,9 @@ mod tests {
         let client = core.client_hosts[0];
         let far_tor =
             topo.tor_of_host(HostId((client.0 + topo.num_hosts() / 2) % topo.num_hosts()));
-        let up = topo.path_host_to_switch(client, far_tor, 0);
+        let up = topo
+            .path_host_to_switch(client, far_tor, 0, &LinkSet::new())
+            .expect("a healthy fabric routes every pair");
         let uplink = LinkRef::SwitchLink {
             a: up[0].0,
             b: up[1].0,

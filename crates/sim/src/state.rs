@@ -20,7 +20,7 @@ use netrs_topology::{FatTree, HostId, Link, SwitchId};
 use crate::cluster::{Ev, ReqId};
 use crate::config::{SimConfig, WriteConsistency};
 use crate::dense::RequestTable;
-use crate::fabric::{DeviceCapacities, Fabric, HopSink};
+use crate::fabric::{DeviceCapacities, Fabric, HopSink, Lead};
 use crate::obs::{ControlLog, DeviceStatsReport, SamplerSpec, TimeSeries, TraceRecord};
 use crate::policy::{ControlStats, ReplyInfo};
 use crate::server::{CopyId, CopySlab, ServerPool, ServerToken};
@@ -849,30 +849,20 @@ impl<D: DeviceProbe> Core<D> {
                 now,
                 None,
             );
-            let hash = flow_hash(req, 31 + i as u64);
-            let Some(latency) = self.fabric.try_host_to_host(
+            let Some(latency) = self.fabric.send(
+                now,
                 client_host,
                 self.server_hosts[server.0 as usize],
-                hash,
+                flow_hash(req, 31 + i as u64),
+                HopSink::Copy(req.0, server.0),
+                REQ_BYTES,
+                Some(Lead::Hold(DeviceId::Client(client_idx), now)),
             ) else {
                 self.drop_copy(req.0); // partitioned by link faults
                 continue;
             };
             let copy = self.copies.insert(token);
             queue.schedule_after(latency, Ev::ServerArrive { copy });
-            if self.fabric.observing() {
-                let sink = HopSink::Copy(req.0, server.0);
-                self.fabric
-                    .push_residency_hop(sink, DeviceId::Client(client_idx), now, now);
-                self.fabric.observe_host_to_host(
-                    now,
-                    client_host,
-                    self.server_hosts[server.0 as usize],
-                    hash,
-                    sink,
-                    REQ_BYTES,
-                );
-            }
         }
     }
 
@@ -929,24 +919,20 @@ impl<D: DeviceProbe> Core<D> {
             now,
             None,
         );
-        let hash = flow_hash(req, 31 + (idx + 1) as u64);
-        let next_host = self.server_hosts[next.0 as usize];
-        let Some(latency) = self.fabric.try_host_to_host(from_host, next_host, hash) else {
+        let Some(latency) = self.fabric.send(
+            now,
+            from_host,
+            self.server_hosts[next.0 as usize],
+            flow_hash(req, 31 + (idx + 1) as u64),
+            HopSink::Copy(req.0, next.0),
+            REQ_BYTES,
+            None,
+        ) else {
             self.drop_copy(req.0); // chain severed by link faults
             return true;
         };
         let copy = self.copies.insert(chain_token);
         queue.schedule_after(latency, Ev::ServerArrive { copy });
-        if self.fabric.observing() {
-            self.fabric.observe_host_to_host(
-                now,
-                from_host,
-                next_host,
-                hash,
-                HopSink::Copy(req.0, next.0),
-                REQ_BYTES,
-            );
-        }
         true
     }
 
@@ -1001,15 +987,13 @@ impl<D: DeviceProbe> Core<D> {
             self.copies.remove(copy);
             return None;
         }
-        if self.fabric.observing() {
-            // The copy occupied the server from arrival (queue + service).
-            self.fabric.push_residency_hop(
-                HopSink::Copy(token.req.0, token.server.0),
-                DeviceId::Server(server_id.0),
-                token.server_arrived_at,
-                now,
-            );
-        }
+        // The copy occupied the server from arrival (queue + service).
+        self.fabric.push_residency_hop(
+            HopSink::Copy(token.req.0, token.server.0),
+            DeviceId::Server(server_id.0),
+            token.server_arrived_at,
+            now,
+        );
         Some(status)
     }
 
@@ -1035,24 +1019,19 @@ impl<D: DeviceProbe> Core<D> {
             };
             state.client
         };
-        let client_host = self.client_hosts[client as usize];
-        let server_host = self.server_hosts[server.0 as usize];
-        let hash = flow_hash(req, 23);
-        let Some(latency) = self.fabric.try_host_to_host(server_host, client_host, hash) else {
+        let Some(latency) = self.fabric.send(
+            now,
+            self.server_hosts[server.0 as usize],
+            self.client_hosts[client as usize],
+            flow_hash(req, 23),
+            HopSink::Copy(req.0, server.0),
+            RESP_BYTES,
+            None,
+        ) else {
             self.lose_copy(copy); // reply path severed by link faults
             return;
         };
         queue.schedule_after(latency, Ev::ClientReceive { copy, status });
-        if self.fabric.observing() {
-            self.fabric.observe_host_to_host(
-                now,
-                server_host,
-                client_host,
-                hash,
-                HopSink::Copy(req.0, server.0),
-                RESP_BYTES,
-            );
-        }
     }
 
     // ---- clients --------------------------------------------------------

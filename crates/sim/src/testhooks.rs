@@ -3,8 +3,8 @@
 //! The crate forbids unsafe code, so the counting `#[global_allocator]`
 //! that proves the timing fast path never allocates has to live in an
 //! integration-test crate (`tests/no_alloc.rs`). Fabric timing is
-//! crate-private; [`TimingProbe`] re-exposes exactly the healthy-fabric
-//! trio that runs once per simulated packet, and
+//! crate-private; [`TimingProbe`] re-exposes its three segment kinds on a
+//! healthy fabric, the timing every simulated packet pays, and
 //! [`ARRIVAL_LOOKAHEAD`] how many generator firings are drawn per refill,
 //! so the test can size its window past a refill; [`REQUEST_SLOT_BYTES`]
 //! lets it pin the size of a request-table slot.
@@ -22,7 +22,7 @@ pub const REQUEST_SLOT_BYTES: usize =
     std::mem::size_of::<Option<(u64, crate::state::RequestState)>>();
 
 /// A healthy fabric plus just enough surface to drive its per-packet
-/// timing helpers from outside the crate.
+/// timing from outside the crate.
 pub struct TimingProbe {
     fabric: Fabric<NoDeviceProbe>,
 }
@@ -54,7 +54,7 @@ impl TimingProbe {
         self.fabric.topo.num_switches()
     }
 
-    /// Runs the three per-packet timing helpers (host→host, host→switch,
+    /// Times the three segment kinds (host→host, host→switch,
     /// switch→host) exactly as the event loop does and returns the summed
     /// delay, or `None` if any segment is severed (never, here: the probe
     /// carries no faults).
@@ -62,9 +62,9 @@ impl TimingProbe {
     pub fn trio(&self, a: u32, b: u32, sw: u32, hash: u64) -> Option<SimDuration> {
         let (a, b, sw) = (HostId(a), HostId(b), SwitchId(sw));
         Some(
-            self.fabric.try_host_to_host(a, b, hash)?
-                + self.fabric.try_host_to_switch(a, sw, hash)?
-                + self.fabric.try_switch_to_host(sw, b, hash)?,
+            self.fabric.latency(a, b, hash)?
+                + self.fabric.latency(a, sw, hash)?
+                + self.fabric.latency(sw, b, hash)?,
         )
     }
 }

@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use netrs_topology::{FatTree, HostId, Tier};
+//! use netrs_topology::{FatTree, HostId, LinkSet, Tier};
 //!
 //! let net = FatTree::new(4)?;
 //! assert_eq!(net.num_hosts(), 16);
@@ -29,7 +29,7 @@
 //!
 //! let (a, b) = (HostId(0), HostId(15));
 //! assert_eq!(net.traffic_tier(a, b), Tier::Core); // different pods
-//! let path = net.path(a, b, 7);
+//! let path = net.path(a, b, 7, &LinkSet::new())?;
 //! assert_eq!(path.len(), 5); // ToR, Agg, Core, Agg, ToR
 //! # Ok::<(), netrs_topology::TopologyError>(())
 //! ```
@@ -182,8 +182,10 @@ pub struct LinkSet {
 impl LinkSet {
     /// An empty set.
     #[must_use]
-    pub fn new() -> Self {
-        LinkSet::default()
+    pub const fn new() -> Self {
+        LinkSet {
+            links: std::collections::BTreeSet::new(),
+        }
     }
 
     /// Adds a link; returns whether it was newly inserted.
@@ -474,112 +476,141 @@ impl FatTree {
         }
     }
 
-    /// The ECMP default path between two hosts as the ordered list of
-    /// switches traversed. `flow_hash` selects among equal-cost paths
-    /// deterministically. Returns an empty path when `src == dst`.
-    #[must_use]
-    pub fn path(&self, src: HostId, dst: HostId, flow_hash: u64) -> Vec<SwitchId> {
+    /// The ECMP path between two hosts as the ordered list of switches
+    /// traversed, masked over `dead` links: the equal-cost candidates are
+    /// probed from the `flow_hash`-selected one onward and the first whose
+    /// switch hops are all alive wins, so with an empty `dead` set this is
+    /// the hash-selected default path. Empty when `src == dst`.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::HostPartitioned`] when either host's access link
+    /// is dead; [`TopologyError::NoAlivePath`] when every equal-cost
+    /// path crosses a dead link.
+    pub fn path(
+        &self,
+        src: HostId,
+        dst: HostId,
+        flow_hash: u64,
+        dead: &LinkSet,
+    ) -> Result<Vec<SwitchId>, TopologyError> {
         if src == dst {
-            return Vec::new();
+            return Ok(Vec::new());
         }
-        match self.traffic_tier(src, dst) {
-            Tier::Tor => vec![self.tor_of_host(src)],
-            Tier::Agg => {
-                let pod = self.pod_of_host(src);
-                let i = (flow_hash % u64::from(self.half())) as u32;
-                vec![
-                    self.tor_of_host(src),
-                    self.agg(pod, i),
-                    self.tor_of_host(dst),
-                ]
-            }
-            Tier::Core => {
-                let c = (flow_hash % u64::from(self.num_cores())) as u32;
-                self.path_via_core(src, dst, c)
-            }
-        }
+        self.check_uplink(src, dead)?;
+        self.check_uplink(dst, dead)?;
+        // A host pair's equal-cost paths are those up to the far ToR.
+        self.path_host_to_switch(src, self.tor_of_host(dst), flow_hash, dead)
     }
 
-    fn path_via_core(&self, src: HostId, dst: HostId, core_index: u32) -> Vec<SwitchId> {
-        let g = self.core_group(core_index);
-        vec![
-            self.tor_of_host(src),
-            self.agg(self.pod_of_host(src), g),
-            self.core(core_index),
-            self.agg(self.pod_of_host(dst), g),
-            self.tor_of_host(dst),
-        ]
+    /// The masked ECMP path (see [`FatTree::path`]) from a host up to a
+    /// given switch, inclusive. Used to route a request toward its RSNode.
+    ///
+    /// # Errors
+    ///
+    /// See [`FatTree::path`].
+    pub fn path_host_to_switch(
+        &self,
+        src: HostId,
+        w: SwitchId,
+        flow_hash: u64,
+        dead: &LinkSet,
+    ) -> Result<Vec<SwitchId>, TopologyError> {
+        self.check_uplink(src, dead)?;
+        let (n, first) = self.up_candidate(src, w, flow_hash);
+        // Probe `flow_hash`, `flow_hash + 1`, … modulo the candidate count.
+        std::iter::once(first)
+            .chain((1..n).map(|probe| self.up_candidate(src, w, flow_hash % n + probe).1))
+            .find(|p| dead.switch_path_avoids(p))
+            .ok_or(TopologyError::NoAlivePath)
     }
 
-    /// Path from a host up to a given switch (inclusive). Used to route a
-    /// request toward its RSNode.
-    #[must_use]
-    pub fn path_host_to_switch(&self, src: HostId, w: SwitchId, flow_hash: u64) -> Vec<SwitchId> {
-        let tor_s = self.tor_of_host(src);
-        let pod_s = self.pod_of_host(src);
-        match self.tier(w) {
-            Tier::Tor => {
-                if w == tor_s {
-                    vec![w]
-                } else if self.pod_of_switch(w) == Some(pod_s) {
-                    let i = (flow_hash % u64::from(self.half())) as u32;
-                    vec![tor_s, self.agg(pod_s, i), w]
-                } else {
-                    let c = (flow_hash % u64::from(self.num_cores())) as u32;
-                    let g = self.core_group(c);
-                    vec![
-                        tor_s,
-                        self.agg(pod_s, g),
-                        self.core(c),
-                        self.agg(self.pod_of_switch(w).expect("tor has a pod"), g),
-                        w,
-                    ]
-                }
-            }
-            Tier::Agg => {
-                let pod_w = self.pod_of_switch(w).expect("agg has a pod");
-                if pod_w == pod_s {
-                    vec![tor_s, w]
-                } else {
-                    // Reach the foreign agg through one of the cores it
-                    // connects to; its own pod index determines the group.
-                    let i_w = self.index_in_pod(w).expect("agg has an index");
-                    let c = i_w * self.half() + (flow_hash % u64::from(self.half())) as u32;
-                    vec![tor_s, self.agg(pod_s, i_w), self.core(c), w]
-                }
-            }
-            Tier::Core => {
-                let c = self.core_index(w).expect("w is core");
-                vec![tor_s, self.agg(pod_s, self.core_group(c)), w]
-            }
-        }
-    }
-
-    /// Path from a switch down (or over) to a host, *excluding* the
-    /// starting switch. Reversing the host-to-switch construction keeps
-    /// every consecutive pair directly connected.
-    #[must_use]
-    pub fn path_switch_to_host(&self, w: SwitchId, dst: HostId, flow_hash: u64) -> Vec<SwitchId> {
-        let mut up = self.path_host_to_switch(dst, w, flow_hash);
+    /// The masked ECMP path (see [`FatTree::path`]) from a switch down (or
+    /// over) to a host, *excluding* the starting switch: the host-to-switch
+    /// path reversed, so every consecutive pair stays directly connected.
+    ///
+    /// # Errors
+    ///
+    /// See [`FatTree::path`].
+    pub fn path_switch_to_host(
+        &self,
+        w: SwitchId,
+        dst: HostId,
+        flow_hash: u64,
+        dead: &LinkSet,
+    ) -> Result<Vec<SwitchId>, TopologyError> {
+        let mut up = self.path_host_to_switch(dst, w, flow_hash, dead)?;
         up.pop(); // drop `w` itself
         up.reverse();
-        up
+        Ok(up)
     }
 
     /// The full path between two hosts constrained to pass through the
-    /// waypoint switch `via` (the RSNode). If `via` already lies on a
+    /// waypoint switch `via` (the RSNode): the host-to-switch path to
+    /// `via`, then the switch-to-host path on. If `via` already lies on a
     /// default path, the result is simply a default path through it.
-    #[must_use]
+    ///
+    /// # Errors
+    ///
+    /// See [`FatTree::path`].
     pub fn path_via(
         &self,
         src: HostId,
         via: SwitchId,
         dst: HostId,
         flow_hash: u64,
-    ) -> Vec<SwitchId> {
-        let mut p = self.path_host_to_switch(src, via, flow_hash);
-        p.extend(self.path_switch_to_host(via, dst, flow_hash));
-        p
+        dead: &LinkSet,
+    ) -> Result<Vec<SwitchId>, TopologyError> {
+        let mut p = self.path_host_to_switch(src, via, flow_hash, dead)?;
+        p.extend(self.path_switch_to_host(via, dst, flow_hash, dead)?);
+        Ok(p)
+    }
+
+    /// The equal-cost candidates from `src` up to switch `w` (inclusive):
+    /// how many there are, and the one `ecmp` selects (modulo that count).
+    /// Every segment kind routes over these.
+    fn up_candidate(&self, src: HostId, w: SwitchId, ecmp: u64) -> (u64, Vec<SwitchId>) {
+        let tor_s = self.tor_of_host(src);
+        let pod_s = self.pod_of_host(src);
+        let half = self.half();
+        let local = self.pod_of_switch(w) == Some(pod_s);
+        let pick = |n: u32| (ecmp % u64::from(n)) as u32;
+        match self.tier(w) {
+            Tier::Tor if w == tor_s => (1, vec![w]),
+            Tier::Tor if local => (u64::from(half), vec![tor_s, self.agg(pod_s, pick(half)), w]),
+            Tier::Tor => {
+                // Across pods every core is a candidate; its group fixes
+                // the aggregation switch on either side.
+                let c = pick(self.num_cores());
+                let g = self.core_group(c);
+                let pod_w = self.pod_of_switch(w).expect("tor has a pod");
+                let path = vec![
+                    tor_s,
+                    self.agg(pod_s, g),
+                    self.core(c),
+                    self.agg(pod_w, g),
+                    w,
+                ];
+                (u64::from(self.num_cores()), path)
+            }
+            // A pod's ToR reaches each of its aggs by one link.
+            Tier::Agg if local => (1, vec![tor_s, w]),
+            Tier::Agg => {
+                // A foreign agg is reachable through the k/2 cores of its
+                // group; the group is fixed by its in-pod index.
+                let i_w = self.index_in_pod(w).expect("agg has an index");
+                let c = i_w * half + pick(half);
+                (
+                    u64::from(half),
+                    vec![tor_s, self.agg(pod_s, i_w), self.core(c), w],
+                )
+            }
+            Tier::Core => {
+                // Exactly one agg per pod reaches a given core.
+                let c = self.core_index(w).expect("w is core");
+                (1, vec![tor_s, self.agg(pod_s, self.core_group(c)), w])
+            }
+        }
     }
 
     // ---- closed-form hop counts -----------------------------------------
@@ -590,8 +621,8 @@ impl FatTree {
     // materializing a path `Vec` entirely; each is pinned to its path
     // builder by the `hops_agree_with_path_lengths` test.
 
-    /// `self.path(src, dst, _).len()` in O(1): the number of switches on
-    /// a default host-to-host path (0 same-host, 1 rack, 3 pod, 5 core).
+    /// The length of any live `self.path(src, dst, _, _)` in O(1): the
+    /// switches on a host-to-host path (0 same-host, 1 rack, 3 pod, 5 core).
     #[must_use]
     pub fn hops(&self, src: HostId, dst: HostId) -> u32 {
         if src == dst {
@@ -604,7 +635,8 @@ impl FatTree {
         }
     }
 
-    /// `self.path_host_to_switch(src, w, _).len()` in O(1).
+    /// The length of any live `self.path_host_to_switch(src, w, _, _)`, in
+    /// O(1).
     #[must_use]
     pub fn hops_host_to_switch(&self, src: HostId, w: SwitchId) -> u32 {
         let pod_s = self.pod_of_host(src);
@@ -629,149 +661,17 @@ impl FatTree {
         }
     }
 
-    /// `self.path_switch_to_host(w, dst, _).len()` in O(1): the upward
-    /// construction minus the starting switch itself.
+    /// The length of any live `self.path_switch_to_host(w, dst, _, _)`, in
+    /// O(1): the upward construction minus the starting switch itself.
     #[must_use]
     pub fn hops_switch_to_host(&self, w: SwitchId, dst: HostId) -> u32 {
         self.hops_host_to_switch(dst, w) - 1
     }
 
-    /// `self.path_via(src, via, dst, _).len()` in O(1).
+    /// The length of any live `self.path_via(src, via, dst, _, _)`, in O(1).
     #[must_use]
     pub fn hops_via(&self, src: HostId, via: SwitchId, dst: HostId) -> u32 {
         self.hops_host_to_switch(src, via) + self.hops_switch_to_host(via, dst)
-    }
-
-    /// Like [`FatTree::path`], but masks the ECMP choice over `dead`
-    /// links: candidates are probed starting from the hash-selected one,
-    /// and the first fully alive path wins. With an empty `dead` set the
-    /// result is exactly [`FatTree::path`].
-    ///
-    /// # Errors
-    ///
-    /// [`TopologyError::HostPartitioned`] when either host's access link
-    /// is dead; [`TopologyError::NoAlivePath`] when every equal-cost
-    /// path crosses a dead link.
-    pub fn path_avoiding(
-        &self,
-        src: HostId,
-        dst: HostId,
-        flow_hash: u64,
-        dead: &LinkSet,
-    ) -> Result<Vec<SwitchId>, TopologyError> {
-        if dead.is_empty() {
-            return Ok(self.path(src, dst, flow_hash));
-        }
-        if src == dst {
-            return Ok(Vec::new());
-        }
-        self.check_uplink(src, dead)?;
-        self.check_uplink(dst, dead)?;
-        match self.traffic_tier(src, dst) {
-            // Both hosts hang off one ToR: the uplinks are the whole path.
-            Tier::Tor => Ok(vec![self.tor_of_host(src)]),
-            Tier::Agg => {
-                let pod = self.pod_of_host(src);
-                let n = u64::from(self.half());
-                Self::first_alive(n, flow_hash, dead, |i| {
-                    vec![
-                        self.tor_of_host(src),
-                        self.agg(pod, i),
-                        self.tor_of_host(dst),
-                    ]
-                })
-            }
-            Tier::Core => {
-                let n = u64::from(self.num_cores());
-                Self::first_alive(n, flow_hash, dead, |c| self.path_via_core(src, dst, c))
-            }
-        }
-    }
-
-    /// Like [`FatTree::path_host_to_switch`], but masks the ECMP choice
-    /// over `dead` links (see [`FatTree::path_avoiding`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`FatTree::path_avoiding`].
-    pub fn path_host_to_switch_avoiding(
-        &self,
-        src: HostId,
-        w: SwitchId,
-        flow_hash: u64,
-        dead: &LinkSet,
-    ) -> Result<Vec<SwitchId>, TopologyError> {
-        if dead.is_empty() {
-            return Ok(self.path_host_to_switch(src, w, flow_hash));
-        }
-        self.check_uplink(src, dead)?;
-        let tor_s = self.tor_of_host(src);
-        let pod_s = self.pod_of_host(src);
-        match self.tier(w) {
-            Tier::Tor => {
-                if w == tor_s {
-                    Ok(vec![w])
-                } else if self.pod_of_switch(w) == Some(pod_s) {
-                    let n = u64::from(self.half());
-                    Self::first_alive(n, flow_hash, dead, |i| vec![tor_s, self.agg(pod_s, i), w])
-                } else {
-                    let n = u64::from(self.num_cores());
-                    let pod_w = self.pod_of_switch(w).expect("tor has a pod");
-                    Self::first_alive(n, flow_hash, dead, |c| {
-                        let g = self.core_group(c);
-                        vec![
-                            tor_s,
-                            self.agg(pod_s, g),
-                            self.core(c),
-                            self.agg(pod_w, g),
-                            w,
-                        ]
-                    })
-                }
-            }
-            Tier::Agg => {
-                let pod_w = self.pod_of_switch(w).expect("agg has a pod");
-                if pod_w == pod_s {
-                    // A pod's ToR reaches each of its aggs by one link.
-                    Self::first_alive(1, flow_hash, dead, |_| vec![tor_s, w])
-                } else {
-                    // A foreign agg is reachable through the k/2 cores of
-                    // its group; the group is fixed by its in-pod index.
-                    let i_w = self.index_in_pod(w).expect("agg has an index");
-                    let n = u64::from(self.half());
-                    Self::first_alive(n, flow_hash, dead, |j| {
-                        let c = i_w * self.half() + j;
-                        vec![tor_s, self.agg(pod_s, i_w), self.core(c), w]
-                    })
-                }
-            }
-            Tier::Core => {
-                // Exactly one agg per pod reaches a given core.
-                let c = self.core_index(w).expect("w is core");
-                Self::first_alive(1, flow_hash, dead, |_| {
-                    vec![tor_s, self.agg(pod_s, self.core_group(c)), w]
-                })
-            }
-        }
-    }
-
-    /// Like [`FatTree::path_switch_to_host`], but masks the ECMP choice
-    /// over `dead` links (see [`FatTree::path_avoiding`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`FatTree::path_avoiding`].
-    pub fn path_switch_to_host_avoiding(
-        &self,
-        w: SwitchId,
-        dst: HostId,
-        flow_hash: u64,
-        dead: &LinkSet,
-    ) -> Result<Vec<SwitchId>, TopologyError> {
-        let mut up = self.path_host_to_switch_avoiding(dst, w, flow_hash, dead)?;
-        up.pop(); // drop `w` itself
-        up.reverse();
-        Ok(up)
     }
 
     /// [`TopologyError::HostPartitioned`] when the host's uplink is dead.
@@ -781,23 +681,6 @@ impl FatTree {
         } else {
             Ok(())
         }
-    }
-
-    /// Probes the `n` equal-cost candidates starting at the hash-selected
-    /// one and returns the first whose switch hops all avoid `dead`.
-    fn first_alive(
-        n: u64,
-        flow_hash: u64,
-        dead: &LinkSet,
-        build: impl Fn(u32) -> Vec<SwitchId>,
-    ) -> Result<Vec<SwitchId>, TopologyError> {
-        for probe in 0..n {
-            let candidate = build(((flow_hash + probe) % n) as u32);
-            if dead.switch_path_avoids(&candidate) {
-                return Ok(candidate);
-            }
-        }
-        Err(TopologyError::NoAlivePath)
     }
 
     /// Classifies a path segment by the topologically highest tier it
@@ -823,6 +706,9 @@ mod tests {
         FatTree::new(4).unwrap()
     }
 
+    /// No dead links: every builder returns the hash-selected default.
+    const HEALTHY: &LinkSet = &LinkSet::new();
+
     #[test]
     fn path_tier_matches_traffic_tier_on_default_paths() {
         let net = net();
@@ -832,7 +718,7 @@ mod tests {
                     continue;
                 }
                 for hash in [0u64, 7, 13] {
-                    let p = net.path(a, b, hash);
+                    let p = net.path(a, b, hash, HEALTHY).unwrap();
                     assert_eq!(
                         net.path_tier(&p),
                         net.traffic_tier(a, b),
@@ -855,24 +741,24 @@ mod tests {
                     for hash in [0u64, 7, 13] {
                         assert_eq!(
                             net.hops(a, b),
-                            net.path(a, b, hash).len() as u32,
+                            net.path(a, b, hash, HEALTHY).unwrap().len() as u32,
                             "hops {a}->{b} hash {hash}"
                         );
                     }
                     for w in net.switches() {
                         assert_eq!(
                             net.hops_host_to_switch(a, w),
-                            net.path_host_to_switch(a, w, 5).len() as u32,
+                            net.path_host_to_switch(a, w, 5, HEALTHY).unwrap().len() as u32,
                             "host_to_switch {a}->{w}"
                         );
                         assert_eq!(
                             net.hops_switch_to_host(w, a),
-                            net.path_switch_to_host(w, a, 5).len() as u32,
+                            net.path_switch_to_host(w, a, 5, HEALTHY).unwrap().len() as u32,
                             "switch_to_host {w}->{a}"
                         );
                         assert_eq!(
                             net.hops_via(a, w, b),
-                            net.path_via(a, w, b, 5).len() as u32,
+                            net.path_via(a, w, b, 5, HEALTHY).unwrap().len() as u32,
                             "via {a}->{w}->{b}"
                         );
                     }
@@ -887,19 +773,22 @@ mod tests {
         // Host 0 up to its own ToR: rack-local.
         let tor = net.tor_of_host(HostId(0));
         assert_eq!(
-            net.path_tier(&net.path_host_to_switch(HostId(0), tor, 0)),
+            net.path_tier(&net.path_host_to_switch(HostId(0), tor, 0, HEALTHY).unwrap()),
             Tier::Tor
         );
         // Host 0 up to an agg in its pod: pod-local.
         let agg = net.agg(0, 0);
         assert_eq!(
-            net.path_tier(&net.path_host_to_switch(HostId(0), agg, 0)),
+            net.path_tier(&net.path_host_to_switch(HostId(0), agg, 0, HEALTHY).unwrap()),
             Tier::Agg
         );
         // Host 0 up to a core: cross-pod class.
         let core = net.core(0);
         assert_eq!(
-            net.path_tier(&net.path_host_to_switch(HostId(0), core, 0)),
+            net.path_tier(
+                &net.path_host_to_switch(HostId(0), core, 0, HEALTHY)
+                    .unwrap()
+            ),
             Tier::Core
         );
     }
@@ -965,13 +854,16 @@ mod tests {
     #[test]
     fn default_paths_have_expected_shape() {
         let n = net();
-        assert_eq!(n.path(HostId(0), HostId(1), 0), vec![SwitchId(0)]);
+        assert_eq!(
+            n.path(HostId(0), HostId(1), 0, HEALTHY).unwrap(),
+            vec![SwitchId(0)]
+        );
 
-        let pod_path = n.path(HostId(0), HostId(2), 1);
+        let pod_path = n.path(HostId(0), HostId(2), 1, HEALTHY).unwrap();
         assert_eq!(pod_path.len(), 3);
         assert_eq!(n.tier(pod_path[1]), Tier::Agg);
 
-        let core_path = n.path(HostId(0), HostId(12), 2);
+        let core_path = n.path(HostId(0), HostId(12), 2, HEALTHY).unwrap();
         assert_eq!(core_path.len(), 5);
         assert_eq!(n.tier(core_path[2]), Tier::Core);
         assert!(core_path
@@ -984,7 +876,7 @@ mod tests {
         let n = net();
         let mut seen = std::collections::HashSet::new();
         for h in 0..100 {
-            let p = n.path(HostId(0), HostId(12), h);
+            let p = n.path(HostId(0), HostId(12), h, HEALTHY).unwrap();
             seen.insert(p[2]);
         }
         assert_eq!(seen.len() as u32, n.num_cores());
@@ -999,7 +891,7 @@ mod tests {
                     continue;
                 }
                 for hash in [0u64, 1, 7, 13] {
-                    let p = n.path(src, dst, hash);
+                    let p = n.path(src, dst, hash, HEALTHY).unwrap();
                     assert_eq!(p[0], n.tor_of_host(src));
                     assert_eq!(*p.last().unwrap(), n.tor_of_host(dst));
                     assert!(
@@ -1020,7 +912,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let p = n.path_via(src, via, dst, 3);
+                let p = n.path_via(src, via, dst, 3, HEALTHY).unwrap();
                 assert!(p.contains(&via), "{src} via {via} to {dst}: {p:?}");
                 assert_eq!(p[0], n.tor_of_host(src));
                 assert_eq!(*p.last().unwrap(), n.tor_of_host(dst));
@@ -1036,7 +928,9 @@ mod tests {
     #[test]
     fn via_own_tor_equals_default_for_rack_traffic() {
         let n = net();
-        let p = n.path_via(HostId(0), SwitchId(0), HostId(1), 0);
+        let p = n
+            .path_via(HostId(0), SwitchId(0), HostId(1), 0, HEALTHY)
+            .unwrap();
         assert_eq!(p, vec![SwitchId(0)]);
     }
 
@@ -1060,20 +954,20 @@ mod tests {
         let n = net();
         let (src, dst) = (HostId(0), HostId(1));
         let via = n.core(0);
-        let detoured = n.path_via(src, via, dst, 0).len() as u32;
-        let default = n.path(src, dst, 0).len() as u32;
+        let detoured = n.path_via(src, via, dst, 0, HEALTHY).unwrap().len() as u32;
+        let default = n.path(src, dst, 0, HEALTHY).unwrap().len() as u32;
         assert_eq!(detoured - default, extra_hops(Tier::Tor, Tier::Core));
 
         // Pod-local traffic through a core adds 2.
         let (src, dst) = (HostId(0), HostId(2));
-        let detoured = n.path_via(src, via, dst, 0).len() as u32;
-        let default = n.path(src, dst, 0).len() as u32;
+        let detoured = n.path_via(src, via, dst, 0, HEALTHY).unwrap().len() as u32;
+        let default = n.path(src, dst, 0, HEALTHY).unwrap().len() as u32;
         assert_eq!(detoured - default, extra_hops(Tier::Agg, Tier::Core));
 
         // Cross-pod traffic through a core is free.
         let (src, dst) = (HostId(0), HostId(12));
-        let detoured = n.path_via(src, via, dst, 0).len() as u32;
-        let default = n.path(src, dst, 0).len() as u32;
+        let detoured = n.path_via(src, via, dst, 0, HEALTHY).unwrap().len() as u32;
+        let default = n.path(src, dst, 0, HEALTHY).unwrap().len() as u32;
         assert_eq!(detoured - default, 0);
     }
 
@@ -1118,42 +1012,14 @@ mod tests {
     }
 
     #[test]
-    fn avoiding_with_empty_set_is_exactly_the_default_path() {
-        let n = net();
-        let dead = LinkSet::new();
-        for src in n.hosts() {
-            for dst in n.hosts() {
-                for hash in [0u64, 7, 13] {
-                    assert_eq!(
-                        n.path_avoiding(src, dst, hash, &dead).unwrap(),
-                        n.path(src, dst, hash)
-                    );
-                }
-            }
-        }
-        for src in n.hosts() {
-            for w in n.switches() {
-                assert_eq!(
-                    n.path_host_to_switch_avoiding(src, w, 5, &dead).unwrap(),
-                    n.path_host_to_switch(src, w, 5)
-                );
-                assert_eq!(
-                    n.path_switch_to_host_avoiding(w, src, 5, &dead).unwrap(),
-                    n.path_switch_to_host(w, src, 5)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dead_core_link_reroutes_cross_pod_traffic() {
         let n = net();
         let (src, dst) = (HostId(0), HostId(12));
         // Find the hash-preferred path and kill its agg->core link.
-        let preferred = n.path(src, dst, 3);
+        let preferred = n.path(src, dst, 3, HEALTHY).unwrap();
         let mut dead = LinkSet::new();
         dead.insert(Link::between(preferred[1], preferred[2]));
-        let rerouted = n.path_avoiding(src, dst, 3, &dead).unwrap();
+        let rerouted = n.path(src, dst, 3, &dead).unwrap();
         assert_ne!(rerouted, preferred, "route must change");
         assert_eq!(rerouted.len(), 5, "still a core-tier path");
         assert!(dead.switch_path_avoids(&rerouted));
@@ -1162,9 +1028,9 @@ mod tests {
             "rerouted path stays link-connected: {rerouted:?}"
         );
         // Unaffected flows keep their original route.
-        let other = n.path(src, dst, 0);
+        let other = n.path(src, dst, 0, HEALTHY).unwrap();
         if dead.switch_path_avoids(&other) {
-            assert_eq!(n.path_avoiding(src, dst, 0, &dead).unwrap(), other);
+            assert_eq!(n.path(src, dst, 0, &dead).unwrap(), other);
         }
     }
 
@@ -1174,30 +1040,30 @@ mod tests {
         let mut dead = LinkSet::new();
         dead.insert(Link::uplink(HostId(5)));
         assert_eq!(
-            n.path_avoiding(HostId(5), HostId(12), 0, &dead),
+            n.path(HostId(5), HostId(12), 0, &dead),
             Err(TopologyError::HostPartitioned(HostId(5))),
             "partitioned as source"
         );
         assert_eq!(
-            n.path_avoiding(HostId(0), HostId(5), 0, &dead),
+            n.path(HostId(0), HostId(5), 0, &dead),
             Err(TopologyError::HostPartitioned(HostId(5))),
             "partitioned as destination"
         );
         assert_eq!(
-            n.path_host_to_switch_avoiding(HostId(5), n.core(0), 0, &dead),
+            n.path_host_to_switch(HostId(5), n.core(0), 0, &dead),
             Err(TopologyError::HostPartitioned(HostId(5)))
         );
         assert_eq!(
-            n.path_switch_to_host_avoiding(n.core(0), HostId(5), 0, &dead),
+            n.path_switch_to_host(n.core(0), HostId(5), 0, &dead),
             Err(TopologyError::HostPartitioned(HostId(5)))
         );
         // Other hosts in the same rack are unaffected.
-        assert!(n.path_avoiding(HostId(4), HostId(12), 0, &dead).is_ok());
+        assert!(n.path(HostId(4), HostId(12), 0, &dead).is_ok());
         // Recovery restores the original route.
         dead.remove(&Link::uplink(HostId(5)));
         assert_eq!(
-            n.path_avoiding(HostId(5), HostId(12), 0, &dead).unwrap(),
-            n.path(HostId(5), HostId(12), 0)
+            n.path(HostId(5), HostId(12), 0, &dead).unwrap(),
+            n.path(HostId(5), HostId(12), 0, HEALTHY).unwrap()
         );
     }
 
@@ -1210,17 +1076,17 @@ mod tests {
         dead.insert(Link::between(n.tor(0, 0), n.agg(0, 0)));
         dead.insert(Link::between(n.tor(0, 0), n.agg(0, 1)));
         assert_eq!(
-            n.path_avoiding(HostId(0), HostId(1), 0, &dead).unwrap(),
+            n.path(HostId(0), HostId(1), 0, &dead).unwrap(),
             vec![SwitchId(0)],
             "rack-local traffic survives"
         );
         assert_eq!(
-            n.path_avoiding(HostId(0), HostId(2), 0, &dead),
+            n.path(HostId(0), HostId(2), 0, &dead),
             Err(TopologyError::NoAlivePath),
             "pod-tier traffic has no route"
         );
         assert_eq!(
-            n.path_avoiding(HostId(0), HostId(12), 0, &dead),
+            n.path(HostId(0), HostId(12), 0, &dead),
             Err(TopologyError::NoAlivePath),
             "core-tier traffic has no route"
         );
@@ -1233,12 +1099,12 @@ mod tests {
         let mut dead = LinkSet::new();
         dead.insert(Link::between(n.tor(0, 0), n.agg(0, 0)));
         assert_eq!(
-            n.path_host_to_switch_avoiding(HostId(0), n.agg(0, 0), 0, &dead),
+            n.path_host_to_switch(HostId(0), n.agg(0, 0), 0, &dead),
             Err(TopologyError::NoAlivePath)
         );
         // The sibling agg is still reachable.
         assert!(n
-            .path_host_to_switch_avoiding(HostId(0), n.agg(0, 1), 0, &dead)
+            .path_host_to_switch(HostId(0), n.agg(0, 1), 0, &dead)
             .is_ok());
     }
 
@@ -1270,7 +1136,7 @@ mod tests {
             dead.insert(Link::between(n.agg(3, g), core));
         }
         for hash in 0..16u64 {
-            let p = n.path_avoiding(HostId(0), HostId(12), hash, &dead).unwrap();
+            let p = n.path(HostId(0), HostId(12), hash, &dead).unwrap();
             assert!(dead.switch_path_avoids(&p), "hash {hash}: {p:?}");
             assert!(p.windows(2).all(|w| n.switches_adjacent(w[0], w[1])));
         }
@@ -1281,7 +1147,7 @@ mod tests {
         let n = FatTree::new(2).unwrap();
         assert_eq!(n.num_hosts(), 2);
         assert_eq!(n.num_cores(), 1);
-        let p = n.path(HostId(0), HostId(1), 0);
+        let p = n.path(HostId(0), HostId(1), 0, HEALTHY).unwrap();
         assert!(p.windows(2).all(|w| n.switches_adjacent(w[0], w[1])));
         assert_eq!(p.len(), 5); // the two hosts are in different pods
     }

@@ -356,7 +356,7 @@ fn control_cache_record_matches_golden() {
 #[test]
 fn path_tier_agrees_with_monitor_classify_for_all_host_pairs() {
     use netrs_netdev::Monitor;
-    use netrs_topology::{FatTree, Tier};
+    use netrs_topology::{FatTree, LinkSet, Tier};
     use netrs_wire::SourceMarker;
 
     let topo = FatTree::new(4).unwrap();
@@ -370,7 +370,7 @@ fn path_tier_agrees_with_monitor_classify_for_all_host_pairs() {
                 continue;
             }
             for hash in [0u64, 7, 13, 0xdead_beef] {
-                let path = topo.path(a, b, hash);
+                let path = topo.path(a, b, hash, &LinkSet::new()).unwrap();
                 let tier_index = match topo.path_tier(&path) {
                     Tier::Core => 0,
                     Tier::Agg => 1,
