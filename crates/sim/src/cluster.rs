@@ -478,6 +478,11 @@ impl<D: DeviceProbe> Cluster<D> {
         self.core.copies.live()
     }
 
+    /// Hop timelines neither received nor lost yet (0 once the run drains).
+    pub(crate) fn walks_in_flight(&self) -> usize {
+        self.core.fabric.walks_in_flight()
+    }
+
     /// How big the request table is and how full it ever got.
     pub(crate) fn request_table_stats(&self) -> RequestTableStats {
         self.core.requests.stats()

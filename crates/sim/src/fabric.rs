@@ -39,6 +39,20 @@ pub(crate) enum Lead {
     /// At in-network device `dev` since the request's steer hops ended:
     /// those pending hops become the copy's.
     Steer(DeviceId),
+    /// Nowhere: the copy continues the walk logged into another sink (a
+    /// chain write forwarded to the next replica), which becomes its own.
+    Carry(HopSink),
+}
+
+impl Lead {
+    /// The sink whose hops a send with this lead, into `sink`, takes over.
+    fn carried(self, sink: HopSink) -> Option<HopSink> {
+        match (self, sink) {
+            (Lead::Steer(_), HopSink::Copy(req, _)) => Some(HopSink::Pending(req)),
+            (Lead::Carry(from), _) => Some(from),
+            _ => None,
+        }
+    }
 }
 
 /// One end of a network segment.
@@ -197,10 +211,20 @@ impl<D: DeviceProbe> Fabric<D> {
         if !self.observing() {
             return self.latency(from, to, hash);
         }
-        let nodes = self.route(from.into(), to.into(), hash)?;
+        let Some(nodes) = self.route(from.into(), to.into(), hash) else {
+            // The packet is lost, and with it the walk it carried.
+            if let Some(carried) = lead.and_then(|l| l.carried(sink)) {
+                self.forget(carried);
+            }
+            return None;
+        };
         match lead {
             Some(Lead::Hold(dev, since)) => self.push_residency_hop(sink, dev, since, now),
             Some(Lead::Steer(dev)) => self.seal_steer_hops(sink, dev, now),
+            Some(Lead::Carry(from)) => {
+                let hops = self.take_hops(from);
+                self.push_hops(sink, hops);
+            }
             None => {}
         }
         self.observe(now, &nodes, sink, bytes);
@@ -228,21 +252,26 @@ impl<D: DeviceProbe> Fabric<D> {
         Some(nodes)
     }
 
-    /// The latency along `nodes`: one link traversal per edge, honouring
-    /// degradation; switch forwarding is free.
+    /// The latency along `nodes`: switch forwarding is free.
     fn cost(&self, nodes: &[NodeId]) -> SimDuration {
         let mut t = SimDuration::ZERO;
         for pair in nodes.windows(2) {
-            let link = match (pair[0], pair[1]) {
-                (NodeId::Host(h), _) | (_, NodeId::Host(h)) => Link::uplink(HostId(h)),
-                (NodeId::Switch(a), NodeId::Switch(b)) => Link::between(SwitchId(a), SwitchId(b)),
-            };
-            t += match self.degraded.get(&link) {
-                Some(&f) => self.link_latency.mul_f64(f),
-                None => self.link_latency,
-            };
+            t += self.edge(pair[0], pair[1]);
         }
         t
+    }
+
+    /// One traversal of the link between adjacent nodes `a` and `b`,
+    /// honouring degradation.
+    fn edge(&self, a: NodeId, b: NodeId) -> SimDuration {
+        let link = match (a, b) {
+            (NodeId::Host(h), _) | (_, NodeId::Host(h)) => Link::uplink(HostId(h)),
+            (NodeId::Switch(a), NodeId::Switch(b)) => Link::between(SwitchId(a), SwitchId(b)),
+        };
+        match self.degraded.get(&link) {
+            Some(&f) => self.link_latency.mul_f64(f),
+            None => self.link_latency,
+        }
     }
 
     // ---- observation ----------------------------------------------------
@@ -277,7 +306,7 @@ impl<D: DeviceProbe> Fabric<D> {
         self.push_hops(sink, vec![hop]);
     }
 
-    /// Walks one segment (`nodes`, one link latency per edge, free switch
+    /// Walks one segment (`nodes`, one link traversal per edge, free switch
     /// forwarding) starting at `t0`: counts a packet of `bytes` bytes, of
     /// the tier of the highest switch on the segment, at every link and
     /// switch it enters (a starting switch was counted on arrival there),
@@ -299,9 +328,10 @@ impl<D: DeviceProbe> Fabric<D> {
         for pair in nodes.windows(2) {
             let (a, b) = (pair[0], pair[1]);
             self.devices.packet(DeviceId::Link(a, b), tier, bytes);
-            // A packet occupies the (serialized) link for one traversal.
+            // A packet occupies the (serialized) link for one nominal
+            // traversal; a degraded link only delays its arrival.
             self.devices.busy(DeviceId::Link(a, b), link_latency);
-            let arrived = t + link_latency;
+            let arrived = t + self.edge(a, b);
             if logging {
                 hops.push(HopSpan {
                     dev: DeviceId::Link(a, b).to_string(),
@@ -338,7 +368,7 @@ impl<D: DeviceProbe> Fabric<D> {
         let HopSink::Copy(req, _) = sink else {
             unreachable!("a steer phase ends in a copy");
         };
-        let mut hops = self.pending_hops.remove(&req).unwrap_or_default();
+        let mut hops = self.take_hops(HopSink::Pending(req));
         let arrive_ns = hops.last().map_or(until.as_nanos(), |h| h.depart_ns);
         hops.push(HopSpan {
             dev: dev.to_string(),
@@ -348,12 +378,29 @@ impl<D: DeviceProbe> Fabric<D> {
         self.push_hops(sink, hops);
     }
 
-    /// Drains the hop timeline of one received copy.
-    pub(crate) fn take_copy_hops(&mut self, req: u64, server: u32) -> Vec<HopSpan> {
-        self.hop_log
-            .as_mut()
-            .and_then(|log| log.remove(&(req, server)))
-            .unwrap_or_default()
+    /// Drops the hops logged into `sink`: the packet they led up to was
+    /// lost or discarded, and a later copy of the request must not inherit
+    /// them.
+    pub(crate) fn forget(&mut self, sink: HopSink) {
+        drop(self.take_hops(sink));
+    }
+
+    /// Hop timelines still held: copies and steer phases neither received
+    /// nor lost yet (0 once the run drains).
+    pub(crate) fn walks_in_flight(&self) -> usize {
+        self.hop_log.as_ref().map_or(0, HashMap::len) + self.pending_hops.len()
+    }
+
+    /// Drains the hops logged into `sink` (a received copy's timeline).
+    pub(crate) fn take_hops(&mut self, sink: HopSink) -> Vec<HopSpan> {
+        match sink {
+            HopSink::Pending(req) => self.pending_hops.remove(&req),
+            HopSink::Copy(req, server) => self
+                .hop_log
+                .as_mut()
+                .and_then(|log| log.remove(&(req, server))),
+        }
+        .unwrap_or_default()
     }
 
     /// Takes the accumulated per-device statistics as export-ready

@@ -387,6 +387,16 @@ impl InNetwork {
         self.ingress_memo.fill(None);
     }
 
+    /// A fail-stopped operator swallows a request in its steer phase: the
+    /// copy is lost, and the hops that led it there with it.
+    fn blackhole<D: DeviceProbe>(core: &mut Core<D>, op: SwitchId, req: ReqId) {
+        core.fabric
+            .devices
+            .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
+        core.fabric.forget(HopSink::Pending(req.0));
+        core.drop_copy(req.0);
+    }
+
     fn forward_to_backup<D: DeviceProbe>(
         &mut self,
         core: &mut Core<D>,
@@ -396,6 +406,8 @@ impl InNetwork {
         queue: &mut EventQueue<Ev>,
     ) {
         let Some(state) = core.requests.get_mut(req.0) else {
+            // A straggler of a request already resolved: its walk ends here.
+            core.fabric.forget(HopSink::Pending(req.0));
             return;
         };
         state.copies += 1;
@@ -543,7 +555,9 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                     flow_hash(req, 11),
                     HopSink::Pending(req.0),
                     REQ_BYTES,
-                    Some(Lead::Hold(DeviceId::Client(client_idx), now)),
+                    // Held at the client since issue: a retry's walk
+                    // covers the timeout it waited out.
+                    Some(Lead::Hold(DeviceId::Client(client_idx), state.sent_at)),
                 ) else {
                     core.drop_copy(req.0); // no live path to the RSNode
                     return;
@@ -567,10 +581,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         if self.dead_operators.contains(&op) {
             // Fail-stopped operator (fault plan): the packet blackholes;
             // the client's timeout machinery recovers the request.
-            core.fabric
-                .devices
-                .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
-            core.drop_copy(req.0);
+            Self::blackhole(core, op, req);
             return;
         }
         let Some(operator) = self.operators.get_mut(op) else {
@@ -671,10 +682,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
     ) {
         if self.dead_operators.contains(&op) {
             // The operator died while the selection was in flight.
-            core.fabric
-                .devices
-                .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
-            core.drop_copy(req.0);
+            Self::blackhole(core, op, req);
             return;
         }
         let Some(operator) = self.operators.get_mut(op) else {
@@ -682,6 +690,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             return;
         };
         let Some(state) = core.requests.get_mut(req.0) else {
+            // A straggler of a request already resolved: its walk ends here.
+            core.fabric.forget(HopSink::Pending(req.0));
             return;
         };
         let replicas = core.ring.groups().replicas(state.rgid);
@@ -749,7 +759,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             return;
         };
         let Some(state) = core.requests.get(req.0) else {
-            core.copies.remove(copy);
+            core.discard_copy(copy);
             return;
         };
         let key = u64::from(state.key);

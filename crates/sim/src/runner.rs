@@ -146,6 +146,7 @@ fn run_engine<D: DeviceProbe, P: Probe>(
     let (mut cluster, probe) = engine.into_parts();
     debug_assert!(cluster.drained(), "simulation ended with work outstanding");
     debug_assert_eq!(cluster.copies_in_flight(), 0, "a copy was never freed");
+    debug_assert_eq!(cluster.walks_in_flight(), 0, "a hop walk was never drained");
     cluster.flush_tracer();
     cluster.flush_control(now);
     let timeseries = cluster.take_timeseries();

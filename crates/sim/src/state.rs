@@ -905,7 +905,10 @@ impl<D: DeviceProbe> Core<D> {
         }
         let next = replicas[idx + 1];
         let req = token.req;
-        let from_host = self.server_hosts[token.server.0 as usize];
+        let (from_host, sink) = (
+            self.server_hosts[token.server.0 as usize],
+            HopSink::Copy(req.0, token.server.0),
+        );
         self.copies.remove(copy);
         let chain_token = ServerToken::new(
             req,
@@ -926,7 +929,8 @@ impl<D: DeviceProbe> Core<D> {
             flow_hash(req, 31 + (idx + 1) as u64),
             HopSink::Copy(req.0, next.0),
             REQ_BYTES,
-            None,
+            // One walk from the client through every replica of the chain.
+            Some(Lead::Carry(sink)),
         ) else {
             self.drop_copy(req.0); // chain severed by link faults
             return true;
@@ -984,7 +988,7 @@ impl<D: DeviceProbe> Core<D> {
             if let Some(f) = &mut self.faults {
                 f.duplicate_drops += 1;
             }
-            self.copies.remove(copy);
+            self.discard_copy(copy);
             return None;
         }
         // The copy occupied the server from arrival (queue + service).
@@ -1014,7 +1018,7 @@ impl<D: DeviceProbe> Core<D> {
             token.client
         } else {
             let Some(state) = self.requests.get(req.0) else {
-                self.copies.remove(copy);
+                self.discard_copy(copy);
                 return;
             };
             state.client
@@ -1048,6 +1052,9 @@ impl<D: DeviceProbe> Core<D> {
         status: ServerStatus,
     ) -> Option<ReplyInfo> {
         let token = self.copies.remove(copy);
+        let hops = self
+            .fabric
+            .take_hops(HopSink::Copy(token.req.0, token.server.0));
         let Some(state) = self.requests.get_mut(token.req.0) else {
             // A straggler reply for a request already resolved (fault
             // runs only: the client abandoned it after a timeout).
@@ -1105,7 +1112,6 @@ impl<D: DeviceProbe> Core<D> {
         let server_queue = token.service_started_at - token.server_arrived_at;
         let service = token.served_at - token.service_started_at;
         let reply = now - token.served_at;
-        let hops = self.fabric.take_copy_hops(token.req.0, token.server.0);
         if self.tracer.is_some() || self.trace_buf.is_some() {
             use std::io::Write as _;
             let rec = TraceRecord {
@@ -1231,8 +1237,16 @@ impl<D: DeviceProbe> Core<D> {
     /// Loses an in-flight copy that was already sent: frees its token and
     /// accounts the loss ([`Self::drop_copy`]).
     pub(crate) fn lose_copy(&mut self, copy: CopyId) {
-        let req = self.copies.remove(copy).req;
+        let req = self.discard_copy(copy).req;
         self.drop_copy(req.0);
+    }
+
+    /// Frees a copy's token together with the hops it logged.
+    pub(crate) fn discard_copy(&mut self, copy: CopyId) -> ServerToken {
+        let token = self.copies.remove(copy);
+        self.fabric
+            .forget(HopSink::Copy(token.req.0, token.server.0));
+        token
     }
 
     /// Loses one in-flight copy of request `req`. The logical request

@@ -8,8 +8,8 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use netrs_sim::{
-    run, run_observed, ObsOptions, SamplePoint, SamplerSpec, Scheme, SimConfig, TimeSeries,
-    TraceRecord,
+    run, run_observed, FaultPlan, ObsOptions, SamplePoint, SamplerSpec, Scheme, SimConfig,
+    TimeSeries, TraceRecord, WriteConsistency,
 };
 use netrs_simcore::SimDuration;
 
@@ -233,7 +233,7 @@ fn tracing_does_not_perturb_the_simulation() {
     assert!(!sink.take_string().is_empty());
 }
 
-fn hop_traced_run(scheme: Scheme) -> (Vec<TraceRecord>, netrs_sim::RunOutput) {
+fn hop_traced_run(cfg: SimConfig) -> (Vec<TraceRecord>, netrs_sim::RunOutput) {
     let sink = SharedBuf::default();
     let obs = ObsOptions {
         trace: Some(Box::new(sink.clone())),
@@ -244,7 +244,7 @@ fn hop_traced_run(scheme: Scheme) -> (Vec<TraceRecord>, netrs_sim::RunOutput) {
         progress: false,
         perf: None,
     };
-    let out = run_observed(small(scheme), obs);
+    let out = run_observed(cfg, obs);
     let text = sink.take_string();
     let records: Vec<TraceRecord> = text
         .lines()
@@ -253,53 +253,109 @@ fn hop_traced_run(scheme: Scheme) -> (Vec<TraceRecord>, netrs_sim::RunOutput) {
     (records, out)
 }
 
-/// The hop-span acceptance criterion: under `--trace-hops`, every record
-/// carries a covering walk of the request's path — hops are contiguous
-/// (each departure is the next arrival), the walk starts at issue and
-/// ends at receive, and hop durations sum *exactly* to the end-to-end
-/// latency. Holds for all four schemes.
+/// Every record carries a covering walk of its copy's path: hops are
+/// contiguous (each departure is the next arrival), the walk starts at
+/// issue and ends at receive, and hop durations sum *exactly* to the
+/// end-to-end latency.
+fn assert_hops_telescope(label: &str, records: &[TraceRecord]) {
+    assert!(!records.is_empty(), "{label}: trace should have records");
+    for r in records {
+        assert!(
+            !r.hops.is_empty(),
+            "{label}: hop tracing fills hops for req {}",
+            r.req
+        );
+        assert_eq!(
+            r.hops.first().unwrap().arrive_ns,
+            r.issued_ns,
+            "{label}: the walk starts when the request is issued (req {})",
+            r.req
+        );
+        assert_eq!(
+            r.hops.last().unwrap().depart_ns,
+            r.received_ns,
+            "{label}: the walk ends when the reply is received (req {})",
+            r.req
+        );
+        for pair in r.hops.windows(2) {
+            assert_eq!(
+                pair[0].depart_ns, pair[1].arrive_ns,
+                "{label}: hops must be contiguous for req {} ({:?} -> {:?})",
+                r.req, pair[0], pair[1]
+            );
+        }
+        assert_eq!(
+            r.hop_sum_ns(),
+            r.e2e_ns,
+            "{label}: hop durations must sum to e2e for req {} (hops {:?})",
+            r.req,
+            r.hops
+        );
+    }
+}
+
+/// The hop-span acceptance criterion under `--trace-hops`: every record
+/// telescopes, for all four schemes.
 #[test]
 fn hop_spans_telescope_exactly_for_all_schemes() {
     for scheme in Scheme::ALL {
-        let (records, out) = hop_traced_run(scheme);
-        assert!(!records.is_empty(), "{scheme}: trace should have records");
+        let (records, out) = hop_traced_run(small(scheme));
         assert_eq!(
             records.iter().filter(|r| r.first && !r.write).count() as u64,
             out.stats.completed,
             "{scheme}: one winning record per completed read"
         );
-        for r in &records {
+        assert_hops_telescope(&scheme.to_string(), &records);
+    }
+}
+
+/// A chain write is one walk, client → head → … → tail → client: the
+/// tail's record covers every replica's residency and telescopes from
+/// issue.
+#[test]
+fn chain_write_hop_spans_telescope() {
+    for scheme in [Scheme::CliRs, Scheme::NetRsIlp] {
+        let mut cfg = small(scheme);
+        cfg.write_fraction = 0.2;
+        cfg.write_consistency = WriteConsistency::Chain;
+        let (records, _) = hop_traced_run(cfg);
+        assert!(
+            records.iter().any(|r| r.write),
+            "{scheme}: writes are traced"
+        );
+        assert_hops_telescope(&format!("{scheme} chain writes"), &records);
+    }
+}
+
+/// The same under fault plans, for all four schemes: `smoke.json` (a
+/// blackholed operator, a crashed server, a loss burst, and the timeouts
+/// and retries they cause) and `links.json` (failed, rerouted and degraded
+/// links). A lost copy leaves no hops behind for a retry to inherit, and a
+/// retried copy's walk covers the timeout it waited out.
+#[test]
+fn hop_spans_telescope_exactly_under_faults_for_all_schemes() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    for plan in ["smoke", "links"] {
+        let text = std::fs::read_to_string(fixtures.join(format!("faults/{plan}.json")))
+            .expect("fault plan fixture");
+        for scheme in Scheme::ALL {
+            let mut cfg = SimConfig::small();
+            cfg.scheme = scheme;
+            cfg.requests = 20_000;
+            cfg.seed = 7;
+            cfg.faults = Some(FaultPlan::from_json(&text).expect("valid fault plan"));
+            let (records, out) = hop_traced_run(cfg);
+            let availability = out.stats.availability.as_ref().expect("a fault run");
             assert!(
-                !r.hops.is_empty(),
-                "{scheme}: hop tracing fills hops for req {}",
-                r.req
+                availability.copies_dropped > 0,
+                "{scheme} {plan}: copies are lost"
             );
             assert_eq!(
-                r.hops.first().unwrap().arrive_ns,
-                r.issued_ns,
-                "{scheme}: the walk starts when the request is issued (req {})",
-                r.req
+                records.iter().filter(|r| r.first && !r.write).count() as u64,
+                out.stats.completed,
+                "{scheme} {plan}: one winning record per completed read"
             );
-            assert_eq!(
-                r.hops.last().unwrap().depart_ns,
-                r.received_ns,
-                "{scheme}: the walk ends when the reply is received (req {})",
-                r.req
-            );
-            for pair in r.hops.windows(2) {
-                assert_eq!(
-                    pair[0].depart_ns, pair[1].arrive_ns,
-                    "{scheme}: hops must be contiguous for req {} ({:?} -> {:?})",
-                    r.req, pair[0], pair[1]
-                );
-            }
-            assert_eq!(
-                r.hop_sum_ns(),
-                r.e2e_ns,
-                "{scheme}: hop durations must sum to e2e for req {} (hops {:?})",
-                r.req,
-                r.hops
-            );
+            assert_hops_telescope(&format!("{scheme} under {plan}"), &records);
         }
     }
 }
