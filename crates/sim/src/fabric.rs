@@ -19,40 +19,29 @@ use netrs_simcore::{DeviceId, DeviceProbe, NodeId, SimDuration, SimTime};
 use netrs_topology::{FatTree, HostId, Link, LinkSet, SwitchId, Tier};
 
 use crate::obs::{DeviceRecord, DeviceStatsReport, HopSpan};
+use crate::server::CopyId;
 
-/// Where observed hop spans accumulate while a copy is in flight.
+/// Where a send's observed hop spans accumulate.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum HopSink {
-    /// Steer-phase hops of an in-network request whose target server is
-    /// not known yet; sealed into a copy log at selection time.
-    Pending(u64),
-    /// Hops of a concrete copy `(request, server)`.
-    Copy(u64, u32),
+    /// The steer phase of in-network request `.0`, on its way to an
+    /// RSNode: sealed into the selected copy's walk there.
+    Steer(u64),
+    /// The walk of a sent copy.
+    Copy(CopyId),
 }
 
-/// Where a copy waited before a send: logged as one residency hop that
-/// ends at the send.
+/// Where a copy was before a send: the walk that leads up to it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Lead {
     /// At `dev` since the given time (a client holding the copy).
     Hold(DeviceId, SimTime),
-    /// At in-network device `dev` since the request's steer hops ended:
-    /// those pending hops become the copy's.
-    Steer(DeviceId),
-    /// Nowhere: the copy continues the walk logged into another sink (a
-    /// chain write forwarded to the next replica), which becomes its own.
-    Carry(HopSink),
-}
-
-impl Lead {
-    /// The sink whose hops a send with this lead, into `sink`, takes over.
-    fn carried(self, sink: HopSink) -> Option<HopSink> {
-        match (self, sink) {
-            (Lead::Steer(_), HopSink::Copy(req, _)) => Some(HopSink::Pending(req)),
-            (Lead::Carry(from), _) => Some(from),
-            _ => None,
-        }
-    }
+    /// At in-network device `.0` since request `.1` reached it at `.2`:
+    /// that steer walk becomes the copy's.
+    Steer(DeviceId, u64, SimTime),
+    /// Nowhere new: the copy continues another copy's walk (a chain write
+    /// forwarded to the next replica).
+    Carry(CopyId),
 }
 
 /// One end of a network segment.
@@ -83,6 +72,27 @@ impl From<SwitchId> for End {
     }
 }
 
+/// The `--trace-hops` walks in progress.
+#[derive(Default)]
+struct HopLog {
+    /// Each sent copy's walk, drained when it is received, lost or
+    /// discarded.
+    copies: HashMap<CopyId, Vec<HopSpan>>,
+    /// The steer walks of in-network requests, by request and the instant
+    /// they reach their RSNode (a retry's steer phase can overlap an
+    /// earlier one's).
+    steers: HashMap<(u64, SimTime), Vec<HopSpan>>,
+}
+
+/// A hop span: `dev` occupied from `arrive` to `depart`.
+fn span(dev: DeviceId, arrive: SimTime, depart: SimTime) -> HopSpan {
+    HopSpan {
+        dev: dev.to_string(),
+        arrive_ns: arrive.as_nanos(),
+        depart_ns: depart.as_nanos(),
+    }
+}
+
 /// Device capacities the fabric needs to normalize utilization in the
 /// device report (it does not otherwise know what sits behind a device).
 pub(crate) struct DeviceCapacities {
@@ -97,12 +107,8 @@ pub(crate) struct Fabric<D: DeviceProbe> {
     /// The device probe. Layers bump counters on it directly; with
     /// [`netrs_simcore::NoDeviceProbe`] every call compiles away.
     pub(crate) devices: D,
-    /// Per-copy hop spans keyed by `(request, server)`, drained when the
-    /// copy's response arrives. `None` unless hop tracing is enabled.
-    hop_log: Option<HashMap<(u64, u32), Vec<HopSpan>>>,
-    /// Steer-phase hops of in-network requests whose server is not yet
-    /// selected, keyed by request.
-    pending_hops: HashMap<u64, Vec<HopSpan>>,
+    /// The walks in progress. `None` unless hop tracing is enabled.
+    hop_log: Option<HopLog>,
     /// Links currently failed by the fault plan; packets reroute around
     /// them (or are dropped when no alternative exists). Empty in
     /// fault-free runs, keeping the integer fast path bit-identical.
@@ -118,14 +124,13 @@ impl<D: DeviceProbe> Fabric<D> {
             link_latency,
             devices,
             hop_log: None,
-            pending_hops: HashMap::new(),
             dead: LinkSet::new(),
             degraded: BTreeMap::new(),
         }
     }
 
     pub(crate) fn enable_hop_tracing(&mut self) {
-        self.hop_log = Some(HashMap::new());
+        self.hop_log = Some(HopLog::default());
     }
 
     /// Whether packet paths need to be walked for observation. With the
@@ -193,10 +198,10 @@ impl<D: DeviceProbe> Fabric<D> {
 
     /// Sends a packet of `bytes` bytes from `from` to `to` at `now` and
     /// returns its latency, or `None` when no live path exists (the
-    /// packet is lost and nothing is observed). When observing, the packet
-    /// is counted at every link and switch of its (possibly rerouted) path
-    /// and its hops are logged into `sink`, after the `lead` residency
-    /// that ends at `now`.
+    /// packet is lost, and so is the walk that led up to it). When
+    /// observing, the packet is counted at every link and switch of its
+    /// (possibly rerouted) path, and its hops, after the `lead` walk that
+    /// ends at `now`, are logged into `sink`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send(
         &mut self,
@@ -211,24 +216,14 @@ impl<D: DeviceProbe> Fabric<D> {
         if !self.observing() {
             return self.latency(from, to, hash);
         }
-        let Some(nodes) = self.route(from.into(), to.into(), hash) else {
-            // The packet is lost, and with it the walk it carried.
-            if let Some(carried) = lead.and_then(|l| l.carried(sink)) {
-                self.forget(carried);
-            }
-            return None;
-        };
-        match lead {
-            Some(Lead::Hold(dev, since)) => self.push_residency_hop(sink, dev, since, now),
-            Some(Lead::Steer(dev)) => self.seal_steer_hops(sink, dev, now),
-            Some(Lead::Carry(from)) => {
-                let hops = self.take_hops(from);
-                self.push_hops(sink, hops);
-            }
-            None => {}
-        }
-        self.observe(now, &nodes, sink, bytes);
-        Some(self.cost(&nodes))
+        let route = self.route(from.into(), to.into(), hash);
+        // Taken even when the packet is lost: the walk is lost with it.
+        let mut hops = lead.map_or_else(Vec::new, |lead| self.lead_hops(lead, now));
+        let nodes = route?;
+        let latency = self.cost(&nodes);
+        self.observe(now, &nodes, bytes, &mut hops);
+        self.file(sink, now + latency, hops);
+        Some(latency)
     }
 
     /// The nodes a packet crosses from `from` to `to` over the masked ECMP
@@ -276,42 +271,55 @@ impl<D: DeviceProbe> Fabric<D> {
 
     // ---- observation ----------------------------------------------------
 
-    fn push_hops(&mut self, sink: HopSink, hops: Vec<HopSpan>) {
+    /// Files `hops` into `sink`; a steer walk under the instant it reaches
+    /// its RSNode, `arrival`.
+    fn file(&mut self, sink: HopSink, arrival: SimTime, hops: Vec<HopSpan>) {
         let Some(log) = self.hop_log.as_mut() else {
             return;
         };
         match sink {
-            HopSink::Pending(req) => self.pending_hops.entry(req).or_default().extend(hops),
-            HopSink::Copy(req, server) => log.entry((req, server)).or_default().extend(hops),
+            HopSink::Steer(req) => log.steers.entry((req, arrival)).or_default().extend(hops),
+            HopSink::Copy(copy) => log.copies.entry(copy).or_default().extend(hops),
         }
     }
 
-    /// Records the copy occupying `dev` over `[arrive, depart]` (client
-    /// hold, server queue + service).
+    /// The walk a send continues: the one `lead` carries, if any, then the
+    /// residency that ends at `now`. Empty unless hop tracing is on.
+    fn lead_hops(&mut self, lead: Lead, now: SimTime) -> Vec<HopSpan> {
+        let Some(log) = self.hop_log.as_mut() else {
+            return Vec::new();
+        };
+        match lead {
+            Lead::Hold(dev, since) => vec![span(dev, since, now)],
+            Lead::Steer(dev, req, arrived) => {
+                let mut hops = log.steers.remove(&(req, arrived)).unwrap_or_default();
+                hops.push(span(dev, arrived, now));
+                hops
+            }
+            Lead::Carry(copy) => log.copies.remove(&copy).unwrap_or_default(),
+        }
+    }
+
+    /// Records `copy` occupying `dev` over `[arrive, depart]` (a server's
+    /// queue and service).
     pub(crate) fn push_residency_hop(
         &mut self,
-        sink: HopSink,
+        copy: CopyId,
         dev: DeviceId,
         arrive: SimTime,
         depart: SimTime,
     ) {
-        if self.hop_log.is_none() {
-            return;
+        if self.hop_log.is_some() {
+            self.file(HopSink::Copy(copy), depart, vec![span(dev, arrive, depart)]);
         }
-        let hop = HopSpan {
-            dev: dev.to_string(),
-            arrive_ns: arrive.as_nanos(),
-            depart_ns: depart.as_nanos(),
-        };
-        self.push_hops(sink, vec![hop]);
     }
 
     /// Walks one segment (`nodes`, one link traversal per edge, free switch
     /// forwarding) starting at `t0`: counts a packet of `bytes` bytes, of
     /// the tier of the highest switch on the segment, at every link and
     /// switch it enters (a starting switch was counted on arrival there),
-    /// and logs the covering hop spans.
-    fn observe(&mut self, t0: SimTime, nodes: &[NodeId], sink: HopSink, bytes: u64) {
+    /// and appends the covering hop spans to `hops`.
+    fn observe(&mut self, t0: SimTime, nodes: &[NodeId], bytes: u64, hops: &mut Vec<HopSpan>) {
         let tier = nodes
             .iter()
             .filter_map(|&n| match n {
@@ -323,7 +331,6 @@ impl<D: DeviceProbe> Fabric<D> {
             .id() as usize;
         let link_latency = self.link_latency;
         let logging = self.hop_log.is_some();
-        let mut hops: Vec<HopSpan> = Vec::new();
         let mut t = t0;
         for pair in nodes.windows(2) {
             let (a, b) = (pair[0], pair[1]);
@@ -333,74 +340,41 @@ impl<D: DeviceProbe> Fabric<D> {
             self.devices.busy(DeviceId::Link(a, b), link_latency);
             let arrived = t + self.edge(a, b);
             if logging {
-                hops.push(HopSpan {
-                    dev: DeviceId::Link(a, b).to_string(),
-                    arrive_ns: t.as_nanos(),
-                    depart_ns: arrived.as_nanos(),
-                });
+                hops.push(span(DeviceId::Link(a, b), t, arrived));
             }
             t = arrived;
             if let NodeId::Switch(s) = b {
                 self.devices.packet(DeviceId::Switch(s), tier, bytes);
                 if logging {
                     // Forwarding is free in the timing model: zero-width.
-                    hops.push(HopSpan {
-                        dev: DeviceId::Switch(s).to_string(),
-                        arrive_ns: t.as_nanos(),
-                        depart_ns: t.as_nanos(),
-                    });
+                    hops.push(span(DeviceId::Switch(s), t, t));
                 }
             }
         }
-        if logging {
-            self.push_hops(sink, hops);
+    }
+
+    /// Drains the walk of `copy` (received, lost or discarded: a later copy
+    /// in its slot must not inherit it).
+    pub(crate) fn take_copy_hops(&mut self, copy: CopyId) -> Vec<HopSpan> {
+        self.hop_log
+            .as_mut()
+            .and_then(|log| log.copies.remove(&copy))
+            .unwrap_or_default()
+    }
+
+    /// Drops the steer walk of request `req` that reached its RSNode at
+    /// `arrived`: the request was lost or resolved there.
+    pub(crate) fn forget_steer(&mut self, req: u64, arrived: SimTime) {
+        if let Some(log) = self.hop_log.as_mut() {
+            log.steers.remove(&(req, arrived));
         }
     }
 
-    /// Closes the steer phase of the in-network request behind the copy
-    /// `sink`: appends the residency at `dev` (the accelerator, or the
-    /// switch of a retired operator or a cache hit) ending at `until`, and
-    /// moves the request's pending hops into the copy's log.
-    fn seal_steer_hops(&mut self, sink: HopSink, dev: DeviceId, until: SimTime) {
-        if self.hop_log.is_none() {
-            return;
-        }
-        let HopSink::Copy(req, _) = sink else {
-            unreachable!("a steer phase ends in a copy");
-        };
-        let mut hops = self.take_hops(HopSink::Pending(req));
-        let arrive_ns = hops.last().map_or(until.as_nanos(), |h| h.depart_ns);
-        hops.push(HopSpan {
-            dev: dev.to_string(),
-            arrive_ns,
-            depart_ns: until.as_nanos(),
-        });
-        self.push_hops(sink, hops);
-    }
-
-    /// Drops the hops logged into `sink`: the packet they led up to was
-    /// lost or discarded, and a later copy of the request must not inherit
-    /// them.
-    pub(crate) fn forget(&mut self, sink: HopSink) {
-        drop(self.take_hops(sink));
-    }
-
-    /// Hop timelines still held: copies and steer phases neither received
-    /// nor lost yet (0 once the run drains).
+    /// Walks neither received nor lost yet (0 once the run drains).
     pub(crate) fn walks_in_flight(&self) -> usize {
-        self.hop_log.as_ref().map_or(0, HashMap::len) + self.pending_hops.len()
-    }
-
-    /// Drains the hops logged into `sink` (a received copy's timeline).
-    pub(crate) fn take_hops(&mut self, sink: HopSink) -> Vec<HopSpan> {
-        match sink {
-            HopSink::Pending(req) => self.pending_hops.remove(&req),
-            HopSink::Copy(req, server) => self
-                .hop_log
-                .as_mut()
-                .and_then(|log| log.remove(&(req, server))),
-        }
-        .unwrap_or_default()
+        self.hop_log
+            .as_ref()
+            .map_or(0, |log| log.copies.len() + log.steers.len())
     }
 
     /// Takes the accumulated per-device statistics as export-ready

@@ -87,20 +87,20 @@ impl ClientPolicy {
             now,
             None,
         );
+        let copy = core.copies.insert(token);
         let Some(latency) = core.fabric.send(
             now,
             core.client_hosts[client_idx],
             core.server_hosts[server.0 as usize],
             flow_hash(req, u64::from(server.0)),
-            HopSink::Copy(req.0, server.0),
+            HopSink::Copy(copy),
             REQ_BYTES,
             // The copy sat at the client from issue to departure.
             Some(Lead::Hold(DeviceId::Client(client_idx as u32), issued_at)),
         ) else {
-            core.drop_copy(req.0); // partitioned by link faults
+            core.lose_copy(copy); // partitioned by link faults
             return;
         };
-        let copy = core.copies.insert(token);
         queue.schedule_after(latency, Ev::ServerArrive { copy });
     }
 }

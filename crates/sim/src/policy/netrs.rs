@@ -387,27 +387,29 @@ impl InNetwork {
         self.ingress_memo.fill(None);
     }
 
-    /// A fail-stopped operator swallows a request in its steer phase: the
-    /// copy is lost, and the hops that led it there with it.
-    fn blackhole<D: DeviceProbe>(core: &mut Core<D>, op: SwitchId, req: ReqId) {
+    /// A fail-stopped operator swallows a request that reached it at
+    /// `arrived`: the copy is lost, and the walk that led it there.
+    fn blackhole<D: DeviceProbe>(core: &mut Core<D>, op: SwitchId, req: ReqId, arrived: SimTime) {
         core.fabric
             .devices
             .bump(DeviceId::Switch(op.0), DeviceCounter::Drop, 1);
-        core.fabric.forget(HopSink::Pending(req.0));
+        core.fabric.forget_steer(req.0, arrived);
         core.drop_copy(req.0);
     }
 
+    /// Sends a request that reached the retired operator at `from` at
+    /// `arrived` on to its backup replica.
     fn forward_to_backup<D: DeviceProbe>(
         &mut self,
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        from: SwitchId,
+        (from, arrived): (SwitchId, SimTime),
         queue: &mut EventQueue<Ev>,
     ) {
         let Some(state) = core.requests.get_mut(req.0) else {
             // A straggler of a request already resolved: its walk ends here.
-            core.fabric.forget(HopSink::Pending(req.0));
+            core.fabric.forget_steer(req.0, arrived);
             return;
         };
         state.copies += 1;
@@ -425,21 +427,21 @@ impl InNetwork {
             now,
             None,
         );
+        let copy = core.copies.insert(token);
         let Some(latency) = core.fabric.send(
             now,
             from,
             core.server_hosts[backup.0 as usize],
             flow_hash(req, 13),
-            HopSink::Copy(req.0, backup.0),
+            HopSink::Copy(copy),
             REQ_BYTES,
             // Any time spent at the retired operator belongs to its
             // switch; then the copy heads for the backup replica.
-            Some(Lead::Steer(DeviceId::Switch(from.0))),
+            Some(Lead::Steer(DeviceId::Switch(from.0), req.0, arrived)),
         ) else {
-            core.drop_copy(req.0); // no live path to the backup
+            core.lose_copy(copy); // no live path to the backup
             return;
         };
-        let copy = core.copies.insert(token);
         queue.schedule_after(latency, Ev::ServerArrive { copy });
         core.fabric
             .devices
@@ -521,19 +523,19 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                     now,
                     None,
                 );
+                let copy = core.copies.insert(token);
                 let Some(latency) = core.fabric.send(
                     now,
                     client_host,
                     core.server_hosts[backup.0 as usize],
                     flow_hash(req, 7),
-                    HopSink::Copy(req.0, backup.0),
+                    HopSink::Copy(copy),
                     REQ_BYTES,
                     Some(Lead::Hold(DeviceId::Client(client_idx), now)),
                 ) else {
-                    core.drop_copy(req.0); // partitioned by link faults
+                    core.lose_copy(copy); // partitioned by link faults
                     return;
                 };
-                let copy = core.copies.insert(token);
                 queue.schedule_after(latency, Ev::ServerArrive { copy });
                 core.fabric
                     .devices
@@ -553,7 +555,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                     client_host,
                     op,
                     flow_hash(req, 11),
-                    HopSink::Pending(req.0),
+                    HopSink::Steer(req.0),
                     REQ_BYTES,
                     // Held at the client since issue: a retry's walk
                     // covers the timeout it waited out.
@@ -581,14 +583,14 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         if self.dead_operators.contains(&op) {
             // Fail-stopped operator (fault plan): the packet blackholes;
             // the client's timeout machinery recovers the request.
-            Self::blackhole(core, op, req);
+            Self::blackhole(core, op, req, now);
             return;
         }
         let Some(operator) = self.operators.get_mut(op) else {
             // The operator was retired by a re-plan while the request was
             // in flight; fall back to the client's backup replica (DRS
             // semantics for in-flight stragglers).
-            self.forward_to_backup(core, now, req, op, queue);
+            self.forward_to_backup(core, now, req, (op, now), queue);
             return;
         };
         // In-switch hot-key cache: a hit answers the read at the switch
@@ -629,27 +631,23 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                         now,
                         None,
                     );
+                    let copy = core.copies.insert(token);
                     let Some(latency) = core.fabric.send(
                         now,
                         op,
                         core.client_hosts[client as usize],
                         flow_hash(req, 23),
-                        HopSink::Copy(req.0, origin.0),
+                        HopSink::Copy(copy),
                         RESP_BYTES,
                         // Steer hops end at this switch; the cached
                         // response heads straight for the client.
-                        Some(Lead::Steer(sw)),
+                        Some(Lead::Steer(sw, req.0, now)),
                     ) else {
-                        core.drop_copy(req.0); // reply path to the client severed
+                        core.lose_copy(copy); // reply path to the client severed
                         return;
                     };
-                    queue.schedule_after(
-                        latency,
-                        Ev::ClientReceive {
-                            copy: core.copies.insert(token),
-                            status: netrs_kvstore::ServerStatus::default(),
-                        },
-                    );
+                    let status = netrs_kvstore::ServerStatus::default();
+                    queue.schedule_after(latency, Ev::ClientReceive { copy, status });
                     return;
                 }
                 core.fabric
@@ -682,16 +680,16 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
     ) {
         if self.dead_operators.contains(&op) {
             // The operator died while the selection was in flight.
-            Self::blackhole(core, op, req);
+            Self::blackhole(core, op, req, arrived);
             return;
         }
         let Some(operator) = self.operators.get_mut(op) else {
-            self.forward_to_backup(core, now, req, op, queue);
+            self.forward_to_backup(core, now, req, (op, arrived), queue);
             return;
         };
         let Some(state) = core.requests.get_mut(req.0) else {
             // A straggler of a request already resolved: its walk ends here.
-            core.fabric.forget(HopSink::Pending(req.0));
+            core.fabric.forget_steer(req.0, arrived);
             return;
         };
         let replicas = core.ring.groups().replicas(state.rgid);
@@ -712,20 +710,20 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             Some(op),
         );
         let accel = DeviceId::Accelerator(op.0);
+        let copy = core.copies.insert(token);
         let Some(latency) = core.fabric.send(
             now,
             op,
             core.server_hosts[target.0 as usize],
             flow_hash(req, 17),
-            HopSink::Copy(req.0, target.0),
+            HopSink::Copy(copy),
             REQ_BYTES,
             // The copy occupied the RSNode from arrival through selection.
-            Some(Lead::Steer(accel)),
+            Some(Lead::Steer(accel, req.0, arrived)),
         ) else {
-            core.drop_copy(req.0); // no live path to the chosen replica
+            core.lose_copy(copy); // no live path to the chosen replica
             return;
         };
-        let copy = core.copies.insert(token);
         queue.schedule_after(latency, Ev::ServerArrive { copy });
         core.fabric.devices.selection(accel, waited);
         core.fabric
@@ -809,7 +807,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             core.lose_copy(copy); // reply path to the client severed
             return;
         }
-        let sink = HopSink::Copy(req.0, server.0);
+        let sink = HopSink::Copy(copy);
         core.fabric
             .send(now, server_host, op, hash, sink, RESP_BYTES, None);
         let to_client = core

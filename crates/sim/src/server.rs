@@ -100,7 +100,7 @@ impl ServerToken {
 /// Handle of one in-flight copy's [`ServerToken`] in the cluster's copy
 /// slab. Local to one replica: a copy that crosses shards travels as its
 /// token and is re-inserted on arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CopyId(u32);
 
 /// End of the slab's free list.

@@ -849,19 +849,19 @@ impl<D: DeviceProbe> Core<D> {
                 now,
                 None,
             );
+            let copy = self.copies.insert(token);
             let Some(latency) = self.fabric.send(
                 now,
                 client_host,
                 self.server_hosts[server.0 as usize],
                 flow_hash(req, 31 + i as u64),
-                HopSink::Copy(req.0, server.0),
+                HopSink::Copy(copy),
                 REQ_BYTES,
                 Some(Lead::Hold(DeviceId::Client(client_idx), now)),
             ) else {
-                self.drop_copy(req.0); // partitioned by link faults
+                self.lose_copy(copy); // partitioned by link faults
                 continue;
             };
-            let copy = self.copies.insert(token);
             queue.schedule_after(latency, Ev::ServerArrive { copy });
         }
     }
@@ -905,10 +905,7 @@ impl<D: DeviceProbe> Core<D> {
         }
         let next = replicas[idx + 1];
         let req = token.req;
-        let (from_host, sink) = (
-            self.server_hosts[token.server.0 as usize],
-            HopSink::Copy(req.0, token.server.0),
-        );
+        let from_host = self.server_hosts[token.server.0 as usize];
         self.copies.remove(copy);
         let chain_token = ServerToken::new(
             req,
@@ -922,21 +919,21 @@ impl<D: DeviceProbe> Core<D> {
             now,
             None,
         );
+        let next_copy = self.copies.insert(chain_token);
         let Some(latency) = self.fabric.send(
             now,
             from_host,
             self.server_hosts[next.0 as usize],
             flow_hash(req, 31 + (idx + 1) as u64),
-            HopSink::Copy(req.0, next.0),
+            HopSink::Copy(next_copy),
             REQ_BYTES,
             // One walk from the client through every replica of the chain.
-            Some(Lead::Carry(sink)),
+            Some(Lead::Carry(copy)),
         ) else {
-            self.drop_copy(req.0); // chain severed by link faults
+            self.lose_copy(next_copy); // chain severed by link faults
             return true;
         };
-        let copy = self.copies.insert(chain_token);
-        queue.schedule_after(latency, Ev::ServerArrive { copy });
+        queue.schedule_after(latency, Ev::ServerArrive { copy: next_copy });
         true
     }
 
@@ -993,7 +990,7 @@ impl<D: DeviceProbe> Core<D> {
         }
         // The copy occupied the server from arrival (queue + service).
         self.fabric.push_residency_hop(
-            HopSink::Copy(token.req.0, token.server.0),
+            copy,
             DeviceId::Server(server_id.0),
             token.server_arrived_at,
             now,
@@ -1028,7 +1025,7 @@ impl<D: DeviceProbe> Core<D> {
             self.server_hosts[server.0 as usize],
             self.client_hosts[client as usize],
             flow_hash(req, 23),
-            HopSink::Copy(req.0, server.0),
+            HopSink::Copy(copy),
             RESP_BYTES,
             None,
         ) else {
@@ -1052,9 +1049,7 @@ impl<D: DeviceProbe> Core<D> {
         status: ServerStatus,
     ) -> Option<ReplyInfo> {
         let token = self.copies.remove(copy);
-        let hops = self
-            .fabric
-            .take_hops(HopSink::Copy(token.req.0, token.server.0));
+        let hops = self.fabric.take_copy_hops(copy);
         let Some(state) = self.requests.get_mut(token.req.0) else {
             // A straggler reply for a request already resolved (fault
             // runs only: the client abandoned it after a timeout).
@@ -1243,10 +1238,8 @@ impl<D: DeviceProbe> Core<D> {
 
     /// Frees a copy's token together with the hops it logged.
     pub(crate) fn discard_copy(&mut self, copy: CopyId) -> ServerToken {
-        let token = self.copies.remove(copy);
-        self.fabric
-            .forget(HopSink::Copy(token.req.0, token.server.0));
-        token
+        self.fabric.take_copy_hops(copy);
+        self.copies.remove(copy)
     }
 
     /// Loses one in-flight copy of request `req`. The logical request

@@ -329,19 +329,21 @@ fn chain_write_hop_spans_telescope() {
 
 /// The same under fault plans, for all four schemes: `smoke.json` (a
 /// blackholed operator, a crashed server, a loss burst, and the timeouts
-/// and retries they cause) and `links.json` (failed, rerouted and degraded
-/// links). A lost copy leaves no hops behind for a retry to inherit, and a
-/// retried copy's walk covers the timeout it waited out.
+/// and retries they cause), `links.json` (failed, rerouted and degraded
+/// links) and `overlap.json` (a 3 ms timeout, so retries overlap the
+/// attempts they replace, at the same server or RSNode). A lost copy
+/// leaves no hops behind for a retry to inherit, a retried copy's walk
+/// covers the timeout it waited out, and overlapping attempts keep apart.
 #[test]
 fn hop_spans_telescope_exactly_under_faults_for_all_schemes() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
-    for plan in ["smoke", "links"] {
+    for (plan, requests) in [("smoke", 20_000), ("links", 20_000), ("overlap", 5_000)] {
         let text = std::fs::read_to_string(fixtures.join(format!("faults/{plan}.json")))
             .expect("fault plan fixture");
         for scheme in Scheme::ALL {
             let mut cfg = SimConfig::small();
             cfg.scheme = scheme;
-            cfg.requests = 20_000;
+            cfg.requests = requests;
             cfg.seed = 7;
             cfg.faults = Some(FaultPlan::from_json(&text).expect("valid fault plan"));
             let (records, out) = hop_traced_run(cfg);
