@@ -42,6 +42,10 @@ pub(crate) enum Lead {
     /// Nowhere new: the copy continues another copy's walk (a chain write
     /// forwarded to the next replica).
     Carry(CopyId),
+    /// In the network: the packet left `.0` at `.1` to reach the send's
+    /// source (a reply through its RSNode). That segment, timed live by
+    /// the caller, is observed only if the packet goes on.
+    Segment(End, SimTime),
 }
 
 /// One end of a network segment.
@@ -216,10 +220,16 @@ impl<D: DeviceProbe> Fabric<D> {
         if !self.observing() {
             return self.latency(from, to, hash);
         }
-        let route = self.route(from.into(), to.into(), hash);
+        let (from, to) = (from.into(), to.into());
+        let route = self.route(from, to, hash);
         // Taken even when the packet is lost: the walk is lost with it.
         let mut hops = lead.map_or_else(Vec::new, |lead| self.lead_hops(lead, now));
         let nodes = route?;
+        if let Some(Lead::Segment(start, left)) = lead {
+            let before = self.route(start, from, hash);
+            let before = before.expect("the caller timed the lead segment live");
+            self.observe(left, &before, bytes, &mut hops);
+        }
         let latency = self.cost(&nodes);
         self.observe(now, &nodes, bytes, &mut hops);
         self.file(sink, now + latency, hops);
@@ -297,6 +307,7 @@ impl<D: DeviceProbe> Fabric<D> {
                 hops
             }
             Lead::Carry(copy) => log.copies.remove(&copy).unwrap_or_default(),
+            Lead::Segment(..) => Vec::new(),
         }
     }
 

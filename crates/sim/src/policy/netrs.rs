@@ -801,19 +801,18 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 .devices
                 .busy(accel, core.cfg.accelerator.service_time);
         }
-        // A reply severed past its RSNode is lost there, observed nowhere:
-        // the walk is sent only once both segments are known to be live.
-        if core.fabric.latency(op, client_host, hash).is_none() {
+        let Some(to_client) = core.fabric.send(
+            at_rsnode,
+            op,
+            client_host,
+            hash,
+            HopSink::Copy(copy),
+            RESP_BYTES,
+            Some(Lead::Segment(server_host.into(), now)),
+        ) else {
             core.lose_copy(copy); // reply path to the client severed
             return;
-        }
-        let sink = HopSink::Copy(copy);
-        core.fabric
-            .send(now, server_host, op, hash, sink, RESP_BYTES, None);
-        let to_client = core
-            .fabric
-            .send(at_rsnode, op, client_host, hash, sink, RESP_BYTES, None)
-            .expect("both reply segments are live");
+        };
         queue.schedule_at(at_rsnode + to_client, Ev::ClientReceive { copy, status });
     }
 
