@@ -137,13 +137,6 @@ impl<D: DeviceProbe> Fabric<D> {
         self.hop_log = Some(HopLog::default());
     }
 
-    /// Whether packet paths need to be walked for observation. With the
-    /// default probe and hop tracing off this is `false` and
-    /// [`Fabric::send`] is [`Fabric::latency`].
-    fn observing(&self) -> bool {
-        D::ENABLED || self.hop_log.is_some()
-    }
-
     // ---- link faults ----------------------------------------------------
 
     /// Marks `link` failed: ECMP reroutes around it, and copies whose only
@@ -217,7 +210,8 @@ impl<D: DeviceProbe> Fabric<D> {
         bytes: u64,
         lead: Option<Lead>,
     ) -> Option<SimDuration> {
-        if !self.observing() {
+        // With the default probe and hop tracing off, nothing is observed.
+        if !D::ENABLED && self.hop_log.is_none() {
             return self.latency(from, to, hash);
         }
         let (from, to) = (from.into(), to.into());
@@ -226,8 +220,9 @@ impl<D: DeviceProbe> Fabric<D> {
         let mut hops = lead.map_or_else(Vec::new, |lead| self.lead_hops(lead, now));
         let nodes = route?;
         if let Some(Lead::Segment(start, left)) = lead {
-            let before = self.route(start, from, hash);
-            let before = before.expect("the caller timed the lead segment live");
+            let before = self
+                .route(start, from, hash)
+                .expect("the caller timed it live");
             self.observe(left, &before, bytes, &mut hops);
         }
         let latency = self.cost(&nodes);
@@ -259,11 +254,8 @@ impl<D: DeviceProbe> Fabric<D> {
 
     /// The latency along `nodes`: switch forwarding is free.
     fn cost(&self, nodes: &[NodeId]) -> SimDuration {
-        let mut t = SimDuration::ZERO;
-        for pair in nodes.windows(2) {
-            t += self.edge(pair[0], pair[1]);
-        }
-        t
+        let edges = nodes.windows(2).map(|pair| self.edge(pair[0], pair[1]));
+        edges.fold(SimDuration::ZERO, |t, edge| t + edge)
     }
 
     /// One traversal of the link between adjacent nodes `a` and `b`,
