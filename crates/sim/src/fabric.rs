@@ -243,9 +243,9 @@ impl<D: DeviceProbe> Fabric<D> {
         }
         .ok()?;
         let mut nodes = Vec::with_capacity(switches.len() + 2);
-        // A host→switch path already ends at the destination switch.
         nodes.push(from.node());
         nodes.extend(switches.iter().map(|s| NodeId::Switch(s.0)));
+        // A host→switch path already ends at the destination switch.
         if let End::Host(b) = to {
             nodes.push(NodeId::Host(b.0));
         }

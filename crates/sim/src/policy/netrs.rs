@@ -404,7 +404,8 @@ impl InNetwork {
         core: &mut Core<D>,
         now: SimTime,
         req: ReqId,
-        (from, arrived): (SwitchId, SimTime),
+        from: SwitchId,
+        arrived: SimTime,
         queue: &mut EventQueue<Ev>,
     ) {
         let Some(state) = core.requests.get_mut(req.0) else {
@@ -590,7 +591,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             // The operator was retired by a re-plan while the request was
             // in flight; fall back to the client's backup replica (DRS
             // semantics for in-flight stragglers).
-            self.forward_to_backup(core, now, req, (op, now), queue);
+            self.forward_to_backup(core, now, req, op, now, queue);
             return;
         };
         // In-switch hot-key cache: a hit answers the read at the switch
@@ -684,7 +685,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
             return;
         }
         let Some(operator) = self.operators.get_mut(op) else {
-            self.forward_to_backup(core, now, req, (op, arrived), queue);
+            self.forward_to_backup(core, now, req, op, arrived, queue);
             return;
         };
         let Some(state) = core.requests.get_mut(req.0) else {
