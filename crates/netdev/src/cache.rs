@@ -25,8 +25,11 @@
 //!
 //! Keys are Zipf ranks and versions count writes, and a validated
 //! `SimConfig` bounds both by `u32::MAX` (`keys` and `requests`), so a
-//! slot stores them as `u32`: 20 bytes with its origin and two list links.
-//! The public API keeps `u64` keys and narrows at the slot.
+//! slot stores them as `u32`. A cache holds at most
+//! [`HotKeyCache::MAX_CAPACITY`] (65 535) entries, so slot ids and the
+//! index buckets that name them are `u16`: a slot is 16 bytes with its
+//! origin and two list links. The public API keeps `u64` keys and
+//! narrows at the slot.
 
 use netrs_kvstore::{hash64, key_rank, ServerId};
 use serde::{Deserialize, Serialize};
@@ -118,6 +121,19 @@ pub struct CacheEntry {
     pub origin: ServerId,
 }
 
+/// What [`HotKeyCache::admit`] made of an offered response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmitOutcome {
+    /// Frequency admission turned the key away; nothing changed.
+    Refused,
+    /// The key is cached: refreshed in place, or inserted without
+    /// displacing another.
+    Cached,
+    /// The key is cached in place of the least-recently-used entry,
+    /// which was evicted.
+    Evicted,
+}
+
 /// Aggregate cache counters. `hits + misses` equals the `GET`s the
 /// cache was consulted for, by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -163,11 +179,11 @@ const SKETCH_WIDTH: usize = 1024;
 const FILTER_BITS_PER_ENTRY: usize = 8;
 
 /// "No slot" on the recency and free lists.
-const NIL: u32 = u32::MAX;
+const NIL: u16 = u16::MAX;
 
 /// A vacant index bucket. Buckets store slot id + 1, so an index that is
 /// never written stays on the zero pages it was allocated on.
-const VACANT: u32 = 0;
+const VACANT: u16 = 0;
 
 /// One slab slot: a cached key threaded on the recency list, or a freed
 /// slot threaded on the free list through `next`.
@@ -176,9 +192,9 @@ struct Slot {
     key: u32,
     entry: CacheEntry,
     /// Toward the most recently used end.
-    prev: u32,
+    prev: u16,
     /// Toward the least recently used end.
-    next: u32,
+    next: u16,
 }
 
 /// A bounded per-operator hot-key cache with deterministic LRU eviction
@@ -202,13 +218,13 @@ struct Slot {
 pub struct HotKeyCache {
     cfg: HotCacheConfig,
     slots: Vec<Slot>,
-    head: u32,
-    tail: u32,
-    free: u32,
+    head: u16,
+    tail: u16,
+    free: u16,
     len: usize,
     /// Bucket → slot id + 1, [`VACANT`] when empty; a power of two long,
     /// at least twice `capacity`.
-    index: Vec<u32>,
+    index: Vec<u16>,
     /// Presence filter: a power of two of bits, at least
     /// [`FILTER_BITS_PER_ENTRY`] per unit of capacity. A clear bit means
     /// no key of that hash class is cached.
@@ -222,8 +238,12 @@ pub struct HotKeyCache {
 }
 
 impl HotKeyCache {
-    /// Bytes of one slab slot: key, version and origin, and the two
-    /// recency links, all `u32`.
+    /// The largest capacity a cache can be built with: slot ids are
+    /// `u16`, and `u16::MAX` is the "no slot" sentinel.
+    pub const MAX_CAPACITY: usize = u16::MAX as usize;
+
+    /// Bytes of one slab slot: key, version and origin as `u32`, and the
+    /// two recency links as `u16`.
     pub const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
 
     /// An empty cache with its slab, index and filter allocated for
@@ -231,10 +251,17 @@ impl HotKeyCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configured capacity is zero.
+    /// Panics if the configured capacity is zero or above
+    /// [`Self::MAX_CAPACITY`].
     #[must_use]
     pub fn new(cfg: HotCacheConfig) -> Self {
         assert!(cfg.capacity > 0, "hot-key cache needs capacity");
+        assert!(
+            cfg.capacity <= Self::MAX_CAPACITY,
+            "hot-key cache capacity {} exceeds {} (u16 slot ids)",
+            cfg.capacity,
+            Self::MAX_CAPACITY
+        );
         let sketch = match cfg.admission {
             CacheAdmission::Lru => Vec::new(),
             CacheAdmission::Frequency { .. } => vec![0; 2 * SKETCH_WIDTH],
@@ -306,13 +333,13 @@ impl HotKeyCache {
         self.stats.stale_hits += 1;
     }
 
-    /// Offers an observed response for admission. Returns `true` when
-    /// the key is cached afterwards.
+    /// Offers an observed response for admission, and reports whether
+    /// the key is cached afterwards and whether that evicted an entry.
     ///
     /// # Panics
     ///
     /// Panics if `key` exceeds `u32::MAX`.
-    pub fn admit(&mut self, key: u64, version: u32, origin: ServerId) -> bool {
+    pub fn admit(&mut self, key: u64, version: u32, origin: ServerId) -> AdmitOutcome {
         let key = key_rank(key);
         if let Some((_, slot)) = self.find(key) {
             // Refresh, never regress: a slower response for an older
@@ -323,21 +350,24 @@ impl HotKeyCache {
                 e.origin = origin;
             }
             self.touch(slot);
-            return true;
+            return AdmitOutcome::Cached;
         }
         if let CacheAdmission::Frequency { threshold } = self.cfg.admission {
             if self.sketch_estimate(key) < threshold {
-                return false;
+                return AdmitOutcome::Refused;
             }
         }
-        if self.len >= self.cfg.capacity {
+        let outcome = if self.len >= self.cfg.capacity {
             // The tail is the entry touched longest ago.
             let victim = self.tail;
             self.remove(victim);
             self.stats.evictions += 1;
-        }
+            AdmitOutcome::Evicted
+        } else {
+            AdmitOutcome::Cached
+        };
         self.insert(key, CacheEntry { version, origin });
-        true
+        outcome
     }
 
     /// Applies a write-driven coherence message for `key` committed at
@@ -395,7 +425,7 @@ impl HotKeyCache {
     }
 
     /// The bucket and slot holding `key`, if cached.
-    fn find(&self, key: u32) -> Option<(usize, u32)> {
+    fn find(&self, key: u32) -> Option<(usize, u16)> {
         let mask = self.index.len() - 1;
         let mut b = Self::home(key, self.index.len());
         loop {
@@ -411,7 +441,7 @@ impl HotKeyCache {
     }
 
     /// Points the first vacant bucket of `key`'s probe run at `slot`.
-    fn index_insert(&mut self, key: u32, slot: u32) {
+    fn index_insert(&mut self, key: u32, slot: u16) {
         let mask = self.index.len() - 1;
         let mut b = Self::home(key, self.index.len());
         while self.index[b] != VACANT {
@@ -493,9 +523,9 @@ impl HotKeyCache {
             next: NIL,
         };
         let slot = if self.free == NIL {
-            // Below `capacity`, so within the reservation made by `new`.
-            let slot = u32::try_from(self.slots.len()).expect("slot ids fit in u32");
-            assert_ne!(slot, NIL, "slot ids stay below the NIL sentinel");
+            // Below `capacity`, so within the reservation made by `new`,
+            // and below the NIL sentinel (`new` caps the capacity).
+            let slot = u16::try_from(self.slots.len()).expect("slot ids fit in u16");
             self.slots.push(fresh);
             slot
         } else {
@@ -511,7 +541,7 @@ impl HotKeyCache {
     }
 
     /// Removes the entry in `slot`.
-    fn remove(&mut self, slot: u32) {
+    fn remove(&mut self, slot: u16) {
         let (bucket, _) = self
             .find(self.slots[slot as usize].key)
             .expect("every live slot is indexed");
@@ -519,7 +549,7 @@ impl HotKeyCache {
     }
 
     /// Removes the entry in `slot`, known to be indexed at `bucket`.
-    fn remove_at(&mut self, bucket: usize, slot: u32) {
+    fn remove_at(&mut self, bucket: usize, slot: u16) {
         self.index_remove(bucket);
         self.unlink(slot);
         self.slots[slot as usize].next = self.free;
@@ -529,14 +559,14 @@ impl HotKeyCache {
     }
 
     /// Marks `slot` most recently used.
-    fn touch(&mut self, slot: u32) {
+    fn touch(&mut self, slot: u16) {
         if self.head != slot {
             self.unlink(slot);
             self.link_front(slot);
         }
     }
 
-    fn unlink(&mut self, slot: u32) {
+    fn unlink(&mut self, slot: u16) {
         let Slot { prev, next, .. } = self.slots[slot as usize];
         match prev {
             NIL => self.head = next,
@@ -548,7 +578,7 @@ impl HotKeyCache {
         }
     }
 
-    fn link_front(&mut self, slot: u32) {
+    fn link_front(&mut self, slot: u16) {
         let old = self.head;
         self.slots[slot as usize].prev = NIL;
         self.slots[slot as usize].next = old;
@@ -656,7 +686,7 @@ mod reference {
             }
         }
 
-        pub(super) fn admit(&mut self, key: u64, version: u32, origin: ServerId) -> bool {
+        pub(super) fn admit(&mut self, key: u64, version: u32, origin: ServerId) -> AdmitOutcome {
             self.tick += 1;
             if let Some(e) = self.entries.get_mut(&key) {
                 if version >= e.version {
@@ -664,14 +694,15 @@ mod reference {
                     e.origin = origin;
                 }
                 e.last_used = self.tick;
-                return true;
+                return AdmitOutcome::Cached;
             }
             if let CacheAdmission::Frequency { threshold } = self.cfg.admission {
                 let (a, b) = HotKeyCache::sketch_slots(key_rank(key));
                 if self.sketch[a].min(self.sketch[SKETCH_WIDTH + b]) < threshold {
-                    return false;
+                    return AdmitOutcome::Refused;
                 }
             }
+            let mut outcome = AdmitOutcome::Cached;
             if self.entries.len() >= self.cfg.capacity {
                 // Oldest stamp; stamps are unique, so there are no ties.
                 let victim = self
@@ -682,6 +713,7 @@ mod reference {
                     .expect("a full cache has entries");
                 self.entries.remove(&victim);
                 self.stats.evictions += 1;
+                outcome = AdmitOutcome::Evicted;
             }
             self.entries.insert(
                 key,
@@ -691,7 +723,7 @@ mod reference {
                     last_used: self.tick,
                 },
             );
-            true
+            outcome
         }
 
         pub(super) fn apply_write(&mut self, key: u64, version: u32) -> bool {
@@ -867,6 +899,82 @@ mod tests {
         }
     }
 
+    /// The differential test at the largest capacity, where slot ids
+    /// reach `u16::MAX - 1`, one below the "no slot" sentinel: the slab
+    /// fills to its last slot, the highest slots are invalidated, reused
+    /// from the free list and evicted, and a churn over more keys than
+    /// fit keeps every return value and counter equal to the reference.
+    #[test]
+    fn linked_cache_matches_the_scan_reference_at_the_largest_capacity() {
+        let capacity = HotKeyCache::MAX_CAPACITY;
+        let top = (capacity - 1) as u16;
+        let cfg = HotCacheConfig {
+            capacity,
+            ..HotCacheConfig::default()
+        };
+        let mut fast = HotKeyCache::new(cfg);
+        let mut slow = ScanCache::new(cfg);
+        // Distinct keys spread over the `u32` ranks (an odd multiplier is
+        // a bijection), so probe runs cross the whole index.
+        let key = |k: u64| u64::from((k as u32).wrapping_mul(0x9E37_79B1));
+        let step = |fast: &mut HotKeyCache, slow: &mut ScanCache, op: Op| {
+            match op {
+                Op::Lookup(k) => assert_eq!(fast.lookup(k), slow.lookup(k), "{op:?}"),
+                Op::Admit(k, v, o) => assert_eq!(
+                    fast.admit(k, v, ServerId(o)),
+                    slow.admit(k, v, ServerId(o)),
+                    "{op:?}"
+                ),
+                Op::ApplyWrite(k, v) => {
+                    assert_eq!(fast.apply_write(k, v), slow.apply_write(k, v), "{op:?}");
+                }
+                Op::Flush => unreachable!("no flush at this capacity"),
+            }
+            assert_eq!(fast.stats(), slow.stats(), "{op:?}");
+        };
+        // Fill: the last admission takes the highest slot id.
+        for k in 0..capacity as u64 {
+            step(&mut fast, &mut slow, Op::Admit(key(k), 1, 0));
+        }
+        assert_eq!((fast.len(), fast.slots.len()), (capacity, capacity));
+        assert_eq!(fast.head, top);
+        // Invalidate the two highest slots; the free list hands them back
+        // last-freed first.
+        for k in [capacity as u64 - 1, capacity as u64 - 2] {
+            step(&mut fast, &mut slow, Op::ApplyWrite(key(k), 2));
+        }
+        assert_eq!(fast.free, top - 1);
+        step(&mut fast, &mut slow, Op::Admit(key(1 << 20), 3, 1));
+        step(&mut fast, &mut slow, Op::Admit(key((1 << 20) + 1), 3, 1));
+        assert_eq!((fast.head, fast.free), (top, NIL));
+        // Touch every other key so the highest slot becomes the victim.
+        for k in 0..capacity as u64 - 2 {
+            step(&mut fast, &mut slow, Op::Lookup(key(k)));
+        }
+        step(&mut fast, &mut slow, Op::Lookup(key(1 << 20)));
+        assert_eq!(fast.tail, top);
+        step(&mut fast, &mut slow, Op::Admit(key((1 << 20) + 2), 4, 2));
+        assert_eq!((fast.head, fast.stats().evictions), (top, 1));
+        // Churn over a band wider than the cache, admitting faster than
+        // writes invalidate so the cache stays full.
+        let mut x = 0x0123_4567_89AB_CDEFu64;
+        for i in 0..16_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = key(x % (capacity as u64 + 16_384));
+            match i % 16 {
+                0 => step(&mut fast, &mut slow, Op::ApplyWrite(k, i)),
+                n if n % 2 == 1 => step(&mut fast, &mut slow, Op::Lookup(k)),
+                _ => step(&mut fast, &mut slow, Op::Admit(k, i, 3)),
+            }
+        }
+        let s = fast.stats();
+        assert!(s.evictions > 100 && s.invalidations > 100, "{s:?}");
+        assert_eq!(fast.contents(), slow.contents());
+        fast.assert_filter_covers_contents();
+    }
+
     /// Past the differential test's 16 keys: probe runs that wrap the
     /// index and removals from the middle of a run, checked against a
     /// plain map, in storage that never moves from what `new` allocated.
@@ -917,7 +1025,7 @@ mod tests {
     fn lookup_partitions_into_hits_and_misses() {
         let mut c = lru(4);
         assert!(c.lookup(1).is_none());
-        assert!(c.admit(1, 1, ServerId(3)));
+        assert_eq!(c.admit(1, 1, ServerId(3)), AdmitOutcome::Cached);
         let hit = c.lookup(1).expect("admitted key hits");
         assert_eq!(hit.version, 1);
         assert_eq!(hit.origin, ServerId(3));
@@ -933,7 +1041,7 @@ mod tests {
         c.admit(10, 1, ServerId(0));
         c.admit(20, 1, ServerId(0));
         let _ = c.lookup(10); // 20 is now the LRU victim
-        c.admit(30, 1, ServerId(0));
+        assert_eq!(c.admit(30, 1, ServerId(0)), AdmitOutcome::Evicted);
         assert!(c.lookup(20).is_none(), "LRU entry evicted");
         assert!(c.lookup(10).is_some());
         assert!(c.lookup(30).is_some());
@@ -965,9 +1073,17 @@ mod tests {
             ..HotCacheConfig::default()
         });
         let _ = c.lookup(5); // sketch count 1
-        assert!(!c.admit(5, 1, ServerId(0)), "below threshold");
+        assert_eq!(
+            c.admit(5, 1, ServerId(0)),
+            AdmitOutcome::Refused,
+            "below threshold"
+        );
         let _ = c.lookup(5); // sketch count 2
-        assert!(c.admit(5, 1, ServerId(0)), "reached threshold");
+        assert_eq!(
+            c.admit(5, 1, ServerId(0)),
+            AdmitOutcome::Cached,
+            "reached threshold"
+        );
         assert!(c.lookup(5).is_some());
     }
 

@@ -4,7 +4,7 @@
 use netrs::{Granularity, PlanConstraints, PlanSolver};
 use netrs_faults::{FaultEvent, FaultPlan, LinkRef};
 use netrs_kvstore::ServerConfig;
-use netrs_netdev::{AcceleratorConfig, CacheAdmission, HotCacheConfig};
+use netrs_netdev::{AcceleratorConfig, CacheAdmission, HotCacheConfig, HotKeyCache};
 use netrs_selection::C3Config;
 use netrs_simcore::{Bimodal, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -419,8 +419,13 @@ impl SimConfig {
             }
         }
         if let Some(cache) = self.hot_cache {
-            if cache.capacity == 0 {
-                return Err("hot-key cache capacity must be at least 1".into());
+            // Cache slot ids are `u16`.
+            if !(1..=HotKeyCache::MAX_CAPACITY).contains(&cache.capacity) {
+                return Err(format!(
+                    "hot_cache.capacity must be in [1, {}], got {}",
+                    HotKeyCache::MAX_CAPACITY,
+                    cache.capacity
+                ));
             }
             if let CacheAdmission::Frequency { threshold } = cache.admission {
                 if threshold == 0 {

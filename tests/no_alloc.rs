@@ -174,12 +174,13 @@ fn c3_estimate_stays_at_32_bytes() {
 }
 
 #[test]
-fn cache_slot_stays_at_20_bytes() {
+fn cache_slot_stays_at_16_bytes() {
     // Every RSNode operator's cache holds `capacity` of these (1 024 at
     // every ToR operator on the fault benchmark): a `u32` key rank,
-    // version and origin, and two `u32` recency links. `u64` keys and
-    // versions would make it 32 bytes, four of them padding.
-    assert_eq!(HotKeyCache::SLOT_BYTES, 20);
+    // version and origin, and two `u16` recency links (a cache holds at
+    // most 65 535 entries). `u32` links would make it 20 bytes, and
+    // `u64` keys and versions 32.
+    assert_eq!(HotKeyCache::SLOT_BYTES, 16);
 }
 
 #[test]

@@ -6,9 +6,9 @@
 
 use netrs_sim::{
     AllocStats, AvailabilityStats, CacheRecord, ControlRecord, DeviceRecord, DisplacedGroup,
-    DrsSpanRecord, FaultEvent, FaultPlan, HopSpan, HostMeta, HostProfile, KindRecord,
-    LatencyBreakdown, ParallelStats, PlanEventRecord, QueueStats, RequestTableStats, RunStats,
-    RwStats, SamplePoint, Scheme, SimConfig, SnapshotGroup, SnapshotRecord, SolveRecord,
+    DrsSpanRecord, FaultEvent, FaultPlan, HopSpan, HostMeta, HostProfile, HotCacheConfig,
+    KindRecord, LatencyBreakdown, ParallelStats, PlanEventRecord, QueueStats, RequestTableStats,
+    RunStats, RwStats, SamplePoint, Scheme, SimConfig, SnapshotGroup, SnapshotRecord, SolveRecord,
     TimedFault, TraceRecord, PERF_SCHEMA_VERSION,
 };
 use netrs_simcore::{SimDuration, SimTime, Summary};
@@ -559,6 +559,18 @@ fn bad_configs_are_errors_naming_the_field() {
             "server.fluctuation_range must be finite and at least 1, got NaN",
         ),
         (
+            // `--hot-cache 0` turns the cache off; a config file can still
+            // ask for an empty one.
+            "hot_cache.capacity",
+            small_with(|c| {
+                c.hot_cache = Some(HotCacheConfig {
+                    capacity: 0,
+                    ..HotCacheConfig::default()
+                });
+            }),
+            "hot_cache.capacity must be in [1, 65535], got 0",
+        ),
+        (
             // 1.33 ms / 1e9 rounds to a 0 ns mean: the exponential draw
             // would assert.
             "faults[0].factor",
@@ -682,6 +694,35 @@ fn simulate_exits_1_on_zero_vnodes_or_fluctuation_interval_in_time() {
         assert!(stderr.starts_with(error), "{name}: {stderr}");
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
     }
+}
+
+#[test]
+fn hot_cache_capacity_stops_at_the_largest_u16_slot_id() {
+    // Cache slot ids are `u16` with `u16::MAX` as the "no slot" sentinel:
+    // 65 535 entries is the largest cache a config may ask for, and one
+    // more is an error naming the field, not a panic building the cache.
+    let emit = |capacity: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args(["--small", "--hot-cache", capacity, "--emit-config"])
+            .output()
+            .expect("simulate runs")
+    };
+    let out = emit("65536");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(
+            "invalid configuration: hot_cache.capacity must be in [1, 65535], got 65536"
+        ),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+    let out = emit("65535");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let cfg: SimConfig =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("emitted config parses");
+    assert_eq!(cfg.hot_cache.map(|c| c.capacity), Some(65_535));
 }
 
 #[test]
