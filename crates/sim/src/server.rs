@@ -13,6 +13,7 @@
 //! queues carry its 4-byte [`CopyId`], and handlers stamp the timeline in
 //! place.
 
+use std::num::NonZeroU32;
 use std::ops::{Index, IndexMut};
 
 use netrs_kvstore::{Arrival, Server, ServerConfig, ServerId, ServerStatus};
@@ -28,9 +29,16 @@ use crate::fabric::Fabric;
 /// queue, including its observability timeline: the consecutive event
 /// timestamps that decompose end-to-end latency into exact phases
 /// (steer → selection → to-server → server queue → service → reply).
+///
+/// Every copy in flight holds one (the slab peaks at tens of thousands
+/// on fault runs), so ids are stored at the width a validated config
+/// addresses: 80 bytes in all.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerToken {
-    pub(crate) req: ReqId,
+    /// The request id, read through [`ServerToken::req`]. A sequential
+    /// run issues at most `requests <= u32::MAX` ids, and the replica
+    /// engine only takes runs whose strided ids fit.
+    req: u32,
     pub(crate) server: ServerId,
     /// Index of the issuing client. Carried on the token so reply
     /// routing needs no request-table lookup at the server's side —
@@ -44,9 +52,9 @@ pub struct ServerToken {
     pub(crate) is_write: bool,
     /// When this copy left its last sender (client or selector).
     pub(crate) copy_sent_at: SimTime,
-    /// The RSNode the copy passed, if any; the copy left it at
-    /// `copy_sent_at`.
-    pub(crate) rsnode: Option<SwitchId>,
+    /// The RSNode the copy passed, as switch id + 1, if any; the copy
+    /// left it at `copy_sent_at`. Read through [`ServerToken::rsnode`].
+    rsnode: Option<NonZeroU32>,
     /// When the logical request was issued at the client.
     pub(crate) issued_at: SimTime,
     /// When the copy reached its selection point (the RSNode for
@@ -66,6 +74,10 @@ impl ServerToken {
     /// A token whose timeline starts at `issued_at` and whose selection
     /// interval is `[steered_at, copy_sent_at]`; the server-side
     /// timestamps are stamped as the copy progresses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req` does not fit in `u32`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         req: ReqId,
@@ -80,13 +92,17 @@ impl ServerToken {
         rsnode: Option<SwitchId>,
     ) -> Self {
         ServerToken {
-            req,
+            req: u32::try_from(req.0).expect("request ids fit in u32"),
             server,
             client,
             rgid,
             is_write,
             copy_sent_at,
-            rsnode,
+            rsnode: rsnode.map(|sw| {
+                NonZeroU32::MIN
+                    .checked_add(sw.0)
+                    .expect("switch ids stay below u32::MAX")
+            }),
             issued_at,
             steered_at,
             selection_wait,
@@ -94,6 +110,16 @@ impl ServerToken {
             service_started_at: copy_sent_at,
             served_at: copy_sent_at,
         }
+    }
+
+    /// The request this copy belongs to.
+    pub(crate) fn req(&self) -> ReqId {
+        ReqId(u64::from(self.req))
+    }
+
+    /// The RSNode the copy passed, if any.
+    pub(crate) fn rsnode(&self) -> Option<SwitchId> {
+        self.rsnode.map(|id| SwitchId(id.get() - 1))
     }
 }
 
@@ -385,6 +411,10 @@ mod tests {
     use super::*;
 
     fn token(req: u64) -> ServerToken {
+        token_via(req, None)
+    }
+
+    fn token_via(req: u64, rsnode: Option<SwitchId>) -> ServerToken {
         let t = SimTime::ZERO;
         ServerToken::new(
             ReqId(req),
@@ -396,7 +426,7 @@ mod tests {
             t,
             SimDuration::ZERO,
             t,
-            None,
+            rsnode,
         )
     }
 
@@ -406,7 +436,7 @@ mod tests {
         let a = slab.insert(token(1));
         let b = slab.insert(token(2));
         assert_eq!(slab.live(), 2);
-        assert_eq!(slab.remove(a).req, ReqId(1));
+        assert_eq!(slab.remove(a).req(), ReqId(1));
         assert_eq!(slab.live(), 1);
         assert_eq!(slab.insert(token(3)), a, "the freed slot is reused");
         assert_eq!(slab.slots.len(), 2);
@@ -414,12 +444,33 @@ mod tests {
         assert_eq!(slab.remove(b).served_at, SimTime::from_nanos(7));
         // The free link lives in the token's niche: a slot is no bigger
         // than what it holds. The slab holds every copy in flight (32 768
-        // slots on the fault benchmark): ids, flags and eight timestamps.
+        // slots on the fault benchmark): `u32` ids, the RSNode in four
+        // bytes, a flag and seven timestamps. A `u64` request id and an
+        // 8-byte `Option<SwitchId>` made it 88.
         assert_eq!(
             std::mem::size_of::<CopySlot>(),
             std::mem::size_of::<ServerToken>()
         );
-        assert_eq!(std::mem::size_of::<ServerToken>(), 88);
+        assert_eq!(std::mem::size_of::<ServerToken>(), 80);
+    }
+
+    #[test]
+    fn token_ids_read_back_from_their_narrow_fields() {
+        let last = u64::from(u32::MAX);
+        assert_eq!(token(last).req(), ReqId(last));
+        assert_eq!(token(0).rsnode(), None);
+        for sw in [0, 7, u32::MAX - 1] {
+            assert_eq!(
+                token_via(1, Some(SwitchId(sw))).rsnode(),
+                Some(SwitchId(sw))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "request ids fit in u32")]
+    fn a_request_id_past_u32_max_panics_instead_of_wrapping() {
+        let _ = token(u64::from(u32::MAX) + 1);
     }
 
     #[test]
@@ -437,6 +488,6 @@ mod tests {
         let mut slab = CopySlab::new();
         let a = slab.insert(token(1));
         slab.remove(a);
-        let _ = slab[a].req;
+        let _ = slab[a].req();
     }
 }

@@ -888,7 +888,7 @@ impl<D: DeviceProbe> Core<D> {
         let (is_write, rgid, client, sent_at) = if self.replica.is_some() {
             (token.is_write, token.rgid, token.client, token.issued_at)
         } else {
-            let Some(state) = self.requests.get(token.req.0) else {
+            let Some(state) = self.requests.get(token.req().0) else {
                 return false;
             };
             (state.is_write, state.rgid, state.client, state.sent_at)
@@ -904,7 +904,7 @@ impl<D: DeviceProbe> Core<D> {
             return false; // chain tail: the reply flows back to the client
         }
         let next = replicas[idx + 1];
-        let req = token.req;
+        let req = token.req();
         let from_host = self.server_hosts[token.server.0 as usize];
         self.copies.remove(copy);
         let chain_token = ServerToken::new(
@@ -979,7 +979,7 @@ impl<D: DeviceProbe> Core<D> {
         // Replica mode: the request lives on the issuing client's
         // replica, not here; eligibility excludes faults, so it is
         // always still live and the liveness probe must be skipped.
-        if self.replica.is_none() && !self.requests.contains(token.req.0) {
+        if self.replica.is_none() && !self.requests.contains(token.req().0) {
             // The request was resolved without this copy (fault runs:
             // abandoned after timing out). The reply has nowhere to go.
             if let Some(f) = &mut self.faults {
@@ -1008,7 +1008,7 @@ impl<D: DeviceProbe> Core<D> {
         queue: &mut EventQueue<Ev>,
     ) {
         let token = &self.copies[copy];
-        let (req, server) = (token.req, token.server);
+        let (req, server) = (token.req(), token.server);
         let client = if self.replica.is_some() {
             // The request table lives on the client's replica; the token
             // carries everything reply routing needs.
@@ -1050,7 +1050,7 @@ impl<D: DeviceProbe> Core<D> {
     ) -> Option<ReplyInfo> {
         let token = self.copies.remove(copy);
         let hops = self.fabric.take_copy_hops(copy);
-        let Some(state) = self.requests.get_mut(token.req.0) else {
+        let Some(state) = self.requests.get_mut(token.req().0) else {
             // A straggler reply for a request already resolved (fault
             // runs only: the client abandoned it after a timeout).
             if let Some(f) = &mut self.faults {
@@ -1093,10 +1093,10 @@ impl<D: DeviceProbe> Core<D> {
         }
         let latency = now - state.sent_at;
         // The request id is its issue position (strided in replica mode).
-        let issue_idx = token.req.0;
+        let issue_idx = token.req().0;
         let drained = state.copies == 0;
         if drained {
-            self.requests.remove(token.req.0);
+            self.requests.remove(token.req().0);
         }
 
         // Phase decomposition: consecutive timestamp differences along
@@ -1110,7 +1110,7 @@ impl<D: DeviceProbe> Core<D> {
         if self.tracer.is_some() || self.trace_buf.is_some() {
             use std::io::Write as _;
             let rec = TraceRecord {
-                req: token.req.0,
+                req: token.req().0,
                 server: token.server.0,
                 first: first_completion,
                 write: is_write,
@@ -1232,7 +1232,7 @@ impl<D: DeviceProbe> Core<D> {
     /// Loses an in-flight copy that was already sent: frees its token and
     /// accounts the loss ([`Self::drop_copy`]).
     pub(crate) fn lose_copy(&mut self, copy: CopyId) {
-        let req = self.discard_copy(copy).req;
+        let req = self.discard_copy(copy).req();
         self.drop_copy(req.0);
     }
 
