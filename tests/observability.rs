@@ -362,6 +362,36 @@ fn hop_spans_telescope_exactly_under_faults_for_all_schemes() {
     }
 }
 
+/// A request has one issue time, whichever attempt answered it: under
+/// `overlap.json` (a 3 ms timeout, so most requests that see a fault are
+/// retried, some by Degraded Replica Selection straight to the backup)
+/// every trace record of a request carries the same `issued_ns`.
+#[test]
+fn every_record_of_a_request_carries_its_issue_time() {
+    let text = include_str!("fixtures/faults/overlap.json");
+    for scheme in Scheme::ALL {
+        let mut cfg = SimConfig::small();
+        cfg.scheme = scheme;
+        cfg.requests = 5_000;
+        cfg.seed = 7;
+        cfg.faults = Some(FaultPlan::from_json(text).expect("valid fault plan"));
+        let (records, out) = hop_traced_run(cfg);
+        assert!(out.stats.availability.expect("a fault run").retries > 0);
+        let mut issued = std::collections::BTreeMap::new();
+        let mut retried = 0;
+        for r in &records {
+            let first = *issued.entry(r.req).or_insert(r.issued_ns);
+            assert_eq!(
+                r.issued_ns, first,
+                "{scheme}: request {} has records issued at {first} and {} ns",
+                r.req, r.issued_ns
+            );
+            retried += usize::from(r.steer_ns + r.selection_ns >= 3_000_000);
+        }
+        assert!(retried > 0, "{scheme}: no record waited out a timeout");
+    }
+}
+
 /// Without `--trace-hops` the hops vector stays empty (and, per the
 /// serializer, absent from the JSONL line), so the PR 1 trace schema is
 /// unchanged by default.
