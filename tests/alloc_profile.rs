@@ -13,12 +13,14 @@ use netrs_sim::{
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Heap peak of the fault-shape run below, in bytes (1 027 982 with `u64`
-/// keys and versions in 32-byte cache slots, 16-byte version slots and
-/// 56-byte request slots, and 96-byte copy tokens; 1 097 432 before that
-/// with `Option`-tagged 24-byte version slots and a 32-bit-per-entry
-/// cache filter).
-const RW_FAULTS_PEAK_BYTES: u64 = 940_858;
+/// Heap peak of the fault-shape run below, in bytes (940 858 with 20-byte
+/// cache slots and index buckets of `u32` slot ids, 88-byte copy tokens
+/// and ToR monitors that no re-plan reads; 1 027 982 with `u64` keys and
+/// versions in 32-byte cache slots, 16-byte version slots and 56-byte
+/// request slots, and 96-byte copy tokens; 1 097 432 before that with
+/// `Option`-tagged 24-byte version slots and a 32-bit-per-entry cache
+/// filter).
+const RW_FAULTS_PEAK_BYTES: u64 = 891_399;
 
 fn profiled_run(scheme: Scheme, requests: u64, seed: u64) -> HostProfile {
     let mut cfg = SimConfig::small();
@@ -43,9 +45,12 @@ fn perf_profile_counts_allocations_and_the_hot_loop_stays_below_one_per_event() 
     // cache at every ToR operator, crashes and a loss burst). Heap peak
     // bytes repeat exactly for a seed, so per-key or per-switch state that
     // widens again fails here on any machine: `u64` keys and versions with
-    // the copy token's duplicate timestamp read +9.3 %. (Counted bytes are what was asked
-    // for, not pages touched: a cache that grows its storage again peaks
-    // at the same bytes once full, and fails `tests/no_alloc.rs` instead.)
+    // the copy token's duplicate timestamp read +9.3 %, 20-byte cache slots
+    // +2.8 %. An 88-byte copy token stays inside the 1 % (the copy slab is
+    // small at this scale), so `server.rs` pins the token's size instead.
+    // (Counted bytes are what was asked for, not pages touched: a cache
+    // that grows its storage again peaks at the same bytes once full, and
+    // fails `tests/no_alloc.rs` instead.)
     let mut cfg = SimConfig::small();
     cfg.scheme = Scheme::NetRsToR;
     cfg.seed = 3;
