@@ -242,12 +242,11 @@ fn golden_runs_are_byte_identical() {
     }
 }
 
-/// The hot-key cache under writes and lost coherence messages:
-/// `--small` NetRS-ToR, 10 % `Quorum{w:2}` writes, a 128-entry cache per
-/// RSNode and `tests/fixtures/faults/invalidation-loss.json` (half of all
-/// packets lost for 400 ms while writes are in flight).
-fn cache_case(admission: CacheAdmission, write_policy: CacheWritePolicy) -> SimConfig {
-    let plan = std::fs::read_to_string(fixtures_dir().join("../faults/invalidation-loss.json"))
+/// The hot-key cache under writes and faults: `--small` NetRS-ToR, 10 %
+/// `Quorum{w:2}` writes and a 128-entry cache per RSNode, under the fault
+/// plan `tests/fixtures/faults/<plan>.json`.
+fn cache_case(plan: &str, admission: CacheAdmission, write_policy: CacheWritePolicy) -> SimConfig {
+    let plan = std::fs::read_to_string(fixtures_dir().join(format!("../faults/{plan}.json")))
         .expect("fault plan fixture");
     let mut cfg = SimConfig::small();
     cfg.scheme = Scheme::NetRsToR;
@@ -263,17 +262,22 @@ fn cache_case(admission: CacheAdmission, write_policy: CacheWritePolicy) -> SimC
     cfg
 }
 
-/// Cache-run goldens. The `netrs-tor-rw-cache*` fixtures were captured
-/// at commit dc05ccd, when every coherence message was its own heap
-/// event. Since the fan-out became one event per arrival-time batch they
-/// differ from those captures in the `"events"` line only: loss draws,
-/// counters, trace and device bytes are the same. A regeneration that
-/// moves any other line is a behaviour change, not a refresh.
+/// Cache-run goldens. The `netrs-tor-rw-cache*` fixtures under
+/// `invalidation-loss.json` (half of all packets lost for 400 ms while
+/// writes are in flight) were captured at commit dc05ccd, when every
+/// coherence message was its own heap event. Since the fan-out became one
+/// event per arrival-time batch they differ from those captures in the
+/// `"events"` line only: loss draws, counters, trace and device bytes are
+/// the same. A regeneration that moves any other line is a behaviour
+/// change, not a refresh. The `through-freq` digests and the `overlap`
+/// case were captured at commit c532811, before the holder bank gated
+/// coherence delivery, cache lookups and admissions.
 #[test]
 fn cache_runs_are_byte_identical() {
     let dir = fixtures_dir();
     let regen = std::env::var_os("GOLDEN_REGEN").is_some();
     let art = run_case(cache_case(
+        "invalidation-loss",
         CacheAdmission::Lru,
         CacheWritePolicy::Invalidate,
     ));
@@ -289,14 +293,57 @@ fn cache_runs_are_byte_identical() {
         regen,
     );
 
-    // Stats only: refresh-in-place coherence and sketch-gated admission.
+    // Refresh-in-place coherence and sketch-gated admission.
     let art = run_case(cache_case(
+        "invalidation-loss",
         CacheAdmission::Frequency { threshold: 2 },
         CacheWritePolicy::Through,
     ));
     pin(
         &dir.join("netrs-tor-rw-cache-through-freq.stats.json"),
         &art.stats_json,
+        regen,
+    );
+    pin(
+        &dir.join("netrs-tor-rw-cache-through-freq.digests.txt"),
+        &art.digests(),
+        regen,
+    );
+
+    // `overlap.json` while writes and cached keys are live: RSNode 0
+    // crashes (its cache is flushed) and recovers, a dead client uplink
+    // sends every write through the unmemoized fan-out, and a loss burst
+    // drops coherence messages of batches already in flight.
+    let art = run_case(cache_case(
+        "overlap",
+        CacheAdmission::Lru,
+        CacheWritePolicy::Invalidate,
+    ));
+    let control = String::from_utf8(art.control.clone()).expect("control stream is UTF-8");
+    for trigger in ["operator_fail", "operator_recover"] {
+        assert!(
+            control.contains(&format!("\"trigger\":\"{trigger}\"")),
+            "overlap: no {trigger} plan record"
+        );
+    }
+    assert!(
+        art.stats_json.contains("\"cache_invalidations\"")
+            && !art.stats_json.contains("\"copies_dropped\": 0,"),
+        "overlap: the dead uplink must cost copies"
+    );
+    pin(
+        &dir.join("netrs-tor-rw-cache-overlap.stats.json"),
+        &art.stats_json,
+        regen,
+    );
+    pin(
+        &dir.join("netrs-tor-rw-cache-overlap.digests.txt"),
+        &art.digests(),
+        regen,
+    );
+    pin(
+        &dir.join("netrs-tor-rw-cache-overlap.control.txt"),
+        &format!("{}\n", digest_line("control", &art.control)),
         regen,
     );
 }
