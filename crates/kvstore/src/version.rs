@@ -1,16 +1,19 @@
 //! Per-key version counters for the write path.
 //!
-//! Every acknowledged `SET` bumps the key's version; a cached value is
-//! stale exactly when the version it was captured at is older than the
-//! committed version. The table is the store-side source of truth the
-//! in-switch hot-key caches are compared against for stale-read
-//! accounting.
+//! The simulator bumps a key's version when a client issues a `SET`
+//! (`Core::generate`), before any replica applies the write; replicas
+//! keep no versions. A cached value is stale exactly when the version it
+//! was captured at is older than the table's. The table is the one
+//! version the in-switch hot-key caches are compared against for
+//! stale-read accounting; ROADMAP item 23 is the model change that would
+//! keep versions at the replicas and advance them on acknowledgement.
 //!
-//! Storage is a bounded open-addressed map keyed by the 64-bit key hash:
-//! the write path touches it on every `SET` and every cache hit check,
-//! so it reuses the ring-slab idea of the simulator's dense tables
-//! rather than a `HashMap`. Unversioned keys implicitly sit at version
-//! 0, so only written keys occupy slots.
+//! Storage is a bounded open-addressed map whose slots store the `u32`
+//! key and are probed from its 64-bit `hash64`: the write path touches
+//! it on every `SET` and every cache hit check, so it reuses the
+//! ring-slab idea of the simulator's dense tables rather than a
+//! `HashMap`. Unversioned keys implicitly sit at version 0, so only
+//! written keys occupy slots.
 //!
 //! A validated `SimConfig` has `keys <= u32::MAX` and `requests <=
 //! u32::MAX`, and every write is one request, so a slot stores both the

@@ -31,8 +31,8 @@ mod pipeline;
 
 pub use accelerator::{Accelerator, AcceleratorConfig, AcceleratorStats};
 pub use cache::{
-    AdmitOutcome, CacheAdmission, CacheEntry, CacheStats, CacheWritePolicy, HotCacheConfig,
-    HotKeyCache,
+    AdmitOutcome, CacheAdmission, CacheEntry, CacheStats, CacheWritePolicy, HolderBank,
+    HotCacheConfig, HotKeyCache,
 };
 pub use monitor::{Monitor, TrafficSnapshot};
 pub use operator::RsOperator;

@@ -149,12 +149,14 @@ pub enum Ev {
     /// pod, other pods on a healthy fat-tree), so the fan-out is one event
     /// per arrival time, not one per operator: the handler walks the batch
     /// in ascending switch order and does per operator what a per-message
-    /// event would — loss draw, then invalidate or refresh. Event counts
-    /// (`RunStats::events`, the `CacheInvalidate` row of `--perf`)
-    /// therefore count batches.
+    /// event would — loss draw, then invalidate or refresh — skipping the
+    /// operators whose caches hold no key of the written key's class (the
+    /// policy's holder bank) unless a loss burst needs their coin draws.
+    /// Event counts (`RunStats::events`, the `CacheInvalidate` row of
+    /// `--perf`) therefore count batches.
     CacheInvalidate {
-        /// The batch's operator list, by id in the policy's side table
-        /// (recycled on delivery; keeps the list out of the event).
+        /// The batch's operator set, by id in the policy's side table
+        /// (recycled on delivery; keeps the set out of the event).
         batch: u32,
         /// The written key.
         key: u64,

@@ -15,8 +15,8 @@ use netrs::{
     TrafficGroups, TrafficMatrix,
 };
 use netrs_netdev::{
-    Accelerator, AdmitOutcome, CacheStats, GroupId, IngressAction, Monitor, NetRsRules, PacketMeta,
-    RsOperator,
+    Accelerator, AdmitOutcome, CacheStats, GroupId, HolderBank, IngressAction, Monitor, NetRsRules,
+    PacketMeta, RsOperator,
 };
 use netrs_selection::{C3Selector, Feedback, ReplicaSelector};
 use netrs_simcore::{
@@ -135,15 +135,18 @@ impl OraclePlacement {
     }
 }
 
-/// Operator lists of the coherence batches in flight ([`Ev::CacheInvalidate`]
-/// carries a batch id, not the list, so the event stays small). A
-/// delivered batch's emptied list is reused by a later write, so once as
-/// many lists exist as batches are ever in flight together the fan-out
-/// stops allocating.
-#[derive(Default)]
+/// Operator sets of the coherence batches in flight ([`Ev::CacheInvalidate`]
+/// carries a batch id, not the set, so the event stays small). A set is
+/// one bit per switch id, ascending bit order being ascending switch
+/// order, as wide as a [`HolderBank`] row so the two AND word by word.
+/// A delivered batch's id is reused by a later write, so once as many
+/// sets exist as batches are ever in flight together the fan-out stops
+/// allocating.
 struct CoherenceBatches {
-    /// Operator switches per batch id, ascending.
-    ops: Vec<Vec<SwitchId>>,
+    /// Words per operator set.
+    words: usize,
+    /// The operator set of batch id `i` at `words * i..`.
+    ops: Vec<u64>,
     /// Ids whose batch was delivered.
     free: Vec<u32>,
     /// `(arrival latency, id)` of the batches the write being fanned out
@@ -153,13 +156,24 @@ struct CoherenceBatches {
 }
 
 impl CoherenceBatches {
-    /// Opens a batch of the current write for `latency` on a recycled
-    /// operator list.
+    /// Batches over switch ids `0..switches`.
+    fn new(switches: u32) -> Self {
+        CoherenceBatches {
+            words: (switches as usize).div_ceil(64),
+            ops: Vec::new(),
+            free: Vec::new(),
+            open: Vec::new(),
+        }
+    }
+
+    /// Opens a batch of the current write for `latency` on a recycled,
+    /// emptied operator set.
     fn open(&mut self, latency: SimDuration) -> u32 {
         let id = self.free.pop().unwrap_or_else(|| {
-            self.ops.push(Vec::new());
-            (self.ops.len() - 1) as u32
+            self.ops.resize(self.ops.len() + self.words, 0);
+            (self.ops.len() / self.words - 1) as u32
         });
+        self.members_mut(id).fill(0);
         self.open.push((latency, id));
         id
     }
@@ -171,26 +185,59 @@ impl CoherenceBatches {
             Some(&(_, id)) => id,
             None => self.open(latency),
         };
-        self.ops[id as usize].push(op);
+        self.members_mut(id)[op.0 as usize / 64] |= 1 << (op.0 % 64);
+    }
+
+    /// The operator set of batch `id`.
+    fn members(&self, id: u32) -> &[u64] {
+        &self.ops[self.words * id as usize..][..self.words]
+    }
+
+    fn members_mut(&mut self, id: u32) -> &mut [u64] {
+        &mut self.ops[self.words * id as usize..][..self.words]
     }
 
     /// A copy of the batches the current write has open.
     fn template(&self) -> FanoutTemplate {
         let open = self.open.iter();
-        open.map(|&(latency, id)| (latency, self.ops[id as usize].clone()))
+        open.map(|&(latency, id)| (latency, self.members(id).to_vec()))
             .collect()
     }
 }
 
 /// The batches a write from one client rack fans out into on a healthy
-/// fabric, in opening order: `(arrival latency, operators ascending)`.
-pub(crate) type FanoutTemplate = Vec<(SimDuration, Vec<SwitchId>)>;
+/// fabric, in opening order: `(arrival latency, operator set)`.
+pub(crate) type FanoutTemplate = Vec<(SimDuration, Vec<u64>)>;
 
 #[cfg(test)]
 thread_local! {
-    /// Test switch: every write runs the fan-out loop, as if the memo did
-    /// not exist (the reference a memoized run must match byte for byte).
-    static NO_FANOUT_MEMO: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Test switch for the reference coherence path, which every run must
+    /// match byte for byte: no fan-out memo (every write runs the fan-out
+    /// loop) and no holder gating (a [`HolderBank::saturated`] bank, so
+    /// every lookup and admission probes its cache's index and every
+    /// coherence batch visits every member).
+    static REFERENCE_COHERENCE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The switches whose bits are set in word `w` of an operator set,
+/// ascending.
+fn switch_ids(w: usize, mut bits: u64) -> impl Iterator<Item = SwitchId> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            SwitchId(64 * w as u32 + b)
+        })
+    })
+}
+
+/// Whether this run takes the reference coherence path; never outside
+/// the crate's tests.
+fn reference_coherence() -> bool {
+    #[cfg(test)]
+    return REFERENCE_COHERENCE.get();
+    #[cfg(not(test))]
+    false
 }
 
 /// The policy object of both in-network schemes: the controller with its
@@ -231,6 +278,11 @@ pub(crate) struct InNetwork {
     bootstrap: Option<(PlanDiff, Option<PlanSolveStats>)>,
     /// Coherence fan-out batches between issue and arrival.
     batches: CoherenceBatches,
+    /// Which live operators' caches hold a key of each class (empty when
+    /// no cache is configured). Exact only while every cache operation on
+    /// a live operator goes through it and [`InNetwork::rebuild_operators`]
+    /// retires the columns of the operators it retires.
+    holders: HolderBank,
     /// What the fan-out loop of [`InNetwork::on_write_issued`] made of the
     /// last write from each client rack (by ToR id); `None` until the rack
     /// writes under the current operator set. Exact only on a healthy
@@ -275,6 +327,11 @@ impl InNetwork {
         };
         let num_switches = core.fabric.topo.num_switches();
         let rules = SwitchTable::from_map(num_switches, controller.deploy(&groups));
+        let holders = match &cfg.hot_cache {
+            Some(c) if reference_coherence() => HolderBank::saturated(c, num_switches as usize),
+            Some(c) => HolderBank::new(c, num_switches as usize),
+            None => HolderBank::default(),
+        };
         let group_of_client: Vec<GroupId> = core
             .client_hosts
             .iter()
@@ -296,7 +353,8 @@ impl InNetwork {
             last_accel_busy: vec![0; num_switches as usize],
             dead_operators: BTreeSet::new(),
             bootstrap: Some(bootstrap),
-            batches: CoherenceBatches::default(),
+            batches: CoherenceBatches::new(num_switches),
+            holders,
             fanout_memo: vec![None; core.fabric.topo.num_tors() as usize],
             replan_every: match optimized {
                 Some(PlanSource::Monitored { interval }) => Some(interval),
@@ -348,8 +406,10 @@ impl InNetwork {
         // the work they performed. The drain runs in ascending switch
         // order, which fixes the float summation order in
         // `control_stats`.
-        self.retired_operators
-            .extend(self.operators.drain().map(|(_, op)| op));
+        for (sw, op) in self.operators.drain() {
+            self.holders.retire(sw.0);
+            self.retired_operators.push(op);
+        }
         self.operators = next;
         self.operators_changed();
     }
@@ -613,7 +673,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 .get(req.0)
                 .map(|s| (u64::from(s.key), s.sent_at, s.client));
             if let Some((key, sent_at, client)) = meta {
-                if let Some(entry) = cache.lookup(key) {
+                if let Some(entry) = self.holders.lookup(cache, op.0, key) {
                     // Serve from the switch; a version behind the store's
                     // committed one is a stale read (a coherence message
                     // was lost or is still in flight) and is counted.
@@ -784,7 +844,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
                 // The switch caches what it forwards: populate from the
                 // observed response, stamped with the store's committed
                 // version so later hits can be checked for staleness.
-                if cache.admit(key, core.versions.get(key), server) == AdmitOutcome::Evicted {
+                let version = core.versions.get(key);
+                if self.holders.admit(cache, op.0, key, version, server) == AdmitOutcome::Evicted {
                     core.fabric
                         .devices
                         .bump(DeviceId::Switch(op.0), DeviceCounter::CacheEvict, 1);
@@ -912,7 +973,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
     fn operator_crashed(&mut self, sw: SwitchId) -> bool {
         if let Some(mut op) = self.operators.remove(sw) {
             if let Some(cache) = op.cache.as_mut() {
-                cache.flush();
+                self.holders.flush(cache, sw.0);
             }
             self.retired_operators.push(op);
             self.operators_changed();
@@ -990,15 +1051,13 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         };
         let client_host = core.client_hosts[state.client as usize];
         let version = core.versions.get(key);
-        let memoize = core.fabric.links_healthy();
-        #[cfg(test)]
-        let memoize = memoize && !NO_FANOUT_MEMO.get();
+        let memoize = core.fabric.links_healthy() && !reference_coherence();
         let rack = core.fabric.topo.rack_of_host(client_host) as usize;
         match &self.fanout_memo[rack] {
             Some(template) if memoize => {
                 for (latency, ops) in template {
                     let batch = self.batches.open(*latency);
-                    self.batches.ops[batch as usize].extend_from_slice(ops);
+                    self.batches.members_mut(batch).copy_from_slice(ops);
                 }
             }
             _ => {
@@ -1023,7 +1082,10 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
 
     /// A batch of coherence messages arrives ([`Ev::CacheInvalidate`]
     /// mechanics): per operator, ascending, one loss draw, then the
-    /// cache applies the write.
+    /// cache applies the write. Only the operators the holder bank names
+    /// for the key's class can have the key; outside a loss burst no
+    /// message is lost and no coin is drawn, so the batch visits those
+    /// alone. Inside one every member draws its coin, in the same order.
     fn on_cache_invalidate(
         &mut self,
         core: &mut Core<D>,
@@ -1033,25 +1095,46 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         version: u32,
     ) {
         let InNetwork {
-            batches, operators, ..
+            batches,
+            operators,
+            holders,
+            ..
         } = self;
-        for op in batches.ops[batch as usize].drain(..) {
-            let counter = if core.packet_lost(now) {
-                // The coherence message is lost: the cached entry stays
-                // behind, stale, until evicted or re-admitted.
-                DeviceCounter::Drop
-            } else if operators
-                .get_mut(op)
-                .and_then(|o| o.cache.as_mut())
-                .is_some_and(|cache| cache.apply_write(key, version))
-            {
-                DeviceCounter::CacheInvalidate
-            } else {
-                // No entry for the key — or no operator: dead and retired
-                // ones were removed from the live table.
+        let class = holders.class(key);
+        let burst = core.in_loss_burst(now);
+        for (w, &members) in batches.members(batch).iter().enumerate() {
+            if members == 0 {
                 continue;
-            };
-            core.fabric.devices.bump(DeviceId::Switch(op.0), counter, 1);
+            }
+            let held = holders.word(class, w);
+            #[cfg(debug_assertions)]
+            for op in switch_ids(w, members & !held) {
+                let cache = operators.get(op).and_then(|o| o.cache.as_ref());
+                assert!(
+                    cache.is_none_or(|c| !c.contains(key)),
+                    "holder bank skipped {op:?}, which caches key {key}"
+                );
+            }
+            let visit = if burst { members } else { members & held };
+            for op in switch_ids(w, visit) {
+                let counter = if core.packet_lost(now) {
+                    // The coherence message is lost: the cached entry stays
+                    // behind, stale, until evicted or re-admitted.
+                    DeviceCounter::Drop
+                } else if held & (1 << (op.0 % 64)) != 0
+                    && operators
+                        .get_mut(op)
+                        .and_then(|o| o.cache.as_mut())
+                        .is_some_and(|cache| holders.apply_write(cache, op.0, key, version))
+                {
+                    DeviceCounter::CacheInvalidate
+                } else {
+                    // No entry for the key — or no operator: dead and
+                    // retired ones hold nothing in the bank.
+                    continue;
+                };
+                core.fabric.devices.bump(DeviceId::Switch(op.0), counter, 1);
+            }
         }
         batches.free.push(batch);
     }
@@ -1197,7 +1280,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
         }
         let hosts = core.client_hosts.clone();
         let fresh = hosts.into_iter().map(|client| {
-            let mut scratch = CoherenceBatches::default();
+            let mut scratch = CoherenceBatches::new(core.fabric.topo.num_switches());
             Self::fan_out(&self.operators, &mut scratch, core, client, 0);
             let rack = core.fabric.topo.rack_of_host(client) as usize;
             (self.fanout_memo[rack].clone(), scratch.template())
@@ -1265,7 +1348,7 @@ impl<D: DeviceProbe> SchemePolicy<D> for InNetwork {
 #[cfg(test)]
 mod tests {
     use netrs_faults::{FaultEvent, FaultPlan, LinkRef, TimedFault};
-    use netrs_netdev::HotCacheConfig;
+    use netrs_netdev::{CacheAdmission, CacheWritePolicy, HotCacheConfig};
     use netrs_topology::LinkSet;
 
     use super::*;
@@ -1426,7 +1509,10 @@ mod tests {
             let mut reached: Vec<SwitchId> = templates[0]
                 .1
                 .iter()
-                .flat_map(|(_, ops)| ops.iter().copied())
+                .flat_map(|(_, ops)| {
+                    let words = ops.iter().enumerate();
+                    words.flat_map(|(w, &bits)| switch_ids(w, bits))
+                })
                 .collect();
             reached.sort_unstable();
             reached
@@ -1454,27 +1540,34 @@ mod tests {
         assert!(engine.world().drained());
     }
 
-    /// While a link is dead or degraded the memo is bypassed, and a memo
-    /// filled before the fault is still right after it: the run is, byte
-    /// for byte, the run with the memo switched off.
+    /// Stats and `--devices` bytes of `cfg`'s run, on the reference
+    /// coherence path or not.
+    fn stats_and_devices(cfg: &SimConfig, reference: bool) -> (String, String, crate::RunStats) {
+        REFERENCE_COHERENCE.set(reference);
+        let obs = crate::ObsOptions {
+            device_stats: true,
+            ..crate::ObsOptions::default()
+        };
+        let out = crate::run_observed(cfg.clone(), obs);
+        REFERENCE_COHERENCE.set(false);
+        let stats = serde_json::to_string(&out.stats).expect("stats serialize");
+        let devices = out.devices.expect("device stats requested").records;
+        let devices = serde_json::to_string(&devices).expect("devices serialize");
+        (stats, devices, out.stats)
+    }
+
+    /// While a link is dead or degraded the memo is bypassed, a memo
+    /// filled before the fault is still right after it, and the holder
+    /// bank follows every admission, eviction, invalidation, crash and
+    /// re-plan: the run is, byte for byte, the reference run without the
+    /// memo and without holder gating. On the churning cluster, and on
+    /// `--small` NetRS-ToR under `overlap.json` for every admission ×
+    /// write policy.
     #[test]
     fn fanout_memo_run_matches_the_unmemoized_run() {
         let (cfg, _) = churning_cluster_with_writes();
-        let run = |memo_off: bool| {
-            NO_FANOUT_MEMO.set(memo_off);
-            let obs = crate::ObsOptions {
-                device_stats: true,
-                ..crate::ObsOptions::default()
-            };
-            let out = crate::run_observed(cfg.clone(), obs);
-            NO_FANOUT_MEMO.set(false);
-            let stats = serde_json::to_string(&out.stats).expect("stats serialize");
-            let devices = out.devices.expect("device stats requested").records;
-            let devices = serde_json::to_string(&devices).expect("devices serialize");
-            (stats, devices, out.stats)
-        };
-        let (stats, devices, parsed) = run(false);
-        let (plain_stats, plain_devices, _) = run(true);
+        let (stats, devices, parsed) = stats_and_devices(&cfg, false);
+        let (plain_stats, plain_devices, _) = stats_and_devices(&cfg, true);
         assert_eq!(stats, plain_stats);
         assert_eq!(devices, plain_devices);
         let rw = parsed.rw.expect("cache runs carry an rw block");
@@ -1487,5 +1580,32 @@ mod tests {
             availability.copies_dropped > 0,
             "the dead uplink dropped copies"
         );
+
+        let plan = include_str!("../../../../tests/fixtures/faults/overlap.json");
+        for write_policy in [CacheWritePolicy::Invalidate, CacheWritePolicy::Through] {
+            for admission in [
+                CacheAdmission::Lru,
+                CacheAdmission::Frequency { threshold: 2 },
+            ] {
+                let mut cfg = SimConfig::small();
+                cfg.scheme = Scheme::NetRsToR;
+                cfg.seed = 42;
+                cfg.write_fraction = 0.1;
+                cfg.write_consistency = crate::WriteConsistency::Quorum { w: 2 };
+                cfg.hot_cache = Some(HotCacheConfig {
+                    capacity: 128,
+                    admission,
+                    write_policy,
+                });
+                cfg.faults = Some(FaultPlan::from_json(plan).expect("valid fault plan"));
+                let (stats, devices, parsed) = stats_and_devices(&cfg, false);
+                let reference = stats_and_devices(&cfg, true);
+                let case = format!("{admission:?} × {write_policy:?}");
+                assert_eq!(stats, reference.0, "{case}");
+                assert_eq!(devices, reference.1, "{case}");
+                let rw = parsed.rw.expect("cache runs carry an rw block");
+                assert!(rw.cache_invalidations > 0, "{case}: {rw:?}");
+            }
+        }
     }
 }

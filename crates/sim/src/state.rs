@@ -1258,6 +1258,12 @@ impl<D: DeviceProbe> Core<D> {
         }
     }
 
+    /// Whether a loss burst is on at `now`: only then does
+    /// [`Core::packet_lost`] draw a coin.
+    pub(crate) fn in_loss_burst(&self, now: SimTime) -> bool {
+        matches!(&self.faults, Some(f) if now < f.loss_until)
+    }
+
     /// Draws the packet-loss-burst coin for one delivery.
     pub(crate) fn packet_lost(&mut self, now: SimTime) -> bool {
         match &mut self.faults {

@@ -13,14 +13,16 @@ use netrs_sim::{
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Heap peak of the fault-shape run below, in bytes (940 858 with 20-byte
-/// cache slots and index buckets of `u32` slot ids, 88-byte copy tokens
-/// and ToR monitors that no re-plan reads; 1 027 982 with `u64` keys and
-/// versions in 32-byte cache slots, 16-byte version slots and 56-byte
-/// request slots, and 96-byte copy tokens; 1 097 432 before that with
-/// `Option`-tagged 24-byte version slots and a 32-bit-per-entry cache
-/// filter).
-const RW_FAULTS_PEAK_BYTES: u64 = 891_399;
+/// Heap peak of the fault-shape run below, in bytes: a 128 KB holder bank
+/// (16 384 key classes × one word for this topology's 20 switches) beside
+/// six caches that carry no presence filter. 891 399 with a 1 KB filter
+/// per cache and no bank; 940 858 with 20-byte cache slots and index
+/// buckets of `u32` slot ids, 88-byte copy tokens and ToR monitors that no
+/// re-plan reads; 1 027 982 with `u64` keys and versions in 32-byte cache
+/// slots, 16-byte version slots and 56-byte request slots, and 96-byte
+/// copy tokens; 1 097 432 before that with `Option`-tagged 24-byte version
+/// slots and a 32-bit-per-entry cache filter.
+const RW_FAULTS_PEAK_BYTES: u64 = 1_015_743;
 
 fn profiled_run(scheme: Scheme, requests: u64, seed: u64) -> HostProfile {
     let mut cfg = SimConfig::small();
