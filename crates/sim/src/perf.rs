@@ -371,18 +371,8 @@ mod tests {
         let req = ReqId(0);
         let op = SwitchId(0);
         let server = ServerId(0);
-        let copy = CopySlab::new().insert(ServerToken::new(
-            req,
-            server,
-            0,
-            0,
-            false,
-            SimTime::ZERO,
-            SimTime::ZERO,
-            SimDuration::ZERO,
-            SimTime::ZERO,
-            None,
-        ));
+        let t = SimTime::ZERO;
+        let copy = CopySlab::new().insert(ServerToken::new(req, server, 0, 0, t, t, None));
         let events = [
             Ev::Generate { gen: 0 },
             Ev::RsnodeArrive { req, op },

@@ -9,12 +9,10 @@
 
 use netrs_kvstore::ServerId;
 use netrs_selection::{C3Table, Feedback};
-use netrs_simcore::{DeviceId, DeviceProbe, EventQueue, Histogram, SimDuration, SimRng, SimTime};
+use netrs_simcore::{DeviceProbe, EventQueue, Histogram, SimRng, SimTime};
 
 use crate::cluster::{Ev, ReqId};
-use crate::fabric::{HopSink, Lead};
-use crate::server::ServerToken;
-use crate::state::{flow_hash, Core, REQ_BYTES};
+use crate::state::{Core, Launch};
 
 use super::{ReplyInfo, SchemePolicy};
 
@@ -54,55 +52,6 @@ impl ClientPolicy {
             latencies,
         }
     }
-
-    /// Sends one request copy from the client toward `server`.
-    fn dispatch_copy<D: DeviceProbe>(
-        &mut self,
-        core: &mut Core<D>,
-        now: SimTime,
-        req: ReqId,
-        server: ServerId,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let Some(state) = core.requests.get_mut(req.0) else {
-            return;
-        };
-        let client_idx = state.client as usize;
-        state.copies += 1;
-        let issued_at = state.sent_at;
-        let rgid = state.rgid;
-        self.selectors.on_send(client_idx, server);
-        // Client-side selection has no steering hop: the interval from
-        // issue to departure (the duplicate timer) is the "selection"
-        // phase of the breakdown.
-        let token = ServerToken::new(
-            req,
-            server,
-            client_idx as u32,
-            rgid,
-            false,
-            issued_at,
-            issued_at,
-            SimDuration::ZERO,
-            now,
-            None,
-        );
-        let copy = core.copies.insert(token);
-        let Some(latency) = core.fabric.send(
-            now,
-            core.client_hosts[client_idx],
-            core.server_hosts[server.0 as usize],
-            flow_hash(req, u64::from(server.0)),
-            HopSink::Copy(copy),
-            REQ_BYTES,
-            // The copy sat at the client from issue to departure.
-            Some(Lead::Hold(DeviceId::Client(client_idx as u32), issued_at)),
-        ) else {
-            core.lose_copy(copy); // partitioned by link faults
-            return;
-        };
-        queue.schedule_after(latency, Ev::ServerArrive { copy });
-    }
 }
 
 impl<D: DeviceProbe> SchemePolicy<D> for ClientPolicy {
@@ -119,7 +68,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for ClientPolicy {
         let client_idx = state.client as usize;
         let target = self.selectors.select(client_idx, replicas);
         state.primary = Some(target);
-        self.dispatch_copy(core, now, req, target, queue);
+        self.selectors.on_send(client_idx, target);
+        core.launch(now, req, Launch::Read { server: target }, queue);
         // CliRS-R95 arms the duplicate timer once the client has a usable
         // quantile estimate.
         let Some(seen) = self.latencies.get(client_idx) else {
@@ -154,7 +104,8 @@ impl<D: DeviceProbe> SchemePolicy<D> for ClientPolicy {
             return; // replication factor 1: nowhere else to go
         };
         core.duplicates += 1;
-        self.dispatch_copy(core, now, req, dup, queue);
+        self.selectors.on_send(client_idx, dup);
+        core.launch(now, req, Launch::Read { server: dup }, queue);
     }
 
     fn on_reply(&mut self, _core: &mut Core<D>, now: SimTime, info: &ReplyInfo) {

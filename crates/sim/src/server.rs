@@ -71,23 +71,22 @@ pub struct ServerToken {
 }
 
 impl ServerToken {
-    /// A token whose timeline starts at `issued_at` and whose selection
-    /// interval is `[steered_at, copy_sent_at]`; the server-side
-    /// timestamps are stamped as the copy progresses.
+    /// The token of a read copy of `req`, issued at `issued_at` and sent
+    /// at `copy_sent_at` (by RSNode `rsnode`, if any), steered at
+    /// `copy_sent_at` without waiting; the server-side timestamps are
+    /// stamped as the copy progresses. Called only by
+    /// [`crate::state::Core::launch`], which also stamps the write flag and
+    /// the selection interval the copy's kind sets.
     ///
     /// # Panics
     ///
     /// Panics if `req` does not fit in `u32`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         req: ReqId,
         server: ServerId,
         client: u32,
         rgid: u32,
-        is_write: bool,
         issued_at: SimTime,
-        steered_at: SimTime,
-        selection_wait: SimDuration,
         copy_sent_at: SimTime,
         rsnode: Option<SwitchId>,
     ) -> Self {
@@ -96,7 +95,7 @@ impl ServerToken {
             server,
             client,
             rgid,
-            is_write,
+            is_write: false,
             copy_sent_at,
             rsnode: rsnode.map(|sw| {
                 NonZeroU32::MIN
@@ -104,8 +103,8 @@ impl ServerToken {
                     .expect("switch ids stay below u32::MAX")
             }),
             issued_at,
-            steered_at,
-            selection_wait,
+            steered_at: copy_sent_at,
+            selection_wait: SimDuration::ZERO,
             server_arrived_at: copy_sent_at,
             service_started_at: copy_sent_at,
             served_at: copy_sent_at,
@@ -416,18 +415,7 @@ mod tests {
 
     fn token_via(req: u64, rsnode: Option<SwitchId>) -> ServerToken {
         let t = SimTime::ZERO;
-        ServerToken::new(
-            ReqId(req),
-            ServerId(0),
-            0,
-            0,
-            false,
-            t,
-            t,
-            SimDuration::ZERO,
-            t,
-            rsnode,
-        )
+        ServerToken::new(ReqId(req), ServerId(0), 0, 0, t, t, rsnode)
     }
 
     #[test]
