@@ -61,8 +61,8 @@ pub struct TraceRecord {
     pub req: u64,
     /// The server that served the copy.
     pub server: u32,
-    /// Whether this copy completed the logical request (first response
-    /// for reads, last for writes).
+    /// Whether this copy completed the logical request (a read's first
+    /// response; the reply that brought a write its last required ack).
     pub first: bool,
     /// Whether the request was a write.
     pub write: bool,

@@ -40,6 +40,17 @@ pub struct RunOutput {
     pub shards_not_applied: Option<&'static str>,
 }
 
+/// Checks, in debug builds, that a drained run accounted for every
+/// request: each one completed or, on a fault run, timed out.
+fn debug_assert_accounted(stats: &RunStats) {
+    let timeouts = stats.availability.as_ref().map_or(0, |a| a.timeouts);
+    debug_assert_eq!(
+        stats.completed + timeouts,
+        stats.issued,
+        "a request was neither completed nor timed out"
+    );
+}
+
 /// Runs one configuration to completion and returns its statistics.
 ///
 /// # Panics
@@ -152,6 +163,7 @@ fn run_engine<D: DeviceProbe, P: Probe>(
     let timeseries = cluster.take_timeseries();
     let devices = cluster.take_device_report(now);
     let stats = cluster.stats(now, events);
+    debug_assert_accounted(&stats);
     (
         RunOutput {
             stats,
@@ -331,6 +343,7 @@ fn run_replicated(
     first.flush_control(now);
     let events = wstats.processed;
     let mut stats = first.stats(now, events);
+    debug_assert_accounted(&stats);
     stats.parallel = Some(ParallelStats {
         shards,
         windows: wstats.windows,

@@ -11,7 +11,13 @@
 //!   request either completes (possibly after retries) or is counted as
 //!   a timeout: `completed + timeouts == issued`.
 
-use netrs_sim::{run, Cluster, FaultEvent, FaultPlan, LinkRef, Scheme, SimConfig, TimedFault};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
+
+use netrs_sim::{
+    run, run_observed, Cluster, FaultEvent, FaultPlan, LinkRef, ObsOptions, Scheme, SimConfig,
+    TimedFault, TraceRecord, WriteConsistency,
+};
 use netrs_simcore::SimDuration;
 use proptest::prelude::*;
 
@@ -287,6 +293,77 @@ fn failing_an_operator_on_client_schemes_is_an_error_not_a_panic() {
     }
 }
 
+/// A `Quorum{w:2}` write that lost two of its three copies used to be
+/// dropped from the request table when the third replied, so its timeout
+/// never counted it: 3 459 completed + 1 531 timed out of 5 000.
+#[test]
+fn a_write_short_of_its_quorum_times_out() {
+    let plan = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/faults/overlap.json"
+    ))
+    .expect("fault plan fixture");
+    let mut cfg = base(Scheme::NetRsToR);
+    cfg.requests = 5_000;
+    cfg.write_fraction = 0.1;
+    cfg.write_consistency = WriteConsistency::Quorum { w: 2 };
+    cfg.faults = Some(FaultPlan::from_json(&plan).expect("valid fault plan"));
+    assert_accounted(&run(cfg));
+}
+
+/// An `All` write completes only once every replica acked: with server 0
+/// of a six-way group dead from 1 ms, no write issued after the crash
+/// completes (441 used to, once their last outstanding copy answered).
+#[test]
+fn an_all_write_waits_for_every_replica() {
+    let crash = SimDuration::from_millis(1);
+    let mut cfg = base(Scheme::CliRs);
+    cfg.requests = 5_000;
+    cfg.replication = 6;
+    cfg.write_fraction = 0.1;
+    cfg.faults = Some(FaultPlan {
+        events: vec![TimedFault {
+            at: crash,
+            fault: FaultEvent::ServerCrash { server: 0 },
+        }],
+        ..FaultPlan::default()
+    });
+    let sink = SharedBuf::default();
+    let obs = ObsOptions {
+        trace: Some(Box::new(sink.clone())),
+        ..ObsOptions::default()
+    };
+    let stats = run_observed(cfg, obs).stats;
+    assert_accounted(&stats);
+    let trace = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+    let records: Vec<TraceRecord> = trace
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("trace record parses"))
+        .collect();
+    // Replicas other than server 0 still answer those writes.
+    let after_crash = |r: &&TraceRecord| r.write && r.issued_ns > crash.as_nanos();
+    assert!(records.iter().filter(after_crash).count() > 0);
+    assert!(
+        !records.iter().filter(after_crash).any(|r| r.first),
+        "a write issued after the crash completed"
+    );
+}
+
+/// A `Write` sink the test can read back after the run consumed the box.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -294,12 +371,22 @@ proptest! {
     /// packet loss) no request is ever silently lost, for any scheme and
     /// seed: every issued request completes or is a counted timeout.
     #[test]
-    fn no_request_is_silently_lost(seed in 0u64..1_000, scheme_idx in 0usize..4, loss in 0.05f64..0.4) {
+    fn no_request_is_silently_lost(
+        seed in 0u64..1_000,
+        scheme_idx in 0usize..4,
+        loss in 0.05f64..0.4,
+        consistency_idx in 0usize..3,
+    ) {
         let scheme = Scheme::ALL[scheme_idx];
         let mut cfg = base(scheme);
         cfg.requests = 2_500;
         cfg.seed = seed;
         cfg.write_fraction = 0.1;
+        cfg.write_consistency = [
+            WriteConsistency::All,
+            WriteConsistency::Quorum { w: 2 },
+            WriteConsistency::Chain,
+        ][consistency_idx];
         cfg.faults = Some(FaultPlan {
             events: vec![
                 at(20, FaultEvent::ServerCrash { server: (seed % 6) as u32 }),
