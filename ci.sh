@@ -170,17 +170,21 @@ table_field() {
 [ "$(table_field slots)" -le $((8 * $(table_field live_high_water))) ]
 # Cache lookups, admissions and coherence batches skip the operators the
 # holder bank says hold no key of the class. A debug build asserts every
-# skipped operator's index lacks the key; a release build skips unchecked
-# and must write the same bytes (a crash flush, a dead uplink and a loss
-# burst in overlap.json).
-for build in debug release; do
-    "./target/$build/simulate" --small --scheme netrs-tor --requests 20000 --seed 7 \
-        --write-fraction 0.1 --consistency quorum:2 --hot-cache 128 \
-        --faults tests/fixtures/faults/overlap.json \
-        --devices "$SMOKE/overlap-$build-dev.jsonl" --json > "$SMOKE/overlap-$build.json"
+# skipped operator's index lacks the key, that a chain hop's token agrees
+# with its request and that every request completed or timed out; a
+# release build checks none of it and must write the same bytes (a crash
+# flush, a dead uplink and a loss burst in overlap.json), for every write
+# path.
+for consistency in all quorum:2 chain; do
+    for build in debug release; do
+        "./target/$build/simulate" --small --scheme netrs-tor --requests 20000 --seed 7 \
+            --write-fraction 0.1 --consistency "$consistency" --hot-cache 128 \
+            --faults tests/fixtures/faults/overlap.json \
+            --devices "$SMOKE/overlap-$build-dev.jsonl" --json > "$SMOKE/overlap-$build.json"
+    done
+    cmp "$SMOKE/overlap-debug.json" "$SMOKE/overlap-release.json"
+    cmp "$SMOKE/overlap-debug-dev.jsonl" "$SMOKE/overlap-release-dev.jsonl"
 done
-cmp "$SMOKE/overlap-debug.json" "$SMOKE/overlap-release.json"
-cmp "$SMOKE/overlap-debug-dev.jsonl" "$SMOKE/overlap-release-dev.jsonl"
 
 echo "==> perf-profile smoke (simulate --perf, profiler must not perturb)"
 # A profiled run must produce byte-identical stats to the plain run above
